@@ -6,6 +6,10 @@ only by field elements, valid in any characteristic), the gcd-with-
 Frobenius-powers irreducibility test, and enough factorization
 (squarefree / distinct-degree / equal-degree) to pull one irreducible
 factor out of a reducible characteristic polynomial.
+
+It is also the exponentiation engine behind matrix.mat_pow: pow_mod
+computes x^e mod chi_M, and eval_matrix evaluates the result at M.
+Repeated q-th powers modulo f go through the Frobenius matrix of f.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ __all__ = [
     "char_poly",
     "char_poly_cofactor",
     "is_irreducible",
+    "divides_x_qk_minus_x",
     "irreducible_factors",
     "companion_matrix",
     "mod_inverse",
@@ -183,15 +188,27 @@ class FqPoly:
         return a.monic() if not a.is_zero() else a
 
     def pow_mod(self, n: int, modulus: "FqPoly") -> "FqPoly":
-        result = FqPoly.one(self.spec)
-        base = self % modulus
-        while n:
-            if n & 1:
-                result = (result * base) % modulus
-            n >>= 1
-            if n:
-                base = (base * base) % modulus
-        return result
+        """self^n mod modulus by left-to-right square-and-multiply.
+
+        A squaring costs deg coefficient squarings in characteristic 2,
+        where the cross terms vanish, and half a general product in odd
+        characteristic.  When the base is x, each multiply is a shift.
+        """
+        spec = self.spec
+        if modulus.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        if n == 0:
+            return FqPoly.one(spec)
+        f = modulus.monic()
+        base = _rem_monic(list(self.coeffs), f)
+        by_x = base.coeffs == (spec.zero(), spec.one())
+        acc = base
+        for bit in bin(n)[3:]:
+            acc = _rem_monic(_square(acc.coeffs, spec), f)
+            if bit == "1":
+                prod = [spec.zero(), *acc.coeffs] if by_x else list((acc * base).coeffs)
+                acc = _rem_monic(prod, f)
+        return acc
 
     def derivative(self) -> "FqPoly":
         spec = self.spec
@@ -207,18 +224,14 @@ class FqPoly:
         return acc
 
     def eval_matrix(self, m: Matrix) -> Matrix:
-        """Horner evaluation at a square matrix."""
+        """Horner evaluation at a square matrix, from c_n*M + c_(n-1)*1."""
         spec, d = m.spec, m.d
-        acc = scalar_matrix(spec, d, self.coeffs[-1]) if self.coeffs else scalar_matrix(spec, d, spec.zero())
-        for c in reversed(self.coeffs[:-1]):
-            acc = mat_mul(acc, m)
-            acc = Matrix(
-                spec,
-                [
-                    [acc.rows[a][b] + c if a == b else acc.rows[a][b] for b in range(d)]
-                    for a in range(d)
-                ],
-            )
+        cs = self.coeffs
+        if len(cs) < 2:
+            return scalar_matrix(spec, d, cs[0] if cs else spec.zero())
+        acc = _add_scalar(spec, [[cs[-1] * v for v in row] for row in m.rows], cs[-2])
+        for c in reversed(cs[:-2]):
+            acc = _add_scalar(spec, mat_mul(acc, m).rows, c)
         return acc
 
     def to_json(self) -> list:
@@ -227,6 +240,121 @@ class FqPoly:
     @classmethod
     def from_json(cls, spec: FieldSpec, obj) -> "FqPoly":
         return cls(spec, tuple(FieldElement.from_hex(spec, s) for s in obj))
+
+
+def _add_scalar(spec: FieldSpec, rows, c: FieldElement) -> Matrix:
+    """rows + c*1."""
+    return Matrix(
+        spec, [[v + c if a == b else v for b, v in enumerate(r)] for a, r in enumerate(rows)]
+    )
+
+
+def _square(a, spec: FieldSpec) -> list:
+    """Coefficient list of a(x)^2, cross terms computed once and doubled."""
+    zero = spec.zero()
+    out = [zero] * max(0, 2 * len(a) - 1)
+    for i, c in enumerate(a):
+        if c:
+            out[2 * i] = out[2 * i] + c * c
+            if spec.p != 2:
+                for j in range(i + 1, len(a)):
+                    if a[j]:
+                        t = c * a[j]
+                        out[i + j] = out[i + j] + t + t
+    return out
+
+
+def _rem_monic(a: list, f: FqPoly) -> FqPoly:
+    """a mod f for a monic f; consumes the list a."""
+    n, fc = f.degree(), f.coeffs
+    for top in range(len(a) - 1, n - 1, -1):
+        c = a[top]
+        if c:
+            for i in range(n):
+                if fc[i]:
+                    a[top - n + i] = a[top - n + i] - c * fc[i]
+    return FqPoly(f.spec, a[:n])
+
+
+# ---------------------------------------------------------------------------
+# Frobenius maps
+# ---------------------------------------------------------------------------
+
+
+def _frobenius_map(f: FqPoly, steps: int):
+    """x^q mod f and a map h -> h^q for `steps` further calls.
+
+    f is monic.  The map takes h reduced modulo f or modulo a monic
+    divisor g of f, and returns h^q modulo f or g.  It uses the Frobenius
+    matrix, whose rows are x^(iq) mod f, when that is predicted cheaper
+    over `steps` calls than pow_mod (von zur Gathen and Shoup 1992): for
+    h in GF(q)[x], h^q = sum h_i x^(iq), one vector-matrix product.
+    """
+    spec = f.spec
+    n, q = f.degree(), spec.q
+    xq = FqPoly.x(spec).pow_mod(q, f)
+    matrix_cost = max(0, n - 2) * _mulmod_cost(n) + steps * n * n
+    if matrix_cost >= steps * _pow_mod_cost(q, n, spec.p, by_x=False):
+        return xq, lambda h, g: h.pow_mod(q, g)
+    rows = []
+
+    def by_matrix(h, g):
+        if not rows:
+            rows.extend((FqPoly.one(spec), xq))
+            while len(rows) < n:
+                rows.append(_rem_monic(list((rows[-1] * xq).coeffs), f))
+        out = [spec.zero()] * n
+        for hi, row in zip(h.coeffs, rows):
+            if hi:
+                for j, r in enumerate(row.coeffs):
+                    if r:
+                        out[j] = out[j] + hi * r
+        return FqPoly(spec, out)
+
+    return xq, by_matrix
+
+
+def divides_x_qk_minus_x(f: FqPoly, k: int) -> bool:
+    """True when f divides x^(q^k) - x: f is squarefree and every root
+    lies in GF(q^k).  Costs one x^q and k - 1 Frobenius steps."""
+    f = f.monic()
+    h, frob = _frobenius_map(f, k - 1)
+    for _ in range(k - 1):
+        h = frob(h, f)
+    return ((h - FqPoly.x(f.spec)) % f).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# predicted field multiplications (upper bounds), for choosing a route
+# ---------------------------------------------------------------------------
+
+
+def _mulmod_cost(n: int) -> int:
+    """Product of two residues modulo a monic degree-n polynomial."""
+    return n * n + (n - 1) * n
+
+
+def _pow_mod_cost(e: int, n: int, p: int, by_x: bool) -> int:
+    """pow_mod(e) of a reduced base modulo a monic degree-n polynomial."""
+    square = (n if p == 2 else n * (n + 1) // 2) + (n - 1) * n
+    step = n if by_x else _mulmod_cost(n)
+    return (e.bit_length() - 1) * square + (e.bit_count() - 1) * step
+
+
+def _char_poly_cost(n: int) -> int:
+    """char_poly of an n x n matrix: Hessenberg reduction, then the
+    recurrence on leading principal minors."""
+    hessenberg = sum((n - c - 2) * (2 * n - c + 1) for c in range(n - 2))
+    recurrence = sum(4 * k - 2 + k * (k - 1) // 2 for k in range(1, n + 1))
+    return hessenberg + recurrence
+
+
+def cayley_hamilton_cost(d: int, e: int, p: int) -> int:
+    """Field multiplications, at most, of M^e = (x^e mod chi_M)(M) for a
+    d x d matrix M in characteristic p and e >= 1."""
+    reduce_x = 1 if d == 1 else 0
+    horner = d * d + (d - 2) * d**3 if d >= 2 else 0
+    return _char_poly_cost(d) + reduce_x + _pow_mod_cost(e, d, p, by_x=True) + horner
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +366,16 @@ def char_poly(m: Matrix) -> FqPoly:
     """Monic characteristic polynomial via Hessenberg reduction.
 
     Divisions only involve invertible field elements, so the method works
-    over any finite field including characteristic 2.
+    over any finite field including characteristic 2.  The result is
+    cached on the (immutable) matrix, so a certificate and a power of the
+    same matrix compute it once.
     """
+    if m._chi is None:
+        object.__setattr__(m, "_chi", _hessenberg_char_poly(m))
+    return m._chi
+
+
+def _hessenberg_char_poly(m: Matrix) -> FqPoly:
     spec, n = m.spec, m.d
     h = [list(r) for r in m.rows]
     for c in range(n - 2):
@@ -330,7 +466,8 @@ def companion_matrix(f: FqPoly) -> Matrix:
 
 
 def is_irreducible(f: FqPoly) -> bool:
-    """gcd-with-Frobenius-powers test over GF(p^gamma)."""
+    """gcd-with-Frobenius-powers test over GF(p^gamma) (Rabin 1980):
+    gcd(f, x^(q^k) - x) = 1 for k = 1 .. deg f // 2."""
     n = f.degree()
     if n < 1:
         return False
@@ -341,11 +478,11 @@ def is_irreducible(f: FqPoly) -> bool:
     # cheap screens: roots 0 and 1 give linear factors
     if f.coeffs[0].is_zero() or f(spec.one()).is_zero():
         return False
-    q = spec.q
     x = FqPoly.x(spec)
-    h = x
-    for _ in range(n // 2):
-        h = h.pow_mod(q, f)
+    h, frob = _frobenius_map(f, n // 2 - 1)
+    for k in range(n // 2):
+        if k:
+            h = frob(h, f)
         if not f.gcd(h - x).is_one():
             return False
     return True
@@ -381,15 +518,17 @@ def squarefree_part(f: FqPoly) -> FqPoly:
 
 def _distinct_degree(f: FqPoly):
     """Split a squarefree monic f into (product, degree) components."""
-    spec = f.spec
-    q = spec.q
-    x = FqPoly.x(spec)
+    x = FqPoly.x(f.spec)
     h = x
+    frob = None
     i = 0
     out = []
     while f.degree() >= 2 * (i + 1):
         i += 1
-        h = h.pow_mod(q, f)
+        if frob is None:
+            h, frob = _frobenius_map(f, f.degree() // 2 - 1)
+        else:
+            h = frob(h, f)
         g = f.gcd(h - x)
         if not g.is_one():
             out.append((g, i))

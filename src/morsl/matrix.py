@@ -40,7 +40,8 @@ class SingularMatrixError(ValueError):
 
 
 class Matrix:
-    __slots__ = ("spec", "d", "rows")
+    # _chi caches the characteristic polynomial; fqpoly.char_poly fills it
+    __slots__ = ("spec", "d", "rows", "_chi")
 
     def __init__(self, spec: FieldSpec, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -56,6 +57,7 @@ class Matrix:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_chi", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Matrix is immutable")
@@ -356,9 +358,23 @@ def mat_inv(x: Matrix) -> Matrix:
 
 
 def mat_pow(x: Matrix, n: int) -> Matrix:
+    """x^n by whichever route is predicted to take fewer field multiplications.
+
+    Cayley-Hamilton: x^n = r(x) for r(t) = t^n mod chi_x(t), by
+    FqPoly.pow_mod and Horner evaluation; about d^2 multiplications per
+    exponent bit plus d - 2 matrix products.  Square-and-multiply:
+    1.5 d^3 per bit on average, cheaper for short exponents on large
+    matrices.  Both predictions come from d, n and the characteristic.
+    """
     if n < 0:
         return mat_pow(mat_inv(x), -n)
-    result = identity(x.spec, x.d)
+    from .fqpoly import FqPoly, cayley_hamilton_cost, char_poly
+
+    d = x.d
+    square_and_multiply_cost = d**3 * (n.bit_length() - 1 + n.bit_count())
+    if n and cayley_hamilton_cost(d, n, x.spec.p) < square_and_multiply_cost:
+        return FqPoly.x(x.spec).pow_mod(n, char_poly(x)).eval_matrix(x)
+    result = identity(x.spec, d)
     base = x
     while n:
         if n & 1:

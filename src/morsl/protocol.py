@@ -10,12 +10,15 @@ of the order of <phi> is known to the key holder without factoring, and
 q^(d^2) - 1 bounds the order of any lifted operator.
 
 Large powers of an automorphism are computed through its conjugator:
-recover B once, raise B to the exponent by matrix square-and-multiply,
-and rebuild the generator images.  Conjugation by B^m equals the m-fold
-composition of conjugation by B and the scalar ambiguity of B cancels,
-so this is value-identical to compose-based square-and-multiply (the
-test suite asserts it) while staying polynomial in log m at full-size
-parameters.
+recover B once, raise B to the exponent, and rebuild the generator
+images.  Conjugation by B^m equals the m-fold composition of conjugation
+by B and the scalar ambiguity of B cancels, so this is value-identical
+to compose-based square-and-multiply (the test suite asserts it) while
+staying polynomial in log m at full-size parameters.  The power is
+B^m = (x^m mod chi_B)(B) by Cayley-Hamilton: square-and-shift in
+F_q[x]/chi_B, then Horner evaluation at B (see matrix.mat_pow).  The
+exponent is first reduced mod q^d - 1 when x^(q^d) = x mod chi_B
+certifies that this is exact.
 
 Plaintexts ride in a single elementary transvection at the fixed
 position (1,2), so the conjugation-invariant trace and determinant leak
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 from .autos import Automorphism, InvalidAutomorphismError, recover_conjugator
 from .field import FieldSpec
-from .fqpoly import char_poly, is_irreducible
+from .fqpoly import char_poly, divides_x_qk_minus_x, is_irreducible
 from .matrix import Matrix, conjugate, mat_inv, mat_pow, random_gl, transvection
 from .words import NotInSLError
 
@@ -170,20 +173,21 @@ def _exponent_bound(params: MorParams) -> int:
     return params.spec.q ** (params.d * params.d)
 
 
-def _conj_pow(b: Matrix, e: int, certified: bool | None = None) -> Matrix:
+def _conj_pow(b: Matrix, e: int) -> Matrix:
     """b^e, reducing e mod q^d - 1 when that is provably exact.
 
-    A matrix with irreducible characteristic polynomial is semisimple
-    with eigenvalues in the degree-d extension, so its order divides
-    q^d - 1 and the reduction changes nothing.  Callers that have
-    already established irreducibility pass certified=True; otherwise
-    the certificate is checked here and a failed check falls back to the
-    full exponent (correct, just slower).  This keeps full-size
-    exponentiations polynomial in d*gamma bits rather than d^2*gamma.
+    The certificate is x^(q^d) = x mod chi_B with chi_B(0) != 0: then
+    chi_B is squarefree with its roots in GF(q^d)^*, so B is semisimple
+    and its order divides q^d - 1.  Each q-th power of x costs one
+    vector-matrix product with the Frobenius matrix of chi_B.  Every
+    matrix with irreducible chi_B passes; one with a repeated eigenvalue
+    does not and keeps the full exponent (correct, just slower).
+    mat_pow reuses chi_B, which char_poly caches on b.  This keeps
+    full-size exponentiations polynomial in d*gamma bits rather than
+    d^2*gamma.
     """
-    if certified is None:
-        certified = is_irreducible(char_poly(b))
-    if certified:
+    chi = char_poly(b)
+    if chi.coeffs[0] and divides_x_qk_minus_x(chi, b.d):
         e %= b.spec.q**b.d - 1
     return mat_pow(b, e)
 
@@ -210,9 +214,7 @@ def keygen(params: MorParams, rng, retry_cap: int = KEYGEN_RETRY_CAP):
         raise KeygenFailureError(f"no acceptable conjugator in {retry_cap} draws")
     m = rng.randrange(2, _exponent_bound(params) - 1)
     phi = Automorphism.from_conjugator(a)
-    phi_m = Automorphism.from_conjugator(
-        _conj_pow(a, m, certified=params.require_irreducible_lift)
-    )  # = phi.power(m)
+    phi_m = Automorphism.from_conjugator(_conj_pow(a, m))  # = phi.power(m)
     return MorPublicKey(params, phi, phi_m), MorPrivateKey(m, a)
 
 

@@ -1,0 +1,172 @@
+"""The exponentiation engine against its oracles.
+
+mat_pow picks Cayley-Hamilton or square-and-multiply from a predicted
+multiplication count; FqPoly.pow_mod squares without cross terms in
+characteristic 2; is_irreducible and the _conj_pow certificate take
+q-th powers through the Frobenius matrix.  Each is checked for value
+against tests/oracles.py and, where it matters, for its count.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import is_irreducible_gcd, mat_pow_sqm, pow_mod_sqm
+
+from morsl.autos import Automorphism
+from morsl.field import cost_counter, cost_reset, field_spec
+from morsl.fqpoly import FqPoly, char_poly, divides_x_qk_minus_x, is_irreducible
+from morsl.matrix import (
+    Matrix,
+    conjugate,
+    diagonal_matrix,
+    identity,
+    mat_pow,
+    random_gl,
+    transvection,
+)
+from morsl.protocol import MorParams, _conj_pow, keygen
+
+GF7 = field_spec(7)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+fields = st.builds(
+    field_spec, st.sampled_from((2, 3, 5, 7)), st.sampled_from((1, 2, 4, 8, 16))
+)
+
+
+def _random_matrix(spec, d, rng):
+    return Matrix(spec, [[spec.random(rng) for _ in range(d)] for _ in range(d)])
+
+
+def _poly(spec, coeffs):
+    return FqPoly(spec, [spec.from_val(c % spec.q) for c in coeffs])
+
+
+@PROPERTY
+@given(
+    spec=fields,
+    d=st.integers(1, 9),
+    kind=st.sampled_from(("0", "1", "d-1", "d", "d+1", "random", "negative")),
+    bits=st.integers(1, 200),
+    seed=st.integers(0, 2**32),
+    singular=st.booleans(),
+)
+def test_mat_pow_matches_oracle(spec, d, kind, bits, seed, singular):
+    rng = random.Random(seed)
+    e = {"0": 0, "1": 1, "d-1": d - 1, "d": d, "d+1": d + 1}.get(kind)
+    if e is None:
+        e = rng.getrandbits(bits) | 1 << (bits - 1)
+    if kind == "negative":
+        e, singular = -e, False
+    b = _random_matrix(spec, d, rng) if singular else random_gl(spec, d, rng)
+    assert mat_pow(b, e) == mat_pow_sqm(b, e)
+
+
+@PROPERTY
+@given(
+    spec=fields,
+    parts=st.lists(
+        st.lists(st.integers(0, 2**64), min_size=1, max_size=4), min_size=1, max_size=2
+    ),
+    repeat=st.booleans(),
+)
+def test_is_irreducible_matches_oracle(spec, parts, repeat):
+    # products of random monic factors; repeat squares the first one
+    f = FqPoly.one(spec)
+    for coeffs in parts:
+        f = f * FqPoly(spec, (*_poly(spec, coeffs).coeffs, spec.one()))
+    if repeat:
+        g = FqPoly(spec, (*_poly(spec, parts[0]).coeffs, spec.one()))
+        f = f * g
+    assert is_irreducible(f) == is_irreducible_gcd(f)
+
+
+@PROPERTY
+@given(
+    spec=fields,
+    base=st.lists(st.integers(0, 2**64), max_size=12),
+    modulus=st.lists(st.integers(0, 2**64), min_size=2, max_size=10),
+    e=st.integers(0, 2**64),
+)
+def test_pow_mod_matches_oracle(spec, base, modulus, e):
+    f = _poly(spec, modulus)
+    if f.degree() < 1:
+        f = FqPoly.x(spec)
+    for b in (_poly(spec, base), FqPoly.x(spec)):
+        assert b.pow_mod(e, f) == pow_mod_sqm(b, e, f)
+
+
+def _mat_pow_counts(spec, d, bits, seed):
+    rng = random.Random(seed)
+    b = random_gl(spec, d, rng)
+    e = rng.getrandbits(bits) | 1 << (bits - 1)
+    cost_reset()
+    got = mat_pow(b, e)
+    engine = cost_counter()
+    cost_reset()
+    want = mat_pow_sqm(b, e)
+    oracle = cost_counter()
+    assert got == want
+    return engine, oracle
+
+
+def test_mat_pow_never_costs_more_than_the_oracle():
+    # the first three take Cayley-Hamilton, the 25 x 25 one square-and-multiply
+    cases = (((2, 16), 5, 80), ((7, 1), 9, 20), ((2, 4), 16, 16), ((3, 1), 25, 8))
+    for (p, gamma), d, bits in cases:
+        engine, oracle = _mat_pow_counts(field_spec(p, gamma), d, bits, seed=d)
+        assert engine <= oracle
+        assert (engine < oracle) == (d != 25)
+
+
+def test_cayley_hamilton_count_is_pinned():
+    # every coefficient squaring goes through the counted multiply
+    engine, oracle = _mat_pow_counts(field_spec(2, 16), 5, 80, seed=2)
+    assert (engine, oracle) == (2629, 14250)
+
+
+def test_certificate_accepts_split_semisimple_matrix():
+    rng = random.Random(21)
+    diag = diagonal_matrix([GF7.from_val(v) for v in (2, 3, 5)])
+    b = conjugate(diag, random_gl(GF7, 3, rng))
+    chi = char_poly(b)
+    assert not is_irreducible(chi)
+    assert divides_x_qk_minus_x(chi, 3)
+    assert mat_pow_sqm(b, 7**3 - 1) == identity(GF7, 3)
+    e = rng.getrandbits(300)
+    assert _conj_pow(b, e) == mat_pow_sqm(b, e)
+
+
+def test_certificate_rejects_repeated_eigenvalue():
+    t = transvection(GF7, 3, 1, 2, GF7.from_val(3))
+    assert not divides_x_qk_minus_x(char_poly(t), 3)
+    e = (7**3 - 1) * 2**100 + 1
+    # reducing e mod 7^3 - 1 would change the power of this order-7 matrix
+    assert mat_pow_sqm(t, e % (7**3 - 1)) != mat_pow_sqm(t, e)
+    assert _conj_pow(t, e) == mat_pow_sqm(t, e)
+
+
+def test_keygen_without_irreducible_lift_uses_the_certificate(monkeypatch):
+    import morsl.protocol as protocol
+
+    exponents = []
+
+    def recording_mat_pow(b, e):
+        exponents.append(e)
+        return mat_pow(b, e)
+
+    monkeypatch.setattr(protocol, "mat_pow", recording_mat_pow)
+    params = MorParams(GF7, 3, require_irreducible_lift=False)
+    certified = 0
+    for seed in range(6):
+        pk, sk = keygen(params, random.Random(seed))
+        assert pk.phi_m == Automorphism.from_conjugator(mat_pow_sqm(sk.conjugator, sk.m))
+        chi = char_poly(sk.conjugator)
+        if divides_x_qk_minus_x(chi, 3):
+            certified += 1
+            assert exponents[-1] == sk.m % (7**3 - 1)
+        else:
+            assert exponents[-1] == sk.m
+    assert 0 < certified < 6

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from morsl.field import field_spec
+from morsl.field import cost_counter, cost_reset, field_spec
 from morsl.fqpoly import (
     FqPoly,
     char_poly,
@@ -97,8 +97,19 @@ def test_cayley_hamilton():
         m = random_gl(GF5, d, r)
         f = char_poly(m)
         zero = GF5.zero()
+        cost_reset()
         result = f.eval_matrix(m)
+        # Horner from c_d*M + c_(d-1)*1: d^2 scalings, then d - 1 products
+        assert cost_counter() == d * d + (d - 1) * d**3
         assert all(x == zero for row in result.rows for x in row)
+
+
+def test_char_poly_is_cached_on_the_matrix():
+    m = random_gl(GF7, 4, random.Random(9))
+    f = char_poly(m)
+    cost_reset()
+    assert char_poly(m) is f
+    assert cost_counter() == 0
 
 
 def test_is_irreducible_small_scan():

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from oracles import mat_pow_sqm
 
 from morsl.autos import Automorphism
 from morsl.field import field_spec
@@ -34,7 +35,7 @@ def test_keygen_invariants():
     assert sk.m >= 2
     assert pk.phi_m == pk.phi.power(sk.m % _order_cap(pk, sk))  # small check below
     # direct check with the true exponent via the conjugator
-    assert pk.phi_m == Automorphism.from_conjugator(mat_pow(sk.conjugator, sk.m))
+    assert pk.phi_m == Automorphism.from_conjugator(mat_pow_sqm(sk.conjugator, sk.m))
 
 
 def _order_cap(pk, sk):
