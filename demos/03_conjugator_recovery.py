@@ -4,7 +4,9 @@
 An automorphism presented by generator images hides the matrix behind
 it only up to the center: each image contributes linear constraints on
 the conjugator's entries, and the solution space is one-dimensional.
-This is why inverting an automorphism never needs the secret key.
+recover_conjugator reads the same matrix off the rank-one shape of the
+images without solving that system.  This is why inverting an
+automorphism never needs the secret key.
 """
 
 import random
@@ -42,7 +44,9 @@ print("phi composed with its inverse is the identity:",
       phi.compose(phi.invert()) == ident)
 
 # The order-based inverse (walk the cyclic group to phi^(t-1)) agrees at
-# toy scale; it exists for cross-checks only.
+# toy scale.
 small = Automorphism.from_conjugator(random_gl(field_spec(3), 2, rng))
-print("order-based inverse matches:",
-      small.invert_via_order(max_order=48) == small.invert())
+t, acc = 1, small
+while acc != Automorphism.identity(small.spec, 2):
+    t, acc = t + 1, acc.compose(small)
+print("order-based inverse matches:", small.power(t - 1) == small.invert())

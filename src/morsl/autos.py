@@ -8,6 +8,14 @@ rank one whenever the presentation is a genuine conjugation.  apply()
 exploits that factorization so the image of a letter costs O(d^2) field
 multiplications instead of a full matrix product.
 
+The same factors solve the special conjugacy problem: for a conjugation
+by B, the factor of image (i, j) is a column of B^(-1) times a row of B,
+up to scalars, so recover_conjugator reads B off d of the factors, fixes
+the row scales by dot products, inverts once and checks every image
+exactly, in O(d^3) field multiplications.  The result is cached on the
+automorphism, so a key pays for it once.  conjugator_solution_space
+keeps the linear-algebra view: the d^2-unknown system the images pose.
+
 Composition order is fixed artifact-wide as left-to-right application:
 compose(phi, psi) maps X to psi(phi(X)).  Conjugations then satisfy
 compose(conj_A, conj_B) = conj_{A·B}.
@@ -18,18 +26,9 @@ kept in a separate type and never accepted as key material.
 
 from __future__ import annotations
 
-import itertools
-
-from .field import FieldElement, FieldSpec
+from .field import FieldSpec
 from .linalg import RowReducer
-from .matrix import (
-    Matrix,
-    SingularMatrixError,
-    identity,
-    mat_inv,
-    mat_mul,
-    mat_pow,
-)
+from .matrix import Matrix, SingularMatrixError, mat_inv, mat_pow
 from .words import decompose
 
 __all__ = [
@@ -53,7 +52,9 @@ def generator_pairs(d: int):
 
 
 class Automorphism:
-    __slots__ = ("spec", "d", "images", "_rank1")
+    # _rank1 maps each pair to the factor (u, v) of image - 1 = u v^T, or
+    # None; _conj caches recover_conjugator
+    __slots__ = ("spec", "d", "images", "_rank1", "_conj")
 
     def __init__(self, spec: FieldSpec, d: int, images: dict):
         pairs = generator_pairs(d)
@@ -73,6 +74,7 @@ class Automorphism:
         object.__setattr__(
             self, "_rank1", {key: _factor_rank1(spec, d, m) for key, m in imgs.items()}
         )
+        object.__setattr__(self, "_conj", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Automorphism is immutable")
@@ -175,47 +177,16 @@ class Automorphism:
         )
 
     def power(self, m: int) -> "Automorphism":
-        """m-th power by square and multiply over compose."""
-        if m < 0:
-            return self.invert().power(-m)
-        result = Automorphism.identity(self.spec, self.d)
-        base = self
-        while m:
-            if m & 1:
-                result = result.compose(base)
-            m >>= 1
-            if m:
-                base = base.compose(base)
-        return result
+        """m-th power: conjugation by B^m for the recovered conjugator B.
 
-    def power_via_conjugator(self, m: int) -> "Automorphism":
-        """Same value as power(m), via the recovered conjugator.
-
-        Conjugation by B^m equals the m-th compose-power of conjugation
-        by B, and the center ambiguity of B cancels under conjugation,
-        so the two paths agree image by image.
+        Conjugation by B^m is the m-fold composition of conjugation by B,
+        and the scalar ambiguity of B cancels, so this equals
+        square-and-multiply over compose image by image.
         """
-        b = recover_conjugator(self)
-        return Automorphism.from_conjugator(mat_pow(b, m))
+        return Automorphism.from_conjugator(mat_pow(recover_conjugator(self), m))
 
     def invert(self) -> "Automorphism":
         return Automorphism.from_conjugator(mat_inv(recover_conjugator(self)))
-
-    def invert_via_order(self, max_order: int = 1 << 16) -> "Automorphism":
-        """Order-based inverse phi^(t-1) where phi^t = 1.
-
-        Exposed for cross-checks at toy scale only: finding t walks the
-        cyclic group one compose at a time, capped by max_order.
-        """
-        ident = Automorphism.identity(self.spec, self.d)
-        acc = self
-        t = 1
-        while acc != ident:
-            acc = acc.compose(self)
-            t += 1
-            if t > max_order:
-                raise InvalidAutomorphismError("order exceeds the search cap")
-        return self.power(t - 1)
 
     def __eq__(self, other):
         if not isinstance(other, Automorphism):
@@ -264,7 +235,10 @@ def _dot(row, col, zero):
 
 
 def _factor_rank1(spec: FieldSpec, d: int, img: Matrix):
-    """Write img - 1 as an outer product u * v^T, or None if rank > 1."""
+    """Write img - 1 as an outer product u * v^T, or None if rank > 1.
+
+    v is the first nonzero row of img - 1, so the first nonzero entry of
+    u is 1."""
     one, zero = spec.one(), spec.zero()
     rows = []
     for a in range(d):
@@ -338,85 +312,71 @@ def _constraint_rows(spec: FieldSpec, d: int, i: int, j: int, n: Matrix):
             yield row
 
 
-def _solution_basis(phi: Automorphism) -> list[Matrix]:
+def conjugator_solution_space(phi: Automorphism) -> list[Matrix]:
+    """Basis of the linear space of B with (1+e_{i,j}) B = B * image."""
     spec, d = phi.spec, phi.d
     reducer = RowReducer(spec, d * d)
-    max_rank = d * d - 1
     for (i, j) in generator_pairs(d):
         for row in _constraint_rows(spec, d, i, j, phi.images[(i, j)]):
             reducer.add_row(row)
-        if reducer.rank >= max_rank:
+        if reducer.rank >= d * d - 1:
             break
-    basis = reducer.nullspace_basis()
     return [
-        Matrix(spec, [vec[a * d:(a + 1) * d] for a in range(d)]) for vec in basis
+        Matrix(spec, [vec[a * d:(a + 1) * d] for a in range(d)])
+        for vec in reducer.nullspace_basis()
     ]
-
-
-def conjugator_solution_space(phi: Automorphism) -> list[Matrix]:
-    """Basis of the linear space of B with (1+e_{i,j}) B = B * image."""
-    return _solution_basis(phi)
-
-
-def _satisfies_all(phi: Automorphism, b: Matrix) -> bool:
-    spec, d = phi.spec, phi.d
-    for (i, j), n in phi.images.items():
-        rhs = mat_mul(b, n)
-        # (1 + e_{i,j}) B adds row j of B to row i
-        for a in range(d):
-            for c in range(d):
-                lhs = b.rows[a][c]
-                if a == i - 1:
-                    lhs = lhs + b.rows[j - 1][c]
-                if lhs != rhs.rows[a][c]:
-                    return False
-    return True
 
 
 def recover_conjugator(phi: Automorphism) -> Matrix:
     """Solve the special conjugacy problem for a generator presentation.
 
-    Returns one invertible B with phi(X) = B^(-1) X B; any other solution
-    is a scalar multiple (the center of GL).  The solution space is found
-    by linear algebra; a nonsingular point is picked deterministically by
-    scanning basis combinations with small coefficients.
+    Returns the invertible B with phi(X) = B^(-1) X B whose last nonzero
+    entry in row-major order is 1; every other solution is a scalar
+    multiple (the center of GL).  The result is cached on phi.
     """
-    spec = phi.spec
-    basis = _solution_basis(phi)
-    if not basis:
-        raise InvalidAutomorphismError("no conjugator: empty solution space")
-    candidate = None
-    for b in basis:
-        if b.is_gl():
-            candidate = b
-            break
-    if candidate is None and len(basis) > 1:
-        scan_vals = [spec.from_val(v) for v in range(min(spec.q, 4))]
-        for combo in itertools.product(scan_vals, repeat=len(basis)):
-            if all(c.is_zero() for c in combo):
-                continue
-            acc = None
-            for c, mat in zip(combo, basis):
-                if c.is_zero():
-                    continue
-                scaled = Matrix(
-                    spec, [[c * x for x in row] for row in mat.rows]
-                )
-                acc = scaled if acc is None else Matrix(
-                    spec,
-                    [
-                        [a + b2 for a, b2 in zip(r1, r2)]
-                        for r1, r2 in zip(acc.rows, scaled.rows)
-                    ],
-                )
-            if acc is not None and acc.is_gl():
-                candidate = acc
-                break
-    if candidate is None:
+    if phi._conj is None:
+        object.__setattr__(phi, "_conj", _conjugator_from_rank1(phi))
+    return phi._conj
+
+
+def _conjugator_from_rank1(phi: Automorphism) -> Matrix:
+    """B read off the rank-one factors of the images, O(d^3) in all.
+
+    For a conjugation by B, image (i, j) is 1 + c_i r_j^T with c_i column
+    i of B^(-1) and r_j row j of B, so its factor (u, v) has v
+    proportional to r_j.  Rows v_{2,1}, v_{1,2}, ..., v_{1,d} give B up
+    to one scale per row; row j >= 2 is scaled by u_{1,j} . v_{2,1},
+    which is the ratio of the two row scales because r_1 . c_1 = 1.
+    Each image is then checked exactly: u has first nonzero entry
+    u_k = 1, and as r_j != 0, u v^T = c_i r_j^T holds exactly when
+    v = c_{i,k} r_j and c_i = c_{i,k} u, 2d multiplications per image.
+    """
+    spec, d = phi.spec, phi.d
+    zero = spec.zero()
+    fac = phi._rank1
+    if None in fac.values():
+        raise InvalidAutomorphismError("an image is not a rank-one update of 1")
+    rows = [fac[(2, 1)][1]] + [fac[(1, j)][1] for j in range(2, d + 1)]
+    scales = [spec.one()] + [_dot(fac[(1, j)][0], rows[0], zero) for j in range(2, d + 1)]
+    last = next((x for x in reversed(rows[-1]) if x), None)
+    if last is None or not all(scales):
         raise InvalidAutomorphismError("no nonsingular solution")
-    if not _satisfies_all(phi, candidate):
-        raise InvalidAutomorphismError("presentation is not a conjugation")
-    return candidate
+    lam = (scales[-1] * last).inv()
+    b = Matrix(spec, [_scaled(lam * s, row) for s, row in zip(scales, rows)])
+    try:
+        cols = list(zip(*mat_inv(b).rows))
+    except SingularMatrixError:
+        raise InvalidAutomorphismError("no nonsingular solution") from None
+    for (i, j), (u, v) in fac.items():
+        c = cols[i - 1]
+        k = next((k for k, x in enumerate(u) if x), None)
+        if k is None or v != _scaled(c[k], b.rows[j - 1]) or c != _scaled(c[k], u):
+            raise InvalidAutomorphismError("presentation is not a conjugation")
+    return b
+
+
+def _scaled(s, vec) -> tuple:
+    return tuple(s * x if x else x for x in vec)
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,9 @@ class SingularMatrixError(ValueError):
 
 
 class Matrix:
-    # _chi caches the characteristic polynomial; fqpoly.char_poly fills it
-    __slots__ = ("spec", "d", "rows", "_chi")
+    # _chi caches the characteristic polynomial (fqpoly.char_poly fills
+    # it), _split the verdict of protocol._conj_pow's certificate
+    __slots__ = ("spec", "d", "rows", "_chi", "_split")
 
     def __init__(self, spec: FieldSpec, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -58,6 +59,7 @@ class Matrix:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_chi", None)
+        object.__setattr__(self, "_split", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Matrix is immutable")

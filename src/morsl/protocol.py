@@ -10,15 +10,17 @@ of the order of <phi> is known to the key holder without factoring, and
 q^(d^2) - 1 bounds the order of any lifted operator.
 
 Large powers of an automorphism are computed through its conjugator:
-recover B once, raise B to the exponent, and rebuild the generator
-images.  Conjugation by B^m equals the m-fold composition of conjugation
-by B and the scalar ambiguity of B cancels, so this is value-identical
-to compose-based square-and-multiply (the test suite asserts it) while
+recover B, raise B to the exponent, and rebuild the generator images.
+Conjugation by B^m equals the m-fold composition of conjugation by B
+and the scalar ambiguity of B cancels, so this is value-identical to
+compose-based square-and-multiply (the test suite asserts it) while
 staying polynomial in log m at full-size parameters.  The power is
 B^m = (x^m mod chi_B)(B) by Cayley-Hamilton: square-and-shift in
 F_q[x]/chi_B, then Horner evaluation at B (see matrix.mat_pow).  The
 exponent is first reduced mod q^d - 1 when x^(q^d) = x mod chi_B
-certifies that this is exact.
+certifies that this is exact.  B is recovered once per automorphism and
+the certificate decided once per B (both are cached), so a key's later
+messages pay for neither.
 
 Plaintexts ride in a single elementary transvection at the fixed
 position (1,2), so the conjugation-invariant trace and determinant leak
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from .autos import Automorphism, InvalidAutomorphismError, recover_conjugator
 from .field import FieldSpec
 from .fqpoly import char_poly, divides_x_qk_minus_x, is_irreducible
-from .matrix import Matrix, conjugate, mat_inv, mat_pow, random_gl, transvection
+from .matrix import Matrix, conjugate, mat_inv, mat_mul, mat_pow, random_gl, transvection
 from .words import NotInSLError
 
 __all__ = [
@@ -181,13 +183,16 @@ def _conj_pow(b: Matrix, e: int) -> Matrix:
     and its order divides q^d - 1.  Each q-th power of x costs one
     vector-matrix product with the Frobenius matrix of chi_B.  Every
     matrix with irreducible chi_B passes; one with a repeated eigenvalue
-    does not and keeps the full exponent (correct, just slower).
-    mat_pow reuses chi_B, which char_poly caches on b.  This keeps
-    full-size exponentiations polynomial in d*gamma bits rather than
-    d^2*gamma.
+    does not and keeps the full exponent (correct, just slower).  The
+    verdict is cached on b, and mat_pow reuses chi_B, which char_poly
+    caches on b.  This keeps full-size exponentiations polynomial in
+    d*gamma bits rather than d^2*gamma.
     """
-    chi = char_poly(b)
-    if chi.coeffs[0] and divides_x_qk_minus_x(chi, b.d):
+    if b._split is None:
+        chi = char_poly(b)
+        split = bool(chi.coeffs[0]) and divides_x_qk_minus_x(chi, b.d)
+        object.__setattr__(b, "_split", split)
+    if b._split:
         e %= b.spec.q**b.d - 1
     return mat_pow(b, e)
 
@@ -238,29 +243,20 @@ def encrypt(pk: MorPublicKey, a: Matrix, rng) -> MorCiphertext:
     return MorCiphertext(phi_r, payload)
 
 
-def decrypt(sk: MorPrivateKey, ct: MorCiphertext, method: str = "conjugator") -> Matrix:
-    """Invert phi^{mr} on the payload.
-
-    method="conjugator" recovers B_r from phi^r, raises it to m and
-    conjugates back; method="compose" follows power-then-invert on the
-    automorphism presentation.  Both agree; the former is the fast path.
-    """
+def decrypt(sk: MorPrivateKey, ct: MorCiphertext) -> Matrix:
+    """Invert phi^{mr} on the payload: recover B_r from phi^r, raise it
+    to m and conjugate back, b * payload * b^(-1)."""
     payload = ct.payload
     if sk.conjugator.d != payload.d or sk.conjugator.spec != payload.spec:
         raise InvalidCiphertextError("ciphertext does not match this key")
     if not payload.is_sl():
         raise InvalidCiphertextError("payload determinant is not 1")
     try:
-        if method == "conjugator":
-            b_r = recover_conjugator(ct.phi_r)
-            b = _conj_pow(b_r, sk.m)
-            return conjugate(payload, mat_inv(b))
-        if method == "compose":
-            psi = ct.phi_r.power(sk.m)
-            return psi.invert().apply(payload)
+        b_r = recover_conjugator(ct.phi_r)
     except InvalidAutomorphismError as exc:
         raise InvalidCiphertextError(str(exc)) from exc
-    raise ValueError(f"unknown decrypt method {method!r}")
+    b = _conj_pow(b_r, sk.m)
+    return mat_mul(mat_mul(b, payload), mat_inv(b))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,23 @@
 """Reference implementations that the tests compare the engine against.
 
 These are the plain algorithms the package used before its
-exponentiation engine: matrix square-and-multiply, right-to-left
-square-and-multiply on FqPoly products and remainders, and the
-gcd(f, x^(q^k) - x) irreducibility loop with one pow_mod(q) per step.
+exponentiation engine and its rank-one conjugator recovery: matrix
+square-and-multiply, right-to-left square-and-multiply on FqPoly
+products and remainders, the gcd(f, x^(q^k) - x) irreducibility loop
+with one pow_mod(q) per step, square-and-multiply over compose on
+automorphisms (with the order-based inverse and the decryption built on
+it), and conjugator recovery by solving the d^2-unknown linear system.
 They call neither matrix.mat_pow nor FqPoly.pow_mod nor the Frobenius
-matrix, so an agreement checks the engine against independent code.
+matrix, and only the compose decrypt's final inversion calls
+autos.recover_conjugator, so an agreement checks the engine against
+independent code.
 """
 
+import itertools
+
+from morsl.autos import Automorphism, InvalidAutomorphismError, conjugator_solution_space
 from morsl.fqpoly import FqPoly
-from morsl.matrix import identity, mat_inv, mat_mul
+from morsl.matrix import Matrix, identity, mat_inv, mat_mul
 
 
 def mat_pow_sqm(x, n):
@@ -56,3 +64,77 @@ def is_irreducible_gcd(f):
         if not f.gcd(h - x).is_one():
             return False
     return True
+
+
+def compose_power(phi, m):
+    """phi^m by square-and-multiply over compose; m >= 0."""
+    result = Automorphism.identity(phi.spec, phi.d)
+    base = phi
+    while m:
+        if m & 1:
+            result = result.compose(base)
+        m >>= 1
+        if m:
+            base = base.compose(base)
+    return result
+
+
+def invert_via_order(phi, max_order=1 << 16):
+    """phi^(t-1) where phi^t = 1, walking the cyclic group by compose."""
+    ident = Automorphism.identity(phi.spec, phi.d)
+    acc = phi
+    t = 1
+    while acc != ident:
+        acc = acc.compose(phi)
+        t += 1
+        if t > max_order:
+            raise InvalidAutomorphismError("order exceeds the search cap")
+    return compose_power(phi, t - 1)
+
+
+def decrypt_compose(sk, ct):
+    """Power phi^r to m over compose, invert, apply to the payload."""
+    return compose_power(ct.phi_r, sk.m).invert().apply(ct.payload)
+
+
+def _satisfies_all(phi, b):
+    d = phi.d
+    for (i, j), n in phi.images.items():
+        rhs = mat_mul(b, n)
+        # (1 + e_{i,j}) B adds row j of B to row i
+        for a in range(d):
+            for c in range(d):
+                lhs = b.rows[a][c]
+                if a == i - 1:
+                    lhs = lhs + b.rows[j - 1][c]
+                if lhs != rhs.rows[a][c]:
+                    return False
+    return True
+
+
+def recover_conjugator_linalg(phi):
+    """Nullspace of the d^2-unknown system, then a nonsingular point by
+    scanning small basis combinations, then a check of every image."""
+    spec = phi.spec
+    basis = conjugator_solution_space(phi)
+    if not basis:
+        raise InvalidAutomorphismError("no conjugator: empty solution space")
+    candidate = next((b for b in basis if b.is_gl()), None)
+    if candidate is None and len(basis) > 1:
+        scan_vals = [spec.from_val(v) for v in range(min(spec.q, 4))]
+        for combo in itertools.product(scan_vals, repeat=len(basis)):
+            if all(c.is_zero() for c in combo):
+                continue
+            acc = [[spec.zero()] * phi.d for _ in range(phi.d)]
+            for c, mat in zip(combo, basis):
+                if c:
+                    acc = [[a + c * x for a, x in zip(r1, r2)] for r1, r2 in zip(acc, mat.rows)]
+            point = Matrix(spec, acc)
+            if point.is_gl():
+                candidate = point
+                break
+    if candidate is None:
+        raise InvalidAutomorphismError("no nonsingular solution")
+    if not _satisfies_all(phi, candidate):
+        raise InvalidAutomorphismError("presentation is not a conjugation")
+    return candidate

@@ -29,7 +29,7 @@ from morsl.protocol import MorParams, _conj_pow, keygen
 
 GF7 = field_spec(7)
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=60)
 
 fields = st.builds(
     field_spec, st.sampled_from((2, 3, 5, 7)), st.sampled_from((1, 2, 4, 8, 16))

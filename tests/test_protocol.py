@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from oracles import mat_pow_sqm
+from oracles import decrypt_compose, mat_pow_sqm
 
 from morsl.autos import Automorphism
 from morsl.field import field_spec
@@ -86,10 +86,8 @@ def test_decrypt_methods_agree():
     pk_small = MorPublicKey(TOY, pk.phi, Automorphism.from_conjugator(mat_pow(a, 11)))
     msg = random_sl(TOY.spec, 3, r)
     ct = encrypt(pk_small, msg, r)
-    assert decrypt(small, ct, method="conjugator") == msg
-    assert decrypt(small, ct, method="compose") == msg
-    with pytest.raises(ValueError):
-        decrypt(small, ct, method="nope")
+    assert decrypt(small, ct) == msg
+    assert decrypt_compose(small, ct) == msg
 
 
 def test_payload_stays_sl_and_transvection_trace():
