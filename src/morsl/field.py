@@ -56,6 +56,13 @@ def cost_reset() -> None:
     _mul_count = 0
 
 
+def _count_muls(k: int) -> None:
+    """Tally k multiplications that a raw-int kernel did without
+    FieldElement; the kernel counts them analytically."""
+    global _mul_count
+    _mul_count += k
+
+
 # ---------------------------------------------------------------------------
 # primality
 # ---------------------------------------------------------------------------
@@ -283,7 +290,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "gamma", "modulus", "q",
-        "_mask", "_mod_packed", "_red_table",
+        "_mask", "_mod_packed", "_red_table", "_sq_table",
         "_mul_table", "_inv_table", "_pow_base",
     )
 
@@ -312,6 +319,7 @@ class FieldSpec:
         object.__setattr__(self, "_mul_table", None)
         object.__setattr__(self, "_inv_table", None)
         object.__setattr__(self, "_pow_base", None)
+        object.__setattr__(self, "_sq_table", None)
         if p == 2:
             object.__setattr__(self, "_mask", (1 << gamma) - 1)
             mod_packed = sum(c << i for i, c in enumerate(modulus))
@@ -474,6 +482,24 @@ class FieldSpec:
             hi >>= 4
             k += 1
         return lo
+
+    def _square_rows(self) -> tuple:
+        """Squaring table of a binary field, built on first use.
+
+        a -> a^2 is GF(2)-linear, so row k maps a byte b to (b * x^(8k))^2
+        reduced by the modulus, and a^2 is the XOR of one entry per byte
+        of a.
+        """
+        if self._sq_table is None:
+            mod, rows, v = self._mod_packed, [], 1
+            for _ in range((self.gamma + 7) // 8):
+                row = [0]
+                for _ in range(8):
+                    row += [r ^ v for r in row]
+                    v = _gf2_mod(v << 2, mod)
+                rows.append(tuple(row))
+            object.__setattr__(self, "_sq_table", tuple(rows))
+        return self._sq_table
 
     def _build_tables(self):
         q, p = self.q, self.p
@@ -687,10 +713,19 @@ class FieldElement:
     # -- serialization: coefficients constant term first, hex, ':'-joined ----
 
     def to_hex(self) -> str:
+        if self.spec.p == 2:
+            return ":".join(format(self.val, f"0{self.spec.gamma}b")[::-1])
         return ":".join(format(c, "x") for c in self.coeffs)
 
     @classmethod
     def from_hex(cls, spec: FieldSpec, s: str) -> "FieldElement":
+        # binary fields: exactly gamma single 0/1 digits, read in one step;
+        # any other string takes the general parse and its errors
+        gamma = spec.gamma
+        if spec.p == 2 and len(s) == 2 * gamma - 1 and s[1::2] == ":" * (gamma - 1):
+            bits = s[::2]
+            if not bits.strip("01"):
+                return FieldElement(spec, int(bits[::-1], 2))
         coeffs = [int(part, 16) for part in s.split(":")]
         if len(coeffs) != spec.gamma:
             raise ValueError("wrong number of coefficients for this spec")

@@ -10,14 +10,23 @@ factor out of a reducible characteristic polynomial.
 It is also the exponentiation engine behind matrix.mat_pow: pow_mod
 computes x^e mod chi_M, and eval_matrix evaluates the result at M.
 Repeated q-th powers modulo f go through the Frobenius matrix of f.
+Over a binary field too large for a multiplication table, x^e runs on
+raw ints: the residue is one int of byte-aligned lanes, and squaring a
+coefficient and clearing a top coefficient are each one XOR of byte-
+indexed table entries (both maps are GF(2)-linear).  That kernel adds
+to the multiplication counter exactly what the FieldElement loop would
+count, so counts and route choices do not depend on which path ran.
 """
 
 from __future__ import annotations
 
 import random as _random
+from functools import reduce as _reduce
 from math import gcd as _int_gcd
+from operator import getitem as _getitem
+from operator import xor as _xor
 
-from .field import FieldElement, FieldSpec
+from .field import _TABLE_MAX_Q, FieldElement, FieldSpec, _count_muls
 from .matrix import Matrix, identity, mat_mul, scalar_matrix
 
 __all__ = [
@@ -192,7 +201,9 @@ class FqPoly:
 
         A squaring costs deg coefficient squarings in characteristic 2,
         where the cross terms vanish, and half a general product in odd
-        characteristic.  When the base is x, each multiply is a shift.
+        characteristic.  When the base is x, each multiply is a shift, and
+        over a binary field without a multiplication table the whole power
+        runs on raw ints (_pow_x_binary).
         """
         spec = self.spec
         if modulus.is_zero():
@@ -202,6 +213,9 @@ class FqPoly:
         f = modulus.monic()
         base = _rem_monic(list(self.coeffs), f)
         by_x = base.coeffs == (spec.zero(), spec.one())
+        # the base reduces to x only when deg f >= 2
+        if by_x and spec.p == 2 and spec.q > _TABLE_MAX_Q:
+            return _pow_x_binary(n, f)
         acc = base
         for bit in bin(n)[3:]:
             acc = _rem_monic(_square(acc.coeffs, spec), f)
@@ -274,6 +288,60 @@ def _rem_monic(a: list, f: FqPoly) -> FqPoly:
                 if fc[i]:
                     a[top - n + i] = a[top - n + i] - c * fc[i]
     return FqPoly(f.spec, a[:n])
+
+
+def _pow_x_binary(e: int, f: FqPoly) -> FqPoly:
+    """x^e mod a monic f of degree n >= 2 over GF(2^gamma), gamma > 8.
+
+    The residue is one int of n byte-aligned lanes, coefficient i in lane
+    i.  Squaring and clearing a top coefficient c are both GF(2)-linear,
+    so each is the XOR of one table entry per byte: the field's squaring
+    table, and a per-call table that maps c to the lanes
+    (c*f_0, ..., c*f_(n-1), c) it subtracts.  The multiplications are
+    counted as the FieldElement loop in pow_mod counts them: one per
+    nonzero coefficient squared, nnz(f_0 .. f_(n-1)) per nonzero top
+    coefficient cleared.
+    """
+    spec = f.spec
+    n, gamma, mod = f.degree(), spec.gamma, spec._mod_packed
+    nb = (gamma + 7) // 8
+    lane = 8 * nb
+    fc = [c.val for c in f.coeffs[:n]]
+    nnz = sum(1 for v in fc if v)
+    sq = spec._square_rows()
+    red, bit = [], 1 << n * lane
+    for _ in range(nb):
+        row = [0]
+        for _ in range(8):
+            v = sum(c << i * lane for i, c in enumerate(fc)) | bit
+            row += [r ^ v for r in row]
+            fc = [c << 1 ^ mod if c >> gamma - 1 else c << 1 for c in fc]
+            bit <<= 1
+        red.append(tuple(row))
+    top = n * lane
+    acc, count = 1 << lane, 0
+    for b in bin(e)[3:]:
+        raw = acc.to_bytes(n * nb, "little")
+        squares = [_reduce(_xor, map(_getitem, sq, raw[i:i + nb])) for i in range(0, n * nb, nb)]
+        count += n - squares.count(0)
+        s = int.from_bytes(b"".join([v.to_bytes(2 * nb, "little") for v in squares]), "little")
+        for shift in range((n - 2) * lane, -1, -lane):
+            c = s >> top + shift
+            if c:
+                count += nnz
+                s ^= _reduce(_xor, map(_getitem, red, c.to_bytes(nb, "little"))) << shift
+        acc = s
+        if b == "1":
+            acc <<= lane
+            c = acc >> top
+            if c:
+                count += nnz
+                acc ^= _reduce(_xor, map(_getitem, red, c.to_bytes(nb, "little")))
+    _count_muls(count)
+    raw = acc.to_bytes(n * nb, "little")
+    return FqPoly(spec, [
+        FieldElement(spec, int.from_bytes(raw[i * nb:(i + 1) * nb], "little")) for i in range(n)
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -211,8 +211,12 @@ def keygen(params: MorParams, rng, retry_cap: int = KEYGEN_RETRY_CAP):
     a = None
     for _ in range(retry_cap):
         cand = random_gl(spec, d, rng)
-        if params.require_irreducible_lift and not is_irreducible(char_poly(cand)):
-            continue
+        if params.require_irreducible_lift:
+            if not is_irreducible(char_poly(cand)):
+                continue
+            # an irreducible chi of degree d >= 2 has chi(0) != 0 and
+            # divides x^(q^d) - x: the certificate of _conj_pow holds
+            object.__setattr__(cand, "_split", True)
         a = cand
         break
     if a is None:

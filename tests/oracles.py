@@ -10,7 +10,9 @@ it), and conjugator recovery by solving the d^2-unknown linear system.
 They call neither matrix.mat_pow nor FqPoly.pow_mod nor the Frobenius
 matrix, and only the compose decrypt's final inversion calls
 autos.recover_conjugator, so an agreement checks the engine against
-independent code.
+independent code.  Two more are the FieldElement forms of code that now
+runs on raw ints: the x^e loop of FqPoly.pow_mod, whose multiplications
+are counted one by one, and the coefficient-by-coefficient hex format.
 """
 
 import itertools
@@ -46,6 +48,50 @@ def pow_mod_sqm(base, n, modulus):
         if n:
             base = (base * base) % modulus
     return result
+
+
+def pow_x_elementwise(e, f):
+    """x^e mod a monic f of degree >= 2, e >= 1, by left-to-right
+    square-and-shift on FieldElement coefficients: one multiplication
+    per nonzero coefficient squared, one per nonzero f_i when a nonzero
+    top coefficient is cleared."""
+    spec, n = f.spec, f.degree()
+    zero = spec.zero()
+
+    def reduce(a):
+        for top in range(len(a) - 1, n - 1, -1):
+            c = a[top]
+            if c:
+                for i in range(n):
+                    if f.coeffs[i]:
+                        a[top - n + i] = a[top - n + i] - c * f.coeffs[i]
+        return a[:n]
+
+    acc = [zero, spec.one()] + [zero] * (n - 2)
+    for bit in bin(e)[3:]:
+        sq = [zero] * (2 * n - 1)
+        for i, c in enumerate(acc):
+            if c:
+                sq[2 * i] = c * c
+        acc = reduce(sq)
+        if bit == "1":
+            acc = reduce([zero, *acc])
+    return FqPoly(spec, acc)
+
+
+def to_hex_loop(a):
+    """Coefficients, constant term first, in hex, ':'-joined."""
+    return ":".join(format(c, "x") for c in a.coeffs)
+
+
+def from_hex_loop(spec, s):
+    """Inverse of to_hex_loop; raises ValueError on a malformed string."""
+    coeffs = [int(part, 16) for part in s.split(":")]
+    if len(coeffs) != spec.gamma:
+        raise ValueError("wrong number of coefficients for this spec")
+    if any(not 0 <= c < spec.p for c in coeffs):
+        raise ValueError("coefficient out of range")
+    return spec.from_coeffs(coeffs)
 
 
 def is_irreducible_gcd(f):

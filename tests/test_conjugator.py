@@ -21,7 +21,7 @@ import morsl.matrix as matrix
 import morsl.protocol as protocol
 from morsl.autos import Automorphism, InvalidAutomorphismError, recover_conjugator
 from morsl.field import cost_counter, cost_reset, field_spec
-from morsl.matrix import identity, random_gl, random_sl
+from morsl.matrix import identity, mat_pow, random_gl, random_sl
 from morsl.protocol import MorParams, decode_message, decrypt, encode_message, encrypt, keygen
 
 PROPERTY = settings(max_examples=40)
@@ -125,6 +125,21 @@ def test_second_message_pays_no_recovery_and_no_certificate(monkeypatch):
     ct = encrypt(pk, encode_message(b"b", params), rng)
     assert calls == after_first
     assert decode_message(decrypt(sk, ct)) == b"b"
+
+
+def test_keygen_with_irreducible_lift_skips_the_certificate(monkeypatch):
+    calls = {}
+    _counting(monkeypatch, protocol, "divides_x_qk_minus_x", calls)
+    spec = field_spec(2, 16)
+    for seed in range(3):
+        pk, sk = keygen(MorParams(spec, 5), random.Random(seed))
+        assert calls == {}
+        assert sk.conjugator._split is True
+        assert pk.phi_m == Automorphism.from_conjugator(
+            mat_pow(sk.conjugator, sk.m % (spec.q**5 - 1))
+        )
+    keygen(MorParams(spec, 5, require_irreducible_lift=False), random.Random(0))
+    assert calls == {"divides_x_qk_minus_x": 1}
 
 
 def test_decrypt_inverts_once(monkeypatch):

@@ -2,7 +2,8 @@
 
 mat_pow picks Cayley-Hamilton or square-and-multiply from a predicted
 multiplication count; FqPoly.pow_mod squares without cross terms in
-characteristic 2; is_irreducible and the _conj_pow certificate take
+characteristic 2, and raises x on raw ints over binary fields without a
+multiplication table; is_irreducible and the _conj_pow certificate take
 q-th powers through the Frobenius matrix.  Each is checked for value
 against tests/oracles.py and, where it matters, for its count.
 """
@@ -11,10 +12,11 @@ import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import is_irreducible_gcd, mat_pow_sqm, pow_mod_sqm
+from oracles import is_irreducible_gcd, mat_pow_sqm, pow_mod_sqm, pow_x_elementwise
 
+import morsl.fqpoly as fqpoly
 from morsl.autos import Automorphism
-from morsl.field import cost_counter, cost_reset, field_spec
+from morsl.field import FieldSpec, cost_counter, cost_reset, field_spec
 from morsl.fqpoly import FqPoly, char_poly, divides_x_qk_minus_x, is_irreducible
 from morsl.matrix import (
     Matrix,
@@ -96,6 +98,83 @@ def test_pow_mod_matches_oracle(spec, base, modulus, e):
         f = FqPoly.x(spec)
     for b in (_poly(spec, base), FqPoly.x(spec)):
         assert b.pow_mod(e, f) == pow_mod_sqm(b, e, f)
+
+
+def _counted(fn, *args):
+    cost_reset()
+    out = fn(*args)
+    return out, cost_counter()
+
+
+def _monic(spec, coeffs):
+    return FqPoly(spec, [*(spec.from_val(c % spec.q) for c in coeffs), spec.one()])
+
+
+# gamma = 9 is the smallest binary field without a multiplication table
+kernel_fields = st.builds(field_spec, st.just(2), st.sampled_from((9, 12, 16, 33, 160)))
+
+
+@settings(max_examples=40)
+@given(
+    spec=kernel_fields,
+    # zero coefficients, and the reducible f they allow, come often
+    coeffs=st.lists(st.one_of(st.just(0), st.just(1), st.integers(0, 2**160)), min_size=2,
+                    max_size=8),
+    e=st.integers(1, 2**1200),
+)
+def test_binary_kernel_matches_the_counting_oracle(spec, coeffs, e):
+    f = _monic(spec, coeffs)
+    got = _counted(FqPoly.x(spec).pow_mod, e, f)
+    assert got == _counted(pow_x_elementwise, e, f)
+
+
+def test_binary_kernel_paper_size_is_pinned():
+    spec = field_spec(2, 160)
+    rng = random.Random(7)
+    f = char_poly(random_gl(spec, 7, rng))
+    e = rng.getrandbits(1120)
+    got, count = _counted(FqPoly.x(spec).pow_mod, e, f)
+    assert (got, count) == _counted(pow_x_elementwise, e, f)
+    # the route model's bound, 1116 squarings at 49 and 562 shifts at 7, is 58618
+    assert count == 58488 <= fqpoly._pow_mod_cost(e, 7, 2, by_x=True)
+
+
+def test_kernel_runs_only_on_binary_fields_without_tables(monkeypatch):
+    specs = []
+    real = fqpoly._pow_x_binary
+
+    def recording(e, f):
+        specs.append(f.spec)
+        return real(e, f)
+
+    monkeypatch.setattr(fqpoly, "_pow_x_binary", recording)
+    e = 3**90
+    # odd characteristic (GF(3^6) has no table either), and table fields
+    for p, gamma in ((7, 1), (3, 6), (2, 1), (2, 4), (2, 8)):
+        spec = field_spec(p, gamma)
+        f = _monic(spec, (1, 2, 3))
+        assert FqPoly.x(spec).pow_mod(e, f) == pow_mod_sqm(FqPoly.x(spec), e, f)
+    spec = field_spec(2, 9)
+    f = _monic(spec, (5, 0, 7))
+    # a base other than x, and x modulo a linear f, keep the element loop
+    x_plus_1 = _monic(spec, (1,))
+    assert x_plus_1.pow_mod(e, f) == pow_mod_sqm(x_plus_1, e, f)
+    linear = _monic(spec, (5,))
+    assert FqPoly.x(spec).pow_mod(e, linear) == pow_mod_sqm(FqPoly.x(spec), e, linear)
+    assert specs == []
+    assert FqPoly.x(spec).pow_mod(e, f) == pow_x_elementwise(e, f)
+    assert specs == [spec]
+
+
+def test_squaring_table_is_built_on_first_use():
+    spec = FieldSpec(2, 33)
+    assert spec._sq_table is None
+    f = _monic(spec, (3, 0, 1))
+    assert _counted(FqPoly.x(spec).pow_mod, 99, f) == _counted(pow_x_elementwise, 99, f)
+    table = spec._sq_table
+    assert len(table) == 5 and all(len(row) == 256 for row in table)
+    FqPoly.x(spec).pow_mod(5, f)
+    assert spec._sq_table is table
 
 
 def _mat_pow_counts(spec, d, bits, seed):

@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import from_hex_loop, to_hex_loop
 
 from morsl.field import (
     FieldElement,
@@ -192,6 +195,52 @@ def test_serialization_round_trip():
         assert FieldElement.from_hex(spec, s) == a
     a = spec.from_coeffs((10, 3))
     assert a.to_hex() == "a:3"
+
+
+binary_fields = st.builds(field_spec, st.just(2), st.sampled_from((1, 2, 3, 8, 9, 16, 33, 160)))
+
+
+def _outcome(parse, spec, s):
+    try:
+        return parse(spec, s)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80)
+@given(spec=binary_fields, data=st.data())
+def test_binary_hex_matches_the_coefficient_loop(spec, data):
+    a = spec.from_val(data.draw(st.integers(0, spec.q - 1)))
+    s = a.to_hex()
+    assert s == to_hex_loop(a)
+    assert FieldElement.from_hex(spec, s) == from_hex_loop(spec, s) == a
+
+
+# parts the general parse accepts ("00", " 1", "0x1", "+1") or rejects
+odd_parts = st.sampled_from(("00", " 1", "1 ", "0x1", "+1", "-0", "_1", "2", "f", "", "0:1", "\u0661"))
+
+
+@settings(max_examples=120)
+@given(spec=binary_fields, data=st.data())
+def test_binary_from_hex_falls_back_on_other_strings(spec, data):
+    parts = data.draw(st.lists(st.sampled_from("01"), min_size=spec.gamma, max_size=spec.gamma))
+    for _ in range(data.draw(st.integers(1, 3))):
+        parts[data.draw(st.integers(0, spec.gamma - 1))] = data.draw(odd_parts)
+    if data.draw(st.booleans()):
+        parts = parts[:-1] if data.draw(st.booleans()) else [*parts, "0"]
+    s = ":".join(parts)
+    assert _outcome(FieldElement.from_hex, spec, s) == _outcome(from_hex_loop, spec, s)
+
+
+def test_binary_from_hex_edge_strings():
+    spec = field_spec(2, 3)
+    for s in ("00:1:0", " 1:0:0", "0x1:0:0", "2:0:0", "1:0", "1:0:0:0", "1:0:", "1::0", "", "100"):
+        assert _outcome(FieldElement.from_hex, spec, s) == _outcome(from_hex_loop, spec, s)
+    assert FieldElement.from_hex(spec, "0x1:0:0") == spec.one()
+    with pytest.raises(ValueError, match="coefficient out of range"):
+        FieldElement.from_hex(spec, "2:0:0")
+    with pytest.raises(ValueError, match="wrong number of coefficients"):
+        FieldElement.from_hex(spec, "1:0")
 
 
 def test_spec_json_round_trip():
