@@ -6,7 +6,9 @@ coefficient, so these d^2 - d images determine the image of every
 1 + lam*e_{i,j}: the image of a letter is 1 + lam*(N - 1), and N - 1 is
 rank one whenever the presentation is a genuine conjugation.  apply()
 exploits that factorization so the image of a letter costs O(d^2) field
-multiplications instead of a full matrix product.
+multiplications instead of a full matrix product.  from_conjugator knows
+each factor from the conjugator itself, so it writes the factors in
+closed form and needs no determinant for the SL check.
 
 The same factors solve the special conjugacy problem: for a conjugation
 by B, the factor of image (i, j) is a column of B^(-1) times a row of B,
@@ -68,12 +70,14 @@ class Automorphism:
             if not m.is_sl():
                 raise InvalidAutomorphismError(f"image for {key} is not in SL")
             imgs[key] = m
+        rank1 = {key: _factor_rank1(spec, d, m) for key, m in imgs.items()}
+        self._set_slots(spec, d, imgs, rank1)
+
+    def _set_slots(self, spec: FieldSpec, d: int, images: dict, rank1: dict):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "images", imgs)
-        object.__setattr__(
-            self, "_rank1", {key: _factor_rank1(spec, d, m) for key, m in imgs.items()}
-        )
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_rank1", rank1)
         object.__setattr__(self, "_conj", None)
 
     def __setattr__(self, *args):
@@ -93,25 +97,30 @@ class Automorphism:
 
     @classmethod
     def from_conjugator(cls, a: Matrix) -> "Automorphism":
-        """X -> A^(-1) X A, presented on the transvection generators."""
+        """X -> A^(-1) X A, presented on the transvection generators.
+
+        Image (i, j) is 1 + c r^T with c column i of A^(-1) and r row j of
+        A.  As r . c = (A A^(-1))_{j,i} = 0 it lies in SL by construction,
+        so no determinant is taken, and its rank-one factor is read off in
+        closed form: (c / c_k, c_k r) for the first nonzero entry c_k of c,
+        which is what _factor_rank1 finds in the image.
+        """
         spec, d = a.spec, a.d
         ainv = mat_inv(a)  # raises SingularMatrixError for singular input
-        one = spec.one()
-        images = {}
+        one, zero = spec.one(), spec.zero()
+        images, rank1 = {}, {}
         for i, j in generator_pairs(d):
             col = [ainv.rows[r][i - 1] for r in range(d)]
             row = a.rows[j - 1]
-            rows = []
+            rows = [[cr * x for x in row] if cr else [zero] * d for cr in col]
+            k = next(k for k, cr in enumerate(col) if cr)
+            rank1[(i, j)] = (_scaled(col[k].inv(), col), tuple(rows[k]))
             for r in range(d):
-                cr = col[r]
-                if cr:
-                    new = [cr * row[b] for b in range(d)]
-                else:
-                    new = [spec.zero()] * d
-                new[r] = new[r] + one
-                rows.append(new)
+                rows[r][r] = rows[r][r] + one
             images[(i, j)] = Matrix(spec, rows)
-        return cls(spec, d, images)
+        phi = object.__new__(cls)
+        phi._set_slots(spec, d, images, rank1)
+        return phi
 
     # -- application ------------------------------------------------------------
 

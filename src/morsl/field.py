@@ -6,6 +6,15 @@ base p.  For p = 2 the packed integer is literally the GF(2) polynomial
 in binary, which keeps arithmetic on large binary fields (e.g. degree
 160) fast enough for full-size protocol runs.
 
+A binary product steps through one operand a byte at a time, Horner
+fashion: the accumulator moves up a byte, takes byte * b from two
+lookups in a 16-entry table of b's nibble multiples, and folds the byte
+above x^gamma back in through the field's reduction table, which maps a
+byte v to (v * x^gamma) mod f and is built with the field.  Fields with
+at most 256 elements multiply and invert by table lookup instead; the
+tables are built on first use from the powers of the first primitive
+element (exp/log tables), not from q^2 polynomial products.
+
 Multiplications are tallied in a module-level counter because the cost
 model of interest counts field multiplications and treats additions as
 free.  The counter is a plain integer: exact readings require a single
@@ -291,7 +300,7 @@ class FieldSpec:
     __slots__ = (
         "p", "gamma", "modulus", "q",
         "_mask", "_mod_packed", "_red_table", "_sq_table",
-        "_mul_table", "_inv_table", "_pow_base",
+        "_mul_table", "_inv_table",
     )
 
     def __init__(self, p: int, gamma: int, modulus: tuple[int, ...] | None = None):
@@ -318,19 +327,19 @@ class FieldSpec:
         object.__setattr__(self, "q", p ** gamma)
         object.__setattr__(self, "_mul_table", None)
         object.__setattr__(self, "_inv_table", None)
-        object.__setattr__(self, "_pow_base", None)
         object.__setattr__(self, "_sq_table", None)
         if p == 2:
             object.__setattr__(self, "_mask", (1 << gamma) - 1)
             mod_packed = sum(c << i for i, c in enumerate(modulus))
             object.__setattr__(self, "_mod_packed", mod_packed)
-            # reduction table: chunk k, nibble v -> (v * x^(gamma + 4k)) mod f
-            red = []
-            for k in range((gamma + 3) // 4):
-                row = []
-                for v in range(16):
-                    row.append(_gf2_mod(v << (gamma + 4 * k), mod_packed))
-                red.append(tuple(row))
+            # reduction table: a byte v -> (v * x^gamma) mod f, built by XOR
+            # doubling over the bits of v
+            red, v = [0], mod_packed ^ (1 << gamma)
+            for _ in range(8):
+                red += [r ^ v for r in red]
+                v <<= 1
+                if v >> gamma:
+                    v ^= mod_packed
             object.__setattr__(self, "_red_table", tuple(red))
         else:
             object.__setattr__(self, "_mask", None)
@@ -456,32 +465,23 @@ class FieldSpec:
         return v
 
     def _mul_gf2(self, a: int, b: int) -> int:
-        if a.bit_length() < b.bit_length():
-            a, b = b, a
-        # 4-bit windowed carry-less multiply
-        t1 = b
-        t2 = b << 1
-        t3 = t2 ^ b
-        table = (0, t1, t2, t3, t2 << 1, t2 << 1 ^ t1, t3 << 1, t3 << 1 ^ t1,
-                 t1 << 3, t1 << 3 ^ t1, t1 << 3 ^ t2, t1 << 3 ^ t3,
-                 t3 << 2, t3 << 2 ^ t1, t3 << 2 ^ t2, t3 << 2 ^ t3)
+        # Horner over the bytes of a, top byte first; acc stays below
+        # x^gamma, so after a step only one byte lies above it
+        b2 = b << 1
+        b3 = b2 ^ b
+        b4 = b << 2
+        b5 = b4 ^ b
+        b6 = b4 ^ b2
+        b7 = b6 ^ b
+        b8 = b << 3
+        t = (0, b, b2, b3, b4, b5, b6, b7,
+             b8, b8 ^ b, b8 ^ b2, b8 ^ b3, b8 ^ b4, b8 ^ b5, b8 ^ b6, b8 ^ b7)
+        gamma, mask, red = self.gamma, self._mask, self._red_table
         acc = 0
-        shift = a.bit_length()
-        shift -= shift % 4
-        while shift >= 0:
-            acc = (acc << 4) ^ table[(a >> shift) & 0xF]
-            shift -= 4
-        # windowed reduction by the modulus
-        gamma = self.gamma
-        lo = acc & self._mask
-        hi = acc >> gamma
-        red = self._red_table
-        k = 0
-        while hi:
-            lo ^= red[k][hi & 0xF]
-            hi >>= 4
-            k += 1
-        return lo
+        for byte in a.to_bytes((a.bit_length() + 7) >> 3, "big"):
+            acc = acc << 8 ^ t[byte >> 4] << 4 ^ t[byte & 15]
+            acc = acc & mask ^ red[acc >> gamma]
+        return acc
 
     def _square_rows(self) -> tuple:
         """Squaring table of a binary field, built on first use.
@@ -502,25 +502,33 @@ class FieldSpec:
         return self._sq_table
 
     def _build_tables(self):
-        q, p = self.q, self.p
-        mul = []
-        for a in range(q):
-            ca = self._coeffs(a)
-            row = []
-            for b in range(q):
-                prod = _fp_mul(ca, self._coeffs(b), p)
-                red = _fp_mod(prod, self.modulus, p)
+        """Multiplication and inverse tables of a small extension field.
+
+        The nonzero elements form a cyclic group: walk the powers of
+        2, 3, ... with the coefficient-tuple multiply until one runs
+        through all q - 1 of them.  With exp[i] = g^i and log its inverse,
+        a * b = exp[log a + log b] and 1/a = exp[-log a].
+        """
+        q, p, mod = self.q, self.p, self.modulus
+        for g in range(2, q):
+            gc, power, exp = self._coeffs(g), (1,), [1]
+            for _ in range(q - 2):
+                power = _fp_mod(_fp_mul(power, gc, p), mod, p)
                 v = 0
-                for c in reversed(red):
+                for c in reversed(power):
                     v = v * p + c
-                row.append(v)
-            mul.append(tuple(row))
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
+                if v == 1:
                     break
+                exp.append(v)
+            if len(exp) == q - 1:
+                break
+        log = [0] * q
+        for i, v in enumerate(exp):
+            log[v] = i
+        exp2 = exp + exp
+        logs = log[1:]
+        mul = [(0,) * q] + [(0, *[exp2[la + lb] for lb in logs]) for la in logs]
+        inv = [0] + [exp[-la] for la in logs]
         object.__setattr__(self, "_mul_table", tuple(mul))
         object.__setattr__(self, "_inv_table", tuple(inv))
 

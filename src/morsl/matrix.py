@@ -320,6 +320,8 @@ def det(x: Matrix) -> FieldElement:
             sign_flip = not sign_flip
         pivot = m[c][c]
         result = result * pivot
+        if c == d - 1:
+            break  # no row below the last pivot
         pinv = pivot.inv()
         for r in range(c + 1, d):
             if m[r][c]:

@@ -13,13 +13,81 @@ autos.recover_conjugator, so an agreement checks the engine against
 independent code.  Two more are the FieldElement forms of code that now
 runs on raw ints: the x^e loop of FqPoly.pow_mod, whose multiplications
 are counted one by one, and the coefficient-by-coefficient hex format.
+The field's own kernels have oracles too: the 4-bit windowed binary
+multiply with its nibble reduction table, and the multiplication and
+inverse tables of a small field built from q^2 coefficient-tuple
+products and an inverse search.
 """
 
+import functools
 import itertools
 
 from morsl.autos import Automorphism, InvalidAutomorphismError, conjugator_solution_space
+from morsl.field import _fp_mod, _fp_mul, _gf2_mod
 from morsl.fqpoly import FqPoly
 from morsl.matrix import Matrix, identity, mat_inv, mat_mul
+
+
+@functools.lru_cache(maxsize=None)
+def _nibble_reduction_rows(gamma, mod):
+    """Row k maps a nibble v to (v * x^(gamma + 4k)) mod f."""
+    return tuple(
+        tuple(_gf2_mod(v << (gamma + 4 * k), mod) for v in range(16))
+        for k in range((gamma + 3) // 4)
+    )
+
+
+def mul_gf2_window(spec, a, b):
+    """a * b in a binary field: 4-bit windowed carry-less product, then
+    a nibble-at-a-time reduction of the part above x^gamma."""
+    if a.bit_length() < b.bit_length():
+        a, b = b, a
+    t1 = b
+    t2 = b << 1
+    t3 = t2 ^ b
+    table = (0, t1, t2, t3, t2 << 1, t2 << 1 ^ t1, t3 << 1, t3 << 1 ^ t1,
+             t1 << 3, t1 << 3 ^ t1, t1 << 3 ^ t2, t1 << 3 ^ t3,
+             t3 << 2, t3 << 2 ^ t1, t3 << 2 ^ t2, t3 << 2 ^ t3)
+    acc = 0
+    shift = a.bit_length()
+    shift -= shift % 4
+    while shift >= 0:
+        acc = (acc << 4) ^ table[(a >> shift) & 0xF]
+        shift -= 4
+    gamma = spec.gamma
+    lo = acc & ((1 << gamma) - 1)
+    hi = acc >> gamma
+    red = _nibble_reduction_rows(gamma, spec._mod_packed)
+    k = 0
+    while hi:
+        lo ^= red[k][hi & 0xF]
+        hi >>= 4
+        k += 1
+    return lo
+
+
+def field_tables_by_products(spec):
+    """(mul, inv) tables of a small extension field: every product by the
+    coefficient-tuple multiply, every inverse by search."""
+    q, p = spec.q, spec.p
+
+    def pack(coeffs):
+        v = 0
+        for c in reversed(coeffs):
+            v = v * p + c
+        return v
+
+    mul = tuple(
+        tuple(
+            pack(_fp_mod(_fp_mul(spec._coeffs(a), spec._coeffs(b), p), spec.modulus, p))
+            for b in range(q)
+        )
+        for a in range(q)
+    )
+    inv = [0] * q
+    for a in range(1, q):
+        inv[a] = next(b for b in range(1, q) if mul[a][b] == 1)
+    return mul, tuple(inv)
 
 
 def mat_pow_sqm(x, n):

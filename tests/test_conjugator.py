@@ -5,7 +5,9 @@ caches it on the automorphism; the certificate of protocol._conj_pow is
 cached on the matrix.  Recovery is checked against the linear-algebra
 oracle in tests/oracles.py, value and scalar included, and on
 presentations that are not conjugations; the caches and the cost are
-guarded by field-multiplication counts and call counts.
+guarded by field-multiplication counts and call counts.  The factors
+from_conjugator writes in closed form are checked against the ones
+_factor_rank1 reads off its images.
 """
 
 import random
@@ -19,9 +21,14 @@ import morsl.autos as autos
 import morsl.fqpoly as fqpoly
 import morsl.matrix as matrix
 import morsl.protocol as protocol
-from morsl.autos import Automorphism, InvalidAutomorphismError, recover_conjugator
+from morsl.autos import (
+    Automorphism,
+    InvalidAutomorphismError,
+    _factor_rank1,
+    recover_conjugator,
+)
 from morsl.field import cost_counter, cost_reset, field_spec
-from morsl.matrix import identity, mat_pow, random_gl, random_sl
+from morsl.matrix import Matrix, SingularMatrixError, identity, mat_pow, random_gl, random_sl
 from morsl.protocol import MorParams, decode_message, decrypt, encode_message, encrypt, keygen
 
 PROPERTY = settings(max_examples=40)
@@ -66,6 +73,33 @@ def test_one_swapped_image_is_rejected(spec, d, seed):
 def test_transpose_flip_is_rejected(spec, d, seed):
     images = Automorphism.from_conjugator(random_gl(spec, d, random.Random(seed))).images
     _both_raise(Automorphism(spec, d, {(i, j): images[(j, i)] for i, j in images}))
+
+
+@PROPERTY
+@given(spec=fields, d=st.integers(2, 7), seed=st.integers(0, 2**32))
+def test_from_conjugator_factors_match_the_images(spec, d, seed):
+    phi = Automorphism.from_conjugator(random_gl(spec, d, random.Random(seed)))
+    for key, img in phi.images.items():
+        assert img.is_sl()
+        assert phi._rank1[key] == _factor_rank1(spec, d, img)
+
+
+def test_from_conjugator_takes_no_determinant(monkeypatch):
+    sizes = ((field_spec(7), 3), (field_spec(3, 2), 4), (field_spec(2, 160), 7))
+    conjugators = [random_gl(spec, d, random.Random(d)) for spec, d in sizes]
+    calls = {}
+    _counting(monkeypatch, matrix, "det", calls)
+    for a in conjugators:
+        Automorphism.from_conjugator(a)
+    assert calls == {}
+
+
+def test_from_conjugator_rejects_a_singular_matrix():
+    spec = field_spec(5)
+    one, zero = spec.one(), spec.zero()
+    a = Matrix(spec, [[one, one, zero], [one, one, zero], [zero, zero, one]])
+    with pytest.raises(SingularMatrixError):
+        Automorphism.from_conjugator(a)
 
 
 def test_identity_automorphism_recovers_the_identity():

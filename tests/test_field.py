@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import from_hex_loop, to_hex_loop
+from oracles import field_tables_by_products, from_hex_loop, mul_gf2_window, to_hex_loop
 
 from morsl.field import (
     FieldElement,
+    FieldSpec,
     FieldMismatchError,
     cost_counter,
     cost_reset,
@@ -17,6 +18,7 @@ from morsl.field import (
     field_pow,
     field_spec,
     frobenius,
+    _gf2_mod,
     is_probable_prime,
     smallest_irreducible_poly,
 )
@@ -241,6 +243,44 @@ def test_binary_from_hex_edge_strings():
         FieldElement.from_hex(spec, "2:0:0")
     with pytest.raises(ValueError, match="wrong number of coefficients"):
         FieldElement.from_hex(spec, "1:0")
+
+
+def _binary_values(q):
+    # the edge values, the top bit forced in, or anything
+    top = q >> 1
+    return st.one_of(
+        st.sampled_from((0, 1, q - 1, top)),
+        st.integers(top, q - 1),
+        st.integers(0, q - 1),
+    )
+
+
+@settings(max_examples=150)
+@given(gamma=st.sampled_from((9, 16, 17, 33, 64, 160, 233)), data=st.data())
+def test_binary_multiply_matches_the_window_oracle(gamma, data):
+    spec = field_spec(2, gamma)
+    a = data.draw(_binary_values(spec.q))
+    b = data.draw(_binary_values(spec.q))
+    want = mul_gf2_window(spec, a, b)
+    assert spec._mul_gf2(a, b) == spec._mul_gf2(b, a) == want
+    assert (spec.from_val(a) * spec.from_val(b)).val == want
+
+
+def test_binary_reduction_table_is_one_byte_row():
+    spec = FieldSpec(2, 160)
+    red = spec._red_table
+    assert len(red) == 256
+    assert red == tuple(_gf2_mod(v << 160, spec._mod_packed) for v in range(256))
+
+
+@pytest.mark.parametrize(
+    "p,gamma",
+    [(p, g) for p in (2, 3, 5, 7, 11, 13) for g in range(2, 9) if p**g <= 256],
+)
+def test_small_field_tables_match_the_product_oracle(p, gamma):
+    spec = FieldSpec(p, gamma)
+    spec._build_tables()
+    assert (spec._mul_table, spec._inv_table) == field_tables_by_products(spec)
 
 
 def test_spec_json_round_trip():
