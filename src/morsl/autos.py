@@ -59,8 +59,11 @@ class Automorphism:
     __slots__ = ("spec", "d", "images", "_rank1", "_conj")
 
     def __init__(self, spec: FieldSpec, d: int, images: dict):
+        # count first: d comes from untrusted input, and the pairs cost d^2
+        if len(images) != d * (d - 1):
+            raise ValueError(f"expected {d * (d - 1)} images for d = {d}, got {len(images)}")
         pairs = generator_pairs(d)
-        if sorted(images) != pairs and set(images) != set(pairs):
+        if set(images) != set(pairs):
             raise ValueError("images must cover every ordered pair (i, j), i != j")
         imgs = {}
         for key in pairs:

@@ -140,9 +140,13 @@ def _fp_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
     return _fp_trim(tuple(out))
 
 
-def _fp_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
+def _fp_divmod(
+    a: tuple[int, ...], m: tuple[int, ...], p: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(quotient, remainder) of a by m over GF(p), both trimmed."""
     a = list(a)
     dm = len(m) - 1
+    quo = [0] * max(len(a) - dm, 0)
     inv_lead = pow(m[-1], p - 2, p)
     while len(a) - 1 >= dm and a:
         if a[-1] == 0:
@@ -150,10 +154,15 @@ def _fp_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
             continue
         f = a[-1] * inv_lead % p
         shift = len(a) - 1 - dm
+        quo[shift] = f
         for i, mi in enumerate(m):
             a[shift + i] = (a[shift + i] - f * mi) % p
         a.pop()
-    return _fp_trim(tuple(a))
+    return _fp_trim(tuple(quo)), _fp_trim(tuple(a))
+
+
+def _fp_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
+    return _fp_divmod(a, m, p)[1]
 
 
 def _fp_gcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -555,29 +564,13 @@ class FieldSpec:
             # r0 is the gcd = 1 (modulus irreducible), s0 the inverse of a
             return _gf2_mod(s0, self._mod_packed)
         p = self.p
-        r0, r1 = self.modulus, self._coeffs(a)
+        r0, r1 = self.modulus, _fp_trim(self._coeffs(a))
         s0: tuple[int, ...] = ()
         s1: tuple[int, ...] = (1,)
-        r1 = _fp_trim(r1)
         while r1:
-            # one division step: r0 = q*r1 + r
-            q_coeffs = [0] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
-            rem = list(r0)
-            inv_lead = pow(r1[-1], p - 2, p)
-            while len(rem) >= len(r1) and _fp_trim(tuple(rem)):
-                rem_t = _fp_trim(tuple(rem))
-                if len(rem_t) < len(r1):
-                    break
-                rem = list(rem_t)
-                f = rem[-1] * inv_lead % p
-                shift = len(rem) - len(r1)
-                q_coeffs[shift] = f
-                for i, ci in enumerate(r1):
-                    rem[shift + i] = (rem[shift + i] - f * ci) % p
-                rem.pop()
-            qq = _fp_trim(tuple(q_coeffs))
-            r0, r1 = r1, _fp_trim(tuple(rem))
-            new_s = tuple((a0 - b0) % p for a0, b0 in _zip_pad(s0, _fp_mul(qq, s1, p)))
+            quo, rem = _fp_divmod(r0, r1, p)
+            r0, r1 = r1, rem
+            new_s = tuple((a0 - b0) % p for a0, b0 in _zip_pad(s0, _fp_mul(quo, s1, p)))
             s0, s1 = s1, _fp_trim(new_s)
         # r0 = c * gcd with gcd = 1; normalize by the constant
         c_inv = pow(r0[0], p - 2, p)

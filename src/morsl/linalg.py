@@ -1,17 +1,20 @@
-"""Row-echelon machinery over GF(p^gamma) coefficient vectors.
+"""The package's one Gaussian elimination, over GF(p^gamma) vectors.
 
-Used for conjugator recovery and centralizer computation, where the
-unknowns are the d^2 entries of a matrix and constraints arrive one
-generator at a time.  The reducer keeps rows in reduced row-echelon form
-so callers can stop feeding constraints as soon as the rank is high
-enough.
+RowReducer keeps its rows in reduced row-echelon form and takes them one
+at a time, so a caller can stop feeding constraints once the rank is
+high enough.  Two entry points sit on top of it: nullspace, for the
+linear-algebra view of the conjugacy problem, centralizers and the lab's
+invariant subspaces, and solve, for matrix inversion and the lab's
+coordinate changes.  The reducer skips zero entries, so sparse right
+sides such as the identity cost few multiplications.  matrix.det keeps
+its own forward-only pass (see the matrix module).
 """
 
 from __future__ import annotations
 
 from .field import FieldElement, FieldSpec
 
-__all__ = ["RowReducer", "nullspace"]
+__all__ = ["RowReducer", "nullspace", "solve"]
 
 
 class RowReducer:
@@ -75,3 +78,21 @@ def nullspace(spec: FieldSpec, rows, ncols: int) -> list[tuple[FieldElement, ...
     for row in rows:
         red.add_row(row)
     return red.nullspace_basis()
+
+
+def solve(spec: FieldSpec, lhs, rhs) -> list[tuple[FieldElement, ...]] | None:
+    """X with lhs * X = rhs, or None unless X exists and is unique.
+
+    lhs is n rows of k entries, rhs n rows of m; X comes back as k rows
+    of m.  The rows [lhs | rhs] go through one RowReducer, and X exists
+    and is unique exactly when the pivot columns are 0..k-1: a missing
+    one is a dependent column of lhs, one at k or beyond an inconsistent
+    system.
+    """
+    k = len(lhs[0])
+    red = RowReducer(spec, k + len(rhs[0]))
+    for a, b in zip(lhs, rhs):
+        red.add_row([*a, *b])
+    if sorted(red.pivot_rows) != list(range(k)):
+        return None
+    return [tuple(red.pivot_rows[c][k:]) for c in range(k)]

@@ -14,6 +14,11 @@ irreducible factors in fact all have degree at most d when the
 conjugator's own polynomial is irreducible, which is why mw_reduce can
 optionally restrict to a single irreducible factor instead of requiring
 an irreducible characteristic polynomial outright.
+
+The lab has no elimination of its own.  Centralizers and the kernel
+ker g(A) come from linalg.nullspace; the action of a matrix on that
+kernel and the coefficients of A' as a polynomial in A come from
+linalg.solve, which also rejects a kernel that A' does not preserve.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 from .autos import Automorphism, generator_pairs
-from .field import FieldElement, FieldSpec
+from .field import FieldSpec
 from .fqpoly import (
     FqPoly,
     char_poly,
@@ -32,7 +37,7 @@ from .fqpoly import (
     mod_inverse,
     multiplicative_order,
 )
-from .linalg import RowReducer
+from .linalg import nullspace, solve
 from .matrix import Matrix, Permutation, identity, mat_inv, mat_mul, mat_pow
 from .protocol import MorPublicKey
 
@@ -336,7 +341,7 @@ def centralizer_space(x: Matrix) -> list[Matrix]:
     """Basis of the linear space {Y : XY = YX}; always contains scalars."""
     spec, d = x.spec, x.d
     zero = spec.zero()
-    reducer = RowReducer(spec, d * d)
+    rows = []
     for a in range(d):
         for b in range(d):
             row = [zero] * (d * d)
@@ -346,10 +351,10 @@ def centralizer_space(x: Matrix) -> list[Matrix]:
                     row[c * d + b] = row[c * d + b] + x.rows[a][c]
                 if x.rows[c][b]:
                     row[a * d + c] = row[a * d + c] - x.rows[c][b]
-            reducer.add_row(row)
+            rows.append(row)
     return [
         Matrix(spec, [vec[r * d:(r + 1) * d] for r in range(d)])
-        for vec in reducer.nullspace_basis()
+        for vec in nullspace(spec, rows, d * d)
     ]
 
 
@@ -477,7 +482,7 @@ def monomial_cycle_attack(pk: MorPublicKey, dlog_budget: int | None = None) -> M
         if a0 is None:
             raise WrongAttackModelError("coefficient discrete log has no solution")
         constraints.append((ell, s0, order, a0))
-        modulus = _lcm(modulus, ell * order)
+        modulus = math.lcm(modulus, ell * order)
 
     residues = []
     for x in range(shift, modulus, nu):
@@ -499,29 +504,20 @@ def monomial_cycle_attack(pk: MorPublicKey, dlog_budget: int | None = None) -> M
     )
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
-
-
 # ---------------------------------------------------------------------------
 # Menezes-Wu reduction
 # ---------------------------------------------------------------------------
 
 
-def _nullspace_of_matrix(m: Matrix) -> list[list[FieldElement]]:
-    reducer = RowReducer(m.spec, m.d)
-    for row in m.rows:
-        reducer.add_row(list(row))
-    return [list(v) for v in reducer.nullspace_basis()]
+def _restrict_to_subspace(a: Matrix, basis) -> Matrix:
+    """Matrix of the action of a on span(basis), in basis coordinates.
 
-
-def _restrict_to_subspace(a: Matrix, basis: list[list[FieldElement]]) -> Matrix:
-    """Matrix of the action of a on span(basis), in basis coordinates."""
+    Solves basis * X = a * basis; raises ValueError when the basis
+    vectors are dependent or their span is not a-invariant.
+    """
     spec, n = a.spec, a.d
-    k = len(basis)
     zero = spec.zero()
-    # solve basis * coords = a * w for each basis vector w
-    cols = []
+    imgs = []
     for w in basis:
         img = []
         for r in range(n):
@@ -530,35 +526,11 @@ def _restrict_to_subspace(a: Matrix, basis: list[list[FieldElement]]) -> Matrix:
                 if a.rows[r][c] and w[c]:
                     acc = acc + a.rows[r][c] * w[c]
             img.append(acc)
-        cols.append(img)
-    # gaussian solve of the n x k system [basis | img_1 ... img_k]
-    aug = [[basis[j][r] for j in range(k)] + [col[r] for col in cols] for r in range(n)]
-    reducer_rows = aug
-    pivots = {}
-    rowlist = [list(r) for r in reducer_rows]
-    rank = 0
-    width = k + len(cols)
-    for col in range(k):
-        piv = None
-        for r in range(rank, n):
-            if rowlist[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("basis vectors are dependent")
-        rowlist[rank], rowlist[piv] = rowlist[piv], rowlist[rank]
-        pinv = rowlist[rank][col].inv()
-        rowlist[rank] = [v * pinv for v in rowlist[rank]]
-        for r in range(n):
-            if r != rank and rowlist[r][col]:
-                f = rowlist[r][col]
-                rowlist[r] = [x - f * y for x, y in zip(rowlist[r], rowlist[rank])]
-        pivots[col] = rank
-        rank += 1
-    out_rows = [
-        [rowlist[pivots[r]][k + c] for c in range(k)] for r in range(k)
-    ]
-    return Matrix(spec, out_rows)
+        imgs.append(img)
+    coords = solve(spec, list(zip(*basis)), list(zip(*imgs)))
+    if coords is None:
+        raise ValueError("basis is dependent or does not span an invariant subspace")
+    return Matrix(spec, coords)
 
 
 def _express_as_polynomial(base: Matrix, target: Matrix, deg: int) -> FqPoly:
@@ -567,17 +539,14 @@ def _express_as_polynomial(base: Matrix, target: Matrix, deg: int) -> FqPoly:
     powers = [identity(spec, n)]
     for _ in range(deg - 1):
         powers.append(mat_mul(powers[-1], base))
-    reducer = RowReducer(spec, deg + 1)
-    for r in range(n):
-        for c in range(n):
-            row = [powers[t].rows[r][c] for t in range(deg)]
-            row.append(-target.rows[r][c])
-            reducer.add_row(row)
-    for vec in reducer.nullspace_basis():
-        if vec[deg]:
-            scale = vec[deg].inv()
-            return FqPoly(spec, [v * scale for v in vec[:deg]])
-    raise ValueError("target is not a polynomial in the base matrix")
+    coeffs = solve(
+        spec,
+        [[pw.rows[r][c] for pw in powers] for r in range(n) for c in range(n)],
+        [[target.rows[r][c]] for r in range(n) for c in range(n)],
+    )
+    if coeffs is None:
+        raise ValueError("target is not a polynomial in the base matrix")
+    return FqPoly(spec, [row[0] for row in coeffs])
 
 
 def mw_reduce(a: Matrix, a_prime: Matrix, allow_reducible: bool = False,
@@ -608,9 +577,12 @@ def mw_reduce(a: Matrix, a_prime: Matrix, allow_reducible: bool = False,
             )
         facs = irreducible_factors(f)
         g = max(facs, key=lambda t: t[0].degree())[0]
-        basis = _nullspace_of_matrix(g.eval_matrix(a))
-        a_res = _restrict_to_subspace(a, basis)
-        ap_res = _restrict_to_subspace(a_prime, basis)
+        basis = nullspace(spec, g.eval_matrix(a).rows, a.d)
+        try:
+            a_res = _restrict_to_subspace(a, basis)
+            ap_res = _restrict_to_subspace(a_prime, basis)
+        except ValueError:  # ker g(A) is not invariant under A'
+            return None
     k = g.degree()
     try:
         c = _express_as_polynomial(a_res, ap_res, k)

@@ -14,18 +14,23 @@ independent code.  Two more are the FieldElement forms of code that now
 runs on raw ints: the x^e loop of FqPoly.pow_mod, whose multiplications
 are counted one by one, and the coefficient-by-coefficient hex format.
 The field's own kernels have oracles too: the 4-bit windowed binary
-multiply with its nibble reduction table, and the multiplication and
+multiply with its nibble reduction table, the multiplication and
 inverse tables of a small field built from q^2 coefficient-tuple
-products and an inverse search.
+products and an inverse search, and the odd-characteristic inverse with
+its own long-division loop.  The eliminations that linalg.solve
+replaced are here as well: Gauss-Jordan inversion, the lab's restriction
+to an invariant subspace, and its polynomial expression through a
+rescaled nullspace vector.
 """
 
 import functools
 import itertools
 
 from morsl.autos import Automorphism, InvalidAutomorphismError, conjugator_solution_space
-from morsl.field import _fp_mod, _fp_mul, _gf2_mod
+from morsl.field import _fp_mod, _fp_mul, _fp_trim, _gf2_mod, _zip_pad
 from morsl.fqpoly import FqPoly
-from morsl.matrix import Matrix, identity, mat_inv, mat_mul
+from morsl.linalg import RowReducer
+from morsl.matrix import Matrix, SingularMatrixError, identity, mat_inv, mat_mul
 
 
 @functools.lru_cache(maxsize=None)
@@ -252,3 +257,113 @@ def recover_conjugator_linalg(phi):
     if not _satisfies_all(phi, candidate):
         raise InvalidAutomorphismError("presentation is not a conjugation")
     return candidate
+
+
+def inv_fp_long_division(spec, a):
+    """Inverse of a nonzero packed element of an odd-characteristic
+    extension by the extended Euclidean algorithm, with each division
+    step written out as its own long-division loop."""
+    p = spec.p
+    r0, r1 = spec.modulus, _fp_trim(spec._coeffs(a))
+    s0, s1 = (), (1,)
+    while r1:
+        q_coeffs = [0] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
+        rem = list(r0)
+        inv_lead = pow(r1[-1], p - 2, p)
+        while len(rem) >= len(r1) and _fp_trim(tuple(rem)):
+            rem_t = _fp_trim(tuple(rem))
+            if len(rem_t) < len(r1):
+                break
+            rem = list(rem_t)
+            f = rem[-1] * inv_lead % p
+            shift = len(rem) - len(r1)
+            q_coeffs[shift] = f
+            for i, ci in enumerate(r1):
+                rem[shift + i] = (rem[shift + i] - f * ci) % p
+            rem.pop()
+        qq = _fp_trim(tuple(q_coeffs))
+        r0, r1 = r1, _fp_trim(tuple(rem))
+        new_s = tuple((a0 - b0) % p for a0, b0 in _zip_pad(s0, _fp_mul(qq, s1, p)))
+        s0, s1 = s1, _fp_trim(new_s)
+    c_inv = pow(r0[0], p - 2, p)
+    res = _fp_mod(tuple(c * c_inv % p for c in s0), spec.modulus, p)
+    v = 0
+    for c in reversed(res):
+        v = v * p + c
+    return v
+
+
+def mat_inv_gauss_jordan(x):
+    """x^(-1) by Gauss-Jordan on [x | 1], every entry of a pivot row
+    scaled and every entry of an eliminated row updated."""
+    spec, d = x.spec, x.d
+    m = [list(r) for r in x.rows]
+    aug = [list(r) for r in identity(spec, d).rows]
+    for c in range(d):
+        pivot_row = next((r for r in range(c, d) if m[r][c]), None)
+        if pivot_row is None:
+            raise SingularMatrixError("matrix is singular")
+        m[c], m[pivot_row] = m[pivot_row], m[c]
+        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
+        pinv = m[c][c].inv()
+        m[c] = [v * pinv for v in m[c]]
+        aug[c] = [v * pinv for v in aug[c]]
+        for r in range(d):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
+    return Matrix(spec, aug)
+
+
+def restrict_to_subspace_gauss(a, basis):
+    """Action of a on span(basis) in basis coordinates: the images a*w,
+    then a column-by-column Gauss-Jordan solve of [basis | images] that
+    never checks the image columns for consistency."""
+    spec, n, k = a.spec, a.d, len(basis)
+    zero = spec.zero()
+    cols = []
+    for w in basis:
+        img = []
+        for r in range(n):
+            acc = zero
+            for c in range(n):
+                if a.rows[r][c] and w[c]:
+                    acc = acc + a.rows[r][c] * w[c]
+            img.append(acc)
+        cols.append(img)
+    rows = [[basis[j][r] for j in range(k)] + [col[r] for col in cols] for r in range(n)]
+    rank = 0
+    for col in range(k):
+        piv = next((r for r in range(rank, n) if rows[r][col]), None)
+        if piv is None:
+            raise ValueError("basis vectors are dependent")
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pinv = rows[rank][col].inv()
+        rows[rank] = [v * pinv for v in rows[rank]]
+        for r in range(n):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return Matrix(spec, [rows[r][k:] for r in range(k)])
+
+
+def express_as_polynomial_nullspace(base, target, deg):
+    """Coefficients c with target = sum c_t base^t, t < deg: a nullspace
+    vector of [powers | -target] with a nonzero last entry, rescaled."""
+    spec, n = base.spec, base.d
+    powers = [identity(spec, n)]
+    for _ in range(deg - 1):
+        powers.append(mat_mul(powers[-1], base))
+    reducer = RowReducer(spec, deg + 1)
+    for r in range(n):
+        for c in range(n):
+            row = [powers[t].rows[r][c] for t in range(deg)]
+            row.append(-target.rows[r][c])
+            reducer.add_row(row)
+    for vec in reducer.nullspace_basis():
+        if vec[deg]:
+            scale = vec[deg].inv()
+            return FqPoly(spec, [v * scale for v in vec[:deg]])
+    raise ValueError("target is not a polynomial in the base matrix")

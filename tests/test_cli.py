@@ -84,6 +84,27 @@ def test_malformed_key_file_exits_2(tmp_path):
     assert run("encrypt", "--pub", missing, "--in", bad, "--out", tmp_path / "x") == 2
 
 
+def test_huge_degree_with_few_images_exits_2_before_listing_pairs(tmp_path, monkeypatch):
+    import morsl.autos as autos
+
+    pub = tmp_path / "pub.json"
+    run("keygen", "--d", 3, "--p", 7, "--seed", 1, "--out-pub", pub, "--out-priv", tmp_path / "s.json")
+    obj = json.loads(pub.read_text())
+    obj["phi"]["d"] = 1_000_000  # six images claim d(d - 1), about 10^12, pairs
+    pub.write_text(json.dumps(obj))
+    listed = autos.generator_pairs
+
+    def guarded(d):
+        # AssertionError is not one of the errors the CLI maps to an exit code
+        assert d <= 6, f"generator_pairs({d}) asked for before the image count was checked"
+        return listed(d)
+
+    monkeypatch.setattr(autos, "generator_pairs", guarded)
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(b"x")
+    assert run("encrypt", "--pub", pub, "--in", msg, "--out", tmp_path / "ct.json") == 2
+
+
 def test_keygen_retry_exhaustion_exit_4(tmp_path, monkeypatch):
     import morsl.cli as climod
 

@@ -3,7 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import field_tables_by_products, from_hex_loop, mul_gf2_window, to_hex_loop
+from oracles import (
+    field_tables_by_products,
+    from_hex_loop,
+    inv_fp_long_division,
+    mul_gf2_window,
+    to_hex_loop,
+)
 
 from morsl.field import (
     FieldElement,
@@ -264,6 +270,23 @@ def test_binary_multiply_matches_the_window_oracle(gamma, data):
     want = mul_gf2_window(spec, a, b)
     assert spec._mul_gf2(a, b) == spec._mul_gf2(b, a) == want
     assert (spec.from_val(a) * spec.from_val(b)).val == want
+
+
+# odd characteristic, too large for tables: inversion runs extended Euclid
+ODD_EXTENSIONS = (field_spec(3, 6), field_spec(5, 5), field_spec(7, 4))
+
+
+@settings(max_examples=100)
+@given(spec=st.sampled_from(ODD_EXTENSIONS), data=st.data())
+def test_odd_extension_inverse_matches_the_long_division_oracle(spec, data):
+    a = data.draw(st.sampled_from((1, 2, spec.p, spec.q - 1)) | st.integers(1, spec.q - 1))
+    assert spec._inv_raw(a) == inv_fp_long_division(spec, a)
+    x = spec.from_val(a)
+    cost_reset()
+    y = x.inv()
+    assert cost_counter() == 0  # inversions are not counted
+    assert x * y == spec.one()
+    assert spec._inv_table is None
 
 
 def test_binary_reduction_table_is_one_byte_row():
