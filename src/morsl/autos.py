@@ -8,7 +8,12 @@ rank one whenever the presentation is a genuine conjugation.  apply()
 exploits that factorization so the image of a letter costs O(d^2) field
 multiplications instead of a full matrix product.  from_conjugator knows
 each factor from the conjugator itself, so it writes the factors in
-closed form and needs no determinant for the SL check.
+closed form and needs no determinant for the SL check.  from_json, the
+parse of key and ciphertext files, factors each image first and checks
+SL by the matrix determinant lemma, det(1 + u v^T) = 1 + v . u, in d
+multiplications; only an image with no rank-one factor takes a
+determinant.  __init__ keeps one determinant per image: compose and the
+composition count pinned by the golden bench go through it.
 
 The same factors solve the special conjugacy problem: for a conjugation
 by B, the factor of image (i, j) is a column of B^(-1) times a row of B,
@@ -28,7 +33,7 @@ kept in a separate type and never accepted as key material.
 
 from __future__ import annotations
 
-from .field import FieldSpec
+from .field import FieldSpec, _json_dict, _json_int, _json_list
 from .linalg import RowReducer
 from .matrix import Matrix, SingularMatrixError, mat_inv, mat_pow
 from .words import decompose
@@ -59,20 +64,12 @@ class Automorphism:
     __slots__ = ("spec", "d", "images", "_rank1", "_conj")
 
     def __init__(self, spec: FieldSpec, d: int, images: dict):
-        # count first: d comes from untrusted input, and the pairs cost d^2
-        if len(images) != d * (d - 1):
-            raise ValueError(f"expected {d * (d - 1)} images for d = {d}, got {len(images)}")
-        pairs = generator_pairs(d)
-        if set(images) != set(pairs):
-            raise ValueError("images must cover every ordered pair (i, j), i != j")
-        imgs = {}
-        for key in pairs:
-            m = images[key]
-            if not isinstance(m, Matrix) or m.spec != spec or m.d != d:
-                raise ValueError(f"image for {key} has wrong spec or degree")
+        # SL by determinant: compose and the golden bench's composition
+        # count come through here
+        imgs = _checked_images(spec, d, images)
+        for key, m in imgs.items():
             if not m.is_sl():
                 raise InvalidAutomorphismError(f"image for {key} is not in SL")
-            imgs[key] = m
         rank1 = {key: _factor_rank1(spec, d, m) for key, m in imgs.items()}
         self._set_slots(spec, d, imgs, rank1)
 
@@ -228,14 +225,52 @@ class Automorphism:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Automorphism":
+        """Parse a presentation written by to_json, factoring first.
+
+        The image list must hold exactly d(d-1) distinct pairs before any
+        matrix is read.  A rank-one image 1 + u v^T is in SL exactly when
+        v . u = 0, as det(1 + u v^T) = 1 + v . u, so only an image with no
+        rank-one factor pays for a determinant.
+        """
+        obj = _json_dict(obj)
         spec = FieldSpec.from_json(obj["spec"])
-        d = int(obj["d"])
-        images = {}
-        for item in obj["images"]:
-            images[(int(item["i"]), int(item["j"]))] = Matrix.from_json(
-                spec, item["matrix"]
-            )
-        return cls(spec, d, images)
+        d = _json_int(obj["d"])
+        items = [_json_dict(item) for item in _json_list(obj["images"], d * (d - 1))]
+        keys = [(_json_int(item["i"]), _json_int(item["j"])) for item in items]
+        if len(set(keys)) != len(keys):
+            raise ValueError("an image pair (i, j) is listed twice")
+        imgs = _checked_images(
+            spec, d,
+            {key: Matrix.from_json(spec, item["matrix"]) for key, item in zip(keys, items)},
+        )
+        rank1 = {key: _factor_rank1(spec, d, m) for key, m in imgs.items()}
+        for key, m in imgs.items():
+            fac = rank1[key]
+            if fac is None:
+                in_sl = m.is_sl()
+            else:
+                u, v = fac
+                in_sl = not _dot(v, u, spec.zero())
+            if not in_sl:
+                raise InvalidAutomorphismError(f"image for {key} is not in SL")
+        phi = object.__new__(cls)
+        phi._set_slots(spec, d, imgs, rank1)
+        return phi
+
+
+def _checked_images(spec: FieldSpec, d: int, images: dict) -> dict:
+    """images in generator-pair order, after the count, pair and type checks."""
+    # count first: d comes from untrusted input, and the pairs cost d^2
+    if len(images) != d * (d - 1):
+        raise ValueError(f"expected {d * (d - 1)} images for d = {d}, got {len(images)}")
+    pairs = generator_pairs(d)
+    if set(images) != set(pairs):
+        raise ValueError("images must cover every ordered pair (i, j), i != j")
+    for key in pairs:
+        m = images[key]
+        if not isinstance(m, Matrix) or m.spec != spec or m.d != d:
+            raise ValueError(f"image for {key} has wrong spec or degree")
+    return {key: images[key] for key in pairs}
 
 
 def _dot(row, col, zero):

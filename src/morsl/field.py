@@ -592,10 +592,39 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FieldSpec":
+        obj = _json_dict(obj)
         return field_spec(
-            int(obj["p"]), int(obj["gamma"]),
-            tuple(int(c) for c in obj["modulus"]),
+            _json_int(obj["p"]), _json_int(obj["gamma"]),
+            tuple(_json_int(c) for c in _json_list(obj["modulus"])),
         )
+
+
+# Shape checks for values read from key and ciphertext files, so that a
+# value of the wrong JSON type fails as ValueError (exit 2 in the CLI)
+# instead of surfacing as a TypeError from whatever touches it first.
+
+
+def _json_dict(x) -> dict:
+    if not isinstance(x, dict):
+        raise ValueError(f"expected a JSON object, got {type(x).__name__}")
+    return x
+
+
+def _json_list(x, n: int | None = None) -> list:
+    """x as a list, of exactly n entries when n is given."""
+    if not isinstance(x, list):
+        raise ValueError(f"expected a JSON list, got {type(x).__name__}")
+    if n is not None and len(x) != n:
+        raise ValueError(f"expected a list of {n} entries, got {len(x)}")
+    return x
+
+
+def _json_int(x) -> int:
+    """An integer written as a JSON integer or as a decimal string; format
+    v1 uses both.  Booleans and floats are refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ValueError(f"expected an integer, got {type(x).__name__}")
+    return int(x)
 
 
 _SPEC_CACHE: dict[tuple, FieldSpec] = {}
@@ -722,6 +751,8 @@ class FieldElement:
     def from_hex(cls, spec: FieldSpec, s: str) -> "FieldElement":
         # binary fields: exactly gamma single 0/1 digits, read in one step;
         # any other string takes the general parse and its errors
+        if not isinstance(s, str):
+            raise ValueError(f"expected a field element string, got {type(s).__name__}")
         gamma = spec.gamma
         if spec.p == 2 and len(s) == 2 * gamma - 1 and s[1::2] == ":" * (gamma - 1):
             bits = s[::2]

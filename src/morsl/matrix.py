@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from .field import FieldElement, FieldMismatchError, FieldSpec
+from .field import FieldElement, FieldMismatchError, FieldSpec, _json_dict, _json_int, _json_list
 from .linalg import solve
 
 __all__ = [
@@ -121,12 +121,11 @@ class Matrix:
 
     @classmethod
     def from_json(cls, spec: FieldSpec, obj: dict) -> "Matrix":
-        rows = [
-            [FieldElement.from_hex(spec, s) for s in r] for r in obj["rows"]
-        ]
-        if len(rows) != obj["d"]:
-            raise ValueError("row count does not match d")
-        return cls(spec, rows)
+        # the shape is checked against d before any entry is converted
+        obj = _json_dict(obj)
+        d = _json_int(obj["d"])
+        rows = [_json_list(r, d) for r in _json_list(obj["rows"], d)]
+        return cls(spec, [[FieldElement.from_hex(spec, s) for s in r] for r in rows])
 
 
 # ---------------------------------------------------------------------------

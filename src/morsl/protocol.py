@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .autos import Automorphism, InvalidAutomorphismError, recover_conjugator
-from .field import FieldSpec
+from .field import FieldSpec, _json_dict, _json_int
 from .fqpoly import char_poly, divides_x_qk_minus_x, is_irreducible
 from .matrix import Matrix, conjugate, mat_inv, mat_mul, mat_pow, random_gl, transvection
 from .words import NotInSLError
@@ -93,9 +93,10 @@ class MorParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MorParams":
+        obj = _json_dict(obj)
         return cls(
             FieldSpec.from_json(obj["spec"]),
-            int(obj["d"]),
+            _json_int(obj["d"]),
             bool(obj.get("require_irreducible_lift", True)),
         )
 
@@ -139,7 +140,7 @@ class MorPrivateKey:
     @classmethod
     def from_json(cls, spec: FieldSpec, obj: dict) -> "MorPrivateKey":
         _check_version(obj)
-        return cls(int(obj["m"]), Matrix.from_json(spec, obj["conjugator"]))
+        return cls(_json_int(obj["m"]), Matrix.from_json(spec, obj["conjugator"]))
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ class MorCiphertext:
 
 
 def _check_version(obj: dict) -> None:
-    if obj.get("format_version") != FORMAT_VERSION:
+    if _json_dict(obj).get("format_version") != FORMAT_VERSION:
         raise ValueError("unsupported or missing format_version")
 
 

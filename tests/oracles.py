@@ -20,14 +20,16 @@ products and an inverse search, and the odd-characteristic inverse with
 its own long-division loop.  The eliminations that linalg.solve
 replaced are here as well: Gauss-Jordan inversion, the lab's restriction
 to an invariant subspace, and its polynomial expression through a
-rescaled nullspace vector.
+rescaled nullspace vector.  The v1 automorphism parse that sent every
+image through Automorphism.__init__, one determinant per image, is the
+oracle for the parse that factors first.
 """
 
 import functools
 import itertools
 
 from morsl.autos import Automorphism, InvalidAutomorphismError, conjugator_solution_space
-from morsl.field import _fp_mod, _fp_mul, _fp_trim, _gf2_mod, _zip_pad
+from morsl.field import FieldSpec, _fp_mod, _fp_mul, _fp_trim, _gf2_mod, _zip_pad
 from morsl.fqpoly import FqPoly
 from morsl.linalg import RowReducer
 from morsl.matrix import Matrix, SingularMatrixError, identity, mat_inv, mat_mul
@@ -229,6 +231,16 @@ def _satisfies_all(phi, b):
                 if lhs != rhs.rows[a][c]:
                     return False
     return True
+
+
+def automorphism_from_json_via_init(obj):
+    """Every image parsed, then Automorphism.__init__: det for each SL check."""
+    spec = FieldSpec.from_json(obj["spec"])
+    images = {
+        (int(item["i"]), int(item["j"])): Matrix.from_json(spec, item["matrix"])
+        for item in obj["images"]
+    }
+    return Automorphism(spec, int(obj["d"]), images)
 
 
 def recover_conjugator_linalg(phi):
