@@ -3,17 +3,21 @@
 An automorphism is stored as the map (i, j) -> image of 1 + e_{i,j}, one
 matrix per ordered pair.  Conjugation is linear in the transvection
 coefficient, so these d^2 - d images determine the image of every
-1 + lam*e_{i,j}: the image of a letter is 1 + lam*(N - 1), and N - 1 is
-rank one whenever the presentation is a genuine conjugation.  apply()
-exploits that factorization so the image of a letter costs O(d^2) field
-multiplications instead of a full matrix product.  from_conjugator knows
-each factor from the conjugator itself, so it writes the factors in
-closed form and needs no determinant for the SL check.  from_json, the
-parse of key and ciphertext files, factors each image first and checks
-SL by the matrix determinant lemma, det(1 + u v^T) = 1 + v . u, in d
-multiplications; only an image with no rank-one factor takes a
-determinant.  __init__ keeps one determinant per image: compose and the
-composition count pinned by the golden bench go through it.
+1 + lam*e_{i,j}: the image of a letter is 1 + lam*(N - 1).  Every
+automorphism of SL(d,q) is a product of inner, diagonal, field and graph
+automorphisms, and each of these maps a transvection to a transvection,
+so every image N of a genuine presentation is 1 + u v^T with v . u = 0.
+That factor is an invariant of the type: every constructor stores the
+canonical factor of each image, u's first nonzero entry equal to 1, and
+refuses an image that has none (the identity, or rank 2 and up).  apply()
+multiplies the letter images through their factors, O(d^2) field
+multiplications per letter.  from_conjugator knows each factor from the
+conjugator itself and writes it in closed form.  from_json, the parse of
+key and ciphertext files, factors each image and checks SL by the matrix
+determinant lemma, det(1 + u v^T) = 1 + v . u, in d multiplications; it
+takes no determinant on any input.  __init__ keeps one determinant per
+image before its factor check: compose and the composition count pinned
+by the golden bench go through it.
 
 The same factors solve the special conjugacy problem: for a conjugation
 by B, the factor of image (i, j) is a column of B^(-1) times a row of B,
@@ -59,8 +63,8 @@ def generator_pairs(d: int):
 
 
 class Automorphism:
-    # _rank1 maps each pair to the factor (u, v) of image - 1 = u v^T, or
-    # None; _conj caches recover_conjugator
+    # _rank1 maps each pair to the factor (u, v) of image - 1 = u v^T;
+    # _conj caches recover_conjugator
     __slots__ = ("spec", "d", "images", "_rank1", "_conj")
 
     def __init__(self, spec: FieldSpec, d: int, images: dict):
@@ -70,8 +74,7 @@ class Automorphism:
         for key, m in imgs.items():
             if not m.is_sl():
                 raise InvalidAutomorphismError(f"image for {key} is not in SL")
-        rank1 = {key: _factor_rank1(spec, d, m) for key, m in imgs.items()}
-        self._set_slots(spec, d, imgs, rank1)
+        self._set_slots(spec, d, imgs, _factors(spec, d, imgs))
 
     def _set_slots(self, spec: FieldSpec, d: int, images: dict, rank1: dict):
         object.__setattr__(self, "spec", spec)
@@ -137,38 +140,19 @@ class Automorphism:
         one, zero = spec.one(), spec.zero()
         grid = [[one if a == b else zero for b in range(d)] for a in range(d)]
         for i, j, lam in word.letters:
-            fac = self._rank1[(i, j)]
-            if fac is not None:
-                u, v = fac
-                for a in range(d):
-                    row = grid[a]
-                    acc = zero
-                    for k in range(d):
-                        rk = row[k]
-                        if rk and u[k]:
-                            acc = acc + rk * u[k]
-                    if acc:
-                        w = lam * acc
-                        for b in range(d):
-                            if v[b]:
-                                row[b] = row[b] + w * v[b]
-            else:
-                n = self.images[(i, j)]
-                fac_rows = [
-                    [
-                        (one if a == b else zero)
-                        + lam * (n.rows[a][b] - (one if a == b else zero))
-                        for b in range(d)
-                    ]
-                    for a in range(d)
-                ]
-                grid = [
-                    [
-                        _dot(grid[a], [fac_rows[k][b] for k in range(d)], zero)
-                        for b in range(d)
-                    ]
-                    for a in range(d)
-                ]
+            u, v = self._rank1[(i, j)]
+            for a in range(d):
+                row = grid[a]
+                acc = zero
+                for k in range(d):
+                    rk = row[k]
+                    if rk and u[k]:
+                        acc = acc + rk * u[k]
+                if acc:
+                    w = lam * acc
+                    for b in range(d):
+                        if v[b]:
+                            row[b] = row[b] + w * v[b]
         return Matrix(spec, grid)
 
     def __call__(self, x: Matrix) -> Matrix:
@@ -205,12 +189,6 @@ class Automorphism:
     def __repr__(self):
         return f"Automorphism(d={self.d}, spec={self.spec!r})"
 
-    def is_monomial(self) -> bool:
-        """True when every generator image is a single transvection."""
-        return all(
-            _read_transvection(img) is not None for img in self.images.values()
-        )
-
     # -- serialization --------------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -228,13 +206,14 @@ class Automorphism:
         """Parse a presentation written by to_json, factoring first.
 
         The image list must hold exactly d(d-1) distinct pairs before any
-        matrix is read.  A rank-one image 1 + u v^T is in SL exactly when
-        v . u = 0, as det(1 + u v^T) = 1 + v . u, so only an image with no
-        rank-one factor pays for a determinant.
+        matrix is read.  An image 1 + u v^T is in SL exactly when
+        v . u = 0, as det(1 + u v^T) = 1 + v . u, so no determinant is
+        taken.
         """
         obj = _json_dict(obj)
         spec = FieldSpec.from_json(obj["spec"])
         d = _json_int(obj["d"])
+        _check_degree(d)
         items = [_json_dict(item) for item in _json_list(obj["images"], d * (d - 1))]
         keys = [(_json_int(item["i"]), _json_int(item["j"])) for item in items]
         if len(set(keys)) != len(keys):
@@ -243,24 +222,26 @@ class Automorphism:
             spec, d,
             {key: Matrix.from_json(spec, item["matrix"]) for key, item in zip(keys, items)},
         )
-        rank1 = {key: _factor_rank1(spec, d, m) for key, m in imgs.items()}
-        for key, m in imgs.items():
-            fac = rank1[key]
-            if fac is None:
-                in_sl = m.is_sl()
-            else:
-                u, v = fac
-                in_sl = not _dot(v, u, spec.zero())
-            if not in_sl:
+        rank1 = _factors(spec, d, imgs)
+        for key, (u, v) in rank1.items():
+            if _dot(v, u, spec.zero()):
                 raise InvalidAutomorphismError(f"image for {key} is not in SL")
         phi = object.__new__(cls)
         phi._set_slots(spec, d, imgs, rank1)
         return phi
 
 
+def _check_degree(d: int) -> None:
+    if d < 2:
+        raise ValueError(f"degree must be at least 2, got {d}")
+
+
 def _checked_images(spec: FieldSpec, d: int, images: dict) -> dict:
-    """images in generator-pair order, after the count, pair and type checks."""
-    # count first: d comes from untrusted input, and the pairs cost d^2
+    """images in generator-pair order, after the degree, count, pair and
+    type checks."""
+    # degree and count first: d comes from untrusted input, and the pairs
+    # cost d^2
+    _check_degree(d)
     if len(images) != d * (d - 1):
         raise ValueError(f"expected {d * (d - 1)} images for d = {d}, got {len(images)}")
     pairs = generator_pairs(d)
@@ -281,8 +262,19 @@ def _dot(row, col, zero):
     return acc
 
 
+def _factors(spec: FieldSpec, d: int, images: dict) -> dict:
+    """The factor of every image; an image without one is refused."""
+    rank1 = {}
+    for key, m in images.items():
+        rank1[key] = _factor_rank1(spec, d, m)
+        if rank1[key] is None:
+            raise InvalidAutomorphismError(f"image for {key} is not a transvection")
+    return rank1
+
+
 def _factor_rank1(spec: FieldSpec, d: int, img: Matrix):
-    """Write img - 1 as an outer product u * v^T, or None if rank > 1.
+    """Write img - 1 as an outer product u * v^T, or None if img is the
+    identity or img - 1 has rank 2 or more.
 
     v is the first nonzero row of img - 1, so the first nonzero entry of
     u is 1."""
@@ -301,7 +293,7 @@ def _factor_rank1(spec: FieldSpec, d: int, img: Matrix):
         if pivot:
             break
     if pivot is None:
-        return (tuple([zero] * d), tuple([zero] * d))  # image is the identity
+        return None
     pa, pb = pivot
     v = tuple(rows[pa])
     pinv = v[pb].inv()
@@ -313,24 +305,6 @@ def _factor_rank1(spec: FieldSpec, d: int, img: Matrix):
             if rows[a][b] != expect:
                 return None
     return (u, v)
-
-
-def _read_transvection(img: Matrix):
-    """(i, j, lam) if img is exactly 1 + lam*e_{i,j}, else None."""
-    spec, d = img.spec, img.d
-    one = spec.one()
-    found = None
-    for a in range(d):
-        for b in range(d):
-            x = img.rows[a][b]
-            if a == b:
-                if x != one:
-                    return None
-            elif x:
-                if found is not None:
-                    return None
-                found = (a + 1, b + 1, x)
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +375,10 @@ def _conjugator_from_rank1(phi: Automorphism) -> Matrix:
     spec, d = phi.spec, phi.d
     zero = spec.zero()
     fac = phi._rank1
-    if None in fac.values():
-        raise InvalidAutomorphismError("an image is not a rank-one update of 1")
     rows = [fac[(2, 1)][1]] + [fac[(1, j)][1] for j in range(2, d + 1)]
     scales = [spec.one()] + [_dot(fac[(1, j)][0], rows[0], zero) for j in range(2, d + 1)]
-    last = next((x for x in reversed(rows[-1]) if x), None)
-    if last is None or not all(scales):
+    last = next(x for x in reversed(rows[-1]) if x)
+    if not all(scales):
         raise InvalidAutomorphismError("no nonsingular solution")
     lam = (scales[-1] * last).inv()
     b = Matrix(spec, [_scaled(lam * s, row) for s, row in zip(scales, rows)])
@@ -416,8 +388,8 @@ def _conjugator_from_rank1(phi: Automorphism) -> Matrix:
         raise InvalidAutomorphismError("no nonsingular solution") from None
     for (i, j), (u, v) in fac.items():
         c = cols[i - 1]
-        k = next((k for k, x in enumerate(u) if x), None)
-        if k is None or v != _scaled(c[k], b.rows[j - 1]) or c != _scaled(c[k], u):
+        k = next(k for k, x in enumerate(u) if x)
+        if v != _scaled(c[k], b.rows[j - 1]) or c != _scaled(c[k], u):
             raise InvalidAutomorphismError("presentation is not a conjugation")
     return b
 

@@ -318,18 +318,20 @@ class FieldSpec:
         if gamma < 1:
             raise ValueError("gamma must be >= 1")
         if modulus is None:
+            # irreducible by construction: the search has just tested it
             modulus = smallest_irreducible_poly(p, gamma)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != gamma + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree gamma")
-        if gamma > 1:
-            if p == 2:
-                packed = sum(c << i for i, c in enumerate(modulus))
-                ok = _gf2_is_irreducible(packed)
-            else:
-                ok = _fp_is_irreducible(modulus, p)
-            if not ok:
-                raise ValueError("modulus is reducible over GF(p)")
+        else:
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != gamma + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree gamma")
+            if gamma > 1:
+                if p == 2:
+                    packed = sum(c << i for i, c in enumerate(modulus))
+                    ok = _gf2_is_irreducible(packed)
+                else:
+                    ok = _fp_is_irreducible(modulus, p)
+                if not ok:
+                    raise ValueError("modulus is reducible over GF(p)")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "modulus", modulus)

@@ -27,7 +27,7 @@ from operator import getitem as _getitem
 from operator import xor as _xor
 
 from .field import _TABLE_MAX_Q, FieldElement, FieldSpec, _count_muls
-from .matrix import Matrix, identity, mat_mul, scalar_matrix
+from .matrix import Matrix, mat_mul, scalar_matrix
 
 __all__ = [
     "FqPoly",

@@ -94,11 +94,10 @@ class MorParams:
     @classmethod
     def from_json(cls, obj: dict) -> "MorParams":
         obj = _json_dict(obj)
-        return cls(
-            FieldSpec.from_json(obj["spec"]),
-            _json_int(obj["d"]),
-            bool(obj.get("require_irreducible_lift", True)),
-        )
+        lift = obj.get("require_irreducible_lift", True)
+        if not isinstance(lift, bool):
+            raise ValueError(f"require_irreducible_lift must be a JSON bool, got {lift!r}")
+        return cls(FieldSpec.from_json(obj["spec"]), _json_int(obj["d"]), lift)
 
 
 @dataclass(frozen=True)
@@ -118,11 +117,12 @@ class MorPublicKey:
     @classmethod
     def from_json(cls, obj: dict) -> "MorPublicKey":
         _check_version(obj)
-        return cls(
-            MorParams.from_json(obj["params"]),
-            Automorphism.from_json(obj["phi"]),
-            Automorphism.from_json(obj["phi_m"]),
-        )
+        params = MorParams.from_json(obj["params"])
+        phi = Automorphism.from_json(obj["phi"])
+        phi_m = Automorphism.from_json(obj["phi_m"])
+        _check_same_group("phi", phi, "params", params)
+        _check_same_group("phi_m", phi_m, "params", params)
+        return cls(params, phi, phi_m)
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,28 @@ class MorCiphertext:
     def from_json(cls, obj: dict) -> "MorCiphertext":
         _check_version(obj)
         phi_r = Automorphism.from_json(obj["phi_r"])
-        return cls(phi_r, Matrix.from_json(phi_r.spec, obj["payload"]))
+        payload = Matrix.from_json(phi_r.spec, obj["payload"])
+        _check_same_group("payload", payload, "phi_r", phi_r)
+        return cls(phi_r, payload)
 
 
 def _check_version(obj: dict) -> None:
-    if _json_dict(obj).get("format_version") != FORMAT_VERSION:
+    # the JSON integer 1 only: true and 1.0 compare equal to 1 in Python
+    version = _json_dict(obj).get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError("unsupported or missing format_version")
+
+
+def _check_same_group(name: str, part, ref_name: str, ref) -> None:
+    """Parts of one key or ciphertext must live in one SL(d, q)."""
+    if (part.spec, part.d) != (ref.spec, ref.d):
+        # the repr of a field spec leaves out its modulus
+        same_q = part.spec != ref.spec and part.spec.q == ref.spec.q
+        modulus = " with another modulus" if same_q else ""
+        raise ValueError(
+            f"{name} is over SL({part.d}, {part.spec!r}){modulus} "
+            f"but {ref_name} over SL({ref.d}, {ref.spec!r})"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .field import FieldSpec
 from .fqpoly import (
     FqPoly,
     char_poly,
-    factor_int,
     irreducible_factors,
     is_irreducible,
     mod_inverse,
@@ -386,20 +385,21 @@ class MonomialAttackReport:
 
 
 def _read_monomial(phi: Automorphism):
-    """Positions and coefficients of a monomial presentation, or error."""
-    from .autos import _read_transvection
+    """Positions and coefficients of a monomial presentation, or error.
 
+    Image 1 + lam*e_{a,b} is the one whose factor is (e_a, lam*e_b)."""
     d = phi.d
     pos = {}
     coef = {}
-    for (i, j), img in phi.images.items():
-        t = _read_transvection(img)
-        if t is None:
+    for key, (u, v) in phi._rank1.items():
+        rows = [k for k, x in enumerate(u) if x]
+        cols = [k for k, x in enumerate(v) if x]
+        if len(rows) != 1 or len(cols) != 1:
             raise WrongAttackModelError(
                 "generator image is not a single transvection; key is not monomial"
             )
-        pos[(i, j)] = (t[0], t[1])
-        coef[(i, j)] = t[2]
+        pos[key] = (rows[0] + 1, cols[0] + 1)
+        coef[key] = v[cols[0]]
     beta_map = {}
     for (i, j), (a, b) in pos.items():
         if beta_map.setdefault(i, a) != a or beta_map.setdefault(j, b) != b:

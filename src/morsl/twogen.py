@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .field import FieldSpec
-from .matrix import Matrix, identity, matrix_unit, sl_order
+from .matrix import Matrix, identity, sl_order
 
 __all__ = [
     "CDWord",

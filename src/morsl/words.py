@@ -15,7 +15,7 @@ used to clear its column.  This stays within d^2 letters.
 from __future__ import annotations
 
 from .field import FieldElement, FieldMismatchError, FieldSpec
-from .matrix import Matrix, identity
+from .matrix import Matrix
 
 __all__ = [
     "TransvectionWord",

@@ -22,7 +22,9 @@ replaced are here as well: Gauss-Jordan inversion, the lab's restriction
 to an invariant subspace, and its polynomial expression through a
 rescaled nullspace vector.  The v1 automorphism parse that sent every
 image through Automorphism.__init__, one determinant per image, is the
-oracle for the parse that factors first.
+oracle for the parse that factors first, and the monomial attack's
+entry-by-entry reading of each image as 1 + lam*e_{a,b} is the oracle
+for its reading of the rank-one factors.
 """
 
 import functools
@@ -33,6 +35,7 @@ from morsl.field import FieldSpec, _fp_mod, _fp_mul, _fp_trim, _gf2_mod, _zip_pa
 from morsl.fqpoly import FqPoly
 from morsl.linalg import RowReducer
 from morsl.matrix import Matrix, SingularMatrixError, identity, mat_inv, mat_mul
+from morsl.seclab import WrongAttackModelError
 
 
 @functools.lru_cache(maxsize=None)
@@ -241,6 +244,36 @@ def automorphism_from_json_via_init(obj):
         for item in obj["images"]
     }
     return Automorphism(spec, int(obj["d"]), images)
+
+
+def read_transvection(img):
+    """(a, b, lam) if img is exactly 1 + lam*e_{a,b}, else None."""
+    spec, d = img.spec, img.d
+    one = spec.one()
+    found = None
+    for a in range(d):
+        for b in range(d):
+            x = img.rows[a][b]
+            if a == b:
+                if x != one:
+                    return None
+            elif x:
+                if found is not None:
+                    return None
+                found = (a + 1, b + 1, x)
+    return found
+
+
+def monomial_positions_by_entries(phi):
+    """(positions, coefficients) of every image read entry by entry."""
+    pos, coef = {}, {}
+    for key, img in phi.images.items():
+        t = read_transvection(img)
+        if t is None:
+            raise WrongAttackModelError("generator image is not a single transvection")
+        pos[key] = t[:2]
+        coef[key] = t[2]
+    return pos, coef
 
 
 def recover_conjugator_linalg(phi):

@@ -84,6 +84,38 @@ def test_from_conjugator_factors_match_the_images(spec, d, seed):
         assert phi._rank1[key] == _factor_rank1(spec, d, img)
 
 
+def _assert_canonical_factors(phi):
+    spec, d = phi.spec, phi.d
+    one, zero = spec.one(), spec.zero()
+    assert phi._rank1.keys() == phi.images.keys()
+    for key, img in phi.images.items():
+        u, v = phi._rank1[key]
+        assert next(x for x in u if x) == one
+        assert any(v)
+        assert sum((x * y for x, y in zip(v, u)), zero) == zero
+        assert img == Matrix(
+            spec, [[(one if a == b else zero) + u[a] * v[b] for b in range(d)] for a in range(d)]
+        )
+
+
+@PROPERTY
+@given(spec=fields, d=st.integers(2, 5), seed=st.integers(0, 2**32), m=st.integers(0, 50))
+def test_every_constructor_stores_a_canonical_transvection_factor(spec, d, seed, m):
+    # u's first nonzero entry is 1, v != 0 and v . u = 0: image = 1 + u v^T
+    rng = random.Random(seed)
+    phi = Automorphism.from_conjugator(random_gl(spec, d, rng))
+    psi = Automorphism.from_conjugator(random_gl(spec, d, rng))
+    for made in (
+        phi,
+        Automorphism.identity(spec, d),
+        phi.compose(psi),
+        phi.power(m),
+        phi.invert(),
+        Automorphism.from_json(phi.to_json()),
+    ):
+        _assert_canonical_factors(made)
+
+
 def test_from_conjugator_takes_no_determinant(monkeypatch):
     sizes = ((field_spec(7), 3), (field_spec(3, 2), 4), (field_spec(2, 160), 7))
     conjugators = [random_gl(spec, d, random.Random(d)) for spec, d in sizes]

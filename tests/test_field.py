@@ -324,6 +324,28 @@ def test_spec_validation():
         field_spec(2, 3, modulus=(1, 1, 1, 1))  # x^3+x^2+x+1 reducible
     with pytest.raises(ValueError):
         field_spec(2, 3, modulus=(1, 1, 1))  # wrong degree
+    with pytest.raises(ValueError):
+        field_spec(3, 2, modulus=(2, 0, 1))  # x^2 - 1 reducible
+
+
+@pytest.mark.parametrize("p, gamma, test", [(2, 160, "_gf2_is_irreducible"), (3, 4, "_fp_is_irreducible")])
+def test_default_modulus_is_proved_irreducible_once(monkeypatch, p, gamma, test):
+    # the search proves its result irreducible; FieldSpec does not test it again
+    import morsl.field as field
+
+    accepted = []
+    real = getattr(field, test)
+
+    def counted(*args):
+        ok = real(*args)
+        if ok:
+            accepted.append(args)
+        return ok
+
+    monkeypatch.setattr(field, test, counted)
+    spec = FieldSpec(p, gamma)
+    assert len(accepted) == 1
+    assert spec.modulus == smallest_irreducible_poly(p, gamma)
 
 
 def _irreducible_by_trial_division(coeffs, p):

@@ -1,0 +1,56 @@
+"""Every name a module of the package imports is used or exported.
+
+An import that nothing reads is dead code that still costs an import and
+misleads a reader about what the module depends on.  The check parses
+each module with ast: a name bound by an import must be read somewhere in
+the module, or be listed in its __all__.  The package's __init__ is left
+out, as its imports are the package's public names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import morsl
+
+MODULES = sorted(p for p in Path(morsl.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= {elt.value for elt in node.value.elts}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(
+        f"{name} (line {line})"
+        for name, line in imported.items()
+        if name not in read and name not in exported
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_import(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_the_check_sees_an_unused_import():
+    source = (
+        "from x import used, unused\n"
+        "import os.path\n"
+        "__all__ = ['kept']\n"
+        "from y import kept\n"
+        "used()\n"
+    )
+    assert _unused_imports(source) == ["os (line 2)", "unused (line 1)"]

@@ -1,15 +1,18 @@
 """Parsing v1 keys and ciphertexts.
 
 Automorphism.from_json factors every image first and checks SL by
-v . u = 0, as det(1 + u v^T) = 1 + v . u, so only an image with no
-rank-one factor pays for a determinant.  The parse that sent every image
-through Automorphism.__init__ is the oracle in tests/oracles.py; the
-determinant calls are counted by wrapping matrix.det.  Files are
-untrusted: list lengths and duplicate pairs are checked before any
-matrix is read, a value of the wrong JSON type is a ValueError (exit 2),
-and a derandomized fuzz of the golden files checks that every mutant
-ends in exit 0 with the original plaintext, exit 2 or exit 3, within a
-wall bound and without a traceback.
+v . u = 0, as det(1 + u v^T) = 1 + v . u, so it takes no determinant on
+any input: an image with no rank-one factor (the identity, or rank 2 and
+up) is never an automorphism's image and is refused.  The parse that
+sent every image through Automorphism.__init__ is the oracle in
+tests/oracles.py, refusals included; the determinant calls are counted
+by wrapping matrix.det.  Files are untrusted: the degree, list lengths
+and duplicate pairs are checked before any matrix is read, a value of
+the wrong JSON type is a ValueError (exit 2), the parts of a key or
+ciphertext must share one SL(d, q), and a derandomized fuzz of the
+golden files checks that every mutant ends in exit 0 with the original
+plaintext, exit 2 or exit 3, within a wall bound and without a
+traceback.
 """
 
 import copy
@@ -25,11 +28,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import automorphism_from_json_via_init
 
+import morsl.autos as autos
 import morsl.matrix as matrix
 from morsl.autos import Automorphism, InvalidAutomorphismError, _factor_rank1, recover_conjugator
 from morsl.cli import main
-from morsl.field import FieldElement, cost_counter, cost_reset, field_spec
-from morsl.matrix import Matrix, diagonal_matrix, random_gl, random_sl
+from morsl.field import FieldElement, FieldSpec, cost_counter, cost_reset, field_spec
+from morsl.matrix import Matrix, diagonal_matrix, identity, random_gl, random_sl
 from morsl.protocol import MorCiphertext, MorPublicKey
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -64,11 +68,21 @@ def _with_image(phi, key, img):
     return obj
 
 
-def _without_rank_one_factor(draw, spec, d, rng):
+def _of_rank_two_and_up(draw, spec, d, rng):
+    # the identity has no factor either; it gets its own test
     while True:
         m = draw(spec, d, rng)
-        if _factor_rank1(spec, d, m) is None:
+        if _factor_rank1(spec, d, m) is None and m != identity(spec, d):
             return m
+
+
+def _refused_by_both_routes(obj):
+    """from_json refuses obj without a determinant, and so does __init__."""
+    with _counting_det() as det, pytest.raises(InvalidAutomorphismError):
+        Automorphism.from_json(obj)
+    assert det.call_count == 0
+    with pytest.raises(InvalidAutomorphismError):
+        automorphism_from_json_via_init(obj)
 
 
 # -- the det-free parse ------------------------------------------------------------
@@ -88,17 +102,22 @@ def test_round_trip_takes_no_determinant(spec, d, seed):
 @PROPERTY
 @given(spec=fields, d=st.integers(2, 7), seed=st.integers(0, 2**32), k=st.integers(0, 3))
 def test_parse_equals_the_init_route(spec, d, seed, k):
-    # k images replaced by SL matrices that are mostly not rank-one updates
+    # k images replaced by SL matrices that are mostly not rank-one
+    # updates: both routes refuse them, or both give the same value
     rng = random.Random(seed)
     phi = Automorphism.from_conjugator(random_gl(spec, d, rng))
     obj = phi.to_json()
     for item in rng.sample(obj["images"], min(k, len(obj["images"]))):
         item["matrix"] = random_sl(spec, d, rng).to_json()
+    try:
+        want = automorphism_from_json_via_init(obj)
+    except InvalidAutomorphismError:
+        _refused_by_both_routes(obj)
+        return
     parsed, dets = _parse(obj)
-    want = automorphism_from_json_via_init(obj)
+    assert dets == 0
     assert parsed == want
     assert parsed._rank1 == want._rank1
-    assert dets == list(parsed._rank1.values()).count(None)
 
 
 @PROPERTY
@@ -110,25 +129,24 @@ def test_rank_one_image_outside_sl_is_refused_without_determinant(spec, d, seed)
     while lam == spec.one():
         lam = spec.random_nonzero(rng)
     bad = diagonal_matrix([lam] + [spec.one()] * (d - 1))  # 1 + (lam - 1) e_{1,1}
-    obj = _with_image(phi, rng.choice(sorted(phi.images)), bad)
-    with _counting_det() as det, pytest.raises(InvalidAutomorphismError):
-        Automorphism.from_json(obj)
-    assert det.call_count == 0
-    with pytest.raises(InvalidAutomorphismError):
-        automorphism_from_json_via_init(obj)
+    _refused_by_both_routes(_with_image(phi, rng.choice(sorted(phi.images)), bad))
 
 
 @PROPERTY
 @given(spec=fields, d=st.integers(2, 7), seed=st.integers(0, 2**32))
-def test_sl_image_without_rank_one_factor_takes_one_determinant(spec, d, seed):
+def test_sl_image_without_rank_one_factor_is_refused_without_determinant(spec, d, seed):
     rng = random.Random(seed)
     phi = Automorphism.from_conjugator(random_gl(spec, d, rng))
-    key = rng.choice(sorted(phi.images))
-    obj = _with_image(phi, key, _without_rank_one_factor(random_sl, spec, d, rng))
-    parsed, dets = _parse(obj)
-    assert dets == 1
-    assert parsed._rank1[key] is None
-    assert parsed == automorphism_from_json_via_init(obj)
+    bad = _of_rank_two_and_up(random_sl, spec, d, rng)
+    _refused_by_both_routes(_with_image(phi, rng.choice(sorted(phi.images)), bad))
+
+
+@PROPERTY
+@given(spec=fields, d=st.integers(2, 7), seed=st.integers(0, 2**32))
+def test_identity_image_is_refused_without_determinant(spec, d, seed):
+    rng = random.Random(seed)
+    phi = Automorphism.from_conjugator(random_gl(spec, d, rng))
+    _refused_by_both_routes(_with_image(phi, rng.choice(sorted(phi.images)), identity(spec, d)))
 
 
 @PROPERTY
@@ -143,12 +161,8 @@ def test_non_sl_image_without_rank_one_factor_is_refused(spec, d, seed):
             if not m.is_sl():
                 return m
 
-    obj = _with_image(phi, rng.choice(sorted(phi.images)), _without_rank_one_factor(non_sl, spec, d, rng))
-    with _counting_det() as det, pytest.raises(InvalidAutomorphismError):
-        Automorphism.from_json(obj)
-    assert det.call_count == 1
-    with pytest.raises(InvalidAutomorphismError):
-        automorphism_from_json_via_init(obj)
+    bad = _of_rank_two_and_up(non_sl, spec, d, rng)
+    _refused_by_both_routes(_with_image(phi, rng.choice(sorted(phi.images)), bad))
 
 
 def test_golden_parse_takes_no_determinant_and_pinned_multiplications():
@@ -240,6 +254,71 @@ def test_matrix_shape_is_checked_before_any_entry(monkeypatch, rows):
     ],
 )
 def test_wrong_json_type_exits_2(tmp_path, name, path, value):
+    files = _golden()
+    _replace(files[name], path, value)
+    assert _outcome(tmp_path, files, encrypt_first=name == "pub") == (2, None)
+
+
+def _automorphism_over(spec_obj, d):
+    spec = FieldSpec.from_json(spec_obj)
+    return Automorphism.from_conjugator(random_gl(spec, d, random.Random(d))).to_json()
+
+
+def _mismatched_part(files, case):
+    pub, ct = files["pub"], files["ct"]
+    spec_obj = pub["params"]["spec"]
+    if case == "phi over d = 1":
+        pub["phi"]["d"], pub["phi"]["images"] = 1, []
+    elif case == "phi_m over d = 4":
+        pub["phi_m"] = _automorphism_over(spec_obj, 4)
+    elif case == "phi_m over GF(7)":
+        pub["phi_m"] = _automorphism_over(field_spec(7).to_json(), 3)
+    elif case == "phi_m over another modulus":
+        # x^64 + x^4 + x^3 + x + 1, not the golden key's modulus
+        modulus = (1, 1, 0, 1, 1) + (0,) * 59 + (1,)
+        pub["phi_m"] = _automorphism_over(field_spec(2, 64, modulus).to_json(), 3)
+    else:  # payload over d = 4
+        ct["payload"] = identity(FieldSpec.from_json(spec_obj), 4).to_json()
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("phi over d = 1", "degree must be at least 2, got 1"),
+        ("phi_m over d = 4", "phi_m is over SL(4, GF(2^64)) but params over SL(3, GF(2^64))"),
+        ("phi_m over GF(7)", "phi_m is over SL(3, GF(7)) but params over SL(3, GF(2^64))"),
+        (
+            "phi_m over another modulus",
+            "phi_m is over SL(3, GF(2^64)) with another modulus but params over SL(3, GF(2^64))",
+        ),
+        ("payload over d = 4", "payload is over SL(4, GF(2^64)) but phi_r over SL(3, GF(2^64))"),
+    ],
+)
+def test_parts_of_another_group_exit_2_before_recovery(tmp_path, monkeypatch, capsys, case, message):
+    files = _golden()
+    _mismatched_part(files, case)
+    recovered = []
+    real = autos._conjugator_from_rank1
+    monkeypatch.setattr(
+        autos, "_conjugator_from_rank1", lambda phi: recovered.append(phi) or real(phi)
+    )
+    assert _outcome(tmp_path, files, encrypt_first=not case.startswith("payload")) == (2, None)
+    assert recovered == []
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "name, path, value",
+    [
+        ("pub", ("format_version",), True),
+        ("pub", ("format_version",), 1.0),
+        ("pub", ("format_version",), "1"),
+        ("ct", ("format_version",), True),
+        ("pub", ("params", "require_irreducible_lift"), "false"),
+        ("pub", ("params", "require_irreducible_lift"), 0),
+    ],
+)
+def test_scalar_field_of_another_json_type_exits_2(tmp_path, name, path, value):
     files = _golden()
     _replace(files[name], path, value)
     assert _outcome(tmp_path, files, encrypt_first=name == "pub") == (2, None)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from oracles import mat_pow_sqm
+from oracles import mat_pow_sqm, monomial_positions_by_entries
 
 from morsl.autos import Automorphism
 from morsl.field import field_spec
@@ -25,6 +25,7 @@ from morsl.seclab import (
     IterationBudgetExceeded,
     ReducibleCharPolyError,
     WrongAttackModelError,
+    _read_monomial,
     bsgs_dlog,
     centralizer_space,
     field_group_ops,
@@ -251,6 +252,26 @@ def test_monomial_attack_rejects_generic_key():
     pk, _ = keygen(MorParams(GF5, 3), r)
     with pytest.raises(WrongAttackModelError):
         monomial_cycle_attack(pk)
+
+
+def test_factor_reading_of_monomial_images_matches_entry_reading():
+    r = random.Random(12)
+    for spec in (GF5, GF7, field_spec(2, 4), field_spec(7, 2)):
+        for d in range(2, 6):
+            pk = _monomial_key(spec, d, r.randrange(2, 10_000), r)
+            for phi in (pk.phi, pk.phi_m):
+                _, pos, coef = _read_monomial(phi)
+                assert (pos, coef) == monomial_positions_by_entries(phi)
+
+
+def test_factor_and_entry_readings_both_refuse_a_generic_key():
+    r = random.Random(13)
+    for spec, d in ((GF5, 3), (field_spec(2, 4), 4)):
+        pk, _ = keygen(MorParams(spec, d), r)
+        with pytest.raises(WrongAttackModelError):
+            _read_monomial(pk.phi)
+        with pytest.raises(WrongAttackModelError):
+            monomial_positions_by_entries(pk.phi)
 
 
 def test_monomial_attack_report_json():
