@@ -37,7 +37,7 @@ kept in a separate type and never accepted as key material.
 
 from __future__ import annotations
 
-from .field import FieldSpec, _json_dict, _json_int, _json_list
+from .field import FieldSpec, _count_muls, _json_dict, _json_int, _json_list
 from .linalg import RowReducer
 from .matrix import Matrix, SingularMatrixError, mat_inv, mat_pow
 from .words import decompose
@@ -63,8 +63,8 @@ def generator_pairs(d: int):
 
 
 class Automorphism:
-    # _rank1 maps each pair to the factor (u, v) of image - 1 = u v^T;
-    # _conj caches recover_conjugator
+    # _rank1 maps each pair to the factor (u, v) of image - 1 = u v^T,
+    # two tuples of packed ints; _conj caches recover_conjugator
     __slots__ = ("spec", "d", "images", "_rank1", "_conj")
 
     def __init__(self, spec: FieldSpec, d: int, images: dict):
@@ -109,18 +109,20 @@ class Automorphism:
         which is what _factor_rank1 finds in the image.
         """
         spec, d = a.spec, a.d
-        ainv = mat_inv(a)  # raises SingularMatrixError for singular input
-        one, zero = spec.one(), spec.zero()
-        images, rank1 = {}, {}
+        ainv = mat_inv(a).vals  # raises SingularMatrixError for singular input
+        mul, add = spec._mul_raw, spec._add_raw
+        images, rank1, count = {}, {}, 0
         for i, j in generator_pairs(d):
-            col = [ainv.rows[r][i - 1] for r in range(d)]
-            row = a.rows[j - 1]
-            rows = [[cr * x for x in row] if cr else [zero] * d for cr in col]
+            col = [r[i - 1] for r in ainv]
+            row = a.vals[j - 1]
+            rows = [[mul(cr, x) for x in row] if cr else [0] * d for cr in col]
+            count += d * (d - col.count(0))
             k = next(k for k, cr in enumerate(col) if cr)
-            rank1[(i, j)] = (_scaled(col[k].inv(), col), tuple(rows[k]))
+            rank1[(i, j)] = (_scaled(spec, spec._inv_raw(col[k]), col), tuple(rows[k]))
             for r in range(d):
-                rows[r][r] = rows[r][r] + one
-            images[(i, j)] = Matrix(spec, rows)
+                rows[r][r] = add(rows[r][r], 1)
+            images[(i, j)] = Matrix._from_vals(spec, tuple(map(tuple, rows)))
+        _count_muls(count)
         phi = object.__new__(cls)
         phi._set_slots(spec, d, images, rank1)
         return phi
@@ -137,23 +139,27 @@ class Automorphism:
         if x.spec != spec or x.d != d:
             raise ValueError("matrix has wrong spec or degree")
         word = decompose(x)
-        one, zero = spec.one(), spec.zero()
-        grid = [[one if a == b else zero for b in range(d)] for a in range(d)]
+        mul, add = spec._mul_raw, spec._add_raw
+        grid = [[int(a == b) for b in range(d)] for a in range(d)]
+        count = 0
         for i, j, lam in word.letters:
             u, v = self._rank1[(i, j)]
-            for a in range(d):
-                row = grid[a]
-                acc = zero
-                for k in range(d):
-                    rk = row[k]
-                    if rk and u[k]:
-                        acc = acc + rk * u[k]
+            lam = lam.val
+            u_nz = [(k, x) for k, x in enumerate(u) if x]
+            v_nz = [(b, y) for b, y in enumerate(v) if y]
+            for row in grid:
+                acc = 0
+                for k, x in u_nz:
+                    if row[k]:
+                        acc = add(acc, mul(row[k], x))
+                        count += 1
                 if acc:
-                    w = lam * acc
-                    for b in range(d):
-                        if v[b]:
-                            row[b] = row[b] + w * v[b]
-        return Matrix(spec, grid)
+                    w = mul(lam, acc)
+                    for b, y in v_nz:
+                        row[b] = add(row[b], mul(w, y))
+                    count += 1 + len(v_nz)
+        _count_muls(count)
+        return Matrix._from_vals(spec, tuple(map(tuple, grid)))
 
     def __call__(self, x: Matrix) -> Matrix:
         return self.apply(x)
@@ -224,7 +230,7 @@ class Automorphism:
         )
         rank1 = _factors(spec, d, imgs)
         for key, (u, v) in rank1.items():
-            if _dot(v, u, spec.zero()):
+            if _dot(spec, v, u):
                 raise InvalidAutomorphismError(f"image for {key} is not in SL")
         phi = object.__new__(cls)
         phi._set_slots(spec, d, imgs, rank1)
@@ -254,11 +260,15 @@ def _checked_images(spec: FieldSpec, d: int, images: dict) -> dict:
     return {key: images[key] for key in pairs}
 
 
-def _dot(row, col, zero):
-    acc = zero
+def _dot(spec: FieldSpec, row, col) -> int:
+    """row . col on packed ints, one multiplication per pair of nonzeros."""
+    mul, add = spec._mul_raw, spec._add_raw
+    acc, count = 0, 0
     for a, b in zip(row, col):
         if a and b:
-            acc = acc + a * b
+            acc = add(acc, mul(a, b))
+            count += 1
+    _count_muls(count)
     return acc
 
 
@@ -277,33 +287,32 @@ def _factor_rank1(spec: FieldSpec, d: int, img: Matrix):
     identity or img - 1 has rank 2 or more.
 
     v is the first nonzero row of img - 1, so the first nonzero entry of
-    u is 1."""
-    one, zero = spec.one(), spec.zero()
-    rows = []
+    u is 1.  Counted as the entrywise check counts: d multiplications for
+    u, then one per entry whose u_a and v_b are both nonzero, up to the
+    first entry that differs."""
+    mul, sub = spec._mul_raw, spec._sub_raw
+    rows = [list(r) for r in img.vals]
     for a in range(d):
-        row = list(img.rows[a])
-        row[a] = row[a] - one
-        rows.append(row)
-    pivot = None
-    for a in range(d):
-        for b in range(d):
-            if rows[a][b]:
-                pivot = (a, b)
-                break
-        if pivot:
-            break
+        rows[a][a] = sub(rows[a][a], 1)
+    pivot = next(((a, b) for a in range(d) for b in range(d) if rows[a][b]), None)
     if pivot is None:
         return None
     pa, pb = pivot
     v = tuple(rows[pa])
-    pinv = v[pb].inv()
-    u = tuple(rows[a][pb] * pinv for a in range(d))
-    for a in range(d):
-        ua = u[a]
-        for b in range(d):
-            expect = ua * v[b] if (ua and v[b]) else zero
-            if rows[a][b] != expect:
+    pinv = spec._inv_raw(v[pb])
+    u = tuple(mul(r[pb], pinv) for r in rows)
+    count = d
+    for ua, row in zip(u, rows):
+        for vb, x in zip(v, row):
+            if ua and vb:
+                count += 1
+                if x != mul(ua, vb):
+                    _count_muls(count)
+                    return None
+            elif x:
+                _count_muls(count)
                 return None
+    _count_muls(count)
     return (u, v)
 
 
@@ -319,17 +328,15 @@ def _constraint_rows(spec: FieldSpec, d: int, i: int, j: int, n: Matrix):
     needed to build the rows; coefficients are copies or negations of
     entries of N.
     """
-    zero, one = spec.zero(), spec.one()
+    neg, add = spec._neg_raw, spec._add_raw
+    cols = list(zip(*n.vals))
     for a in range(d):
         for b in range(d):
-            row = [zero] * (d * d)
-            for c in range(d):
-                coeff = -n.rows[c][b]
-                if c == b:
-                    coeff = coeff + one
-                row[a * d + c] = coeff
+            row = [0] * (d * d)
+            row[a * d:(a + 1) * d] = [neg(x) for x in cols[b]]
+            row[a * d + b] = add(row[a * d + b], 1)
             if a == i - 1:
-                row[(j - 1) * d + b] = row[(j - 1) * d + b] + one
+                row[(j - 1) * d + b] = add(row[(j - 1) * d + b], 1)
             yield row
 
 
@@ -343,7 +350,7 @@ def conjugator_solution_space(phi: Automorphism) -> list[Matrix]:
         if reducer.rank >= d * d - 1:
             break
     return [
-        Matrix(spec, [vec[a * d:(a + 1) * d] for a in range(d)])
+        Matrix._from_vals(spec, tuple(vec[a * d:(a + 1) * d] for a in range(d)))
         for vec in reducer.nullspace_basis()
     ]
 
@@ -373,29 +380,35 @@ def _conjugator_from_rank1(phi: Automorphism) -> Matrix:
     v = c_{i,k} r_j and c_i = c_{i,k} u, 2d multiplications per image.
     """
     spec, d = phi.spec, phi.d
-    zero = spec.zero()
+    mul = spec._mul_raw
     fac = phi._rank1
     rows = [fac[(2, 1)][1]] + [fac[(1, j)][1] for j in range(2, d + 1)]
-    scales = [spec.one()] + [_dot(fac[(1, j)][0], rows[0], zero) for j in range(2, d + 1)]
+    scales = [1] + [_dot(spec, fac[(1, j)][0], rows[0]) for j in range(2, d + 1)]
     last = next(x for x in reversed(rows[-1]) if x)
     if not all(scales):
         raise InvalidAutomorphismError("no nonsingular solution")
-    lam = (scales[-1] * last).inv()
-    b = Matrix(spec, [_scaled(lam * s, row) for s, row in zip(scales, rows)])
+    lam = spec._inv_raw(mul(scales[-1], last))
+    _count_muls(1 + d)  # scales[-1] * last, then lam * s for each row scale
+    b = Matrix._from_vals(
+        spec, tuple(_scaled(spec, mul(lam, s), row) for s, row in zip(scales, rows))
+    )
     try:
-        cols = list(zip(*mat_inv(b).rows))
+        cols = list(zip(*mat_inv(b).vals))
     except SingularMatrixError:
         raise InvalidAutomorphismError("no nonsingular solution") from None
     for (i, j), (u, v) in fac.items():
         c = cols[i - 1]
         k = next(k for k, x in enumerate(u) if x)
-        if v != _scaled(c[k], b.rows[j - 1]) or c != _scaled(c[k], u):
+        if v != _scaled(spec, c[k], b.vals[j - 1]) or c != _scaled(spec, c[k], u):
             raise InvalidAutomorphismError("presentation is not a conjugation")
     return b
 
 
-def _scaled(s, vec) -> tuple:
-    return tuple(s * x if x else x for x in vec)
+def _scaled(spec: FieldSpec, s: int, vec) -> tuple:
+    """s * vec on packed ints, one multiplication per nonzero entry."""
+    mul = spec._mul_raw
+    _count_muls(len(vec) - vec.count(0))
+    return tuple(mul(s, x) if x else 0 for x in vec)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,27 @@ at most 256 elements multiply and invert by table lookup instead; the
 tables are built on first use from the powers of the first primitive
 element (exp/log tables), not from q^2 polynomial products.
 
+Each FieldSpec binds its operations on packed ints (_add_raw, _sub_raw,
+_neg_raw, _mul_raw, _inv_raw) once, when it is built: modular arithmetic
+for a prime field, table lookups for an extension with at most 256
+elements (the first multiply or inverse builds the tables and rebinds
+both), the byte-stride multiply for a larger binary field, and
+coefficient tuples for a larger odd-characteristic extension.
+FieldElement's operators and the matrix kernels call these directly.
+
 Multiplications are tallied in a module-level counter because the cost
 model of interest counts field multiplications and treats additions as
-free.  The counter is a plain integer: exact readings require a single
-thread, which is how the benchmarks run.
+free.  FieldElement.__mul__ counts one per product; a kernel on raw ints
+counts analytically through _count_muls, exactly what the FieldElement
+loop it replaces would count.  Inversions are not counted.  The counter
+is a plain integer: exact readings require a single thread, which is
+how the benchmarks run.
 """
 
 from __future__ import annotations
 
 import random as _random
+from operator import xor as _xor
 
 __all__ = [
     "FieldSpec",
@@ -297,6 +309,7 @@ def smallest_irreducible_poly(p: int, gamma: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 _TABLE_MAX_Q = 256
+_RAW_OPS = ("_add_raw", "_sub_raw", "_neg_raw", "_mul_raw", "_inv_raw")
 
 
 class FieldSpec:
@@ -309,7 +322,7 @@ class FieldSpec:
     __slots__ = (
         "p", "gamma", "modulus", "q",
         "_mask", "_mod_packed", "_red_table", "_sq_table",
-        "_mul_table", "_inv_table",
+        "_mul_table", "_inv_table", *_RAW_OPS,
     )
 
     def __init__(self, p: int, gamma: int, modulus: tuple[int, ...] | None = None):
@@ -356,6 +369,7 @@ class FieldSpec:
             object.__setattr__(self, "_mask", None)
             object.__setattr__(self, "_mod_packed", None)
             object.__setattr__(self, "_red_table", None)
+        self._choose_raw_ops()
 
     def __setattr__(self, *args):
         raise AttributeError("FieldSpec is immutable")
@@ -396,10 +410,7 @@ class FieldSpec:
         coeffs = tuple(int(c) % self.p for c in coeffs)
         if len(coeffs) > self.gamma:
             raise ValueError("too many coefficients")
-        v = 0
-        for c in reversed(coeffs):
-            v = v * self.p + c
-        return FieldElement(self, v)
+        return FieldElement(self, self._pack(coeffs))
 
     def monomial(self, s: int) -> "FieldElement":
         """The basis element x^s, 0 <= s < gamma."""
@@ -428,11 +439,37 @@ class FieldSpec:
             out.append(c)
         return tuple(out)
 
-    def _add_raw(self, a: int, b: int) -> int:
+    def _pack(self, coeffs) -> int:
+        """Inverse of _coeffs for a coefficient tuple of any length <= gamma."""
+        v = 0
+        for c in reversed(coeffs):
+            v = v * self.p + c
+        return v
+
+    def _choose_raw_ops(self) -> None:
+        """Bind _add_raw, _sub_raw, _neg_raw, _mul_raw and _inv_raw, the
+        operations on packed ints, to this field's arithmetic once."""
+        p, small = self.p, self.gamma > 1 and self.q <= _TABLE_MAX_Q
         if self.gamma == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
+            ops = (
+                lambda a, b: (a + b) % p,
+                lambda a, b: (a - b) % p,
+                lambda a: -a % p,
+                lambda a, b: a * b % p,
+                self._inv_prime,
+            )
+        elif p == 2:
+            ops = (_xor, _xor, lambda a: a, self._mul_gf2, self._inv_gf2)
+        else:
+            add, neg = self._add_digits, self._neg_digits
+            ops = (add, lambda a, b: add(a, neg(b)), neg, self._mul_poly, self._inv_poly)
+        if small:
+            # the exp/log tables are built on the first multiply or inverse
+            ops = ops[:3] + (self._mul_first_use, self._inv_first_use)
+        for name, op in zip(_RAW_OPS, ops):
+            object.__setattr__(self, name, op)
+
+    def _add_digits(self, a: int, b: int) -> int:
         p = self.p
         out = 0
         mult = 1
@@ -443,11 +480,7 @@ class FieldSpec:
             mult *= p
         return out
 
-    def _neg_raw(self, a: int) -> int:
-        if self.gamma == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
+    def _neg_digits(self, a: int) -> int:
         p = self.p
         out = 0
         mult = 1
@@ -457,23 +490,9 @@ class FieldSpec:
             mult *= p
         return out
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        if self.gamma == 1:
-            return a * b % self.p
-        table = self._mul_table
-        if table is not None:
-            return table[a][b]
-        if self.gamma > 1 and self.q <= _TABLE_MAX_Q:
-            self._build_tables()
-            return self._mul_table[a][b]
-        if self.p == 2:
-            return self._mul_gf2(a, b)
+    def _mul_poly(self, a: int, b: int) -> int:
         prod = _fp_mul(self._coeffs(a), self._coeffs(b), self.p)
-        red = _fp_mod(prod, self.modulus, self.p)
-        v = 0
-        for c in reversed(red):
-            v = v * self.p + c
-        return v
+        return self._pack(_fp_mod(prod, self.modulus, self.p))
 
     def _mul_gf2(self, a: int, b: int) -> int:
         # Horner over the bytes of a, top byte first; acc stays below
@@ -518,16 +537,15 @@ class FieldSpec:
         The nonzero elements form a cyclic group: walk the powers of
         2, 3, ... with the coefficient-tuple multiply until one runs
         through all q - 1 of them.  With exp[i] = g^i and log its inverse,
-        a * b = exp[log a + log b] and 1/a = exp[-log a].
+        a * b = exp[log a + log b] and 1/a = exp[-log a].  The raw multiply
+        and inverse become lookups in the two tables.
         """
         q, p, mod = self.q, self.p, self.modulus
         for g in range(2, q):
             gc, power, exp = self._coeffs(g), (1,), [1]
             for _ in range(q - 2):
                 power = _fp_mod(_fp_mul(power, gc, p), mod, p)
-                v = 0
-                for c in reversed(power):
-                    v = v * p + c
+                v = self._pack(power)
                 if v == 1:
                     break
                 exp.append(v)
@@ -538,33 +556,57 @@ class FieldSpec:
             log[v] = i
         exp2 = exp + exp
         logs = log[1:]
-        mul = [(0,) * q] + [(0, *[exp2[la + lb] for lb in logs]) for la in logs]
-        inv = [0] + [exp[-la] for la in logs]
-        object.__setattr__(self, "_mul_table", tuple(mul))
-        object.__setattr__(self, "_inv_table", tuple(inv))
+        mul = tuple([(0,) * q] + [(0, *[exp2[la + lb] for lb in logs]) for la in logs])
+        inv = tuple([0] + [exp[-la] for la in logs])
 
-    def _inv_raw(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inversion of zero field element")
-        if self.gamma == 1:
-            return pow(a, self.p - 2, self.p)
-        if self._inv_table is None and self.q <= _TABLE_MAX_Q:
+        def inv_lookup(a: int) -> int:
+            if not a:
+                raise ZeroDivisionError("inversion of zero field element")
+            return inv[a]
+
+        object.__setattr__(self, "_mul_table", mul)
+        object.__setattr__(self, "_inv_table", inv)
+        object.__setattr__(self, "_mul_raw", lambda a, b: mul[a][b])
+        object.__setattr__(self, "_inv_raw", inv_lookup)
+
+    # A kernel may hold on to these for the rest of its loop, after the
+    # first call has bound the lookups, so they build the tables only once.
+
+    def _mul_first_use(self, a: int, b: int) -> int:
+        if self._mul_table is None:
             self._build_tables()
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        if self.p == 2:
-            # extended Euclid on packed GF(2) polynomials
-            r0, r1 = self._mod_packed, a
-            s0, s1 = 0, 1
-            while r1:
-                d = r0.bit_length() - r1.bit_length()
-                if d < 0:
-                    r0, r1, s0, s1 = r1, r0, s1, s0
-                    continue
-                r0 ^= r1 << d
-                s0 ^= s1 << d
-            # r0 is the gcd = 1 (modulus irreducible), s0 the inverse of a
-            return _gf2_mod(s0, self._mod_packed)
+        return self._mul_raw(a, b)
+
+    def _inv_first_use(self, a: int) -> int:
+        if self._mul_table is None:
+            self._build_tables()
+        return self._inv_raw(a)
+
+    def _inv_prime(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError("inversion of zero field element")
+        return pow(a, self.p - 2, self.p)
+
+    def _inv_gf2(self, a: int) -> int:
+        """Extended Euclid on packed GF(2) polynomials."""
+        if not a:
+            raise ZeroDivisionError("inversion of zero field element")
+        r0, r1 = self._mod_packed, a
+        s0, s1 = 0, 1
+        while r1:
+            d = r0.bit_length() - r1.bit_length()
+            if d < 0:
+                r0, r1, s0, s1 = r1, r0, s1, s0
+                continue
+            r0 ^= r1 << d
+            s0 ^= s1 << d
+        # r0 is the gcd = 1 (modulus irreducible), s0 the inverse of a
+        return _gf2_mod(s0, self._mod_packed)
+
+    def _inv_poly(self, a: int) -> int:
+        """Extended Euclid on coefficient tuples, odd characteristic."""
+        if not a:
+            raise ZeroDivisionError("inversion of zero field element")
         p = self.p
         r0, r1 = self.modulus, _fp_trim(self._coeffs(a))
         s0: tuple[int, ...] = ()
@@ -576,12 +618,7 @@ class FieldSpec:
             s0, s1 = s1, _fp_trim(new_s)
         # r0 = c * gcd with gcd = 1; normalize by the constant
         c_inv = pow(r0[0], p - 2, p)
-        res = tuple(c * c_inv % p for c in s0)
-        res = _fp_mod(res, self.modulus, p)
-        v = 0
-        for c in reversed(res):
-            v = v * p + c
-        return v
+        return self._pack(_fp_mod(tuple(c * c_inv % p for c in s0), self.modulus, p))
 
     # -- serialization ---------------------------------------------------------
 
@@ -594,11 +631,39 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FieldSpec":
+        """The spec a file names, after its size is bounded (see
+        _check_file_field) and before any primality or irreducibility
+        test runs on it."""
         obj = _json_dict(obj)
+        p, gamma = _json_int(obj["p"]), _json_int(obj["gamma"])
+        _check_file_field(p, gamma)
         return field_spec(
-            _json_int(obj["p"]), _json_int(obj["gamma"]),
-            tuple(_json_int(c) for c in _json_list(obj["modulus"])),
+            p, gamma, tuple(_json_int(c) for c in _json_list(obj["modulus"], gamma + 1)),
         )
+
+
+# Largest field a key or ciphertext file may name.  Building a spec proves
+# p prime and the modulus irreducible, in time that grows with the field:
+# q <= 2^1024 keeps Miller-Rabin on p and the packed binary test of a
+# degree-1024 modulus well under a second, and the odd-characteristic
+# test, on coefficient tuples, needs gamma <= 16 as well (about 0.25 s on
+# a 64-bit p with a degree-16 irreducible modulus, on a 2-vCPU VM).
+_FILE_MAX_Q_BITS = 1024
+_FILE_MAX_ODD_GAMMA = 16
+
+
+def _check_file_field(p: int, gamma: int) -> None:
+    """Refuse a field size read from a file that is too large to set up."""
+    if p > 2 and gamma > _FILE_MAX_ODD_GAMMA:
+        raise ValueError(
+            f"field degree {gamma} exceeds {_FILE_MAX_ODD_GAMMA} in odd characteristic"
+        )
+    if (
+        gamma > _FILE_MAX_Q_BITS
+        or p.bit_length() > _FILE_MAX_Q_BITS
+        or (gamma > 0 and p**gamma > 1 << _FILE_MAX_Q_BITS)
+    ):
+        raise ValueError(f"field size exceeds q = 2^{_FILE_MAX_Q_BITS}")
 
 
 # Shape checks for values read from key and ciphertext files, so that a
@@ -676,9 +741,7 @@ class FieldElement:
 
     def __sub__(self, other):
         self._check(other)
-        return FieldElement(
-            self.spec, self.spec._add_raw(self.val, self.spec._neg_raw(other.val))
-        )
+        return FieldElement(self.spec, self.spec._sub_raw(self.val, other.val))
 
     def __neg__(self):
         return FieldElement(self.spec, self.spec._neg_raw(self.val))

@@ -26,7 +26,7 @@ from math import gcd as _int_gcd
 from operator import getitem as _getitem
 from operator import xor as _xor
 
-from .field import _TABLE_MAX_Q, FieldElement, FieldSpec, _count_muls
+from .field import _TABLE_MAX_Q, FieldElement, FieldMismatchError, FieldSpec, _count_muls
 from .matrix import Matrix, mat_mul, scalar_matrix
 
 __all__ = [
@@ -238,14 +238,21 @@ class FqPoly:
         return acc
 
     def eval_matrix(self, m: Matrix) -> Matrix:
-        """Horner evaluation at a square matrix, from c_n*M + c_(n-1)*1."""
+        """Horner evaluation at a square matrix, from c_n*M + c_(n-1)*1.
+
+        Runs on packed ints: d^2 multiplications for c_n*M, then one
+        mat_mul, d^3, per further coefficient."""
         spec, d = m.spec, m.d
-        cs = self.coeffs
+        if self.spec != spec:
+            raise FieldMismatchError("polynomial and matrix over different fields")
+        cs = [c.val for c in self.coeffs]
         if len(cs) < 2:
-            return scalar_matrix(spec, d, cs[0] if cs else spec.zero())
-        acc = _add_scalar(spec, [[cs[-1] * v for v in row] for row in m.rows], cs[-2])
+            return scalar_matrix(spec, d, FieldElement(spec, cs[0] if cs else 0))
+        mul = spec._mul_raw
+        _count_muls(d * d)
+        acc = _add_scalar(spec, [[mul(cs[-1], v) for v in row] for row in m.vals], cs[-2])
         for c in reversed(cs[:-2]):
-            acc = _add_scalar(spec, mat_mul(acc, m).rows, c)
+            acc = _add_scalar(spec, mat_mul(acc, m).vals, c)
         return acc
 
     def to_json(self) -> list:
@@ -256,11 +263,12 @@ class FqPoly:
         return cls(spec, tuple(FieldElement.from_hex(spec, s) for s in obj))
 
 
-def _add_scalar(spec: FieldSpec, rows, c: FieldElement) -> Matrix:
-    """rows + c*1."""
-    return Matrix(
-        spec, [[v + c if a == b else v for b, v in enumerate(r)] for a, r in enumerate(rows)]
-    )
+def _add_scalar(spec: FieldSpec, vals, c: int) -> Matrix:
+    """vals + c*1 on packed ints."""
+    add = spec._add_raw
+    return Matrix._from_vals(spec, tuple(
+        tuple(add(v, c) if a == b else v for b, v in enumerate(r)) for a, r in enumerate(vals)
+    ))
 
 
 def _square(a, spec: FieldSpec) -> list:

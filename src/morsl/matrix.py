@@ -1,9 +1,20 @@
 """Dense d x d matrices over GF(p^gamma) and the distinguished families.
 
-Matrices are immutable values.  Multiplication is the schoolbook d^3
-algorithm on purpose: the cost accounting for automorphism composition
-assumes exactly d^3 field multiplications per product.  Indices in every
-public signature are 1-based, matching the e_{i,j} matrix-unit notation.
+Matrices are immutable values.  A matrix holds its entries as packed
+ints, the FieldElement.val of each entry, in the tuple of row tuples
+`vals`; `rows` is the FieldElement view of the same entries, built on
+first use for the API and for code off the hot paths.  Matrix(spec,
+rows) checks every entry; Matrix._from_vals takes the ints of a kernel
+as they are.  The kernels here (mat_mul, det, and through
+linalg.RowReducer mat_inv) work on `vals` with the field's raw
+operations, and add to the multiplication counter exactly what the
+FieldElement loop they replace would count, zeros included where that
+loop multiplied by them; inversions are not counted.
+
+Multiplication is the schoolbook d^3 algorithm on purpose: the cost
+accounting for automorphism composition assumes exactly d^3 field
+multiplications per product.  Indices in every public signature are
+1-based, matching the e_{i,j} matrix-unit notation.
 
 mat_inv is linalg.solve(x, 1), the package's one elimination.  det keeps
 its own forward-only pass: it needs the product of the pivots and
@@ -17,9 +28,18 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import reduce
 
-from .field import FieldElement, FieldMismatchError, FieldSpec, _json_dict, _json_int, _json_list
-from .linalg import solve
+from .field import (
+    FieldElement,
+    FieldMismatchError,
+    FieldSpec,
+    _count_muls,
+    _json_dict,
+    _json_int,
+    _json_list,
+)
+from .linalg import _solve
 
 __all__ = [
     "Matrix",
@@ -49,9 +69,10 @@ class SingularMatrixError(ValueError):
 
 
 class Matrix:
-    # _chi caches the characteristic polynomial (fqpoly.char_poly fills
-    # it), _split the verdict of protocol._conj_pow's certificate
-    __slots__ = ("spec", "d", "rows", "_chi", "_split")
+    # _rows caches the FieldElement view of vals, _chi the characteristic
+    # polynomial (fqpoly.char_poly fills it), _split the verdict of
+    # protocol._conj_pow's certificate
+    __slots__ = ("spec", "d", "vals", "_rows", "_chi", "_split")
 
     def __init__(self, spec: FieldSpec, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -64,42 +85,61 @@ class Matrix:
                     raise TypeError("entries must be FieldElement values")
                 if x.spec != spec:
                     raise FieldMismatchError("entry from a different field spec")
+        self._set_slots(spec, tuple(tuple(x.val for x in r) for r in rows), rows)
+
+    @classmethod
+    def _from_vals(cls, spec: FieldSpec, vals: tuple) -> "Matrix":
+        """The matrix of a tuple of row tuples of packed ints, unchecked."""
+        m = object.__new__(cls)
+        m._set_slots(spec, vals, None)
+        return m
+
+    def _set_slots(self, spec: FieldSpec, vals: tuple, rows) -> None:
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "d", len(vals))
+        object.__setattr__(self, "vals", vals)
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_chi", None)
         object.__setattr__(self, "_split", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Matrix is immutable")
 
+    @property
+    def rows(self) -> tuple:
+        """The entries as a tuple of FieldElement row tuples."""
+        if self._rows is None:
+            spec = self.spec
+            object.__setattr__(
+                self, "_rows", tuple(tuple(FieldElement(spec, v) for v in r) for r in self.vals)
+            )
+        return self._rows
+
     def entry(self, i: int, j: int) -> FieldElement:
         """1-based entry access."""
-        return self.rows[i - 1][j - 1]
+        return FieldElement(self.spec, self.vals[i - 1][j - 1])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.spec == other.spec and self.rows == other.rows
+        return self.spec == other.spec and self.vals == other.vals
 
     def __hash__(self):
-        return hash(tuple(tuple(x.val for x in r) for r in self.rows))
+        return hash(self.vals)
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(x.val) for x in r) for r in self.rows)
+        body = "; ".join(" ".join(str(v) for v in r) for r in self.vals)
         return f"Matrix({self.spec!r}, [{body}])"
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.spec, tuple(zip(*self.rows)))
+        return Matrix._from_vals(self.spec, tuple(zip(*self.vals)))
 
     def trace(self) -> FieldElement:
-        t = self.spec.zero()
-        for i in range(self.d):
-            t = t + self.rows[i][i]
-        return t
+        diag = [r[i] for i, r in enumerate(self.vals)]
+        return FieldElement(self.spec, reduce(self.spec._add_raw, diag))
 
     def det(self) -> FieldElement:
         return det(self)
@@ -125,7 +165,11 @@ class Matrix:
         obj = _json_dict(obj)
         d = _json_int(obj["d"])
         rows = [_json_list(r, d) for r in _json_list(obj["rows"], d)]
-        return cls(spec, [[FieldElement.from_hex(spec, s) for s in r] for r in rows])
+        if d < 1:
+            raise ValueError("matrix must be square")
+        return cls._from_vals(
+            spec, tuple(tuple(FieldElement.from_hex(spec, s).val for s in r) for r in rows)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +178,7 @@ class Matrix:
 
 
 def identity(spec: FieldSpec, d: int) -> Matrix:
-    one, zero = spec.one(), spec.zero()
-    return Matrix(spec, [[one if i == j else zero for j in range(d)] for i in range(d)])
+    return Matrix._from_vals(spec, tuple(tuple(int(i == j) for j in range(d)) for i in range(d)))
 
 
 def matrix_unit(spec: FieldSpec, d: int, i: int, j: int, lam: FieldElement | None = None) -> Matrix:
@@ -287,61 +330,57 @@ def scalar_matrix(spec: FieldSpec, d: int, lam: FieldElement) -> Matrix:
 
 
 def mat_mul(x: Matrix, y: Matrix) -> Matrix:
+    """x y, counted as d^3 multiplications, products by zero included."""
     if x.spec != y.spec or x.d != y.d:
         raise FieldMismatchError("incompatible matrices")
-    d = x.d
-    xr, yr = x.rows, y.rows
-    out = []
-    for i in range(d):
-        xi = xr[i]
-        row = []
-        for j in range(d):
-            acc = xi[0] * yr[0][j]
-            for k in range(1, d):
-                acc = acc + xi[k] * yr[k][j]
-            row.append(acc)
-        out.append(row)
-    return Matrix(x.spec, out)
+    spec, d = x.spec, x.d
+    mul, add = spec._mul_raw, spec._add_raw
+    cols = tuple(zip(*y.vals))
+    _count_muls(d * d * d)
+    return Matrix._from_vals(
+        spec, tuple(tuple(reduce(add, map(mul, row, col)) for col in cols) for row in x.vals)
+    )
 
 
 def det(x: Matrix) -> FieldElement:
+    """Product of the pivots of a forward elimination: one multiplication
+    per pivot, and d - c for each nonzero entry cleared below pivot c."""
     spec, d = x.spec, x.d
-    m = [list(r) for r in x.rows]
+    mul, sub = spec._mul_raw, spec._sub_raw
+    m = [list(r) for r in x.vals]
     sign_flip = False
-    result = spec.one()
+    result, count = 1, 0
     for c in range(d):
-        pivot_row = None
-        for r in range(c, d):
-            if m[r][c]:
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(c, d) if m[r][c]), None)
         if pivot_row is None:
+            _count_muls(count)
             return spec.zero()
         if pivot_row != c:
             m[c], m[pivot_row] = m[pivot_row], m[c]
             sign_flip = not sign_flip
-        pivot = m[c][c]
-        result = result * pivot
+        mc = m[c]
+        result = mul(result, mc[c])
+        count += 1
         if c == d - 1:
             break  # no row below the last pivot
-        pinv = pivot.inv()
-        for r in range(c + 1, d):
-            if m[r][c]:
-                f = m[r][c] * pinv
-                m[r][c] = spec.zero()
+        pinv = spec._inv_raw(mc[c])
+        for mr in m[c + 1:]:
+            if mr[c]:
+                f = mul(mr[c], pinv)
+                mr[c] = 0
                 for k in range(c + 1, d):
-                    m[r][k] = m[r][k] - f * m[c][k]
-    if sign_flip:
-        result = -result
-    return result
+                    mr[k] = sub(mr[k], mul(f, mc[k]))
+                count += d - c
+    _count_muls(count)
+    return FieldElement(spec, spec._neg_raw(result) if sign_flip else result)
 
 
 def mat_inv(x: Matrix) -> Matrix:
-    """x^(-1) from linalg.solve(x, 1)."""
-    inv = solve(x.spec, x.rows, identity(x.spec, x.d).rows)
+    """x^(-1) from linalg's solve of x X = 1."""
+    inv = _solve(x.spec, x.vals, identity(x.spec, x.d).vals)
     if inv is None:
         raise SingularMatrixError("matrix is singular")
-    return Matrix(x.spec, inv)
+    return Matrix._from_vals(x.spec, inv)
 
 
 def mat_pow(x: Matrix, n: int) -> Matrix:
@@ -378,9 +417,11 @@ def conjugate(x: Matrix, a: Matrix) -> Matrix:
 
 
 def random_gl(spec: FieldSpec, d: int, rng) -> Matrix:
+    q = spec.q
     while True:
-        rows = [[spec.random(rng) for _ in range(d)] for _ in range(d)]
-        m = Matrix(spec, rows)
+        m = Matrix._from_vals(
+            spec, tuple(tuple(rng.randrange(q) for _ in range(d)) for _ in range(d))
+        )
         if m.is_gl():
             return m
 

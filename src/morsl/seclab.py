@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 from .autos import Automorphism, generator_pairs
-from .field import FieldSpec
+from .field import FieldElement, FieldSpec
 from .fqpoly import (
     FqPoly,
     char_poly,
@@ -399,7 +399,7 @@ def _read_monomial(phi: Automorphism):
                 "generator image is not a single transvection; key is not monomial"
             )
         pos[key] = (rows[0] + 1, cols[0] + 1)
-        coef[key] = v[cols[0]]
+        coef[key] = FieldElement(phi.spec, v[cols[0]])
     beta_map = {}
     for (i, j), (a, b) in pos.items():
         if beta_map.setdefault(i, a) != a or beta_map.setdefault(j, b) != b:

@@ -25,16 +25,29 @@ image through Automorphism.__init__, one determinant per image, is the
 oracle for the parse that factors first, and the monomial attack's
 entry-by-entry reading of each image as 1 + lam*e_{a,b} is the oracle
 for its reading of the rank-one factors.
+
+The last group holds the FieldElement loops of the kernels that now run
+on packed ints (Matrix.vals): mat_mul, det, the RowReducer with solve,
+nullspace and mat_inv on top of it, Horner eval_matrix, and the
+automorphism's from_conjugator, factor reading, conjugator recovery,
+scaling, dot product and apply.  They take and return FieldElements and
+count every product through FieldElement.__mul__, so a kernel must match
+both their values and their cost_counter() deltas.
 """
 
 import functools
 import itertools
 
-from morsl.autos import Automorphism, InvalidAutomorphismError, conjugator_solution_space
-from morsl.field import FieldSpec, _fp_mod, _fp_mul, _fp_trim, _gf2_mod, _zip_pad
+from morsl.autos import (
+    Automorphism,
+    InvalidAutomorphismError,
+    conjugator_solution_space,
+    generator_pairs,
+)
+from morsl.field import FieldElement, FieldSpec, _fp_mod, _fp_mul, _fp_trim, _gf2_mod, _zip_pad
 from morsl.fqpoly import FqPoly
-from morsl.linalg import RowReducer
-from morsl.matrix import Matrix, SingularMatrixError, identity, mat_inv, mat_mul
+from morsl.matrix import Matrix, SingularMatrixError, identity, mat_inv, mat_mul, scalar_matrix
+from morsl.words import decompose
 from morsl.seclab import WrongAttackModelError
 
 
@@ -401,7 +414,7 @@ def express_as_polynomial_nullspace(base, target, deg):
     powers = [identity(spec, n)]
     for _ in range(deg - 1):
         powers.append(mat_mul(powers[-1], base))
-    reducer = RowReducer(spec, deg + 1)
+    reducer = RowReducerElementwise(spec, deg + 1)
     for r in range(n):
         for c in range(n):
             row = [powers[t].rows[r][c] for t in range(deg)]
@@ -412,3 +425,270 @@ def express_as_polynomial_nullspace(base, target, deg):
             scale = vec[deg].inv()
             return FqPoly(spec, [v * scale for v in vec[:deg]])
     raise ValueError("target is not a polynomial in the base matrix")
+
+
+# ---------------------------------------------------------------------------
+# FieldElement loops of the packed-int kernels
+# ---------------------------------------------------------------------------
+
+
+def mat_mul_elementwise(x, y):
+    """Schoolbook product, d^3 multiplications."""
+    d = x.d
+    xr, yr = x.rows, y.rows
+    out = []
+    for i in range(d):
+        xi = xr[i]
+        row = []
+        for j in range(d):
+            acc = xi[0] * yr[0][j]
+            for k in range(1, d):
+                acc = acc + xi[k] * yr[k][j]
+            row.append(acc)
+        out.append(row)
+    return Matrix(x.spec, out)
+
+
+def det_elementwise(x):
+    """Forward elimination; the product of the pivots."""
+    spec, d = x.spec, x.d
+    m = [list(r) for r in x.rows]
+    sign_flip = False
+    result = spec.one()
+    for c in range(d):
+        pivot_row = None
+        for r in range(c, d):
+            if m[r][c]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            return spec.zero()
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            sign_flip = not sign_flip
+        pivot = m[c][c]
+        result = result * pivot
+        if c == d - 1:
+            break
+        pinv = pivot.inv()
+        for r in range(c + 1, d):
+            if m[r][c]:
+                f = m[r][c] * pinv
+                m[r][c] = spec.zero()
+                for k in range(c + 1, d):
+                    m[r][k] = m[r][k] - f * m[c][k]
+    if sign_flip:
+        result = -result
+    return result
+
+
+class RowReducerElementwise:
+    """Incremental reduced row-echelon form over FieldElement rows."""
+
+    def __init__(self, spec, ncols):
+        self.spec = spec
+        self.ncols = ncols
+        self.pivot_rows = {}
+
+    @property
+    def rank(self):
+        return len(self.pivot_rows)
+
+    def add_row(self, row):
+        row = list(row)
+        for col in sorted(self.pivot_rows):
+            if row[col]:
+                f = row[col]
+                prow = self.pivot_rows[col]
+                for k in range(col, self.ncols):
+                    if prow[k]:
+                        row[k] = row[k] - f * prow[k]
+        lead = None
+        for k, v in enumerate(row):
+            if v:
+                lead = k
+                break
+        if lead is None:
+            return False
+        linv = row[lead].inv()
+        row = [v * linv if v else v for v in row]
+        for col, prow in self.pivot_rows.items():
+            if prow[lead]:
+                f = prow[lead]
+                for k in range(lead, self.ncols):
+                    if row[k]:
+                        prow[k] = prow[k] - f * row[k]
+        self.pivot_rows[lead] = row
+        return True
+
+    def nullspace_basis(self):
+        zero, one = self.spec.zero(), self.spec.one()
+        pivots = set(self.pivot_rows)
+        basis = []
+        for f in (c for c in range(self.ncols) if c not in pivots):
+            vec = [zero] * self.ncols
+            vec[f] = one
+            for col, prow in self.pivot_rows.items():
+                if prow[f]:
+                    vec[col] = -prow[f]
+            basis.append(tuple(vec))
+        return basis
+
+
+def nullspace_elementwise(spec, rows, ncols):
+    red = RowReducerElementwise(spec, ncols)
+    for row in rows:
+        red.add_row(row)
+    return red.nullspace_basis()
+
+
+def solve_elementwise(spec, lhs, rhs):
+    k = len(lhs[0])
+    red = RowReducerElementwise(spec, k + len(rhs[0]))
+    for a, b in zip(lhs, rhs):
+        red.add_row([*a, *b])
+    if sorted(red.pivot_rows) != list(range(k)):
+        return None
+    return [tuple(red.pivot_rows[c][k:]) for c in range(k)]
+
+
+def mat_inv_elementwise(x):
+    inv = solve_elementwise(x.spec, x.rows, identity(x.spec, x.d).rows)
+    if inv is None:
+        raise SingularMatrixError("matrix is singular")
+    return Matrix(x.spec, inv)
+
+
+def eval_matrix_elementwise(f, m):
+    """Horner evaluation from c_n*M + c_(n-1)*1."""
+    spec, d = m.spec, m.d
+    cs = f.coeffs
+    if len(cs) < 2:
+        return scalar_matrix(spec, d, cs[0] if cs else spec.zero())
+
+    def add_scalar(rows, c):
+        return Matrix(
+            spec, [[v + c if a == b else v for b, v in enumerate(r)] for a, r in enumerate(rows)]
+        )
+
+    acc = add_scalar([[cs[-1] * v for v in row] for row in m.rows], cs[-2])
+    for c in reversed(cs[:-2]):
+        acc = add_scalar(mat_mul_elementwise(acc, m).rows, c)
+    return acc
+
+
+def scaled_elementwise(s, vec):
+    return tuple(s * x if x else x for x in vec)
+
+
+def dot_elementwise(row, col, zero):
+    acc = zero
+    for a, b in zip(row, col):
+        if a and b:
+            acc = acc + a * b
+    return acc
+
+
+def from_conjugator_elementwise(a):
+    """(images, factors) of conjugation by a, FieldElement factors."""
+    spec, d = a.spec, a.d
+    ainv = mat_inv_elementwise(a)
+    one, zero = spec.one(), spec.zero()
+    images, rank1 = {}, {}
+    for i, j in generator_pairs(d):
+        col = [ainv.rows[r][i - 1] for r in range(d)]
+        row = a.rows[j - 1]
+        rows = [[cr * x for x in row] if cr else [zero] * d for cr in col]
+        k = next(k for k, cr in enumerate(col) if cr)
+        rank1[(i, j)] = (scaled_elementwise(col[k].inv(), col), tuple(rows[k]))
+        for r in range(d):
+            rows[r][r] = rows[r][r] + one
+        images[(i, j)] = Matrix(spec, rows)
+    return images, rank1
+
+
+def factor_rank1_elementwise(spec, d, img):
+    """(u, v) with img - 1 = u v^T and u's first nonzero entry 1, or None."""
+    one, zero = spec.one(), spec.zero()
+    rows = []
+    for a in range(d):
+        row = list(img.rows[a])
+        row[a] = row[a] - one
+        rows.append(row)
+    pivot = None
+    for a in range(d):
+        for b in range(d):
+            if rows[a][b]:
+                pivot = (a, b)
+                break
+        if pivot:
+            break
+    if pivot is None:
+        return None
+    pa, pb = pivot
+    v = tuple(rows[pa])
+    pinv = v[pb].inv()
+    u = tuple(rows[a][pb] * pinv for a in range(d))
+    for a in range(d):
+        ua = u[a]
+        for b in range(d):
+            expect = ua * v[b] if (ua and v[b]) else zero
+            if rows[a][b] != expect:
+                return None
+    return (u, v)
+
+
+def factors_as_elements(phi):
+    """phi's stored factors with FieldElement entries."""
+    spec = phi.spec
+    return {
+        key: tuple(tuple(FieldElement(spec, x) for x in w) for w in uv)
+        for key, uv in phi._rank1.items()
+    }
+
+
+def conjugator_from_rank1_elementwise(phi):
+    """B read off the rank-one factors, then every image checked."""
+    spec, d = phi.spec, phi.d
+    zero = spec.zero()
+    fac = factors_as_elements(phi)
+    rows = [fac[(2, 1)][1]] + [fac[(1, j)][1] for j in range(2, d + 1)]
+    scales = [spec.one()] + [dot_elementwise(fac[(1, j)][0], rows[0], zero) for j in range(2, d + 1)]
+    last = next(x for x in reversed(rows[-1]) if x)
+    if not all(scales):
+        raise InvalidAutomorphismError("no nonsingular solution")
+    lam = (scales[-1] * last).inv()
+    b = Matrix(spec, [scaled_elementwise(lam * s, row) for s, row in zip(scales, rows)])
+    try:
+        cols = list(zip(*mat_inv_elementwise(b).rows))
+    except SingularMatrixError:
+        raise InvalidAutomorphismError("no nonsingular solution") from None
+    for (i, j), (u, v) in fac.items():
+        c = cols[i - 1]
+        k = next(k for k, x in enumerate(u) if x)
+        if v != scaled_elementwise(c[k], b.rows[j - 1]) or c != scaled_elementwise(c[k], u):
+            raise InvalidAutomorphismError("presentation is not a conjugation")
+    return b
+
+
+def apply_elementwise(phi, x):
+    """Image of x: one rank-one update per letter of its decomposition."""
+    spec, d = phi.spec, phi.d
+    fac = factors_as_elements(phi)
+    one, zero = spec.one(), spec.zero()
+    grid = [[one if a == b else zero for b in range(d)] for a in range(d)]
+    for i, j, lam in decompose(x).letters:
+        u, v = fac[(i, j)]
+        for a in range(d):
+            row = grid[a]
+            acc = zero
+            for k in range(d):
+                rk = row[k]
+                if rk and u[k]:
+                    acc = acc + rk * u[k]
+            if acc:
+                w = lam * acc
+                for b in range(d):
+                    if v[b]:
+                        row[b] = row[b] + w * v[b]
+    return Matrix(spec, grid)

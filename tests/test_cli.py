@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -259,3 +260,28 @@ def test_golden_bench(capsys):
     assert run("bench", "--preset", "toy", "--trials", 2, "--seed", 3) == 0
     out = capsys.readouterr().out
     assert out.encode() == (golden / "bench-toy.txt").read_bytes()
+
+
+def test_oversized_field_in_key_file_exits_2_before_any_field_test(tmp_path, monkeypatch):
+    import time
+
+    import morsl.field as field
+
+    # x^2281 + x^715 + 1 is irreducible: proving it takes over a second,
+    # so the size bound must refuse the spec before the test starts
+    pub = json.loads((Path(__file__).parent / "golden" / "pub.json").read_text())
+    pub["params"]["spec"] = {
+        "p": "2", "gamma": 2281,
+        "modulus": ["1" if i in (0, 715, 2281) else "0" for i in range(2282)],
+    }
+    path, msg = tmp_path / "pub.json", tmp_path / "m.bin"
+    path.write_text(json.dumps(pub))
+    msg.write_bytes(b"x")
+
+    def refuse(*args):
+        raise AssertionError("irreducibility test run on an oversized field")
+
+    monkeypatch.setattr(field, "_gf2_is_irreducible", refuse)
+    t0 = time.perf_counter()
+    assert run("encrypt", "--pub", path, "--in", msg, "--out", tmp_path / "ct.json") == 2
+    assert time.perf_counter() - t0 < 0.25

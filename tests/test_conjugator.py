@@ -27,7 +27,7 @@ from morsl.autos import (
     _factor_rank1,
     recover_conjugator,
 )
-from morsl.field import cost_counter, cost_reset, field_spec
+from morsl.field import FieldElement, cost_counter, cost_reset, field_spec
 from morsl.matrix import Matrix, SingularMatrixError, identity, mat_pow, random_gl, random_sl
 from morsl.protocol import MorParams, decode_message, decrypt, encode_message, encrypt, keygen
 
@@ -89,7 +89,8 @@ def _assert_canonical_factors(phi):
     one, zero = spec.one(), spec.zero()
     assert phi._rank1.keys() == phi.images.keys()
     for key, img in phi.images.items():
-        u, v = phi._rank1[key]
+        # the factors are stored as packed ints
+        u, v = (tuple(FieldElement(spec, x) for x in w) for w in phi._rank1[key])
         assert next(x for x in u if x) == one
         assert any(v)
         assert sum((x * y for x, y in zip(v, u)), zero) == zero

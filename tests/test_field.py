@@ -24,6 +24,7 @@ from morsl.field import (
     field_pow,
     field_spec,
     frobenius,
+    _check_file_field,
     _gf2_mod,
     is_probable_prime,
     smallest_irreducible_poly,
@@ -135,6 +136,41 @@ def test_field_axioms_random_triples():
 def test_inv_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         field_inv(GF8.zero())
+
+
+@pytest.mark.parametrize(
+    "spec", [GF7, GF8, field_spec(2, 4), field_spec(3, 4), field_spec(2, 16), field_spec(3, 6)],
+    ids=repr,
+)
+def test_every_raw_inverse_refuses_zero(spec):
+    # prime, table, binary and odd-extension fields each bind their own
+    with pytest.raises(ZeroDivisionError):
+        spec._inv_raw(0)
+    assert spec._mul_raw(spec._inv_raw(spec.q - 1), spec.q - 1) == 1
+
+
+@pytest.mark.parametrize(
+    "p, gamma",
+    [(7, 1), (2, 16), (2, 160), (2, 1024), (3, 16), ((1 << 61) - 1, 16), ((1 << 1024) - 1, 1)],
+)
+def test_file_field_bound_admits(p, gamma):
+    _check_file_field(p, gamma)
+
+
+@pytest.mark.parametrize(
+    "p, gamma",
+    [(2, 1025), (2, 2281), (3, 17), ((1 << 64) + 13, 16), (1 << 1024, 1), (5, 10**9)],
+)
+def test_file_field_bound_refuses(p, gamma):
+    with pytest.raises(ValueError):
+        _check_file_field(p, gamma)
+
+
+def test_spec_from_json_checks_the_modulus_length_before_its_entries():
+    obj = field_spec(2, 16).to_json()
+    obj["modulus"] = obj["modulus"] * 1000
+    with pytest.raises(ValueError, match="list of 17 entries"):
+        FieldSpec.from_json(obj)
 
 
 def test_fermat_exhaustive_small_fields():

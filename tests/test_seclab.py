@@ -195,11 +195,12 @@ def test_centralizer_contains_scalars_and_commutes():
         basis = centralizer_space(x)
         for y in basis:
             assert mat_mul(x, y) == mat_mul(y, x)
+        # the reducer's rows are packed ints
         red = RowReducer(GF5, 9)
         for y in basis:
-            red.add_row([v for row in y.rows for v in row])
+            red.add_row([v for row in y.vals for v in row])
         scal = scalar_matrix(GF5, 3, GF5.from_val(2))
-        assert not red.add_row([v for row in scal.rows for v in row])
+        assert not red.add_row([v for row in scal.vals for v in row])
 
 
 # -- monomial cycle attack ----------------------------------------------------------
