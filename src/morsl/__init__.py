@@ -43,6 +43,7 @@ from .matrix import (
 )
 from .protocol import (
     CapacityError,
+    DegenerateKeyError,
     InvalidCiphertextError,
     KeygenFailureError,
     MessageFormatError,

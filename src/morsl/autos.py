@@ -38,8 +38,17 @@ kept in a separate type and never accepted as key material.
 from __future__ import annotations
 
 from .field import FieldSpec, _count_muls, _json_dict, _json_int, _json_list
-from .linalg import RowReducer
-from .matrix import Matrix, SingularMatrixError, mat_inv, mat_pow
+from .linalg import RowReducer, sylvester_rows
+from .matrix import (
+    Matrix,
+    Permutation,
+    SingularMatrixError,
+    _dot,
+    _outer,
+    mat_inv,
+    mat_pow,
+    orbits,
+)
 from .words import decompose
 
 __all__ = [
@@ -60,6 +69,11 @@ class InvalidAutomorphismError(ValueError):
 def generator_pairs(d: int):
     """All ordered pairs (i, j), i != j, in lexicographic order."""
     return [(i, j) for i in range(1, d + 1) for j in range(1, d + 1) if i != j]
+
+
+def pair_orbits(beta: Permutation) -> list[tuple]:
+    """The orbits of (a, b) -> (beta(a), beta(b)) on the generator pairs."""
+    return orbits(generator_pairs(beta.d), lambda ab: (beta(ab[0]), beta(ab[1])))
 
 
 class Automorphism:
@@ -110,19 +124,16 @@ class Automorphism:
         """
         spec, d = a.spec, a.d
         ainv = mat_inv(a).vals  # raises SingularMatrixError for singular input
-        mul, add = spec._mul_raw, spec._add_raw
-        images, rank1, count = {}, {}, 0
+        add = spec._add_raw
+        images, rank1 = {}, {}
         for i, j in generator_pairs(d):
             col = [r[i - 1] for r in ainv]
-            row = a.vals[j - 1]
-            rows = [[mul(cr, x) for x in row] if cr else [0] * d for cr in col]
-            count += d * (d - col.count(0))
+            rows = _outer(spec, col, a.vals[j - 1])
             k = next(k for k, cr in enumerate(col) if cr)
             rank1[(i, j)] = (_scaled(spec, spec._inv_raw(col[k]), col), tuple(rows[k]))
             for r in range(d):
                 rows[r][r] = add(rows[r][r], 1)
             images[(i, j)] = Matrix._from_vals(spec, tuple(map(tuple, rows)))
-        _count_muls(count)
         phi = object.__new__(cls)
         phi._set_slots(spec, d, images, rank1)
         return phi
@@ -260,18 +271,6 @@ def _checked_images(spec: FieldSpec, d: int, images: dict) -> dict:
     return {key: images[key] for key in pairs}
 
 
-def _dot(spec: FieldSpec, row, col) -> int:
-    """row . col on packed ints, one multiplication per pair of nonzeros."""
-    mul, add = spec._mul_raw, spec._add_raw
-    acc, count = 0, 0
-    for a, b in zip(row, col):
-        if a and b:
-            acc = add(acc, mul(a, b))
-            count += 1
-    _count_muls(count)
-    return acc
-
-
 def _factors(spec: FieldSpec, d: int, images: dict) -> dict:
     """The factor of every image; an image without one is refused."""
     rank1 = {}
@@ -321,31 +320,14 @@ def _factor_rank1(spec: FieldSpec, d: int, img: Matrix):
 # ---------------------------------------------------------------------------
 
 
-def _constraint_rows(spec: FieldSpec, d: int, i: int, j: int, n: Matrix):
-    """Linear constraints (1 + e_{i,j}) B = B N on the d^2 entries of B.
-
-    Unknown b_{a,c} has column index a*d + c.  No multiplications are
-    needed to build the rows; coefficients are copies or negations of
-    entries of N.
-    """
-    neg, add = spec._neg_raw, spec._add_raw
-    cols = list(zip(*n.vals))
-    for a in range(d):
-        for b in range(d):
-            row = [0] * (d * d)
-            row[a * d:(a + 1) * d] = [neg(x) for x in cols[b]]
-            row[a * d + b] = add(row[a * d + b], 1)
-            if a == i - 1:
-                row[(j - 1) * d + b] = add(row[(j - 1) * d + b], 1)
-            yield row
-
-
 def conjugator_solution_space(phi: Automorphism) -> list[Matrix]:
     """Basis of the linear space of B with (1+e_{i,j}) B = B * image."""
     spec, d = phi.spec, phi.d
     reducer = RowReducer(spec, d * d)
     for (i, j) in generator_pairs(d):
-        for row in _constraint_rows(spec, d, i, j, phi.images[(i, j)]):
+        left = [[int(a == b) for b in range(d)] for a in range(d)]
+        left[i - 1][j - 1] = 1
+        for row in sylvester_rows(spec, left, phi.images[(i, j)].vals):
             reducer.add_row(row)
         if reducer.rank >= d * d - 1:
             break

@@ -15,7 +15,7 @@ bounded by d^2, and the mean is compared against the informal
 
 from __future__ import annotations
 
-from .autos import Automorphism, generator_pairs
+from .autos import Automorphism, generator_pairs, pair_orbits
 from .field import FieldSpec, cost_counter, cost_reset
 from .matrix import random_gl, random_sl
 from .words import decompose, split_ground
@@ -105,18 +105,8 @@ def orbit_length_stats(d: int, samples: int, rng) -> dict:
 
     counts: dict[int, int] = {}
     for _ in range(samples):
-        beta = Permutation.random(d, rng)
-        seen = set()
-        for i, j in generator_pairs(d):
-            if (i, j) in seen:
-                continue
-            length = 0
-            a, b = i, j
-            while (a, b) not in seen:
-                seen.add((a, b))
-                a, b = beta(a), beta(b)
-                length += 1
-            counts[length] = counts.get(length, 0) + 1
+        for orbit in pair_orbits(Permutation.random(d, rng)):
+            counts[len(orbit)] = counts.get(len(orbit), 0) + 1
     return {"d": d, "samples": samples, "orbit_length_counts": dict(sorted(counts.items()))}
 
 

@@ -12,14 +12,13 @@ lookups in a 16-entry table of b's nibble multiples, and folds the byte
 above x^gamma back in through the field's reduction table, which maps a
 byte v to (v * x^gamma) mod f and is built with the field.  Fields with
 at most 256 elements multiply and invert by table lookup instead; the
-tables are built on first use from the powers of the first primitive
+tables are built with the field from the powers of the first primitive
 element (exp/log tables), not from q^2 polynomial products.
 
 Each FieldSpec binds its operations on packed ints (_add_raw, _sub_raw,
 _neg_raw, _mul_raw, _inv_raw) once, when it is built: modular arithmetic
 for a prime field, table lookups for an extension with at most 256
-elements (the first multiply or inverse builds the tables and rebinds
-both), the byte-stride multiply for a larger binary field, and
+elements, the byte-stride multiply for a larger binary field, and
 coefficient tuples for a larger odd-characteristic extension.
 FieldElement's operators and the matrix kernels call these directly.
 
@@ -42,13 +41,6 @@ __all__ = [
     "FieldElement",
     "FieldMismatchError",
     "field_spec",
-    "field_add",
-    "field_sub",
-    "field_mul",
-    "field_neg",
-    "field_inv",
-    "field_pow",
-    "frobenius",
     "cost_counter",
     "cost_reset",
     "is_probable_prime",
@@ -464,8 +456,7 @@ class FieldSpec:
             add, neg = self._add_digits, self._neg_digits
             ops = (add, lambda a, b: add(a, neg(b)), neg, self._mul_poly, self._inv_poly)
         if small:
-            # the exp/log tables are built on the first multiply or inverse
-            ops = ops[:3] + (self._mul_first_use, self._inv_first_use)
+            ops = ops[:3] + self._build_tables()
         for name, op in zip(_RAW_OPS, ops):
             object.__setattr__(self, name, op)
 
@@ -531,14 +522,14 @@ class FieldSpec:
             object.__setattr__(self, "_sq_table", tuple(rows))
         return self._sq_table
 
-    def _build_tables(self):
-        """Multiplication and inverse tables of a small extension field.
+    def _build_tables(self) -> tuple:
+        """Multiplication and inverse tables of a small extension field,
+        and the raw multiply and inverse that look them up.
 
         The nonzero elements form a cyclic group: walk the powers of
         2, 3, ... with the coefficient-tuple multiply until one runs
         through all q - 1 of them.  With exp[i] = g^i and log its inverse,
-        a * b = exp[log a + log b] and 1/a = exp[-log a].  The raw multiply
-        and inverse become lookups in the two tables.
+        a * b = exp[log a + log b] and 1/a = exp[-log a].
         """
         q, p, mod = self.q, self.p, self.modulus
         for g in range(2, q):
@@ -566,21 +557,7 @@ class FieldSpec:
 
         object.__setattr__(self, "_mul_table", mul)
         object.__setattr__(self, "_inv_table", inv)
-        object.__setattr__(self, "_mul_raw", lambda a, b: mul[a][b])
-        object.__setattr__(self, "_inv_raw", inv_lookup)
-
-    # A kernel may hold on to these for the rest of its loop, after the
-    # first call has bound the lookups, so they build the tables only once.
-
-    def _mul_first_use(self, a: int, b: int) -> int:
-        if self._mul_table is None:
-            self._build_tables()
-        return self._mul_raw(a, b)
-
-    def _inv_first_use(self, a: int) -> int:
-        if self._mul_table is None:
-            self._build_tables()
-        return self._inv_raw(a)
+        return lambda a, b: mul[a][b], inv_lookup
 
     def _inv_prime(self, a: int) -> int:
         if not a:
@@ -829,38 +806,3 @@ class FieldElement:
         if any(not 0 <= c < spec.p for c in coeffs):
             raise ValueError("coefficient out of range")
         return spec.from_coeffs(coeffs)
-
-
-# ---------------------------------------------------------------------------
-# operation-style aliases
-# ---------------------------------------------------------------------------
-
-
-def field_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def field_sub(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a - b
-
-
-def field_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def field_neg(a: FieldElement) -> FieldElement:
-    return -a
-
-
-def field_inv(a: FieldElement) -> FieldElement:
-    return a.inv()
-
-
-def field_pow(a: FieldElement, n: int) -> FieldElement:
-    if n < 0:
-        raise ValueError("field_pow expects a non-negative exponent")
-    return a ** n
-
-
-def frobenius(a: FieldElement, i: int = 1) -> FieldElement:
-    return a.frobenius(i)

@@ -26,13 +26,19 @@ from math import gcd as _int_gcd
 from operator import getitem as _getitem
 from operator import xor as _xor
 
-from .field import _TABLE_MAX_Q, FieldElement, FieldMismatchError, FieldSpec, _count_muls
+from .field import (
+    _TABLE_MAX_Q,
+    FieldElement,
+    FieldMismatchError,
+    FieldSpec,
+    _count_muls,
+    is_probable_prime,
+)
 from .matrix import Matrix, mat_mul, scalar_matrix
 
 __all__ = [
     "FqPoly",
     "char_poly",
-    "char_poly_cofactor",
     "is_irreducible",
     "divides_x_qk_minus_x",
     "irreducible_factors",
@@ -492,35 +498,6 @@ def _hessenberg_char_poly(m: Matrix) -> FqPoly:
     return ps[n]
 
 
-def char_poly_cofactor(m: Matrix) -> FqPoly:
-    """Independent cross-check: cofactor expansion of det(x*1 - M).
-
-    Exponential in d; intended for d <= 5 test oracles only.
-    """
-    spec, n = m.spec, m.d
-    x = FqPoly.x(spec)
-    grid = [
-        [
-            x - FqPoly(spec, (m.rows[a][b],)) if a == b else -FqPoly(spec, (m.rows[a][b],))
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
-
-    def det_rec(rows, cols):
-        if len(rows) == 1:
-            return grid[rows[0]][cols[0]]
-        total = FqPoly.zero(spec)
-        r0 = rows[0]
-        for idx, c in enumerate(cols):
-            minor = det_rec(rows[1:], cols[:idx] + cols[idx + 1:])
-            term = grid[r0][c] * minor
-            total = total - term if idx % 2 else total + term
-        return total
-
-    return det_rec(list(range(n)), list(range(n)))
-
-
 def companion_matrix(f: FqPoly) -> Matrix:
     """Companion matrix of a monic polynomial; char_poly inverts this."""
     if not f.is_monic() or f.degree() < 1:
@@ -564,7 +541,8 @@ def is_irreducible(f: FqPoly) -> bool:
     return True
 
 
-def _squarefree_part(f: FqPoly) -> FqPoly:
+def squarefree_part(f: FqPoly) -> FqPoly:
+    """Product of the distinct irreducible factors of f."""
     spec = f.spec
     f = f.monic()
     d = f.derivative()
@@ -576,20 +554,15 @@ def _squarefree_part(f: FqPoly) -> FqPoly:
             c = f.coeffs[i]
             # inverse Frobenius: c -> c^(q/p)
             root.append(c ** (spec.q // p) if c else c)
-        return _squarefree_part(FqPoly(spec, root))
+        return squarefree_part(FqPoly(spec, root))
     g = f.gcd(d)
     if g.is_one():
         return f
     # f//g carries the factors of multiplicity prime to p, each once;
     # the rest still hides inside g.  Join the two radicals as an lcm.
     part = (f // g).monic()
-    rest = _squarefree_part(g)
+    rest = squarefree_part(g)
     return (part * (rest // part.gcd(rest))).monic()
-
-
-def squarefree_part(f: FqPoly) -> FqPoly:
-    """Product of the distinct irreducible factors of f."""
-    return _squarefree_part(f)
 
 
 def _distinct_degree(f: FqPoly):
@@ -701,18 +674,12 @@ def factor_int(n: int) -> dict[int, int]:
         m = stack.pop()
         if m == 1:
             continue
-        if _is_prime_small(m):
+        if is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         d = _pollard_rho(m)
         stack.extend((d, m // d))
     return out
-
-
-def _is_prime_small(n: int) -> bool:
-    from .field import is_probable_prime
-
-    return is_probable_prime(n)
 
 
 def _pollard_rho(n: int) -> int:

@@ -1,25 +1,26 @@
 """The package's one Gaussian elimination, over GF(p^gamma) vectors.
 
-RowReducer keeps its rows in reduced row-echelon form and takes them one
-at a time, so a caller can stop feeding constraints once the rank is
-high enough.  Its rows are lists of packed ints (FieldElement.val) and
-it runs on the field's raw operations; it adds to the multiplication
-counter one per product it forms, and it skips zero entries, so sparse
-right sides such as the identity cost few multiplications.  Inversions
-are not counted.
+Every row and vector here is a sequence of packed ints (the
+FieldElement.val of each entry), and the arithmetic is the field's raw
+operations.  RowReducer keeps its rows in reduced row-echelon form and
+takes them one at a time, so a caller can stop feeding constraints once
+the rank is high enough.  It adds to the multiplication counter one per
+product it forms, and it skips zero entries, so sparse right sides such
+as the identity cost few multiplications.  Inversions are not counted.
 
-Two entry points sit on top of it: nullspace, for centralizers and the
-lab's invariant subspaces, and solve, for the lab's coordinate changes;
-both take and return FieldElement rows.  _solve is solve on packed ints,
-which matrix.mat_inv calls with the identity on the right.  matrix.det
-keeps its own forward-only pass (see the matrix module).
+Two entry points sit on top of it: nullspace, for centralizers, the
+conjugator solution space and the lab's invariant subspaces, and solve,
+for matrix.mat_inv (with the identity on the right) and the lab's
+coordinate changes.  sylvester_rows writes the linear conditions
+L Y = Y R on the entries of Y as rows for either.  matrix.det keeps its
+own forward-only pass (see the matrix module).
 """
 
 from __future__ import annotations
 
-from .field import FieldElement, FieldSpec, _count_muls
+from .field import FieldSpec, _count_muls
 
-__all__ = ["RowReducer", "nullspace", "solve"]
+__all__ = ["RowReducer", "nullspace", "solve", "sylvester_rows"]
 
 
 class RowReducer:
@@ -81,37 +82,22 @@ class RowReducer:
         return basis
 
 
-def _vals(rows) -> list[list[int]]:
-    return [[x.val for x in r] for r in rows]
-
-
-def _elements(spec: FieldSpec, rows) -> list[tuple[FieldElement, ...]]:
-    return [tuple(FieldElement(spec, v) for v in r) for r in rows]
-
-
-def nullspace(spec: FieldSpec, rows, ncols: int) -> list[tuple[FieldElement, ...]]:
+def nullspace(spec: FieldSpec, rows, ncols: int) -> list[tuple[int, ...]]:
+    """Basis of {v : rows * v = 0}, for rows of ncols entries."""
     red = RowReducer(spec, ncols)
-    for row in _vals(rows):
+    for row in rows:
         red.add_row(row)
-    return _elements(spec, red.nullspace_basis())
+    return red.nullspace_basis()
 
 
-def solve(spec: FieldSpec, lhs, rhs) -> list[tuple[FieldElement, ...]] | None:
+def solve(spec: FieldSpec, lhs, rhs) -> tuple[tuple[int, ...], ...] | None:
     """X with lhs * X = rhs, or None unless X exists and is unique.
 
     lhs is n rows of k entries, rhs n rows of m; X comes back as k rows
-    of m.
-    """
-    x = _solve(spec, _vals(lhs), _vals(rhs))
-    return None if x is None else _elements(spec, x)
-
-
-def _solve(spec: FieldSpec, lhs, rhs) -> tuple[tuple[int, ...], ...] | None:
-    """solve on rows of packed ints.
-
-    The rows [lhs | rhs] go through one RowReducer, and X exists and is
-    unique exactly when the pivot columns are 0..k-1: a missing one is a
-    dependent column of lhs, one at k or beyond an inconsistent system.
+    of m.  The rows [lhs | rhs] go through one RowReducer, and X exists
+    and is unique exactly when the pivot columns are 0..k-1: a missing
+    one is a dependent column of lhs, one at k or beyond an inconsistent
+    system.
     """
     k = len(lhs[0])
     red = RowReducer(spec, k + len(rhs[0]))
@@ -120,3 +106,24 @@ def _solve(spec: FieldSpec, lhs, rhs) -> tuple[tuple[int, ...], ...] | None:
     if sorted(red.pivot_rows) != list(range(k)):
         return None
     return tuple(tuple(red.pivot_rows[c][k:]) for c in range(k))
+
+
+def sylvester_rows(spec: FieldSpec, left, right):
+    """The rows of L Y - Y R = 0 on the d^2 entries of an unknown Y.
+
+    left and right are d x d matrices as rows of packed ints.  Unknown
+    y_{a,c} has column index a*d + c, and row a*d + b is entry (a, b):
+    sum_c L_{a,c} y_{c,b} - y_{a,c} R_{c,b}.  The coefficients are
+    sums of entries of L and R, so no multiplications are needed.
+    """
+    add, sub = spec._add_raw, spec._sub_raw
+    d = len(left)
+    for a in range(d):
+        for b in range(d):
+            row = [0] * (d * d)
+            for c in range(d):
+                if left[a][c]:
+                    row[c * d + b] = add(row[c * d + b], left[a][c])
+                if right[c][b]:
+                    row[a * d + c] = sub(row[a * d + c], right[c][b])
+            yield row

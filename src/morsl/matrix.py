@@ -5,8 +5,9 @@ ints, the FieldElement.val of each entry, in the tuple of row tuples
 `vals`; `rows` is the FieldElement view of the same entries, built on
 first use for the API and for code off the hot paths.  Matrix(spec,
 rows) checks every entry; Matrix._from_vals takes the ints of a kernel
-as they are.  The kernels here (mat_mul, det, and through
-linalg.RowReducer mat_inv) work on `vals` with the field's raw
+as they are.  The kernels here (mat_mul, det, mat_inv through
+linalg.solve, and the vector products _dot and _outer that the
+automorphisms and the lab share) work on `vals` with the field's raw
 operations, and add to the multiplication counter exactly what the
 FieldElement loop they replace would count, zeros included where that
 loop multiplied by them; inversions are not counted.
@@ -16,10 +17,11 @@ accounting for automorphism composition assumes exactly d^3 field
 multiplications per product.  Indices in every public signature are
 1-based, matching the e_{i,j} matrix-unit notation.
 
-mat_inv is linalg.solve(x, 1), the package's one elimination.  det keeps
-its own forward-only pass: it needs the product of the pivots and
-nothing else, so it runs no back substitution, carries no right-hand
-side and stops at the last pivot, where a solve would do more work.
+mat_inv is linalg.solve(x, 1) on packed ints, the package's one
+elimination.  det keeps its own forward-only pass: it needs the product
+of the pivots and nothing else, so it runs no back substitution, carries
+no right-hand side and stops at the last pivot, where a solve would do
+more work.
 Its exact multiplication count is also pinned by the golden bench,
 through the SL check of Automorphism.__init__.
 """
@@ -39,14 +41,13 @@ from .field import (
     _json_int,
     _json_list,
 )
-from .linalg import _solve
+from .linalg import solve
 
 __all__ = [
     "Matrix",
     "Permutation",
     "SingularMatrixError",
     "identity",
-    "matrix_unit",
     "transvection",
     "permutation_matrix",
     "diagonal_matrix",
@@ -181,16 +182,6 @@ def identity(spec: FieldSpec, d: int) -> Matrix:
     return Matrix._from_vals(spec, tuple(tuple(int(i == j) for j in range(d)) for i in range(d)))
 
 
-def matrix_unit(spec: FieldSpec, d: int, i: int, j: int, lam: FieldElement | None = None) -> Matrix:
-    """lam * e_{i,j}: all zero except entry (i, j)."""
-    if lam is None:
-        lam = spec.one()
-    zero = spec.zero()
-    rows = [[zero] * d for _ in range(d)]
-    rows[i - 1][j - 1] = lam
-    return Matrix(spec, rows)
-
-
 def transvection(spec: FieldSpec, d: int, i: int, j: int, lam: FieldElement) -> Matrix:
     """Elementary transvection 1 + lam * e_{i,j} with i != j."""
     if i == j:
@@ -246,35 +237,11 @@ class Permutation:
 
     def parity(self) -> int:
         """+1 for even, -1 for odd."""
-        seen = [False] * self.d
-        sign = 1
-        for i in range(1, self.d + 1):
-            if seen[i - 1]:
-                continue
-            length = 0
-            j = i
-            while not seen[j - 1]:
-                seen[j - 1] = True
-                j = self(j)
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+        even_cycles = sum(len(c) % 2 == 0 for c in orbits(range(1, self.d + 1), self))
+        return -1 if even_cycles % 2 else 1
 
     def order(self) -> int:
-        seen = [False] * self.d
-        result = 1
-        for i in range(1, self.d + 1):
-            if seen[i - 1]:
-                continue
-            length = 0
-            j = i
-            while not seen[j - 1]:
-                seen[j - 1] = True
-                j = self(j)
-                length += 1
-            result = math.lcm(result, length)
-        return result
+        return math.lcm(*(len(c) for c in orbits(range(1, self.d + 1), self)))
 
     def __eq__(self, other):
         if not isinstance(other, Permutation):
@@ -293,6 +260,21 @@ class Permutation:
     @classmethod
     def from_json(cls, obj) -> "Permutation":
         return cls(obj)
+
+
+def orbits(points, step) -> list[tuple]:
+    """The orbits of a bijection step on points, in order of their first
+    point in points; each orbit is walked from that point."""
+    seen, out = set(), []
+    for x in points:
+        orbit = []
+        while x not in seen:
+            seen.add(x)
+            orbit.append(x)
+            x = step(x)
+        if orbit:
+            out.append(tuple(orbit))
+    return out
 
 
 def permutation_matrix(spec: FieldSpec, alpha: Permutation) -> Matrix:
@@ -342,6 +324,26 @@ def mat_mul(x: Matrix, y: Matrix) -> Matrix:
     )
 
 
+def _dot(spec: FieldSpec, row, col) -> int:
+    """row . col on packed ints, one multiplication per pair of nonzeros."""
+    mul, add = spec._mul_raw, spec._add_raw
+    acc, count = 0, 0
+    for a, b in zip(row, col):
+        if a and b:
+            acc = add(acc, mul(a, b))
+            count += 1
+    _count_muls(count)
+    return acc
+
+
+def _outer(spec: FieldSpec, col, row) -> list[list[int]]:
+    """The outer product col row^T as rows of packed ints, len(row)
+    multiplications per nonzero entry of col."""
+    mul, n = spec._mul_raw, len(row)
+    _count_muls(n * (len(col) - col.count(0)))
+    return [[mul(c, x) for x in row] if c else [0] * n for c in col]
+
+
 def det(x: Matrix) -> FieldElement:
     """Product of the pivots of a forward elimination: one multiplication
     per pivot, and d - c for each nonzero entry cleared below pivot c."""
@@ -377,7 +379,7 @@ def det(x: Matrix) -> FieldElement:
 
 def mat_inv(x: Matrix) -> Matrix:
     """x^(-1) from linalg's solve of x X = 1."""
-    inv = _solve(x.spec, x.vals, identity(x.spec, x.d).vals)
+    inv = solve(x.spec, x.vals, identity(x.spec, x.d).vals)
     if inv is None:
         raise SingularMatrixError("matrix is singular")
     return Matrix._from_vals(x.spec, inv)

@@ -25,6 +25,14 @@ messages pay for neither.
 Plaintexts ride in a single elementary transvection at the fixed
 position (1,2), so the conjugation-invariant trace and determinant leak
 nothing: they are always d and 1.
+
+No key or ciphertext is degenerate.  A public key with phi^m = 1 or
+phi^m = phi gives m away (mod the order of phi), so keygen draws again
+and encrypt refuses such a key.  encrypt draws r again while phi^r is 1
+or phi, which publish r, or phi^{mr} = 1, which would send the
+plaintext as it is.  Each check compares entries or generator images
+and costs no field multiplication, and a run that draws nothing
+degenerate consumes the same random stream as without the checks.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ __all__ = [
     "MorPrivateKey",
     "MorCiphertext",
     "KeygenFailureError",
+    "DegenerateKeyError",
     "InvalidCiphertextError",
     "CapacityError",
     "MessageFormatError",
@@ -56,10 +65,16 @@ __all__ = [
 
 FORMAT_VERSION = 1
 KEYGEN_RETRY_CAP = 256
+ENCRYPT_RETRY_CAP = 64
 
 
 class KeygenFailureError(RuntimeError):
-    """Keygen exhausted its retry budget without an acceptable conjugator."""
+    """Keygen exhausted its retry budget without an acceptable key."""
+
+
+class DegenerateKeyError(ValueError):
+    """A public key with phi^m = 1 or phi^m = phi, whose ciphertexts
+    would give the plaintext away."""
 
 
 class InvalidCiphertextError(ValueError):
@@ -192,6 +207,15 @@ def _exponent_bound(params: MorParams) -> int:
     return params.spec.q ** (params.d * params.d)
 
 
+def _is_scalar(x: Matrix) -> bool:
+    """Whether x is a scalar matrix, so that conjugation by x is the
+    identity; compares entries only."""
+    c = x.vals[0][0]
+    return all(
+        v == (c if a == b else 0) for a, row in enumerate(x.vals) for b, v in enumerate(row)
+    )
+
+
 def _conj_pow(b: Matrix, e: int) -> Matrix:
     """b^e, reducing e mod q^d - 1 when that is provably exact.
 
@@ -222,26 +246,29 @@ def keygen(params: MorParams, rng, retry_cap: int = KEYGEN_RETRY_CAP):
     its powers at the full degree-d extension.  (The lifted operator's
     characteristic polynomial itself always carries the factor x - 1,
     conjugation fixing the identity, so irreducibility is demanded of the
-    conjugator's own polynomial.)
+    conjugator's own polynomial.)  A draw with phi^m = 1 or phi^m = phi
+    is degenerate and drawn again, conjugator and exponent both, within
+    the same retry_cap.
     """
     spec, d = params.spec, params.d
-    a = None
     for _ in range(retry_cap):
-        cand = random_gl(spec, d, rng)
+        a = random_gl(spec, d, rng)
         if params.require_irreducible_lift:
-            if not is_irreducible(char_poly(cand)):
+            if not is_irreducible(char_poly(a)):
                 continue
             # an irreducible chi of degree d >= 2 has chi(0) != 0 and
             # divides x^(q^d) - x: the certificate of _conj_pow holds
-            object.__setattr__(cand, "_split", True)
-        a = cand
-        break
-    if a is None:
-        raise KeygenFailureError(f"no acceptable conjugator in {retry_cap} draws")
-    m = rng.randrange(2, _exponent_bound(params) - 1)
-    phi = Automorphism.from_conjugator(a)
-    phi_m = Automorphism.from_conjugator(_conj_pow(a, m))  # = phi.power(m)
-    return MorPublicKey(params, phi, phi_m), MorPrivateKey(m, a)
+            object.__setattr__(a, "_split", True)
+        m = rng.randrange(2, _exponent_bound(params) - 1)
+        a_m = _conj_pow(a, m)
+        if _is_scalar(a_m):  # phi^m = 1
+            continue
+        phi = Automorphism.from_conjugator(a)
+        phi_m = Automorphism.from_conjugator(a_m)  # = phi.power(m)
+        if phi_m.images == phi.images:
+            continue
+        return MorPublicKey(params, phi, phi_m), MorPrivateKey(m, a)
+    raise KeygenFailureError(f"no acceptable key in {retry_cap} draws")
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +277,34 @@ def keygen(params: MorParams, rng, retry_cap: int = KEYGEN_RETRY_CAP):
 
 
 def encrypt(pk: MorPublicKey, a: Matrix, rng) -> MorCiphertext:
-    """Fresh-r encryption; the rng argument is mandatory by design."""
+    """Fresh-r encryption; the rng argument is mandatory by design.
+
+    Refuses a degenerate public key with DegenerateKeyError, and draws r
+    again while phi^r is 1 or phi or phi^{mr} = 1, up to
+    ENCRYPT_RETRY_CAP draws.
+    """
     spec, d = pk.params.spec, pk.params.d
     if a.spec != spec or a.d != d:
         raise ValueError("plaintext matrix has wrong spec or degree")
     if not a.is_sl():
         raise NotInSLError("plaintext must have determinant 1")
-    r = rng.randrange(2, _exponent_bound(pk.params) - 1)
     b_phi = recover_conjugator(pk.phi)
     b_phim = recover_conjugator(pk.phi_m)
-    phi_r = Automorphism.from_conjugator(_conj_pow(b_phi, r))  # = phi.power(r)
-    payload = conjugate(a, _conj_pow(b_phim, r))  # = phi_m.power(r).apply(a)
-    return MorCiphertext(phi_r, payload)
+    if _is_scalar(b_phim) or pk.phi_m.images == pk.phi.images:
+        raise DegenerateKeyError("public key has phi^m = 1 or phi^m = phi")
+    for _ in range(ENCRYPT_RETRY_CAP):
+        r = rng.randrange(2, _exponent_bound(pk.params) - 1)
+        b_r = _conj_pow(b_phi, r)
+        if _is_scalar(b_r):  # phi^r = 1
+            continue
+        phi_r = Automorphism.from_conjugator(b_r)  # = phi.power(r)
+        if phi_r.images == pk.phi.images:
+            continue
+        b_mr = _conj_pow(b_phim, r)
+        if _is_scalar(b_mr):  # phi^{mr} = 1
+            continue
+        return MorCiphertext(phi_r, conjugate(a, b_mr))  # payload phi^{mr}(a)
+    raise DegenerateKeyError(f"no exponent r with phi^{{mr}} != 1 in {ENCRYPT_RETRY_CAP} draws")
 
 
 def decrypt(sk: MorPrivateKey, ct: MorCiphertext) -> Matrix:

@@ -15,10 +15,15 @@ conjugator's own polynomial is irreducible, which is why mw_reduce can
 optionally restrict to a single irreducible factor instead of requiring
 an irreducible characteristic polynomial outright.
 
-The lab has no elimination of its own.  Centralizers and the kernel
-ker g(A) come from linalg.nullspace; the action of a matrix on that
-kernel and the coefficients of A' as a polynomial in A come from
+The lab has no elimination and no product loop of its own; it works on
+packed ints (Matrix.vals) with the kernels the protocol uses.
+Centralizers and the kernel ker g(A) come from linalg.nullspace, the
+centralizer's rows from linalg.sylvester_rows; the action of a matrix
+on that kernel and the coefficients of A' as a polynomial in A come from
 linalg.solve, which also rejects a kernel that A' does not preserve.
+The lift's columns are matrix._outer products, as the generator images
+of Automorphism.from_conjugator are, and its action on a matrix and the
+images of a kernel basis are matrix._dot products.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .autos import Automorphism, generator_pairs
+from .autos import Automorphism, generator_pairs, pair_orbits
 from .field import FieldElement, FieldSpec
 from .fqpoly import (
     FqPoly,
@@ -36,8 +41,8 @@ from .fqpoly import (
     mod_inverse,
     multiplicative_order,
 )
-from .linalg import nullspace, solve
-from .matrix import Matrix, Permutation, identity, mat_inv, mat_mul, mat_pow
+from .linalg import nullspace, solve, sylvester_rows
+from .matrix import Matrix, Permutation, _dot, _outer, identity, mat_inv, mat_mul, mat_pow
 from .protocol import MorPublicKey
 
 __all__ = [
@@ -101,39 +106,22 @@ class LiftedOperator:
 
     def apply_matrix(self, x: Matrix) -> Matrix:
         """Act on a d x d matrix through vectorization."""
-        d = self.d
-        vec = [x.rows[a][b] for a in range(d) for b in range(d)]
-        zero = self.spec.zero()
-        out = []
-        for r in range(d * d):
-            acc = zero
-            row = self.matrix.rows[r]
-            for c in range(d * d):
-                if row[c] and vec[c]:
-                    acc = acc + row[c] * vec[c]
-            out.append(acc)
-        return Matrix(self.spec, [out[a * d:(a + 1) * d] for a in range(d)])
+        spec, d = self.spec, self.d
+        vec = [v for row in x.vals for v in row]
+        out = [_dot(spec, row, vec) for row in self.matrix.vals]
+        return Matrix._from_vals(spec, tuple(tuple(out[a * d:(a + 1) * d]) for a in range(d)))
 
 
 def lift_operator(a: Matrix) -> LiftedOperator:
     spec, d = a.spec, a.d
-    ainv = mat_inv(a)
-    zero = spec.zero()
-    n = d * d
-    cols = []
-    for i in range(d):
-        for j in range(d):
-            # A^(-1) e_{i,j} A = (column i of A^(-1)) x (row j of A)
-            col = []
-            for r in range(d):
-                ar = ainv.rows[r][i]
-                if ar:
-                    col.extend(ar * a.rows[j][b] for b in range(d))
-                else:
-                    col.extend([zero] * d)
-            cols.append(col)
-    rows = [[cols[c][r] for c in range(n)] for r in range(n)]
-    return LiftedOperator(spec, d, Matrix(spec, rows))
+    ainv_cols = list(zip(*mat_inv(a).vals))
+    # A^(-1) e_{i,j} A = (column i of A^(-1)) x (row j of A), vectorized
+    cols = [
+        [v for row in _outer(spec, ainv_cols[i], a.vals[j]) for v in row]
+        for i in range(d)
+        for j in range(d)
+    ]
+    return LiftedOperator(spec, d, Matrix._from_vals(spec, tuple(zip(*cols))))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +252,7 @@ def matrix_group_ops(spec: FieldSpec, d: int) -> GroupOps:
         mul=mat_mul,
         inv=mat_inv,
         identity=identity(spec, d),
-        key=lambda m: tuple(x.val for row in m.rows for x in row),
+        key=lambda m: m.vals,
     )
 
 
@@ -273,10 +261,7 @@ def automorphism_group_ops(spec: FieldSpec, d: int) -> GroupOps:
         mul=lambda a, b: a.compose(b),
         inv=lambda a: a.invert(),
         identity=Automorphism.identity(spec, d),
-        key=lambda phi: tuple(
-            (i, j) + tuple(x.val for row in phi.images[(i, j)].rows for x in row)
-            for i, j in generator_pairs(d)
-        ),
+        key=lambda phi: tuple(phi.images[pair].vals for pair in generator_pairs(d)),
     )
 
 
@@ -339,21 +324,9 @@ def bsgs_dlog(base, target, order_bound: int, ops: GroupOps, budget: int | None 
 def centralizer_space(x: Matrix) -> list[Matrix]:
     """Basis of the linear space {Y : XY = YX}; always contains scalars."""
     spec, d = x.spec, x.d
-    zero = spec.zero()
-    rows = []
-    for a in range(d):
-        for b in range(d):
-            row = [zero] * (d * d)
-            # (XY)_{a,b} - (YX)_{a,b} = sum_c X[a][c] y_{c,b} - y_{a,c} X[c][b]
-            for c in range(d):
-                if x.rows[a][c]:
-                    row[c * d + b] = row[c * d + b] + x.rows[a][c]
-                if x.rows[c][b]:
-                    row[a * d + c] = row[a * d + c] - x.rows[c][b]
-            rows.append(row)
     return [
-        Matrix(spec, [vec[r * d:(r + 1) * d] for r in range(d)])
-        for vec in nullspace(spec, rows, d * d)
+        Matrix._from_vals(spec, tuple(vec[r * d:(r + 1) * d] for r in range(d)))
+        for vec in nullspace(spec, sylvester_rows(spec, x.vals, x.vals), d * d)
     ]
 
 
@@ -434,20 +407,7 @@ def monomial_cycle_attack(pk: MorPublicKey, dlog_budget: int | None = None) -> M
     if shift is None:
         raise WrongAttackModelError("phi^m positions are not a power of phi positions")
 
-    # orbits of beta on ordered pairs
-    seen = set()
-    orbits = []
-    for i, j in generator_pairs(d):
-        if (i, j) in seen:
-            continue
-        orbit = []
-        a, b = i, j
-        while (a, b) not in seen:
-            seen.add((a, b))
-            orbit.append((a, b))
-            a, b = beta(a), beta(b)
-        orbits.append(tuple(orbit))
-
+    orbits = pair_orbits(beta)
     ops = field_group_ops(spec)
     instances = []
     constraints = []
@@ -512,25 +472,16 @@ def monomial_cycle_attack(pk: MorPublicKey, dlog_budget: int | None = None) -> M
 def _restrict_to_subspace(a: Matrix, basis) -> Matrix:
     """Matrix of the action of a on span(basis), in basis coordinates.
 
-    Solves basis * X = a * basis; raises ValueError when the basis
-    vectors are dependent or their span is not a-invariant.
+    basis is a list of vectors of packed ints.  Solves basis * X =
+    a * basis; raises ValueError when the basis vectors are dependent or
+    their span is not a-invariant.
     """
-    spec, n = a.spec, a.d
-    zero = spec.zero()
-    imgs = []
-    for w in basis:
-        img = []
-        for r in range(n):
-            acc = zero
-            for c in range(n):
-                if a.rows[r][c] and w[c]:
-                    acc = acc + a.rows[r][c] * w[c]
-            img.append(acc)
-        imgs.append(img)
+    spec = a.spec
+    imgs = [[_dot(spec, row, w) for row in a.vals] for w in basis]
     coords = solve(spec, list(zip(*basis)), list(zip(*imgs)))
     if coords is None:
         raise ValueError("basis is dependent or does not span an invariant subspace")
-    return Matrix(spec, coords)
+    return Matrix._from_vals(spec, coords)
 
 
 def _express_as_polynomial(base: Matrix, target: Matrix, deg: int) -> FqPoly:
@@ -541,12 +492,12 @@ def _express_as_polynomial(base: Matrix, target: Matrix, deg: int) -> FqPoly:
         powers.append(mat_mul(powers[-1], base))
     coeffs = solve(
         spec,
-        [[pw.rows[r][c] for pw in powers] for r in range(n) for c in range(n)],
-        [[target.rows[r][c]] for r in range(n) for c in range(n)],
+        [[pw.vals[r][c] for pw in powers] for r in range(n) for c in range(n)],
+        [[target.vals[r][c]] for r in range(n) for c in range(n)],
     )
     if coeffs is None:
         raise ValueError("target is not a polynomial in the base matrix")
-    return FqPoly(spec, [row[0] for row in coeffs])
+    return FqPoly(spec, [FieldElement(spec, row[0]) for row in coeffs])
 
 
 def mw_reduce(a: Matrix, a_prime: Matrix, allow_reducible: bool = False,
@@ -577,7 +528,7 @@ def mw_reduce(a: Matrix, a_prime: Matrix, allow_reducible: bool = False,
             )
         facs = irreducible_factors(f)
         g = max(facs, key=lambda t: t[0].degree())[0]
-        basis = nullspace(spec, g.eval_matrix(a).rows, a.d)
+        basis = nullspace(spec, g.eval_matrix(a).vals, a.d)
         try:
             a_res = _restrict_to_subspace(a, basis)
             ap_res = _restrict_to_subspace(a_prime, basis)

@@ -4,7 +4,8 @@ These are the plain algorithms the package used before its
 exponentiation engine and its rank-one conjugator recovery: matrix
 square-and-multiply, right-to-left square-and-multiply on FqPoly
 products and remainders, the gcd(f, x^(q^k) - x) irreducibility loop
-with one pow_mod(q) per step, square-and-multiply over compose on
+with one pow_mod(q) per step, the characteristic polynomial by cofactor
+expansion of det(x*1 - M), square-and-multiply over compose on
 automorphisms (with the order-based inverse and the decryption built on
 it), and conjugator recovery by solving the d^2-unknown linear system.
 They call neither matrix.mat_pow nor FqPoly.pow_mod nor the Frobenius
@@ -201,6 +202,35 @@ def is_irreducible_gcd(f):
         if not f.gcd(h - x).is_one():
             return False
     return True
+
+
+def char_poly_cofactor(m: Matrix) -> FqPoly:
+    """Independent cross-check: cofactor expansion of det(x*1 - M).
+
+    Exponential in d; meant for d <= 5.
+    """
+    spec, n = m.spec, m.d
+    x = FqPoly.x(spec)
+    grid = [
+        [
+            x - FqPoly(spec, (m.rows[a][b],)) if a == b else -FqPoly(spec, (m.rows[a][b],))
+            for b in range(n)
+        ]
+        for a in range(n)
+    ]
+
+    def det_rec(rows, cols):
+        if len(rows) == 1:
+            return grid[rows[0]][cols[0]]
+        total = FqPoly.zero(spec)
+        r0 = rows[0]
+        for idx, c in enumerate(cols):
+            minor = det_rec(rows[1:], cols[:idx] + cols[idx + 1:])
+            term = grid[r0][c] * minor
+            total = total - term if idx % 2 else total + term
+        return total
+
+    return det_rec(list(range(n)), list(range(n)))
 
 
 def compose_power(phi, m):
@@ -692,3 +722,70 @@ def apply_elementwise(phi, x):
                     if v[b]:
                         row[b] = row[b] + w * v[b]
     return Matrix(spec, grid)
+
+
+def lift_operator_elementwise(a):
+    """The d^2 x d^2 matrix of X -> A^(-1) X A: column (i, j) is the
+    row-major vectorization of column i of A^(-1) times row j of A."""
+    spec, d = a.spec, a.d
+    ainv = mat_inv_elementwise(a)
+    zero = spec.zero()
+    cols = []
+    for i in range(d):
+        for j in range(d):
+            col = []
+            for r in range(d):
+                ar = ainv.rows[r][i]
+                if ar:
+                    col.extend(ar * a.rows[j][b] for b in range(d))
+                else:
+                    col.extend([zero] * d)
+            cols.append(col)
+    return Matrix(spec, [list(r) for r in zip(*cols)])
+
+
+def apply_lifted_elementwise(lifted, x):
+    """The lifted operator's matrix times the vectorization of x."""
+    spec, d = x.spec, x.d
+    vec = [v for row in x.rows for v in row]
+    out = []
+    for row in lifted.rows:
+        acc = spec.zero()
+        for a, b in zip(row, vec):
+            if a and b:
+                acc = acc + a * b
+        out.append(acc)
+    return Matrix(spec, [out[a * d:(a + 1) * d] for a in range(d)])
+
+
+def commutator_rows_elementwise(x):
+    """Rows of X Y - Y X = 0 on the d^2 entries of Y, y_{a,c} at a*d + c."""
+    spec, d = x.spec, x.d
+    rows = []
+    for a in range(d):
+        for b in range(d):
+            row = [spec.zero()] * (d * d)
+            for c in range(d):
+                if x.rows[a][c]:
+                    row[c * d + b] = row[c * d + b] + x.rows[a][c]
+                if x.rows[c][b]:
+                    row[a * d + c] = row[a * d + c] - x.rows[c][b]
+            rows.append(tuple(row))
+    return rows
+
+
+def conjugator_rows_elementwise(i, j, n):
+    """Rows of (1 + e_{i,j}) B = B N on the d^2 entries of B, b_{a,c} at
+    a*d + c: entry (a, b) is b_{a,b} + [a = i] b_{j,b} - sum_c b_{a,c} N_{c,b}."""
+    spec, d = n.spec, n.d
+    rows = []
+    for a in range(d):
+        for b in range(d):
+            row = [spec.zero()] * (d * d)
+            for c in range(d):
+                row[a * d + c] = -n.rows[c][b]
+            row[a * d + b] = row[a * d + b] + spec.one()
+            if a == i - 1:
+                row[(j - 1) * d + b] = row[(j - 1) * d + b] + spec.one()
+            rows.append(tuple(row))
+    return rows

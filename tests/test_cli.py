@@ -68,6 +68,18 @@ def test_decrypt_with_mismatched_degree_exits_2(tmp_path):
     assert not out.exists()  # no partial output on error
 
 
+def test_encrypt_with_degenerate_public_key_exits_2(tmp_path):
+    spec = field_spec(7)
+    phi = Automorphism.from_conjugator(permutation_matrix(spec, Permutation([2, 3, 1])))
+    pub = tmp_path / "pub.json"
+    pub.write_text(json.dumps(MorPublicKey(MorParams(spec, 3), phi, phi).to_json()))
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(b"")
+    ct = tmp_path / "ct.json"
+    assert run("encrypt", "--pub", pub, "--in", msg, "--out", ct, "--seed", 1) == 2
+    assert not ct.exists()
+
+
 def test_oversize_message_exits_3(tmp_path):
     pub = tmp_path / "pub.json"
     priv = tmp_path / "priv.json"

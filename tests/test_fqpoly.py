@@ -1,12 +1,12 @@
 import random
 
 import pytest
+from oracles import char_poly_cofactor
 
 from morsl.field import cost_counter, cost_reset, field_spec
 from morsl.fqpoly import (
     FqPoly,
     char_poly,
-    char_poly_cofactor,
     companion_matrix,
     factor_int,
     irreducible_factors,

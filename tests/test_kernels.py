@@ -10,6 +10,7 @@ singular matrices and rank-deficient rows, so every zero-skip branch and
 every early exit runs.
 """
 
+import functools
 import random
 
 import pytest
@@ -18,13 +19,17 @@ from hypothesis import strategies as st
 from oracles import (
     RowReducerElementwise,
     apply_elementwise,
+    apply_lifted_elementwise,
+    commutator_rows_elementwise,
     conjugator_from_rank1_elementwise,
+    conjugator_rows_elementwise,
     det_elementwise,
     dot_elementwise,
     eval_matrix_elementwise,
     factor_rank1_elementwise,
     factors_as_elements,
     from_conjugator_elementwise,
+    lift_operator_elementwise,
     mat_inv_elementwise,
     mat_mul_elementwise,
     nullspace_elementwise,
@@ -36,15 +41,34 @@ from morsl.autos import (
     Automorphism,
     InvalidAutomorphismError,
     _conjugator_from_rank1,
-    _dot,
     _factor_rank1,
     _scaled,
 )
 from morsl.field import FieldElement, cost_counter, field_spec
 from morsl.fqpoly import FqPoly
-from morsl.linalg import RowReducer, nullspace, solve
-from morsl.matrix import Matrix, SingularMatrixError, det, mat_inv, mat_mul, random_gl, random_sl
-from morsl.protocol import MorParams, decrypt, encode_message, encrypt, keygen
+from morsl.linalg import RowReducer, nullspace, solve, sylvester_rows
+from morsl.matrix import (
+    Matrix,
+    Permutation,
+    SingularMatrixError,
+    _dot,
+    det,
+    diagonal_matrix,
+    mat_inv,
+    mat_mul,
+    mat_pow,
+    permutation_matrix,
+    random_gl,
+    random_sl,
+)
+from morsl.protocol import MorParams, MorPublicKey, decrypt, encode_message, encrypt, keygen
+from morsl.seclab import (
+    centralizer_space,
+    lift_operator,
+    monomial_cycle_attack,
+    mw_reduce,
+    validate_params,
+)
 
 PROPERTY = settings(max_examples=40)
 
@@ -122,10 +146,46 @@ def test_row_reducer_solve_and_nullspace_match_their_oracles(spec, n, k, m, seed
         c: tuple(r) for c, r in oracle.pivot_rows.items()
     }
     assert [_elements(spec, v) for v in red.nullspace_basis()] == oracle.nullspace_basis()
-    lhs = [_elements(spec, r) for r in rows]
-    rhs = [_elements(spec, _entries(spec, m, rng, zero_share)) for _ in rows]
-    assert _run(nullspace, spec, lhs, k) == _run(nullspace_elementwise, spec, lhs, k)
-    assert _run(solve, spec, lhs, rhs) == _run(solve_elementwise, spec, lhs, rhs)
+    rhs = [_entries(spec, m, rng, zero_share) for _ in rows]
+    lhs_e, rhs_e = [_elements(spec, r) for r in rows], [_elements(spec, r) for r in rhs]
+    basis, count = _run(nullspace, spec, rows, k)
+    assert ([_elements(spec, v) for v in basis], count) == _run(
+        nullspace_elementwise, spec, lhs_e, k
+    )
+    x, count = _run(solve, spec, rows, rhs)
+    x = None if x is None else [_elements(spec, r) for r in x]
+    assert (x, count) == _run(
+        solve_elementwise, spec, lhs_e, rhs_e
+    )
+
+
+@PROPERTY
+@given(spec=fields, d=st.integers(2, 5), seed=seeds, zero_share=zero_shares)
+def test_sylvester_rows_match_the_centralizer_and_conjugator_rows(spec, d, seed, zero_share):
+    rng = random.Random(seed)
+    x, n = _matrix(spec, d, rng, zero_share), _matrix(spec, d, rng, zero_share)
+    rows, count = _run(list, sylvester_rows(spec, x.vals, x.vals))
+    assert ([_elements(spec, r) for r in rows], count) == _run(commutator_rows_elementwise, x)
+    i, j = rng.sample(range(1, d + 1), 2)
+    left = [[int(a == b or (a, b) == (i - 1, j - 1)) for b in range(d)] for a in range(d)]
+    rows, count = _run(list, sylvester_rows(spec, left, n.vals))
+    assert ([_elements(spec, r) for r in rows], count) == _run(
+        conjugator_rows_elementwise, i, j, n
+    )
+
+
+@PROPERTY
+@given(spec=fields, d=st.integers(1, 4), seed=seeds, zero_share=zero_shares,
+       shape=st.sampled_from(SHAPES))
+def test_lift_operator_and_its_action_match_their_oracles(spec, d, seed, zero_share, shape):
+    rng = random.Random(seed)
+    a = _matrix(spec, d, rng, zero_share, shape)
+    lifted, count = _run(lift_operator, a)
+    want = _run(lift_operator_elementwise, a)
+    assert (getattr(lifted, "matrix", lifted), count) == want
+    if lifted is not SingularMatrixError:
+        x = _matrix(spec, d, rng, zero_share)
+        assert _run(lifted.apply_matrix, x) == _run(apply_lifted_elementwise, want[0], x)
 
 
 @PROPERTY
@@ -248,3 +308,42 @@ def test_seeded_binary_preset_counts_are_pinned(preset):
     pt, decrypt_count = _run(decrypt, sk, ct)
     assert pt == msg
     assert (keygen_count, encrypt_count, decrypt_count) == pinned
+
+
+# cost_counter() totals of seeded lab runs on random_gl conjugators, taken
+# before the lab's products moved onto the shared packed-int kernels:
+# lift_operator, centralizer_space, mw_reduce on the lifted pair (A, A^e),
+# validate_params with A, and monomial_cycle_attack on a monomial key
+LAB_PINNED_COUNTS = {
+    "gf7": ((7, 1, 3), (75, 73, 2036, 341, 36)),
+    "gf2_4": ((2, 4, 3), (78, 124, 4463, 552, 37)),
+    "gf3": ((3, 1, 4), (192, 168, 20182, 1356, 27)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAB_PINNED_COUNTS))
+def test_seeded_lab_counts_are_pinned(name):
+    (p, gamma, d), pinned = LAB_PINNED_COUNTS[name]
+    spec = field_spec(p, gamma)
+    rng = random.Random(f"pin:{name}")
+    a = random_gl(spec, d, rng)
+    e = rng.randrange(2, spec.q**d)
+    lifted, lift_count = _run(lift_operator, a)
+    lifted_e = lift_operator(mat_pow(a, e))
+    _, centralizer_count = _run(centralizer_space, a)
+    _, mw_count = _run(
+        functools.partial(mw_reduce, allow_reducible=True), lifted.matrix, lifted_e.matrix
+    )
+    _, validate_count = _run(validate_params, d, spec, a)
+    w = [spec.random_nonzero(rng) for _ in range(d)]
+    conj = mat_mul(diagonal_matrix(w), permutation_matrix(spec, Permutation.random(d, rng)))
+    m = rng.randrange(2, spec.q ** (d * d) - 1)
+    pk = MorPublicKey(
+        MorParams(spec, d, require_irreducible_lift=False),
+        Automorphism.from_conjugator(conj),
+        Automorphism.from_conjugator(mat_pow(conj, m)),
+    )
+    report, monomial_count = _run(monomial_cycle_attack, pk)
+    assert m % report.modulus in report.residues
+    counts = (lift_count, centralizer_count, mw_count, validate_count, monomial_count)
+    assert counts == pinned

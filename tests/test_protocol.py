@@ -6,9 +6,18 @@ from oracles import decrypt_compose, mat_pow_sqm
 
 from morsl.autos import Automorphism
 from morsl.field import field_spec
-from morsl.matrix import Matrix, identity, mat_pow, random_gl, random_sl
+from morsl.matrix import (
+    Matrix,
+    Permutation,
+    identity,
+    mat_pow,
+    permutation_matrix,
+    random_gl,
+    random_sl,
+)
 from morsl.protocol import (
     CapacityError,
+    DegenerateKeyError,
     InvalidCiphertextError,
     KeygenFailureError,
     MessageFormatError,
@@ -222,3 +231,60 @@ def test_payload_rarely_equals_plaintext():
         if ct.payload == a:
             hits += 1
     print(f"payload==plaintext in {hits}/20 toy encryptions")
+
+
+# -- degenerate keys and exponents ---------------------------------------------
+
+
+def _is_identity(phi):
+    return phi == Automorphism.from_conjugator(identity(phi.spec, phi.d))
+
+
+def test_keygen_redraws_a_key_with_phi_m_equal_to_one():
+    # this seed's first draw has phi^m = 1
+    pk, sk = keygen(MorParams(field_spec(2, 4), 3), random.Random(5))
+    assert not _is_identity(pk.phi_m)
+    assert pk.phi_m != pk.phi
+    assert pk.phi_m == Automorphism.from_conjugator(mat_pow(sk.conjugator, sk.m))
+
+
+@pytest.mark.parametrize(
+    "params", [TOY7, MorParams(field_spec(2, 4), 3)], ids=["gf7-d3", "gf2_4-d3"]
+)
+def test_no_ciphertext_carries_its_plaintext(params):
+    # before the degeneracy checks about one run in twenty sent phi^{mr} = 1
+    for seed in range(150):
+        rng = random.Random(seed)
+        pk, sk = keygen(params, rng)
+        a = random_sl(params.spec, params.d, rng)
+        ct = encrypt(pk, a, rng)
+        assert ct.payload != a
+        assert not _is_identity(ct.phi_r) and ct.phi_r != pk.phi
+        assert decrypt(sk, ct) == a
+
+
+def _cycle_key(m):
+    """phi is conjugation by a 3-cycle, so phi has order 3."""
+    spec = TOY7.spec
+    b = permutation_matrix(spec, Permutation([2, 3, 1]))
+    phi = Automorphism.from_conjugator(b)
+    return MorPublicKey(TOY7, phi, Automorphism.from_conjugator(mat_pow(b, m))), b
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_encrypt_refuses_a_degenerate_public_key(m):
+    pk, _ = _cycle_key(m)  # phi^3 = 1, phi^4 = phi
+    with pytest.raises(DegenerateKeyError):
+        encrypt(pk, random_sl(TOY7.spec, 3, random.Random(0)), random.Random(1))
+
+
+def test_encrypt_redraws_r_until_phi_mr_is_not_one():
+    # m = 2: phi^r in {1, phi} for r = 0, 1 mod 3 is drawn again, and
+    # r = 2 mod 3 leaves phi^r = phi^2 and phi^{mr} = phi
+    pk, b = _cycle_key(2)
+    for seed in range(20):
+        rng = random.Random(seed)
+        a = random_sl(TOY7.spec, 3, rng)
+        ct = encrypt(pk, a, rng)
+        assert ct.phi_r == pk.phi_m
+        assert decrypt(MorPrivateKey(2, b), ct) == a
