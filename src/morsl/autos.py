@@ -191,7 +191,9 @@ class Automorphism:
 
         Conjugation by B^m is the m-fold composition of conjugation by B,
         and the scalar ambiguity of B cancels, so this equals
-        square-and-multiply over compose image by image.
+        square-and-multiply over compose image by image.  mat_pow is the
+        protocol's engine too, and reduces a large m mod q^d - 1 when that
+        is exact.
         """
         return Automorphism.from_conjugator(mat_pow(recover_conjugator(self), m))
 

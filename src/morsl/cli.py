@@ -1,9 +1,10 @@
 """Command-line surface: key lifecycle, encryption, analysis, attacks, bench.
 
 Exit codes: 0 success, 2 malformed input, 3 capacity or plaintext format
-error, 4 keygen retry exhaustion, 5 attack model mismatch.  Output files
-are written to a temporary sibling and renamed on success, so failures
-never leave partial files behind.
+error, 4 keygen retry exhaustion, 5 attack model mismatch, 6 attack
+stopped by its --budget.  Output files are written to a temporary
+sibling and renamed on success, so failures never leave partial files
+behind.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .protocol import (
     keygen,
 )
 from .seclab import (
+    IterationBudgetExceeded,
     WrongAttackModelError,
     automorphism_group_ops,
     bsgs_dlog,
@@ -62,6 +64,7 @@ EXIT_BAD_INPUT = 2
 EXIT_FORMAT = 3
 EXIT_KEYGEN = 4
 EXIT_WRONG_MODEL = 5
+EXIT_BUDGET = 6
 
 
 def _write_atomic(path: str, data: bytes) -> None:
@@ -278,6 +281,9 @@ def main(argv=None) -> int:
     except WrongAttackModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WRONG_MODEL
+    except IterationBudgetExceeded as exc:
+        print(f"error: attack stopped: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except (
         InvalidCiphertextError,
         InvalidAutomorphismError,

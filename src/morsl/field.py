@@ -22,6 +22,11 @@ elements, the byte-stride multiply for a larger binary field, and
 coefficient tuples for a larger odd-characteristic extension.
 FieldElement's operators and the matrix kernels call these directly.
 
+Building a spec proves its modulus irreducible: by Rabin's test on
+packed bits for p = 2, and by fqpoly.is_irreducible over GF(p)
+otherwise, imported when first needed since fqpoly builds on this
+module.  Neither test changes the multiplication counter.
+
 Multiplications are tallied in a module-level counter because the cost
 model of interest counts field multiplications and treats additions as
 free.  FieldElement.__mul__ counts one per product; a kernel on raw ints
@@ -169,46 +174,6 @@ def _fp_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
     return _fp_divmod(a, m, p)[1]
 
 
-def _fp_gcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    while b:
-        a, b = b, _fp_mod(a, b, p)
-    return a
-
-
-def _fp_powmod(a: tuple[int, ...], n: int, m: tuple[int, ...], p: int) -> tuple[int, ...]:
-    result: tuple[int, ...] = (1,)
-    a = _fp_mod(a, m, p)
-    while n:
-        if n & 1:
-            result = _fp_mod(_fp_mul(result, a, p), m, p)
-        a = _fp_mod(_fp_mul(a, a, p), m, p)
-        n >>= 1
-    return result
-
-
-def _fp_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Irreducibility over GF(p): no factor of degree <= n/2.
-
-    Uses gcd(x^(p^i) - x, f) = 1 for i = 1 .. n//2.
-    """
-    n = len(coeffs) - 1
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    if coeffs[0] == 0:
-        return False
-    x = (0, 1)
-    h = x
-    for _ in range(n // 2):
-        h = _fp_powmod(h, p, coeffs, p)
-        diff = tuple((hi - xi) % p for hi, xi in _zip_pad(h, x))
-        g = _fp_gcd(coeffs, _fp_trim(diff), p)
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
 def _zip_pad(a: tuple[int, ...], b: tuple[int, ...]):
     n = max(len(a), len(b))
     return zip(a + (0,) * (n - len(a)), b + (0,) * (n - len(b)))
@@ -261,6 +226,23 @@ def _gf2_is_irreducible(f: int) -> bool:
     return True
 
 
+def _is_irreducible_mod_p(coeffs: tuple[int, ...], p: int) -> bool:
+    """Whether a monic coefficient tuple of degree >= 2 is irreducible
+    over GF(p): packed bits for p = 2, fqpoly.is_irreducible over GF(p)
+    otherwise.  Setting up a field is not part of any computation's
+    cost, so the multiplication counter is left as it was."""
+    global _mul_count
+    if p == 2:
+        return _gf2_is_irreducible(sum(c << i for i, c in enumerate(coeffs)))
+    from .fqpoly import FqPoly, is_irreducible
+
+    saved = _mul_count
+    try:
+        return is_irreducible(FqPoly.from_int_coeffs(field_spec(p), coeffs))
+    finally:
+        _mul_count = saved
+
+
 # ---------------------------------------------------------------------------
 # default modulus selection
 # ---------------------------------------------------------------------------
@@ -287,11 +269,7 @@ def smallest_irreducible_poly(p: int, gamma: int) -> tuple[int, ...]:
             coeffs.extend(reversed(digits))
             coeffs.append(1)
             cand = tuple(coeffs)
-            if p == 2:
-                packed = sum(c << i for i, c in enumerate(cand))
-                if _gf2_is_irreducible(packed):
-                    return cand
-            elif _fp_is_irreducible(cand, p):
+            if _is_irreducible_mod_p(cand, p):
                 return cand
     raise ValueError(f"no irreducible polynomial of degree {gamma} over GF({p})")
 
@@ -329,14 +307,8 @@ class FieldSpec:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != gamma + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree gamma")
-            if gamma > 1:
-                if p == 2:
-                    packed = sum(c << i for i, c in enumerate(modulus))
-                    ok = _gf2_is_irreducible(packed)
-                else:
-                    ok = _fp_is_irreducible(modulus, p)
-                if not ok:
-                    raise ValueError("modulus is reducible over GF(p)")
+            if gamma > 1 and not _is_irreducible_mod_p(modulus, p):
+                raise ValueError("modulus is reducible over GF(p)")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "modulus", modulus)
@@ -623,8 +595,9 @@ class FieldSpec:
 # p prime and the modulus irreducible, in time that grows with the field:
 # q <= 2^1024 keeps Miller-Rabin on p and the packed binary test of a
 # degree-1024 modulus well under a second, and the odd-characteristic
-# test, on coefficient tuples, needs gamma <= 16 as well (about 0.25 s on
-# a 64-bit p with a degree-16 irreducible modulus, on a 2-vCPU VM).
+# test, fqpoly.is_irreducible over GF(p), needs gamma <= 16 as well (about
+# 0.12 s on a 61-bit p with a dense degree-16 irreducible modulus, on a
+# 2-vCPU VM).
 _FILE_MAX_Q_BITS = 1024
 _FILE_MAX_ODD_GAMMA = 16
 

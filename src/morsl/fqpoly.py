@@ -157,12 +157,6 @@ class FqPoly:
     def scale(self, c: FieldElement) -> "FqPoly":
         return FqPoly(self.spec, tuple(x * c for x in self.coeffs))
 
-    def shift(self, k: int) -> "FqPoly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return FqPoly(self.spec, (self.spec.zero(),) * k + self.coeffs)
-
     def __divmod__(self, other: "FqPoly"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")

@@ -24,6 +24,12 @@ no right-hand side and stops at the last pivot, where a solve would do
 more work.
 Its exact multiplication count is also pinned by the golden bench,
 through the SL check of Automorphism.__init__.
+
+mat_pow is the package's one exponentiation engine: keygen, encrypt,
+decrypt and Automorphism.power all raise matrices through it.  It picks
+Cayley-Hamilton or square-and-multiply by predicted cost, and reduces an
+exponent of at least q^d - 1 mod q^d - 1 when a certificate, decided
+once and cached on the matrix, shows that this is exact.
 """
 
 from __future__ import annotations
@@ -72,7 +78,7 @@ class SingularMatrixError(ValueError):
 class Matrix:
     # _rows caches the FieldElement view of vals, _chi the characteristic
     # polynomial (fqpoly.char_poly fills it), _split the verdict of
-    # protocol._conj_pow's certificate
+    # mat_pow's certificate that the order divides q^d - 1
     __slots__ = ("spec", "d", "vals", "_rows", "_chi", "_split")
 
     def __init__(self, spec: FieldSpec, rows):
@@ -115,10 +121,6 @@ class Matrix:
                 self, "_rows", tuple(tuple(FieldElement(spec, v) for v in r) for r in self.vals)
             )
         return self._rows
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        """1-based entry access."""
-        return FieldElement(self.spec, self.vals[i - 1][j - 1])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -388,6 +390,16 @@ def mat_inv(x: Matrix) -> Matrix:
 def mat_pow(x: Matrix, n: int) -> Matrix:
     """x^n by whichever route is predicted to take fewer field multiplications.
 
+    From n >= q^d - 1 on, n is first reduced mod q^d - 1 when that is
+    provably exact.  The certificate is x^(q^d) = x mod chi_x with
+    chi_x(0) != 0: then chi_x is squarefree with its roots in GF(q^d)^*,
+    so x is semisimple and its order divides q^d - 1.  Every matrix with
+    irreducible chi_x passes; one with a repeated eigenvalue does not and
+    keeps the full exponent (correct, just slower).  The verdict is
+    decided once per matrix and cached on it, and it shares chi_x with
+    the power, as char_poly caches it too.  Below q^d - 1 the reduction
+    would change nothing, so no certificate is computed.
+
     Cayley-Hamilton: x^n = r(x) for r(t) = t^n mod chi_x(t), by
     FqPoly.pow_mod and Horner evaluation; about d^2 multiplications per
     exponent bit plus d - 2 matrix products.  Square-and-multiply:
@@ -396,9 +408,16 @@ def mat_pow(x: Matrix, n: int) -> Matrix:
     """
     if n < 0:
         return mat_pow(mat_inv(x), -n)
-    from .fqpoly import FqPoly, cayley_hamilton_cost, char_poly
+    from .fqpoly import FqPoly, cayley_hamilton_cost, char_poly, divides_x_qk_minus_x
 
-    d = x.d
+    d, order_bound = x.d, x.spec.q**x.d - 1
+    if n >= order_bound:
+        if x._split is None:
+            chi = char_poly(x)
+            split = bool(chi.coeffs[0]) and divides_x_qk_minus_x(chi, d)
+            object.__setattr__(x, "_split", split)
+        if x._split:
+            n %= order_bound
     square_and_multiply_cost = d**3 * (n.bit_length() - 1 + n.bit_count())
     if n and cayley_hamilton_cost(d, n, x.spec.p) < square_and_multiply_cost:
         return FqPoly.x(x.spec).pow_mod(n, char_poly(x)).eval_matrix(x)
@@ -418,25 +437,31 @@ def conjugate(x: Matrix, a: Matrix) -> Matrix:
     return mat_mul(mat_mul(mat_inv(a), x), a)
 
 
-def random_gl(spec: FieldSpec, d: int, rng) -> Matrix:
+def _draw_gl(spec: FieldSpec, d: int, rng) -> tuple[Matrix, int]:
+    """A uniform invertible matrix and its determinant, one det per draw."""
     q = spec.q
     while True:
         m = Matrix._from_vals(
             spec, tuple(tuple(rng.randrange(q) for _ in range(d)) for _ in range(d))
         )
-        if m.is_gl():
-            return m
+        dt = det(m).val
+        if dt:
+            return m, dt
+
+
+def random_gl(spec: FieldSpec, d: int, rng) -> Matrix:
+    return _draw_gl(spec, d, rng)[0]
 
 
 def random_sl(spec: FieldSpec, d: int, rng) -> Matrix:
-    m = random_gl(spec, d, rng)
-    dt = det(m)
-    if dt == spec.one():
+    """The draw of random_gl with its last row divided by its determinant,
+    d multiplications."""
+    m, dt = _draw_gl(spec, d, rng)
+    if dt == 1:
         return m
-    dinv = dt.inv()
-    rows = [list(r) for r in m.rows]
-    rows[-1] = [v * dinv for v in rows[-1]]
-    return Matrix(spec, rows)
+    dinv, mul = spec._inv_raw(dt), spec._mul_raw
+    _count_muls(d)
+    return Matrix._from_vals(spec, m.vals[:-1] + (tuple(mul(v, dinv) for v in m.vals[-1]),))
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,14 @@ recover B, raise B to the exponent, and rebuild the generator images.
 Conjugation by B^m equals the m-fold composition of conjugation by B
 and the scalar ambiguity of B cancels, so this is value-identical to
 compose-based square-and-multiply (the test suite asserts it) while
-staying polynomial in log m at full-size parameters.  The power is
-B^m = (x^m mod chi_B)(B) by Cayley-Hamilton: square-and-shift in
-F_q[x]/chi_B, then Horner evaluation at B (see matrix.mat_pow).  The
-exponent is first reduced mod q^d - 1 when x^(q^d) = x mod chi_B
-certifies that this is exact.  B is recovered once per automorphism and
-the certificate decided once per B (both are cached), so a key's later
-messages pay for neither.
+staying polynomial in log m at full-size parameters.  Every power here
+is matrix.mat_pow, as in Automorphism.power: B^m = (x^m mod chi_B)(B)
+by Cayley-Hamilton, with m first reduced mod q^d - 1 when
+x^(q^d) = x mod chi_B certifies that this is exact.  B is recovered
+once per automorphism and the certificate decided once per B (both are
+cached), so a key's later messages pay for neither.  keygen hands the
+verdict of its irreducibility filter to mat_pow, so a key's conjugator
+is not certified twice.
 
 Plaintexts ride in a single elementary transvection at the fixed
 position (1,2), so the conjugation-invariant trace and determinant leak
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 from .autos import Automorphism, InvalidAutomorphismError, recover_conjugator
 from .field import FieldSpec, _json_dict, _json_int
-from .fqpoly import char_poly, divides_x_qk_minus_x, is_irreducible
+from .fqpoly import char_poly, is_irreducible
 from .matrix import Matrix, conjugate, mat_inv, mat_mul, mat_pow, random_gl, transvection
 from .words import NotInSLError
 
@@ -216,28 +217,6 @@ def _is_scalar(x: Matrix) -> bool:
     )
 
 
-def _conj_pow(b: Matrix, e: int) -> Matrix:
-    """b^e, reducing e mod q^d - 1 when that is provably exact.
-
-    The certificate is x^(q^d) = x mod chi_B with chi_B(0) != 0: then
-    chi_B is squarefree with its roots in GF(q^d)^*, so B is semisimple
-    and its order divides q^d - 1.  Each q-th power of x costs one
-    vector-matrix product with the Frobenius matrix of chi_B.  Every
-    matrix with irreducible chi_B passes; one with a repeated eigenvalue
-    does not and keeps the full exponent (correct, just slower).  The
-    verdict is cached on b, and mat_pow reuses chi_B, which char_poly
-    caches on b.  This keeps full-size exponentiations polynomial in
-    d*gamma bits rather than d^2*gamma.
-    """
-    if b._split is None:
-        chi = char_poly(b)
-        split = bool(chi.coeffs[0]) and divides_x_qk_minus_x(chi, b.d)
-        object.__setattr__(b, "_split", split)
-    if b._split:
-        e %= b.spec.q**b.d - 1
-    return mat_pow(b, e)
-
-
 def keygen(params: MorParams, rng, retry_cap: int = KEYGEN_RETRY_CAP):
     """Sample a conjugator and secret exponent; returns (public, private).
 
@@ -257,10 +236,10 @@ def keygen(params: MorParams, rng, retry_cap: int = KEYGEN_RETRY_CAP):
             if not is_irreducible(char_poly(a)):
                 continue
             # an irreducible chi of degree d >= 2 has chi(0) != 0 and
-            # divides x^(q^d) - x: the certificate of _conj_pow holds
+            # divides x^(q^d) - x: the certificate of mat_pow holds
             object.__setattr__(a, "_split", True)
         m = rng.randrange(2, _exponent_bound(params) - 1)
-        a_m = _conj_pow(a, m)
+        a_m = mat_pow(a, m)
         if _is_scalar(a_m):  # phi^m = 1
             continue
         phi = Automorphism.from_conjugator(a)
@@ -294,13 +273,13 @@ def encrypt(pk: MorPublicKey, a: Matrix, rng) -> MorCiphertext:
         raise DegenerateKeyError("public key has phi^m = 1 or phi^m = phi")
     for _ in range(ENCRYPT_RETRY_CAP):
         r = rng.randrange(2, _exponent_bound(pk.params) - 1)
-        b_r = _conj_pow(b_phi, r)
+        b_r = mat_pow(b_phi, r)
         if _is_scalar(b_r):  # phi^r = 1
             continue
         phi_r = Automorphism.from_conjugator(b_r)  # = phi.power(r)
         if phi_r.images == pk.phi.images:
             continue
-        b_mr = _conj_pow(b_phim, r)
+        b_mr = mat_pow(b_phim, r)
         if _is_scalar(b_mr):  # phi^{mr} = 1
             continue
         return MorCiphertext(phi_r, conjugate(a, b_mr))  # payload phi^{mr}(a)
@@ -319,7 +298,7 @@ def decrypt(sk: MorPrivateKey, ct: MorCiphertext) -> Matrix:
         b_r = recover_conjugator(ct.phi_r)
     except InvalidAutomorphismError as exc:
         raise InvalidCiphertextError(str(exc)) from exc
-    b = _conj_pow(b_r, sk.m)
+    b = mat_pow(b_r, sk.m)
     return mat_mul(mat_mul(b, payload), mat_inv(b))
 
 

@@ -229,18 +229,10 @@ class CDWord:
         body = " ".join(f"{s}^{e}" if e != 1 else s for s, e in self.letters)
         return f"CDWord({body})"
 
-    def concat(self, other: "CDWord") -> "CDWord":
-        return CDWord(self.spec, self.d, self.letters + other.letters)
-
     def inverse(self) -> "CDWord":
         return CDWord(
             self.spec, self.d, [(s, -e) for s, e in reversed(self.letters)]
         )
-
-    def repeat(self, n: int) -> "CDWord":
-        if n < 0:
-            return self.inverse().repeat(-n)
-        return CDWord(self.spec, self.d, self.letters * n)
 
     def evaluate(self) -> Matrix:
         """Multiply out the word; C-runs are two column updates, D-runs

@@ -71,12 +71,6 @@ class TransvectionWord:
     def evaluate(self) -> Matrix:
         return evaluate(self)
 
-    def simplify(self) -> "TransvectionWord":
-        return simplify(self)
-
-    def split_ground(self) -> "TransvectionWord":
-        return split_ground(self)
-
     def to_json(self) -> list:
         return [[i, j, lam.to_hex()] for i, j, lam in self.letters]
 

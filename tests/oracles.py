@@ -25,7 +25,11 @@ rescaled nullspace vector.  The v1 automorphism parse that sent every
 image through Automorphism.__init__, one determinant per image, is the
 oracle for the parse that factors first, and the monomial attack's
 entry-by-entry reading of each image as 1 + lam*e_{a,b} is the oracle
-for its reading of the rank-one factors.
+for its reading of the rank-one factors.  The Rabin test on GF(p)
+coefficient tuples that field.py ran on odd-characteristic moduli is the
+oracle for the fqpoly test that replaced it, and random_sl's second
+determinant and FieldElement rescaling are the oracle for the draw that
+reuses its determinant.
 
 The last group holds the FieldElement loops of the kernels that now run
 on packed ints (Matrix.vals): mat_mul, det, the RowReducer with solve,
@@ -47,7 +51,16 @@ from morsl.autos import (
 )
 from morsl.field import FieldElement, FieldSpec, _fp_mod, _fp_mul, _fp_trim, _gf2_mod, _zip_pad
 from morsl.fqpoly import FqPoly
-from morsl.matrix import Matrix, SingularMatrixError, identity, mat_inv, mat_mul, scalar_matrix
+from morsl.matrix import (
+    Matrix,
+    SingularMatrixError,
+    det,
+    identity,
+    mat_inv,
+    mat_mul,
+    random_gl,
+    scalar_matrix,
+)
 from morsl.words import decompose
 from morsl.seclab import WrongAttackModelError
 
@@ -202,6 +215,50 @@ def is_irreducible_gcd(f):
         if not f.gcd(h - x).is_one():
             return False
     return True
+
+
+def fp_is_irreducible_tuples(coeffs, p):
+    """Rabin's test on GF(p) coefficient tuples, constant term first:
+    gcd(f, x^(p^i) - x) = 1 for i = 1 .. n//2."""
+    n = len(coeffs) - 1
+    if n < 1:
+        return False
+    if n == 1:
+        return True
+    if coeffs[0] == 0:
+        return False
+
+    def powmod(a, e):
+        result, a = (1,), _fp_mod(a, coeffs, p)
+        while e:
+            if e & 1:
+                result = _fp_mod(_fp_mul(result, a, p), coeffs, p)
+            a = _fp_mod(_fp_mul(a, a, p), coeffs, p)
+            e >>= 1
+        return result
+
+    x = h = (0, 1)
+    for _ in range(n // 2):
+        h = powmod(h, p)
+        a, b = coeffs, _fp_trim(tuple((hi - xi) % p for hi, xi in _zip_pad(h, x)))
+        while b:
+            a, b = b, _fp_mod(a, b, p)
+        if len(a) != 1:
+            return False
+    return True
+
+
+def random_sl_second_det(spec, d, rng):
+    """random_gl, then a second det, and the last row divided by it
+    through FieldElement products."""
+    m = random_gl(spec, d, rng)
+    dt = det(m)
+    if dt == spec.one():
+        return m
+    dinv = dt.inv()
+    rows = [list(r) for r in m.rows]
+    rows[-1] = [v * dinv for v in rows[-1]]
+    return Matrix(spec, rows)
 
 
 def char_poly_cofactor(m: Matrix) -> FqPoly:

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -216,6 +219,26 @@ def test_attack_mw(tmp_path, capsys):
     assert run("attack", "--model", "mw", "--pub", pub) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["found"] and out["verified"]
+
+
+@pytest.mark.parametrize("model", ["mw", "monomial"])
+def test_attack_out_of_budget_exits_6(tmp_path, model):
+    # a subprocess, so that a traceback would reach stderr
+    if model == "mw":
+        pub = Path(__file__).parent / "golden" / "pub.json"
+    else:
+        pub = _write_monomial_pub(tmp_path, field_spec(7), 4, 1234, random.Random(4))
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "morsl.cli", "attack", "--model", model, "--pub", str(pub),
+         "--budget", "1"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert done.returncode == 6
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
 
 
 def test_bench_toy(capsys):

@@ -1,7 +1,7 @@
 """Conjugator recovery from the rank-one generator images.
 
 recover_conjugator reads B off the rank-one factors of the images and
-caches it on the automorphism; the certificate of protocol._conj_pow is
+caches it on the automorphism; the certificate of matrix.mat_pow is
 cached on the matrix.  Recovery is checked against the linear-algebra
 oracle in tests/oracles.py, value and scalar included, and on
 presentations that are not conjugations; the caches and the cost are
@@ -182,7 +182,7 @@ def test_second_message_pays_no_recovery_and_no_certificate(monkeypatch):
     calls = {}
     _counting(monkeypatch, autos, "_conjugator_from_rank1", calls)
     _counting(monkeypatch, fqpoly, "_hessenberg_char_poly", calls)
-    _counting(monkeypatch, protocol, "divides_x_qk_minus_x", calls)
+    _counting(monkeypatch, fqpoly, "divides_x_qk_minus_x", calls)
     params = MorParams(field_spec(2, 16), 5)
     rng = random.Random(3)
     pk, sk = keygen(params, rng)
@@ -196,7 +196,7 @@ def test_second_message_pays_no_recovery_and_no_certificate(monkeypatch):
 
 def test_keygen_with_irreducible_lift_skips_the_certificate(monkeypatch):
     calls = {}
-    _counting(monkeypatch, protocol, "divides_x_qk_minus_x", calls)
+    _counting(monkeypatch, fqpoly, "divides_x_qk_minus_x", calls)
     spec = field_spec(2, 16)
     for seed in range(3):
         pk, sk = keygen(MorParams(spec, 5), random.Random(seed))

@@ -3,19 +3,26 @@
 mat_pow picks Cayley-Hamilton or square-and-multiply from a predicted
 multiplication count; FqPoly.pow_mod squares without cross terms in
 characteristic 2, and raises x on raw ints over binary fields without a
-multiplication table; is_irreducible and the _conj_pow certificate take
+multiplication table; is_irreducible and mat_pow's certificate take
 q-th powers through the Frobenius matrix.  Each is checked for value
 against tests/oracles.py and, where it matters, for its count.
 """
 
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import is_irreducible_gcd, mat_pow_sqm, pow_mod_sqm, pow_x_elementwise
+from oracles import (
+    compose_power,
+    is_irreducible_gcd,
+    mat_pow_sqm,
+    pow_mod_sqm,
+    pow_x_elementwise,
+)
 
 import morsl.fqpoly as fqpoly
-from morsl.autos import Automorphism
+from morsl.autos import Automorphism, recover_conjugator
 from morsl.field import FieldSpec, cost_counter, cost_reset, field_spec
 from morsl.fqpoly import FqPoly, char_poly, divides_x_qk_minus_x, is_irreducible
 from morsl.matrix import (
@@ -23,11 +30,12 @@ from morsl.matrix import (
     conjugate,
     diagonal_matrix,
     identity,
+    mat_mul,
     mat_pow,
     random_gl,
     transvection,
 )
-from morsl.protocol import MorParams, _conj_pow, keygen
+from morsl.protocol import MorParams, keygen
 
 GF7 = field_spec(7)
 
@@ -215,7 +223,8 @@ def test_certificate_accepts_split_semisimple_matrix():
     assert divides_x_qk_minus_x(chi, 3)
     assert mat_pow_sqm(b, 7**3 - 1) == identity(GF7, 3)
     e = rng.getrandbits(300)
-    assert _conj_pow(b, e) == mat_pow_sqm(b, e)
+    assert mat_pow(b, e) == mat_pow_sqm(b, e)
+    assert b._split is True
 
 
 def test_certificate_rejects_repeated_eigenvalue():
@@ -224,19 +233,20 @@ def test_certificate_rejects_repeated_eigenvalue():
     e = (7**3 - 1) * 2**100 + 1
     # reducing e mod 7^3 - 1 would change the power of this order-7 matrix
     assert mat_pow_sqm(t, e % (7**3 - 1)) != mat_pow_sqm(t, e)
-    assert _conj_pow(t, e) == mat_pow_sqm(t, e)
+    assert mat_pow(t, e) == mat_pow_sqm(t, e)
+    assert t._split is False
 
 
 def test_keygen_without_irreducible_lift_uses_the_certificate(monkeypatch):
-    import morsl.protocol as protocol
-
+    # mat_pow prices its route on the exponent it raises to, reduced or not
     exponents = []
+    real = fqpoly.cayley_hamilton_cost
 
-    def recording_mat_pow(b, e):
+    def recording_cost(d, e, p):
         exponents.append(e)
-        return mat_pow(b, e)
+        return real(d, e, p)
 
-    monkeypatch.setattr(protocol, "mat_pow", recording_mat_pow)
+    monkeypatch.setattr(fqpoly, "cayley_hamilton_cost", recording_cost)
     params = MorParams(GF7, 3, require_irreducible_lift=False)
     certified = 0
     for seed in range(6):
@@ -249,3 +259,72 @@ def test_keygen_without_irreducible_lift_uses_the_certificate(monkeypatch):
         else:
             assert exponents[-1] == sk.m
     assert 0 < certified < 6
+
+
+# q >= 7, so that d <= 5 distinct nonzero eigenvalues exist in GF(q)
+certificate_fields = st.sampled_from(
+    [field_spec(7), field_spec(11), field_spec(3, 2), field_spec(5, 2), field_spec(2, 4),
+     field_spec(2, 8)]
+)
+
+
+def _with_eigenvalues(spec, d, kind, rng):
+    """A conjugate of a diagonal matrix with distinct eigenvalues ("split",
+    certified), of a Jordan block times a diagonal ("jordan", repeated
+    eigenvalue, not certified), a singular matrix ("singular", not
+    certified), or a random invertible one ("gl", either)."""
+    if kind == "gl":
+        return random_gl(spec, d, rng)
+    if kind == "singular":
+        return Matrix(spec, [[spec.zero()] * d] + [[spec.random(rng) for _ in range(d)]
+                                                   for _ in range(d - 1)])
+    diag = [spec.from_val(v) for v in rng.sample(range(1, spec.q), d)]
+    core = diagonal_matrix(diag)
+    if kind == "jordan":
+        diag[1] = diag[0]  # one 2 x 2 Jordan block
+        core = mat_mul(diagonal_matrix(diag), transvection(spec, d, 1, 2, spec.one()))
+    return conjugate(core, random_gl(spec, d, rng))
+
+
+@PROPERTY
+@given(
+    spec=certificate_fields,
+    d=st.integers(2, 5),
+    kind=st.sampled_from(("split", "jordan", "singular", "gl")),
+    k=st.integers(1, 2**64),
+    seed=st.integers(0, 2**32),
+)
+def test_mat_pow_reduces_only_certified_exponents(spec, d, kind, k, seed):
+    rng = random.Random(seed)
+    b = _with_eigenvalues(spec, d, kind, rng)
+    bound = spec.q**d - 1
+    e = bound * k + rng.randrange(bound)
+    want = mat_pow_sqm(b, e)
+    with mock.patch.object(fqpoly, "divides_x_qk_minus_x", wraps=divides_x_qk_minus_x) as cert:
+        assert mat_pow(b, e) == want
+        assert mat_pow(b, e) == want
+    assert cert.call_count <= 1
+    chi = char_poly(b)
+    assert b._split == (bool(chi.coeffs[0]) and divides_x_qk_minus_x(chi, d))
+    if kind != "gl":
+        assert b._split is (kind == "split")
+    if b._split:
+        assert mat_pow_sqm(b, bound) == identity(spec, d)
+
+
+def test_mat_pow_below_the_bound_decides_no_certificate():
+    b = random_gl(GF7, 3, random.Random(5))
+    with mock.patch.object(fqpoly, "divides_x_qk_minus_x") as cert:
+        assert mat_pow(b, 7**3 - 2) == mat_pow_sqm(b, 7**3 - 2)
+    assert cert.call_count == 0 and b._split is None
+
+
+def test_automorphism_power_near_the_exponent_bound_matches_compose():
+    # the toy preset, d = 3 over GF(7): exponents reach q^(d^2) = 7^9
+    params = MorParams(GF7, 3)
+    for seed in range(2):
+        pk, _sk = keygen(params, random.Random(seed))
+        for m in (7**9 - 2, 7**9 - 1, 7**9, 7**9 + 5):
+            assert pk.phi.power(m) == compose_power(pk.phi, m)
+        # the recovered B has irreducible chi, so its exponents were reduced
+        assert recover_conjugator(pk.phi)._split is True

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     field_tables_by_products,
+    fp_is_irreducible_tuples,
     from_hex_loop,
     inv_fp_long_division,
     mul_gf2_window,
@@ -20,6 +22,7 @@ from morsl.field import (
     field_spec,
     _check_file_field,
     _gf2_mod,
+    _is_irreducible_mod_p,
     is_probable_prime,
     smallest_irreducible_poly,
 )
@@ -360,13 +363,18 @@ def test_spec_validation():
         field_spec(3, 2, modulus=(2, 0, 1))  # x^2 - 1 reducible
 
 
-@pytest.mark.parametrize("p, gamma, test", [(2, 160, "_gf2_is_irreducible"), (3, 4, "_fp_is_irreducible")])
-def test_default_modulus_is_proved_irreducible_once(monkeypatch, p, gamma, test):
+@pytest.mark.parametrize(
+    "p, gamma, module, test",
+    [
+        pytest.param(2, 160, "field", "_gf2_is_irreducible", id="2-160-_gf2_is_irreducible"),
+        pytest.param(3, 4, "fqpoly", "is_irreducible", id="3-4-fqpoly.is_irreducible"),
+    ],
+)
+def test_default_modulus_is_proved_irreducible_once(monkeypatch, p, gamma, module, test):
     # the search proves its result irreducible; FieldSpec does not test it again
-    import morsl.field as field
-
+    module = importlib.import_module(f"morsl.{module}")
     accepted = []
-    real = getattr(field, test)
+    real = getattr(module, test)
 
     def counted(*args):
         ok = real(*args)
@@ -374,7 +382,7 @@ def test_default_modulus_is_proved_irreducible_once(monkeypatch, p, gamma, test)
             accepted.append(args)
         return ok
 
-    monkeypatch.setattr(field, test, counted)
+    monkeypatch.setattr(module, test, counted)
     spec = FieldSpec(p, gamma)
     assert len(accepted) == 1
     assert spec.modulus == smallest_irreducible_poly(p, gamma)
@@ -424,6 +432,27 @@ def test_default_modulus_for_presets_is_irreducible():
         mod = smallest_irreducible_poly(2, gamma)
         packed = sum(c << i for i, c in enumerate(mod))
         assert _gf2_is_irreducible(packed)
+
+
+@settings(max_examples=150)
+@given(
+    p=st.sampled_from((3, 5, 7)),
+    coeffs=st.integers(2, 8).flatmap(lambda n: st.lists(st.integers(0, 6), min_size=n, max_size=n)),
+)
+def test_odd_modulus_verdict_matches_the_tuple_test(p, coeffs):
+    f = (*(c % p for c in coeffs), 1)
+    assert _is_irreducible_mod_p(f, p) == fp_is_irreducible_tuples(f, p)
+
+
+def test_building_an_odd_extension_spec_counts_no_multiplication():
+    cost_reset()
+    _ = GF7.from_val(3) * GF7.from_val(5)
+    # a default modulus found by search, and an explicit one tested
+    FieldSpec(3, 5)
+    FieldSpec(5, 3, modulus=(1, 1, 0, 1))
+    with pytest.raises(ValueError):
+        FieldSpec(7, 4, modulus=(1, 0, 2, 0, 1))  # (x^2 + 1)^2
+    assert cost_counter() == 1
 
 
 def test_is_probable_prime():

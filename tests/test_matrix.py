@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from oracles import random_sl_second_det
 
+import morsl.matrix as matrix
 from morsl.field import cost_counter, cost_reset, field_spec
 from morsl.linalg import RowReducer, nullspace
 from morsl.matrix import (
@@ -181,6 +183,29 @@ def test_random_sl_has_det_one():
     for _ in range(20):
         assert random_sl(GF9, 3, r).is_sl()
         assert random_gl(GF9, 3, r).is_gl()
+
+
+class _CountingRandom(random.Random):
+    calls = 0
+
+    def randrange(self, *args):
+        self.calls += 1
+        return super().randrange(*args)
+
+
+def test_random_sl_takes_one_det_per_draw(monkeypatch):
+    dets = []
+    real = matrix.det
+    monkeypatch.setattr(matrix, "det", lambda x: dets.append(x) or real(x))
+    # GF(2) rejects most draws, GF(2^16) almost none
+    for spec, d in ((field_spec(2), 3), (GF5, 3), (GF9, 4), (field_spec(2, 16), 5)):
+        for seed in range(10):
+            rng = _CountingRandom(seed)
+            dets.clear()
+            m = random_sl(spec, d, rng)
+            assert len(dets) == rng.calls // (d * d)
+            assert m == random_sl_second_det(spec, d, random.Random(seed))
+            assert m.is_sl()
 
 
 def test_random_gl_over_gf2_lands_in_the_six_invertibles():
