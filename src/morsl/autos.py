@@ -45,6 +45,7 @@ from .matrix import (
     SingularMatrixError,
     _dot,
     _outer,
+    identity,
     mat_inv,
     mat_pow,
     orbits,
@@ -104,13 +105,8 @@ class Automorphism:
 
     @classmethod
     def identity(cls, spec: FieldSpec, d: int) -> "Automorphism":
-        from .matrix import transvection
-
-        one = spec.one()
-        return cls(
-            spec, d,
-            {(i, j): transvection(spec, d, i, j, one) for i, j in generator_pairs(d)},
-        )
+        """Conjugation by the identity: image (i, j) is 1 + e_{i,j}."""
+        return cls.from_conjugator(identity(spec, d))
 
     @classmethod
     def from_conjugator(cls, a: Matrix) -> "Automorphism":

@@ -13,7 +13,8 @@ above x^gamma back in through the field's reduction table, which maps a
 byte v to (v * x^gamma) mod f and is built with the field.  Fields with
 at most 256 elements multiply and invert by table lookup instead; the
 tables are built with the field from the powers of the first primitive
-element (exp/log tables), not from q^2 polynomial products.
+element (exp/log tables), walked with the field's own untabled multiply,
+not from q^2 polynomial products.
 
 Each FieldSpec binds its operations on packed ints (_add_raw, _sub_raw,
 _neg_raw, _mul_raw, _inv_raw) once, when it is built: modular arithmetic
@@ -39,6 +40,7 @@ how the benchmarks run.
 from __future__ import annotations
 
 import random as _random
+from itertools import product as _product
 from operator import xor as _xor
 
 __all__ = [
@@ -257,18 +259,9 @@ def smallest_irreducible_poly(p: int, gamma: int) -> tuple[int, ...]:
         return (0, 1)
     # c_0 = 0 forces divisibility by x, so the search starts at c_0 = 1 and
     # counts through the remaining coefficients, last coordinate fastest.
-    tail_space = p ** (gamma - 1)
     for c0 in range(1, p):
-        for k in range(tail_space):
-            coeffs = [c0]
-            kk = k
-            digits = []
-            for _ in range(gamma - 1):
-                digits.append(kk % p)
-                kk //= p
-            coeffs.extend(reversed(digits))
-            coeffs.append(1)
-            cand = tuple(coeffs)
+        for tail in _product(range(p), repeat=gamma - 1):
+            cand = (c0, *tail, 1)
             if _is_irreducible_mod_p(cand, p):
                 return cand
     raise ValueError(f"no irreducible polynomial of degree {gamma} over GF({p})")
@@ -428,7 +421,7 @@ class FieldSpec:
             add, neg = self._add_digits, self._neg_digits
             ops = (add, lambda a, b: add(a, neg(b)), neg, self._mul_poly, self._inv_poly)
         if small:
-            ops = ops[:3] + self._build_tables()
+            ops = ops[:3] + self._build_tables(ops[3])
         for name, op in zip(_RAW_OPS, ops):
             object.__setattr__(self, name, op)
 
@@ -494,24 +487,23 @@ class FieldSpec:
             object.__setattr__(self, "_sq_table", tuple(rows))
         return self._sq_table
 
-    def _build_tables(self) -> tuple:
+    def _build_tables(self, mul_raw) -> tuple:
         """Multiplication and inverse tables of a small extension field,
         and the raw multiply and inverse that look them up.
 
         The nonzero elements form a cyclic group: walk the powers of
-        2, 3, ... with the coefficient-tuple multiply until one runs
-        through all q - 1 of them.  With exp[i] = g^i and log its inverse,
-        a * b = exp[log a + log b] and 1/a = exp[-log a].
+        2, 3, ... with mul_raw, the field's untabled multiply, until one
+        runs through all q - 1 of them.  With exp[i] = g^i and log its
+        inverse, a * b = exp[log a + log b] and 1/a = exp[-log a].
         """
-        q, p, mod = self.q, self.p, self.modulus
+        q = self.q
         for g in range(2, q):
-            gc, power, exp = self._coeffs(g), (1,), [1]
+            power, exp = 1, [1]
             for _ in range(q - 2):
-                power = _fp_mod(_fp_mul(power, gc, p), mod, p)
-                v = self._pack(power)
-                if v == 1:
+                power = mul_raw(power, g)
+                if power == 1:
                     break
-                exp.append(v)
+                exp.append(power)
             if len(exp) == q - 1:
                 break
         log = [0] * q

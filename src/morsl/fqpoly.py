@@ -255,13 +255,6 @@ class FqPoly:
             acc = _add_scalar(spec, mat_mul(acc, m).vals, c)
         return acc
 
-    def to_json(self) -> list:
-        return [c.to_hex() for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, spec: FieldSpec, obj) -> "FqPoly":
-        return cls(spec, tuple(FieldElement.from_hex(spec, s) for s in obj))
-
 
 def _add_scalar(spec: FieldSpec, vals, c: int) -> Matrix:
     """vals + c*1 on packed ints."""
@@ -609,14 +602,14 @@ def _equal_degree_split(f: FqPoly, r: int, rng) -> list[FqPoly]:
             return _equal_degree_split(g, r, rng) + _equal_degree_split(f // g, r, rng)
 
 
-def irreducible_factors(f: FqPoly, rng=None) -> list[tuple[FqPoly, int]]:
+def irreducible_factors(f: FqPoly) -> list[tuple[FqPoly, int]]:
     """Distinct irreducible factors with multiplicities, sorted by degree.
 
-    Ties are broken by the coefficient value tuple so output is stable
-    once the split itself is deterministic under the provided rng.
+    The equal-degree split draws from a generator with a fixed seed, so
+    the output, ties broken by the coefficient value tuple, is the same
+    on every run.
     """
-    if rng is None:
-        rng = _random.Random(0x5EED)
+    rng = _random.Random(0x5EED)
     f = f.monic()
     radical = squarefree_part(f)
     factors: list[FqPoly] = []

@@ -67,7 +67,6 @@ __all__ = [
     "random_sl",
     "gl_order",
     "sl_order",
-    "pgl_order",
 ]
 
 
@@ -258,10 +257,6 @@ class Permutation:
 
     def to_json(self) -> list:
         return list(self.images)
-
-    @classmethod
-    def from_json(cls, obj) -> "Permutation":
-        return cls(obj)
 
 
 def orbits(points, step) -> list[tuple]:
@@ -477,8 +472,4 @@ def gl_order(d: int, q: int) -> int:
 
 
 def sl_order(d: int, q: int) -> int:
-    return gl_order(d, q) // (q - 1)
-
-
-def pgl_order(d: int, q: int) -> int:
     return gl_order(d, q) // (q - 1)

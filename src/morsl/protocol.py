@@ -217,7 +217,7 @@ def _is_scalar(x: Matrix) -> bool:
     )
 
 
-def keygen(params: MorParams, rng, retry_cap: int = KEYGEN_RETRY_CAP):
+def keygen(params: MorParams, rng):
     """Sample a conjugator and secret exponent; returns (public, private).
 
     With require_irreducible_lift the conjugator must have an irreducible
@@ -226,11 +226,11 @@ def keygen(params: MorParams, rng, retry_cap: int = KEYGEN_RETRY_CAP):
     characteristic polynomial itself always carries the factor x - 1,
     conjugation fixing the identity, so irreducibility is demanded of the
     conjugator's own polynomial.)  A draw with phi^m = 1 or phi^m = phi
-    is degenerate and drawn again, conjugator and exponent both, within
-    the same retry_cap.
+    is degenerate and drawn again, conjugator and exponent both, up to
+    KEYGEN_RETRY_CAP draws in all.
     """
     spec, d = params.spec, params.d
-    for _ in range(retry_cap):
+    for _ in range(KEYGEN_RETRY_CAP):
         a = random_gl(spec, d, rng)
         if params.require_irreducible_lift:
             if not is_irreducible(char_poly(a)):
@@ -247,7 +247,7 @@ def keygen(params: MorParams, rng, retry_cap: int = KEYGEN_RETRY_CAP):
         if phi_m.images == phi.images:
             continue
         return MorPublicKey(params, phi, phi_m), MorPrivateKey(m, a)
-    raise KeygenFailureError(f"no acceptable key in {retry_cap} draws")
+    raise KeygenFailureError(f"no acceptable key in {KEYGEN_RETRY_CAP} draws")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ index-calculus cost formula for the target field F_{q^{d^2}}.
 
 One fact shapes several interfaces here: conjugation fixes the identity
 matrix, so the lifted operator always has eigenvalue 1 and its
-characteristic polynomial is never irreducible (x - 1 divides it).  Its
+characteristic polynomial, of degree d^2 >= 4, is never irreducible
+(x - 1 divides it), so validate_params states that without a lift.  Its
 irreducible factors in fact all have degree at most d when the
 conjugator's own polynomial is irreducible, which is why mw_reduce can
 optionally restrict to a single irreducible factor instead of requiring
@@ -42,7 +43,9 @@ from .fqpoly import (
     multiplicative_order,
 )
 from .linalg import nullspace, solve, sylvester_rows
-from .matrix import Matrix, Permutation, _dot, _outer, identity, mat_inv, mat_mul, mat_pow
+from .matrix import (
+    Matrix, Permutation, SingularMatrixError, _dot, _outer, identity, mat_inv, mat_mul, mat_pow,
+)
 from .protocol import MorPublicKey
 
 __all__ = [
@@ -188,6 +191,7 @@ def validate_params(d: int, spec: FieldSpec, a: Matrix | None = None) -> Securit
     The index-calculus cost uses exp((c+o(1)) (ln q^k)^(1/3)
     (ln ln q^k)^(2/3)) with k = d^2, c = 1.923 and o(1) dropped, reported
     in bits.  The regime is exponential when d exceeds log2(q).
+    A conjugator a must be invertible (SingularMatrixError otherwise).
     """
     q = spec.q
     k = d * d
@@ -207,9 +211,13 @@ def validate_params(d: int, spec: FieldSpec, a: Matrix | None = None) -> Securit
     if a is not None:
         if a.d != d or a.spec != spec:
             raise ValueError("conjugator does not match d and spec")
-        conj_irr = is_irreducible(char_poly(a))
-        lifted = lift_operator(a)
-        lift_irr = is_irreducible(char_poly(lifted.matrix))
+        chi = char_poly(a)
+        if not chi.coeffs[0]:  # chi_a(0) = +/- det(a)
+            raise SingularMatrixError("matrix is singular")
+        conj_irr = is_irreducible(chi)
+        # the lift fixes the identity matrix, so x - 1 divides its
+        # characteristic polynomial, of degree d^2 >= 4: never irreducible
+        lift_irr = False
     return SecurityEstimate(
         d=d,
         q=q,

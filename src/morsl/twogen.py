@@ -26,6 +26,9 @@ Key algebra (all verified by the test suite):
     entries transported from the bottom row by D-conjugation.
 Repeating a word lam times scales the coefficient to lam.
 
+The closed forms of C_1, C_k and C_k^-1 come from one builder: C_1 is
+C_k at k = 1, and C_k = 1 + N with N^2 = 0, so C_k^-1 = 1 - N.
+
 No attempt is made at short words: the word problem in these generators
 has no known efficient algorithm, so correctness is the only goal.
 """
@@ -137,13 +140,8 @@ def d_power_closed(spec: FieldSpec, d: int, k: int) -> Matrix:
 
 
 def c1_closed(spec: FieldSpec, d: int) -> Matrix:
-    """D^-1 C D = 1 - e_{d,3} + e_{1,2}."""
-    _check_params(spec, d)
-    one = spec.one()
-    m = identity(spec, d)
-    m = _add_unit(m, d, 3, -one)
-    m = _add_unit(m, 1, 2, one)
-    return m
+    """D^-1 C D = 1 - e_{d,3} + e_{1,2}, the k = 1 case of ck_closed."""
+    return ck_closed(spec, d, 1)
 
 
 def ck_closed(spec: FieldSpec, d: int, k: int) -> Matrix:
@@ -153,29 +151,22 @@ def ck_closed(spec: FieldSpec, d: int, k: int) -> Matrix:
     both are -1, which is the only k where the flat-sign version is
     exact.
     """
-    _check_params(spec, d)
-    if k < 1:
-        raise ValueError("k must be positive")
-    one = spec.one()
-    sign_a = _shift_sign(d, d - 1, 2, k)
-    sign_b = _shift_sign(d, d, 1, k)
-    m = identity(spec, d)
-    m = _add_unit(m, k - 1, k + 2, one if sign_a == 1 else -one)
-    m = _add_unit(m, k, k + 1, one if sign_b == 1 else -one)
-    return m
+    return _ck_closed(spec, d, k, 1)
 
 
 def ck_inv_closed(spec: FieldSpec, d: int, k: int) -> Matrix:
     """C_k^-1: same two components as C_k with negated coefficients."""
+    return _ck_closed(spec, d, k, -1)
+
+
+def _ck_closed(spec: FieldSpec, d: int, k: int, sign: int) -> Matrix:
+    """1 + sign * N for C_k = 1 + N: N^2 = 0, so sign -1 gives C_k^-1."""
     _check_params(spec, d)
     if k < 1:
         raise ValueError("k must be positive")
-    one = spec.one()
-    sign_a = _shift_sign(d, d - 1, 2, k)
-    sign_b = _shift_sign(d, d, 1, k)
     m = identity(spec, d)
-    m = _add_unit(m, k - 1, k + 2, -one if sign_a == 1 else one)
-    m = _add_unit(m, k, k + 1, -one if sign_b == 1 else one)
+    for row, col in ((d - 1, 2), (d, 1)):
+        m = _add_unit(m, row + k, col + k, spec.scalar(sign * _shift_sign(d, row, col, k)))
     return m
 
 
@@ -230,9 +221,7 @@ class CDWord:
         return f"CDWord({body})"
 
     def inverse(self) -> "CDWord":
-        return CDWord(
-            self.spec, self.d, [(s, -e) for s, e in reversed(self.letters)]
-        )
+        return CDWord(self.spec, self.d, _inv_letters(self.letters))
 
     def evaluate(self) -> Matrix:
         """Multiply out the word; C-runs are two column updates, D-runs
@@ -263,13 +252,6 @@ class CDWord:
                     grid = _mul_d_right(grid, d, d_odd, forward=False)
                     steps += 1
         return Matrix(spec, grid)
-
-    def to_json(self) -> list:
-        return [[s, e] for s, e in self.letters]
-
-    @classmethod
-    def from_json(cls, spec: FieldSpec, d: int, obj) -> "CDWord":
-        return cls(spec, d, [(s, int(e)) for s, e in obj])
 
 
 def _mul_d_right(grid, d: int, d_odd: bool, forward: bool):

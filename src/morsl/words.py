@@ -71,16 +71,6 @@ class TransvectionWord:
     def evaluate(self) -> Matrix:
         return evaluate(self)
 
-    def to_json(self) -> list:
-        return [[i, j, lam.to_hex()] for i, j, lam in self.letters]
-
-    @classmethod
-    def from_json(cls, spec: FieldSpec, d: int, obj) -> "TransvectionWord":
-        letters = [
-            (int(i), int(j), FieldElement.from_hex(spec, s)) for i, j, s in obj
-        ]
-        return cls(spec, d, letters)
-
 
 def evaluate(w: TransvectionWord) -> Matrix:
     """Product of the letters, one column update per letter."""

@@ -23,7 +23,9 @@ replaced are here as well: Gauss-Jordan inversion, the lab's restriction
 to an invariant subspace, and its polynomial expression through a
 rescaled nullspace vector.  The v1 automorphism parse that sent every
 image through Automorphism.__init__, one determinant per image, is the
-oracle for the parse that factors first, and the monomial attack's
+oracle for the parse that factors first, and the same route from the
+transvections 1 + e_{i,j} is the oracle for Automorphism.identity,
+which is conjugation by the identity matrix.  The monomial attack's
 entry-by-entry reading of each image as 1 + lam*e_{a,b} is the oracle
 for its reading of the rank-one factors.  The Rabin test on GF(p)
 coefficient tuples that field.py ran on odd-characteristic moduli is the
@@ -60,6 +62,7 @@ from morsl.matrix import (
     mat_mul,
     random_gl,
     scalar_matrix,
+    transvection,
 )
 from morsl.words import decompose
 from morsl.seclab import WrongAttackModelError
@@ -334,6 +337,16 @@ def _satisfies_all(phi, b):
                 if lhs != rhs.rows[a][c]:
                     return False
     return True
+
+
+def identity_automorphism_via_init(spec, d):
+    """The identity automorphism from the transvections 1 + e_{i,j}
+    through Automorphism.__init__: a determinant and a factoring per
+    image."""
+    one = spec.one()
+    return Automorphism(
+        spec, d, {(i, j): transvection(spec, d, i, j, one) for i, j in generator_pairs(d)}
+    )
 
 
 def automorphism_from_json_via_init(obj):

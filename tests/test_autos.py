@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from oracles import compose_power, invert_via_order
+from oracles import compose_power, identity_automorphism_via_init, invert_via_order
 
 from morsl.autos import (
     Automorphism,
@@ -49,6 +49,14 @@ def test_identity_automorphism_fixes_everything():
     for _ in range(10):
         x = random_sl(GF5, 3, r)
         assert phi.apply(x) == x
+
+
+@pytest.mark.parametrize("spec", [GF7, field_spec(3, 3), field_spec(2, 4)], ids=repr)
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_identity_equals_the_transvection_route(spec, d):
+    phi, oracle = Automorphism.identity(spec, d), identity_automorphism_via_init(spec, d)
+    assert phi.images == oracle.images
+    assert phi._rank1 == oracle._rank1
 
 
 def test_from_conjugator_identity_gives_unit_images():

@@ -221,10 +221,10 @@ def test_attack_mw(tmp_path, capsys):
     assert out["found"] and out["verified"]
 
 
-@pytest.mark.parametrize("model", ["mw", "monomial"])
+@pytest.mark.parametrize("model", ["bsgs", "mw", "monomial"])
 def test_attack_out_of_budget_exits_6(tmp_path, model):
     # a subprocess, so that a traceback would reach stderr
-    if model == "mw":
+    if model in ("bsgs", "mw"):
         pub = Path(__file__).parent / "golden" / "pub.json"
     else:
         pub = _write_monomial_pub(tmp_path, field_spec(7), 4, 1234, random.Random(4))

@@ -434,6 +434,16 @@ def test_default_modulus_for_presets_is_irreducible():
         assert _gf2_is_irreducible(packed)
 
 
+# default moduli of fields too large for the scan above, as the exponents
+# of their nonzero terms (every nonzero coefficient is 1)
+@pytest.mark.parametrize(
+    "p,gamma,terms",
+    [(2, 16, (0, 11, 13, 15, 16)), (2, 160, (0, 155, 157, 158, 160)), (3, 16, (0, 13, 14, 16))],
+)
+def test_default_moduli_are_pinned(p, gamma, terms):
+    assert field_spec(p, gamma).modulus == tuple(int(i in terms) for i in range(gamma + 1))
+
+
 @settings(max_examples=150)
 @given(
     p=st.sampled_from((3, 5, 7)),

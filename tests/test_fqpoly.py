@@ -150,7 +150,7 @@ def test_irreducible_factors_round_trip():
     for spec in (GF5, GF4, field_spec(3)):
         for _ in range(15):
             f = _random_monic(spec, r.randrange(2, 7), r)
-            facs = irreducible_factors(f, rng=random.Random(1))
+            facs = irreducible_factors(f)
             prod = FqPoly.one(spec)
             for g, mult in facs:
                 assert is_irreducible(g)
@@ -174,7 +174,3 @@ def test_multiplicative_order():
     h = spec.from_val(2)  # 2 has order 3 mod 7
     assert multiplicative_order(lambda n: h**n, lambda x: x == spec.one(), 6) == 3
 
-
-def test_poly_serialization():
-    f = FqPoly.from_int_coeffs(GF4, (1, 2, 3))
-    assert FqPoly.from_json(GF4, f.to_json()) == f

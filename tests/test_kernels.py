@@ -313,11 +313,13 @@ def test_seeded_binary_preset_counts_are_pinned(preset):
 # cost_counter() totals of seeded lab runs on random_gl conjugators, taken
 # before the lab's products moved onto the shared packed-int kernels:
 # lift_operator, centralizer_space, mw_reduce on the lifted pair (A, A^e),
-# validate_params with A, and monomial_cycle_attack on a monomial key
+# validate_params with A, and monomial_cycle_attack on a monomial key.
+# validate_params counts chi_A and its irreducibility test only: it states
+# the lift's polynomial reducible (x - 1 divides it) without building it.
 LAB_PINNED_COUNTS = {
-    "gf7": ((7, 1, 3), (75, 73, 2036, 341, 36)),
-    "gf2_4": ((2, 4, 3), (78, 124, 4463, 552, 37)),
-    "gf3": ((3, 1, 4), (192, 168, 20182, 1356, 27)),
+    "gf7": ((7, 1, 3), (75, 73, 2036, 4, 36)),
+    "gf2_4": ((2, 4, 3), (78, 124, 4463, 49, 37)),
+    "gf3": ((3, 1, 4), (192, 168, 20182, 18, 27)),
 }
 
 

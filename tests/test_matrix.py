@@ -19,7 +19,6 @@ from morsl.matrix import (
     mat_mul,
     mat_pow,
     permutation_matrix,
-    pgl_order,
     random_gl,
     random_sl,
     scalar_matrix,
@@ -255,7 +254,7 @@ def test_permutation_helpers():
     alpha = Permutation([3, 1, 2, 4])
     assert alpha.order() == 3
     assert alpha.inverse().compose(alpha) == Permutation.identity(4)
-    assert Permutation.from_json(alpha.to_json()) == alpha
+    assert alpha.to_json() == [3, 1, 2, 4]
     with pytest.raises(ValueError):
         Permutation([1, 1, 2])
 
@@ -263,7 +262,6 @@ def test_permutation_helpers():
 def test_group_orders():
     assert gl_order(2, 2) == 6
     assert sl_order(2, 3) == 24
-    assert pgl_order(2, 3) == 24
     assert sl_order(3, 2) == gl_order(3, 2)
 
 

@@ -15,6 +15,7 @@ plaintext, exit 2 or exit 3, within a wall bound and without a
 traceback.
 """
 
+import ast
 import copy
 import json
 import random
@@ -28,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import automorphism_from_json_via_init
 
+import morsl
 import morsl.autos as autos
 import morsl.matrix as matrix
 from morsl.autos import Automorphism, InvalidAutomorphismError, _factor_rank1, recover_conjugator
@@ -462,3 +464,33 @@ def test_mutated_golden_files_fail_cleanly(data):
     if code == 0:
         assert plaintext == b"golden"
     assert elapsed < WALL_BOUND_S
+
+
+# the parsers of format v1: a field, a matrix, an automorphism, and the
+# parameter, key and ciphertext files built from them
+V1_PARSERS = {
+    "FieldSpec", "Matrix", "Automorphism",
+    "MorParams", "MorPublicKey", "MorPrivateKey", "MorCiphertext",
+}
+
+
+def _parser_classes(source: str) -> set:
+    """Names of the classes in source that define from_json."""
+    return {
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(s, ast.FunctionDef) and s.name == "from_json" for s in node.body)
+    }
+
+
+def test_only_the_v1_files_have_parsers():
+    # every parse is untrusted input, so no other class may grow one
+    modules = Path(morsl.__file__).parent.glob("*.py")
+    found = set().union(*(_parser_classes(p.read_text()) for p in modules))
+    assert found == V1_PARSERS
+
+
+def test_the_parser_check_sees_a_new_parser():
+    source = "class A:\n    def from_json(cls, obj): pass\nclass B:\n    def to_json(self): pass\n"
+    assert _parser_classes(source) == {"A"}

@@ -4,6 +4,7 @@ import random
 import pytest
 from oracles import decrypt_compose, mat_pow_sqm
 
+from morsl import protocol
 from morsl.autos import Automorphism
 from morsl.field import field_spec
 from morsl.matrix import (
@@ -69,10 +70,11 @@ def test_keygen_accepts_only_irreducible_charpoly():
         assert is_irreducible(char_poly(sk.conjugator))
 
 
-def test_keygen_retry_cap():
+def test_keygen_retry_cap(monkeypatch):
+    monkeypatch.setattr(protocol, "KEYGEN_RETRY_CAP", 0)
     r = random.Random(3)
     with pytest.raises(KeygenFailureError):
-        keygen(TOY, r, retry_cap=0)
+        keygen(TOY, r)
 
 
 def test_round_trip_small_fields():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import mat_pow_sqm, monomial_positions_by_entries
 
 from morsl.autos import Automorphism
@@ -10,6 +12,7 @@ from morsl.linalg import RowReducer
 from morsl.matrix import (
     Matrix,
     Permutation,
+    SingularMatrixError,
     conjugate,
     diagonal_matrix,
     identity,
@@ -118,8 +121,21 @@ def test_validate_params_with_conjugator():
     est = validate_params(3, GF5, sk.conjugator)
     assert est.conjugator_charpoly_irreducible is True
     assert est.lift_charpoly_irreducible is False  # never irreducible
+    # the figure the estimate states without building the lift
+    assert char_poly(lift_operator(sk.conjugator).matrix)(GF5.one()).is_zero()
     obj = est.to_json()
     assert obj["dlp_field_exponent"] == 9
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2, 0], [2, 4, 0], [0, 0, 1]],  # dependent rows
+    [[0, 1, 0], [0, 0, 1], [0, 0, 0]],  # nilpotent
+    [[0] * 3] * 3,
+])
+def test_validate_params_refuses_a_singular_conjugator(rows):
+    a = Matrix(GF5, [[GF5.from_val(v) for v in row] for row in rows])
+    with pytest.raises(SingularMatrixError):
+        validate_params(3, GF5, a)
 
 
 # -- bsgs ----------------------------------------------------------------------
@@ -357,3 +373,19 @@ def test_mw_result_is_reduced_mod_order():
     assert n is not None
     assert mat_pow_sqm(a, n) == mat_pow_sqm(a, big)
     assert n <= 48
+
+
+@settings(max_examples=30)
+@given(
+    p=st.sampled_from((3, 5, 7)), d=st.integers(2, 3), seed=st.integers(0, 2**32),
+    is_power=st.booleans(),
+)
+def test_mw_returns_only_verified_exponents(p, d, seed, is_power):
+    # attack --model mw reports verified = (n is not None) on this promise
+    spec, rng = field_spec(p), random.Random(seed)
+    a = random_gl(spec, d, rng)
+    b = mat_pow(a, rng.randrange(2, spec.q**d)) if is_power else random_gl(spec, d, rng)
+    lifted, target = lift_operator(a).matrix, lift_operator(b).matrix
+    n = mw_reduce(lifted, target, allow_reducible=True)
+    if n is not None:
+        assert mat_pow_sqm(lifted, n) == target

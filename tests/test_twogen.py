@@ -175,11 +175,6 @@ def test_cdword_inverse_and_merge():
         CDWord(spec, d, [("C", 10**40)])
 
 
-def test_cdword_serialization():
-    w = CDWord(GF5, 5, [("C", 2), ("D", -3)])
-    assert w.to_json() == [["C", 2], ["D", -3]]
-    assert CDWord.from_json(GF5, 5, w.to_json()) == w
-
 
 @pytest.mark.parametrize("d", [5, 6])
 def test_bottom_row_words(d):

@@ -171,10 +171,3 @@ def test_split_ground_preserves_evaluation():
         assert len(s) <= spec.gamma * len(w)
         assert evaluate(s) == evaluate(w)
 
-
-def test_word_serialization_round_trip():
-    lam = GF8.from_coeffs((1, 1, 0))
-    w = TransvectionWord(GF8, 3, [(1, 2, lam), (3, 1, GF8.one())])
-    obj = w.to_json()
-    assert obj[0] == [1, 2, "1:1:0"]
-    assert TransvectionWord.from_json(GF8, 3, obj) == w
