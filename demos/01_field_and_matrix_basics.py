@@ -10,6 +10,7 @@ import random
 from morsl import (
     cost_counter,
     cost_reset,
+    det,
     field_spec,
     identity,
     mat_inv,
@@ -55,4 +56,4 @@ print("7th power of a transvection over GF(7) is the identity:",
 # Random unimodular matrices come from rejection-sampled GL plus a row fix.
 rng = random.Random(1)
 m = random_sl(gf7, 3, rng)
-print("random SL(3,7) element has determinant", m.det().val)
+print("random SL(3,7) element has determinant", det(m).val)

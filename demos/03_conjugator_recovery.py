@@ -35,8 +35,8 @@ print("solution space dimension:", len(basis))
 b = recover_conjugator(phi)
 ratio = mat_mul(b, mat_inv(a))
 print("recovered conjugator over planted one is scalar:",
-      all(ratio.rows[i][j].is_zero() for i in range(3) for j in range(3) if i != j)
-      and ratio.rows[0][0] == ratio.rows[1][1] == ratio.rows[2][2])
+      all(not ratio.vals[i][j] for i in range(3) for j in range(3) if i != j)
+      and ratio.vals[0][0] == ratio.vals[1][1] == ratio.vals[2][2])
 
 # The scalar ambiguity cancels under conjugation, so inversion is exact.
 ident = Automorphism.identity(gf7, 3)

@@ -37,7 +37,7 @@ kept in a separate type and never accepted as key material.
 
 from __future__ import annotations
 
-from .field import FieldSpec, _count_muls, _json_dict, _json_int, _json_list
+from .field import FieldElement, FieldSpec, _count_muls, _json_dict, _json_int, _json_list
 from .linalg import RowReducer, sylvester_rows
 from .matrix import (
     Matrix,
@@ -407,7 +407,7 @@ def apply_field(x: Matrix, i: int) -> Matrix:
         raise ValueError("Frobenius power out of range")
     if i == 0:
         return x
-    return Matrix(x.spec, [[v.frobenius(i) for v in row] for row in x.rows])
+    return Matrix(x.spec, [[FieldElement(x.spec, v).frobenius(i) for v in r] for r in x.vals])
 
 
 class BAutomorphism:

@@ -5,7 +5,9 @@ the security lab: Hessenberg-form characteristic polynomials (division
 only by field elements, valid in any characteristic), the gcd-with-
 Frobenius-powers irreducibility test, and enough factorization
 (squarefree / distinct-degree / equal-degree) to pull one irreducible
-factor out of a reducible characteristic polynomial.
+factor out of a reducible characteristic polynomial.  The Hessenberg
+form and its minors are computed on Matrix.vals and lists of packed
+ints, counted as the FieldElement and FqPoly loops they replaced.
 
 It is also the exponentiation engine behind matrix.mat_pow: pow_mod
 computes x^e mod chi_M, and eval_matrix evaluates the result at M.
@@ -445,44 +447,58 @@ def char_poly(m: Matrix) -> FqPoly:
 
 
 def _hessenberg_char_poly(m: Matrix) -> FqPoly:
+    """Reduction to Hessenberg form by similarity, then the recurrence on
+    its leading principal minors, constant coefficient first."""
     spec, n = m.spec, m.d
-    h = [list(r) for r in m.rows]
+    mul, add, sub = spec._mul_raw, spec._add_raw, spec._sub_raw
+    h = [list(r) for r in m.vals]
+    count = 0
     for c in range(n - 2):
-        piv = None
-        for r in range(c + 1, n):
-            if h[r][c]:
-                piv = r
-                break
+        piv = next((r for r in range(c + 1, n) if h[r][c]), None)
         if piv is None:
             continue
         if piv != c + 1:
             h[piv], h[c + 1] = h[c + 1], h[piv]
-            for r in range(n):
-                h[r][piv], h[r][c + 1] = h[r][c + 1], h[r][piv]
-        pinv = h[c + 1][c].inv()
+            for hr in h:
+                hr[piv], hr[c + 1] = hr[c + 1], hr[piv]
+        hp = h[c + 1]
+        pinv = spec._inv_raw(hp[c])
         for r in range(c + 2, n):
-            if h[r][c]:
-                f = h[r][c] * pinv
+            hr = h[r]
+            if hr[c]:
+                f = mul(hr[c], pinv)
+                count += 1
                 for k in range(c, n):
-                    if h[c + 1][k]:
-                        h[r][k] = h[r][k] - f * h[c + 1][k]
-                for a in range(n):
-                    if h[a][r]:
-                        h[a][c + 1] = h[a][c + 1] + f * h[a][r]
-    # recurrence on leading principal minors of the Hessenberg form
-    one = FqPoly.one(spec)
-    x = FqPoly.x(spec)
-    ps = [one]
+                    if hp[k]:
+                        hr[k] = sub(hr[k], mul(f, hp[k]))
+                        count += 1
+                for ha in h:
+                    if ha[r]:
+                        ha[c + 1] = add(ha[c + 1], mul(f, ha[r]))
+                        count += 1
+    ps = [[1]]
     for k in range(1, n + 1):
-        term = (x - FqPoly(spec, (h[k - 1][k - 1],))) * ps[k - 1]
-        run = spec.one()
+        prev, hkk = ps[k - 1], h[k - 1][k - 1]
+        # (x - h_kk) * prev: one product per pair of nonzero coefficients
+        term = [0] + prev
+        count += (len(prev) - prev.count(0)) * (2 if hkk else 1)
+        if hkk:
+            for t, v in enumerate(prev):
+                if v:
+                    term[t] = sub(term[t], mul(hkk, v))
+        run = 1
         for i in range(1, k):
-            run = run * h[k - i][k - i - 1]
-            coef = h[k - i - 1][k - 1] * run
+            run = mul(run, h[k - i][k - i - 1])
+            coef = mul(h[k - i - 1][k - 1], run)
+            count += 2
             if coef:
-                term = term - ps[k - i - 1].scale(coef)
+                minor = ps[k - i - 1]
+                count += len(minor)
+                for t, v in enumerate(minor):
+                    term[t] = sub(term[t], mul(coef, v))
         ps.append(term)
-    return ps[n]
+    _count_muls(count)
+    return FqPoly(spec, tuple(FieldElement(spec, v) for v in ps[n]))
 
 
 def companion_matrix(f: FqPoly) -> Matrix:

@@ -1,16 +1,18 @@
 """Dense d x d matrices over GF(p^gamma) and the distinguished families.
 
-Matrices are immutable values.  A matrix holds its entries as packed
-ints, the FieldElement.val of each entry, in the tuple of row tuples
-`vals`; `rows` is the FieldElement view of the same entries, built on
-first use for the API and for code off the hot paths.  Matrix(spec,
-rows) checks every entry; Matrix._from_vals takes the ints of a kernel
-as they are.  The kernels here (mat_mul, det, mat_inv through
-linalg.solve, and the vector products _dot and _outer that the
-automorphisms and the lab share) work on `vals` with the field's raw
-operations, and add to the multiplication counter exactly what the
-FieldElement loop they replace would count, zeros included where that
-loop multiplied by them; inversions are not counted.
+Matrices are immutable values.  A matrix stores its entries one way:
+as packed ints, the FieldElement.val of each entry, in the tuple of row
+tuples `vals`.  Matrix(spec, rows) takes FieldElement rows and checks
+every entry; Matrix._from_vals takes the ints of a kernel as they are.
+There is no FieldElement view: every reader, here and in the other
+modules (words.decompose, fqpoly.char_poly, the automorphisms, the lab,
+the message codec and to_json), reads `vals`.  The kernels here
+(mat_mul, det, mat_inv through linalg.solve, and the vector products
+_dot and _outer that the automorphisms and the lab share) work on
+`vals` with the field's raw operations, and add to the multiplication
+counter exactly what the FieldElement loop they replace would count,
+zeros included where that loop multiplied by them; inversions are not
+counted.
 
 Multiplication is the schoolbook d^3 algorithm on purpose: the cost
 accounting for automorphism composition assumes exactly d^3 field
@@ -75,10 +77,10 @@ class SingularMatrixError(ValueError):
 
 
 class Matrix:
-    # _rows caches the FieldElement view of vals, _chi the characteristic
-    # polynomial (fqpoly.char_poly fills it), _split the verdict of
-    # mat_pow's certificate that the order divides q^d - 1
-    __slots__ = ("spec", "d", "vals", "_rows", "_chi", "_split")
+    # _chi caches the characteristic polynomial (fqpoly.char_poly fills
+    # it), _split the verdict of mat_pow's certificate that the order
+    # divides q^d - 1
+    __slots__ = ("spec", "d", "vals", "_chi", "_split")
 
     def __init__(self, spec: FieldSpec, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -91,35 +93,24 @@ class Matrix:
                     raise TypeError("entries must be FieldElement values")
                 if x.spec != spec:
                     raise FieldMismatchError("entry from a different field spec")
-        self._set_slots(spec, tuple(tuple(x.val for x in r) for r in rows), rows)
+        self._set_slots(spec, tuple(tuple(x.val for x in r) for r in rows))
 
     @classmethod
     def _from_vals(cls, spec: FieldSpec, vals: tuple) -> "Matrix":
         """The matrix of a tuple of row tuples of packed ints, unchecked."""
         m = object.__new__(cls)
-        m._set_slots(spec, vals, None)
+        m._set_slots(spec, vals)
         return m
 
-    def _set_slots(self, spec: FieldSpec, vals: tuple, rows) -> None:
+    def _set_slots(self, spec: FieldSpec, vals: tuple) -> None:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "d", len(vals))
         object.__setattr__(self, "vals", vals)
-        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_chi", None)
         object.__setattr__(self, "_split", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Matrix is immutable")
-
-    @property
-    def rows(self) -> tuple:
-        """The entries as a tuple of FieldElement row tuples."""
-        if self._rows is None:
-            spec = self.spec
-            object.__setattr__(
-                self, "_rows", tuple(tuple(FieldElement(spec, v) for v in r) for r in self.vals)
-            )
-        return self._rows
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -143,22 +134,13 @@ class Matrix:
         diag = [r[i] for i, r in enumerate(self.vals)]
         return FieldElement(self.spec, reduce(self.spec._add_raw, diag))
 
-    def det(self) -> FieldElement:
-        return det(self)
-
-    def inv(self) -> "Matrix":
-        return mat_inv(self)
-
-    def is_gl(self) -> bool:
-        return bool(det(self))
-
     def is_sl(self) -> bool:
         return det(self) == self.spec.one()
 
     def to_json(self) -> dict:
         return {
             "d": self.d,
-            "rows": [[x.to_hex() for x in r] for r in self.rows],
+            "rows": [[FieldElement(self.spec, v).to_hex() for v in r] for r in self.vals],
         }
 
     @classmethod

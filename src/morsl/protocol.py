@@ -330,22 +330,18 @@ def encode_message(data: bytes, params: MorParams) -> Matrix:
 
 
 def decode_message(m: Matrix) -> bytes:
-    spec, d = m.spec, m.d
-    one = spec.one()
-    lam = None
-    for a in range(d):
-        for b in range(d):
-            x = m.rows[a][b]
+    n = 0
+    for a, row in enumerate(m.vals):
+        for b, x in enumerate(row):
             if a == b:
-                if x != one:
+                if x != 1:
                     raise MessageFormatError("matrix is not a plaintext transvection")
             elif (a, b) == (0, 1):
-                lam = x
+                n = x
             elif x:
                 raise MessageFormatError("matrix is not a plaintext transvection")
-    if lam is None or lam.is_zero():
+    if not n:
         raise MessageFormatError("empty coefficient slot")
-    n = lam.val
     raw = n.to_bytes((n.bit_length() + 7) // 8, "big")
     if raw[0] != 1:
         raise MessageFormatError("missing pad byte")

@@ -86,9 +86,9 @@ def albert_thompson_generators(spec: FieldSpec, d: int) -> tuple[Matrix, Matrix]
 def _add_unit(m: Matrix, i: int, j: int, lam) -> Matrix:
     d = m.d
     i, j = _wrap(d, i), _wrap(d, j)
-    rows = [list(r) for r in m.rows]
-    rows[i - 1][j - 1] = rows[i - 1][j - 1] + lam
-    return Matrix(m.spec, rows)
+    vals = [list(r) for r in m.vals]
+    vals[i - 1][j - 1] = m.spec._add_raw(vals[i - 1][j - 1], lam.val)
+    return Matrix._from_vals(m.spec, tuple(map(tuple, vals)))
 
 
 # -- printed closed forms (wrapped indices throughout) -----------------------

@@ -9,12 +9,15 @@ costs at most d field multiplications.
 Decomposition reduces a determinant-1 matrix to the identity using row
 additions only (no swaps or scalings, which are not transvections): each
 pivot is first made equal to 1 by adding a multiple of another row, then
-used to clear its column.  This stays within d^2 letters.
+used to clear its column.  This stays within d^2 letters.  It runs on
+Matrix.vals with raw field operations, counts what the FieldElement loop
+in tests/oracles.py counts, a NotInSLError included, and returns
+FieldElement letters.
 """
 
 from __future__ import annotations
 
-from .field import FieldElement, FieldMismatchError, FieldSpec
+from .field import FieldElement, FieldMismatchError, FieldSpec, _count_muls
 from .matrix import Matrix
 
 __all__ = [
@@ -90,48 +93,47 @@ def evaluate(w: TransvectionWord) -> Matrix:
 def decompose(m: Matrix) -> TransvectionWord:
     """Write a determinant-1 matrix as a word of at most d^2 letters."""
     spec, d = m.spec, m.d
-    one = spec.one()
-    grid = [list(r) for r in m.rows]
+    mul, add, sub, neg = spec._mul_raw, spec._add_raw, spec._sub_raw, spec._neg_raw
+    grid = [list(r) for r in m.vals]
     ops: list[tuple[int, int, FieldElement]] = []
+    count = 0
 
-    def rowop(a: int, b: int, f: FieldElement) -> None:
-        # row a += f * row b, recorded as left multiplication by 1 + f*e_{a,b}
-        rb = grid[b]
-        ra = grid[a]
-        for k in range(d):
-            v = rb[k]
+    def rowop(a: int, b: int, f: int) -> None:
+        # row a += f * row b is left multiplication by T = 1 + f*e_{a,b}
+        nonlocal count
+        ra, rb = grid[a], grid[b]
+        for k, v in enumerate(rb):
             if v:
-                ra[k] = ra[k] + f * v
-        ops.append((a, b, f))
+                ra[k] = add(ra[k], mul(f, v))
+        count += d - rb.count(0)
+        # T_k ... T_1 M = 1, hence M = inv(T_1) ... inv(T_k): the letter is -f
+        ops.append((a + 1, b + 1, FieldElement(spec, neg(f))))
 
-    for c in range(d - 1):
-        pivot = grid[c][c]
-        if pivot != one:
-            helper = None
+    try:
+        for c in range(d - 1):
+            pivot = grid[c][c]
+            if pivot != 1:
+                helper = next((a for a in range(c + 1, d) if grid[a][c]), None)
+                if helper is None:
+                    if not pivot:
+                        raise NotInSLError("matrix is singular")
+                    # column is zero below a non-1 pivot: seed a helper first
+                    helper = c + 1
+                    rowop(helper, c, 1)
+                count += 1
+                rowop(c, helper, mul(sub(1, pivot), spec._inv_raw(grid[helper][c])))
             for a in range(c + 1, d):
                 if grid[a][c]:
-                    helper = a
-                    break
-            if helper is not None:
-                rowop(c, helper, (one - pivot) * grid[helper][c].inv())
-            else:
-                if pivot.is_zero():
-                    raise NotInSLError("matrix is singular")
-                # column is zero below a non-1 pivot: seed a helper first
-                rowop(c + 1, c, one)
-                rowop(c, c + 1, (one - pivot) * grid[c + 1][c].inv())
-        for a in range(c + 1, d):
-            if grid[a][c]:
-                rowop(a, c, -grid[a][c])
-    if grid[d - 1][d - 1] != one:
-        raise NotInSLError("determinant is not 1")
-    for c in range(d - 1, 0, -1):
-        for a in range(c):
-            if grid[a][c]:
-                rowop(a, c, -grid[a][c])
-    # T_k ... T_1 M = 1, hence M = inv(T_1) inv(T_2) ... inv(T_k)
-    letters = [(a + 1, b + 1, -f) for a, b, f in ops]
-    return TransvectionWord(spec, d, letters)
+                    rowop(a, c, neg(grid[a][c]))
+        if grid[d - 1][d - 1] != 1:
+            raise NotInSLError("determinant is not 1")
+        for c in range(d - 1, 0, -1):
+            for a in range(c):
+                if grid[a][c]:
+                    rowop(a, c, neg(grid[a][c]))
+    finally:
+        _count_muls(count)
+    return TransvectionWord(spec, d, ops)
 
 
 def simplify(w: TransvectionWord) -> TransvectionWord:

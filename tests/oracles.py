@@ -35,11 +35,15 @@ reuses its determinant.
 
 The last group holds the FieldElement loops of the kernels that now run
 on packed ints (Matrix.vals): mat_mul, det, the RowReducer with solve,
-nullspace and mat_inv on top of it, Horner eval_matrix, and the
+nullspace and mat_inv on top of it, Horner eval_matrix, the
 automorphism's from_conjugator, factor reading, conjugator recovery,
-scaling, dot product and apply.  They take and return FieldElements and
-count every product through FieldElement.__mul__, so a kernel must match
-both their values and their cost_counter() deltas.
+scaling, dot product and apply, and at the end of the file
+decompose_elementwise (words.decompose, NotInSLError included) and
+char_poly_elementwise (the Hessenberg reduction with its recurrence in
+FqPoly arithmetic).  They take and return FieldElements and count every
+product through FieldElement.__mul__, so a kernel must match both their
+values and their cost_counter() deltas.  element_rows gives them the
+entries of a Matrix as FieldElement rows.
 """
 
 import functools
@@ -64,8 +68,13 @@ from morsl.matrix import (
     scalar_matrix,
     transvection,
 )
-from morsl.words import decompose
 from morsl.seclab import WrongAttackModelError
+from morsl.words import NotInSLError, TransvectionWord
+
+
+def element_rows(m):
+    """The entries of m as lists of FieldElements, for the loops below."""
+    return [[FieldElement(m.spec, v) for v in r] for r in m.vals]
 
 
 @functools.lru_cache(maxsize=None)
@@ -259,7 +268,7 @@ def random_sl_second_det(spec, d, rng):
     if dt == spec.one():
         return m
     dinv = dt.inv()
-    rows = [list(r) for r in m.rows]
+    rows = element_rows(m)
     rows[-1] = [v * dinv for v in rows[-1]]
     return Matrix(spec, rows)
 
@@ -271,9 +280,10 @@ def char_poly_cofactor(m: Matrix) -> FqPoly:
     """
     spec, n = m.spec, m.d
     x = FqPoly.x(spec)
+    rows = element_rows(m)
     grid = [
         [
-            x - FqPoly(spec, (m.rows[a][b],)) if a == b else -FqPoly(spec, (m.rows[a][b],))
+            x - FqPoly(spec, (rows[a][b],)) if a == b else -FqPoly(spec, (rows[a][b],))
             for b in range(n)
         ]
         for a in range(n)
@@ -327,14 +337,14 @@ def decrypt_compose(sk, ct):
 def _satisfies_all(phi, b):
     d = phi.d
     for (i, j), n in phi.images.items():
-        rhs = mat_mul(b, n)
+        br, rhs = element_rows(b), element_rows(mat_mul(b, n))
         # (1 + e_{i,j}) B adds row j of B to row i
         for a in range(d):
             for c in range(d):
-                lhs = b.rows[a][c]
+                lhs = br[a][c]
                 if a == i - 1:
-                    lhs = lhs + b.rows[j - 1][c]
-                if lhs != rhs.rows[a][c]:
+                    lhs = lhs + br[j - 1][c]
+                if lhs != rhs[a][c]:
                     return False
     return True
 
@@ -364,9 +374,10 @@ def read_transvection(img):
     spec, d = img.spec, img.d
     one = spec.one()
     found = None
+    rows = element_rows(img)
     for a in range(d):
         for b in range(d):
-            x = img.rows[a][b]
+            x = rows[a][b]
             if a == b:
                 if x != one:
                     return None
@@ -396,18 +407,18 @@ def recover_conjugator_linalg(phi):
     basis = conjugator_solution_space(phi)
     if not basis:
         raise InvalidAutomorphismError("no conjugator: empty solution space")
-    candidate = next((b for b in basis if b.is_gl()), None)
+    candidate = next((b for b in basis if det(b)), None)
     if candidate is None and len(basis) > 1:
         scan_vals = [spec.from_val(v) for v in range(min(spec.q, 4))]
         for combo in itertools.product(scan_vals, repeat=len(basis)):
             if all(c.is_zero() for c in combo):
                 continue
             acc = [[spec.zero()] * phi.d for _ in range(phi.d)]
-            for c, mat in zip(combo, basis):
+            for c, mat in zip(combo, map(element_rows, basis)):
                 if c:
-                    acc = [[a + c * x for a, x in zip(r1, r2)] for r1, r2 in zip(acc, mat.rows)]
+                    acc = [[a + c * x for a, x in zip(r1, r2)] for r1, r2 in zip(acc, mat)]
             point = Matrix(spec, acc)
-            if point.is_gl():
+            if det(point):
                 candidate = point
                 break
     if candidate is None:
@@ -455,8 +466,8 @@ def mat_inv_gauss_jordan(x):
     """x^(-1) by Gauss-Jordan on [x | 1], every entry of a pivot row
     scaled and every entry of an eliminated row updated."""
     spec, d = x.spec, x.d
-    m = [list(r) for r in x.rows]
-    aug = [list(r) for r in identity(spec, d).rows]
+    m = element_rows(x)
+    aug = element_rows(identity(spec, d))
     for c in range(d):
         pivot_row = next((r for r in range(c, d) if m[r][c]), None)
         if pivot_row is None:
@@ -479,15 +490,15 @@ def restrict_to_subspace_gauss(a, basis):
     then a column-by-column Gauss-Jordan solve of [basis | images] that
     never checks the image columns for consistency."""
     spec, n, k = a.spec, a.d, len(basis)
-    zero = spec.zero()
+    zero, ar = spec.zero(), element_rows(a)
     cols = []
     for w in basis:
         img = []
         for r in range(n):
             acc = zero
             for c in range(n):
-                if a.rows[r][c] and w[c]:
-                    acc = acc + a.rows[r][c] * w[c]
+                if ar[r][c] and w[c]:
+                    acc = acc + ar[r][c] * w[c]
             img.append(acc)
         cols.append(img)
     rows = [[basis[j][r] for j in range(k)] + [col[r] for col in cols] for r in range(n)]
@@ -515,10 +526,11 @@ def express_as_polynomial_nullspace(base, target, deg):
     for _ in range(deg - 1):
         powers.append(mat_mul(powers[-1], base))
     reducer = RowReducerElementwise(spec, deg + 1)
+    powers, target = [element_rows(x) for x in powers], element_rows(target)
     for r in range(n):
         for c in range(n):
-            row = [powers[t].rows[r][c] for t in range(deg)]
-            row.append(-target.rows[r][c])
+            row = [powers[t][r][c] for t in range(deg)]
+            row.append(-target[r][c])
             reducer.add_row(row)
     for vec in reducer.nullspace_basis():
         if vec[deg]:
@@ -535,7 +547,7 @@ def express_as_polynomial_nullspace(base, target, deg):
 def mat_mul_elementwise(x, y):
     """Schoolbook product, d^3 multiplications."""
     d = x.d
-    xr, yr = x.rows, y.rows
+    xr, yr = element_rows(x), element_rows(y)
     out = []
     for i in range(d):
         xi = xr[i]
@@ -552,7 +564,7 @@ def mat_mul_elementwise(x, y):
 def det_elementwise(x):
     """Forward elimination; the product of the pivots."""
     spec, d = x.spec, x.d
-    m = [list(r) for r in x.rows]
+    m = element_rows(x)
     sign_flip = False
     result = spec.one()
     for c in range(d):
@@ -653,7 +665,7 @@ def solve_elementwise(spec, lhs, rhs):
 
 
 def mat_inv_elementwise(x):
-    inv = solve_elementwise(x.spec, x.rows, identity(x.spec, x.d).rows)
+    inv = solve_elementwise(x.spec, element_rows(x), element_rows(identity(x.spec, x.d)))
     if inv is None:
         raise SingularMatrixError("matrix is singular")
     return Matrix(x.spec, inv)
@@ -671,9 +683,9 @@ def eval_matrix_elementwise(f, m):
             spec, [[v + c if a == b else v for b, v in enumerate(r)] for a, r in enumerate(rows)]
         )
 
-    acc = add_scalar([[cs[-1] * v for v in row] for row in m.rows], cs[-2])
+    acc = add_scalar([[cs[-1] * v for v in row] for row in element_rows(m)], cs[-2])
     for c in reversed(cs[:-2]):
-        acc = add_scalar(mat_mul_elementwise(acc, m).rows, c)
+        acc = add_scalar(element_rows(mat_mul_elementwise(acc, m)), c)
     return acc
 
 
@@ -692,12 +704,12 @@ def dot_elementwise(row, col, zero):
 def from_conjugator_elementwise(a):
     """(images, factors) of conjugation by a, FieldElement factors."""
     spec, d = a.spec, a.d
-    ainv = mat_inv_elementwise(a)
+    ainv, ar = element_rows(mat_inv_elementwise(a)), element_rows(a)
     one, zero = spec.one(), spec.zero()
     images, rank1 = {}, {}
     for i, j in generator_pairs(d):
-        col = [ainv.rows[r][i - 1] for r in range(d)]
-        row = a.rows[j - 1]
+        col = [ainv[r][i - 1] for r in range(d)]
+        row = ar[j - 1]
         rows = [[cr * x for x in row] if cr else [zero] * d for cr in col]
         k = next(k for k, cr in enumerate(col) if cr)
         rank1[(i, j)] = (scaled_elementwise(col[k].inv(), col), tuple(rows[k]))
@@ -710,11 +722,9 @@ def from_conjugator_elementwise(a):
 def factor_rank1_elementwise(spec, d, img):
     """(u, v) with img - 1 = u v^T and u's first nonzero entry 1, or None."""
     one, zero = spec.one(), spec.zero()
-    rows = []
-    for a in range(d):
-        row = list(img.rows[a])
+    rows = element_rows(img)
+    for a, row in enumerate(rows):
         row[a] = row[a] - one
-        rows.append(row)
     pivot = None
     for a in range(d):
         for b in range(d):
@@ -759,14 +769,15 @@ def conjugator_from_rank1_elementwise(phi):
         raise InvalidAutomorphismError("no nonsingular solution")
     lam = (scales[-1] * last).inv()
     b = Matrix(spec, [scaled_elementwise(lam * s, row) for s, row in zip(scales, rows)])
+    br = element_rows(b)
     try:
-        cols = list(zip(*mat_inv_elementwise(b).rows))
+        cols = list(zip(*element_rows(mat_inv_elementwise(b))))
     except SingularMatrixError:
         raise InvalidAutomorphismError("no nonsingular solution") from None
     for (i, j), (u, v) in fac.items():
         c = cols[i - 1]
         k = next(k for k, x in enumerate(u) if x)
-        if v != scaled_elementwise(c[k], b.rows[j - 1]) or c != scaled_elementwise(c[k], u):
+        if v != scaled_elementwise(c[k], br[j - 1]) or c != scaled_elementwise(c[k], u):
             raise InvalidAutomorphismError("presentation is not a conjugation")
     return b
 
@@ -777,7 +788,7 @@ def apply_elementwise(phi, x):
     fac = factors_as_elements(phi)
     one, zero = spec.one(), spec.zero()
     grid = [[one if a == b else zero for b in range(d)] for a in range(d)]
-    for i, j, lam in decompose(x).letters:
+    for i, j, lam in decompose_elementwise(x).letters:
         u, v = fac[(i, j)]
         for a in range(d):
             row = grid[a]
@@ -798,16 +809,16 @@ def lift_operator_elementwise(a):
     """The d^2 x d^2 matrix of X -> A^(-1) X A: column (i, j) is the
     row-major vectorization of column i of A^(-1) times row j of A."""
     spec, d = a.spec, a.d
-    ainv = mat_inv_elementwise(a)
+    ainv, arows = element_rows(mat_inv_elementwise(a)), element_rows(a)
     zero = spec.zero()
     cols = []
     for i in range(d):
         for j in range(d):
             col = []
             for r in range(d):
-                ar = ainv.rows[r][i]
+                ar = ainv[r][i]
                 if ar:
-                    col.extend(ar * a.rows[j][b] for b in range(d))
+                    col.extend(ar * arows[j][b] for b in range(d))
                 else:
                     col.extend([zero] * d)
             cols.append(col)
@@ -817,9 +828,9 @@ def lift_operator_elementwise(a):
 def apply_lifted_elementwise(lifted, x):
     """The lifted operator's matrix times the vectorization of x."""
     spec, d = x.spec, x.d
-    vec = [v for row in x.rows for v in row]
+    vec = [v for row in element_rows(x) for v in row]
     out = []
-    for row in lifted.rows:
+    for row in element_rows(lifted):
         acc = spec.zero()
         for a, b in zip(row, vec):
             if a and b:
@@ -831,15 +842,16 @@ def apply_lifted_elementwise(lifted, x):
 def commutator_rows_elementwise(x):
     """Rows of X Y - Y X = 0 on the d^2 entries of Y, y_{a,c} at a*d + c."""
     spec, d = x.spec, x.d
+    xr = element_rows(x)
     rows = []
     for a in range(d):
         for b in range(d):
             row = [spec.zero()] * (d * d)
             for c in range(d):
-                if x.rows[a][c]:
-                    row[c * d + b] = row[c * d + b] + x.rows[a][c]
-                if x.rows[c][b]:
-                    row[a * d + c] = row[a * d + c] - x.rows[c][b]
+                if xr[a][c]:
+                    row[c * d + b] = row[c * d + b] + xr[a][c]
+                if xr[c][b]:
+                    row[a * d + c] = row[a * d + c] - xr[c][b]
             rows.append(tuple(row))
     return rows
 
@@ -848,14 +860,106 @@ def conjugator_rows_elementwise(i, j, n):
     """Rows of (1 + e_{i,j}) B = B N on the d^2 entries of B, b_{a,c} at
     a*d + c: entry (a, b) is b_{a,b} + [a = i] b_{j,b} - sum_c b_{a,c} N_{c,b}."""
     spec, d = n.spec, n.d
+    nr = element_rows(n)
     rows = []
     for a in range(d):
         for b in range(d):
             row = [spec.zero()] * (d * d)
             for c in range(d):
-                row[a * d + c] = -n.rows[c][b]
+                row[a * d + c] = -nr[c][b]
             row[a * d + b] = row[a * d + b] + spec.one()
             if a == i - 1:
                 row[(j - 1) * d + b] = row[(j - 1) * d + b] + spec.one()
             rows.append(tuple(row))
     return rows
+
+
+def decompose_elementwise(m):
+    """Row reduction of a determinant-1 matrix to 1 by row additions,
+    each pivot first made 1 from a row below it."""
+    spec, d = m.spec, m.d
+    one = spec.one()
+    grid = element_rows(m)
+    ops = []
+
+    def rowop(a, b, f):
+        # row a += f * row b, recorded as left multiplication by 1 + f*e_{a,b}
+        rb = grid[b]
+        ra = grid[a]
+        for k in range(d):
+            v = rb[k]
+            if v:
+                ra[k] = ra[k] + f * v
+        ops.append((a, b, f))
+
+    for c in range(d - 1):
+        pivot = grid[c][c]
+        if pivot != one:
+            helper = None
+            for a in range(c + 1, d):
+                if grid[a][c]:
+                    helper = a
+                    break
+            if helper is not None:
+                rowop(c, helper, (one - pivot) * grid[helper][c].inv())
+            else:
+                if pivot.is_zero():
+                    raise NotInSLError("matrix is singular")
+                # column is zero below a non-1 pivot: seed a helper first
+                rowop(c + 1, c, one)
+                rowop(c, c + 1, (one - pivot) * grid[c + 1][c].inv())
+        for a in range(c + 1, d):
+            if grid[a][c]:
+                rowop(a, c, -grid[a][c])
+    if grid[d - 1][d - 1] != one:
+        raise NotInSLError("determinant is not 1")
+    for c in range(d - 1, 0, -1):
+        for a in range(c):
+            if grid[a][c]:
+                rowop(a, c, -grid[a][c])
+    # T_k ... T_1 M = 1, hence M = inv(T_1) inv(T_2) ... inv(T_k)
+    letters = [(a + 1, b + 1, -f) for a, b, f in ops]
+    return TransvectionWord(spec, d, letters)
+
+
+def char_poly_elementwise(m):
+    """Hessenberg reduction by similarity, then the recurrence on the
+    leading principal minors in FqPoly arithmetic."""
+    spec, n = m.spec, m.d
+    h = element_rows(m)
+    for c in range(n - 2):
+        piv = None
+        for r in range(c + 1, n):
+            if h[r][c]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        if piv != c + 1:
+            h[piv], h[c + 1] = h[c + 1], h[piv]
+            for r in range(n):
+                h[r][piv], h[r][c + 1] = h[r][c + 1], h[r][piv]
+        pinv = h[c + 1][c].inv()
+        for r in range(c + 2, n):
+            if h[r][c]:
+                f = h[r][c] * pinv
+                for k in range(c, n):
+                    if h[c + 1][k]:
+                        h[r][k] = h[r][k] - f * h[c + 1][k]
+                for a in range(n):
+                    if h[a][r]:
+                        h[a][c + 1] = h[a][c + 1] + f * h[a][r]
+    # recurrence on leading principal minors of the Hessenberg form
+    one = FqPoly.one(spec)
+    x = FqPoly.x(spec)
+    ps = [one]
+    for k in range(1, n + 1):
+        term = (x - FqPoly(spec, (h[k - 1][k - 1],))) * ps[k - 1]
+        run = spec.one()
+        for i in range(1, k):
+            run = run * h[k - i][k - i - 1]
+            coef = h[k - i - 1][k - 1] * run
+            if coef:
+                term = term - ps[k - i - 1].scale(coef)
+        ps.append(term)
+    return ps[n]

@@ -6,8 +6,9 @@ vector, factor, None or exception, and add the same number to
 cost_counter().  The fields cover each raw arithmetic: GF(7) (prime),
 GF(3^4) and GF(2^4) (tables), GF(2^16) and GF(2^160) (byte-stride binary
 multiply).  Inputs draw zeros with a share up to one half and include
-singular matrices and rank-deficient rows, so every zero-skip branch and
-every early exit runs.
+singular matrices, determinants other than 1 and rank-deficient rows, so
+every zero-skip branch and every early exit runs; decompose must raise
+the same NotInSLError after the same count.
 """
 
 import functools
@@ -20,9 +21,11 @@ from oracles import (
     RowReducerElementwise,
     apply_elementwise,
     apply_lifted_elementwise,
+    char_poly_elementwise,
     commutator_rows_elementwise,
     conjugator_from_rank1_elementwise,
     conjugator_rows_elementwise,
+    decompose_elementwise,
     det_elementwise,
     dot_elementwise,
     eval_matrix_elementwise,
@@ -45,7 +48,7 @@ from morsl.autos import (
     _scaled,
 )
 from morsl.field import FieldElement, cost_counter, field_spec
-from morsl.fqpoly import FqPoly
+from morsl.fqpoly import FqPoly, char_poly
 from morsl.linalg import RowReducer, nullspace, solve, sylvester_rows
 from morsl.matrix import (
     Matrix,
@@ -69,6 +72,7 @@ from morsl.seclab import (
     mw_reduce,
     validate_params,
 )
+from morsl.words import NotInSLError, decompose
 
 PROPERTY = settings(max_examples=40)
 
@@ -127,6 +131,37 @@ def test_det_and_mat_inv_match_their_oracles(spec, d, seed, zero_share, shape):
     x = _matrix(spec, d, random.Random(seed), zero_share, shape)
     assert _run(det, x) == _run(det_elementwise, x)
     assert _run(mat_inv, x) == _run(mat_inv_elementwise, x)
+
+
+def _with_unit_det(x):
+    """x with its last row divided by det(x) when x is invertible, so a
+    sparse draw lands in SL; a singular x is returned as it is."""
+    dt = det(x).val
+    if not dt:
+        return x
+    spec = x.spec
+    dinv = spec._inv_raw(dt)
+    last = tuple(spec._mul_raw(v, dinv) for v in x.vals[-1])
+    return Matrix._from_vals(spec, x.vals[:-1] + (last,))
+
+
+def _word_or_message(decompose_fn, x):
+    try:
+        return decompose_fn(x)
+    except NotInSLError as exc:
+        return f"NotInSLError: {exc}"
+
+
+@PROPERTY
+@given(spec=fields, d=st.integers(1, 6), seed=seeds, zero_share=zero_shares,
+       shape=st.sampled_from(("SL", *SHAPES)))
+def test_decompose_and_char_poly_match_their_oracles(spec, d, seed, zero_share, shape):
+    # "full" mostly draws det != 1, the other shapes are singular
+    x = _matrix(spec, d, random.Random(seed), zero_share, "full" if shape == "SL" else shape)
+    if shape == "SL":
+        x = _with_unit_det(x)
+    assert _run(_word_or_message, decompose, x) == _run(_word_or_message, decompose_elementwise, x)
+    assert _run(char_poly, x) == _run(char_poly_elementwise, x)
 
 
 @PROPERTY

@@ -103,7 +103,7 @@ def test_bottom_row_step_degenerates_at_last_column(d):
         1
         for a in range(d)
         for b in range(d)
-        if a != b and lhs.rows[a][b]
+        if a != b and lhs.vals[a][b]
     )
     assert off_diag > 1
 
