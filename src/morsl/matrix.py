@@ -375,7 +375,9 @@ def mat_pow(x: Matrix, n: int) -> Matrix:
     keeps the full exponent (correct, just slower).  The verdict is
     decided once per matrix and cached on it, and it shares chi_x with
     the power, as char_poly caches it too.  Below q^d - 1 the reduction
-    would change nothing, so no certificate is computed.
+    would change nothing, so no certificate is computed.  protocol.decrypt
+    reduces m itself before the power when the private conjugator's
+    cached verdict covers the ciphertext's B_r (it commutes with it).
 
     Cayley-Hamilton: x^n = r(x) for r(t) = t^n mod chi_x(t), by
     FqPoly.pow_mod and Horner evaluation; about d^2 multiplications per

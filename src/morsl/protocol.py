@@ -19,9 +19,11 @@ is matrix.mat_pow, as in Automorphism.power: B^m = (x^m mod chi_B)(B)
 by Cayley-Hamilton, with m first reduced mod q^d - 1 when
 x^(q^d) = x mod chi_B certifies that this is exact.  B is recovered
 once per automorphism and the certificate decided once per B (both are
-cached), so a key's later messages pay for neither.  keygen hands the
-verdict of its irreducibility filter to mat_pow, so a key's conjugator
-is not certified twice.
+cached).  keygen hands the verdict of its irreducibility filter to
+mat_pow, so a key's conjugator is not certified twice.  Each ciphertext
+brings a fresh B_r, but decrypt reduces m by the certificate of the
+private conjugator B when B_r commutes with B, so a key's later
+messages pay for neither, in encrypt or in decrypt.
 
 Plaintexts ride in a single elementary transvection at the fixed
 position (1,2), so the conjugation-invariant trace and determinant leak
@@ -155,8 +157,15 @@ class MorPrivateKey:
 
     @classmethod
     def from_json(cls, spec: FieldSpec, obj: dict) -> "MorPrivateKey":
+        """Refuses an exponent outside keygen's range [2, q^(d^2) - 2],
+        which would decrypt without error to a wrong matrix: m = 0 hands
+        the payload back as it is."""
         _check_version(obj)
-        return cls(_json_int(obj["m"]), Matrix.from_json(spec, obj["conjugator"]))
+        m = _json_int(obj["m"])
+        conjugator = Matrix.from_json(spec, obj["conjugator"])
+        if not 2 <= m <= spec.q ** (conjugator.d * conjugator.d) - 2:
+            raise ValueError("private exponent outside [2, q^(d^2) - 2]")
+        return cls(m, conjugator)
 
 
 @dataclass(frozen=True)
@@ -288,9 +297,18 @@ def encrypt(pk: MorPublicKey, a: Matrix, rng) -> MorCiphertext:
 
 def decrypt(sk: MorPrivateKey, ct: MorCiphertext) -> Matrix:
     """Invert phi^{mr} on the payload: recover B_r from phi^r, raise it
-    to m and conjugate back, b * payload * b^(-1)."""
-    payload = ct.payload
-    if sk.conjugator.d != payload.d or sk.conjugator.spec != payload.spec:
+    to m and conjugate back, b * payload * b^(-1).
+
+    When m >= q^d - 1, the private conjugator B carries a cached true
+    certificate and B_r commutes with B, m is reduced mod q^d - 1 before
+    the power, so B_r's own certificate is not computed.  This is exact:
+    the certificate makes chi_B squarefree with its roots in GF(q^d), so
+    B is cyclic and B_r lies in F_q[B], a product of fields GF(q^k) with
+    k dividing d, where every unit has order dividing q^d - 1.  Any other
+    key or ciphertext, a parsed key among them, takes mat_pow's route.
+    """
+    payload, conj = ct.payload, sk.conjugator
+    if conj.d != payload.d or conj.spec != payload.spec:
         raise InvalidCiphertextError("ciphertext does not match this key")
     if not payload.is_sl():
         raise InvalidCiphertextError("payload determinant is not 1")
@@ -298,7 +316,10 @@ def decrypt(sk: MorPrivateKey, ct: MorCiphertext) -> Matrix:
         b_r = recover_conjugator(ct.phi_r)
     except InvalidAutomorphismError as exc:
         raise InvalidCiphertextError(str(exc)) from exc
-    b = mat_pow(b_r, sk.m)
+    m, order_bound = sk.m, conj.spec.q**conj.d - 1
+    if m >= order_bound and conj._split and mat_mul(conj, b_r) == mat_mul(b_r, conj):
+        m %= order_bound
+    b = mat_pow(b_r, m)
     return mat_mul(mat_mul(b, payload), mat_inv(b))
 
 

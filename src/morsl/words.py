@@ -49,9 +49,19 @@ class TransvectionWord:
             if lam.is_zero():
                 raise ValueError("letter with zero coefficient")
             checked.append((i, j, lam))
+        self._set_slots(spec, d, tuple(checked))
+
+    @classmethod
+    def _from_letters(cls, spec: FieldSpec, d: int, letters: tuple) -> "TransvectionWord":
+        """The word of a tuple of letters that are valid by construction, unchecked."""
+        w = object.__new__(cls)
+        w._set_slots(spec, d, letters)
+        return w
+
+    def _set_slots(self, spec: FieldSpec, d: int, letters: tuple) -> None:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "letters", tuple(checked))
+        object.__setattr__(self, "letters", letters)
 
     def __setattr__(self, *args):
         raise AttributeError("TransvectionWord is immutable")
@@ -133,7 +143,8 @@ def decompose(m: Matrix) -> TransvectionWord:
                     rowop(a, c, neg(grid[a][c]))
     finally:
         _count_muls(count)
-    return TransvectionWord(spec, d, ops)
+    # every letter has 1 <= i != j <= d and f != 0, so -f != 0
+    return TransvectionWord._from_letters(spec, d, tuple(ops))
 
 
 def simplify(w: TransvectionWord) -> TransvectionWord:

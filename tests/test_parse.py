@@ -466,6 +466,14 @@ def test_mutated_golden_files_fail_cleanly(data):
     assert elapsed < WALL_BOUND_S
 
 
+@pytest.mark.parametrize("m", ["0", "1", "-3"])
+def test_golden_private_key_with_an_out_of_range_exponent_exits_2(tmp_path, m):
+    # before the range check each decrypted without error to a wrong matrix
+    files = dict(_GOLDEN)
+    files["priv"] = dict(_GOLDEN["priv"], m=m)
+    assert _outcome(tmp_path, files, encrypt_first=False) == (2, None)
+
+
 # the parsers of format v1: a field, a matrix, an automorphism, and the
 # parameter, key and ciphertext files built from them
 V1_PARSERS = {

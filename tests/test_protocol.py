@@ -2,15 +2,19 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import decrypt_compose, mat_pow_sqm
 
 from morsl import protocol
-from morsl.autos import Automorphism
+from morsl.autos import Automorphism, recover_conjugator
 from morsl.field import field_spec
 from morsl.matrix import (
     Matrix,
     Permutation,
     identity,
+    mat_inv,
+    mat_mul,
     mat_pow,
     permutation_matrix,
     random_gl,
@@ -290,3 +294,92 @@ def test_encrypt_redraws_r_until_phi_mr_is_not_one():
         ct = encrypt(pk, a, rng)
         assert ct.phi_r == pk.phi_m
         assert decrypt(MorPrivateKey(2, b), ct) == a
+
+
+# -- decrypt's per-key certificate ---------------------------------------------
+
+
+def _parsed_route(sk, ct):
+    """decrypt with the key and ciphertext parsed afresh: no chi, verdict
+    or conjugator is cached, so the key's certificate is not known."""
+    sk2 = MorPrivateKey.from_json(ct.payload.spec, sk.to_json())
+    assert sk2.conjugator._split is None
+    return decrypt(sk2, MorCiphertext.from_json(ct.to_json()))
+
+
+def _sqm_route(sk, ct):
+    """decrypt by square-and-multiply with the full exponent m."""
+    b = mat_pow_sqm(recover_conjugator(MorCiphertext.from_json(ct.to_json()).phi_r), sk.m)
+    return mat_mul(mat_mul(b, ct.payload), mat_inv(b))
+
+
+def _decrypt_checked(sk, ct):
+    """decrypt(sk, ct), checked against both routes above, and whether it
+    reduced m with the key's certificate: that path leaves B_r, cached on
+    phi^r, without a verdict of its own."""
+    b, b_r = sk.conjugator, recover_conjugator(ct.phi_r)
+    fast = (
+        sk.m >= b.spec.q**b.d - 1 and bool(b._split) and mat_mul(b, b_r) == mat_mul(b_r, b)
+    )
+    plaintext = decrypt(sk, ct)
+    assert (b_r._split is None) == fast
+    assert plaintext == _parsed_route(sk, ct) == _sqm_route(sk, ct)
+    return plaintext, fast
+
+
+def _key_failing_the_certificate(params, rng):
+    """A key drawn without the irreducibility filter whose conjugator
+    failed mat_pow's certificate, or None in 64 draws."""
+    loose = MorParams(params.spec, params.d, require_irreducible_lift=False)
+    for _ in range(64):
+        pk, sk = keygen(loose, rng)
+        if sk.conjugator._split is False:
+            return pk, sk
+    return None
+
+
+@settings(max_examples=40)
+@given(
+    spec=st.sampled_from([field_spec(7), field_spec(2, 4), field_spec(2, 8), field_spec(2, 16)]),
+    d=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decrypt_with_the_key_certificate_equals_the_full_exponent(spec, d, seed):
+    rng = random.Random(seed)
+    params = MorParams(spec, d)
+    pk, sk = keygen(params, rng)
+    assert sk.conjugator._split  # keygen's irreducibility verdict
+    msg = random_sl(spec, d, rng)
+    plaintext, fast = _decrypt_checked(sk, encrypt(pk, msg, rng))
+    assert plaintext == msg
+    assert fast == (sk.m >= spec.q**d - 1)
+
+    # phi^r of another key over the same group: B_r rarely commutes with B
+    other, _ = keygen(params, rng)
+    _decrypt_checked(sk, encrypt(other, random_sl(spec, d, rng), rng))
+
+    # at d = 2 only a repeated eigenvalue fails the certificate, rare beyond GF(7)
+    failing = None if d == 2 and spec.q > 7 else _key_failing_the_certificate(params, rng)
+    if failing is None:
+        return
+    pk, sk_loose = failing
+    msg = random_sl(spec, d, rng)
+    ct = encrypt(pk, msg, rng)
+    # its own key keeps the full exponent
+    assert _decrypt_checked(sk_loose, ct) == (msg, False)
+    # and to the certified key it is a foreign B_r whose order need not
+    # divide q^d - 1
+    _decrypt_checked(sk, ct)
+
+
+@pytest.mark.parametrize("m", ["0", "1", "-3", 0, "bound"])
+def test_private_exponent_outside_the_keygen_range_is_refused(m):
+    spec, d = TOY7.spec, TOY7.d
+    _, sk = keygen(TOY7, random.Random(15))
+    obj = sk.to_json()
+    obj["m"] = str(spec.q ** (d * d) - 1) if m == "bound" else m
+    with pytest.raises(ValueError, match="private exponent"):
+        MorPrivateKey.from_json(spec, obj)
+    for edge in (2, spec.q ** (d * d) - 2):
+        obj["m"] = str(edge)
+        assert MorPrivateKey.from_json(spec, obj).m == edge

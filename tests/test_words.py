@@ -80,6 +80,8 @@ def test_decompose_round_trip_and_length_bound():
                 w = decompose(m)
                 assert len(w) <= d * d
                 assert evaluate(w) == m
+                # decompose skips the letter checks: its letters must pass them
+                assert TransvectionWord(spec, d, w.letters) == w
 
 
 def test_decompose_rejects_non_sl():
