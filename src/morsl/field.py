@@ -22,6 +22,14 @@ for a prime field, table lookups for an extension with at most 256
 elements, the byte-stride multiply for a larger binary field, and
 coefficient tuples for a larger odd-characteristic extension.
 FieldElement's operators and the matrix kernels call these directly.
+Two vector ops are bound beside them, the matrix product _mat_mul_raw
+and the outer product _outer_raw.  A binary field above 2^8 runs them on
+lanes: each row of the right factor is packed into one int of lanes
+wide enough for an unreduced product, the products are XORed into all
+lanes at once, and each output entry is reduced once with the reduction
+table; a d x d product thus takes d^2 reductions instead of d^3.  Every
+other field runs the loops over its _mul_raw.  Neither op counts, and
+neither builds a table that outlives the call.
 
 Building a spec proves its modulus irreducible: by Rabin's test on
 packed bits for p = 2, and by fqpoly.is_irreducible over GF(p)
@@ -40,6 +48,7 @@ how the benchmarks run.
 from __future__ import annotations
 
 import random as _random
+from functools import reduce
 from itertools import product as _product
 from operator import xor as _xor
 
@@ -214,6 +223,21 @@ def _gf2_square(a: int) -> int:
     return out
 
 
+def _nibble_multiples(b: int) -> tuple:
+    """The carry-less products of b by 0, 1, ..., 15.  FieldSpec._mul_gf2
+    builds the same table inline: the call would cost it about 7 % at
+    GF(2^16)."""
+    b2 = b << 1
+    b3 = b2 ^ b
+    b4 = b << 2
+    b5 = b4 ^ b
+    b6 = b4 ^ b2
+    b7 = b6 ^ b
+    b8 = b << 3
+    return (0, b, b2, b3, b4, b5, b6, b7,
+            b8, b8 ^ b, b8 ^ b2, b8 ^ b3, b8 ^ b4, b8 ^ b5, b8 ^ b6, b8 ^ b7)
+
+
 def _gf2_is_irreducible(f: int) -> bool:
     n = f.bit_length() - 1
     if n == 1:
@@ -273,6 +297,7 @@ def smallest_irreducible_poly(p: int, gamma: int) -> tuple[int, ...]:
 
 _TABLE_MAX_Q = 256
 _RAW_OPS = ("_add_raw", "_sub_raw", "_neg_raw", "_mul_raw", "_inv_raw")
+_VEC_OPS = ("_mat_mul_raw", "_outer_raw")
 
 
 class FieldSpec:
@@ -285,7 +310,7 @@ class FieldSpec:
     __slots__ = (
         "p", "gamma", "modulus", "q",
         "_mask", "_mod_packed", "_red_table", "_sq_table",
-        "_mul_table", "_inv_table", *_RAW_OPS,
+        "_mul_table", "_inv_table", *_RAW_OPS, *_VEC_OPS,
     )
 
     def __init__(self, p: int, gamma: int, modulus: tuple[int, ...] | None = None):
@@ -422,7 +447,11 @@ class FieldSpec:
             ops = (add, lambda a, b: add(a, neg(b)), neg, self._mul_poly, self._inv_poly)
         if small:
             ops = ops[:3] + self._build_tables(ops[3])
-        for name, op in zip(_RAW_OPS, ops):
+        if p == 2 and self.gamma > 1 and not small:
+            ops += (self._mat_mul_lanes, self._outer_lanes)
+        else:
+            ops += (self._mat_mul_loop, self._outer_loop)
+        for name, op in zip(_RAW_OPS + _VEC_OPS, ops):
             object.__setattr__(self, name, op)
 
     def _add_digits(self, a: int, b: int) -> int:
@@ -468,6 +497,80 @@ class FieldSpec:
             acc = acc << 8 ^ t[byte >> 4] << 4 ^ t[byte & 15]
             acc = acc & mask ^ red[acc >> gamma]
         return acc
+
+    # -- vector kernels --------------------------------------------------------
+    #
+    # _mat_mul_raw(xv, yv) is the product of two square matrices given as
+    # tuples of row tuples, and _outer_raw(col, row) the rows c * row for
+    # each c in col, as lists.  Neither counts: the matrix kernels that call
+    # them count analytically.  The loops serve every field but the large
+    # binary ones, which run the lanes.
+
+    def _mat_mul_loop(self, xv, yv) -> tuple:
+        mul, add = self._mul_raw, self._add_raw
+        cols = tuple(zip(*yv))
+        return tuple(tuple(reduce(add, map(mul, row, col)) for col in cols) for row in xv)
+
+    def _outer_loop(self, col, row) -> list:
+        mul, n = self._mul_raw, len(row)
+        return [[mul(c, x) for x in row] if c else [0] * n for c in col]
+
+    def _mat_mul_lanes(self, xv, yv) -> tuple:
+        """Row i of x y is the sum over k of x_ik * row k of y.  Each row
+        of y is packed into one int of lanes wide enough for an unreduced
+        product, with its 16 nibble multiples; row i of the product is
+        then accumulated Horner fashion over the bytes of the x_ik, all
+        lanes at once, and each lane is reduced once at the end."""
+        tables = [self._lane_tables(row) for row in yv]
+        nbytes, n = (self.gamma + 7) >> 3, len(yv)
+        out = []
+        for xrow in xv:
+            live = [(*t, x.to_bytes(nbytes, "big")) for t, x in zip(tables, xrow) if x]
+            acc = 0
+            for pos in range(nbytes):
+                acc <<= 8
+                for hi, lo, xb in live:
+                    byte = xb[pos]
+                    acc ^= hi[byte >> 4] ^ lo[byte & 15]
+            out.append(tuple(self._lane_reduce(acc, n)))
+        return tuple(out)
+
+    def _outer_lanes(self, col, row) -> list:
+        """c * row for each c in col, by the lanes of _mat_mul_lanes."""
+        (hi, lo), nbytes, n = self._lane_tables(row), (self.gamma + 7) >> 3, len(row)
+        out = []
+        for c in col:
+            acc = 0
+            for byte in c.to_bytes(nbytes, "big"):
+                acc = acc << 8 ^ hi[byte >> 4] ^ lo[byte & 15]
+            out.append(self._lane_reduce(acc, n))
+        return out
+
+    def _lane_tables(self, vec) -> tuple:
+        """vec packed into whole-byte lanes of at least 2 gamma - 1 bits,
+        entry 0 in the top lane, and the multiples of that int by a nibble
+        and by a nibble times x^4, unreduced."""
+        w, b = 8 * ((2 * self.gamma + 6) >> 3), 0
+        for v in vec:
+            b = b << w | v
+        return _nibble_multiples(b << 4), _nibble_multiples(b)
+
+    def _lane_reduce(self, acc: int, n: int) -> list:
+        """The n lanes of acc, top lane first, reduced mod f.  A lane is
+        below x^(2 gamma - 1), so the part above its last nhi bytes is
+        below x^gamma; each of those bytes is shifted in and the byte
+        above x^gamma folded back with the reduction table."""
+        gamma, mask, red = self.gamma, self._mask, self._red_table
+        wb, nhi = (2 * gamma + 6) >> 3, (gamma + 6) >> 3
+        data = acc.to_bytes(n * wb, "big")
+        out = []
+        for j in range(0, n * wb, wb):
+            r = int.from_bytes(data[j:j + wb - nhi], "big")
+            for byte in data[j + wb - nhi:j + wb]:
+                r = r << 8 ^ byte
+                r = r & mask ^ red[r >> gamma]
+            out.append(r)
+        return out
 
     def _square_rows(self) -> tuple:
         """Squaring table of a binary field, built on first use.

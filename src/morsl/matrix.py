@@ -14,10 +14,15 @@ counter exactly what the FieldElement loop they replace would count,
 zeros included where that loop multiplied by them; inversions are not
 counted.
 
-Multiplication is the schoolbook d^3 algorithm on purpose: the cost
-accounting for automorphism composition assumes exactly d^3 field
-multiplications per product.  Indices in every public signature are
-1-based, matching the e_{i,j} matrix-unit notation.
+mat_mul and _outer call the field's vector ops, _mat_mul_raw and
+_outer_raw, and have no branch of their own.  The counted cost model is
+the schoolbook d^3 on purpose: the cost accounting for automorphism
+composition assumes exactly d^3 field multiplications per product, and
+prime, table and odd-extension fields run that loop.  Binary fields
+above 2^8 run the field's lane kernel instead, which forms the same d^3
+products without reduction and reduces only the d^2 sums; the count is
+d^3 all the same.  Indices in every public signature are 1-based,
+matching the e_{i,j} matrix-unit notation.
 
 mat_inv is linalg.solve(x, 1) on packed ints, the package's one
 elimination.  det keeps its own forward-only pass: it needs the product
@@ -79,7 +84,8 @@ class SingularMatrixError(ValueError):
 class Matrix:
     # _chi caches the characteristic polynomial (fqpoly.char_poly fills
     # it), _split the verdict of mat_pow's certificate that the order
-    # divides q^d - 1
+    # divides q^d - 1 (protocol.encrypt may also set a verdict that
+    # bounds the order but is no certificate)
     __slots__ = ("spec", "d", "vals", "_chi", "_split")
 
     def __init__(self, spec: FieldSpec, rows):
@@ -294,13 +300,8 @@ def mat_mul(x: Matrix, y: Matrix) -> Matrix:
     """x y, counted as d^3 multiplications, products by zero included."""
     if x.spec != y.spec or x.d != y.d:
         raise FieldMismatchError("incompatible matrices")
-    spec, d = x.spec, x.d
-    mul, add = spec._mul_raw, spec._add_raw
-    cols = tuple(zip(*y.vals))
-    _count_muls(d * d * d)
-    return Matrix._from_vals(
-        spec, tuple(tuple(reduce(add, map(mul, row, col)) for col in cols) for row in x.vals)
-    )
+    _count_muls(x.d**3)
+    return Matrix._from_vals(x.spec, x.spec._mat_mul_raw(x.vals, y.vals))
 
 
 def _dot(spec: FieldSpec, row, col) -> int:
@@ -318,9 +319,8 @@ def _dot(spec: FieldSpec, row, col) -> int:
 def _outer(spec: FieldSpec, col, row) -> list[list[int]]:
     """The outer product col row^T as rows of packed ints, len(row)
     multiplications per nonzero entry of col."""
-    mul, n = spec._mul_raw, len(row)
-    _count_muls(n * (len(col) - col.count(0)))
-    return [[mul(c, x) for x in row] if c else [0] * n for c in col]
+    _count_muls(len(row) * (len(col) - col.count(0)))
+    return spec._outer_raw(col, row)
 
 
 def det(x: Matrix) -> FieldElement:
@@ -377,7 +377,8 @@ def mat_pow(x: Matrix, n: int) -> Matrix:
     the power, as char_poly caches it too.  Below q^d - 1 the reduction
     would change nothing, so no certificate is computed.  protocol.decrypt
     reduces m itself before the power when the private conjugator's
-    cached verdict covers the ciphertext's B_r (it commutes with it).
+    cached verdict covers the ciphertext's B_r (it commutes with it), and
+    protocol.encrypt hands B_phi's verdict on to B_phim the same way.
 
     Cayley-Hamilton: x^n = r(x) for r(t) = t^n mod chi_x(t), by
     FqPoly.pow_mod and Horner evaluation; about d^2 multiplications per

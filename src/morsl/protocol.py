@@ -20,10 +20,12 @@ by Cayley-Hamilton, with m first reduced mod q^d - 1 when
 x^(q^d) = x mod chi_B certifies that this is exact.  B is recovered
 once per automorphism and the certificate decided once per B (both are
 cached).  keygen hands the verdict of its irreducibility filter to
-mat_pow, so a key's conjugator is not certified twice.  Each ciphertext
-brings a fresh B_r, but decrypt reduces m by the certificate of the
-private conjugator B when B_r commutes with B, so a key's later
-messages pay for neither, in encrypt or in decrypt.
+mat_pow, so a key's conjugator is not certified twice.  encrypt
+certifies only B_phi: B_phim, a scalar multiple of B_phi^m, commutes
+with it and is given a verdict from B_phi's.  Each ciphertext brings a
+fresh B_r, but decrypt reduces m by the certificate of the private
+conjugator B when B_r commutes with B, so a key's later messages pay
+for neither, in encrypt or in decrypt.
 
 Plaintexts ride in a single elementary transvection at the fixed
 position (1,2), so the conjugation-invariant trace and determinant leak
@@ -67,6 +69,10 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+# The verdict encrypt caches on B_phim when it commutes with a certified
+# B_phi: the order divides q^d - 1, so mat_pow reduces by it, but the
+# matrix need not be cyclic, so it certifies nothing else in turn.
+_COMMUTES_WITH_CERTIFIED = "commutes with a certified matrix"
 KEYGEN_RETRY_CAP = 256
 ENCRYPT_RETRY_CAP = 64
 
@@ -270,6 +276,12 @@ def encrypt(pk: MorPublicKey, a: Matrix, rng) -> MorCiphertext:
     Refuses a degenerate public key with DegenerateKeyError, and draws r
     again while phi^r is 1 or phi or phi^{mr} = 1, up to
     ENCRYPT_RETRY_CAP draws.
+
+    Once mat_pow has certified B_phi, B_phim gets the verdict
+    _COMMUTES_WITH_CERTIFIED instead of a certificate of its own if it
+    commutes with B_phi, as decrypt's B_r does with the private B: it
+    then lies in F_q[B_phi] and its order divides q^d - 1.  A foreign
+    phi_m fails the test and takes mat_pow's route.
     """
     spec, d = pk.params.spec, pk.params.d
     if a.spec != spec or a.d != d:
@@ -288,6 +300,8 @@ def encrypt(pk: MorPublicKey, a: Matrix, rng) -> MorCiphertext:
         phi_r = Automorphism.from_conjugator(b_r)  # = phi.power(r)
         if phi_r.images == pk.phi.images:
             continue
+        if b_phim._split is None and b_phi._split is True and _commute(b_phi, b_phim):
+            object.__setattr__(b_phim, "_split", _COMMUTES_WITH_CERTIFIED)
         b_mr = mat_pow(b_phim, r)
         if _is_scalar(b_mr):  # phi^{mr} = 1
             continue
@@ -317,10 +331,15 @@ def decrypt(sk: MorPrivateKey, ct: MorCiphertext) -> Matrix:
     except InvalidAutomorphismError as exc:
         raise InvalidCiphertextError(str(exc)) from exc
     m, order_bound = sk.m, conj.spec.q**conj.d - 1
-    if m >= order_bound and conj._split and mat_mul(conj, b_r) == mat_mul(b_r, conj):
+    if m >= order_bound and conj._split is True and _commute(conj, b_r):
         m %= order_bound
     b = mat_pow(b_r, m)
     return mat_mul(mat_mul(b, payload), mat_inv(b))
+
+
+def _commute(a: Matrix, b: Matrix) -> bool:
+    """Whether a b = b a, 2 d^3 multiplications."""
+    return mat_mul(a, b) == mat_mul(b, a)
 
 
 # ---------------------------------------------------------------------------

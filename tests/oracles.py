@@ -693,6 +693,12 @@ def scaled_elementwise(s, vec):
     return tuple(s * x if x else x for x in vec)
 
 
+def outer_elementwise(col, row, zero):
+    """The rows c * row for each c in col, one product per pair with c
+    nonzero."""
+    return [[c * x for x in row] if c else [zero] * len(row) for c in col]
+
+
 def dot_elementwise(row, col, zero):
     acc = zero
     for a, b in zip(row, col):
@@ -710,7 +716,7 @@ def from_conjugator_elementwise(a):
     for i, j in generator_pairs(d):
         col = [ainv[r][i - 1] for r in range(d)]
         row = ar[j - 1]
-        rows = [[cr * x for x in row] if cr else [zero] * d for cr in col]
+        rows = outer_elementwise(col, row, zero)
         k = next(k for k, cr in enumerate(col) if cr)
         rank1[(i, j)] = (scaled_elementwise(col[k].inv(), col), tuple(rows[k]))
         for r in range(d):

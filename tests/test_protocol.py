@@ -1,16 +1,18 @@
+import contextlib
 import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import decrypt_compose, mat_pow_sqm
+from oracles import decrypt_compose, mat_mul_elementwise, mat_pow_sqm
 
 from morsl import protocol
 from morsl.autos import Automorphism, recover_conjugator
 from morsl.field import field_spec
 from morsl.matrix import (
     Matrix,
+    conjugate,
     Permutation,
     identity,
     mat_inv,
@@ -315,14 +317,14 @@ def _sqm_route(sk, ct):
 
 def _decrypt_checked(sk, ct):
     """decrypt(sk, ct), checked against both routes above, and whether it
-    reduced m with the key's certificate: that path leaves B_r, cached on
-    phi^r, without a verdict of its own."""
+    reduced m with the key's certificate: that path leaves an undecided
+    B_r, cached on phi^r, without a verdict of its own, as does an m below
+    q^d - 1."""
     b, b_r = sk.conjugator, recover_conjugator(ct.phi_r)
-    fast = (
-        sk.m >= b.spec.q**b.d - 1 and bool(b._split) and mat_mul(b, b_r) == mat_mul(b_r, b)
-    )
+    small, undecided = sk.m < b.spec.q**b.d - 1, b_r._split is None
+    fast = not small and b._split is True and mat_mul(b, b_r) == mat_mul(b_r, b)
     plaintext = decrypt(sk, ct)
-    assert (b_r._split is None) == fast
+    assert (b_r._split is None) == (undecided and (fast or small))
     assert plaintext == _parsed_route(sk, ct) == _sqm_route(sk, ct)
     return plaintext, fast
 
@@ -370,6 +372,86 @@ def test_decrypt_with_the_key_certificate_equals_the_full_exponent(spec, d, seed
     # and to the certified key it is a foreign B_r whose order need not
     # divide q^d - 1
     _decrypt_checked(sk, ct)
+
+
+# -- encrypt's certificate for B_phim -------------------------------------------
+
+
+def _encrypt_checked(pk, msg, rng):
+    """encrypt(pk, msg, rng), checked against square-and-multiply with the
+    full r of its first draw, and whether it handed B_phi's certificate to
+    B_phim: that path leaves B_phim, cached on phi_m, with the commuting
+    verdict instead of a certificate of its own."""
+    params, state = pk.params, rng.getstate()
+    b_phi, b_phim = recover_conjugator(pk.phi), recover_conjugator(pk.phi_m)
+    undecided = b_phim._split is None
+    ct = encrypt(pk, msg, rng)
+    # B_phi holds a verdict once some draw of r reached q^d - 1
+    fast = (
+        undecided
+        and b_phi._split is True
+        and mat_mul_elementwise(b_phi, b_phim) == mat_mul_elementwise(b_phim, b_phi)
+    )
+    assert (b_phim._split is protocol._COMMUTES_WITH_CERTIFIED) == fast
+    rng.setstate(state)
+    r = rng.randrange(2, params.spec.q ** (params.d**2) - 1)
+    b_r = mat_pow_sqm(b_phi, r)
+    if Automorphism.from_conjugator(b_r) == ct.phi_r:  # encrypt kept its first r
+        assert ct.payload == conjugate(msg, mat_pow_sqm(b_phim, r))
+    return ct, fast
+
+
+@settings(max_examples=40)
+@given(
+    spec=st.sampled_from([field_spec(7), field_spec(2, 4), field_spec(2, 8), field_spec(2, 16)]),
+    d=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_encrypt_with_the_phi_certificate_equals_the_full_exponent(spec, d, seed):
+    rng = random.Random(seed)
+    params = MorParams(spec, d)
+    pk, sk = keygen(params, rng)
+    msg = random_sl(spec, d, rng)
+
+    # keygen's key: B_phim ~ B_phi^m commutes with the certified B_phi
+    state = rng.getstate()
+    ct, fast = _encrypt_checked(pk, msg, rng)
+    assert decrypt(sk, ct) == msg
+    assert fast == (recover_conjugator(pk.phi)._split is True)
+
+    # the same key parsed afresh takes the same route to the same ciphertext
+    rng.setstate(state)
+    parsed = MorPublicKey.from_json(pk.to_json())
+    assert _encrypt_checked(parsed, msg, rng) == (ct, fast)
+
+    # B_phim's verdict vouches for no other matrix: with phi^m as the
+    # first automorphism of a key, a fresh phi keeps mat_pow's route, and
+    # B_phim as a private conjugator does not reduce decrypt's exponent.
+    # Keys built from another key's parts can be degenerate in a small
+    # group, where phi^m or phi^(m^2) may have tiny order.
+    b_phim = recover_conjugator(pk.phi_m)
+    assert (b_phim._split is protocol._COMMUTES_WITH_CERTIFIED) == fast
+    with contextlib.suppress(DegenerateKeyError):
+        if fast:
+            chained = MorPublicKey(params, pk.phi_m, Automorphism.from_json(pk.phi.to_json()))
+            assert not _encrypt_checked(chained, msg, rng)[1]
+            phi_mm = Automorphism.from_conjugator(mat_pow_sqm(b_phim, sk.m))
+            ct = _encrypt_checked(MorPublicKey(params, pk.phi_m, phi_mm), msg, rng)[0]
+            assert _decrypt_checked(MorPrivateKey(sk.m, b_phim), ct) == (msg, False)
+
+    # a foreign phi_m rarely commutes with B_phi and keeps mat_pow's route
+    other, _ = keygen(params, rng)
+    swapped = MorPublicKey.from_json({**pk.to_json(), "phi_m": other.phi_m.to_json()})
+    with contextlib.suppress(DegenerateKeyError):
+        _encrypt_checked(swapped, msg, rng)
+
+    failing = None if d == 2 and spec.q > 7 else _key_failing_the_certificate(params, rng)
+    if failing is None:
+        return
+    pk_loose, sk_loose = failing
+    ct, fast = _encrypt_checked(pk_loose, msg, rng)
+    assert not fast  # B_phi failed the certificate: nothing to hand on
+    assert decrypt(sk_loose, ct) == msg
 
 
 @pytest.mark.parametrize("m", ["0", "1", "-3", 0, "bound"])
