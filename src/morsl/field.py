@@ -498,13 +498,8 @@ class FieldSpec:
             acc = acc & mask ^ red[acc >> gamma]
         return acc
 
-    # -- vector kernels --------------------------------------------------------
-    #
-    # _mat_mul_raw(xv, yv) is the product of two square matrices given as
-    # tuples of row tuples, and _outer_raw(col, row) the rows c * row for
-    # each c in col, as lists.  Neither counts: the matrix kernels that call
-    # them count analytically.  The loops serve every field but the large
-    # binary ones, which run the lanes.
+    # -- vector kernels: _mat_mul_raw(xv, yv) takes and returns tuples of
+    # row tuples, _outer_raw(col, row) returns the rows c * row as lists --
 
     def _mat_mul_loop(self, xv, yv) -> tuple:
         mul, add = self._mul_raw, self._add_raw

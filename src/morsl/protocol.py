@@ -277,11 +277,10 @@ def encrypt(pk: MorPublicKey, a: Matrix, rng) -> MorCiphertext:
     again while phi^r is 1 or phi or phi^{mr} = 1, up to
     ENCRYPT_RETRY_CAP draws.
 
-    Once mat_pow has certified B_phi, B_phim gets the verdict
-    _COMMUTES_WITH_CERTIFIED instead of a certificate of its own if it
-    commutes with B_phi, as decrypt's B_r does with the private B: it
-    then lies in F_q[B_phi] and its order divides q^d - 1.  A foreign
-    phi_m fails the test and takes mat_pow's route.
+    Once mat_pow has certified B_phi, a B_phim that commutes with it
+    lies in F_q[B_phi], as decrypt's B_r does in F_q[B], and gets the
+    verdict _COMMUTES_WITH_CERTIFIED instead of a certificate of its own.
+    A foreign phi_m fails the test and takes mat_pow's route.
     """
     spec, d = pk.params.spec, pk.params.d
     if a.spec != spec or a.d != d:

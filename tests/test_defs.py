@@ -11,8 +11,8 @@ of a module-level class must be read as an attribute the same way; if
 its name is also a data attribute of some class (a class-level annotated
 name such as a dataclass field, a `__slots__` entry or a `self.x = `
 target), only a call `obj.name(...)` counts, as a bare `obj.name` may be
-that attribute.  A property is read as an attribute.  Dunder methods are called by the language itself and
-are left out.
+that attribute.  A property is read as an attribute.  Dunder methods
+are called by the language itself and are left out.
 """
 
 import ast

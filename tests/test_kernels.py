@@ -35,8 +35,8 @@ from oracles import (
     lift_operator_elementwise,
     mat_inv_elementwise,
     mat_mul_elementwise,
-    outer_elementwise,
     nullspace_elementwise,
+    outer_elementwise,
     scaled_elementwise,
     solve_elementwise,
 )

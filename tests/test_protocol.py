@@ -430,7 +430,6 @@ def test_encrypt_with_the_phi_certificate_equals_the_full_exponent(spec, d, seed
     # Keys built from another key's parts can be degenerate in a small
     # group, where phi^m or phi^(m^2) may have tiny order.
     b_phim = recover_conjugator(pk.phi_m)
-    assert (b_phim._split is protocol._COMMUTES_WITH_CERTIFIED) == fast
     with contextlib.suppress(DegenerateKeyError):
         if fast:
             chained = MorPublicKey(params, pk.phi_m, Automorphism.from_json(pk.phi.to_json()))
