@@ -135,7 +135,7 @@ def cmd_decrypt(args) -> int:
     with open(args.infile, "rb") as fh:
         ct = MorCiphertext.from_json(json.load(fh))
     with open(args.priv, "rb") as fh:
-        sk = MorPrivateKey.from_json(ct.phi_r.spec, json.load(fh))
+        sk = MorPrivateKey.from_json(ct.payload.spec, json.load(fh))
     data = decode_message(decrypt(sk, ct))
     _write_atomic(args.out, data)
     print(f"wrote {args.out}")

@@ -27,6 +27,14 @@ fresh B_r, but decrypt reduces m by the certificate of the private
 conjugator B when B_r commutes with B, so a key's later messages pay
 for neither, in encrypt or in decrypt.
 
+A ciphertext holds phi^r as its conjugator B_r, up to a scalar: encrypt
+keeps the power of B_phi it raised, and decrypt raises it to m.  The v1
+presentation, the d^2 - d images of phi^r, is built only when read, as
+to_json does; a parsed ciphertext recovers B_r once from the images it
+was given and keeps them as its presentation.  An in-memory message
+therefore builds no images in encrypt and recovers no conjugator in
+decrypt.
+
 Plaintexts ride in a single elementary transvection at the fixed
 position (1,2), so the conjugation-invariant trace and determinant leak
 nothing: they are always d and 1.
@@ -35,17 +43,22 @@ No key or ciphertext is degenerate.  A public key with phi^m = 1 or
 phi^m = phi gives m away (mod the order of phi), so keygen draws again
 and encrypt refuses such a key.  encrypt draws r again while phi^r is 1
 or phi, which publish r, or phi^{mr} = 1, which would send the
-plaintext as it is.  Each check compares entries or generator images
-and costs no field multiplication, and a run that draws nothing
-degenerate consumes the same random stream as without the checks.
+plaintext as it is.  The key checks and the tests for 1 compare entries
+or generator images and cost no field multiplication.  phi^r = phi is
+B_r = c B_phi for a scalar c, tested against the normalized B_phi at one
+multiplication per entry compared, up to the first that differs.  A run
+that draws nothing degenerate consumes the same random stream as
+without the checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 from .autos import Automorphism, InvalidAutomorphismError, recover_conjugator
-from .field import FieldSpec, _json_dict, _json_int
+from .field import FieldSpec, _count_muls, _json_dict, _json_int
 from .fqpoly import char_poly, is_irreducible
 from .matrix import Matrix, conjugate, mat_inv, mat_mul, mat_pow, random_gl, transvection
 from .words import NotInSLError
@@ -176,8 +189,17 @@ class MorPrivateKey:
 
 @dataclass(frozen=True)
 class MorCiphertext:
-    phi_r: Automorphism
+    """(phi^r, phi^{mr}(a)) with phi^r held as its conjugator B_r, up to a
+    scalar; phi_r, the v1 presentation, is built on first read.  == compares
+    B_r as held: encrypt keeps the power of B_phi it raised, from_json the
+    normalized B_r it recovers."""
+
+    conjugator: Matrix
     payload: Matrix
+
+    @cached_property
+    def phi_r(self) -> Automorphism:
+        return Automorphism.from_conjugator(self.conjugator)
 
     def to_json(self) -> dict:
         return {
@@ -192,7 +214,12 @@ class MorCiphertext:
         phi_r = Automorphism.from_json(obj["phi_r"])
         payload = Matrix.from_json(phi_r.spec, obj["payload"])
         _check_same_group("payload", payload, "phi_r", phi_r)
-        return cls(phi_r, payload)
+        try:
+            ct = cls(recover_conjugator(phi_r), payload)
+        except InvalidAutomorphismError as exc:
+            raise InvalidCiphertextError(str(exc)) from exc
+        ct.__dict__["phi_r"] = phi_r  # to_json writes the images it was given
+        return ct
 
 
 def _check_version(obj: dict) -> None:
@@ -294,23 +321,20 @@ def encrypt(pk: MorPublicKey, a: Matrix, rng) -> MorCiphertext:
     for _ in range(ENCRYPT_RETRY_CAP):
         r = rng.randrange(2, _exponent_bound(pk.params) - 1)
         b_r = mat_pow(b_phi, r)
-        if _is_scalar(b_r):  # phi^r = 1
-            continue
-        phi_r = Automorphism.from_conjugator(b_r)  # = phi.power(r)
-        if phi_r.images == pk.phi.images:
+        if _is_scalar(b_r) or _is_multiple(b_r, b_phi):  # phi^r = 1 or phi
             continue
         if b_phim._split is None and b_phi._split is True and _commute(b_phi, b_phim):
             object.__setattr__(b_phim, "_split", _COMMUTES_WITH_CERTIFIED)
         b_mr = mat_pow(b_phim, r)
         if _is_scalar(b_mr):  # phi^{mr} = 1
             continue
-        return MorCiphertext(phi_r, conjugate(a, b_mr))  # payload phi^{mr}(a)
+        return MorCiphertext(b_r, conjugate(a, b_mr))  # payload phi^{mr}(a)
     raise DegenerateKeyError(f"no exponent r with phi^{{mr}} != 1 in {ENCRYPT_RETRY_CAP} draws")
 
 
 def decrypt(sk: MorPrivateKey, ct: MorCiphertext) -> Matrix:
-    """Invert phi^{mr} on the payload: recover B_r from phi^r, raise it
-    to m and conjugate back, b * payload * b^(-1).
+    """Invert phi^{mr} on the payload: raise the ciphertext's conjugator
+    B_r to m and conjugate back, b * payload * b^(-1).
 
     When m >= q^d - 1, the private conjugator B carries a cached true
     certificate and B_r commutes with B, m is reduced mod q^d - 1 before
@@ -325,15 +349,34 @@ def decrypt(sk: MorPrivateKey, ct: MorCiphertext) -> Matrix:
         raise InvalidCiphertextError("ciphertext does not match this key")
     if not payload.is_sl():
         raise InvalidCiphertextError("payload determinant is not 1")
-    try:
-        b_r = recover_conjugator(ct.phi_r)
-    except InvalidAutomorphismError as exc:
-        raise InvalidCiphertextError(str(exc)) from exc
+    b_r = ct.conjugator
     m, order_bound = sk.m, conj.spec.q**conj.d - 1
     if m >= order_bound and conj._split is True and _commute(conj, b_r):
         m %= order_bound
     b = mat_pow(b_r, m)
     return mat_mul(mat_mul(b, payload), mat_inv(b))
+
+
+def _is_multiple(x: Matrix, b: Matrix) -> bool:
+    """Whether x = c b for a scalar c, so that conjugation by x is
+    conjugation by b.  b is normalized as recover_conjugator returns it,
+    its last nonzero entry 1, so c is x's entry there.  One
+    multiplication per nonzero entry of b compared, up to the first
+    entry that differs: a non-multiple usually costs one."""
+    mul = b.spec._mul_raw
+    flat_b, flat_x = tuple(chain(*b.vals)), tuple(chain(*x.vals))
+    c = flat_x[max(k for k, v in enumerate(flat_b) if v)]
+    count, same = 0, True
+    for v, y in zip(flat_b, flat_x):
+        if v:
+            count += 1
+            same = mul(c, v) == y
+        else:
+            same = not y
+        if not same:
+            break
+    _count_muls(count)
+    return same
 
 
 def _commute(a: Matrix, b: Matrix) -> bool:

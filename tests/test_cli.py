@@ -16,6 +16,7 @@ from morsl.matrix import (
     mat_mul,
     mat_pow,
     permutation_matrix,
+    transvection,
 )
 from morsl.protocol import MorParams, MorPublicKey, keygen
 
@@ -239,6 +240,34 @@ def test_attack_out_of_budget_exits_6(tmp_path, model):
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
+
+
+def test_decrypt_of_a_ciphertext_with_a_foreign_transvection_exits_2(tmp_path):
+    # a subprocess, so that a traceback would reach stderr.  The image of
+    # (1, 2) becomes 1 + e_{1,2}: still a transvection, so the images parse,
+    # but no conjugator realizes them all, and the parse's recovery of B_r
+    # refuses them
+    golden = Path(__file__).parent / "golden"
+    obj = json.loads((golden / "ct.json").read_text())
+    spec = field_spec(2, 64)
+    item = obj["phi_r"]["images"][0]
+    assert (item["i"], item["j"]) == (1, 2)
+    foreign = transvection(spec, 3, 1, 2, spec.one()).to_json()
+    assert item["matrix"] != foreign
+    item["matrix"] = foreign
+    ct, out = tmp_path / "ct.json", tmp_path / "out.bin"
+    ct.write_text(json.dumps(obj))
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "morsl.cli", "decrypt", "--priv", str(golden / "priv.json"),
+         "--in", str(ct), "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
 
 
 def test_bench_toy(capsys):

@@ -181,17 +181,23 @@ def _counting(monkeypatch, module, name, calls):
 def test_second_message_pays_no_recovery_and_no_certificate(monkeypatch):
     calls = {}
     _counting(monkeypatch, autos, "_conjugator_from_rank1", calls)
+    _counting(monkeypatch, autos.Automorphism, "from_conjugator", calls)
     _counting(monkeypatch, fqpoly, "_hessenberg_char_poly", calls)
     _counting(monkeypatch, fqpoly, "divides_x_qk_minus_x", calls)
     params = MorParams(field_spec(2, 16), 5)
     rng = random.Random(3)
     pk, sk = keygen(params, rng)
     encrypt(pk, encode_message(b"a", params), rng)
-    assert calls["_conjugator_from_rank1"] == 2
+    # keygen's phi and phi^m, recovered by the first message
+    assert calls["_conjugator_from_rank1"] == calls["from_conjugator"] == 2
     after_first = dict(calls)
     ct = encrypt(pk, encode_message(b"b", params), rng)
     assert calls == after_first
     assert decode_message(decrypt(sk, ct)) == b"b"
+    # the ciphertext carries B_r: no images built, none read
+    for name in ("_conjugator_from_rank1", "from_conjugator"):
+        assert calls[name] == after_first[name]
+    assert ct.to_json() == protocol.MorCiphertext.from_json(ct.to_json()).to_json()
 
 
 def test_keygen_with_irreducible_lift_skips_the_certificate(monkeypatch):

@@ -168,8 +168,9 @@ def test_non_sl_image_without_rank_one_factor_is_refused(spec, d, seed):
 
 
 def test_golden_parse_takes_no_determinant_and_pinned_multiplications():
-    # d = 3: at most d^2 + 2d = 15 multiplications per image
-    for name, cls, muls in (("pub", MorPublicKey, 180), ("ct", MorCiphertext, 90)):
+    # d = 3: at most d^2 + 2d = 15 multiplications per image; the
+    # ciphertext's parse adds the recovery of B_r, 91 more
+    for name, cls, muls in (("pub", MorPublicKey, 180), ("ct", MorCiphertext, 90 + 91)):
         obj = json.loads((GOLDEN / f"{name}.json").read_text())
         with _counting_det() as det:
             cost_reset()

@@ -9,6 +9,7 @@ from oracles import decrypt_compose, mat_mul_elementwise, mat_pow_sqm
 
 from morsl import protocol
 from morsl.autos import Automorphism, recover_conjugator
+from morsl.cli import PRESETS
 from morsl.field import field_spec
 from morsl.matrix import (
     Matrix,
@@ -132,7 +133,7 @@ def test_tampered_payload_rejected():
     while bad.is_sl():
         bad = random_gl(TOY.spec, 3, r)
     with pytest.raises(InvalidCiphertextError):
-        decrypt(sk, MorCiphertext(ct.phi_r, bad))
+        decrypt(sk, MorCiphertext(ct.conjugator, bad))
 
 
 def test_mismatched_degree_rejected():
@@ -201,6 +202,27 @@ def test_full_byte_message_round_trip():
     params = MorParams(field_spec(2, 64), 3)
     data = b"\xff" * message_capacity(params.spec)
     assert decode_message(encode_message(data, params)) == data
+
+
+@pytest.mark.parametrize("preset", ["toy", "small"])
+@settings(max_examples=15)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_every_message_length_round_trips(preset, seed, data):
+    # in memory, and with key and ciphertext through their JSON files
+    p = PRESETS[preset]
+    params = MorParams(field_spec(p["p"], p["gamma"]), p["d"])
+    rng = random.Random(seed)
+    pk, sk = keygen(params, rng)
+    pk2 = MorPublicKey.from_json(json.loads(json.dumps(pk.to_json())))
+    sk2 = MorPrivateKey.from_json(params.spec, json.loads(json.dumps(sk.to_json())))
+    for n in range(message_capacity(params.spec) + 1):
+        msg = data.draw(st.binary(min_size=n, max_size=n))
+        ct = encrypt(pk, encode_message(msg, params), rng)
+        assert decode_message(decrypt(sk, ct)) == msg
+        ct2 = MorCiphertext.from_json(json.loads(json.dumps(
+            encrypt(pk2, encode_message(msg, params), rng).to_json()
+        )))
+        assert decode_message(decrypt(sk2, ct2)) == msg
 
 
 def test_key_serialization_round_trip():
@@ -311,16 +333,16 @@ def _parsed_route(sk, ct):
 
 def _sqm_route(sk, ct):
     """decrypt by square-and-multiply with the full exponent m."""
-    b = mat_pow_sqm(recover_conjugator(MorCiphertext.from_json(ct.to_json()).phi_r), sk.m)
+    b = mat_pow_sqm(ct.conjugator, sk.m)
     return mat_mul(mat_mul(b, ct.payload), mat_inv(b))
 
 
 def _decrypt_checked(sk, ct):
     """decrypt(sk, ct), checked against both routes above, and whether it
-    reduced m with the key's certificate: that path leaves an undecided
-    B_r, cached on phi^r, without a verdict of its own, as does an m below
-    q^d - 1."""
-    b, b_r = sk.conjugator, recover_conjugator(ct.phi_r)
+    reduced m with the key's certificate: that path leaves the
+    ciphertext's undecided B_r without a verdict of its own, as does an m
+    below q^d - 1."""
+    b, b_r = sk.conjugator, ct.conjugator
     small, undecided = sk.m < b.spec.q**b.d - 1, b_r._split is None
     fast = not small and b._split is True and mat_mul(b, b_r) == mat_mul(b_r, b)
     plaintext = decrypt(sk, ct)
@@ -396,7 +418,7 @@ def _encrypt_checked(pk, msg, rng):
     rng.setstate(state)
     r = rng.randrange(2, params.spec.q ** (params.d**2) - 1)
     b_r = mat_pow_sqm(b_phi, r)
-    if Automorphism.from_conjugator(b_r) == ct.phi_r:  # encrypt kept its first r
+    if b_r == ct.conjugator:  # encrypt kept its first r
         assert ct.payload == conjugate(msg, mat_pow_sqm(b_phim, r))
     return ct, fast
 
