@@ -408,6 +408,7 @@ def _encrypt_checked(pk, msg, rng):
     b_phi, b_phim = recover_conjugator(pk.phi), recover_conjugator(pk.phi_m)
     undecided = b_phim._split is None
     ct = encrypt(pk, msg, rng)
+    after = rng.getstate()
     # B_phi holds a verdict once some draw of r reached q^d - 1
     fast = (
         undecided
@@ -417,8 +418,8 @@ def _encrypt_checked(pk, msg, rng):
     assert (b_phim._split is protocol._COMMUTES_WITH_CERTIFIED) == fast
     rng.setstate(state)
     r = rng.randrange(2, params.spec.q ** (params.d**2) - 1)
-    b_r = mat_pow_sqm(b_phi, r)
-    if b_r == ct.conjugator:  # encrypt kept its first r
+    if rng.getstate() == after:  # encrypt kept its first r
+        assert ct.conjugator == mat_pow_sqm(b_phi, r)
         assert ct.payload == conjugate(msg, mat_pow_sqm(b_phim, r))
     return ct, fast
 
