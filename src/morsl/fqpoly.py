@@ -15,9 +15,12 @@ Repeated q-th powers modulo f go through the Frobenius matrix of f.
 Over a binary field too large for a multiplication table, x^e runs on
 raw ints: the residue is one int of byte-aligned lanes, and squaring a
 coefficient and clearing a top coefficient are each one XOR of byte-
-indexed table entries (both maps are GF(2)-linear).  That kernel adds
-to the multiplication counter exactly what the FieldElement loop would
-count, so counts and route choices do not depend on which path ran.
+indexed table entries (both maps are GF(2)-linear).  When the residue
+is short and e > q, squaring modulo f is one XOR of byte-indexed entries
+of a table of f itself, built on first use and cached on f, so a key's
+moduli keep theirs for every message.  Both kernels add to the
+multiplication counter exactly what the FieldElement loop would count,
+so counts and route choices do not depend on which path ran.
 """
 
 from __future__ import annotations
@@ -38,6 +41,14 @@ from .field import (
 )
 from .matrix import Matrix, mat_mul, scalar_matrix
 
+# The longest residue, in bytes, whose x^e builds a squaring table of its
+# modulus.  The build grows with the square of the residue's length, and a
+# squaring's saving shrinks as the lanes it XORs grow: on a 2-vCPU x86-64
+# VM the table paid for its build after about 35 exponent bits at 10 bytes
+# (d = 5 over GF(2^16)), after 100 to 300 at 32 bytes, and not within one
+# 1120-bit power at the paper preset's 140 bytes (9-16 ms to build).
+_SQUARE_TABLE_MAX_BYTES = 32
+
 __all__ = [
     "FqPoly",
     "char_poly",
@@ -54,7 +65,9 @@ __all__ = [
 class FqPoly:
     """Immutable polynomial over a FieldSpec, constant coefficient first."""
 
-    __slots__ = ("spec", "coeffs")
+    # _sq_table caches the squaring table of x^e mod self (_square_table
+    # fills it), only for the short binary moduli that _pow_x_table takes
+    __slots__ = ("spec", "coeffs", "_sq_table")
 
     def __init__(self, spec: FieldSpec, coeffs=()):
         coeffs = tuple(coeffs)
@@ -63,6 +76,7 @@ class FqPoly:
             n -= 1
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "coeffs", coeffs[:n])
+        object.__setattr__(self, "_sq_table", None)
 
     def __setattr__(self, *args):
         raise AttributeError("FqPoly is immutable")
@@ -205,7 +219,11 @@ class FqPoly:
         where the cross terms vanish, and half a general product in odd
         characteristic.  When the base is x, each multiply is a shift, and
         over a binary field without a multiplication table the whole power
-        runs on raw ints (_pow_x_binary).
+        runs on raw ints.  If the residue takes at most
+        _SQUARE_TABLE_MAX_BYTES and n > q, the squarings look up a table
+        of the monic modulus, cached on it (_pow_x_table); x^q, as in a
+        certificate or is_irreducible, and longer residues build no table
+        and clear top coefficients one at a time (_pow_x_binary).
         """
         spec = self.spec
         if modulus.is_zero():
@@ -217,6 +235,8 @@ class FqPoly:
         by_x = base.coeffs == (spec.zero(), spec.one())
         # the base reduces to x only when deg f >= 2
         if by_x and spec.p == 2 and spec.q > _TABLE_MAX_Q:
+            if n > spec.q and f.degree() * ((spec.gamma + 7) // 8) <= _SQUARE_TABLE_MAX_BYTES:
+                return _pow_x_table(n, f)
             return _pow_x_binary(n, f)
         acc = base
         for bit in bin(n)[3:]:
@@ -306,21 +326,11 @@ def _pow_x_binary(e: int, f: FqPoly) -> FqPoly:
     coefficient cleared.
     """
     spec = f.spec
-    n, gamma, mod = f.degree(), spec.gamma, spec._mod_packed
-    nb = (gamma + 7) // 8
+    n, nb = f.degree(), (spec.gamma + 7) // 8
     lane = 8 * nb
-    fc = [c.val for c in f.coeffs[:n]]
-    nnz = sum(1 for v in fc if v)
+    nnz = n - [c.val for c in f.coeffs[:n]].count(0)
     sq = spec._square_rows()
-    red, bit = [], 1 << n * lane
-    for _ in range(nb):
-        row = [0]
-        for _ in range(8):
-            v = sum(c << i * lane for i, c in enumerate(fc)) | bit
-            row += [r ^ v for r in row]
-            fc = [c << 1 ^ mod if c >> gamma - 1 else c << 1 for c in fc]
-            bit <<= 1
-        red.append(tuple(row))
+    red = _clear_rows(f)
     top = n * lane
     acc, count = 1 << lane, 0
     for b in bin(e)[3:]:
@@ -341,6 +351,119 @@ def _pow_x_binary(e: int, f: FqPoly) -> FqPoly:
                 count += nnz
                 acc ^= _reduce(_xor, map(_getitem, red, c.to_bytes(nb, "little")))
     _count_muls(count)
+    return _unpack(acc, f)
+
+
+def _pow_x_table(e: int, f: FqPoly) -> FqPoly:
+    """x^e mod f as _pow_x_binary computes it, squaring the whole residue
+    through f's squaring table (_square_table): one lookup per residue
+    byte, XORed, gives the reduced square and the quotient of its long
+    division.  With the table built, a squaring costs n*ceil(gamma/8)
+    lookups and no reduction loop.
+
+    The count is _pow_x_binary's without its loops: the nonzero
+    coefficients squared are the nonzero lanes of the residue, and the
+    top coefficients cleared are the quotient's coefficients, since f is
+    monic.  In a lane of w bits, adding 2^(w-1) - 1 to the low w - 1 bits
+    carries into bit w - 1 exactly when they are not all zero, and never
+    out of the lane; OR-ed with the lane's own bit w - 1, that bit marks a
+    nonzero lane, so a few int operations count the nonzero lanes of a
+    whole residue.
+    """
+    spec = f.spec
+    n, nb = f.degree(), (spec.gamma + 7) // 8
+    lane = 8 * nb
+    table, red, nnz = _square_table(f)
+    top = n * lane
+    mask = (1 << top) - 1
+    low = sum(((1 << lane - 1) - 1) << i * lane for i in range(n))
+    high = mask ^ low
+    acc, count = 1 << lane, 0
+    for b in bin(e)[3:]:
+        count += (((acc & low) + low | acc) & high).bit_count()
+        s = _reduce(_xor, map(_getitem, table, acc.to_bytes(n * nb, "little")))
+        quot = s >> top
+        if quot:
+            count += nnz * (((quot & low) + low | quot) & high).bit_count()
+        acc = s & mask
+        if b == "1":
+            acc <<= lane
+            c = acc >> top
+            if c:
+                count += nnz
+                acc ^= _reduce(_xor, map(_getitem, red, c.to_bytes(nb, "little")))
+    _count_muls(count)
+    return _unpack(acc, f)
+
+
+def _clear_rows(f: FqPoly) -> tuple:
+    """The table that clears a top coefficient c modulo a monic f of
+    degree n over GF(2^gamma): row k maps a byte b of c to the lanes
+    (c*f_0, ..., c*f_(n-1), c) for c = b * x^(8k), lane i the i-th run of
+    ceil(gamma/8) bytes.  Each row is spanned from its 8 single-bit
+    entries.  The next bit's entry multiplies every lane by x at once: the
+    lanes whose bit gamma - 1 was set drop it and, once shifted, take the
+    modulus's terms below x^gamma (a copy per lane that never overlaps
+    the next, so the int product is carry-free)."""
+    spec = f.spec
+    n, gamma = f.degree(), spec.gamma
+    lane = 8 * ((gamma + 7) // 8)
+    low = spec._mod_packed ^ 1 << gamma
+    ones = sum(1 << i * lane for i in range(n))
+    v = sum(c.val << i * lane for i, c in enumerate(f.coeffs[:n])) | 1 << n * lane
+    rows = []
+    for _ in range(lane // 8):
+        row = [0]
+        for _ in range(8):
+            row += [r ^ v for r in row]
+            hi = v >> gamma - 1 & ones
+            v = (v ^ hi << gamma - 1) << 1 ^ hi * low
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _square_table(f: FqPoly) -> tuple:
+    """f's squaring table, its clearing table and nnz(f_0 .. f_(n-1)),
+    built on first use and cached on f.
+
+    r -> r^2 mod f is GF(2)-linear on residues, and so is the quotient
+    of the long division of r^2 by f.  Row k maps a byte b to the
+    residue (b * 2^(8k))^2 mod f, the residue byte k holding b and every
+    other byte zero, with the quotient in n - 1 further lanes.  The rows
+    of lane 0 are the field's squaring rows; the others are spanned from
+    their 8 single-bit entries, each reduced by long division.  With the
+    clearing table, f owns n*ceil(gamma/8) rows of 256 entries.
+    """
+    if f._sq_table is None:
+        spec = f.spec
+        n, nb = f.degree(), (spec.gamma + 7) // 8
+        lane = 8 * nb
+        top = n * lane
+        sq, red = spec._square_rows(), _clear_rows(f)
+        rows = list(sq)
+        for i in range(1, n):
+            for sq_row in sq:
+                row = [0]
+                for t in range(8):
+                    s, quot = sq_row[1 << t] << 2 * i * lane, 0
+                    for shift in range((2 * i - n) * lane, -1, -lane):
+                        c = s >> top + shift
+                        if c:
+                            quot |= c << shift
+                            clear = _reduce(_xor, map(_getitem, red, c.to_bytes(nb, "little")))
+                            s ^= clear << shift
+                    v = s | quot << top
+                    row += [r ^ v for r in row]
+                rows.append(tuple(row))
+        nnz = n - [c.val for c in f.coeffs[:n]].count(0)
+        object.__setattr__(f, "_sq_table", (tuple(rows), red, nnz))
+    return f._sq_table
+
+
+def _unpack(acc: int, f: FqPoly) -> FqPoly:
+    """The residue whose coefficient i is lane i of acc."""
+    spec = f.spec
+    n, nb = f.degree(), (spec.gamma + 7) // 8
     raw = acc.to_bytes(n * nb, "little")
     return FqPoly(spec, [
         FieldElement(spec, int.from_bytes(raw[i * nb:(i + 1) * nb], "little")) for i in range(n)

@@ -187,15 +187,27 @@ class MorPrivateKey:
         return cls(m, conjugator)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MorCiphertext:
     """(phi^r, phi^{mr}(a)) with phi^r held as its conjugator B_r, up to a
-    scalar; phi_r, the v1 presentation, is built on first read.  == compares
-    B_r as held: encrypt keeps the power of B_phi it raised, from_json the
-    normalized B_r it recovers."""
+    scalar; phi_r, the v1 presentation, is built on first read.  encrypt
+    keeps the power of B_phi it raised, from_json the normalized B_r it
+    recovers, so == compares the conjugators up to a scalar: two
+    ciphertexts are equal when their payloads are and their B_r are
+    multiples of each other (nonzero ones, as conjugators are invertible),
+    a ciphertext and its own parse among them.  The hash reads the payload
+    only, so equal ciphertexts hash alike."""
 
     conjugator: Matrix
     payload: Matrix
+
+    def __eq__(self, other):
+        if not isinstance(other, MorCiphertext):
+            return NotImplemented
+        return self.payload == other.payload and _is_multiple(other.conjugator, self.conjugator)
+
+    def __hash__(self):
+        return hash(self.payload)
 
     @cached_property
     def phi_r(self) -> Automorphism:
@@ -359,14 +371,20 @@ def decrypt(sk: MorPrivateKey, ct: MorCiphertext) -> Matrix:
 
 def _is_multiple(x: Matrix, b: Matrix) -> bool:
     """Whether x = c b for a scalar c, so that conjugation by x is
-    conjugation by b.  b is normalized as recover_conjugator returns it,
-    its last nonzero entry 1, so c is x's entry there.  One
-    multiplication per nonzero entry of b compared, up to the first
-    entry that differs: a non-multiple usually costs one."""
-    mul = b.spec._mul_raw
+    conjugation by b.  c is x's entry at b's last nonzero entry divided by
+    b's; encrypt's b is normalized as recover_conjugator returns it, that
+    entry 1, and the division costs nothing.  One multiplication per
+    nonzero entry of b compared, up to the first entry that differs: a
+    non-multiple usually costs one."""
+    spec = b.spec
+    if (x.spec, x.d) != (spec, b.d):
+        return False
+    mul = spec._mul_raw
     flat_b, flat_x = tuple(chain(*b.vals)), tuple(chain(*x.vals))
-    c = flat_x[max(k for k, v in enumerate(flat_b) if v)]
-    count, same = 0, True
+    k = max(k for k, v in enumerate(flat_b) if v)
+    c, count, same = flat_x[k], 0, True
+    if flat_b[k] != 1:
+        c, count = mul(c, spec._inv_raw(flat_b[k])), 1
     for v, y in zip(flat_b, flat_x):
         if v:
             count += 1

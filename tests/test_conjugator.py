@@ -200,6 +200,46 @@ def test_second_message_pays_no_recovery_and_no_certificate(monkeypatch):
     assert ct.to_json() == protocol.MorCiphertext.from_json(ct.to_json()).to_json()
 
 
+def test_a_session_builds_one_squaring_table_per_new_conjugator(monkeypatch):
+    builds, draws = [], []
+    real_table, real_draw = fqpoly._square_table, protocol.random_gl
+
+    def square_table(f):
+        if f._sq_table is None:
+            builds.append(f)
+        return real_table(f)
+
+    def random_gl(*args):
+        draws.append(args)
+        return real_draw(*args)
+
+    monkeypatch.setattr(fqpoly, "_square_table", square_table)
+    monkeypatch.setattr(protocol, "random_gl", random_gl)
+    params = MorParams(field_spec(2, 16), 5)
+    rng = random.Random(3)
+    pk, sk = keygen(params, rng)
+    # draws with a reducible chi build nothing; the key's own power builds one
+    assert len(draws) > 1
+    assert len(builds) == 1 and builds[0] is sk.conjugator._chi
+    builds.clear()
+    encrypt(pk, encode_message(b"a", params), rng)
+    # the first message builds the tables of B_phi and B_phim, kept for the key
+    b_phi, b_phim = recover_conjugator(pk.phi), recover_conjugator(pk.phi_m)
+    assert len(builds) == 2 and builds[0] is b_phi._chi and builds[1] is b_phim._chi
+    for msg in (b"b", b"c"):
+        builds.clear()
+        ct = encrypt(pk, encode_message(msg, params), rng)
+        assert builds == []
+        assert decode_message(decrypt(sk, ct)) == msg
+        # the fresh B_r's, which the ciphertext holds
+        assert len(builds) == 1 and builds[0] is ct.conjugator._chi
+    builds.clear()
+    # a paper-size chi (140-byte residues) keeps the per-call kernel
+    paper = random_gl(field_spec(2, 160), 7, random.Random(5))
+    mat_pow(paper, random.Random(5).getrandbits(1100))
+    assert builds == [] and paper._chi is not None and paper._chi._sq_table is None
+
+
 def test_keygen_with_irreducible_lift_skips_the_certificate(monkeypatch):
     calls = {}
     _counting(monkeypatch, fqpoly, "divides_x_qk_minus_x", calls)

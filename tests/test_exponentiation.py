@@ -3,13 +3,16 @@
 mat_pow picks Cayley-Hamilton or square-and-multiply from a predicted
 multiplication count; FqPoly.pow_mod squares without cross terms in
 characteristic 2, and raises x on raw ints over binary fields without a
-multiplication table; is_irreducible and mat_pow's certificate take
+multiplication table, squaring short residues through a table cached on
+the modulus; is_irreducible and mat_pow's certificate take
 q-th powers through the Frobenius matrix.  Each is checked for value
 against tests/oracles.py and, where it matters, for its count.
 """
 
 import random
 from unittest import mock
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,14 +151,19 @@ def test_binary_kernel_paper_size_is_pinned():
 
 
 def test_kernel_runs_only_on_binary_fields_without_tables(monkeypatch):
-    specs = []
-    real = fqpoly._pow_x_binary
+    routes = []
 
-    def recording(e, f):
-        specs.append(f.spec)
-        return real(e, f)
+    def recording(name):
+        real = getattr(fqpoly, name)
 
-    monkeypatch.setattr(fqpoly, "_pow_x_binary", recording)
+        def route(e, f):
+            routes.append((name, f.spec, f.degree()))
+            return real(e, f)
+
+        monkeypatch.setattr(fqpoly, name, route)
+
+    recording("_pow_x_binary")
+    recording("_pow_x_table")
     e = 3**90
     # odd characteristic (GF(3^6) has no table either), and table fields
     for p, gamma in ((7, 1), (3, 6), (2, 1), (2, 4), (2, 8)):
@@ -169,9 +177,69 @@ def test_kernel_runs_only_on_binary_fields_without_tables(monkeypatch):
     assert x_plus_1.pow_mod(e, f) == pow_mod_sqm(x_plus_1, e, f)
     linear = _monic(spec, (5,))
     assert FqPoly.x(spec).pow_mod(e, linear) == pow_mod_sqm(FqPoly.x(spec), e, linear)
-    assert specs == []
+    assert routes == []
+    # a short residue (6 bytes) with e > q takes the table, x^q the per-call kernel
     assert FqPoly.x(spec).pow_mod(e, f) == pow_x_elementwise(e, f)
-    assert specs == [spec]
+    assert FqPoly.x(spec).pow_mod(spec.q, f) == pow_x_elementwise(spec.q, f)
+    assert routes == [("_pow_x_table", spec, 3), ("_pow_x_binary", spec, 3)]
+    # the cap: 32 bytes take the table, 35 and the paper preset's 140 do not
+    routes.clear()
+    for gamma, n in ((64, 4), (33, 7), (160, 7)):
+        wide = field_spec(2, gamma)
+        g = _monic(wide, range(1, n + 1))
+        assert FqPoly.x(wide).pow_mod(wide.q + 1, g) == pow_x_elementwise(wide.q + 1, g)
+    assert routes == [
+        ("_pow_x_table", field_spec(2, 64), 4),
+        ("_pow_x_binary", field_spec(2, 33), 7),
+        ("_pow_x_binary", field_spec(2, 160), 7),
+    ]
+
+
+def _dense_modulus_field(gamma, seed):
+    """GF(2^gamma) under a random irreducible modulus with about gamma/2 terms."""
+    rng = random.Random(seed)
+    while True:
+        try:
+            return FieldSpec(2, gamma, (1, *(rng.getrandbits(1) for _ in range(gamma - 1)), 1))
+        except ValueError:  # reducible
+            pass
+
+
+@pytest.mark.parametrize("gamma", (9, 10, 16, 17, 33, 64))
+@settings(max_examples=20)
+@given(
+    dense=st.booleans(),
+    seed=st.integers(0, 2**32),
+    n=st.integers(2, 8),
+    # x^n, x^n + 1 and sparse random f give zero lanes in residues and quotients
+    kind=st.sampled_from(("x^n", "x^n+1", "sparse", "dense")),
+)
+def test_table_route_matches_the_counting_oracle(gamma, dense, seed, n, kind):
+    spec = _dense_modulus_field(gamma, seed) if dense else field_spec(2, gamma)
+    rng = random.Random(seed)
+    coeffs = {
+        "x^n": [0] * n,
+        "x^n+1": [1] + [0] * (n - 1),
+        "sparse": [rng.choice((0, rng.randrange(spec.q))) for _ in range(n)],
+        "dense": [rng.randrange(1, spec.q) for _ in range(n)],
+    }[kind]
+    f = _monic(spec, coeffs)
+    short = n * ((gamma + 7) // 8) <= fqpoly._SQUARE_TABLE_MAX_BYTES
+    table = None
+    # several exponents above q through one f: the table is built once
+    for _ in range(3):
+        e = spec.q + 1 + rng.getrandbits(rng.randrange(1, 201))
+        assert _counted(FqPoly.x(spec).pow_mod, e, f) == _counted(pow_x_elementwise, e, f)
+        if short:
+            assert f._sq_table is not None and table in (None, f._sq_table)
+            table = f._sq_table
+        else:
+            assert f._sq_table is None
+    if short:
+        # f owns n*ceil(gamma/8) rows of 256 entries: lane 0's are the field's
+        rows, clear, _ = table
+        assert len(rows) == n * len(clear) and all(len(row) == 256 for row in rows + clear)
+        assert all(row is own for row, own in zip(rows, spec._square_rows()))
 
 
 def test_squaring_table_is_built_on_first_use():

@@ -240,6 +240,29 @@ def test_key_serialization_round_trip():
     assert decrypt(sk2, ct2) == a
 
 
+def test_a_ciphertext_equals_its_parse_and_no_other():
+    params = MorParams(field_spec(2, 16), 5)
+    r = random.Random(1)
+    pk, sk = keygen(params, r)
+    ct = encrypt(pk, encode_message(b"h", params), r)
+    parsed = MorCiphertext.from_json(json.loads(json.dumps(ct.to_json())))
+    # encrypt holds B_phi^r as raised, the parse its normalized B_r
+    assert ct.conjugator != parsed.conjugator
+    assert ct == parsed and parsed == ct and hash(ct) == hash(parsed)
+    spec, b_r = params.spec, ct.conjugator
+    c = spec.from_val(3)
+    scaled = Matrix(spec, [[spec.from_val(v) * c for v in row] for row in b_r.vals])
+    assert ct == MorCiphertext(scaled, ct.payload)
+    other = encrypt(pk, encode_message(b"o", params), r)
+    assert ct != MorCiphertext(b_r, other.payload)
+    assert ct != MorCiphertext(other.conjugator, ct.payload)
+    # B_r with one entry changed is not a multiple of it
+    vals = [list(row) for row in b_r.vals]
+    vals[2][3] ^= 1
+    assert ct != MorCiphertext(Matrix._from_vals(spec, tuple(map(tuple, vals))), ct.payload)
+    assert ct != ct.to_json()
+
+
 def test_format_version_required():
     r = random.Random(13)
     pk, _ = keygen(TOY, r)
