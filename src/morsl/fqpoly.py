@@ -46,7 +46,7 @@ from .matrix import Matrix, mat_mul, scalar_matrix
 # squaring's saving shrinks as the lanes it XORs grow: on a 2-vCPU x86-64
 # VM the table paid for its build after about 35 exponent bits at 10 bytes
 # (d = 5 over GF(2^16)), after 100 to 300 at 32 bytes, and not within one
-# 1120-bit power at the paper preset's 140 bytes (9-16 ms to build).
+# 1120-bit power at the paper preset's 140 bytes (9-22 ms to build).
 _SQUARE_TABLE_MAX_BYTES = 32
 
 __all__ = [
