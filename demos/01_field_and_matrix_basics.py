@@ -28,6 +28,9 @@ print("GF(8) with modulus coefficients (constant term first):", gf8.modulus)
 x = gf8.monomial(1)
 print("x * x^2 =", (x * gf8.monomial(2)).coeffs, " (reduced by the modulus)")
 print("x^(q-1) =", (x ** 7).coeffs, " (multiplicative group has order 7)")
+# An element packs its coefficient digits into one int, val; matrices and
+# polynomials store entries and coefficients as these packed ints.
+print("x^2 + 1 packs to", (x * x + gf8.one()).val, "(binary 101)")
 
 # Field multiplications are counted globally; additions are free.
 cost_reset()

@@ -35,6 +35,9 @@ while True:
     if is_irreducible(chi):
         break
 print("conjugator charpoly degree:", chi.degree(), "irreducible:", is_irreducible(chi))
+# coefficients are packed ints, constant term first; over GF(5) each is
+# the residue itself
+print("conjugator charpoly coefficients:", chi.coeffs)
 
 lifted = lift_operator(a)
 chi_lift = char_poly(lifted.matrix)

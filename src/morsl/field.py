@@ -264,7 +264,7 @@ def _is_irreducible_mod_p(coeffs: tuple[int, ...], p: int) -> bool:
 
     saved = _mul_count
     try:
-        return is_irreducible(FqPoly.from_int_coeffs(field_spec(p), coeffs))
+        return is_irreducible(FqPoly(field_spec(p), coeffs))
     finally:
         _mul_count = saved
 

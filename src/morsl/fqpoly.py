@@ -5,28 +5,33 @@ the security lab: Hessenberg-form characteristic polynomials (division
 only by field elements, valid in any characteristic), the gcd-with-
 Frobenius-powers irreducibility test, and enough factorization
 (squarefree / distinct-degree / equal-degree) to pull one irreducible
-factor out of a reducible characteristic polynomial.  The Hessenberg
-form and its minors are computed on Matrix.vals and lists of packed
-ints, counted as the FieldElement and FqPoly loops they replaced.
+factor out of a reducible characteristic polynomial.
+
+Coefficients are packed ints (FieldElement.val), as Matrix.vals are;
+only f(v) takes and returns a FieldElement.  Every kernel runs on the
+field's raw operations and adds to the multiplication counter exactly
+what its FieldElement loop, kept in tests/oracles.py, counted.  Binary
+operations refuse operands over different specs (FieldMismatchError).
 
 It is also the exponentiation engine behind matrix.mat_pow: pow_mod
 computes x^e mod chi_M, and eval_matrix evaluates the result at M.
 Repeated q-th powers modulo f go through the Frobenius matrix of f.
 Over a binary field too large for a multiplication table, x^e runs on
-raw ints: the residue is one int of byte-aligned lanes, and squaring a
+one int: the residue is packed in byte-aligned lanes, and squaring a
 coefficient and clearing a top coefficient are each one XOR of byte-
 indexed table entries (both maps are GF(2)-linear).  When the residue
 is short and e > q, squaring modulo f is one XOR of byte-indexed entries
 of a table of f itself, built on first use and cached on f, so a key's
-moduli keep theirs for every message.  Both kernels add to the
-multiplication counter exactly what the FieldElement loop would count,
-so counts and route choices do not depend on which path ran.
+moduli keep theirs for every message.  Both kernels count what the
+coefficient loop of pow_mod counts, so counts and route choices do not
+depend on which path ran.
 """
 
 from __future__ import annotations
 
 import random as _random
 from functools import reduce as _reduce
+from itertools import zip_longest as _zip_longest
 from math import gcd as _int_gcd
 from operator import getitem as _getitem
 from operator import xor as _xor
@@ -39,7 +44,7 @@ from .field import (
     _count_muls,
     is_probable_prime,
 )
-from .matrix import Matrix, mat_mul, scalar_matrix
+from .matrix import Matrix, mat_mul
 
 # The longest residue, in bytes, whose x^e builds a squaring table of its
 # modulus.  The build grows with the square of the residue's length, and a
@@ -63,7 +68,8 @@ __all__ = [
 
 
 class FqPoly:
-    """Immutable polynomial over a FieldSpec, constant coefficient first."""
+    """Immutable polynomial over a FieldSpec, constant coefficient first,
+    its coefficients packed ints."""
 
     # _sq_table caches the squaring table of x^e mod self (_square_table
     # fills it), only for the short binary moduli that _pow_x_table takes
@@ -71,11 +77,20 @@ class FqPoly:
 
     def __init__(self, spec: FieldSpec, coeffs=()):
         coeffs = tuple(coeffs)
-        n = len(coeffs)
-        while n > 0 and coeffs[n - 1].is_zero():
-            n -= 1
+        if not all(type(c) is int and 0 <= c < spec.q for c in coeffs):
+            raise ValueError(f"coefficients must be packed ints in [0, {spec.q})")
+        self._set_slots(spec, coeffs)
+
+    @classmethod
+    def _from_vals(cls, spec: FieldSpec, coeffs) -> "FqPoly":
+        """The polynomial of a sequence of packed ints, unchecked."""
+        f = object.__new__(cls)
+        f._set_slots(spec, coeffs)
+        return f
+
+    def _set_slots(self, spec: FieldSpec, coeffs) -> None:
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "coeffs", coeffs[:n])
+        object.__setattr__(self, "coeffs", tuple(_trim(coeffs)))
         object.__setattr__(self, "_sq_table", None)
 
     def __setattr__(self, *args):
@@ -85,19 +100,15 @@ class FqPoly:
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "FqPoly":
-        return cls(spec, ())
+        return cls._from_vals(spec, ())
 
     @classmethod
     def one(cls, spec: FieldSpec) -> "FqPoly":
-        return cls(spec, (spec.one(),))
+        return cls._from_vals(spec, (1,))
 
     @classmethod
     def x(cls, spec: FieldSpec) -> "FqPoly":
-        return cls(spec, (spec.zero(), spec.one()))
-
-    @classmethod
-    def from_int_coeffs(cls, spec: FieldSpec, ints) -> "FqPoly":
-        return cls(spec, tuple(spec.scalar(c) for c in ints))
+        return cls._from_vals(spec, (0, 1))
 
     # -- basics ---------------------------------------------------------------
 
@@ -108,15 +119,10 @@ class FqPoly:
         return not self.coeffs
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.spec.one()
-
-    def leading(self) -> FieldElement:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeffs == (1,)
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.spec.one()
+        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __eq__(self, other):
         if not isinstance(other, FqPoly):
@@ -124,76 +130,52 @@ class FqPoly:
         return self.spec == other.spec and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(tuple(c.val for c in self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self):
-        if self.is_zero():
-            return "FqPoly(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                if i == 0:
-                    terms.append(str(c.val))
-                elif i == 1:
-                    terms.append(f"{c.val}*x" if c.val != 1 else "x")
-                else:
-                    terms.append(f"{c.val}*x^{i}" if c.val != 1 else f"x^{i}")
-        return "FqPoly(" + " + ".join(terms) + ")"
+        return f"FqPoly({self.spec!r}, {self.coeffs})"
 
     # -- arithmetic -------------------------------------------------------------
 
+    def _check(self, other: "FqPoly") -> FieldSpec:
+        """The operands' common spec; different specs raise."""
+        spec = self.spec
+        if other.spec is not spec and other.spec != spec:
+            raise FieldMismatchError("polynomials over different field specs")
+        return spec
+
     def __add__(self, other: "FqPoly") -> "FqPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return FqPoly(self.spec, out)
+        spec = self._check(other)
+        add = spec._add_raw
+        return FqPoly._from_vals(
+            spec, [add(a, b) for a, b in _zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
+        )
 
     def __neg__(self) -> "FqPoly":
-        return FqPoly(self.spec, tuple(-c for c in self.coeffs))
+        return FqPoly._from_vals(self.spec, [self.spec._neg_raw(c) for c in self.coeffs])
 
     def __sub__(self, other: "FqPoly") -> "FqPoly":
-        return self + (-other)
+        spec = self._check(other)
+        sub = spec._sub_raw
+        return FqPoly._from_vals(
+            spec, [sub(a, b) for a, b in _zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
+        )
 
     def __mul__(self, other: "FqPoly") -> "FqPoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return FqPoly.zero(self.spec)
-        zero = self.spec.zero()
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = out[i + j] + ai * bj
-        return FqPoly(self.spec, out)
+        spec = self._check(other)
+        return FqPoly._from_vals(spec, _product(spec, self.coeffs, other.coeffs))
 
-    def scale(self, c: FieldElement) -> "FqPoly":
-        return FqPoly(self.spec, tuple(x * c for x in self.coeffs))
+    def scale(self, c: int) -> "FqPoly":
+        """self times the packed scalar c: one multiplication per
+        coefficient, zeros included."""
+        mul = self.spec._mul_raw
+        _count_muls(len(self.coeffs))
+        return FqPoly._from_vals(self.spec, [mul(v, c) for v in self.coeffs])
 
     def __divmod__(self, other: "FqPoly"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        spec = self.spec
-        zero = spec.zero()
-        rem = list(self.coeffs)
-        db = other.degree()
-        binv = other.leading().inv()
-        if len(rem) - 1 < db:
-            return FqPoly.zero(spec), self
-        quot = [zero] * (len(rem) - db)
-        bc = other.coeffs
-        for top in range(len(rem) - 1, db - 1, -1):
-            c = rem[top]
-            if c:
-                f = c * binv
-                quot[top - db] = f
-                for i in range(db + 1):
-                    if bc[i]:
-                        rem[top - db + i] = rem[top - db + i] - f * bc[i]
-        return FqPoly(spec, quot), FqPoly(spec, rem[:db])
+        spec = self._check(other)
+        quot, rem = _divmod(spec, self.coeffs, other.coeffs)
+        return FqPoly._from_vals(spec, quot), FqPoly._from_vals(spec, rem)
 
     def __floordiv__(self, other: "FqPoly") -> "FqPoly":
         return divmod(self, other)[0]
@@ -204,35 +186,38 @@ class FqPoly:
     def monic(self) -> "FqPoly":
         if self.is_zero() or self.is_monic():
             return self
-        return self.scale(self.leading().inv())
+        return self.scale(self.spec._inv_raw(self.coeffs[-1]))
 
     def gcd(self, other: "FqPoly") -> "FqPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        spec = self._check(other)
+        a, b = self.coeffs, other.coeffs
+        while b:
+            a, b = b, _trim(_divmod(spec, a, b)[1])
+        return FqPoly._from_vals(spec, a).monic()
 
     def pow_mod(self, n: int, modulus: "FqPoly") -> "FqPoly":
-        """self^n mod modulus by left-to-right square-and-multiply.
+        """self^n mod modulus, n >= 0, by left-to-right square-and-multiply.
 
         A squaring costs deg coefficient squarings in characteristic 2,
         where the cross terms vanish, and half a general product in odd
         characteristic.  When the base is x, each multiply is a shift, and
         over a binary field without a multiplication table the whole power
-        runs on raw ints.  If the residue takes at most
+        runs on one int of lanes.  If the residue takes at most
         _SQUARE_TABLE_MAX_BYTES and n > q, the squarings look up a table
         of the monic modulus, cached on it (_pow_x_table); x^q, as in a
         certificate or is_irreducible, and longer residues build no table
         and clear top coefficients one at a time (_pow_x_binary).
         """
-        spec = self.spec
+        spec = self._check(modulus)
+        if n < 0:
+            raise ValueError("negative exponent; invert modulo the modulus first")
         if modulus.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if n == 0:
             return FqPoly.one(spec)
         f = modulus.monic()
-        base = _rem_monic(list(self.coeffs), f)
-        by_x = base.coeffs == (spec.zero(), spec.one())
+        base = _trim(_rem_monic(list(self.coeffs), f))
+        by_x = base == [0, 1]
         # the base reduces to x only when deg f >= 2
         if by_x and spec.p == 2 and spec.q > _TABLE_MAX_Q:
             if n > spec.q and f.degree() * ((spec.gamma + 7) // 8) <= _SQUARE_TABLE_MAX_BYTES:
@@ -240,24 +225,22 @@ class FqPoly:
             return _pow_x_binary(n, f)
         acc = base
         for bit in bin(n)[3:]:
-            acc = _rem_monic(_square(acc.coeffs, spec), f)
+            acc = _rem_monic(_square(spec, acc), f)
             if bit == "1":
-                prod = [spec.zero(), *acc.coeffs] if by_x else list((acc * base).coeffs)
-                acc = _rem_monic(prod, f)
-        return acc
+                acc = _rem_monic([0, *acc] if by_x else _product(spec, acc, base), f)
+        return FqPoly._from_vals(spec, acc)
 
     def derivative(self) -> "FqPoly":
+        """One multiplication by i * 1 per coefficient of x^i, i >= 1."""
         spec = self.spec
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(spec.scalar(i) * self.coeffs[i])
-        return FqPoly(spec, out)
+        mul, p = spec._mul_raw, spec.p
+        _count_muls(max(0, len(self.coeffs) - 1))
+        return FqPoly._from_vals(spec, [mul(i % p, c) for i, c in enumerate(self.coeffs[1:], 1)])
 
     def __call__(self, v: FieldElement) -> FieldElement:
-        acc = self.spec.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        if v.spec != self.spec:
+            raise FieldMismatchError("polynomial and point over different fields")
+        return FieldElement(self.spec, _horner(self.spec, self.coeffs, v.val))
 
     def eval_matrix(self, m: Matrix) -> Matrix:
         """Horner evaluation at a square matrix, from c_n*M + c_(n-1)*1.
@@ -267,9 +250,9 @@ class FqPoly:
         spec, d = m.spec, m.d
         if self.spec != spec:
             raise FieldMismatchError("polynomial and matrix over different fields")
-        cs = [c.val for c in self.coeffs]
+        cs = self.coeffs
         if len(cs) < 2:
-            return scalar_matrix(spec, d, FieldElement(spec, cs[0] if cs else 0))
+            return _add_scalar(spec, [[0] * d] * d, cs[0] if cs else 0)
         mul = spec._mul_raw
         _count_muls(d * d)
         acc = _add_scalar(spec, [[mul(cs[-1], v) for v in row] for row in m.vals], cs[-2])
@@ -286,31 +269,126 @@ def _add_scalar(spec: FieldSpec, vals, c: int) -> Matrix:
     ))
 
 
-def _square(a, spec: FieldSpec) -> list:
-    """Coefficient list of a(x)^2, cross terms computed once and doubled."""
-    zero = spec.zero()
-    out = [zero] * max(0, 2 * len(a) - 1)
+# ---------------------------------------------------------------------------
+# kernels on coefficient sequences of packed ints, constant term first.
+# Each counts what the FieldElement loop it replaced multiplied: products
+# of two nonzero coefficients only, unless its docstring says otherwise.
+# ---------------------------------------------------------------------------
+
+
+def _trim(a):
+    """a without its trailing zeros."""
+    n = len(a)
+    while n and not a[n - 1]:
+        n -= 1
+    return a[:n]
+
+
+def _product(spec: FieldSpec, a, b) -> list:
+    """a(x) b(x), one multiplication per pair of nonzero coefficients."""
+    if not a or not b:
+        return []
+    mul, add = spec._mul_raw, spec._add_raw
+    out = [0] * (len(a) + len(b) - 1)
+    live = [(j, c) for j, c in enumerate(b) if c]
+    count = 0
     for i, c in enumerate(a):
         if c:
-            out[2 * i] = out[2 * i] + c * c
-            if spec.p != 2:
-                for j in range(i + 1, len(a)):
-                    if a[j]:
-                        t = c * a[j]
-                        out[i + j] = out[i + j] + t + t
+            count += len(live)
+            for j, v in live:
+                out[i + j] = add(out[i + j], mul(c, v))
+    _count_muls(count)
     return out
 
 
-def _rem_monic(a: list, f: FqPoly) -> FqPoly:
-    """a mod f for a monic f; consumes the list a."""
-    n, fc = f.degree(), f.coeffs
+def _divmod(spec: FieldSpec, a, b) -> tuple[list, list]:
+    """Quotient and remainder of a by b, trailing zeros kept: per nonzero
+    top coefficient cleared, one multiplication by 1/lead(b) and one per
+    nonzero coefficient of b."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    rem = list(a)
+    if len(rem) <= db:
+        return [], rem
+    mul, sub = spec._mul_raw, spec._sub_raw
+    binv = spec._inv_raw(b[-1])
+    # b's top term only clears rem[top], which is never read again
+    low = [(i, c) for i, c in enumerate(b[:db]) if c]
+    quot, count = [0] * (len(rem) - db), 0
+    for top in range(len(rem) - 1, db - 1, -1):
+        c = rem[top]
+        if c:
+            f = quot[top - db] = mul(c, binv)
+            count += 2 + len(low)
+            s = top - db
+            for i, v in low:
+                rem[s + i] = sub(rem[s + i], mul(f, v))
+    _count_muls(count)
+    return quot, rem[:db]
+
+
+def _square(spec: FieldSpec, a) -> list:
+    """a(x)^2: in characteristic 2 one multiplication per nonzero
+    coefficient, the cross terms vanishing; otherwise each cross term is
+    computed once and doubled."""
+    mul, add = spec._mul_raw, spec._add_raw
+    out = [0] * max(0, 2 * len(a) - 1)
+    live = [(i, c) for i, c in enumerate(a) if c]
+    if spec.p == 2:
+        for i, c in live:
+            out[2 * i] = mul(c, c)
+        _count_muls(len(live))
+        return out
+    for k, (i, c) in enumerate(live):
+        out[2 * i] = add(out[2 * i], mul(c, c))
+        for j, v in live[k + 1:]:
+            t = mul(c, v)
+            out[i + j] = add(out[i + j], add(t, t))
+    _count_muls(len(live) * (len(live) + 1) // 2)
+    return out
+
+
+def _rem_monic(a: list, f: FqPoly) -> list:
+    """a mod a monic f, trailing zeros kept; consumes the list a.  One
+    multiplication per nonzero f_i, i < deg f, per nonzero top
+    coefficient cleared."""
+    spec, fc = f.spec, f.coeffs
+    n = len(fc) - 1
+    mul, sub = spec._mul_raw, spec._sub_raw
+    low = [(i, c) for i, c in enumerate(fc[:n]) if c]
+    count = 0
     for top in range(len(a) - 1, n - 1, -1):
         c = a[top]
         if c:
-            for i in range(n):
-                if fc[i]:
-                    a[top - n + i] = a[top - n + i] - c * fc[i]
-    return FqPoly(f.spec, a[:n])
+            count += len(low)
+            s = top - n
+            for i, v in low:
+                a[s + i] = sub(a[s + i], mul(c, v))
+    _count_muls(count)
+    return a[:n]
+
+
+def _horner(spec: FieldSpec, coeffs, v: int) -> int:
+    """coeffs evaluated at the packed v: one multiplication per
+    coefficient, zeros included."""
+    mul, add = spec._mul_raw, spec._add_raw
+    acc = 0
+    for c in reversed(coeffs):
+        acc = add(mul(acc, v), c)
+    _count_muls(len(coeffs))
+    return acc
+
+
+def _pow_raw(spec: FieldSpec, a: int, k: int) -> int:
+    """a^k, k >= 1, by left-to-right square-and-multiply."""
+    mul, acc = spec._mul_raw, a
+    for bit in bin(k)[3:]:
+        acc = mul(acc, acc)
+        if bit == "1":
+            acc = mul(acc, a)
+    _count_muls(k.bit_length() + k.bit_count() - 2)
+    return acc
 
 
 def _pow_x_binary(e: int, f: FqPoly) -> FqPoly:
@@ -321,14 +399,14 @@ def _pow_x_binary(e: int, f: FqPoly) -> FqPoly:
     so each is the XOR of one table entry per byte: the field's squaring
     table, and a per-call table that maps c to the lanes
     (c*f_0, ..., c*f_(n-1), c) it subtracts.  The multiplications are
-    counted as the FieldElement loop in pow_mod counts them: one per
+    counted as the coefficient loop of pow_mod counts them: one per
     nonzero coefficient squared, nnz(f_0 .. f_(n-1)) per nonzero top
     coefficient cleared.
     """
     spec = f.spec
     n, nb = f.degree(), (spec.gamma + 7) // 8
     lane = 8 * nb
-    nnz = n - [c.val for c in f.coeffs[:n]].count(0)
+    nnz = n - f.coeffs[:n].count(0)
     sq = spec._square_rows()
     red = _clear_rows(f)
     top = n * lane
@@ -410,7 +488,7 @@ def _clear_rows(f: FqPoly) -> tuple:
     lane = 8 * ((gamma + 7) // 8)
     low = spec._mod_packed ^ 1 << gamma
     ones = sum(1 << i * lane for i in range(n))
-    v = sum(c.val << i * lane for i, c in enumerate(f.coeffs[:n])) | 1 << n * lane
+    v = sum(c << i * lane for i, c in enumerate(f.coeffs[:n])) | 1 << n * lane
     rows = []
     for _ in range(lane // 8):
         row = [0]
@@ -455,7 +533,7 @@ def _square_table(f: FqPoly) -> tuple:
                     v = s | quot << top
                     row += [r ^ v for r in row]
                 rows.append(tuple(row))
-        nnz = n - [c.val for c in f.coeffs[:n]].count(0)
+        nnz = n - f.coeffs[:n].count(0)
         object.__setattr__(f, "_sq_table", (tuple(rows), red, nnz))
     return f._sq_table
 
@@ -465,9 +543,9 @@ def _unpack(acc: int, f: FqPoly) -> FqPoly:
     spec = f.spec
     n, nb = f.degree(), (spec.gamma + 7) // 8
     raw = acc.to_bytes(n * nb, "little")
-    return FqPoly(spec, [
-        FieldElement(spec, int.from_bytes(raw[i * nb:(i + 1) * nb], "little")) for i in range(n)
-    ])
+    return FqPoly._from_vals(
+        spec, [int.from_bytes(raw[i * nb:(i + 1) * nb], "little") for i in range(n)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -493,17 +571,20 @@ def _frobenius_map(f: FqPoly, steps: int):
     rows = []
 
     def by_matrix(h, g):
+        mul, add = spec._mul_raw, spec._add_raw
         if not rows:
-            rows.extend((FqPoly.one(spec), xq))
+            rows.extend(((1,), xq.coeffs))
             while len(rows) < n:
-                rows.append(_rem_monic(list((rows[-1] * xq).coeffs), f))
-        out = [spec.zero()] * n
+                rows.append(_rem_monic(_product(spec, rows[-1], xq.coeffs), f))
+            rows[:] = [[(j, r) for j, r in enumerate(row) if r] for row in rows]
+        out, count = [0] * n, 0
         for hi, row in zip(h.coeffs, rows):
             if hi:
-                for j, r in enumerate(row.coeffs):
-                    if r:
-                        out[j] = out[j] + hi * r
-        return FqPoly(spec, out)
+                count += len(row)
+                for j, r in row:
+                    out[j] = add(out[j], mul(hi, r))
+        _count_muls(count)
+        return FqPoly._from_vals(spec, out)
 
     return xq, by_matrix
 
@@ -621,22 +702,19 @@ def _hessenberg_char_poly(m: Matrix) -> FqPoly:
                     term[t] = sub(term[t], mul(coef, v))
         ps.append(term)
     _count_muls(count)
-    return FqPoly(spec, tuple(FieldElement(spec, v) for v in ps[n]))
+    return FqPoly._from_vals(spec, ps[n])
 
 
 def companion_matrix(f: FqPoly) -> Matrix:
     """Companion matrix of a monic polynomial; char_poly inverts this."""
     if not f.is_monic() or f.degree() < 1:
         raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
-    spec = f.spec
-    n = f.degree()
-    zero, one = spec.zero(), spec.one()
-    rows = [[zero] * n for _ in range(n)]
-    for i in range(1, n):
-        rows[i][i - 1] = one
-    for i in range(n):
-        rows[i][n - 1] = -f.coeffs[i]
-    return Matrix(spec, rows)
+    spec, n = f.spec, f.degree()
+    neg = spec._neg_raw
+    return Matrix._from_vals(spec, tuple(
+        tuple(neg(f.coeffs[i]) if j == n - 1 else int(j == i - 1) for j in range(n))
+        for i in range(n)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +733,7 @@ def is_irreducible(f: FqPoly) -> bool:
     spec = f.spec
     f = f.monic()
     # cheap screens: roots 0 and 1 give linear factors
-    if f.coeffs[0].is_zero() or f(spec.one()).is_zero():
+    if not f.coeffs[0] or not _horner(spec, f.coeffs, 1):
         return False
     x = FqPoly.x(spec)
     h, frob = _frobenius_map(f, n // 2 - 1)
@@ -673,14 +751,11 @@ def squarefree_part(f: FqPoly) -> FqPoly:
     f = f.monic()
     d = f.derivative()
     if d.is_zero():
-        # f is a p-th power: take the p-th root coefficientwise
-        p, gamma = spec.p, spec.gamma
-        root = []
-        for i in range(0, f.degree() + 1, p):
-            c = f.coeffs[i]
-            # inverse Frobenius: c -> c^(q/p)
-            root.append(c ** (spec.q // p) if c else c)
-        return squarefree_part(FqPoly(spec, root))
+        # f is a p-th power: take the p-th root coefficientwise, by the
+        # inverse Frobenius c -> c^(q/p)
+        k = spec.q // spec.p
+        root = [_pow_raw(spec, c, k) if c else 0 for c in f.coeffs[::spec.p]]
+        return squarefree_part(FqPoly._from_vals(spec, root))
     g = f.gcd(d)
     if g.is_one():
         return f
@@ -722,7 +797,7 @@ def _equal_degree_split(f: FqPoly, r: int, rng) -> list[FqPoly]:
         return [f]
     q = spec.q
     while True:
-        h = FqPoly(spec, tuple(spec.random(rng) for _ in range(n)))
+        h = FqPoly._from_vals(spec, [rng.randrange(q) for _ in range(n)])
         if h.degree() < 1:
             continue
         if q % 2 == 1:
@@ -765,13 +840,13 @@ def irreducible_factors(f: FqPoly) -> list[tuple[FqPoly, int]]:
             mult += 1
             rem = quot
         out.append((g, mult))
-    out.sort(key=lambda t: (t[0].degree(), tuple(c.val for c in t[0].coeffs)))
+    out.sort(key=lambda t: (t[0].degree(), t[0].coeffs))
     return out
 
 
 def mod_inverse(a: FqPoly, modulus: FqPoly) -> FqPoly:
     """Inverse of a modulo an irreducible polynomial, by extended Euclid."""
-    spec = a.spec
+    spec = a._check(modulus)
     r0, r1 = modulus, a % modulus
     s0, s1 = FqPoly.zero(spec), FqPoly.one(spec)
     while not r1.is_zero():
@@ -780,7 +855,7 @@ def mod_inverse(a: FqPoly, modulus: FqPoly) -> FqPoly:
         s0, s1 = s1, s0 - q * s1
     if r0.degree() != 0:
         raise ZeroDivisionError("element is not invertible modulo this polynomial")
-    return (s0.scale(r0.coeffs[0].inv())) % modulus
+    return s0.scale(spec._inv_raw(r0.coeffs[0])) % modulus
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ optionally restrict to a single irreducible factor instead of requiring
 an irreducible characteristic polynomial outright.
 
 The lab has no elimination and no product loop of its own; it works on
-packed ints (Matrix.vals) with the kernels the protocol uses.
+packed ints (Matrix.vals, FqPoly.coeffs) with the kernels the protocol
+uses, and the Menezes-Wu reduction's quotient ring F_q[x]/g (the group
+of its BSGS and multiplicative_order) is FqPoly arithmetic modulo g.
 Centralizers and the kernel ker g(A) come from linalg.nullspace, the
 centralizer's rows from linalg.sylvester_rows; the action of a matrix
 on that kernel and the coefficients of A' as a polynomial in A come from
@@ -279,7 +281,7 @@ def _quotient_group_ops(g: FqPoly) -> GroupOps:
         mul=lambda a, b: (a * b) % g,
         inv=lambda a: mod_inverse(a, g),
         identity=FqPoly.one(spec),
-        key=lambda a: tuple(c.val for c in a.coeffs),
+        key=lambda a: a.coeffs,
     )
 
 
@@ -505,7 +507,7 @@ def _express_as_polynomial(base: Matrix, target: Matrix, deg: int) -> FqPoly:
     )
     if coeffs is None:
         raise ValueError("target is not a polynomial in the base matrix")
-    return FqPoly(spec, [FieldElement(spec, row[0]) for row in coeffs])
+    return FqPoly._from_vals(spec, [row[0] for row in coeffs])
 
 
 def mw_reduce(a: Matrix, a_prime: Matrix, allow_reducible: bool = False,
@@ -551,7 +553,7 @@ def mw_reduce(a: Matrix, a_prime: Matrix, allow_reducible: bool = False,
     lam_prime = c % g
     ops = _quotient_group_ops(g)
     order = multiplicative_order(
-        lambda t: x.pow_mod(t, g), lambda v: v == FqPoly.one(spec), spec.q**k - 1
+        lambda t: x.pow_mod(t, g), FqPoly.is_one, spec.q**k - 1
     )
     n = bsgs_dlog(x, lam_prime, order, ops, budget=dlog_budget)
     if n is None:

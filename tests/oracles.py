@@ -40,14 +40,22 @@ automorphism's from_conjugator, factor reading, conjugator recovery,
 scaling, dot product and apply, and at the end of the file
 decompose_elementwise (words.decompose, NotInSLError included) and
 char_poly_elementwise (the Hessenberg reduction with its recurrence in
-FqPoly arithmetic).  They take and return FieldElements and count every
-product through FieldElement.__mul__, so a kernel must match both their
-values and their cost_counter() deltas.  element_rows gives them the
-entries of a Matrix as FieldElement rows.
+FqPoly arithmetic, on PolyElementwise).  They take and return
+FieldElements and count every product through FieldElement.__mul__, so a
+kernel must match both their values and their cost_counter() deltas.
+element_rows gives them the entries of a Matrix as FieldElement rows.
+
+PolyElementwise, at the very end, is FqPoly as it was on FieldElement
+coefficients: +, -, *, scale, divmod, monic, gcd, the coefficient loop of
+pow_mod (squaring and monic reduction), derivative and evaluation, with
+the Frobenius map, squarefree part, distinct- and equal-degree
+factorization, irreducible_factors, is_irreducible and mod_inverse on top
+of it.  packed() turns its results back into FqPoly for comparison.
 """
 
 import functools
 import itertools
+import random
 
 from morsl.autos import (
     Automorphism,
@@ -56,6 +64,7 @@ from morsl.autos import (
     generator_pairs,
 )
 from morsl.field import FieldElement, FieldSpec, _fp_mod, _fp_mul, _fp_trim, _gf2_mod, _zip_pad
+from morsl import fqpoly
 from morsl.fqpoly import FqPoly
 from morsl.matrix import (
     Matrix,
@@ -174,14 +183,15 @@ def pow_x_elementwise(e, f):
     top coefficient is cleared."""
     spec, n = f.spec, f.degree()
     zero = spec.zero()
+    fc = [FieldElement(spec, c) for c in f.coeffs]
 
     def reduce(a):
         for top in range(len(a) - 1, n - 1, -1):
             c = a[top]
             if c:
                 for i in range(n):
-                    if f.coeffs[i]:
-                        a[top - n + i] = a[top - n + i] - c * f.coeffs[i]
+                    if fc[i]:
+                        a[top - n + i] = a[top - n + i] - c * fc[i]
         return a[:n]
 
     acc = [zero, spec.one()] + [zero] * (n - 2)
@@ -193,7 +203,7 @@ def pow_x_elementwise(e, f):
         acc = reduce(sq)
         if bit == "1":
             acc = reduce([zero, *acc])
-    return FqPoly(spec, acc)
+    return FqPoly(spec, [c.val for c in acc])
 
 
 def to_hex_loop(a):
@@ -280,7 +290,7 @@ def char_poly_cofactor(m: Matrix) -> FqPoly:
     """
     spec, n = m.spec, m.d
     x = FqPoly.x(spec)
-    rows = element_rows(m)
+    rows = m.vals
     grid = [
         [
             x - FqPoly(spec, (rows[a][b],)) if a == b else -FqPoly(spec, (rows[a][b],))
@@ -535,7 +545,7 @@ def express_as_polynomial_nullspace(base, target, deg):
     for vec in reducer.nullspace_basis():
         if vec[deg]:
             scale = vec[deg].inv()
-            return FqPoly(spec, [v * scale for v in vec[:deg]])
+            return FqPoly(spec, [(v * scale).val for v in vec[:deg]])
     raise ValueError("target is not a polynomial in the base matrix")
 
 
@@ -674,7 +684,7 @@ def mat_inv_elementwise(x):
 def eval_matrix_elementwise(f, m):
     """Horner evaluation from c_n*M + c_(n-1)*1."""
     spec, d = m.spec, m.d
-    cs = f.coeffs
+    cs = [FieldElement(spec, c) for c in f.coeffs]
     if len(cs) < 2:
         return scalar_matrix(spec, d, cs[0] if cs else spec.zero())
 
@@ -956,11 +966,11 @@ def char_poly_elementwise(m):
                     if h[a][r]:
                         h[a][c + 1] = h[a][c + 1] + f * h[a][r]
     # recurrence on leading principal minors of the Hessenberg form
-    one = FqPoly.one(spec)
-    x = FqPoly.x(spec)
+    one = PolyElementwise.one(spec)
+    x = PolyElementwise.x(spec)
     ps = [one]
     for k in range(1, n + 1):
-        term = (x - FqPoly(spec, (h[k - 1][k - 1],))) * ps[k - 1]
+        term = (x - PolyElementwise(spec, (h[k - 1][k - 1],))) * ps[k - 1]
         run = spec.one()
         for i in range(1, k):
             run = run * h[k - i][k - i - 1]
@@ -968,4 +978,331 @@ def char_poly_elementwise(m):
             if coef:
                 term = term - ps[k - i - 1].scale(coef)
         ps.append(term)
-    return ps[n]
+    return ps[n].packed()
+
+
+# ---------------------------------------------------------------------------
+# FieldElement loops of the FqPoly kernels
+# ---------------------------------------------------------------------------
+
+
+class PolyElementwise:
+    """FqPoly as it was on FieldElement coefficients, constant term first:
+    every product goes through FieldElement.__mul__ and is counted there.
+    of() and packed() convert from and to an FqPoly."""
+
+    def __init__(self, spec, coeffs=()):
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1].is_zero():
+            coeffs.pop()
+        self.spec, self.coeffs = spec, tuple(coeffs)
+
+    @classmethod
+    def of(cls, f):
+        return cls(f.spec, [FieldElement(f.spec, c) for c in f.coeffs])
+
+    def packed(self):
+        return FqPoly(self.spec, [c.val for c in self.coeffs])
+
+    @classmethod
+    def one(cls, spec):
+        return cls(spec, (spec.one(),))
+
+    @classmethod
+    def x(cls, spec):
+        return cls(spec, (spec.zero(), spec.one()))
+
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def is_one(self):
+        return len(self.coeffs) == 1 and self.coeffs[0] == self.spec.one()
+
+    def is_monic(self):
+        return bool(self.coeffs) and self.coeffs[-1] == self.spec.one()
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = out[i] + c
+        return PolyElementwise(self.spec, out)
+
+    def __neg__(self):
+        return PolyElementwise(self.spec, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return PolyElementwise(self.spec)
+        zero = self.spec.zero()
+        out = [zero] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        out[i + j] = out[i + j] + ai * bj
+        return PolyElementwise(self.spec, out)
+
+    def scale(self, c):
+        return PolyElementwise(self.spec, [x * c for x in self.coeffs])
+
+    def __divmod__(self, other):
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        spec = self.spec
+        rem = list(self.coeffs)
+        db = other.degree()
+        binv = other.coeffs[-1].inv()
+        if len(rem) - 1 < db:
+            return PolyElementwise(spec), self
+        quot = [spec.zero()] * (len(rem) - db)
+        bc = other.coeffs
+        for top in range(len(rem) - 1, db - 1, -1):
+            c = rem[top]
+            if c:
+                f = c * binv
+                quot[top - db] = f
+                for i in range(db + 1):
+                    if bc[i]:
+                        rem[top - db + i] = rem[top - db + i] - f * bc[i]
+        return PolyElementwise(spec, quot), PolyElementwise(spec, rem[:db])
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def monic(self):
+        if self.is_zero() or self.is_monic():
+            return self
+        return self.scale(self.coeffs[-1].inv())
+
+    def gcd(self, other):
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, a % b
+        return a.monic()
+
+    def pow_mod(self, n, modulus):
+        """The coefficient loop of FqPoly.pow_mod; for the base x over a
+        large binary field it counts what the lane kernels count."""
+        spec = self.spec
+        if modulus.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        if n == 0:
+            return PolyElementwise.one(spec)
+        f = modulus.monic()
+        base = rem_monic_elementwise(list(self.coeffs), f)
+        by_x = base.coeffs == (spec.zero(), spec.one())
+        acc = base
+        for bit in bin(n)[3:]:
+            acc = rem_monic_elementwise(square_elementwise(acc.coeffs, spec), f)
+            if bit == "1":
+                prod = [spec.zero(), *acc.coeffs] if by_x else list((acc * base).coeffs)
+                acc = rem_monic_elementwise(prod, f)
+        return acc
+
+    def derivative(self):
+        spec = self.spec
+        return PolyElementwise(
+            spec, [spec.scalar(i) * self.coeffs[i] for i in range(1, len(self.coeffs))]
+        )
+
+    def __call__(self, v):
+        acc = self.spec.zero()
+        for c in reversed(self.coeffs):
+            acc = acc * v + c
+        return acc
+
+
+def square_elementwise(a, spec):
+    """Coefficient list of a(x)^2, cross terms computed once and doubled."""
+    zero = spec.zero()
+    out = [zero] * max(0, 2 * len(a) - 1)
+    for i, c in enumerate(a):
+        if c:
+            out[2 * i] = out[2 * i] + c * c
+            if spec.p != 2:
+                for j in range(i + 1, len(a)):
+                    if a[j]:
+                        t = c * a[j]
+                        out[i + j] = out[i + j] + t + t
+    return out
+
+
+def rem_monic_elementwise(a, f):
+    """a mod a monic f; consumes the list a."""
+    n, fc = f.degree(), f.coeffs
+    for top in range(len(a) - 1, n - 1, -1):
+        c = a[top]
+        if c:
+            for i in range(n):
+                if fc[i]:
+                    a[top - n + i] = a[top - n + i] - c * fc[i]
+    return PolyElementwise(f.spec, a[:n])
+
+
+def frobenius_map_elementwise(f, steps):
+    """x^q mod a monic f and the map h -> h^q, by the Frobenius matrix
+    when fqpoly's cost model picks it, as fqpoly._frobenius_map does."""
+    spec = f.spec
+    n, q = f.degree(), spec.q
+    xq = PolyElementwise.x(spec).pow_mod(q, f)
+    matrix_cost = max(0, n - 2) * fqpoly._mulmod_cost(n) + steps * n * n
+    if matrix_cost >= steps * fqpoly._pow_mod_cost(q, n, spec.p, by_x=False):
+        return xq, lambda h, g: h.pow_mod(q, g)
+    rows = []
+
+    def by_matrix(h, g):
+        if not rows:
+            rows.extend((PolyElementwise.one(spec), xq))
+            while len(rows) < n:
+                rows.append(rem_monic_elementwise(list((rows[-1] * xq).coeffs), f))
+        out = [spec.zero()] * n
+        for hi, row in zip(h.coeffs, rows):
+            if hi:
+                for j, r in enumerate(row.coeffs):
+                    if r:
+                        out[j] = out[j] + hi * r
+        return PolyElementwise(spec, out)
+
+    return xq, by_matrix
+
+
+def divides_x_qk_minus_x_elementwise(f, k):
+    f = f.monic()
+    h, frob = frobenius_map_elementwise(f, k - 1)
+    for _ in range(k - 1):
+        h = frob(h, f)
+    return ((h - PolyElementwise.x(f.spec)) % f).is_zero()
+
+
+def is_irreducible_elementwise(f):
+    n = f.degree()
+    if n < 1:
+        return False
+    if n == 1:
+        return True
+    spec = f.spec
+    f = f.monic()
+    if f.coeffs[0].is_zero() or f(spec.one()).is_zero():
+        return False
+    x = PolyElementwise.x(spec)
+    h, frob = frobenius_map_elementwise(f, n // 2 - 1)
+    for k in range(n // 2):
+        if k:
+            h = frob(h, f)
+        if not f.gcd(h - x).is_one():
+            return False
+    return True
+
+
+def squarefree_part_elementwise(f):
+    spec = f.spec
+    f = f.monic()
+    d = f.derivative()
+    if d.is_zero():
+        root = [c ** (spec.q // spec.p) if c else c for c in f.coeffs[::spec.p]]
+        return squarefree_part_elementwise(PolyElementwise(spec, root))
+    g = f.gcd(d)
+    if g.is_one():
+        return f
+    part = (f // g).monic()
+    rest = squarefree_part_elementwise(g)
+    return (part * (rest // part.gcd(rest))).monic()
+
+
+def _distinct_degree_elementwise(f):
+    x = PolyElementwise.x(f.spec)
+    h, frob, i, out = x, None, 0, []
+    while f.degree() >= 2 * (i + 1):
+        i += 1
+        if frob is None:
+            h, frob = frobenius_map_elementwise(f, f.degree() // 2 - 1)
+        else:
+            h = frob(h, f)
+        g = f.gcd(h - x)
+        if not g.is_one():
+            out.append((g, i))
+            f = f // g
+            h = h % f
+    if f.degree() > 0:
+        out.append((f, f.degree()))
+    return out
+
+
+def _equal_degree_split_elementwise(f, r, rng):
+    spec, n, q = f.spec, f.degree(), f.spec.q
+    if n == r:
+        return [f]
+    while True:
+        h = PolyElementwise(spec, [spec.random(rng) for _ in range(n)])
+        if h.degree() < 1:
+            continue
+        if q % 2 == 1:
+            g = h.pow_mod((q**r - 1) // 2, f) - PolyElementwise.one(spec)
+        else:
+            t = h % f
+            g = t
+            for _ in range(r * spec.gamma - 1):
+                t = t.pow_mod(2, f)
+                g = g + t
+        g = f.gcd(g)
+        if 0 < g.degree() < n:
+            return (_equal_degree_split_elementwise(g, r, rng)
+                    + _equal_degree_split_elementwise(f // g, r, rng))
+
+
+def irreducible_factors_elementwise(f):
+    """Factors with multiplicities, sorted by degree, then by the
+    coefficient value tuple."""
+    rng = random.Random(0x5EED)
+    f = f.monic()
+    factors = []
+    for part, r in _distinct_degree_elementwise(squarefree_part_elementwise(f)):
+        factors.extend(_equal_degree_split_elementwise(part, r, rng))
+    out = []
+    for g in factors:
+        mult, rem = 0, f
+        while True:
+            quot, rr = divmod(rem, g)
+            if not rr.is_zero():
+                break
+            mult += 1
+            rem = quot
+        out.append((g, mult))
+    out.sort(key=lambda t: (t[0].degree(), tuple(c.val for c in t[0].coeffs)))
+    return out
+
+
+def mod_inverse_elementwise(a, modulus):
+    spec = a.spec
+    r0, r1 = modulus, a % modulus
+    s0, s1 = PolyElementwise(spec), PolyElementwise.one(spec)
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    if r0.degree() != 0:
+        raise ZeroDivisionError("element is not invertible modulo this polynomial")
+    return (s0.scale(r0.coeffs[0].inv())) % modulus
+
+
+def packed(x):
+    """x with every PolyElementwise in it, through tuples and lists, as
+    an FqPoly."""
+    if isinstance(x, PolyElementwise):
+        return x.packed()
+    if isinstance(x, (tuple, list)):
+        return type(x)(packed(v) for v in x)
+    return x

@@ -282,7 +282,7 @@ def test_c06_menezes_wu_reduction():
 
     def random_irreducible(spec, deg):
         while True:
-            f = FqPoly(spec, [spec.random(rng) for _ in range(deg)] + [spec.one()])
+            f = FqPoly(spec, [rng.randrange(spec.q) for _ in range(deg)] + [1])
             if is_irreducible(f):
                 return f
 

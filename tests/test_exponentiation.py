@@ -54,7 +54,7 @@ def _random_matrix(spec, d, rng):
 
 
 def _poly(spec, coeffs):
-    return FqPoly(spec, [spec.from_val(c % spec.q) for c in coeffs])
+    return FqPoly(spec, [c % spec.q for c in coeffs])
 
 
 @PROPERTY
@@ -89,9 +89,9 @@ def test_is_irreducible_matches_oracle(spec, parts, repeat):
     # products of random monic factors; repeat squares the first one
     f = FqPoly.one(spec)
     for coeffs in parts:
-        f = f * FqPoly(spec, (*_poly(spec, coeffs).coeffs, spec.one()))
+        f = f * FqPoly(spec, (*_poly(spec, coeffs).coeffs, 1))
     if repeat:
-        g = FqPoly(spec, (*_poly(spec, parts[0]).coeffs, spec.one()))
+        g = FqPoly(spec, (*_poly(spec, parts[0]).coeffs, 1))
         f = f * g
     assert is_irreducible(f) == is_irreducible_gcd(f)
 
@@ -118,7 +118,7 @@ def _counted(fn, *args):
 
 
 def _monic(spec, coeffs):
-    return FqPoly(spec, [*(spec.from_val(c % spec.q) for c in coeffs), spec.one()])
+    return FqPoly(spec, [*(c % spec.q for c in coeffs), 1])
 
 
 # gamma = 9 is the smallest binary field without a multiplication table

@@ -1,9 +1,11 @@
+import operator
 import random
 
 import pytest
 from oracles import char_poly_cofactor
 
-from morsl.field import cost_counter, cost_reset, field_spec
+from morsl import fqpoly
+from morsl.field import FieldMismatchError, cost_counter, cost_reset, field_spec
 from morsl.fqpoly import (
     FqPoly,
     char_poly,
@@ -11,6 +13,7 @@ from morsl.fqpoly import (
     factor_int,
     irreducible_factors,
     is_irreducible,
+    mod_inverse,
     multiplicative_order,
     squarefree_part,
 )
@@ -22,7 +25,7 @@ GF4 = field_spec(2, 2)
 
 
 def _random_monic(spec, deg, rng):
-    coeffs = [spec.random(rng) for _ in range(deg)] + [spec.one()]
+    coeffs = [rng.randrange(spec.q) for _ in range(deg)] + [1]
     return FqPoly(spec, coeffs)
 
 
@@ -60,7 +63,7 @@ def test_char_poly_of_diagonal():
     x = FqPoly.x(GF7)
     expected = FqPoly.one(GF7)
     for wi in w:
-        expected = expected * (x - FqPoly(GF7, (wi,)))
+        expected = expected * (x - FqPoly(GF7, (wi.val,)))
     assert f == expected
 
 
@@ -123,9 +126,9 @@ def test_is_irreducible_small_scan():
 
 def test_is_irreducible_known_cases():
     # x^2 + 1 over GF(7): -1 is not a square mod 7
-    f = FqPoly.from_int_coeffs(GF7, (1, 0, 1))
+    f = FqPoly(GF7, (1, 0, 1))
     assert is_irreducible(f)
-    g = FqPoly.from_int_coeffs(GF7, (6, 0, 1))  # x^2 - 1 = (x-1)(x+1)
+    g = FqPoly(GF7, (6, 0, 1))  # x^2 - 1 = (x-1)(x+1)
     assert not is_irreducible(g)
     assert not is_irreducible(FqPoly.one(GF7))
 
@@ -137,7 +140,7 @@ def test_squarefree_part():
     rad = squarefree_part(f)
     assert rad == ((x - one) * x * (x + one)).monic()
     # p-th power case: (x^2+x+1)^5 over GF(5)
-    g = FqPoly.from_int_coeffs(GF5, (1, 1, 1))
+    g = FqPoly(GF5, (1, 1, 1))
     gp = one
     for _ in range(5):
         gp = gp * g
@@ -173,3 +176,67 @@ def test_multiplicative_order():
     h = spec.from_val(2)  # 2 has order 3 mod 7
     assert multiplicative_order(lambda n: h**n, lambda x: x == spec.one(), 6) == 3
 
+
+
+def test_coefficients_are_packed_ints():
+    assert FqPoly(GF7, (3, 0, 5, 0, 0)).coeffs == (3, 0, 5)
+    assert char_poly(identity(GF7, 2)).coeffs == (1, 5, 1)
+    for bad in (GF7.one(), 7, -1, True):
+        with pytest.raises(ValueError):
+            FqPoly(GF7, (bad,))
+
+
+# two fields of the same q under different moduli: the packed ints of one
+# are valid ints of the other, so only the spec check tells them apart
+SAME_Q = {
+    "GF(2^4)": (field_spec(2, 4, (1, 1, 0, 0, 1)), field_spec(2, 4, (1, 0, 0, 1, 1))),
+    "GF(3^2)": (field_spec(3, 2, (1, 0, 1)), field_spec(3, 2, (2, 1, 1))),
+}
+BINARY_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "divmod": divmod,
+    "gcd": FqPoly.gcd,
+    "pow_mod": lambda a, b: a.pow_mod(5, b),
+    "mod_inverse": mod_inverse,
+}
+
+
+@pytest.mark.parametrize("op", sorted(BINARY_OPS))
+@pytest.mark.parametrize("fields", sorted(SAME_Q))
+def test_polynomials_over_different_moduli_do_not_mix(fields, op):
+    s, t = SAME_Q[fields]
+    assert s.q == t.q and s != t
+    a, b = FqPoly(s, (1, 2, 3, 1)), FqPoly(t, (3, 2, 1))
+    cost_reset()
+    for left, right in ((a, b), (b, a)):
+        with pytest.raises(FieldMismatchError):
+            BINARY_OPS[op](left, right)
+    assert cost_counter() == 0
+
+
+@pytest.mark.parametrize("spec, coeffs, n, route", [
+    (GF7, (3, 1, 0, 1), 5, None),
+    (field_spec(2, 160), (1, 2, 3, 4, 5, 6, 7, 1), 5, "_pow_x_binary"),
+    (field_spec(2, 16), (3, 0, 1, 1), 2**16 + 5, "_pow_x_table"),
+], ids=("generic", "binary", "table"))
+def test_negative_exponents_are_refused(spec, coeffs, n, route, monkeypatch):
+    routes = []
+    for name in ("_pow_x_binary", "_pow_x_table"):
+        real = getattr(fqpoly, name)
+        monkeypatch.setattr(
+            fqpoly, name, lambda e, f, name=name, real=real: routes.append(name) or real(e, f)
+        )
+    f, x = FqPoly(spec, coeffs), FqPoly.x(spec)
+    bases = (x, FqPoly(spec, (2, 1))) if route is None else (x,)
+    for base in bases:
+        # the positive power takes the route; its negative once read as
+        # another positive power (bin(-n) without the sign)
+        base.pow_mod(n, f)
+        assert routes == ([route] if route else [])
+        routes.clear()
+        cost_reset()
+        with pytest.raises(ValueError):
+            base.pow_mod(-n, f)
+        assert routes == [] and cost_counter() == 0

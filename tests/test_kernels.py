@@ -12,12 +12,14 @@ the same NotInSLError after the same count.
 """
 
 import functools
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    PolyElementwise,
     RowReducerElementwise,
     apply_elementwise,
     apply_lifted_elementwise,
@@ -27,18 +29,24 @@ from oracles import (
     conjugator_rows_elementwise,
     decompose_elementwise,
     det_elementwise,
+    divides_x_qk_minus_x_elementwise,
     dot_elementwise,
     eval_matrix_elementwise,
     factor_rank1_elementwise,
     factors_as_elements,
     from_conjugator_elementwise,
+    irreducible_factors_elementwise,
+    is_irreducible_elementwise,
     lift_operator_elementwise,
     mat_inv_elementwise,
     mat_mul_elementwise,
+    mod_inverse_elementwise,
     nullspace_elementwise,
     outer_elementwise,
+    packed,
     scaled_elementwise,
     solve_elementwise,
+    squarefree_part_elementwise,
 )
 
 from morsl.autos import (
@@ -49,7 +57,15 @@ from morsl.autos import (
     _scaled,
 )
 from morsl.field import FieldElement, FieldSpec, cost_counter, field_spec
-from morsl.fqpoly import FqPoly, char_poly
+from morsl.fqpoly import (
+    FqPoly,
+    char_poly,
+    divides_x_qk_minus_x,
+    irreducible_factors,
+    is_irreducible,
+    mod_inverse,
+    squarefree_part,
+)
 from morsl.linalg import RowReducer, nullspace, solve, sylvester_rows
 from morsl.matrix import (
     Matrix,
@@ -239,7 +255,7 @@ def test_lift_operator_and_its_action_match_their_oracles(spec, d, seed, zero_sh
        zero_share=zero_shares)
 def test_eval_matrix_matches_its_oracle(spec, d, deg, seed, zero_share):
     rng = random.Random(seed)
-    f = FqPoly(spec, _elements(spec, _entries(spec, deg + 1, rng, zero_share)))
+    f = FqPoly(spec, _entries(spec, deg + 1, rng, zero_share))
     m = _matrix(spec, d, rng, zero_share)
     assert _run(f.eval_matrix, m) == _run(eval_matrix_elementwise, f, m)
 
@@ -502,3 +518,96 @@ def test_seeded_lab_counts_are_pinned(name):
     assert m % report.modulus in report.residues
     counts = (lift_count, centralizer_count, mw_count, validate_count, monomial_count)
     assert counts == pinned
+
+
+# -- FqPoly on packed ints --------------------------------------------------
+
+POLY_FIELDS = (
+    field_spec(3), field_spec(5), field_spec(7), field_spec(3, 2), field_spec(2, 4),
+    field_spec(2, 8), field_spec(2, 16),
+)
+poly_fields = st.sampled_from(POLY_FIELDS)
+# up to nine in ten coefficients zero: sparse products, remainders and gcds
+poly_zero_shares = st.sampled_from((0.0, 0.5, 0.9))
+
+
+def _run_poly(fn, *args):
+    """_run for the polynomial kernels: the oracle's PolyElementwise values
+    come back as FqPoly, and a failed division or inverse as its type."""
+    c0 = cost_counter()
+    try:
+        out = packed(fn(*args))
+    except ZeroDivisionError as exc:
+        out = type(exc)
+    return out, cost_counter() - c0
+
+
+def _poly(spec, n, rng, zero_share, monic=False):
+    """A polynomial of at most n coefficients, the top one 1 when monic."""
+    vals = _entries(spec, n, rng, zero_share)
+    return FqPoly(spec, vals + [1] if monic else vals)
+
+
+def _both(fn, oracle, *polys):
+    assert _run_poly(fn, *polys) == _run_poly(oracle, *map(PolyElementwise.of, polys))
+
+
+@PROPERTY
+@given(spec=poly_fields, seed=seeds, zero_share=poly_zero_shares)
+def test_poly_arithmetic_matches_its_oracle(spec, seed, zero_share):
+    rng = random.Random(seed)
+    a, b = _poly(spec, rng.randrange(9), rng, zero_share), _poly(spec, rng.randrange(7), rng, zero_share)
+    c = rng.randrange(spec.q)
+    for op in (operator.add, operator.sub, operator.mul, divmod, lambda x, y: x.gcd(y)):
+        _both(op, op, a, b)
+    for op in (operator.neg, lambda x: x.monic(), lambda x: x.derivative()):
+        _both(op, op, a)
+    assert _run_poly(a.scale, c) == _run_poly(PolyElementwise.of(a).scale, FieldElement(spec, c))
+    v = FieldElement(spec, c)
+    assert _run_poly(a, v) == _run_poly(PolyElementwise.of(a), v)
+
+
+@PROPERTY
+@given(spec=poly_fields, seed=seeds, zero_share=poly_zero_shares, by_x=st.booleans(),
+       e=st.one_of(st.integers(0, 64), st.integers(0, 2**80)))
+def test_pow_mod_matches_its_oracle(spec, seed, zero_share, by_x, e):
+    # over GF(2^16) the base x takes the lane kernels, whose count is the loop's
+    rng = random.Random(seed)
+    f = _poly(spec, rng.randrange(1, 8), rng, zero_share, monic=rng.random() < 0.7)
+    if f.is_zero():
+        f = FqPoly.x(spec)
+    base = FqPoly.x(spec) if by_x else _poly(spec, rng.randrange(10), rng, zero_share)
+    _both(lambda b, g: b.pow_mod(e, g), lambda b, g: b.pow_mod(e, g), base, f)
+    _both(lambda b, g: b.pow_mod(spec.q, g), lambda b, g: b.pow_mod(spec.q, g), base, f)
+
+
+@PROPERTY
+@given(spec=poly_fields, seed=seeds, zero_share=poly_zero_shares, repeat=st.booleans())
+def test_factoring_kernels_match_their_oracles(spec, seed, zero_share, repeat):
+    rng = random.Random(seed)
+    f = _poly(spec, rng.randrange(1, 7), rng, zero_share, monic=True)
+    if repeat and rng.random() < 0.5:
+        f = f * f
+    elif repeat:
+        # a polynomial in x^p: its derivative vanishes, and it is a p-th power
+        h = _poly(spec, rng.randrange(1, 3), rng, zero_share, monic=True)
+        spread = [0] * (spec.p * h.degree() + 1)
+        spread[::spec.p] = h.coeffs
+        f = FqPoly(spec, spread)
+    _both(is_irreducible, is_irreducible_elementwise, f)
+    _both(squarefree_part, squarefree_part_elementwise, f)
+    # the factors come out sorted by degree, then by coefficient tuple
+    _both(irreducible_factors, irreducible_factors_elementwise, f)
+    k = rng.randrange(1, 4)
+    _both(lambda g: divides_x_qk_minus_x(g, k), lambda g: divides_x_qk_minus_x_elementwise(g, k), f)
+
+
+@PROPERTY
+@given(spec=poly_fields, seed=seeds, zero_share=poly_zero_shares)
+def test_mod_inverse_matches_its_oracle(spec, seed, zero_share):
+    rng = random.Random(seed)
+    f = _poly(spec, rng.randrange(1, 7), rng, zero_share, monic=True)
+    # an irreducible factor of f, or f itself, which may share a root with a
+    g = irreducible_factors(f)[-1][0] if rng.random() < 0.7 else f
+    a = _poly(spec, rng.randrange(1, 9), rng, zero_share)
+    _both(mod_inverse, mod_inverse_elementwise, a, g)

@@ -1,9 +1,11 @@
-"""No module of the package reads an attribute named `rows`.
+"""Matrices and polynomials store their entries one way, as packed ints.
 
-A Matrix stores its entries one way, as packed ints in `vals`.  A second
-stored form, such as a FieldElement view, would come back as a reader
-of `rows`, perhaps on a path the suite does not run; so the check parses
-every module under src/morsl with ast instead of running it.
+No module of the package reads an attribute named `rows`: a Matrix keeps
+its entries in `vals`, and a second stored form, such as a FieldElement
+view, would come back as a reader of `rows`, perhaps on a path the suite
+does not run.  An FqPoly keeps its coefficients in `coeffs`, and fqpoly
+builds a FieldElement only where it hands one out.  The checks parse the
+source with ast instead of running it.
 """
 
 import ast
@@ -31,3 +33,61 @@ def test_no_package_module_reads_rows():
 def test_the_check_sees_a_rows_reader():
     source = "m.vals\nx = m.rows[0]\nred.pivot_rows\nrows = 1\nself.rows = rows\n"
     assert _rows_readers(source) == [2, 5]
+
+
+# The one place where fqpoly hands out a scalar: f(v) returns a FieldElement.
+FQPOLY_ELEMENT_ACCESSORS = {"FqPoly.__call__"}
+# FieldSpec's element constructors, which build a FieldElement for a caller
+SPEC_ELEMENT_CONSTRUCTORS = {
+    "zero", "one", "scalar", "from_val", "from_coeffs", "monomial", "random", "random_nonzero",
+    "elements",
+}
+
+
+def _builds_element(call: ast.Call) -> bool:
+    """FieldElement(...), or spec.one() and its kin; FqPoly.one(spec) and
+    cls.zero(spec) build polynomials."""
+    f = call.func
+    if isinstance(f, ast.Name):
+        return f.id == "FieldElement"
+    return (
+        isinstance(f, ast.Attribute)
+        and f.attr in SPEC_ELEMENT_CONSTRUCTORS
+        and not (isinstance(f.value, ast.Name) and f.value.id in ("FqPoly", "cls"))
+    )
+
+
+def _element_constructions(source: str) -> list[tuple[str, int]]:
+    """(enclosing def, line) of each FieldElement that source builds."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call) and _builds_element(child):
+                found.append((scope, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_fqpoly_builds_field_elements_only_in_its_accessors():
+    found = _element_constructions((PACKAGE / "fqpoly.py").read_text())
+    assert {scope for scope, _ in found} == FQPOLY_ELEMENT_ACCESSORS
+
+
+def test_the_check_sees_a_field_element_construction():
+    source = (
+        "class FqPoly:\n"
+        "    def __call__(self, v):\n"
+        "        return FieldElement(self.spec, 0)\n"
+        "def _kernel(spec, a):\n"
+        "    one = FqPoly.one(spec)\n"
+        "    return [FieldElement(spec, c) for c in a], spec.one(), one\n"
+    )
+    assert _element_constructions(source) == [
+        ("FqPoly.__call__", 3), ("_kernel", 6), ("_kernel", 6),
+    ]
