@@ -92,6 +92,19 @@ def _count_muls(k: int) -> None:
     _mul_count += k
 
 
+def _pow_raw(spec: FieldSpec, a: int, k: int) -> int:
+    """a^k on packed ints, k >= 1, by left-to-right square-and-multiply:
+    k.bit_length() - 1 squarings and k.bit_count() - 1 multiplications,
+    so k = 8 costs 3."""
+    mul, acc = spec._mul_raw, a
+    for bit in bin(k)[3:]:
+        acc = mul(acc, acc)
+        if bit == "1":
+            acc = mul(acc, a)
+    _count_muls(k.bit_length() + k.bit_count() - 2)
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # primality
 # ---------------------------------------------------------------------------
@@ -802,19 +815,9 @@ class FieldElement:
     def __pow__(self, n: int) -> "FieldElement":
         if n < 0:
             return self.inv() ** (-n)
-        result = self.spec.one()
         if n == 0:
-            return result
-        # left-to-right square and multiply; n=8 costs 3 multiplications
-        bit = 1 << (n.bit_length() - 1)
-        acc = self
-        bit >>= 1
-        while bit:
-            acc = acc * acc
-            if n & bit:
-                acc = acc * self
-            bit >>= 1
-        return acc
+            return self.spec.one()
+        return FieldElement(self.spec, _pow_raw(self.spec, self.val, n))
 
     def frobenius(self, i: int = 1) -> "FieldElement":
         """a^(p^i) for 0 <= i < gamma."""

@@ -17,14 +17,15 @@ It is also the exponentiation engine behind matrix.mat_pow: pow_mod
 computes x^e mod chi_M, and eval_matrix evaluates the result at M.
 Repeated q-th powers modulo f go through the Frobenius matrix of f.
 Over a binary field too large for a multiplication table, x^e runs on
-one int: the residue is packed in byte-aligned lanes, and squaring a
-coefficient and clearing a top coefficient are each one XOR of byte-
-indexed table entries (both maps are GF(2)-linear).  When the residue
-is short and e > q, squaring modulo f is one XOR of byte-indexed entries
-of a table of f itself, built on first use and cached on f, so a key's
-moduli keep theirs for every message.  Both kernels count what the
-coefficient loop of pow_mod counts, so counts and route choices do not
-depend on which path ran.
+one int in one kernel, _pow_x_lanes: the residue is packed in byte-
+aligned lanes, and squaring a coefficient and clearing a top coefficient
+are each one XOR of byte-indexed table entries (both maps are GF(2)-
+linear).  When the residue is short and e > q, squaring modulo f is
+instead one XOR of byte-indexed entries of a table of f itself, built on
+first use and cached on f, so a key's moduli keep theirs for every
+message.  Either squaring yields the reduced square and the quotient,
+and the kernel counts from those what the coefficient loop of pow_mod
+counts, so counts and route choices do not depend on which squaring ran.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .field import (
     FieldMismatchError,
     FieldSpec,
     _count_muls,
+    _pow_raw,
     is_probable_prime,
 )
 from .matrix import Matrix, mat_mul
@@ -72,7 +74,7 @@ class FqPoly:
     its coefficients packed ints."""
 
     # _sq_table caches the squaring table of x^e mod self (_square_table
-    # fills it), only for the short binary moduli that _pow_x_table takes
+    # fills it), only for the short binary moduli whose powers use it
     __slots__ = ("spec", "coeffs", "_sq_table")
 
     def __init__(self, spec: FieldSpec, coeffs=()):
@@ -202,11 +204,11 @@ class FqPoly:
         where the cross terms vanish, and half a general product in odd
         characteristic.  When the base is x, each multiply is a shift, and
         over a binary field without a multiplication table the whole power
-        runs on one int of lanes.  If the residue takes at most
-        _SQUARE_TABLE_MAX_BYTES and n > q, the squarings look up a table
-        of the monic modulus, cached on it (_pow_x_table); x^q, as in a
-        certificate or is_irreducible, and longer residues build no table
-        and clear top coefficients one at a time (_pow_x_binary).
+        runs on one int of lanes (_pow_x_lanes).  If the residue takes at
+        most _SQUARE_TABLE_MAX_BYTES and n > q, its squarings look up a
+        table of the monic modulus, cached on it; x^q, as in a certificate
+        or is_irreducible, and longer residues build no table and clear
+        top coefficients one at a time.
         """
         spec = self._check(modulus)
         if n < 0:
@@ -220,9 +222,7 @@ class FqPoly:
         by_x = base == [0, 1]
         # the base reduces to x only when deg f >= 2
         if by_x and spec.p == 2 and spec.q > _TABLE_MAX_Q:
-            if n > spec.q and f.degree() * ((spec.gamma + 7) // 8) <= _SQUARE_TABLE_MAX_BYTES:
-                return _pow_x_table(n, f)
-            return _pow_x_binary(n, f)
+            return _pow_x_lanes(n, f)
         acc = base
         for bit in bin(n)[3:]:
             acc = _rem_monic(_square(spec, acc), f)
@@ -380,86 +380,52 @@ def _horner(spec: FieldSpec, coeffs, v: int) -> int:
     return acc
 
 
-def _pow_raw(spec: FieldSpec, a: int, k: int) -> int:
-    """a^k, k >= 1, by left-to-right square-and-multiply."""
-    mul, acc = spec._mul_raw, a
-    for bit in bin(k)[3:]:
-        acc = mul(acc, acc)
-        if bit == "1":
-            acc = mul(acc, a)
-    _count_muls(k.bit_length() + k.bit_count() - 2)
-    return acc
-
-
-def _pow_x_binary(e: int, f: FqPoly) -> FqPoly:
+def _pow_x_lanes(e: int, f: FqPoly) -> FqPoly:
     """x^e mod a monic f of degree n >= 2 over GF(2^gamma), gamma > 8.
 
     The residue is one int of n byte-aligned lanes, coefficient i in lane
-    i.  Squaring and clearing a top coefficient c are both GF(2)-linear,
-    so each is the XOR of one table entry per byte: the field's squaring
-    table, and a per-call table that maps c to the lanes
-    (c*f_0, ..., c*f_(n-1), c) it subtracts.  The multiplications are
-    counted as the coefficient loop of pow_mod counts them: one per
-    nonzero coefficient squared, nnz(f_0 .. f_(n-1)) per nonzero top
-    coefficient cleared.
+    i.  Squaring, and subtracting a multiple of f, are GF(2)-linear, so
+    each is the XOR of one table entry per byte.  A squaring yields the
+    reduced square in the low n lanes and the quotient of its long
+    division by f above them, one of two ways: it squares each
+    coefficient through the field's squaring table and divides
+    (_divide_lanes), or, for a residue of at most _SQUARE_TABLE_MAX_BYTES
+    with e > q, it looks the whole square up in f's squaring table
+    (_square_table), built on first use and cached on f, in
+    n*ceil(gamma/8) lookups.
+
+    The multiplications are counted as the coefficient loop of pow_mod
+    counts them.  A squaring counts one per nonzero lane of the residue,
+    and nnz(f_0 .. f_(n-1)) per nonzero lane of the quotient, whose lanes
+    are the top coefficients cleared since f is monic; a multiply by x
+    counts nnz(f_0 .. f_(n-1)) when it clears a top coefficient.  In a
+    lane of w bits, adding 2^(w-1) - 1 to the low w - 1 bits carries into
+    bit w - 1 exactly when they are not all zero, and never out of the
+    lane; OR-ed with the lane's own bit w - 1, that bit marks a nonzero
+    lane, so a few int operations count the nonzero lanes of a residue.
     """
     spec = f.spec
     n, nb = f.degree(), (spec.gamma + 7) // 8
     lane = 8 * nb
-    nnz = n - f.coeffs[:n].count(0)
-    sq = spec._square_rows()
-    red = _clear_rows(f)
-    top = n * lane
-    acc, count = 1 << lane, 0
-    for b in bin(e)[3:]:
-        raw = acc.to_bytes(n * nb, "little")
-        squares = [_reduce(_xor, map(_getitem, sq, raw[i:i + nb])) for i in range(0, n * nb, nb)]
-        count += n - squares.count(0)
-        s = int.from_bytes(b"".join([v.to_bytes(2 * nb, "little") for v in squares]), "little")
-        for shift in range((n - 2) * lane, -1, -lane):
-            c = s >> top + shift
-            if c:
-                count += nnz
-                s ^= _reduce(_xor, map(_getitem, red, c.to_bytes(nb, "little"))) << shift
-        acc = s
-        if b == "1":
-            acc <<= lane
-            c = acc >> top
-            if c:
-                count += nnz
-                acc ^= _reduce(_xor, map(_getitem, red, c.to_bytes(nb, "little")))
-    _count_muls(count)
-    return _unpack(acc, f)
-
-
-def _pow_x_table(e: int, f: FqPoly) -> FqPoly:
-    """x^e mod f as _pow_x_binary computes it, squaring the whole residue
-    through f's squaring table (_square_table): one lookup per residue
-    byte, XORed, gives the reduced square and the quotient of its long
-    division.  With the table built, a squaring costs n*ceil(gamma/8)
-    lookups and no reduction loop.
-
-    The count is _pow_x_binary's without its loops: the nonzero
-    coefficients squared are the nonzero lanes of the residue, and the
-    top coefficients cleared are the quotient's coefficients, since f is
-    monic.  In a lane of w bits, adding 2^(w-1) - 1 to the low w - 1 bits
-    carries into bit w - 1 exactly when they are not all zero, and never
-    out of the lane; OR-ed with the lane's own bit w - 1, that bit marks a
-    nonzero lane, so a few int operations count the nonzero lanes of a
-    whole residue.
-    """
-    spec = f.spec
-    n, nb = f.degree(), (spec.gamma + 7) // 8
-    lane = 8 * nb
-    table, red, nnz = _square_table(f)
     top = n * lane
     mask = (1 << top) - 1
     low = sum(((1 << lane - 1) - 1) << i * lane for i in range(n))
     high = mask ^ low
+    if e > spec.q and n * nb <= _SQUARE_TABLE_MAX_BYTES:
+        table, red, nnz = _square_table(f)
+    else:
+        table, red, nnz = None, _clear_rows(f), n - f.coeffs[:n].count(0)
+        sq, starts = spec._square_rows(), range(0, n * nb, nb)
     acc, count = 1 << lane, 0
     for b in bin(e)[3:]:
         count += (((acc & low) + low | acc) & high).bit_count()
-        s = _reduce(_xor, map(_getitem, table, acc.to_bytes(n * nb, "little")))
+        raw = acc.to_bytes(n * nb, "little")
+        if table is None:
+            squares = [_reduce(_xor, map(_getitem, sq, raw[i:i + nb])) for i in starts]
+            s = int.from_bytes(b"".join([v.to_bytes(2 * nb, "little") for v in squares]), "little")
+            s = _divide_lanes(s, red, top, nb)
+        else:
+            s = _reduce(_xor, map(_getitem, table, raw))
         quot = s >> top
         if quot:
             count += nnz * (((quot & low) + low | quot) & high).bit_count()
@@ -469,16 +435,34 @@ def _pow_x_table(e: int, f: FqPoly) -> FqPoly:
             c = acc >> top
             if c:
                 count += nnz
-                acc ^= _reduce(_xor, map(_getitem, red, c.to_bytes(nb, "little")))
+                acc = acc & mask ^ _reduce(_xor, map(_getitem, red, c.to_bytes(nb, "little")))
     _count_muls(count)
     return _unpack(acc, f)
 
 
+def _divide_lanes(s: int, red: tuple, top: int, nb: int) -> int:
+    """The long division of s, an int of lanes of nb bytes, by a monic f
+    of degree top // (8*nb), red its clearing table (_clear_rows): the
+    remainder in the lanes below top and the quotient in the lanes from
+    top up, as f's squaring table holds them.  From the highest lane
+    down, a lane's coefficient c stays as the quotient's, and
+    c*(f_0, ..., f_(n-1)) is subtracted from the n lanes below it, which
+    leaves every lane already passed as it is."""
+    lane = 8 * nb
+    full = (1 << lane) - 1
+    for shift in range((s.bit_length() - 1 - top) // lane * lane, -1, -lane):
+        c = s >> top + shift & full
+        if c:
+            s ^= _reduce(_xor, map(_getitem, red, c.to_bytes(nb, "little"))) << shift
+    return s
+
+
 def _clear_rows(f: FqPoly) -> tuple:
-    """The table that clears a top coefficient c modulo a monic f of
-    degree n over GF(2^gamma): row k maps a byte b of c to the lanes
-    (c*f_0, ..., c*f_(n-1), c) for c = b * x^(8k), lane i the i-th run of
-    ceil(gamma/8) bytes.  Each row is spanned from its 8 single-bit
+    """The table of multiples of a monic f of degree n over GF(2^gamma)
+    below its top term: row k maps a byte b of c to the lanes
+    (c*f_0, ..., c*f_(n-1)) for c = b * x^(8k), lane i the i-th run of
+    ceil(gamma/8) bytes; XOR-ed in below a top coefficient c, they leave
+    c x^n times f subtracted.  Each row is spanned from its 8 single-bit
     entries.  The next bit's entry multiplies every lane by x at once: the
     lanes whose bit gamma - 1 was set drop it and, once shifted, take the
     modulus's terms below x^gamma (a copy per lane that never overlaps
@@ -488,7 +472,7 @@ def _clear_rows(f: FqPoly) -> tuple:
     lane = 8 * ((gamma + 7) // 8)
     low = spec._mod_packed ^ 1 << gamma
     ones = sum(1 << i * lane for i in range(n))
-    v = sum(c << i * lane for i, c in enumerate(f.coeffs[:n])) | 1 << n * lane
+    v = sum(c << i * lane for i, c in enumerate(f.coeffs[:n]))
     rows = []
     for _ in range(lane // 8):
         row = [0]
@@ -509,28 +493,20 @@ def _square_table(f: FqPoly) -> tuple:
     residue (b * 2^(8k))^2 mod f, the residue byte k holding b and every
     other byte zero, with the quotient in n - 1 further lanes.  The rows
     of lane 0 are the field's squaring rows; the others are spanned from
-    their 8 single-bit entries, each reduced by long division.  With the
+    their 8 single-bit entries, each divided by _divide_lanes.  With the
     clearing table, f owns n*ceil(gamma/8) rows of 256 entries.
     """
     if f._sq_table is None:
         spec = f.spec
         n, nb = f.degree(), (spec.gamma + 7) // 8
         lane = 8 * nb
-        top = n * lane
         sq, red = spec._square_rows(), _clear_rows(f)
         rows = list(sq)
         for i in range(1, n):
             for sq_row in sq:
                 row = [0]
                 for t in range(8):
-                    s, quot = sq_row[1 << t] << 2 * i * lane, 0
-                    for shift in range((2 * i - n) * lane, -1, -lane):
-                        c = s >> top + shift
-                        if c:
-                            quot |= c << shift
-                            clear = _reduce(_xor, map(_getitem, red, c.to_bytes(nb, "little")))
-                            s ^= clear << shift
-                    v = s | quot << top
+                    v = _divide_lanes(sq_row[1 << t] << 2 * i * lane, red, n * lane, nb)
                     row += [r ^ v for r in row]
                 rows.append(tuple(row))
         nnz = n - f.coeffs[:n].count(0)
@@ -560,7 +536,8 @@ def _frobenius_map(f: FqPoly, steps: int):
     divisor g of f, and returns h^q modulo f or g.  It uses the Frobenius
     matrix, whose rows are x^(iq) mod f, when that is predicted cheaper
     over `steps` calls than pow_mod (von zur Gathen and Shoup 1992): for
-    h in GF(q)[x], h^q = sum h_i x^(iq), one vector-matrix product.
+    h in GF(q)[x], h^q = sum h_i x^(iq), one vector-matrix product, then
+    reduced modulo g by _rem_monic when deg g < deg f.
     """
     spec = f.spec
     n, q = f.degree(), spec.q
@@ -584,7 +561,7 @@ def _frobenius_map(f: FqPoly, steps: int):
                 for j, r in row:
                     out[j] = add(out[j], mul(hi, r))
         _count_muls(count)
-        return FqPoly._from_vals(spec, out)
+        return FqPoly._from_vals(spec, _rem_monic(out, g) if g.degree() < n else out)
 
     return xq, by_matrix
 

@@ -34,9 +34,10 @@ through the SL check of Automorphism.__init__.
 
 mat_pow is the package's one exponentiation engine: keygen, encrypt,
 decrypt and Automorphism.power all raise matrices through it.  It picks
-Cayley-Hamilton or square-and-multiply by predicted cost, and reduces an
-exponent of at least q^d - 1 mod q^d - 1 when a certificate, decided
-once and cached on the matrix, shows that this is exact.
+Cayley-Hamilton or square-and-multiply by predicted cost, and it alone
+reduces an exponent, of at least q^d - 1 mod q^d - 1, when a verdict
+cached on the matrix (its certificate, or one handed on) shows that this
+is exact.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ class SingularMatrixError(ValueError):
 class Matrix:
     # _chi caches the characteristic polynomial (fqpoly.char_poly fills
     # it), _split the verdict of mat_pow's certificate that the order
-    # divides q^d - 1 (protocol.encrypt may also set a verdict that
-    # bounds the order but is no certificate)
+    # divides q^d - 1; only this module writes it (mat_pow, and the
+    # hand-offs _set_certified and _hand_on_verdict)
     __slots__ = ("spec", "d", "vals", "_chi", "_split")
 
     def __init__(self, spec: FieldSpec, rows):
@@ -368,17 +369,18 @@ def mat_pow(x: Matrix, n: int) -> Matrix:
     """x^n by whichever route is predicted to take fewer field multiplications.
 
     From n >= q^d - 1 on, n is first reduced mod q^d - 1 when that is
-    provably exact.  The certificate is x^(q^d) = x mod chi_x with
-    chi_x(0) != 0: then chi_x is squarefree with its roots in GF(q^d)^*,
-    so x is semisimple and its order divides q^d - 1.  Every matrix with
-    irreducible chi_x passes; one with a repeated eigenvalue does not and
-    keeps the full exponent (correct, just slower).  The verdict is
-    decided once per matrix and cached on it, and it shares chi_x with
-    the power, as char_poly caches it too.  Below q^d - 1 the reduction
-    would change nothing, so no certificate is computed.  protocol.decrypt
-    reduces m itself before the power when the private conjugator's
-    cached verdict covers the ciphertext's B_r (it commutes with it), and
-    protocol.encrypt hands B_phi's verdict on to B_phim the same way.
+    provably exact; no other code reduces an exponent.  The certificate is
+    x^(q^d) = x mod chi_x with chi_x(0) != 0: then chi_x is squarefree
+    with its roots in GF(q^d)^*, so x is semisimple and its order divides
+    q^d - 1.  Every matrix with irreducible chi_x passes; one with a
+    repeated eigenvalue does not and keeps the full exponent (correct,
+    just slower).  The verdict is decided once per matrix and cached on
+    it, and it shares chi_x with the power, as char_poly caches it too.
+    Below q^d - 1 the reduction would change nothing, so no certificate
+    is computed.  A verdict known by other means is recorded before the
+    power: _set_certified for a matrix with irreducible chi_x (keygen's
+    conjugator), and _hand_on_verdict for one that commutes with a
+    certified matrix (encrypt's B_phim, decrypt's B_r).
 
     Cayley-Hamilton: x^n = r(x) for r(t) = t^n mod chi_x(t), by
     FqPoly.pow_mod and Horner evaluation; about d^2 multiplications per
@@ -410,6 +412,31 @@ def mat_pow(x: Matrix, n: int) -> Matrix:
         if n:
             base = mat_mul(base, base)
     return result
+
+
+# The verdict _hand_on_verdict caches on a matrix that commutes with a
+# certified one: the order divides q^d - 1, so mat_pow reduces by it, but
+# the matrix need not be cyclic, so it certifies nothing else in turn.
+_COMMUTES_WITH_CERTIFIED = "commutes with a certified matrix"
+
+
+def _set_certified(x: Matrix) -> None:
+    """Record that x passes mat_pow's certificate, for an x whose chi_x
+    the caller found irreducible of degree d >= 2: such a chi_x has
+    chi_x(0) != 0 and divides x^(q^d) - x."""
+    object.__setattr__(x, "_split", True)
+
+
+def _hand_on_verdict(certified: Matrix, x: Matrix) -> None:
+    """Give an undecided x the verdict _COMMUTES_WITH_CERTIFIED when
+    `certified` carries a true verdict and x commutes with it, a test of
+    2 d^3 multiplications made only then.  This is exact: the certificate
+    makes chi squarefree with its roots in GF(q^d), so `certified` is
+    cyclic and x lies in F_q[certified], a product of fields GF(q^k) with
+    k dividing d, where every unit has order dividing q^d - 1."""
+    if x._split is None and certified._split is True:
+        if mat_mul(certified, x) == mat_mul(x, certified):
+            object.__setattr__(x, "_split", _COMMUTES_WITH_CERTIFIED)
 
 
 def conjugate(x: Matrix, a: Matrix) -> Matrix:

@@ -19,13 +19,14 @@ is matrix.mat_pow, as in Automorphism.power: B^m = (x^m mod chi_B)(B)
 by Cayley-Hamilton, with m first reduced mod q^d - 1 when
 x^(q^d) = x mod chi_B certifies that this is exact.  B is recovered
 once per automorphism and the certificate decided once per B (both are
-cached).  keygen hands the verdict of its irreducibility filter to
-mat_pow, so a key's conjugator is not certified twice.  encrypt
-certifies only B_phi: B_phim, a scalar multiple of B_phi^m, commutes
-with it and is given a verdict from B_phi's.  Each ciphertext brings a
-fresh B_r, but decrypt reduces m by the certificate of the private
-conjugator B when B_r commutes with B, so a key's later messages pay
-for neither, in encrypt or in decrypt.
+cached).  keygen records the verdict of its irreducibility filter
+(matrix._set_certified), so a key's conjugator is not certified twice.
+encrypt certifies only B_phi: B_phim, a scalar multiple of B_phi^m,
+commutes with it and is handed B_phi's verdict (matrix._hand_on_verdict).
+Each ciphertext brings a fresh B_r, and decrypt hands it the verdict of
+the private conjugator B when B_r commutes with B, so a key's later
+messages pay for neither, in encrypt or in decrypt; mat_pow alone
+reduces the exponent.
 
 A ciphertext holds phi^r as its conjugator B_r, up to a scalar: encrypt
 keeps the power of B_phi it raised, and decrypt raises it to m.  The v1
@@ -61,6 +62,7 @@ from .autos import Automorphism, InvalidAutomorphismError, recover_conjugator
 from .field import FieldSpec, _count_muls, _json_dict, _json_int
 from .fqpoly import char_poly, is_irreducible
 from .matrix import Matrix, conjugate, mat_inv, mat_mul, mat_pow, random_gl, transvection
+from .matrix import _hand_on_verdict, _set_certified
 from .words import NotInSLError
 
 __all__ = [
@@ -82,10 +84,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
-# The verdict encrypt caches on B_phim when it commutes with a certified
-# B_phi: the order divides q^d - 1, so mat_pow reduces by it, but the
-# matrix need not be cyclic, so it certifies nothing else in turn.
-_COMMUTES_WITH_CERTIFIED = "commutes with a certified matrix"
 KEYGEN_RETRY_CAP = 256
 ENCRYPT_RETRY_CAP = 64
 
@@ -289,9 +287,7 @@ def keygen(params: MorParams, rng):
         if params.require_irreducible_lift:
             if not is_irreducible(char_poly(a)):
                 continue
-            # an irreducible chi of degree d >= 2 has chi(0) != 0 and
-            # divides x^(q^d) - x: the certificate of mat_pow holds
-            object.__setattr__(a, "_split", True)
+            _set_certified(a)
         m = rng.randrange(2, _exponent_bound(params) - 1)
         a_m = mat_pow(a, m)
         if _is_scalar(a_m):  # phi^m = 1
@@ -317,9 +313,9 @@ def encrypt(pk: MorPublicKey, a: Matrix, rng) -> MorCiphertext:
     ENCRYPT_RETRY_CAP draws.
 
     Once mat_pow has certified B_phi, a B_phim that commutes with it
-    lies in F_q[B_phi], as decrypt's B_r does in F_q[B], and gets the
-    verdict _COMMUTES_WITH_CERTIFIED instead of a certificate of its own.
-    A foreign phi_m fails the test and takes mat_pow's route.
+    lies in F_q[B_phi], as decrypt's B_r does in F_q[B], and is handed
+    B_phi's verdict (matrix._hand_on_verdict) instead of a certificate of
+    its own.  A foreign phi_m fails the test and takes mat_pow's route.
     """
     spec, d = pk.params.spec, pk.params.d
     if a.spec != spec or a.d != d:
@@ -335,8 +331,7 @@ def encrypt(pk: MorPublicKey, a: Matrix, rng) -> MorCiphertext:
         b_r = mat_pow(b_phi, r)
         if _is_scalar(b_r) or _is_multiple(b_r, b_phi):  # phi^r = 1 or phi
             continue
-        if b_phim._split is None and b_phi._split is True and _commute(b_phi, b_phim):
-            object.__setattr__(b_phim, "_split", _COMMUTES_WITH_CERTIFIED)
+        _hand_on_verdict(b_phi, b_phim)
         b_mr = mat_pow(b_phim, r)
         if _is_scalar(b_mr):  # phi^{mr} = 1
             continue
@@ -348,13 +343,11 @@ def decrypt(sk: MorPrivateKey, ct: MorCiphertext) -> Matrix:
     """Invert phi^{mr} on the payload: raise the ciphertext's conjugator
     B_r to m and conjugate back, b * payload * b^(-1).
 
-    When m >= q^d - 1, the private conjugator B carries a cached true
-    certificate and B_r commutes with B, m is reduced mod q^d - 1 before
-    the power, so B_r's own certificate is not computed.  This is exact:
-    the certificate makes chi_B squarefree with its roots in GF(q^d), so
-    B is cyclic and B_r lies in F_q[B], a product of fields GF(q^k) with
-    k dividing d, where every unit has order dividing q^d - 1.  Any other
-    key or ciphertext, a parsed key among them, takes mat_pow's route.
+    When m >= q^d - 1, an undecided B_r is handed the verdict of the
+    private conjugator B (matrix._hand_on_verdict): if B carries a cached
+    true certificate and B_r commutes with B, mat_pow reduces m mod
+    q^d - 1 without computing B_r's own certificate.  Any other key or
+    ciphertext, a parsed key among them, takes mat_pow's route.
     """
     payload, conj = ct.payload, sk.conjugator
     if conj.d != payload.d or conj.spec != payload.spec:
@@ -362,10 +355,9 @@ def decrypt(sk: MorPrivateKey, ct: MorCiphertext) -> Matrix:
     if not payload.is_sl():
         raise InvalidCiphertextError("payload determinant is not 1")
     b_r = ct.conjugator
-    m, order_bound = sk.m, conj.spec.q**conj.d - 1
-    if m >= order_bound and conj._split is True and _commute(conj, b_r):
-        m %= order_bound
-    b = mat_pow(b_r, m)
+    if sk.m >= conj.spec.q**conj.d - 1:
+        _hand_on_verdict(conj, b_r)
+    b = mat_pow(b_r, sk.m)
     return mat_mul(mat_mul(b, payload), mat_inv(b))
 
 
@@ -395,11 +387,6 @@ def _is_multiple(x: Matrix, b: Matrix) -> bool:
             break
     _count_muls(count)
     return same
-
-
-def _commute(a: Matrix, b: Matrix) -> bool:
-    """Whether a b = b a, 2 d^3 multiplications."""
-    return mat_mul(a, b) == mat_mul(b, a)
 
 
 # ---------------------------------------------------------------------------

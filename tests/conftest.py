@@ -20,5 +20,28 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
+@pytest.fixture
+def x_power_routes(monkeypatch):
+    """The calls of fqpoly's x^e lane kernel, as (route, spec, deg f): the
+    route is "table" when the call asked for f's squaring table and
+    "lanes" when it squared coefficient by coefficient."""
+    from morsl import fqpoly
+
+    routes = []
+    real_lanes, real_table = fqpoly._pow_x_lanes, fqpoly._square_table
+
+    def pow_x_lanes(e, f):
+        routes.append(("lanes", f.spec, f.degree()))
+        return real_lanes(e, f)
+
+    def square_table(f):
+        routes[-1] = ("table", *routes[-1][1:])
+        return real_table(f)
+
+    monkeypatch.setattr(fqpoly, "_pow_x_lanes", pow_x_lanes)
+    monkeypatch.setattr(fqpoly, "_square_table", square_table)
+    return routes
+
+
 def make_rng(seed: int = 1) -> random.Random:
     return random.Random(seed)

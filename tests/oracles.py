@@ -17,8 +17,9 @@ are counted one by one, and the coefficient-by-coefficient hex format.
 The field's own kernels have oracles too: the 4-bit windowed binary
 multiply with its nibble reduction table, the multiplication and
 inverse tables of a small field built from q^2 coefficient-tuple
-products and an inverse search, and the odd-characteristic inverse with
-its own long-division loop.  The eliminations that linalg.solve
+products and an inverse search, the odd-characteristic inverse with
+its own long-division loop, and the FieldElement square-and-multiply
+loop of FieldElement.__pow__.  The eliminations that linalg.solve
 replaced are here as well: Gauss-Jordan inversion, the lab's restriction
 to an invariant subspace, and its polynomial expression through a
 rescaled nullspace vector.  The v1 automorphism parse that sent every
@@ -470,6 +471,26 @@ def inv_fp_long_division(spec, a):
     for c in reversed(res):
         v = v * p + c
     return v
+
+
+def field_pow_elementwise(a, n):
+    """a^n for a FieldElement, as FieldElement.__pow__ computed it before
+    it called field._pow_raw: the inverse's power for n < 0, one for
+    n = 0, else left-to-right square-and-multiply with each product
+    counted by FieldElement.__mul__."""
+    if n < 0:
+        return field_pow_elementwise(a.inv(), -n)
+    if n == 0:
+        return a.spec.one()
+    bit = 1 << (n.bit_length() - 1)
+    acc = a
+    bit >>= 1
+    while bit:
+        acc = acc * acc
+        if n & bit:
+            acc = acc * a
+        bit >>= 1
+    return acc
 
 
 def mat_inv_gauss_jordan(x):
@@ -1153,8 +1174,9 @@ def rem_monic_elementwise(a, f):
 
 
 def frobenius_map_elementwise(f, steps):
-    """x^q mod a monic f and the map h -> h^q, by the Frobenius matrix
-    when fqpoly's cost model picks it, as fqpoly._frobenius_map does."""
+    """x^q mod a monic f and the map h -> h^q mod g, for g = f or a monic
+    divisor of f, by the Frobenius matrix when fqpoly's cost model picks
+    it, as fqpoly._frobenius_map does."""
     spec = f.spec
     n, q = f.degree(), spec.q
     xq = PolyElementwise.x(spec).pow_mod(q, f)
@@ -1174,7 +1196,7 @@ def frobenius_map_elementwise(f, steps):
                 for j, r in enumerate(row.coeffs):
                     if r:
                         out[j] = out[j] + hi * r
-        return PolyElementwise(spec, out)
+        return rem_monic_elementwise(out, g) if g.degree() < n else PolyElementwise(spec, out)
 
     return xq, by_matrix
 

@@ -234,7 +234,7 @@ def test_a_session_builds_one_squaring_table_per_new_conjugator(monkeypatch):
         # the fresh B_r's, which the ciphertext holds
         assert len(builds) == 1 and builds[0] is ct.conjugator._chi
     builds.clear()
-    # a paper-size chi (140-byte residues) keeps the per-call kernel
+    # a paper-size chi (140-byte residues) squares by lanes and builds no table
     paper = random_gl(field_spec(2, 160), 7, random.Random(5))
     mat_pow(paper, random.Random(5).getrandbits(1100))
     assert builds == [] and paper._chi is not None and paper._chi._sq_table is None

@@ -150,20 +150,8 @@ def test_binary_kernel_paper_size_is_pinned():
     assert count == 58488 <= fqpoly._pow_mod_cost(e, 7, 2, by_x=True)
 
 
-def test_kernel_runs_only_on_binary_fields_without_tables(monkeypatch):
-    routes = []
-
-    def recording(name):
-        real = getattr(fqpoly, name)
-
-        def route(e, f):
-            routes.append((name, f.spec, f.degree()))
-            return real(e, f)
-
-        monkeypatch.setattr(fqpoly, name, route)
-
-    recording("_pow_x_binary")
-    recording("_pow_x_table")
+def test_kernel_runs_only_on_binary_fields_without_tables(x_power_routes):
+    routes = x_power_routes
     e = 3**90
     # odd characteristic (GF(3^6) has no table either), and table fields
     for p, gamma in ((7, 1), (3, 6), (2, 1), (2, 4), (2, 8)):
@@ -178,10 +166,10 @@ def test_kernel_runs_only_on_binary_fields_without_tables(monkeypatch):
     linear = _monic(spec, (5,))
     assert FqPoly.x(spec).pow_mod(e, linear) == pow_mod_sqm(FqPoly.x(spec), e, linear)
     assert routes == []
-    # a short residue (6 bytes) with e > q takes the table, x^q the per-call kernel
+    # a short residue (6 bytes) with e > q takes the table, x^q squares by lanes
     assert FqPoly.x(spec).pow_mod(e, f) == pow_x_elementwise(e, f)
     assert FqPoly.x(spec).pow_mod(spec.q, f) == pow_x_elementwise(spec.q, f)
-    assert routes == [("_pow_x_table", spec, 3), ("_pow_x_binary", spec, 3)]
+    assert routes == [("table", spec, 3), ("lanes", spec, 3)]
     # the cap: 32 bytes take the table, 35 and the paper preset's 140 do not
     routes.clear()
     for gamma, n in ((64, 4), (33, 7), (160, 7)):
@@ -189,10 +177,24 @@ def test_kernel_runs_only_on_binary_fields_without_tables(monkeypatch):
         g = _monic(wide, range(1, n + 1))
         assert FqPoly.x(wide).pow_mod(wide.q + 1, g) == pow_x_elementwise(wide.q + 1, g)
     assert routes == [
-        ("_pow_x_table", field_spec(2, 64), 4),
-        ("_pow_x_binary", field_spec(2, 33), 7),
-        ("_pow_x_binary", field_spec(2, 160), 7),
+        ("table", field_spec(2, 64), 4),
+        ("lanes", field_spec(2, 33), 7),
+        ("lanes", field_spec(2, 160), 7),
     ]
+
+
+# (gamma, deg f) for residues of 30, 32 and 33 bytes; a residue of n >= 2
+# lanes of ceil(gamma/8) >= 2 bytes cannot take 31, which is prime
+@pytest.mark.parametrize("gamma, n", [(80, 3), (128, 2), (32, 8), (88, 3), (24, 11)])
+def test_table_cap_at_e_q_and_q_plus_1(gamma, n, x_power_routes):
+    spec = field_spec(2, gamma)
+    f = _monic(spec, range(1, n + 1))
+    for e in (spec.q, spec.q + 1):
+        assert _counted(FqPoly.x(spec).pow_mod, e, f) == _counted(pow_x_elementwise, e, f)
+    # only e > q on a residue of at most 32 bytes asks for the table
+    short = n * ((gamma + 7) // 8) <= fqpoly._SQUARE_TABLE_MAX_BYTES
+    assert x_power_routes == [("lanes", spec, n), ("table" if short else "lanes", spec, n)]
+    assert (f._sq_table is not None) == short
 
 
 def _dense_modulus_field(gamma, seed):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    field_pow_elementwise,
     field_tables_by_products,
     fp_is_irreducible_tuples,
     from_hex_loop,
@@ -69,6 +70,29 @@ def test_pow_negative_exponent_is_a_power_of_the_inverse():
     assert a**-4 == a.inv() ** 4
     with pytest.raises(ZeroDivisionError):
         GF7.zero() ** -1
+
+
+@settings(max_examples=60)
+@given(
+    spec=st.sampled_from([GF7, GF8, field_spec(3, 4), field_spec(2, 16), field_spec(2, 160)]),
+    kind=st.sampled_from(("zero", "one", "random")),
+    seed=st.integers(0, 2**32),
+    n=st.one_of(st.integers(-64, 64), st.integers(-(2**70), 2**70)),
+)
+def test_pow_matches_the_element_loop(spec, kind, seed, n):
+    """Value, or exception, and counter delta of a**n against the loop
+    that FieldElement.__pow__ ran before it called field._pow_raw."""
+    a = {"zero": spec.zero(), "one": spec.one(), "random": spec.random(random.Random(seed))}[kind]
+
+    def run(fn):
+        c0 = cost_counter()
+        try:
+            out = fn(a, n)
+        except ZeroDivisionError as exc:
+            out = type(exc)
+        return out, cost_counter() - c0
+
+    assert run(lambda b, k: b**k) == run(field_pow_elementwise)
 
 
 def test_frobenius():

@@ -35,6 +35,7 @@ from oracles import (
     factor_rank1_elementwise,
     factors_as_elements,
     from_conjugator_elementwise,
+    frobenius_map_elementwise,
     irreducible_factors_elementwise,
     is_irreducible_elementwise,
     lift_operator_elementwise,
@@ -56,6 +57,7 @@ from morsl.autos import (
     _factor_rank1,
     _scaled,
 )
+from morsl import fqpoly
 from morsl.field import FieldElement, FieldSpec, cost_counter, field_spec
 from morsl.fqpoly import (
     FqPoly,
@@ -600,6 +602,23 @@ def test_factoring_kernels_match_their_oracles(spec, seed, zero_share, repeat):
     _both(irreducible_factors, irreducible_factors_elementwise, f)
     k = rng.randrange(1, 4)
     _both(lambda g: divides_x_qk_minus_x(g, k), lambda g: divides_x_qk_minus_x_elementwise(g, k), f)
+
+
+def test_frobenius_map_reduces_modulo_the_divisor_it_is_given():
+    # f = g1 g2 over GF(7): both maps are built for f and called with g1
+    spec = field_spec(7)
+    g1, g2 = FqPoly(spec, (3, 1, 1)), FqPoly(spec, (5, 2, 1))
+    f = g1 * g2
+    (_, frob), (_, frob_oracle) = fqpoly._frobenius_map(f, 1), frobenius_map_elementwise(
+        PolyElementwise.of(f), 1
+    )
+    assert frob.__name__ == "by_matrix"  # the cost model picks the Frobenius matrix
+    for h in (FqPoly.x(spec), FqPoly(spec, (4, 6))):
+        got = _run_poly(frob, h, g1)
+        assert got == _run_poly(frob_oracle, PolyElementwise.of(h), PolyElementwise.of(g1))
+        assert got[0] == h.pow_mod(spec.q, g1) and got[0].degree() < 2
+    # called with f itself, the map reduces nothing further
+    assert _run_poly(frob, FqPoly.x(spec), f)[0] == FqPoly.x(spec).pow_mod(spec.q, f)
 
 
 @PROPERTY

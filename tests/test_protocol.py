@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import decrypt_compose, mat_mul_elementwise, mat_pow_sqm
 
-from morsl import protocol
+from morsl import matrix, protocol
 from morsl.autos import Automorphism, recover_conjugator
 from morsl.cli import PRESETS
 from morsl.field import field_spec
@@ -362,14 +362,24 @@ def _sqm_route(sk, ct):
 
 def _decrypt_checked(sk, ct):
     """decrypt(sk, ct), checked against both routes above, and whether it
-    reduced m with the key's certificate: that path leaves the
-    ciphertext's undecided B_r without a verdict of its own, as does an m
-    below q^d - 1."""
+    handed the key's certificate to the ciphertext's undecided B_r: that
+    path leaves B_r with the commuting verdict instead of a certificate
+    of its own, an m below q^d - 1 leaves it undecided, and a decided B_r
+    keeps its verdict."""
     b, b_r = sk.conjugator, ct.conjugator
-    small, undecided = sk.m < b.spec.q**b.d - 1, b_r._split is None
-    fast = not small and b._split is True and mat_mul(b, b_r) == mat_mul(b_r, b)
+    small, before = sk.m < b.spec.q**b.d - 1, b_r._split
+    fast = (
+        not small
+        and before is None
+        and b._split is True
+        and mat_mul_elementwise(b, b_r) == mat_mul_elementwise(b_r, b)
+    )
     plaintext = decrypt(sk, ct)
-    assert (b_r._split is None) == (undecided and (fast or small))
+    if before is None:
+        assert (b_r._split is matrix._COMMUTES_WITH_CERTIFIED) == fast
+        assert (b_r._split is None) == small
+    else:
+        assert b_r._split is before
     assert plaintext == _parsed_route(sk, ct) == _sqm_route(sk, ct)
     return plaintext, fast
 
@@ -438,7 +448,7 @@ def _encrypt_checked(pk, msg, rng):
         and b_phi._split is True
         and mat_mul_elementwise(b_phi, b_phim) == mat_mul_elementwise(b_phim, b_phi)
     )
-    assert (b_phim._split is protocol._COMMUTES_WITH_CERTIFIED) == fast
+    assert (b_phim._split is matrix._COMMUTES_WITH_CERTIFIED) == fast
     rng.setstate(state)
     r = rng.randrange(2, params.spec.q ** (params.d**2) - 1)
     if rng.getstate() == after:  # encrypt kept its first r

@@ -4,8 +4,10 @@ No module of the package reads an attribute named `rows`: a Matrix keeps
 its entries in `vals`, and a second stored form, such as a FieldElement
 view, would come back as a reader of `rows`, perhaps on a path the suite
 does not run.  An FqPoly keeps its coefficients in `coeffs`, and fqpoly
-builds a FieldElement only where it hands one out.  The checks parse the
-source with ast instead of running it.
+builds a FieldElement only where it hands one out.  A matrix's cached
+verdict of mat_pow's certificate, `_split`, is written only in matrix.py,
+so that mat_pow stays the one code that decides when an exponent is
+reduced.  The checks parse the source with ast instead of running it.
 """
 
 import ast
@@ -91,3 +93,39 @@ def test_the_check_sees_a_field_element_construction():
     assert _element_constructions(source) == [
         ("FqPoly.__call__", 3), ("_kernel", 6), ("_kernel", 6),
     ]
+
+
+def _split_writers(source: str) -> list[int]:
+    """Line numbers where source writes an attribute named _split: an
+    assignment or deletion, or a setattr or object.__setattr__ naming it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "_split":
+            if not isinstance(node.ctx, ast.Load):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and any(
+            isinstance(a, ast.Constant) and a.value == "_split" for a in node.args
+        ):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in ("setattr", "__setattr__"):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_matrix_writes_the_certificate_verdict():
+    writers = {p.name: _split_writers(p.read_text()) for p in sorted(PACKAGE.rglob("*.py"))}
+    assert {name for name, lines in writers.items() if lines} == {"matrix.py"}
+
+
+def test_the_check_sees_a_split_writer():
+    source = (
+        "if b._split is True and x._split is None:\n"
+        '    object.__setattr__(x, "_split", "commutes")\n'
+        'setattr(x, "_split", None)\n'
+        "x._split = 1\n"
+        "del x._split\n"
+        'object.__setattr__(x, "_chi", None)\n'
+        "words._split_ground(a)\n"
+    )
+    assert _split_writers(source) == [2, 3, 4, 5]
