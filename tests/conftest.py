@@ -5,6 +5,8 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from morsl import fqpoly
+
 # one profile for every property test: reproducible runs that write no
 # example database; modules set only max_examples
 settings.register_profile("morsl", derandomize=True, database=None, deadline=None)
@@ -25,8 +27,6 @@ def x_power_routes(monkeypatch):
     """The calls of fqpoly's x^e lane kernel, as (route, spec, deg f): the
     route is "table" when the call asked for f's squaring table and
     "lanes" when it squared coefficient by coefficient."""
-    from morsl import fqpoly
-
     routes = []
     real_lanes, real_table = fqpoly._pow_x_lanes, fqpoly._square_table
 

@@ -4,7 +4,6 @@ import random
 import pytest
 from oracles import char_poly_cofactor
 
-from morsl import fqpoly
 from morsl.field import FieldMismatchError, cost_counter, cost_reset, field_spec
 from morsl.fqpoly import (
     FqPoly,
