@@ -310,7 +310,7 @@ def smallest_irreducible_poly(p: int, gamma: int) -> tuple[int, ...]:
 
 _TABLE_MAX_Q = 256
 _RAW_OPS = ("_add_raw", "_sub_raw", "_neg_raw", "_mul_raw", "_inv_raw")
-_VEC_OPS = ("_mat_mul_raw", "_outer_raw")
+_VEC_OPS = ("_mat_mul_raw", "_outer_raw", "_prepare_raw", "_mul_prepared_raw")
 
 
 class FieldSpec:
@@ -461,9 +461,10 @@ class FieldSpec:
         if small:
             ops = ops[:3] + self._build_tables(ops[3])
         if p == 2 and self.gamma > 1 and not small:
-            ops += (self._mat_mul_lanes, self._outer_lanes)
+            ops += (self._mat_mul_lanes, self._outer_lanes, self._prepare_lanes,
+                    self._mul_prepared_lanes)
         else:
-            ops += (self._mat_mul_loop, self._outer_loop)
+            ops += (self._mat_mul_loop, self._outer_loop, tuple, self._mat_mul_loop)
         for name, op in zip(_RAW_OPS + _VEC_OPS, ops):
             object.__setattr__(self, name, op)
 
@@ -512,7 +513,11 @@ class FieldSpec:
         return acc
 
     # -- vector kernels: _mat_mul_raw(xv, yv) takes and returns tuples of
-    # row tuples, _outer_raw(col, row) returns the rows c * row as lists --
+    # row tuples, _outer_raw(col, row) returns the rows c * row as lists.
+    # _prepare_raw(yv) is the form of the rows yv that a product x yv
+    # reads, the rows themselves or their lane tables, and
+    # _mul_prepared_raw(xv, prepared) is that product: x yv for a yv
+    # multiplied by many x, not necessarily square, is prepared once --
 
     def _mat_mul_loop(self, xv, yv) -> tuple:
         mul, add = self._mul_raw, self._add_raw
@@ -529,8 +534,15 @@ class FieldSpec:
         product, with its 16 nibble multiples; row i of the product is
         then accumulated Horner fashion over the bytes of the x_ik, all
         lanes at once, and each lane is reduced once at the end."""
-        tables = [self._lane_tables(row) for row in yv]
-        nbytes, n = (self.gamma + 7) >> 3, len(yv)
+        return self._mul_prepared_lanes(xv, self._prepare_lanes(yv))
+
+    def _prepare_lanes(self, yv) -> tuple:
+        """The lane tables of each row of yv, and the row length."""
+        return tuple(self._lane_tables(row) for row in yv), len(yv[0])
+
+    def _mul_prepared_lanes(self, xv, prepared) -> tuple:
+        tables, n = prepared
+        nbytes = (self.gamma + 7) >> 3
         out = []
         for xrow in xv:
             live = [(*t, x.to_bytes(nbytes, "big")) for t, x in zip(tables, xrow) if x]
@@ -765,6 +777,10 @@ def field_spec(p: int, gamma: int = 1, modulus: tuple[int, ...] | None = None) -
 # field element
 # ---------------------------------------------------------------------------
 
+# the eight bits of each byte value, lowest first, ':'-joined with a
+# trailing ':': a binary element's to_hex, one byte at a time
+_BYTE_BITS = tuple(":".join(format(b, "08b")[::-1]) + ":" for b in range(256))
+
 
 class FieldElement:
     """Immutable element of GF(p^gamma) in the polynomial basis."""
@@ -852,7 +868,12 @@ class FieldElement:
 
     def to_hex(self) -> str:
         if self.spec.p == 2:
-            return ":".join(format(self.val, f"0{self.spec.gamma}b")[::-1])
+            # one table entry per byte of val, low byte first, each ending
+            # in ':'; the cut drops the last ':' and any bits of the top
+            # byte at or above x^gamma
+            gamma = self.spec.gamma
+            data = self.val.to_bytes((gamma + 7) >> 3, "little")
+            return "".join([_BYTE_BITS[b] for b in data])[:2 * gamma - 1]
         return ":".join(format(c, "x") for c in self.coeffs)
 
     @classmethod

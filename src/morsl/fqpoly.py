@@ -14,7 +14,8 @@ what its FieldElement loop, kept in tests/oracles.py, counted.  Binary
 operations refuse operands over different specs (FieldMismatchError).
 
 It is also the exponentiation engine behind matrix.mat_pow: pow_mod
-computes x^e mod chi_M, and eval_matrix evaluates the result at M.
+computes x^e mod chi_M, and eval_matrix evaluates the result at M by
+Horner, unless mat_pow keeps a power basis on M.
 Repeated q-th powers modulo f go through the Frobenius matrix of f.
 Over a binary field too large for a multiplication table, x^e runs on
 one int in one kernel, _pow_x_lanes: the residue is packed in byte-
@@ -603,10 +604,13 @@ def _char_poly_cost(n: int) -> int:
 
 def cayley_hamilton_cost(d: int, e: int, p: int) -> int:
     """Field multiplications, at most, of M^e = (x^e mod chi_M)(M) for a
-    d x d matrix M in characteristic p and e >= 1."""
+    d x d matrix M in characteristic p and e >= 1.  The evaluation is the
+    dearest of matrix.mat_pow's: the one that builds M's power basis,
+    (d - 2) d^3, and evaluates on it, (d - 1) d^2, against Horner's
+    d^2 + (d - 2) d^3."""
     reduce_x = 1 if d == 1 else 0
-    horner = d * d + (d - 2) * d**3 if d >= 2 else 0
-    return _char_poly_cost(d) + reduce_x + _pow_mod_cost(e, d, p, by_x=True) + horner
+    evaluate = (d - 2) * d**3 + (d - 1) * d * d if d >= 2 else 0
+    return _char_poly_cost(d) + reduce_x + _pow_mod_cost(e, d, p, by_x=True) + evaluate
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,10 @@ decrypt and Automorphism.power all raise matrices through it.  It picks
 Cayley-Hamilton or square-and-multiply by predicted cost, and it alone
 reduces an exponent, of at least q^d - 1 mod q^d - 1, when a verdict
 cached on the matrix (its certificate, or one handed on) shows that this
-is exact.
+is exact.  A matrix with a verdict is raised again and again, as a key's
+conjugators are for every message, so from its second Cayley-Hamilton
+power on mat_pow keeps its power basis on it and evaluates each
+remainder in one product with that basis instead of by Horner.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from __future__ import annotations
 import math
 import warnings
 from functools import reduce
+from itertools import chain
 
 from .field import (
     FieldElement,
@@ -86,8 +90,11 @@ class Matrix:
     # _chi caches the characteristic polynomial (fqpoly.char_poly fills
     # it), _split the verdict of mat_pow's certificate that the order
     # divides q^d - 1; only this module writes it (mat_pow, and the
-    # hand-offs _set_certified and _hand_on_verdict)
-    __slots__ = ("spec", "d", "vals", "_chi", "_split")
+    # hand-offs _set_certified and _hand_on_verdict).  _basis, also
+    # written only here, is None until mat_pow evaluates a remainder at a
+    # matrix with a verdict, False after the first such evaluation, and
+    # then the power basis of _power_basis
+    __slots__ = ("spec", "d", "vals", "_chi", "_split", "_basis")
 
     def __init__(self, spec: FieldSpec, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -115,6 +122,7 @@ class Matrix:
         object.__setattr__(self, "vals", vals)
         object.__setattr__(self, "_chi", None)
         object.__setattr__(self, "_split", None)
+        object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Matrix is immutable")
@@ -383,10 +391,18 @@ def mat_pow(x: Matrix, n: int) -> Matrix:
     certified matrix (encrypt's B_phim, decrypt's B_r).
 
     Cayley-Hamilton: x^n = r(x) for r(t) = t^n mod chi_x(t), by
-    FqPoly.pow_mod and Horner evaluation; about d^2 multiplications per
-    exponent bit plus d - 2 matrix products.  Square-and-multiply:
-    1.5 d^3 per bit on average, cheaper for short exponents on large
-    matrices.  Both predictions come from d, n and the characteristic.
+    FqPoly.pow_mod, about d^2 multiplications per exponent bit, and an
+    evaluation of r at x.  A matrix with a verdict is one raised to large
+    exponents, such as a key's conjugator, which encrypt raises for every
+    message; from the second remainder evaluated at it on, r(x) is
+    r_0 1 + sum_k r_k x^k, one product of (r_1, ..., r_(d-1)) with the
+    power basis x, ..., x^(d-1) kept on x: (d - 1) d^2 multiplications,
+    after d - 2 matrix products, (d - 2) d^3, to build the basis once.
+    Every other evaluation, the first at a matrix with a verdict and
+    every one at a matrix without, is Horner's, d^2 + (d - 2) d^3, so a
+    matrix raised once builds no basis.  Square-and-multiply: 1.5 d^3
+    per bit on average, cheaper for short exponents on large matrices.
+    Both predictions come from d, n and the characteristic.
     """
     if n < 0:
         return mat_pow(mat_inv(x), -n)
@@ -402,7 +418,15 @@ def mat_pow(x: Matrix, n: int) -> Matrix:
             n %= order_bound
     square_and_multiply_cost = d**3 * (n.bit_length() - 1 + n.bit_count())
     if n and cayley_hamilton_cost(d, n, x.spec.p) < square_and_multiply_cost:
-        return FqPoly.x(x.spec).pow_mod(n, char_poly(x)).eval_matrix(x)
+        r = FqPoly.x(x.spec).pow_mod(n, char_poly(x))
+        if x._split is None:
+            return r.eval_matrix(x)
+        if x._basis is None:
+            object.__setattr__(x, "_basis", False)
+            return r.eval_matrix(x)
+        if x._basis is False:
+            object.__setattr__(x, "_basis", _power_basis(x))
+        return _eval_on_basis(x, r.coeffs)
     result = identity(x.spec, d)
     base = x
     while n:
@@ -412,6 +436,31 @@ def mat_pow(x: Matrix, n: int) -> Matrix:
         if n:
             base = mat_mul(base, base)
     return result
+
+
+def _power_basis(x: Matrix):
+    """x, x^2, ..., x^(d-1), each flattened into one row of d^2 entries,
+    in the field's prepared form: d - 2 products, (d - 2) d^3
+    multiplications.  mat_pow takes the Cayley-Hamilton route only for
+    d >= 2, so there is at least one power."""
+    powers = [x]
+    for _ in range(x.d - 2):
+        powers.append(mat_mul(powers[-1], x))
+    return x.spec._prepare_raw(tuple(tuple(chain.from_iterable(p.vals)) for p in powers))
+
+
+def _eval_on_basis(x: Matrix, coeffs) -> Matrix:
+    """r(x) for r of degree < d, r_0 1 plus the product of the row
+    (r_1, ..., r_(d-1)) with x's power basis, counted as (d - 1) d^2
+    multiplications, products by zero included, as mat_mul counts."""
+    spec, d = x.spec, x.d
+    r = (*coeffs, *(0,) * (d - len(coeffs)))
+    _count_muls((d - 1) * d * d)
+    flat = list(spec._mul_prepared_raw((r[1:],), x._basis)[0])
+    add = spec._add_raw
+    for i in range(0, d * d, d + 1):
+        flat[i] = add(flat[i], r[0])
+    return Matrix._from_vals(spec, tuple(tuple(flat[i:i + d]) for i in range(0, d * d, d)))
 
 
 # The verdict _hand_on_verdict caches on a matrix that commutes with a

@@ -26,7 +26,12 @@ commutes with it and is handed B_phi's verdict (matrix._hand_on_verdict).
 Each ciphertext brings a fresh B_r, and decrypt hands it the verdict of
 the private conjugator B when B_r commutes with B, so a key's later
 messages pay for neither, in encrypt or in decrypt; mat_pow alone
-reduces the exponent.
+reduces the exponent.  A key's later messages also evaluate encrypt's
+remainders x^r mod chi at B_phi and B_phim more cheaply: the second
+message makes mat_pow keep the power basis of each on it, and from the
+third on each remainder is one product with that basis, (d - 1) d^2
+multiplications instead of Horner's d^2 + (d - 2) d^3.  decrypt evaluates
+by Horner, as each B_r is raised once.
 
 A ciphertext holds phi^r as its conjugator B_r, up to a scalar: encrypt
 keeps the power of B_phi it raised, and decrypt raises it to m.  The v1

@@ -38,6 +38,8 @@ from .autos import Automorphism, generator_pairs, pair_orbits
 from .field import FieldElement, FieldSpec
 from .fqpoly import (
     FqPoly,
+    _product,
+    _rem_monic,
     char_poly,
     irreducible_factors,
     is_irreducible,
@@ -276,9 +278,12 @@ def automorphism_group_ops(spec: FieldSpec, d: int) -> GroupOps:
 
 
 def _quotient_group_ops(g: FqPoly) -> GroupOps:
+    """The units of F_q[x]/g for a monic g, chi_A or one of its irreducible
+    factors; the product is reduced by _rem_monic, which needs no
+    inverse of the leading coefficient and builds no quotient."""
     spec = g.spec
     return GroupOps(
-        mul=lambda a, b: (a * b) % g,
+        mul=lambda a, b: FqPoly._from_vals(spec, _rem_monic(_product(spec, a.coeffs, b.coeffs), g)),
         inv=lambda a: mod_inverse(a, g),
         identity=FqPoly.one(spec),
         key=lambda a: a.coeffs,

@@ -13,7 +13,9 @@ matrix, and only the compose decrypt's final inversion calls
 autos.recover_conjugator, so an agreement checks the engine against
 independent code.  Two more are the FieldElement forms of code that now
 runs on raw ints: the x^e loop of FqPoly.pow_mod, whose multiplications
-are counted one by one, and the coefficient-by-coefficient hex format.
+are counted one by one, the coefficient-by-coefficient hex format, and
+the reversed bit string that formatted a binary element before its
+byte table.
 The field's own kernels have oracles too: the 4-bit windowed binary
 multiply with its nibble reduction table, the multiplication and
 inverse tables of a small field built from q^2 coefficient-tuple
@@ -210,6 +212,12 @@ def pow_x_elementwise(e, f):
 def to_hex_loop(a):
     """Coefficients, constant term first, in hex, ':'-joined."""
     return ":".join(format(c, "x") for c in a.coeffs)
+
+
+def to_hex_bits(a):
+    """A binary element's to_hex as the bit string of its value, lowest
+    bit first, ':'-joined."""
+    return ":".join(format(a.val, f"0{a.spec.gamma}b")[::-1])
 
 
 def from_hex_loop(spec, s):

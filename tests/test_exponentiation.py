@@ -30,6 +30,7 @@ from morsl.field import FieldSpec, cost_counter, cost_reset, field_spec
 from morsl.fqpoly import FqPoly, char_poly, divides_x_qk_minus_x, is_irreducible
 from morsl.matrix import (
     Matrix,
+    _set_certified,
     conjugate,
     diagonal_matrix,
     identity,
@@ -387,6 +388,59 @@ def test_mat_pow_below_the_bound_decides_no_certificate():
     with mock.patch.object(fqpoly, "divides_x_qk_minus_x") as cert:
         assert mat_pow(b, 7**3 - 2) == mat_pow_sqm(b, 7**3 - 2)
     assert cert.call_count == 0 and b._split is None
+
+
+basis_fields = st.sampled_from(
+    [field_spec(7), field_spec(3, 2), field_spec(2, 4), field_spec(2, 8), field_spec(2, 16)]
+)
+
+
+def _evaluation_count(d, r, k):
+    """mat_pow's count for evaluating the remainder r at a d x d matrix, as
+    the k-th remainder evaluated at a matrix with a verdict: Horner's for
+    the first (and for every one at a matrix without), the power basis's
+    build and product for the second, the product alone from the third."""
+    if k == 1:
+        return d * d + (len(r.coeffs) - 2) * d**3 if len(r.coeffs) >= 2 else 0
+    return (k == 2) * (d - 2) * d**3 + (d - 1) * d * d
+
+
+@PROPERTY
+@given(
+    spec=basis_fields,
+    d=st.integers(2, 7),
+    verdict=st.booleans(),
+    big=st.lists(st.booleans(), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32),
+)
+def test_power_basis_powers_match_the_oracle_and_their_counts(spec, d, verdict, big, seed):
+    # a key's conjugator as keygen certifies it: chi irreducible, cached
+    rng = random.Random(seed)
+    b = random_gl(spec, d, rng)
+    while not is_irreducible(char_poly(b)):
+        b = random_gl(spec, d, rng)
+    if verdict:
+        _set_certified(b)
+    chi, bound, evaluations = char_poly(b), spec.q**d - 1, 0
+    for large in big:
+        # without a verdict, an exponent from q^d - 1 on would decide one
+        n = rng.randrange(2, bound) + (bound * rng.randrange(1, 2**16) if large and verdict else 0)
+        reduced = n % bound if verdict else n
+        square_and_multiply = d**3 * (reduced.bit_length() - 1 + reduced.bit_count())
+        route_bound = fqpoly.cayley_hamilton_cost(d, reduced, spec.p)
+        cayley_hamilton = reduced and route_bound < square_and_multiply
+        if cayley_hamilton:
+            r, want = _counted(FqPoly.x(spec).pow_mod, reduced, chi)
+            evaluations += 1
+            want += _evaluation_count(d, r, evaluations if verdict else 1)
+        else:
+            want = square_and_multiply
+        got, count = _counted(mat_pow, b, n)
+        assert got == mat_pow_sqm(b, reduced)
+        assert count == want and (count <= route_bound or not cayley_hamilton)
+        # None before any evaluation, False after the first, then the basis
+        kept = b._basis if b._basis in (None, False) else "basis"
+        assert kept == ((None, False, "basis")[min(evaluations, 2)] if verdict else None)
 
 
 def test_automorphism_power_near_the_exponent_bound_matches_compose():

@@ -481,16 +481,55 @@ def test_seeded_binary_preset_counts_are_pinned(preset):
     assert counts == pinned
 
 
+# cost_counter() totals of a session of three messages under one keygen
+# key at the binary presets, encrypts then decrypts.  encrypt raises the
+# key's conjugators B_phi and B_phim, which carry verdicts, to a fresh r:
+# the first message evaluates both remainders by Horner, d^2 + (d - 2) d^3,
+# as PINNED_COUNTS' second figure; the second builds each power basis and
+# evaluates on it, (d - 2) d^3 + (d - 1) d^2, which is (d - 2) d^2 more
+# per power (5,422 -> 5,572 and 121,756 -> 122,246 against Horner);
+# the third evaluates on the bases only, (d - 1) d^2, which is
+# d^2 + (d - 2) d^3 - (d - 1) d^2 less per power (5,382 -> 4,782 and
+# 121,672 -> 118,732).  Each ciphertext brings a fresh B_r, so decrypt
+# evaluates by Horner every time.
+SESSION_PINNED_COUNTS = {
+    "small": ((2, 16, 5), ((7383, 5572, 4782), (3349, 3349, 3349))),
+    "paper": ((2, 160, 7), ((133463, 122246, 118732), (62718, 62718, 62718))),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(SESSION_PINNED_COUNTS))
+def test_seeded_three_message_session_counts_are_pinned(preset):
+    (p, gamma, d), pinned = SESSION_PINNED_COUNTS[preset]
+    params = MorParams(field_spec(p, gamma), d)
+    rng = random.Random(1)
+    msg = encode_message(b"h", params)
+    pk, sk = keygen(params, rng)
+    encrypt_counts, decrypt_counts = [], []
+    for _ in range(3):
+        ct, count = _run(encrypt, pk, msg, rng)
+        encrypt_counts.append(count)
+        pt, count = _run(decrypt, sk, ct)
+        decrypt_counts.append(count)
+        assert pt == msg
+    assert (tuple(encrypt_counts), tuple(decrypt_counts)) == pinned
+
+
 # cost_counter() totals of seeded lab runs on random_gl conjugators, taken
 # before the lab's products moved onto the shared packed-int kernels:
 # lift_operator, centralizer_space, mw_reduce on the lifted pair (A, A^e),
 # validate_params with A, and monomial_cycle_attack on a monomial key.
 # validate_params counts chi_A and its irreducibility test only: it states
 # the lift's polynomial reducible (x - 1 divides it) without building it.
+# mw_reduce's BSGS group reduces its products by the monic g through
+# _rem_monic instead of divmod, which multiplied each cleared coefficient
+# by 1/lead(g) = 1 and built a quotient: 4,463 -> 4,459 and 20,182 ->
+# 20,178; at gf7 g is x + 1 and its two products are of constants,
+# which neither reduction touches.
 LAB_PINNED_COUNTS = {
     "gf7": ((7, 1, 3), (75, 73, 2036, 4, 36)),
-    "gf2_4": ((2, 4, 3), (78, 124, 4463, 49, 37)),
-    "gf3": ((3, 1, 4), (192, 168, 20182, 18, 27)),
+    "gf2_4": ((2, 4, 3), (78, 124, 4459, 49, 37)),
+    "gf3": ((3, 1, 4), (192, 168, 20178, 18, 27)),
 }
 
 

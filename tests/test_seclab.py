@@ -28,6 +28,7 @@ from morsl.seclab import (
     IterationBudgetExceeded,
     ReducibleCharPolyError,
     WrongAttackModelError,
+    _quotient_group_ops,
     _read_monomial,
     bsgs_dlog,
     centralizer_space,
@@ -389,3 +390,17 @@ def test_mw_returns_only_verified_exponents(p, d, seed, is_power):
     n = mw_reduce(lifted, target, allow_reducible=True)
     if n is not None:
         assert mat_pow_sqm(lifted, n) == target
+
+
+@settings(max_examples=60)
+@given(
+    spec=st.sampled_from((field_spec(7), field_spec(3, 2), field_spec(2, 4), field_spec(2, 16))),
+    n=st.integers(1, 7),
+    data=st.data(),
+)
+def test_quotient_group_product_is_the_product_mod_g(spec, n, data):
+    # the BSGS group of mw_reduce reduces by the monic g without divmod
+    coeffs = st.lists(st.integers(0, spec.q - 1), max_size=n)
+    g = FqPoly(spec, [*data.draw(st.lists(st.integers(0, spec.q - 1), min_size=n, max_size=n)), 1])
+    a, b = (FqPoly(spec, data.draw(coeffs)) for _ in range(2))
+    assert _quotient_group_ops(g).mul(a, b) == (a * b) % g

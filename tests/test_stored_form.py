@@ -7,7 +7,9 @@ does not run.  An FqPoly keeps its coefficients in `coeffs`, and fqpoly
 builds a FieldElement only where it hands one out.  A matrix's cached
 verdict of mat_pow's certificate, `_split`, is written only in matrix.py,
 so that mat_pow stays the one code that decides when an exponent is
-reduced.  The checks parse the source with ast instead of running it.
+reduced, and so is its power basis, `_basis`, so that mat_pow alone
+decides when a remainder is evaluated on it.  The checks parse the
+source with ast instead of running it.
 """
 
 import ast
@@ -95,16 +97,16 @@ def test_the_check_sees_a_field_element_construction():
     ]
 
 
-def _split_writers(source: str) -> list[int]:
-    """Line numbers where source writes an attribute named _split: an
+def _slot_writers(source: str, slot: str) -> list[int]:
+    """Line numbers where source writes an attribute named slot: an
     assignment or deletion, or a setattr or object.__setattr__ naming it."""
     lines = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr == "_split":
+        if isinstance(node, ast.Attribute) and node.attr == slot:
             if not isinstance(node.ctx, ast.Load):
                 lines.append(node.lineno)
         elif isinstance(node, ast.Call) and any(
-            isinstance(a, ast.Constant) and a.value == "_split" for a in node.args
+            isinstance(a, ast.Constant) and a.value == slot for a in node.args
         ):
             f = node.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
@@ -113,9 +115,16 @@ def _split_writers(source: str) -> list[int]:
     return sorted(lines)
 
 
+def _writing_modules(slot: str) -> set[str]:
+    return {p.name for p in sorted(PACKAGE.rglob("*.py")) if _slot_writers(p.read_text(), slot)}
+
+
 def test_only_matrix_writes_the_certificate_verdict():
-    writers = {p.name: _split_writers(p.read_text()) for p in sorted(PACKAGE.rglob("*.py"))}
-    assert {name for name, lines in writers.items() if lines} == {"matrix.py"}
+    assert _writing_modules("_split") == {"matrix.py"}
+
+
+def test_only_matrix_writes_the_power_basis():
+    assert _writing_modules("_basis") == {"matrix.py"}
 
 
 def test_the_check_sees_a_split_writer():
@@ -128,4 +137,6 @@ def test_the_check_sees_a_split_writer():
         'object.__setattr__(x, "_chi", None)\n'
         "words._split_ground(a)\n"
     )
-    assert _split_writers(source) == [2, 3, 4, 5]
+    assert _slot_writers(source, "_split") == [2, 3, 4, 5]
+    assert _slot_writers(source.replace("_split", "_basis"), "_basis") == [2, 3, 4, 5]
+    assert _slot_writers(source, "_basis") == []
