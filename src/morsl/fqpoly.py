@@ -604,13 +604,19 @@ def _char_poly_cost(n: int) -> int:
 
 def cayley_hamilton_cost(d: int, e: int, p: int) -> int:
     """Field multiplications, at most, of M^e = (x^e mod chi_M)(M) for a
-    d x d matrix M in characteristic p and e >= 1.  The evaluation is the
-    dearest of matrix.mat_pow's: the one that builds M's power basis,
-    (d - 2) d^3, and evaluates on it, (d - 1) d^2, against Horner's
-    d^2 + (d - 2) d^3."""
+    d x d matrix M in characteristic p and e >= 1, by either evaluation
+    of matrix.mat_pow.  Horner's, d^2 + (d - 2) d^3, may follow chi_M's
+    computation.  The one that builds M's power basis, (d - 2) d^3, and
+    evaluates on it, (d - 1) d^2, comes after an earlier power of M has
+    cached chi_M; later ones cost (d - 1) d^2.  As _char_poly_cost(d) =
+    d^3 + d^2/2 - 3d/2 + 2 exceeds the build's (d - 2) d^2 surcharge, the
+    first term is the larger, and the figure, route choices included, is
+    the one for Horner alone."""
     reduce_x = 1 if d == 1 else 0
-    evaluate = (d - 2) * d**3 + (d - 1) * d * d if d >= 2 else 0
-    return _char_poly_cost(d) + reduce_x + _pow_mod_cost(e, d, p, by_x=True) + evaluate
+    horner = d * d + (d - 2) * d**3 if d >= 2 else 0
+    build = (d - 2) * d**3 + (d - 1) * d * d if d >= 2 else 0
+    evaluate = max(_char_poly_cost(d) + horner, build)
+    return reduce_x + _pow_mod_cost(e, d, p, by_x=True) + evaluate
 
 
 # ---------------------------------------------------------------------------

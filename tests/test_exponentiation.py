@@ -390,6 +390,17 @@ def test_mat_pow_below_the_bound_decides_no_certificate():
     assert cert.call_count == 0 and b._split is None
 
 
+def test_route_prediction_is_horners_figure():
+    # the basis build's surcharge over Horner, (d - 2) d^2, is smaller than
+    # chi's cost, which the build never pays, so the bound prices every
+    # route as before the power basis and the lab's lifts keep their routes
+    for d in range(1, 65):
+        horner = d * d + (d - 2) * d**3 if d >= 2 else 0
+        for e, p in ((3, 2), (2**80 + 1, 2), (7**9 - 2, 7)):
+            chi_and_power = fqpoly._char_poly_cost(d) + fqpoly._pow_mod_cost(e, d, p, by_x=True)
+            assert fqpoly.cayley_hamilton_cost(d, e, p) == chi_and_power + (d == 1) + horner
+
+
 basis_fields = st.sampled_from(
     [field_spec(7), field_spec(3, 2), field_spec(2, 4), field_spec(2, 8), field_spec(2, 16)]
 )
