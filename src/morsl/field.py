@@ -514,10 +514,10 @@ class FieldSpec:
 
     # -- vector kernels: _mat_mul_raw(xv, yv) takes and returns tuples of
     # row tuples, _outer_raw(col, row) returns the rows c * row as lists.
-    # _prepare_raw(yv) is the form of the rows yv that a product x yv
-    # reads, the rows themselves or their lane tables, and
-    # _mul_prepared_raw(xv, prepared) is that product: x yv for a yv
-    # multiplied by many x, not necessarily square, is prepared once --
+    # _mul_prepared_raw(xv, _prepare_raw(yv)) is the same product, x yv,
+    # with yv in the form the product reads (the rows themselves, or
+    # their lane tables), so that a yv multiplied by many x is prepared
+    # once; yv need not be square --
 
     def _mat_mul_loop(self, xv, yv) -> tuple:
         mul, add = self._mul_raw, self._add_raw
