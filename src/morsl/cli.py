@@ -220,13 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_params(p, preset=True):
+    def add_params(p):
         p.add_argument("--d", type=int)
         p.add_argument("--p", type=int)
         p.add_argument("--gamma", type=int, default=1)
         p.add_argument("--modulus", help="comma-separated coefficients, constant term first")
-        if preset:
-            p.add_argument("--preset", choices=sorted(PRESETS))
+        p.add_argument("--preset", choices=sorted(PRESETS))
 
     p = sub.add_parser("keygen", help="generate a key pair")
     add_params(p)

@@ -19,17 +19,21 @@ not from q^2 polynomial products.
 Each FieldSpec binds its operations on packed ints (_add_raw, _sub_raw,
 _neg_raw, _mul_raw, _inv_raw) once, when it is built: modular arithmetic
 for a prime field, table lookups for an extension with at most 256
-elements, the byte-stride multiply for a larger binary field, and
-coefficient tuples for a larger odd-characteristic extension.
-FieldElement's operators and the matrix kernels call these directly.
-Two vector ops are bound beside them, the matrix product _mat_mul_raw
-and the outer product _outer_raw.  A binary field above 2^8 runs them on
-lanes: each row of the right factor is packed into one int of lanes
-wide enough for an unreduced product, the products are XORed into all
-lanes at once, and each output entry is reduced once with the reduction
-table; a d x d product thus takes d^2 reductions instead of d^3.  Every
-other field runs the loops over its _mul_raw.  Neither op counts, and
-neither builds a table that outlives the call.
+elements, the byte-stride multiply for a larger binary field, and for a
+larger odd-characteristic extension fqpoly's product, remainder and
+mod_inverse over GF(p), run on the element's base-p digits modulo the
+modulus.  FieldElement's operators and the matrix kernels call these
+directly.  Three vector ops are bound beside them: the matrix product
+_mul_prepared_raw, which reads its right factor in the form that
+_prepare_raw gives it, and the outer product _outer_raw.  A binary field
+above 2^8 runs them on lanes: each row of the right factor is packed
+into one int of lanes wide enough for an unreduced product, the
+products are XORed into all lanes at once, and each output entry is
+reduced once with the reduction table; a d x d product thus takes d^2
+reductions instead of d^3.  Every other field runs the loops over its
+_mul_raw, on the rows themselves.  None of the three counts.  A prepared
+factor is a plain value that may outlive the call: matrix.mat_pow's
+power basis keeps one for every later power of its matrix.
 
 Building a spec proves its modulus irreducible: by Rabin's test on
 packed bits for p = 2, and by fqpoly.is_irreducible over GF(p)
@@ -48,8 +52,8 @@ how the benchmarks run.
 from __future__ import annotations
 
 import random as _random
+from contextlib import contextmanager
 from functools import reduce
-from itertools import product as _product
 from operator import xor as _xor
 
 __all__ = [
@@ -90,6 +94,19 @@ def _count_muls(k: int) -> None:
     FieldElement; the kernel counts them analytically."""
     global _mul_count
     _mul_count += k
+
+
+@contextmanager
+def _uncounted():
+    """Leave the multiplication counter as it was on entry, around the
+    fqpoly kernels over GF(p) that set up a field or stand for one
+    multiply or inverse of an odd-characteristic extension."""
+    global _mul_count
+    saved = _mul_count
+    try:
+        yield
+    finally:
+        _mul_count = saved
 
 
 def _pow_raw(spec: FieldSpec, a: int, k: int) -> int:
@@ -148,59 +165,6 @@ def is_probable_prime(n: int) -> bool:
         if witness(rng.randrange(2, n - 1)):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# polynomials over GF(p), coefficient tuples, constant term first
-# ---------------------------------------------------------------------------
-
-
-def _fp_trim(c: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return c[:i]
-
-
-def _fp_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(tuple(out))
-
-
-def _fp_divmod(
-    a: tuple[int, ...], m: tuple[int, ...], p: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(quotient, remainder) of a by m over GF(p), both trimmed."""
-    a = list(a)
-    dm = len(m) - 1
-    quo = [0] * max(len(a) - dm, 0)
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        f = a[-1] * inv_lead % p
-        shift = len(a) - 1 - dm
-        quo[shift] = f
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - f * mi) % p
-        a.pop()
-    return _fp_trim(tuple(quo)), _fp_trim(tuple(a))
-
-
-def _fp_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
-    return _fp_divmod(a, m, p)[1]
-
-
-def _zip_pad(a: tuple[int, ...], b: tuple[int, ...]):
-    n = max(len(a), len(b))
-    return zip(a + (0,) * (n - len(a)), b + (0,) * (n - len(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +234,12 @@ def _is_irreducible_mod_p(coeffs: tuple[int, ...], p: int) -> bool:
     over GF(p): packed bits for p = 2, fqpoly.is_irreducible over GF(p)
     otherwise.  Setting up a field is not part of any computation's
     cost, so the multiplication counter is left as it was."""
-    global _mul_count
     if p == 2:
         return _gf2_is_irreducible(sum(c << i for i, c in enumerate(coeffs)))
     from .fqpoly import FqPoly, is_irreducible
 
-    saved = _mul_count
-    try:
+    with _uncounted():
         return is_irreducible(FqPoly(field_spec(p), coeffs))
-    finally:
-        _mul_count = saved
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +255,16 @@ def smallest_irreducible_poly(p: int, gamma: int) -> tuple[int, ...]:
     if gamma == 1:
         return (0, 1)
     # c_0 = 0 forces divisibility by x, so the search starts at c_0 = 1 and
-    # counts through the remaining coefficients, last coordinate fastest.
+    # counts through the remaining coefficients, last coordinate fastest:
+    # the base-p digits of n, most significant first, made one candidate
+    # at a time, so a large p costs no memory before the first test.
     for c0 in range(1, p):
-        for tail in _product(range(p), repeat=gamma - 1):
-            cand = (c0, *tail, 1)
+        for n in range(p ** (gamma - 1)):
+            tail = []
+            for _ in range(gamma - 1):
+                n, c = divmod(n, p)
+                tail.append(c)
+            cand = (c0, *reversed(tail), 1)
             if _is_irreducible_mod_p(cand, p):
                 return cand
     raise ValueError(f"no irreducible polynomial of degree {gamma} over GF({p})")
@@ -310,7 +276,7 @@ def smallest_irreducible_poly(p: int, gamma: int) -> tuple[int, ...]:
 
 _TABLE_MAX_Q = 256
 _RAW_OPS = ("_add_raw", "_sub_raw", "_neg_raw", "_mul_raw", "_inv_raw")
-_VEC_OPS = ("_mat_mul_raw", "_outer_raw", "_prepare_raw", "_mul_prepared_raw")
+_VEC_OPS = ("_outer_raw", "_prepare_raw", "_mul_prepared_raw")
 
 
 class FieldSpec:
@@ -443,7 +409,12 @@ class FieldSpec:
 
     def _choose_raw_ops(self) -> None:
         """Bind _add_raw, _sub_raw, _neg_raw, _mul_raw and _inv_raw, the
-        operations on packed ints, to this field's arithmetic once."""
+        operations on packed ints, to this field's arithmetic once.
+
+        An odd-characteristic extension multiplies and inverts its base-p
+        digits with fqpoly's kernels over GF(p), modulo f, its modulus as
+        a monic FqPoly.  They run uncounted: a FieldElement product counts
+        one, and the kernels that call _mul_raw count analytically."""
         p, small = self.p, self.gamma > 1 and self.q <= _TABLE_MAX_Q
         if self.gamma == 1:
             ops = (
@@ -456,15 +427,27 @@ class FieldSpec:
         elif p == 2:
             ops = (_xor, _xor, lambda a: a, self._mul_gf2, self._inv_gf2)
         else:
+            from .fqpoly import FqPoly, _product, _rem_monic, mod_inverse
+
+            gfp, coeffs, pack = field_spec(p), self._coeffs, self._pack
+            f = FqPoly._from_vals(gfp, self.modulus)
+
+            def mul(a: int, b: int) -> int:
+                with _uncounted():
+                    return pack(_rem_monic(_product(gfp, coeffs(a), coeffs(b)), f))
+
+            def inv(a: int) -> int:
+                with _uncounted():
+                    return pack(mod_inverse(FqPoly._from_vals(gfp, coeffs(a)), f).coeffs)
+
             add, neg = self._add_digits, self._neg_digits
-            ops = (add, lambda a, b: add(a, neg(b)), neg, self._mul_poly, self._inv_poly)
+            ops = (add, lambda a, b: add(a, neg(b)), neg, mul, inv)
         if small:
             ops = ops[:3] + self._build_tables(ops[3])
         if p == 2 and self.gamma > 1 and not small:
-            ops += (self._mat_mul_lanes, self._outer_lanes, self._prepare_lanes,
-                    self._mul_prepared_lanes)
+            ops += (self._outer_lanes, self._prepare_lanes, self._mul_prepared_lanes)
         else:
-            ops += (self._mat_mul_loop, self._outer_loop, tuple, self._mat_mul_loop)
+            ops += (self._outer_loop, tuple, self._mat_mul_loop)
         for name, op in zip(_RAW_OPS + _VEC_OPS, ops):
             object.__setattr__(self, name, op)
 
@@ -489,10 +472,6 @@ class FieldSpec:
             mult *= p
         return out
 
-    def _mul_poly(self, a: int, b: int) -> int:
-        prod = _fp_mul(self._coeffs(a), self._coeffs(b), self.p)
-        return self._pack(_fp_mod(prod, self.modulus, self.p))
-
     def _mul_gf2(self, a: int, b: int) -> int:
         # Horner over the bytes of a, top byte first; acc stays below
         # x^gamma, so after a step only one byte lies above it
@@ -512,12 +491,11 @@ class FieldSpec:
             acc = acc & mask ^ red[acc >> gamma]
         return acc
 
-    # -- vector kernels: _mat_mul_raw(xv, yv) takes and returns tuples of
-    # row tuples, _outer_raw(col, row) returns the rows c * row as lists.
-    # _mul_prepared_raw(xv, _prepare_raw(yv)) is the same product, x yv,
-    # with yv in the form the product reads (the rows themselves, or
-    # their lane tables), so that a yv multiplied by many x is prepared
-    # once; yv need not be square --
+    # -- vector kernels: _mul_prepared_raw(xv, _prepare_raw(yv)) is the
+    # matrix product x yv on tuples of row tuples, with yv in the form the
+    # product reads (the rows themselves, or their lane tables), so that a
+    # yv multiplied by many x is prepared once; yv need not be square.
+    # _outer_raw(col, row) returns the rows c * row as lists --
 
     def _mat_mul_loop(self, xv, yv) -> tuple:
         mul, add = self._mul_raw, self._add_raw
@@ -528,19 +506,17 @@ class FieldSpec:
         mul, n = self._mul_raw, len(row)
         return [[mul(c, x) for x in row] if c else [0] * n for c in col]
 
-    def _mat_mul_lanes(self, xv, yv) -> tuple:
-        """Row i of x y is the sum over k of x_ik * row k of y.  Each row
-        of y is packed into one int of lanes wide enough for an unreduced
-        product, with its 16 nibble multiples; row i of the product is
-        then accumulated Horner fashion over the bytes of the x_ik, all
-        lanes at once, and each lane is reduced once at the end."""
-        return self._mul_prepared_lanes(xv, self._prepare_lanes(yv))
-
     def _prepare_lanes(self, yv) -> tuple:
         """The lane tables of each row of yv, and the row length."""
         return tuple(self._lane_tables(row) for row in yv), len(yv[0])
 
     def _mul_prepared_lanes(self, xv, prepared) -> tuple:
+        """Row i of x y is the sum over k of x_ik * row k of y.  Each row
+        of y is packed into one int of lanes wide enough for an unreduced
+        product, with its 16 nibble multiples (_prepare_lanes); row i of
+        the product is then accumulated Horner fashion over the bytes of
+        the x_ik, all lanes at once, and each lane is reduced once at the
+        end."""
         tables, n = prepared
         nbytes = (self.gamma + 7) >> 3
         out = []
@@ -556,7 +532,7 @@ class FieldSpec:
         return tuple(out)
 
     def _outer_lanes(self, col, row) -> list:
-        """c * row for each c in col, by the lanes of _mat_mul_lanes."""
+        """c * row for each c in col, by the lanes of _mul_prepared_lanes."""
         (hi, lo), nbytes, n = self._lane_tables(row), (self.gamma + 7) >> 3, len(row)
         out = []
         for c in col:
@@ -666,23 +642,6 @@ class FieldSpec:
             s0 ^= s1 << d
         # r0 is the gcd = 1 (modulus irreducible), s0 the inverse of a
         return _gf2_mod(s0, self._mod_packed)
-
-    def _inv_poly(self, a: int) -> int:
-        """Extended Euclid on coefficient tuples, odd characteristic."""
-        if not a:
-            raise ZeroDivisionError("inversion of zero field element")
-        p = self.p
-        r0, r1 = self.modulus, _fp_trim(self._coeffs(a))
-        s0: tuple[int, ...] = ()
-        s1: tuple[int, ...] = (1,)
-        while r1:
-            quo, rem = _fp_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            new_s = tuple((a0 - b0) % p for a0, b0 in _zip_pad(s0, _fp_mul(quo, s1, p)))
-            s0, s1 = s1, _fp_trim(new_s)
-        # r0 = c * gcd with gcd = 1; normalize by the constant
-        c_inv = pow(r0[0], p - 2, p)
-        return self._pack(_fp_mod(tuple(c * c_inv % p for c in s0), self.modulus, p))
 
     # -- serialization ---------------------------------------------------------
 

@@ -605,18 +605,15 @@ def _char_poly_cost(n: int) -> int:
 def cayley_hamilton_cost(d: int, e: int, p: int) -> int:
     """Field multiplications, at most, of M^e = (x^e mod chi_M)(M) for a
     d x d matrix M in characteristic p and e >= 1, by either evaluation
-    of matrix.mat_pow.  Horner's, d^2 + (d - 2) d^3, may follow chi_M's
-    computation.  The one that builds M's power basis, (d - 2) d^3, and
-    evaluates on it, (d - 1) d^2, comes after an earlier power of M has
-    cached chi_M; later ones cost (d - 1) d^2.  As _char_poly_cost(d) =
-    d^3 + d^2/2 - 3d/2 + 2 exceeds the build's (d - 2) d^2 surcharge, the
-    first term is the larger, and the figure, route choices included, is
-    the one for Horner alone."""
+    of matrix.mat_pow: chi_M, x^e mod chi_M and Horner's evaluation,
+    d^2 + (d - 2) d^3.  The power basis's build, (d - 2) d^3, and
+    evaluation on it, (d - 1) d^2, come only after an earlier power has
+    cached chi_M, and their surcharge over Horner, (d - 2) d^2, is below
+    _char_poly_cost(d) = d^3 + d^2/2 - 3d/2 + 2, so the figure bounds them
+    too."""
     reduce_x = 1 if d == 1 else 0
     horner = d * d + (d - 2) * d**3 if d >= 2 else 0
-    build = (d - 2) * d**3 + (d - 1) * d * d if d >= 2 else 0
-    evaluate = max(_char_poly_cost(d) + horner, build)
-    return reduce_x + _pow_mod_cost(e, d, p, by_x=True) + evaluate
+    return reduce_x + _pow_mod_cost(e, d, p, by_x=True) + _char_poly_cost(d) + horner
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,16 @@ counter exactly what the FieldElement loop they replace would count,
 zeros included where that loop multiplied by them; inversions are not
 counted.
 
-mat_mul and _outer call the field's vector ops, _mat_mul_raw and
-_outer_raw, and have no branch of their own.  The counted cost model is
-the schoolbook d^3 on purpose: the cost accounting for automorphism
-composition assumes exactly d^3 field multiplications per product, and
-prime, table and odd-extension fields run that loop.  Binary fields
-above 2^8 run the field's lane kernel instead, which forms the same d^3
-products without reduction and reduces only the d^2 sums; the count is
-d^3 all the same.  Indices in every public signature are 1-based,
-matching the e_{i,j} matrix-unit notation.
+mat_mul and _outer call the field's vector ops, _mul_prepared_raw on
+_prepare_raw's form of the right factor and _outer_raw, and have no
+branch of their own.  The counted cost model is the schoolbook d^3 on
+purpose: the cost accounting for automorphism composition assumes
+exactly d^3 field multiplications per product, and prime, table and
+odd-extension fields run that loop.  Binary fields above 2^8 run the
+field's lane kernel instead, which forms the same d^3 products without
+reduction and reduces only the d^2 sums; the count is d^3 all the same.
+Indices in every public signature are 1-based, matching the e_{i,j}
+matrix-unit notation.
 
 mat_inv is linalg.solve(x, 1) on packed ints, the package's one
 elimination.  det keeps its own forward-only pass: it needs the product
@@ -310,7 +311,8 @@ def mat_mul(x: Matrix, y: Matrix) -> Matrix:
     if x.spec != y.spec or x.d != y.d:
         raise FieldMismatchError("incompatible matrices")
     _count_muls(x.d**3)
-    return Matrix._from_vals(x.spec, x.spec._mat_mul_raw(x.vals, y.vals))
+    spec = x.spec
+    return Matrix._from_vals(spec, spec._mul_prepared_raw(x.vals, spec._prepare_raw(y.vals)))
 
 
 def _dot(spec: FieldSpec, row, col) -> int:

@@ -301,9 +301,9 @@ def bsgs_dlog(base, target, order_bound: int, ops: GroupOps, budget: int | None 
         raise ValueError("order bound must be nonnegative")
     steps = 0
 
-    def bump(k: int = 1):
+    def bump():
         nonlocal steps
-        steps += k
+        steps += 1
         if budget is not None and steps > budget:
             raise IterationBudgetExceeded(f"budget of {budget} group operations")
 

@@ -21,7 +21,10 @@ multiply with its nibble reduction table, the multiplication and
 inverse tables of a small field built from q^2 coefficient-tuple
 products and an inverse search, the odd-characteristic inverse with
 its own long-division loop, and the FieldElement square-and-multiply
-loop of FieldElement.__pow__.  The eliminations that linalg.solve
+loop of FieldElement.__pow__.  The coefficient-tuple arithmetic over
+GF(p) that these use (_fp_trim, _fp_mul, _fp_divmod, _fp_mod and
+_zip_pad) is the one field.py ran on odd-characteristic extensions
+before they multiplied and inverted through fqpoly's kernels over GF(p).  The eliminations that linalg.solve
 replaced are here as well: Gauss-Jordan inversion, the lab's restriction
 to an invariant subspace, and its polynomial expression through a
 rescaled nullspace vector.  The v1 automorphism parse that sent every
@@ -66,7 +69,7 @@ from morsl.autos import (
     conjugator_solution_space,
     generator_pairs,
 )
-from morsl.field import FieldElement, FieldSpec, _fp_mod, _fp_mul, _fp_trim, _gf2_mod, _zip_pad
+from morsl.field import FieldElement, FieldSpec, _gf2_mod
 from morsl import fqpoly
 from morsl.fqpoly import FqPoly
 from morsl.matrix import (
@@ -82,6 +85,59 @@ from morsl.matrix import (
 )
 from morsl.seclab import WrongAttackModelError
 from morsl.words import NotInSLError, TransvectionWord
+
+
+# ---------------------------------------------------------------------------
+# polynomials over GF(p), coefficient tuples, constant term first
+# ---------------------------------------------------------------------------
+
+
+def _fp_trim(c: tuple[int, ...]) -> tuple[int, ...]:
+    i = len(c)
+    while i > 0 and c[i - 1] == 0:
+        i -= 1
+    return c[:i]
+
+
+def _fp_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _fp_trim(tuple(out))
+
+
+def _fp_divmod(
+    a: tuple[int, ...], m: tuple[int, ...], p: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(quotient, remainder) of a by m over GF(p), both trimmed."""
+    a = list(a)
+    dm = len(m) - 1
+    quo = [0] * max(len(a) - dm, 0)
+    inv_lead = pow(m[-1], p - 2, p)
+    while len(a) - 1 >= dm and a:
+        if a[-1] == 0:
+            a.pop()
+            continue
+        f = a[-1] * inv_lead % p
+        shift = len(a) - 1 - dm
+        quo[shift] = f
+        for i, mi in enumerate(m):
+            a[shift + i] = (a[shift + i] - f * mi) % p
+        a.pop()
+    return _fp_trim(tuple(quo)), _fp_trim(tuple(a))
+
+
+def _fp_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
+    return _fp_divmod(a, m, p)[1]
+
+
+def _zip_pad(a: tuple[int, ...], b: tuple[int, ...]):
+    n = max(len(a), len(b))
+    return zip(a + (0,) * (n - len(a)), b + (0,) * (n - len(b)))
 
 
 def element_rows(m):

@@ -1,10 +1,14 @@
 import importlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    _fp_mod,
+    _fp_mul,
+    _fp_trim,
     field_pow_elementwise,
     field_tables_by_products,
     fp_is_irreducible_tuples,
@@ -343,20 +347,26 @@ def test_binary_multiply_matches_the_window_oracle(gamma, data):
     assert (spec.from_val(a) * spec.from_val(b)).val == want
 
 
-# odd characteristic, too large for tables: inversion runs extended Euclid
-ODD_EXTENSIONS = (field_spec(3, 6), field_spec(5, 5), field_spec(7, 4))
+# odd characteristic, too large for tables: products and inverses run
+# fqpoly's kernels over GF(p), one at a 61-bit p
+ODD_EXTENSIONS = (field_spec(3, 6), field_spec(5, 5), field_spec(7, 4), field_spec(2**61 - 1, 2))
 
 
 @settings(max_examples=100)
 @given(spec=st.sampled_from(ODD_EXTENSIONS), data=st.data())
 def test_odd_extension_inverse_matches_the_long_division_oracle(spec, data):
-    a = data.draw(st.sampled_from((1, 2, spec.p, spec.q - 1)) | st.integers(1, spec.q - 1))
+    values = st.sampled_from((1, 2, spec.p, spec.q - 1)) | st.integers(1, spec.q - 1)
+    a, b = data.draw(values), data.draw(values | st.just(0))
+    p = spec.p
+    product = _fp_mod(_fp_mul(spec._coeffs(a), spec._coeffs(b), p), spec.modulus, p)
+    assert spec._mul_raw(a, b) == spec._pack(product)
     assert spec._inv_raw(a) == inv_fp_long_division(spec, a)
     x = spec.from_val(a)
     cost_reset()
     y = x.inv()
     assert cost_counter() == 0  # inversions are not counted
     assert x * y == spec.one()
+    assert cost_counter() == 1  # one product, whatever the kernels beneath it did
     assert spec._inv_table is None
 
 
@@ -425,8 +435,6 @@ def test_default_modulus_is_proved_irreducible_once(monkeypatch, p, gamma, modul
 
 def _irreducible_by_trial_division(coeffs, p):
     """Oracle: try dividing by every monic polynomial of lower degree."""
-    from morsl.field import _fp_mod, _fp_trim
-
     n = len(coeffs) - 1
     for deg in range(1, n // 2 + 1):
         for k in range(p ** deg):
@@ -458,6 +466,19 @@ def test_smallest_irreducible_matches_trial_division_scan(p, gamma):
             if cand == found:
                 return
             assert not _irreducible_by_trial_division(cand, p)
+
+
+def test_default_modulus_search_at_a_large_p_stores_no_value_range():
+    # x^2 + 1, irreducible as p = 3 mod 4, is the first candidate; the
+    # search must not hold GF(p)'s values in memory before testing it
+    tracemalloc.start()
+    try:
+        assert smallest_irreducible_poly(1_000_003, 2) == (1, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert smallest_irreducible_poly(2**61 - 1, 2) == (1, 0, 1)
 
 
 def test_default_modulus_for_presets_is_irreducible():

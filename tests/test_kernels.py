@@ -312,7 +312,9 @@ def lane_matrices(draw, spec, d):
 @PROPERTY
 @given(data=st.data(), spec=lane_specs, d=st.integers(1, 8))
 def test_lane_mat_mul_matches_its_oracle(data, spec, d):
-    assert spec._mat_mul_raw == spec._mat_mul_lanes
+    assert (spec._prepare_raw, spec._mul_prepared_raw) == (
+        spec._prepare_lanes, spec._mul_prepared_lanes
+    )
     x, y = data.draw(lane_matrices(spec, d)), data.draw(lane_matrices(spec, d))
     got = _run(mat_mul, x, y)
     assert got == _run(mat_mul_elementwise, x, y)
@@ -340,7 +342,7 @@ def test_lane_outer_matches_its_oracle(data, spec, d):
 )
 def test_prime_table_and_odd_extension_fields_keep_the_loops(spec):
     # lab-attacks runs prime and table fields only, so it runs no lane code
-    assert spec._mat_mul_raw == spec._mat_mul_loop
+    assert (spec._prepare_raw, spec._mul_prepared_raw) == (tuple, spec._mat_mul_loop)
     assert spec._outer_raw == spec._outer_loop
 
 
