@@ -831,15 +831,17 @@ def irreducible_factors(f: FqPoly) -> list[tuple[FqPoly, int]]:
 def mod_inverse(a: FqPoly, modulus: FqPoly) -> FqPoly:
     """Inverse of a modulo an irreducible polynomial, by extended Euclid."""
     spec = a._check(modulus)
-    r0, r1 = modulus, a % modulus
-    s0, s1 = FqPoly.zero(spec), FqPoly.one(spec)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if r0.degree() != 0:
+    r0, r1 = modulus.coeffs, _trim(_divmod(spec, a.coeffs, modulus.coeffs)[1])
+    s0, s1 = [], [1]
+    while r1:
+        q, r = _divmod(spec, r0, r1)
+        r0, r1 = r1, _trim(r)
+        qs = _product(spec, q, s1)
+        s0, s1 = s1, _trim([spec._sub_raw(u, v) for u, v in _zip_longest(s0, qs, fillvalue=0)])
+    if len(r0) != 1:
         raise ZeroDivisionError("element is not invertible modulo this polynomial")
-    return s0.scale(spec._inv_raw(r0.coeffs[0])) % modulus
+    # Euclid's cofactor s0 has degree below the modulus's: nothing to reduce
+    return FqPoly._from_vals(spec, s0).scale(spec._inv_raw(r0[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -402,9 +402,9 @@ def mat_pow(x: Matrix, n: int) -> Matrix:
     after d - 2 matrix products, (d - 2) d^3, to build the basis once.
     Every other evaluation, the first at a matrix with a verdict and
     every one at a matrix without, is Horner's, d^2 + (d - 2) d^3, so a
-    matrix raised once builds no basis.  Square-and-multiply: 1.5 d^3
-    per bit on average, cheaper for short exponents on large matrices.
-    Both predictions come from d, n and the characteristic.
+    matrix raised once builds no basis.  Square-and-multiply runs left to
+    right from x, (bits(n) + popcount(n) - 2) d^3, cheaper for short
+    exponents on large matrices.  Both predictions come from d, n and p.
     """
     if n < 0:
         return mat_pow(mat_inv(x), -n)
@@ -418,8 +418,10 @@ def mat_pow(x: Matrix, n: int) -> Matrix:
             object.__setattr__(x, "_split", split)
         if x._split:
             n %= order_bound
-    square_and_multiply_cost = d**3 * (n.bit_length() - 1 + n.bit_count())
-    if n and cayley_hamilton_cost(d, n, x.spec.p) < square_and_multiply_cost:
+    if not n:
+        return identity(x.spec, d)
+    square_and_multiply_cost = d**3 * (n.bit_length() + n.bit_count() - 2)
+    if cayley_hamilton_cost(d, n, x.spec.p) < square_and_multiply_cost:
         r = FqPoly.x(x.spec).pow_mod(n, char_poly(x))
         if x._split is None:
             return r.eval_matrix(x)
@@ -429,15 +431,12 @@ def mat_pow(x: Matrix, n: int) -> Matrix:
         if x._basis is False:
             object.__setattr__(x, "_basis", _power_basis(x))
         return _eval_on_basis(x, r.coeffs)
-    result = identity(x.spec, d)
-    base = x
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        n >>= 1
-        if n:
-            base = mat_mul(base, base)
-    return result
+    acc = x
+    for bit in bin(n)[3:]:
+        acc = mat_mul(acc, acc)
+        if bit == "1":
+            acc = mat_mul(acc, x)
+    return acc
 
 
 def _power_basis(x: Matrix):

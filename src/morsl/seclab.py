@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .autos import Automorphism, generator_pairs, pair_orbits
 from .field import FieldElement, FieldSpec
@@ -430,17 +431,13 @@ def monomial_cycle_attack(pk: MorPublicKey, dlog_budget: int | None = None) -> M
     for orbit in orbits:
         ell = len(orbit)
         i0, j0 = orbit[0]
-        cycle_prod = spec.one()
-        for a, b in orbit:
-            cycle_prod = cycle_prod * coef[(a, b)]
+        # the orbit is walked from (i0, j0) in beta's order, so its running
+        # products are the prefixes of the shift, the last the cycle product
+        running = list(accumulate((coef[ab] for ab in orbit), ops.mul))
+        cycle_prod = running[-1]
         s0 = shift % ell
-        prefix = spec.one()
-        a, b = i0, j0
-        for _ in range(s0):
-            prefix = prefix * coef[(a, b)]
-            a, b = beta(a), beta(b)
         observed = coef_m[(i0, j0)]
-        target = observed * prefix.inv()
+        target = observed * running[s0 - 1].inv() if s0 else observed
         order = multiplicative_order(
             lambda n: cycle_prod**n, lambda v: v == spec.one(), spec.q - 1
         )
@@ -502,8 +499,8 @@ def _restrict_to_subspace(a: Matrix, basis) -> Matrix:
 def _express_as_polynomial(base: Matrix, target: Matrix, deg: int) -> FqPoly:
     """Coefficients c with target = sum c_t base^t, t < deg."""
     spec, n = base.spec, base.d
-    powers = [identity(spec, n)]
-    for _ in range(deg - 1):
+    powers = [identity(spec, n), base][:deg]
+    for _ in range(deg - 2):
         powers.append(mat_mul(powers[-1], base))
     coeffs = solve(
         spec,

@@ -271,12 +271,26 @@ def _mat_pow_counts(spec, d, bits, seed):
 
 
 def test_mat_pow_never_costs_more_than_the_oracle():
-    # the first three take Cayley-Hamilton, the 25 x 25 one square-and-multiply
+    # the first three take Cayley-Hamilton; the 25 x 25 one takes
+    # square-and-multiply from x, saving the oracle's product by the identity
     cases = (((2, 16), 5, 80), ((7, 1), 9, 20), ((2, 4), 16, 16), ((3, 1), 25, 8))
     for (p, gamma), d, bits in cases:
         engine, oracle = _mat_pow_counts(field_spec(p, gamma), d, bits, seed=d)
-        assert engine <= oracle
-        assert (engine < oracle) == (d != 25)
+        assert engine < oracle
+        assert d != 25 or oracle - engine == d**3
+
+
+@pytest.mark.parametrize("d", (5, 6, 7))
+def test_square_and_multiply_starts_from_the_base(d):
+    # n = 0 is the identity and n = 1 is x itself, both free; 2^k takes
+    # k squarings and no product, the route mat_pow takes for k <= 5 here
+    x = random_gl(GF7, d, random.Random(d))
+    assert _counted(mat_pow, x, 0) == (identity(GF7, d), 0)
+    got, count = _counted(mat_pow, x, 1)
+    assert got is x and count == 0
+    for k in range(1, 6):
+        got, count = _counted(mat_pow, x, 2**k)
+        assert got == mat_pow_sqm(x, 2**k) and count == k * d**3
 
 
 def test_cayley_hamilton_count_is_pinned():
@@ -437,7 +451,7 @@ def test_power_basis_powers_match_the_oracle_and_their_counts(spec, d, verdict, 
         # without a verdict, an exponent from q^d - 1 on would decide one
         n = rng.randrange(2, bound) + (bound * rng.randrange(1, 2**16) if large and verdict else 0)
         reduced = n % bound if verdict else n
-        square_and_multiply = d**3 * (reduced.bit_length() - 1 + reduced.bit_count())
+        square_and_multiply = d**3 * (reduced.bit_length() + reduced.bit_count() - 2)
         route_bound = fqpoly.cayley_hamilton_cost(d, reduced, spec.p)
         cayley_hamilton = reduced and route_bound < square_and_multiply
         if cayley_hamilton:

@@ -527,11 +527,15 @@ def test_seeded_three_message_session_counts_are_pinned(preset):
 # _rem_monic instead of divmod, which multiplied each cleared coefficient
 # by 1/lead(g) = 1 and built a quotient: 4,463 -> 4,459 and 20,182 ->
 # 20,178; at gf7 g is x + 1 and its two products are of constants,
-# which neither reduction touches.
+# which neither reduction touches.  No power or product chain starts from
+# the identity or from one: mat_pow's check of the lifted power and the
+# powers of the restricted A start from A (1,307, 3,703 and 16,055), and
+# the monomial attack reads the cycle product and the shift's prefix off
+# the running products of one orbit walk (24, 31 and 18).
 LAB_PINNED_COUNTS = {
-    "gf7": ((7, 1, 3), (75, 73, 2036, 4, 36)),
-    "gf2_4": ((2, 4, 3), (78, 124, 4459, 49, 37)),
-    "gf3": ((3, 1, 4), (192, 168, 20178, 18, 27)),
+    "gf7": ((7, 1, 3), (75, 73, 1307, 4, 24)),
+    "gf2_4": ((2, 4, 3), (78, 124, 3703, 49, 31)),
+    "gf3": ((3, 1, 4), (192, 168, 16055, 18, 18)),
 }
 
 
