@@ -15,7 +15,9 @@ operations refuse operands over different specs (FieldMismatchError).
 
 It is also the exponentiation engine behind matrix.mat_pow: pow_mod
 computes x^e mod chi_M, and eval_matrix evaluates the result at M by
-Horner, unless mat_pow keeps a power basis on M.
+Horner, unless mat_pow keeps a power basis on M, or M = g(B) for a B
+that keeps one, where _compose forms the remainder's composition with g
+modulo chi_B; mod_inverse inverts modulo chi_B for matrix.mat_inv there.
 Repeated q-th powers modulo f go through the Frobenius matrix of f.
 Over a binary field too large for a multiplication table, x^e runs on
 one int in one kernel, _pow_x_lanes: the residue is packed in byte-
@@ -381,6 +383,32 @@ def _horner(spec: FieldSpec, coeffs, v: int) -> int:
     return acc
 
 
+def _compose(r, g, f: FqPoly) -> tuple:
+    """r(g) mod a monic f of degree n >= 2, for r and g of at most n
+    coefficients, as a tuple of n.  Horner's rule on the rows g, x g, ...,
+    x^(n-1) g mod f, so that each step after r's top coefficient times g
+    is one row-by-matrix product in the field's prepared form.  Counted as
+    (n - 1) n^2, products by zero included, as matrix.mat_mul counts:
+    (n - 1) n for the rows, n for the top coefficient and n^2 for each of
+    the n - 2 further steps."""
+    spec, n = f.spec, len(f.coeffs) - 1
+    mul, add = spec._mul_raw, spec._add_raw
+    neg = [spec._neg_raw(c) for c in f.coeffs[:n]]
+    rows = [(*g, *(0,) * (n - len(g)))]
+    for _ in range(n - 1):
+        row = rows[-1]
+        rows.append(tuple(add(s, mul(row[-1], c)) for s, c in zip((0, *row[:-1]), neg)))
+    r = (*r, *(0,) * (n - len(r)))
+    acc = [mul(r[-1], v) for v in rows[0]]
+    acc[0] = add(acc[0], r[-2])
+    prepared = spec._prepare_raw(tuple(rows))
+    for c in reversed(r[:-2]):
+        acc = list(spec._mul_prepared_raw((acc,), prepared)[0])
+        acc[0] = add(acc[0], c)
+    _count_muls((n - 1) * n * n)
+    return tuple(acc)
+
+
 def _pow_x_lanes(e: int, f: FqPoly) -> FqPoly:
     """x^e mod a monic f of degree n >= 2 over GF(2^gamma), gamma > 8.
 
@@ -610,7 +638,8 @@ def cayley_hamilton_cost(d: int, e: int, p: int) -> int:
     evaluation on it, (d - 1) d^2, come only after an earlier power has
     cached chi_M, and their surcharge over Horner, (d - 2) d^2, is below
     _char_poly_cost(d) = d^3 + d^2/2 - 3d/2 + 2, so the figure bounds them
-    too."""
+    too.  The evaluation of an M = g(B) on B's basis, 2 (d - 1) d^2, runs
+    only where it is no more than Horner's, for d >= 3."""
     reduce_x = 1 if d == 1 else 0
     horner = d * d + (d - 2) * d**3 if d >= 2 else 0
     return reduce_x + _pow_mod_cost(e, d, p, by_x=True) + _char_poly_cost(d) + horner
@@ -829,19 +858,27 @@ def irreducible_factors(f: FqPoly) -> list[tuple[FqPoly, int]]:
 
 
 def mod_inverse(a: FqPoly, modulus: FqPoly) -> FqPoly:
-    """Inverse of a modulo an irreducible polynomial, by extended Euclid."""
+    """Inverse of a modulo a nonzero polynomial, by extended Euclid, or
+    ZeroDivisionError when they share a factor.  Each step keeps
+    s_i a = r_i mod modulus, and Euclid stops at the first remainder that
+    is a nonzero constant c, whose cofactor divided by c is the inverse,
+    or at a zero remainder, which leaves a common factor unless the
+    modulus itself is constant: modulo a unit every residue is 0, and 0
+    is its own inverse."""
     spec = a._check(modulus)
     r0, r1 = modulus.coeffs, _trim(_divmod(spec, a.coeffs, modulus.coeffs)[1])
     s0, s1 = [], [1]
-    while r1:
+    while len(r1) > 1:
         q, r = _divmod(spec, r0, r1)
         r0, r1 = r1, _trim(r)
         qs = _product(spec, q, s1)
         s0, s1 = s1, _trim([spec._sub_raw(u, v) for u, v in _zip_longest(s0, qs, fillvalue=0)])
-    if len(r0) != 1:
+    if not r1:
+        if len(r0) == 1:
+            return FqPoly.zero(spec)
         raise ZeroDivisionError("element is not invertible modulo this polynomial")
-    # Euclid's cofactor s0 has degree below the modulus's: nothing to reduce
-    return FqPoly._from_vals(spec, s0).scale(spec._inv_raw(r0[0]))
+    # Euclid's cofactor s1 has degree below the modulus's: nothing to reduce
+    return FqPoly._from_vals(spec, s1).scale(spec._inv_raw(r1[0]))
 
 
 # ---------------------------------------------------------------------------

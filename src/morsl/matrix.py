@@ -42,6 +42,14 @@ is exact.  A matrix with a verdict is raised again and again, as a key's
 conjugators are for every message, so from its second Cayley-Hamilton
 power on mat_pow keeps its power basis on it and evaluates each
 remainder in one product with that basis instead of by Horner.
+
+What is known to lie in F_q[B] for such a B is kept as its coordinates
+on B: the result of an evaluation on B's basis, and a matrix that a
+certified B reads as g(B) when it hands on its verdict a second time
+(_hand_on_verdict), as decrypt's B_r from a key's second message on.
+mat_pow raises a matrix with coordinates on its base's basis, and
+mat_inv inverts it there by extended Euclid modulo chi_B, instead of
+by Horner and by elimination.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ from .field import (
     _json_int,
     _json_list,
 )
-from .linalg import solve
+from .linalg import RowReducer, solve
 
 __all__ = [
     "Matrix",
@@ -91,11 +99,16 @@ class Matrix:
     # _chi caches the characteristic polynomial (fqpoly.char_poly fills
     # it), _split the verdict of mat_pow's certificate that the order
     # divides q^d - 1; only this module writes it (mat_pow, and the
-    # hand-offs _set_certified and _hand_on_verdict).  _basis, also
-    # written only here, is None until mat_pow evaluates a remainder at a
-    # matrix with a verdict, False after the first such evaluation, and
-    # then the power basis of _power_basis
-    __slots__ = ("spec", "d", "vals", "_chi", "_split", "_basis")
+    # hand-offs _set_certified and _hand_on_verdict).  The other three
+    # slots are written only here too.  _basis is None until mat_pow
+    # evaluates a remainder at a matrix with a verdict, False after the
+    # first such evaluation, and then the power basis of _power_basis,
+    # which a certified matrix's second hand-on also builds.  _reader is
+    # None until a certified matrix hands on its verdict, False after the
+    # first hand-on, and then _coordinate_reader's entry positions and
+    # block inverse.  _coords is None, or (base, s) for a matrix known to
+    # equal s(base), s of degree < d, with base's power basis built
+    __slots__ = ("spec", "d", "vals", "_chi", "_split", "_basis", "_reader", "_coords")
 
     def __init__(self, spec: FieldSpec, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -124,6 +137,8 @@ class Matrix:
         object.__setattr__(self, "_chi", None)
         object.__setattr__(self, "_split", None)
         object.__setattr__(self, "_basis", None)
+        object.__setattr__(self, "_reader", None)
+        object.__setattr__(self, "_coords", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Matrix is immutable")
@@ -368,7 +383,21 @@ def det(x: Matrix) -> FieldElement:
 
 
 def mat_inv(x: Matrix) -> Matrix:
-    """x^(-1) from linalg's solve of x X = 1."""
+    """x^(-1).  A matrix with coordinates s on a base B is s(B), and its
+    inverse is h(B) for h = s^(-1) mod chi_B, which exists exactly when
+    s(B) is invertible (chi_B's roots are B's eigenvalues): extended
+    Euclid (fqpoly.mod_inverse) and one product with B's power basis,
+    (d - 1) d^2.  Any other matrix is inverted by linalg's solve of
+    x X = 1."""
+    if x._coords is not None:
+        from .fqpoly import FqPoly, char_poly, mod_inverse
+
+        base, s = x._coords
+        try:
+            h = mod_inverse(FqPoly._from_vals(x.spec, s), char_poly(base))
+        except ZeroDivisionError:
+            raise SingularMatrixError("matrix is singular") from None
+        return _eval_on_basis(base, h.coeffs)
     inv = solve(x.spec, x.vals, identity(x.spec, x.d).vals)
     if inv is None:
         raise SingularMatrixError("matrix is singular")
@@ -400,15 +429,21 @@ def mat_pow(x: Matrix, n: int) -> Matrix:
     r_0 1 + sum_k r_k x^k, one product of (r_1, ..., r_(d-1)) with the
     power basis x, ..., x^(d-1) kept on x: (d - 1) d^2 multiplications,
     after d - 2 matrix products, (d - 2) d^3, to build the basis once.
-    Every other evaluation, the first at a matrix with a verdict and
-    every one at a matrix without, is Horner's, d^2 + (d - 2) d^3, so a
-    matrix raised once builds no basis.  Square-and-multiply runs left to
+    Otherwise, a matrix with coordinates g on a base B, x = g(B), is
+    raised on B's basis: r(x) = s(B) for s = r(g) mod chi_B, by
+    fqpoly._compose and one product with B's basis, (d - 1) d^2 each,
+    which for d >= 3 is no more than Horner's (for d = 2 it would be
+    more, and Horner's runs).  Every other evaluation, the first at a
+    matrix with a verdict and every one at a matrix without coordinates,
+    is Horner's, d^2 + (d - 2) d^3, so a matrix raised once builds no
+    basis.  A result evaluated on a basis records its remainder, r or
+    s, as its coordinates there, for mat_inv.  Square-and-multiply runs left to
     right from x, (bits(n) + popcount(n) - 2) d^3, cheaper for short
     exponents on large matrices.  Both predictions come from d, n and p.
     """
     if n < 0:
         return mat_pow(mat_inv(x), -n)
-    from .fqpoly import FqPoly, cayley_hamilton_cost, char_poly, divides_x_qk_minus_x
+    from .fqpoly import FqPoly, _compose, cayley_hamilton_cost, char_poly, divides_x_qk_minus_x
 
     d, order_bound = x.d, x.spec.q**x.d - 1
     if n >= order_bound:
@@ -423,14 +458,16 @@ def mat_pow(x: Matrix, n: int) -> Matrix:
     square_and_multiply_cost = d**3 * (n.bit_length() + n.bit_count() - 2)
     if cayley_hamilton_cost(d, n, x.spec.p) < square_and_multiply_cost:
         r = FqPoly.x(x.spec).pow_mod(n, char_poly(x))
-        if x._split is None:
-            return r.eval_matrix(x)
-        if x._basis is None:
+        if x._split is not None and x._basis is None:
             object.__setattr__(x, "_basis", False)
-            return r.eval_matrix(x)
-        if x._basis is False:
+        elif x._split is not None and x._basis is False:
             object.__setattr__(x, "_basis", _power_basis(x))
-        return _eval_on_basis(x, r.coeffs)
+        if x._basis:
+            return _eval_on_basis(x, r.coeffs)
+        if x._coords is not None and d > 2:
+            base, g = x._coords
+            return _eval_on_basis(base, _compose(r.coeffs, g, char_poly(base)))
+        return r.eval_matrix(x)
     acc = x
     for bit in bin(n)[3:]:
         acc = mat_mul(acc, acc)
@@ -439,29 +476,54 @@ def mat_pow(x: Matrix, n: int) -> Matrix:
     return acc
 
 
-def _power_basis(x: Matrix):
+def _power_basis(x: Matrix) -> tuple:
     """x, x^2, ..., x^(d-1), each flattened into one row of d^2 entries,
-    in the field's prepared form: d - 2 products, (d - 2) d^3
-    multiplications.  mat_pow takes the Cayley-Hamilton route only for
-    d >= 2, so there is at least one power."""
+    as they are and in the field's prepared form: d - 2 products,
+    (d - 2) d^3 multiplications.  mat_pow takes the Cayley-Hamilton route,
+    and the protocol hands verdicts on, only for d >= 2, so there is at
+    least one power."""
     powers = [x]
     for _ in range(x.d - 2):
         powers.append(mat_mul(powers[-1], x))
-    return x.spec._prepare_raw(tuple(tuple(chain.from_iterable(p.vals)) for p in powers))
+    rows = tuple(tuple(chain.from_iterable(p.vals)) for p in powers)
+    return rows, x.spec._prepare_raw(rows)
 
 
 def _eval_on_basis(x: Matrix, coeffs) -> Matrix:
     """r(x) for r of degree < d, r_0 1 plus the product of the row
     (r_1, ..., r_(d-1)) with x's power basis, counted as (d - 1) d^2
-    multiplications, products by zero included, as mat_mul counts."""
+    multiplications, products by zero included, as mat_mul counts.  The
+    result records r as its coordinates on x."""
     spec, d = x.spec, x.d
     r = (*coeffs, *(0,) * (d - len(coeffs)))
     _count_muls((d - 1) * d * d)
-    flat = list(spec._mul_prepared_raw((r[1:],), x._basis)[0])
+    flat = list(spec._mul_prepared_raw((r[1:],), x._basis[1])[0])
     add = spec._add_raw
     for i in range(0, d * d, d + 1):
         flat[i] = add(flat[i], r[0])
-    return Matrix._from_vals(spec, tuple(tuple(flat[i:i + d]) for i in range(0, d * d, d)))
+    out = Matrix._from_vals(spec, tuple(tuple(flat[i:i + d]) for i in range(0, d * d, d)))
+    object.__setattr__(out, "_coords", (x, r))
+    return out
+
+
+def _coordinate_reader(x: Matrix) -> tuple:
+    """d entry positions at which 1, x, ..., x^(d-1) are independent, as
+    indices into the flattened entries, and the inverse of the d x d
+    block of their entries there, in the field's prepared form: for a y
+    in F_q[x], its entries at the positions times that inverse are its
+    coordinates on x.  One RowReducer pass over the rows
+    [1, x, ..., x^(d-1) | identity], counted as linalg counts: its pivot
+    columns are the positions, and the right block of its reduced rows
+    is the inverse.  x is cyclic (it carries a true verdict) and its
+    power basis is built, so the pivots are d columns of the left block."""
+    spec, d = x.spec, x.d
+    red = RowReducer(spec, d * d + d)
+    flat_one = tuple(chain.from_iterable(identity(spec, d).vals))
+    for k, row in enumerate((flat_one, *x._basis[0])):
+        red.add_row((*row, *(int(k == j) for j in range(d))))
+    positions = sorted(red.pivot_rows)
+    block_inverse = tuple(tuple(red.pivot_rows[c][d * d:]) for c in positions)
+    return positions, spec._prepare_raw(block_inverse)
 
 
 # The verdict _hand_on_verdict caches on a matrix that commutes with a
@@ -479,14 +541,41 @@ def _set_certified(x: Matrix) -> None:
 
 def _hand_on_verdict(certified: Matrix, x: Matrix) -> None:
     """Give an undecided x the verdict _COMMUTES_WITH_CERTIFIED when
-    `certified` carries a true verdict and x commutes with it, a test of
-    2 d^3 multiplications made only then.  This is exact: the certificate
-    makes chi squarefree with its roots in GF(q^d), so `certified` is
-    cyclic and x lies in F_q[certified], a product of fields GF(q^k) with
-    k dividing d, where every unit has order dividing q^d - 1."""
-    if x._split is None and certified._split is True:
+    `certified` carries a true verdict and x commutes with it, a test made
+    only then.  This is exact: the certificate makes chi squarefree with
+    its roots in GF(q^d), so `certified` is cyclic, and what commutes with
+    it is F_q[certified], a product of fields GF(q^k) with k dividing d,
+    where every unit has order dividing q^d - 1.
+
+    The first hand-on compares B x with x B, 2 d^3 multiplications, as a
+    matrix handed on once should build nothing.  From the second on, x is
+    read as g(B): g is x's entries at the positions of _coordinate_reader
+    times its block inverse, d^2, and x commutes exactly when g(B),
+    evaluated on B's power basis in (d - 1) d^2, equals x.  Then x also
+    records g as its coordinates on B, so that mat_pow raises it on B's
+    basis.  The second hand-on first builds what this reads: B's power
+    basis, (d - 2) d^3 unless mat_pow built it, and the reader."""
+    if x._split is not None or certified._split is not True:
+        return
+    if (x.spec, x.d) != (certified.spec, certified.d):
+        raise FieldMismatchError("incompatible matrices")
+    if certified._reader is None:
+        object.__setattr__(certified, "_reader", False)
         if mat_mul(certified, x) == mat_mul(x, certified):
             object.__setattr__(x, "_split", _COMMUTES_WITH_CERTIFIED)
+        return
+    if certified._reader is False:
+        if not certified._basis:
+            object.__setattr__(certified, "_basis", _power_basis(certified))
+        object.__setattr__(certified, "_reader", _coordinate_reader(certified))
+    positions, block_inverse = certified._reader
+    flat = tuple(chain.from_iterable(x.vals))
+    _count_muls(x.d * x.d)
+    g = x.spec._mul_prepared_raw((tuple(flat[c] for c in positions),), block_inverse)[0]
+    member = _eval_on_basis(certified, g)
+    if member == x:
+        object.__setattr__(x, "_split", _COMMUTES_WITH_CERTIFIED)
+        object.__setattr__(x, "_coords", member._coords)
 
 
 def conjugate(x: Matrix, a: Matrix) -> Matrix:

@@ -28,10 +28,20 @@ the private conjugator B when B_r commutes with B, so a key's later
 messages pay for neither, in encrypt or in decrypt; mat_pow alone
 reduces the exponent.  A key's later messages also evaluate encrypt's
 remainders x^r mod chi at B_phi and B_phim more cheaply: the second
-message makes mat_pow keep the power basis of each on it, and from the
-third on each remainder is one product with that basis, (d - 1) d^2
-multiplications instead of Horner's d^2 + (d - 2) d^3.  decrypt evaluates
-by Horner, as each B_r is raised once.
+message makes mat_pow build the power basis of each and evaluate on it,
+and from the third on each remainder is only one product with that
+basis, (d - 1) d^2 multiplications instead of Horner's d^2 + (d - 2) d^3.
+From the second message on, B_mr, evaluated on B_phim's basis, is
+inverted for the payload on that basis too (matrix.mat_inv): the
+inverse of its remainder mod chi_(B_phim) by extended Euclid, and one
+product with the basis.  Each B_r is raised once, so decrypt works on
+the private conjugator's basis instead: from the key's second message
+on, the hand-on reads B_r as g(B) there and checks it in d^3
+multiplications instead of the commutation test's 2 d^3, mat_pow
+evaluates (r(g) mod chi_B)(B) for r = x^m mod chi_(B_r) on B's basis
+instead of r(B_r) by Horner, and mat_inv inverts that power on B's
+basis instead of by elimination.  The second message pays for B's basis
+and the entry positions the hand-on reads, once per key.
 
 A ciphertext holds phi^r as its conjugator B_r, up to a scalar: encrypt
 keeps the power of B_phi it raised, and decrypt raises it to m.  The v1
@@ -351,8 +361,11 @@ def decrypt(sk: MorPrivateKey, ct: MorCiphertext) -> Matrix:
     When m >= q^d - 1, an undecided B_r is handed the verdict of the
     private conjugator B (matrix._hand_on_verdict): if B carries a cached
     true certificate and B_r commutes with B, mat_pow reduces m mod
-    q^d - 1 without computing B_r's own certificate.  Any other key or
-    ciphertext, a parsed key among them, takes mat_pow's route.
+    q^d - 1 without computing B_r's own certificate.  From B's second
+    hand-on on, the test reads B_r as g(B) on B's power basis, so that
+    B_r^m is evaluated, and inverted, on that basis.  Any other key or
+    ciphertext, a parsed key among them, takes mat_pow's route, and a
+    B_r outside F_q[B] fails the test exactly.
     """
     payload, conj = ct.payload, sk.conjugator
     if conj.d != payload.d or conj.spec != payload.spec:

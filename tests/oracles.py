@@ -1372,16 +1372,19 @@ def irreducible_factors_elementwise(f):
 
 
 def mod_inverse_elementwise(a, modulus):
+    """Extended Euclid, stopped at the first nonzero constant remainder."""
     spec = a.spec
     r0, r1 = modulus, a % modulus
     s0, s1 = PolyElementwise(spec), PolyElementwise.one(spec)
-    while not r1.is_zero():
+    while r1.degree() > 0:
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
-    if r0.degree() != 0:
+    if r1.is_zero():
+        if r0.degree() == 0:  # modulo a unit, 0 inverts 0
+            return PolyElementwise(spec)
         raise ZeroDivisionError("element is not invertible modulo this polynomial")
-    return (s0.scale(r0.coeffs[0].inv())) % modulus
+    return (s1.scale(r1.coeffs[0].inv())) % modulus
 
 
 def packed(x):

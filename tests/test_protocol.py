@@ -1,16 +1,18 @@
 import contextlib
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import decrypt_compose, mat_mul_elementwise, mat_pow_sqm
 
-from morsl import matrix, protocol
+from morsl import fqpoly, matrix, protocol
 from morsl.autos import Automorphism, recover_conjugator
 from morsl.cli import PRESETS
-from morsl.field import field_spec
+from morsl.field import cost_counter, field_spec
+from morsl.fqpoly import FqPoly, char_poly, mod_inverse
 from morsl.matrix import (
     Matrix,
     conjugate,
@@ -427,6 +429,135 @@ def test_decrypt_with_the_key_certificate_equals_the_full_exponent(spec, d, seed
     # and to the certified key it is a foreign B_r whose order need not
     # divide q^d - 1
     _decrypt_checked(sk, ct)
+
+
+# -- decrypt on the private conjugator's power basis --------------------------
+
+
+def _counted(fn, *args):
+    c0 = cost_counter()
+    return fn(*args), cost_counter() - c0
+
+
+def _spied_decrypt(sk, ct):
+    """decrypt(sk, ct), and the value and count of each of its
+    _hand_on_verdict, mat_pow and mat_inv calls, by name."""
+    calls = {}
+
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] = _counted(fn, *args)
+            return calls[name][0]
+
+        return counted
+
+    names = ("_hand_on_verdict", "mat_pow", "mat_inv")
+    with mock.patch.multiple(protocol, **{n: spy(n, getattr(protocol, n)) for n in names}):
+        plaintext = decrypt(sk, ct)
+    return plaintext, calls
+
+
+def _bare(x):
+    """x with nothing cached on it: no chi, verdict, basis or coordinates."""
+    return Matrix._from_vals(x.spec, x.vals)
+
+
+def _hand_on_count(b, reader, basis):
+    """The hand-on's documented count, given the key conjugator's reader and
+    basis before it: the commutation test at the first, 2 d^3; the
+    reading, d^3, from the second on, after the basis, (d - 2) d^3 unless
+    built, and the reader's elimination at the second."""
+    d = b.d
+    if reader is None:
+        return 2 * d**3
+    build = 0
+    if reader is False:
+        build = (0 if basis else (d - 2) * d**3) + _counted(matrix._coordinate_reader, b)[1]
+    return build + d**3
+
+
+def _power_count(b_r, m):
+    """mat_pow(b_r, m)'s documented count for a B_r with the key's verdict:
+    chi and x^n mod chi for n = m mod q^d - 1, and the evaluation, on B's
+    basis for a B_r with coordinates at d >= 3, 2 (d - 1) d^2, and
+    Horner's otherwise; or square-and-multiply where it is predicted
+    cheaper."""
+    spec, d = b_r.spec, b_r.d
+    n = m % (spec.q**d - 1)
+    square_and_multiply = d**3 * (n.bit_length() + n.bit_count() - 2)
+    if not n:
+        return 0
+    if fqpoly.cayley_hamilton_cost(d, n, spec.p) >= square_and_multiply:
+        return square_and_multiply
+    chi, chi_count = _counted(char_poly, _bare(b_r))
+    r, pow_count = _counted(FqPoly.x(spec).pow_mod, n, chi)
+    if b_r._coords is not None and d > 2:
+        evaluation = 2 * (d - 1) * d * d
+    else:
+        evaluation = d * d + (len(r.coeffs) - 2) * d**3 if len(r.coeffs) >= 2 else 0
+    return chi_count + pow_count + evaluation
+
+
+def _inverse_count(x):
+    """mat_inv(x)'s documented count: for x = s(B), mod_inverse of s modulo
+    chi_B and (d - 1) d^2 for the product with B's basis; without
+    coordinates, the elimination's."""
+    if x._coords is None:
+        return _counted(mat_inv, _bare(x))[1]
+    base, s = x._coords
+    return _counted(mod_inverse, FqPoly(x.spec, s), char_poly(base))[1] + (x.d - 1) * x.d**2
+
+
+@settings(max_examples=50)
+@given(
+    spec=st.sampled_from(
+        [field_spec(7), field_spec(3, 2), field_spec(2, 4), field_spec(2, 8), field_spec(2, 16)]
+    ),
+    d=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decrypt_on_the_key_basis_matches_the_oracles_and_its_counts(spec, d, seed):
+    rng = random.Random(seed)
+    params = MorParams(spec, d)
+    pk, sk = keygen(params, rng)
+    other, _ = keygen(params, rng)
+    b, hand_on = sk.conjugator, sk.m >= spec.q**d - 1
+    # three messages under the key, then one of another key, parsed so
+    # that its B_r carries nothing from encrypt
+    for k in range(4):
+        msg = random_sl(spec, d, rng)
+        ct = encrypt(pk, msg, rng) if k < 3 else MorCiphertext.from_json(
+            encrypt(other, msg, rng).to_json()
+        )
+        b_r, reader, basis = ct.conjugator, b._reader, b._basis
+        commutes = mat_mul_elementwise(b, b_r) == mat_mul_elementwise(b_r, b)
+        assert commutes or k == 3  # the key's own B_r lie in F_q[B]
+        today = _bare(b_r)
+        plaintext, calls = _spied_decrypt(sk, ct)
+        (power, power_count), (inverse, inverse_count) = calls["mat_pow"], calls["mat_inv"]
+        assert plaintext == _parsed_route(sk, ct)
+        if k < 3:
+            assert plaintext == msg
+        assert power == mat_pow(today, sk.m) == mat_pow_sqm(b_r, sk.m)
+        assert mat_mul(power, inverse) == identity(spec, d)
+        if not hand_on:
+            assert "_hand_on_verdict" not in calls
+            continue
+        assert calls["_hand_on_verdict"][1] == _hand_on_count(b, reader, basis)
+        assert (b_r._split is matrix._COMMUTES_WITH_CERTIFIED) == commutes
+        # read from the second hand-on on, a member keeps its coordinates on B
+        read = b_r._coords is not None and b_r._coords[0] is b
+        assert read == (reader is not None and commutes)
+        if read:
+            assert b_r == matrix._eval_on_basis(b, b_r._coords[1])
+        if commutes:
+            assert power_count == _power_count(b_r, sk.m)
+            assert inverse_count == _inverse_count(power)
+        else:
+            # outside F_q[B]: mat_pow's own certificate, Horner, elimination
+            assert power_count == _counted(mat_pow, _bare(b_r), sk.m)[1]
+            assert power._coords is None
+            assert inverse_count == _counted(mat_inv, _bare(power))[1]
 
 
 # -- encrypt's certificate for B_phim -------------------------------------------

@@ -8,12 +8,17 @@ builds a FieldElement only where it hands one out.  A matrix's cached
 verdict of mat_pow's certificate, `_split`, is written only in matrix.py,
 so that mat_pow stays the one code that decides when an exponent is
 reduced, and so is its power basis, `_basis`, so that mat_pow alone
-decides when a remainder is evaluated on it.  The checks parse the
-source with ast instead of running it.
+decides when a remainder is evaluated on it.  So are the coordinate
+reader of a certified matrix, `_reader`, and a matrix's coordinates on
+a base, `_coords`: a wrong coordinate would give a wrong power or
+inverse, so only the code that checks them may write them.  The checks
+parse the source with ast instead of running it.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import morsl
 
@@ -127,6 +132,11 @@ def test_only_matrix_writes_the_power_basis():
     assert _writing_modules("_basis") == {"matrix.py"}
 
 
+@pytest.mark.parametrize("slot", ["_reader", "_coords"])
+def test_only_matrix_writes_the_coordinates(slot):
+    assert _writing_modules(slot) == {"matrix.py"}
+
+
 def test_the_check_sees_a_split_writer():
     source = (
         "if b._split is True and x._split is None:\n"
@@ -138,5 +148,6 @@ def test_the_check_sees_a_split_writer():
         "words._split_ground(a)\n"
     )
     assert _slot_writers(source, "_split") == [2, 3, 4, 5]
-    assert _slot_writers(source.replace("_split", "_basis"), "_basis") == [2, 3, 4, 5]
-    assert _slot_writers(source, "_basis") == []
+    for slot in ("_basis", "_reader", "_coords"):
+        assert _slot_writers(source.replace("_split", slot), slot) == [2, 3, 4, 5]
+        assert _slot_writers(source, slot) == []
