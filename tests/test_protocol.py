@@ -484,9 +484,9 @@ def _power_count(b_r, m):
     cheaper."""
     spec, d = b_r.spec, b_r.d
     n = m % (spec.q**d - 1)
-    square_and_multiply = d**3 * (n.bit_length() + n.bit_count() - 2)
     if not n:
         return 0
+    square_and_multiply = d**3 * (n.bit_length() + n.bit_count() - 2)
     if fqpoly.cayley_hamilton_cost(d, n, spec.p) >= square_and_multiply:
         return square_and_multiply
     chi, chi_count = _counted(char_poly, _bare(b_r))
@@ -532,13 +532,12 @@ def test_decrypt_on_the_key_basis_matches_the_oracles_and_its_counts(spec, d, se
         b_r, reader, basis = ct.conjugator, b._reader, b._basis
         commutes = mat_mul_elementwise(b, b_r) == mat_mul_elementwise(b_r, b)
         assert commutes or k == 3  # the key's own B_r lie in F_q[B]
-        today = _bare(b_r)
         plaintext, calls = _spied_decrypt(sk, ct)
         (power, power_count), (inverse, inverse_count) = calls["mat_pow"], calls["mat_inv"]
         assert plaintext == _parsed_route(sk, ct)
         if k < 3:
             assert plaintext == msg
-        assert power == mat_pow(today, sk.m) == mat_pow_sqm(b_r, sk.m)
+        assert power == mat_pow(_bare(b_r), sk.m) == mat_pow_sqm(b_r, sk.m)
         assert mat_mul(power, inverse) == identity(spec, d)
         if not hand_on:
             assert "_hand_on_verdict" not in calls
