@@ -26,7 +26,8 @@ Indices in every public signature are 1-based, matching the e_{i,j}
 matrix-unit notation.
 
 mat_inv is linalg.solve(x, 1) on packed ints, the package's one
-elimination.  det keeps its own forward-only pass: it needs the product
+elimination, except for a matrix with coordinates on a power basis
+(below), which needs none.  det keeps its own forward-only pass: it needs the product
 of the pivots and nothing else, so it runs no back substitution, carries
 no right-hand side and stops at the last pivot, where a solve would do
 more work.
