@@ -32,7 +32,10 @@ print("public key holds", len(pk.phi.images), "generator images of degree", para
 
 plaintext = b"attack!"
 msg_matrix = encode_message(plaintext, params)
-print("plaintext transvection trace:", msg_matrix.trace().val, "(always d mod p; leaks nothing)")
+# The trace and determinant of the plaintext are fixed, but the slot is not
+# hidden: tr(Y B_phi^k) = tr(a B_phi^k) for the payload Y and every k, which
+# gives the plaintext away (ROADMAP item 10).
+print("plaintext transvection trace:", msg_matrix.trace().val, "(always d mod p)")
 
 ct = encrypt(pk, msg_matrix, rng)
 print("ciphertext payload is again in SL:", ct.payload.is_sl())

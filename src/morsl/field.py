@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import random as _random
 from functools import reduce
+from operator import getitem as _getitem
 from operator import xor as _xor
 
 __all__ = [
@@ -113,12 +114,21 @@ class _uncounted:
 def _pow_raw(spec: FieldSpec, a: int, k: int) -> int:
     """a^k on packed ints, k >= 1, by left-to-right square-and-multiply:
     k.bit_length() - 1 squarings and k.bit_count() - 1 multiplications,
-    so k = 8 costs 3."""
+    so k = 8 costs 3.  A binary field above 2^8 squares through its
+    squaring rows (FieldSpec._square_rows), one lookup per byte, and
+    counts each squaring as the multiply it stands for."""
     mul, acc = spec._mul_raw, a
-    for bit in bin(k)[3:]:
-        acc = mul(acc, acc)
-        if bit == "1":
-            acc = mul(acc, a)
+    if spec.p == 2 and spec.q > _TABLE_MAX_Q:
+        rows, nb = spec._square_rows(), (spec.gamma + 7) // 8
+        for bit in bin(k)[3:]:
+            acc = reduce(_xor, map(_getitem, rows, acc.to_bytes(nb, "little")))
+            if bit == "1":
+                acc = mul(acc, a)
+    else:
+        for bit in bin(k)[3:]:
+            acc = mul(acc, acc)
+            if bit == "1":
+                acc = mul(acc, a)
     _count_muls(k.bit_length() + k.bit_count() - 2)
     return acc
 

@@ -18,6 +18,8 @@ computes x^e mod chi_M, and eval_matrix evaluates the result at M by
 Horner, unless mat_pow keeps a power basis on M, or M = g(B) for a B
 that keeps one, where _compose forms the remainder's composition with g
 modulo chi_B; mod_inverse inverts modulo chi_B for matrix.mat_inv there.
+mat_pow's certificate is divides_x_qk_minus_x, whose level also says,
+from the same Frobenius chain, whether chi_M is irreducible.
 Repeated q-th powers modulo f go through the Frobenius matrix of f.
 Over a binary field too large for a multiplication table, x^e runs on
 one int in one kernel, _pow_x_lanes: the residue is packed in byte-
@@ -595,14 +597,25 @@ def _frobenius_map(f: FqPoly, steps: int):
     return xq, by_matrix
 
 
-def divides_x_qk_minus_x(f: FqPoly, k: int) -> bool:
-    """True when f divides x^(q^k) - x: f is squarefree and every root
-    lies in GF(q^k).  Costs one x^q and k - 1 Frobenius steps."""
+def divides_x_qk_minus_x(f: FqPoly, k: int) -> int:
+    """The level of f's verdict: 0 when f does not divide x^(q^k) - x,
+    1 when it does (f is squarefree and every root lies in GF(q^k)), and
+    2 when besides f has degree k and gcd(f, x^(q^(k/l)) - x) = 1 for
+    each prime l dividing k, so that f is irreducible (Rabin 1980).
+    Costs one x^q and k - 1 Frobenius steps; the gcds read the chain's
+    own powers, and run only for a divisor of degree k."""
     f = f.monic()
+    x = FqPoly.x(f.spec)
     h, frob = _frobenius_map(f, k - 1)
+    chain = [h]
     for _ in range(k - 1):
         h = frob(h, f)
-    return ((h - FqPoly.x(f.spec)) % f).is_zero()
+        chain.append(h)
+    if not ((h - x) % f).is_zero():
+        return 0
+    if f.degree() != k:
+        return 1
+    return 1 + all(f.gcd(chain[k // ell - 1] - x).is_one() for ell in factor_int(k))
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +652,11 @@ def cayley_hamilton_cost(d: int, e: int, p: int) -> int:
     cached chi_M, and their surcharge over Horner, (d - 2) d^2, is below
     _char_poly_cost(d) = d^3 + d^2/2 - 3d/2 + 2, so the figure bounds them
     too.  The evaluation of an M = g(B) on B's basis, 2 (d - 1) d^2, runs
-    only where it is no more than Horner's, for d >= 3."""
+    only where it is no more than Horner's, for d >= 3.  mat_pow splits
+    the power of an M in a field at the norm, M^e = det(M)^k M^s, only
+    when this figure at s (at 1 for s = 0) plus det(M)^k's
+    bits(k) + popcount(k) - 2 and d for the scaled remainder is below
+    this figure at e, so the figure at e bounds the split route too."""
     reduce_x = 1 if d == 1 else 0
     horner = d * d + (d - 2) * d**3 if d >= 2 else 0
     return reduce_x + _pow_mod_cost(e, d, p, by_x=True) + _char_poly_cost(d) + horner

@@ -39,7 +39,10 @@ decrypt and Automorphism.power all raise matrices through it.  It picks
 Cayley-Hamilton or square-and-multiply by predicted cost, and it alone
 reduces an exponent, of at least q^d - 1 mod q^d - 1, when a verdict
 cached on the matrix (its certificate, or one handed on) shows that this
-is exact.  A matrix with a verdict is raised again and again, as a key's
+is exact.  When the verdict also shows that the matrix lies in a field
+F_q[B] = GF(q^d), it splits the exponent at the norm's,
+N = (q^d - 1)/(q - 1): x^n = det(x)^k x^s for (k, s) = divmod(n, N).
+A matrix with a verdict is raised again and again, as a key's
 conjugators are for every message, so from its second Cayley-Hamilton
 power on mat_pow keeps its power basis on it and evaluates each
 remainder in one product with that basis instead of by Horner.
@@ -68,6 +71,7 @@ from .field import (
     _json_dict,
     _json_int,
     _json_list,
+    _pow_raw,
 )
 from .linalg import RowReducer, solve
 
@@ -99,7 +103,8 @@ class SingularMatrixError(ValueError):
 class Matrix:
     # _chi caches the characteristic polynomial (fqpoly.char_poly fills
     # it), _split the verdict of mat_pow's certificate that the order
-    # divides q^d - 1; only this module writes it (mat_pow, and the
+    # divides q^d - 1, and whether F_q[x] is a field or x lies in one
+    # (_FIELD, _IN_A_FIELD); only this module writes it (mat_pow, and the
     # hand-offs _set_certified and _hand_on_verdict).  The other three
     # slots are written only here too.  _basis is None until mat_pow
     # evaluates a remainder at a matrix with a verdict, False after the
@@ -414,13 +419,28 @@ def mat_pow(x: Matrix, n: int) -> Matrix:
     with its roots in GF(q^d)^*, so x is semisimple and its order divides
     q^d - 1.  Every matrix with irreducible chi_x passes; one with a
     repeated eigenvalue does not and keeps the full exponent (correct,
-    just slower).  The verdict is decided once per matrix and cached on
-    it, and it shares chi_x with the power, as char_poly caches it too.
+    just slower).  The same Frobenius chain also tells whether chi_x is
+    irreducible (fqpoly.divides_x_qk_minus_x's level 2), and then the
+    verdict is _FIELD.  The verdict is decided once per matrix and cached
+    on it, and it shares chi_x with the power, as char_poly caches it too.
     Below q^d - 1 the reduction would change nothing, so no certificate
     is computed.  A verdict known by other means is recorded before the
     power: _set_certified for a matrix with irreducible chi_x (keygen's
     conjugator), and _hand_on_verdict for one that commutes with a
     certified matrix (encrypt's B_phim, decrypt's B_r).
+
+    The second reduction is the norm's.  When F_q[x] is a field GF(q^d)
+    (_FIELD), or x lies in one (_IN_A_FIELD), x^N = det(x) 1 for
+    N = (q^d - 1)/(q - 1), the field norm, so x^n = det(x)^k x^s for
+    (k, s) = divmod(n, N), det(x) = (-1)^d chi_x(0).  Such a power raises
+    only s, then multiplies the remainder t^s mod chi_x by det(x)^k
+    (field._pow_raw, bits(k) + popcount(k) - 2, and one multiplication
+    per coefficient unless det(x)^k = 1), before any of the evaluations
+    below; s = 0 is det(x)^k 1.  The result is exactly x^n.  The split is
+    priced as Cayley-Hamilton at s (at 1 for s = 0), det(x)^k and d, and
+    taken only below both routes' prices at n, so cayley_hamilton_cost at
+    n bounds it too.  A matrix whose chi_x splits but is reducible keeps
+    the reduction mod q^d - 1 alone.
 
     Cayley-Hamilton: x^n = r(x) for r(t) = t^n mod chi_x(t), by
     FqPoly.pow_mod, about d^2 multiplications per exponent bit, and an
@@ -444,37 +464,62 @@ def mat_pow(x: Matrix, n: int) -> Matrix:
     """
     if n < 0:
         return mat_pow(mat_inv(x), -n)
-    from .fqpoly import FqPoly, _compose, cayley_hamilton_cost, char_poly, divides_x_qk_minus_x
+    from .fqpoly import cayley_hamilton_cost, char_poly, divides_x_qk_minus_x
 
-    d, order_bound = x.d, x.spec.q**x.d - 1
+    spec, d = x.spec, x.d
+    order_bound = spec.q**d - 1
     if n >= order_bound:
         if x._split is None:
             chi = char_poly(x)
-            split = bool(chi.coeffs[0]) and divides_x_qk_minus_x(chi, d)
-            object.__setattr__(x, "_split", split)
+            level = divides_x_qk_minus_x(chi, d) if chi.coeffs[0] else 0
+            object.__setattr__(x, "_split", (False, True, _FIELD)[level])
         if x._split:
             n %= order_bound
     if not n:
-        return identity(x.spec, d)
-    square_and_multiply_cost = d**3 * (n.bit_length() + n.bit_count() - 2)
-    if cayley_hamilton_cost(d, n, x.spec.p) < square_and_multiply_cost:
-        r = FqPoly.x(x.spec).pow_mod(n, char_poly(x))
-        if x._split is not None and x._basis is None:
-            object.__setattr__(x, "_basis", False)
-        elif x._split is not None and x._basis is False:
-            object.__setattr__(x, "_basis", _power_basis(x))
-        if x._basis:
-            return _eval_on_basis(x, r.coeffs)
-        if x._coords is not None and d > 2:
-            base, g = x._coords
-            return _eval_on_basis(base, _compose(r.coeffs, g, char_poly(base)))
-        return r.eval_matrix(x)
+        return identity(spec, d)
+    cayley_hamilton = cayley_hamilton_cost(d, n, spec.p)
+    square_and_multiply = d**3 * (n.bit_length() + n.bit_count() - 2)
+    norm = order_bound // (spec.q - 1)
+    if n >= norm and x._split in (_FIELD, _IN_A_FIELD):
+        k, s = divmod(n, norm)
+        # Cayley-Hamilton at s (s = 0 costs no more than s = 1), det^k, and
+        # the remainder times it
+        split = cayley_hamilton_cost(d, max(s, 1), spec.p) + k.bit_length() + k.bit_count() + d - 2
+        if split < min(cayley_hamilton, square_and_multiply):
+            chi0 = char_poly(x).coeffs[0]
+            c = _pow_raw(spec, spec._neg_raw(chi0) if d % 2 else chi0, k)
+            if not s:
+                return scalar_matrix(spec, d, FieldElement(spec, c))
+            return _cayley_hamilton(x, s, c)
+    if cayley_hamilton < square_and_multiply:
+        return _cayley_hamilton(x, n, 1)
     acc = x
     for bit in bin(n)[3:]:
         acc = mat_mul(acc, acc)
         if bit == "1":
             acc = mat_mul(acc, x)
     return acc
+
+
+def _cayley_hamilton(x: Matrix, n: int, c: int) -> Matrix:
+    """c x^n, n >= 1, for a packed scalar c: r = c (t^n mod chi_x), then
+    r(x) by the evaluation mat_pow's docstring names.  r is scaled only
+    for c != 1, one multiplication per coefficient."""
+    from .fqpoly import FqPoly, _compose, char_poly
+
+    r = FqPoly.x(x.spec).pow_mod(n, char_poly(x))
+    if c != 1:
+        r = r.scale(c)
+    if x._split is not None and x._basis is None:
+        object.__setattr__(x, "_basis", False)
+    elif x._split is not None and x._basis is False:
+        object.__setattr__(x, "_basis", _power_basis(x))
+    if x._basis:
+        return _eval_on_basis(x, r.coeffs)
+    if x._coords is not None and x.d > 2:
+        base, g = x._coords
+        return _eval_on_basis(base, _compose(r.coeffs, g, char_poly(base)))
+    return r.eval_matrix(x)
 
 
 def _power_basis(x: Matrix) -> tuple:
@@ -515,7 +560,7 @@ def _coordinate_reader(x: Matrix) -> tuple:
     coordinates on x.  One RowReducer pass over the rows
     [1, x, ..., x^(d-1) | identity], counted as linalg counts: its pivot
     columns are the positions, and the right block of its reduced rows
-    is the inverse.  x is cyclic (it carries a true verdict) and its
+    is the inverse.  x is cyclic (it carries a passing verdict) and its
     power basis is built, so the pivots are d columns of the left block."""
     spec, d = x.spec, x.d
     red = RowReducer(spec, d * d + d)
@@ -527,26 +572,35 @@ def _coordinate_reader(x: Matrix) -> tuple:
     return positions, spec._prepare_raw(block_inverse)
 
 
-# The verdict _hand_on_verdict caches on a matrix that commutes with a
-# certified one: the order divides q^d - 1, so mat_pow reduces by it, but
-# the matrix need not be cyclic, so it certifies nothing else in turn.
+# mat_pow's verdicts besides None (undecided), False (the certificate
+# failed) and True (it passed: chi_x is squarefree with its roots in
+# GF(q^d), so x is cyclic and its order divides q^d - 1).  _FIELD is a
+# pass with chi_x irreducible, so that F_q[x] is the field GF(q^d).  A
+# certified matrix hands on _IN_A_FIELD if it is _FIELD, else
+# _COMMUTES_WITH_CERTIFIED: the order divides q^d - 1 either way, but the
+# receiver need not be cyclic, so it certifies nothing in turn.
+_FIELD = "F_q[x] is a field"
+_IN_A_FIELD = "lies in a field F_q[B]"
 _COMMUTES_WITH_CERTIFIED = "commutes with a certified matrix"
 
 
 def _set_certified(x: Matrix) -> None:
-    """Record that x passes mat_pow's certificate, for an x whose chi_x
-    the caller found irreducible of degree d >= 2: such a chi_x has
-    chi_x(0) != 0 and divides x^(q^d) - x."""
-    object.__setattr__(x, "_split", True)
+    """Record the verdict _FIELD on x, for an x whose chi_x the caller
+    found irreducible of degree d >= 2: such a chi_x has chi_x(0) != 0
+    and divides x^(q^d) - x, and F_q[x] is a field."""
+    object.__setattr__(x, "_split", _FIELD)
 
 
 def _hand_on_verdict(certified: Matrix, x: Matrix) -> None:
-    """Give an undecided x the verdict _COMMUTES_WITH_CERTIFIED when
-    `certified` carries a true verdict and x commutes with it, a test made
-    only then.  This is exact: the certificate makes chi squarefree with
-    its roots in GF(q^d), so `certified` is cyclic, and what commutes with
-    it is F_q[certified], a product of fields GF(q^k) with k dividing d,
-    where every unit has order dividing q^d - 1.
+    """Give an undecided x a verdict when `certified` carries a passing
+    one (True or _FIELD) and x commutes with it, a test made only then.
+    This is exact: the certificate makes chi squarefree with its roots in
+    GF(q^d), so `certified` is cyclic, and what commutes with it is
+    F_q[certified], a product of fields GF(q^k) with k dividing d, where
+    every unit has order dividing q^d - 1.  When `certified` is _FIELD,
+    F_q[certified] is one field GF(q^d), and x gets _IN_A_FIELD, on
+    which mat_pow also splits its powers at the norm; otherwise x gets
+    _COMMUTES_WITH_CERTIFIED.
 
     The first hand-on compares B x with x B, 2 d^3 multiplications, as a
     matrix handed on once should build nothing.  From the second on, x is
@@ -556,14 +610,15 @@ def _hand_on_verdict(certified: Matrix, x: Matrix) -> None:
     records g as its coordinates on B, so that mat_pow raises it on B's
     basis.  The second hand-on first builds what this reads: B's power
     basis, (d - 2) d^3 unless mat_pow built it, and the reader."""
-    if x._split is not None or certified._split is not True:
+    if x._split is not None or certified._split not in (True, _FIELD):
         return
     if (x.spec, x.d) != (certified.spec, certified.d):
         raise FieldMismatchError("incompatible matrices")
+    verdict = _IN_A_FIELD if certified._split == _FIELD else _COMMUTES_WITH_CERTIFIED
     if certified._reader is None:
         object.__setattr__(certified, "_reader", False)
         if mat_mul(certified, x) == mat_mul(x, certified):
-            object.__setattr__(x, "_split", _COMMUTES_WITH_CERTIFIED)
+            object.__setattr__(x, "_split", verdict)
         return
     if certified._reader is False:
         if not certified._basis:
@@ -575,7 +630,7 @@ def _hand_on_verdict(certified: Matrix, x: Matrix) -> None:
     g = x.spec._mul_prepared_raw((tuple(flat[c] for c in positions),), block_inverse)[0]
     member = _eval_on_basis(certified, g)
     if member == x:
-        object.__setattr__(x, "_split", _COMMUTES_WITH_CERTIFIED)
+        object.__setattr__(x, "_split", verdict)
         object.__setattr__(x, "_coords", member._coords)
 
 

@@ -17,9 +17,12 @@ compose-based square-and-multiply (the test suite asserts it) while
 staying polynomial in log m at full-size parameters.  Every power here
 is matrix.mat_pow, as in Automorphism.power: B^m = (x^m mod chi_B)(B)
 by Cayley-Hamilton, with m first reduced mod q^d - 1 when
-x^(q^d) = x mod chi_B certifies that this is exact.  B is recovered
-once per automorphism and the certificate decided once per B (both are
-cached).  keygen records the verdict of its irreducibility filter
+x^(q^d) = x mod chi_B certifies that this is exact.  With keygen's
+default irreducible chi_B, every conjugator raised here lies in a field
+F_q[B] = GF(q^d), so mat_pow also splits m at the norm:
+B^m = det(B)^k B^s for (k, s) = divmod(m, (q^d - 1)/(q - 1)).  B is
+recovered once per automorphism and the certificate decided once per B
+(both are cached).  keygen records the verdict of its irreducibility filter
 (matrix._set_certified), so a key's conjugator is not certified twice.
 encrypt certifies only B_phi: B_phim, a scalar multiple of B_phi^m,
 commutes with it and is handed B_phi's verdict (matrix._hand_on_verdict).
@@ -52,8 +55,13 @@ therefore builds no images in encrypt and recovers no conjugator in
 decrypt.
 
 Plaintexts ride in a single elementary transvection at the fixed
-position (1,2), so the conjugation-invariant trace and determinant leak
-nothing: they are always d and 1.
+position (1,2).  Its trace and determinant are always d and 1, and
+conjugation keeps them, so those two invariants tell nothing.  The slot
+is not hidden, though.  The payload is Y = C^(-1) a C with C in
+F_q[B_phi], so C commutes with the public conjugator B_phi and
+tr(Y B_phi^k) = tr(a B_phi^k) for every k: for a = 1 + lam e_12 that is
+lam (B_phi^k)_21 + tr(B_phi^k), and lam can be read off the public key
+and the ciphertext alone (ROADMAP item 10).
 
 No key or ciphertext is degenerate.  A public key with phi^m = 1 or
 phi^m = phi gives m away (mod the order of phi), so keygen draws again

@@ -50,6 +50,8 @@ FqPoly arithmetic, on PolyElementwise).  They take and return
 FieldElements and count every product through FieldElement.__mul__, so a
 kernel must match both their values and their cost_counter() deltas.
 element_rows gives them the entries of a Matrix as FieldElement rows.
+mat_pow_plan is no algorithm but mat_pow's documented choice of route,
+for the tests that check which route ran and what it counted.
 
 PolyElementwise, at the very end, is FqPoly as it was on FieldElement
 coefficients: +, -, *, scale, divmod, monic, gcd, the coefficient loop of
@@ -70,7 +72,7 @@ from morsl.autos import (
     generator_pairs,
 )
 from morsl.field import FieldElement, FieldSpec, _gf2_mod
-from morsl import fqpoly
+from morsl import fqpoly, matrix
 from morsl.fqpoly import FqPoly
 from morsl.matrix import (
     Matrix,
@@ -220,6 +222,33 @@ def mat_pow_sqm(x, n):
         if n:
             base = mat_mul(base, base)
     return result
+
+
+def mat_pow_plan(spec, d, n, verdict):
+    """The route mat_pow's docstring gives for x^n, n >= 0, at a d x d x
+    over spec whose verdict, after the power, is `verdict`: (k, s, route)
+    with x^n = det(x)^k x^s, k = 0 unless the power splits at the norm
+    N = (q^d - 1)/(q - 1), and route "identity", "scalar" (s = 0 after a
+    split), "cayley-hamilton" or "square-and-multiply" for x^s.  A split
+    is priced as Cayley-Hamilton at max(s, 1), det^k and d for the
+    scaling, and taken only below both routes' prices at n."""
+    bound = spec.q**d - 1
+    if verdict and n >= bound:
+        n %= bound
+    if not n:
+        return 0, 0, "identity"
+    cayley_hamilton = fqpoly.cayley_hamilton_cost(d, n, spec.p)
+    square_and_multiply = d**3 * (n.bit_length() + n.bit_count() - 2)
+    norm = bound // (spec.q - 1)
+    if verdict in (matrix._FIELD, matrix._IN_A_FIELD) and n >= norm:
+        k, s = divmod(n, norm)
+        split = fqpoly.cayley_hamilton_cost(d, max(s, 1), spec.p)
+        split += k.bit_length() + k.bit_count() - 2 + d
+        if split < min(cayley_hamilton, square_and_multiply):
+            return k, s, "cayley-hamilton" if s else "scalar"
+    if cayley_hamilton < square_and_multiply:
+        return 0, n, "cayley-hamilton"
+    return 0, n, "square-and-multiply"
 
 
 def pow_mod_sqm(base, n, modulus):
@@ -1266,11 +1295,23 @@ def frobenius_map_elementwise(f, steps):
 
 
 def divides_x_qk_minus_x_elementwise(f, k):
+    """The certificate's level on the element loops: 0, 1 when f divides
+    x^(q^k) - x, 2 when f besides has degree k and gcd(f, x^(q^(k/l)) - x)
+    is 1 for each prime l dividing k, taken in increasing order."""
     f = f.monic()
+    x = PolyElementwise.x(f.spec)
     h, frob = frobenius_map_elementwise(f, k - 1)
+    chain = [h]
     for _ in range(k - 1):
         h = frob(h, f)
-    return ((h - PolyElementwise.x(f.spec)) % f).is_zero()
+        chain.append(h)
+    if not ((h - x) % f).is_zero():
+        return 0
+    if f.degree() != k:
+        return 1
+    primes = [ell for ell in range(2, k + 1)
+              if k % ell == 0 and all(ell % m for m in range(2, ell))]
+    return 2 if all(f.gcd(chain[k // ell - 1] - x).is_one() for ell in primes) else 1
 
 
 def is_irreducible_elementwise(f):

@@ -19,27 +19,33 @@ from hypothesis import strategies as st
 from oracles import (
     compose_power,
     is_irreducible_gcd,
+    mat_pow_plan,
     mat_pow_sqm,
     pow_mod_sqm,
     pow_x_elementwise,
 )
 
 import morsl.fqpoly as fqpoly
+import morsl.matrix as matrix
 from morsl.autos import Automorphism, recover_conjugator
-from morsl.field import FieldSpec, cost_counter, cost_reset, field_spec
+from morsl.field import FieldElement, FieldSpec, cost_counter, cost_reset, field_spec
 from morsl.fqpoly import FqPoly, char_poly, divides_x_qk_minus_x, is_irreducible
 from morsl.matrix import (
     Matrix,
+    Permutation,
+    _hand_on_verdict,
     _set_certified,
     conjugate,
     diagonal_matrix,
     identity,
     mat_mul,
     mat_pow,
+    permutation_matrix,
     random_gl,
+    random_sl,
     transvection,
 )
-from morsl.protocol import MorParams, keygen
+from morsl.protocol import MorParams, encrypt, keygen
 
 GF7 = field_spec(7)
 
@@ -312,6 +318,22 @@ def test_certificate_accepts_split_semisimple_matrix():
     assert b._split is True
 
 
+@pytest.mark.parametrize("degrees", [(4,), (2, 2), (6,), (3, 3), (2, 2, 2), (1, 2, 3)])
+def test_certificate_level_needs_every_prime_of_d(degrees):
+    # over GF(7): products of distinct irreducible factors whose degrees
+    # divide d = sum(degrees) divide x^(q^d) - x; only the irreducible one
+    # has gcd(f, x^(q^(d/l)) - x) = 1 for both l = 2 and l = 3 at d = 6
+    rng = random.Random(sum(degrees))
+    f, d = FqPoly.one(GF7), sum(degrees)
+    for n in degrees:
+        g = _monic(GF7, [rng.randrange(7) for _ in range(n)])
+        while not is_irreducible(g) or not f.gcd(g).is_one():
+            g = _monic(GF7, [rng.randrange(7) for _ in range(n)])
+        f = f * g
+    divides = all(d % n == 0 for n in degrees)
+    assert divides_x_qk_minus_x(f, d) == (2 if len(degrees) == 1 else int(divides))
+
+
 def test_certificate_rejects_repeated_eigenvalue():
     t = transvection(GF7, 3, 1, 2, GF7.from_val(3))
     assert not divides_x_qk_minus_x(char_poly(t), 3)
@@ -338,9 +360,16 @@ def test_keygen_without_irreducible_lift_uses_the_certificate(monkeypatch):
         pk, sk = keygen(params, random.Random(seed))
         assert pk.phi_m == Automorphism.from_conjugator(mat_pow_sqm(sk.conjugator, sk.m))
         chi = char_poly(sk.conjugator)
-        if divides_x_qk_minus_x(chi, 3):
+        level = divides_x_qk_minus_x(chi, 3)
+        reduced = sk.m % (7**3 - 1)
+        if level == 2:
+            # irreducible chi: the power also splits at the norm 7^2 + 7 + 1
             certified += 1
-            assert exponents[-1] == sk.m % (7**3 - 1)
+            assert sk.conjugator._split == matrix._FIELD
+            assert exponents[-2:] == [reduced, max(reduced % 57, 1)]
+        elif level == 1:
+            certified += 1
+            assert sk.conjugator._split is True and exponents[-1] == reduced
         else:
             assert exponents[-1] == sk.m
     assert 0 < certified < 6
@@ -447,22 +476,29 @@ def test_power_basis_powers_match_the_oracle_and_their_counts(spec, d, verdict, 
     if verdict:
         _set_certified(b)
     chi, bound, evaluations = char_poly(b), spec.q**d - 1, 0
+    det = FieldElement(spec, chi.coeffs[0] if d % 2 == 0 else spec._neg_raw(chi.coeffs[0]))
     for large in big:
         # without a verdict, an exponent from q^d - 1 on would decide one
         n = rng.randrange(2, bound) + (bound * rng.randrange(1, 2**16) if large and verdict else 0)
         reduced = n % bound if verdict else n
-        square_and_multiply = d**3 * (reduced.bit_length() + reduced.bit_count() - 2)
-        route_bound = fqpoly.cayley_hamilton_cost(d, reduced, spec.p)
-        cayley_hamilton = reduced and route_bound < square_and_multiply
-        if cayley_hamilton:
-            r, want = _counted(FqPoly.x(spec).pow_mod, reduced, chi)
+        # a certified b has irreducible chi: its powers may split at the norm
+        k, s, route = mat_pow_plan(spec, d, n, b._split)
+        want = k and k.bit_length() + k.bit_count() - 2
+        if route == "cayley-hamilton":
+            r, count = _counted(FqPoly.x(spec).pow_mod, s, chi)
+            scaled = (det**k).val != 1 if k else False
             evaluations += 1
+            want += count + scaled * len(r.coeffs)
             want += _evaluation_count(d, r, evaluations if verdict else 1)
-        else:
-            want = square_and_multiply
+        elif route == "square-and-multiply":
+            want = d**3 * (s.bit_length() + s.bit_count() - 2)
         got, count = _counted(mat_pow, b, n)
         assert got == mat_pow_sqm(b, reduced)
-        assert count == want and (count <= route_bound or not cayley_hamilton)
+        assert count == want
+        # every route, the split included, keeps within Cayley-Hamilton's figure at n
+        assert route == "square-and-multiply" or count <= fqpoly.cayley_hamilton_cost(
+            d, reduced, spec.p
+        )
         # None before any evaluation, False after the first, then the basis
         kept = b._basis if b._basis in (None, False) else "basis"
         assert kept == ((None, False, "basis")[min(evaluations, 2)] if verdict else None)
@@ -476,4 +512,155 @@ def test_automorphism_power_near_the_exponent_bound_matches_compose():
         for m in (7**9 - 2, 7**9 - 1, 7**9, 7**9 + 5):
             assert pk.phi.power(m) == compose_power(pk.phi, m)
         # the recovered B has irreducible chi, so its exponents were reduced
-        assert recover_conjugator(pk.phi)._split is True
+        assert recover_conjugator(pk.phi)._split == matrix._FIELD
+
+
+# -- powers split at the norm -------------------------------------------------
+
+split_fields = st.sampled_from(
+    [field_spec(7), field_spec(3, 2), field_spec(2, 4), field_spec(2, 8), field_spec(2, 16)]
+)
+
+
+def _member(spec, d, b, rng):
+    """g(b) for a random nonzero g of degree < d: a unit of the field F_q[b]."""
+    while True:
+        g = FqPoly(spec, [rng.randrange(spec.q) for _ in range(d)])
+        if not g.is_zero():
+            return g.eval_matrix(b)
+
+
+def _split_source(spec, d, source, rng):
+    """A matrix from `source` and the verdict its powers from q^d - 1 on
+    carry: keygen's conjugator and an undecided matrix with irreducible chi
+    ("chain", certified by mat_pow) reach _FIELD; a key's own B_r and a
+    unit of F_q[B] reach _IN_A_FIELD by a hand-on, by the commutation test
+    or, for the "read" ones, through the key's coordinate reader; a
+    diagonal matrix with distinct eigenvalues and a monomial one with
+    split but reducible chi pass the certificate as True, and another
+    diagonal matrix is handed _COMMUTES_WITH_CERTIFIED by the first."""
+    if source == "diagonal member":
+        b, _ = _split_source(spec, d, "diagonal", rng)
+        mat_pow(b, spec.q**d - 1)  # decides b's verdict, True
+        x = diagonal_matrix([spec.random_nonzero(rng) for _ in range(d)])
+        _hand_on_verdict(b, x)
+        return x, matrix._COMMUTES_WITH_CERTIFIED
+    if source in ("diagonal", "monomial"):
+        for _ in range(64 if source == "monomial" else 0):
+            w = [spec.random_nonzero(rng) for _ in range(d)]
+            x = mat_mul(diagonal_matrix(w), permutation_matrix(spec, Permutation.random(d, rng)))
+            chi = char_poly(x)
+            if not is_irreducible(chi) and divides_x_qk_minus_x(chi, d):
+                return Matrix._from_vals(spec, x.vals), True
+        return diagonal_matrix([spec.from_val(v) for v in rng.sample(range(1, spec.q), d)]), True
+    if source == "chain":
+        while True:
+            b = random_gl(spec, d, rng)
+            if is_irreducible(char_poly(b)):
+                return Matrix._from_vals(spec, b.vals), matrix._FIELD
+    pk, sk = keygen(MorParams(spec, d), rng)
+    b = sk.conjugator
+    if source == "keygen":
+        return b, matrix._FIELD
+    if source.startswith("read"):
+        _hand_on_verdict(b, _member(spec, d, b, rng))  # the first hand-on builds no reader
+    if source.endswith("B_r"):
+        x = encrypt(pk, random_sl(spec, d, rng), rng).conjugator
+    else:
+        x = _member(spec, d, b, rng)
+    _hand_on_verdict(b, x)
+    assert (x._coords is not None and x._coords[0] is b) == source.startswith("read")
+    return x, matrix._IN_A_FIELD
+
+
+def _det(x):
+    chi = char_poly(x)
+    return FieldElement(x.spec, chi.coeffs[0] if x.d % 2 == 0 else x.spec._neg_raw(chi.coeffs[0]))
+
+
+def _exponent(kind, spec, d, rng):
+    bound = spec.q**d - 1
+    norm = bound // (spec.q - 1)
+    top = spec.q ** (d * d)
+    if kind == "uniform":
+        return rng.randrange(top)
+    if kind == "multiple":  # n = kN, 0 mod N
+        return norm * rng.randrange(top // norm)
+    if kind == "below":
+        return rng.randrange(norm)
+    return rng.randrange(norm, bound)  # a split without the reduction
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=split_fields,
+    d=st.integers(2, 6),
+    source=st.sampled_from(
+        ("keygen", "member", "read member", "B_r", "read B_r", "chain", "diagonal", "monomial",
+         "diagonal member")
+    ),
+    kinds=st.lists(st.sampled_from(("uniform", "multiple", "below", "between")), min_size=1,
+                   max_size=4),
+    seed=st.integers(0, 2**32),
+)
+def test_powers_split_at_the_norm_where_the_verdict_is_a_field(spec, d, source, kinds, seed):
+    rng = random.Random(seed)
+    x, verdict = _split_source(spec, d, source, rng)
+    bound = spec.q**d - 1
+    decided = x._split is not None
+    for kind in kinds:
+        n = _exponent(kind, spec, d, rng)
+        with mock.patch.object(matrix, "_cayley_hamilton", wraps=matrix._cayley_hamilton) as ch:
+            got = mat_pow(x, n)
+        assert got == mat_pow_sqm(x, n)
+        decided = decided or n >= bound
+        assert x._split == (verdict if decided else None)
+        k, s, route = mat_pow_plan(spec, d, n, x._split)
+        # a split needs the field: never at a diagonal or monomial matrix
+        # or at what commutes with one
+        assert k == 0 or verdict in (matrix._FIELD, matrix._IN_A_FIELD)
+        c = (_det(x) ** k).val if k else 1
+        calls = [call.args[1:] for call in ch.call_args_list]
+        assert calls == ([(s, c)] if route == "cayley-hamilton" else [])
+        if route == "scalar":
+            assert got == Matrix._from_vals(
+                spec, tuple(tuple(c * (i == j) for j in range(d)) for i in range(d))
+            )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=split_fields,
+    d=st.integers(2, 6),
+    source=st.sampled_from(("keygen", "member", "read member", "read B_r")),
+    shapes=st.lists(st.sampled_from(("random", "dense", "zero", "power of two")), min_size=3,
+                    max_size=3),
+    seed=st.integers(0, 2**32),
+)
+def test_cayley_hamilton_cost_bounds_the_split_route(spec, d, source, shapes, seed):
+    # a power of two n in [N, q^d - 1) leaves a remainder s of about half
+    # its bits set, and may price above the unsplit power; mat_pow then
+    # keeps n, so the figure at n mod q^d - 1 bounds every route, the
+    # split included, whose basis and coordinates the source varies
+    rng = random.Random(seed)
+    x, _ = _split_source(spec, d, source, rng)
+    bound = spec.q**d - 1
+    norm = bound // (spec.q - 1)
+    for shape in shapes:
+        k = rng.randrange(1, spec.q - 1)
+        reduced = {
+            "random": k * norm + rng.randrange(norm),
+            "dense": k * norm + (1 << rng.randrange(1, norm.bit_length())) - 1,
+            "zero": k * norm,
+            "power of two": 1 << rng.randrange(norm.bit_length(), bound.bit_length()),
+        }[shape]
+        n = reduced + bound * rng.randrange(2**16)
+        with mock.patch.object(matrix, "_cayley_hamilton", wraps=matrix._cayley_hamilton) as ch:
+            got, count = _counted(mat_pow, x, n)
+        assert got == mat_pow_sqm(x, reduced)
+        _, s, route = mat_pow_plan(spec, d, n, x._split)
+        assert [call.args[1] for call in ch.call_args_list] == [s] * (route == "cayley-hamilton")
+        if route == "square-and-multiply":
+            assert count == d**3 * (reduced.bit_length() + reduced.bit_count() - 2)
+        else:
+            assert count <= fqpoly.cayley_hamilton_cost(d, reduced, spec.p)

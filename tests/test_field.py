@@ -29,6 +29,7 @@ from morsl.field import (
     _check_file_field,
     _gf2_mod,
     _is_irreducible_mod_p,
+    _pow_raw,
     is_probable_prime,
     smallest_irreducible_poly,
 )
@@ -98,6 +99,27 @@ def test_pow_matches_the_element_loop(spec, kind, seed, n):
         return out, cost_counter() - c0
 
     assert run(lambda b, k: b**k) == run(field_pow_elementwise)
+
+
+@pytest.mark.parametrize("gamma", (16, 64, 160))
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**32), bits=st.integers(1, 320))
+def test_pow_raw_squares_through_the_rows(gamma, seed, bits):
+    """A binary field above 2^8 squares through its squaring rows: the
+    value and the count of the FieldElement loop, full-size exponents
+    and their edges among them, and a fresh spec builds its rows."""
+    spec = FieldSpec(2, gamma)
+    rng = random.Random(seed)
+    a = spec.random_nonzero(rng)
+    for k in (1, 2, 3, spec.q - 2, rng.randrange(1, spec.q), rng.getrandbits(bits) | 1):
+        c0 = cost_counter()
+        got = _pow_raw(spec, a.val, k)
+        count = cost_counter() - c0
+        c0 = cost_counter()
+        want = field_pow_elementwise(a, k)
+        assert (got, count) == (want.val, cost_counter() - c0)
+        assert count == k.bit_length() + k.bit_count() - 2
+    assert spec._sq_table is not None
 
 
 def test_frobenius():

@@ -6,12 +6,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import decrypt_compose, mat_mul_elementwise, mat_pow_sqm
+from oracles import decrypt_compose, mat_mul_elementwise, mat_pow_plan, mat_pow_sqm
 
-from morsl import fqpoly, matrix, protocol
+from morsl import matrix, protocol
 from morsl.autos import Automorphism, recover_conjugator
 from morsl.cli import PRESETS
-from morsl.field import cost_counter, field_spec
+from morsl.field import FieldElement, cost_counter, field_spec
 from morsl.fqpoly import FqPoly, char_poly, mod_inverse
 from morsl.matrix import (
     Matrix,
@@ -365,25 +365,30 @@ def _sqm_route(sk, ct):
 def _decrypt_checked(sk, ct):
     """decrypt(sk, ct), checked against both routes above, and whether it
     handed the key's certificate to the ciphertext's undecided B_r: that
-    path leaves B_r with the commuting verdict instead of a certificate
-    of its own, an m below q^d - 1 leaves it undecided, and a decided B_r
-    keeps its verdict."""
+    path leaves B_r with the verdict the key hands on instead of a
+    certificate of its own, an m below q^d - 1 leaves it undecided, and a
+    decided B_r keeps its verdict."""
     b, b_r = sk.conjugator, ct.conjugator
     small, before = sk.m < b.spec.q**b.d - 1, b_r._split
     fast = (
         not small
         and before is None
-        and b._split is True
+        and b._split in (True, matrix._FIELD)
         and mat_mul_elementwise(b, b_r) == mat_mul_elementwise(b_r, b)
     )
     plaintext = decrypt(sk, ct)
     if before is None:
-        assert (b_r._split is matrix._COMMUTES_WITH_CERTIFIED) == fast
+        assert (b_r._split is _handed_on(b)) == fast
         assert (b_r._split is None) == small
     else:
         assert b_r._split is before
     assert plaintext == _parsed_route(sk, ct) == _sqm_route(sk, ct)
     return plaintext, fast
+
+
+def _handed_on(b):
+    """The verdict a certified b hands on to what commutes with it."""
+    return matrix._IN_A_FIELD if b._split == matrix._FIELD else matrix._COMMUTES_WITH_CERTIFIED
 
 
 def _key_failing_the_certificate(params, rng):
@@ -477,25 +482,30 @@ def _hand_on_count(b, reader, basis):
 
 
 def _power_count(b_r, m):
-    """mat_pow(b_r, m)'s documented count for a B_r with the key's verdict:
-    chi and x^n mod chi for n = m mod q^d - 1, and the evaluation, on B's
-    basis for a B_r with coordinates at d >= 3, 2 (d - 1) d^2, and
-    Horner's otherwise; or square-and-multiply where it is predicted
-    cheaper."""
+    """mat_pow(b_r, m)'s documented count for a B_r with the key's verdict,
+    split at the norm as x^n = det^k x^s (mat_pow_plan) for n = m mod
+    q^d - 1: chi, det^k, x^s mod chi scaled by det^k unless that is 1,
+    and the evaluation, on B's basis for a B_r with coordinates at d >= 3,
+    2 (d - 1) d^2, and Horner's otherwise; or square-and-multiply where
+    it is predicted cheaper."""
     spec, d = b_r.spec, b_r.d
-    n = m % (spec.q**d - 1)
-    if not n:
+    k, s, route = mat_pow_plan(spec, d, m, b_r._split)
+    if route == "identity":
         return 0
-    square_and_multiply = d**3 * (n.bit_length() + n.bit_count() - 2)
-    if fqpoly.cayley_hamilton_cost(d, n, spec.p) >= square_and_multiply:
-        return square_and_multiply
+    if route == "square-and-multiply":
+        return d**3 * (s.bit_length() + s.bit_count() - 2)
     chi, chi_count = _counted(char_poly, _bare(b_r))
-    r, pow_count = _counted(FqPoly.x(spec).pow_mod, n, chi)
+    scalar = k and k.bit_length() + k.bit_count() - 2
+    if route == "scalar":
+        return chi_count + scalar
+    r, pow_count = _counted(FqPoly.x(spec).pow_mod, s, chi)
+    det = FieldElement(spec, chi.coeffs[0] if d % 2 == 0 else spec._neg_raw(chi.coeffs[0]))
+    scaled = len(r.coeffs) if k and (det**k).val != 1 else 0
     if b_r._coords is not None and d > 2:
         evaluation = 2 * (d - 1) * d * d
     else:
         evaluation = d * d + (len(r.coeffs) - 2) * d**3 if len(r.coeffs) >= 2 else 0
-    return chi_count + pow_count + evaluation
+    return chi_count + scalar + pow_count + scaled + evaluation
 
 
 def _inverse_count(x):
@@ -543,7 +553,7 @@ def test_decrypt_on_the_key_basis_matches_the_oracles_and_its_counts(spec, d, se
             assert "_hand_on_verdict" not in calls
             continue
         assert calls["_hand_on_verdict"][1] == _hand_on_count(b, reader, basis)
-        assert (b_r._split is matrix._COMMUTES_WITH_CERTIFIED) == commutes
+        assert (b_r._split is matrix._IN_A_FIELD) == commutes
         # read from the second hand-on on, a member keeps its coordinates on B
         read = b_r._coords is not None and b_r._coords[0] is b
         assert read == (reader is not None and commutes)
@@ -565,8 +575,8 @@ def test_decrypt_on_the_key_basis_matches_the_oracles_and_its_counts(spec, d, se
 def _encrypt_checked(pk, msg, rng):
     """encrypt(pk, msg, rng), checked against square-and-multiply with the
     full r of its first draw, and whether it handed B_phi's certificate to
-    B_phim: that path leaves B_phim, cached on phi_m, with the commuting
-    verdict instead of a certificate of its own."""
+    B_phim: that path leaves B_phim, cached on phi_m, with the verdict
+    B_phi hands on instead of a certificate of its own."""
     params, state = pk.params, rng.getstate()
     b_phi, b_phim = recover_conjugator(pk.phi), recover_conjugator(pk.phi_m)
     undecided = b_phim._split is None
@@ -575,10 +585,10 @@ def _encrypt_checked(pk, msg, rng):
     # B_phi holds a verdict once some draw of r reached q^d - 1
     fast = (
         undecided
-        and b_phi._split is True
+        and b_phi._split in (True, matrix._FIELD)
         and mat_mul_elementwise(b_phi, b_phim) == mat_mul_elementwise(b_phim, b_phi)
     )
-    assert (b_phim._split is matrix._COMMUTES_WITH_CERTIFIED) == fast
+    assert (b_phim._split is _handed_on(b_phi)) == fast
     rng.setstate(state)
     r = rng.randrange(2, params.spec.q ** (params.d**2) - 1)
     if rng.getstate() == after:  # encrypt kept its first r
@@ -603,7 +613,8 @@ def test_encrypt_with_the_phi_certificate_equals_the_full_exponent(spec, d, seed
     state = rng.getstate()
     ct, fast = _encrypt_checked(pk, msg, rng)
     assert decrypt(sk, ct) == msg
-    assert fast == (recover_conjugator(pk.phi)._split is True)
+    # keygen's B_phi has irreducible chi: its certificate finds a field
+    assert fast == (recover_conjugator(pk.phi)._split == matrix._FIELD)
 
     # the same key parsed afresh takes the same route to the same ciphertext
     rng.setstate(state)
