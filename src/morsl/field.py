@@ -20,9 +20,9 @@ Each FieldSpec binds its operations on packed ints (_add_raw, _sub_raw,
 _neg_raw, _mul_raw, _inv_raw) once, when it is built: modular arithmetic
 for a prime field, table lookups for an extension with at most 256
 elements, the byte-stride multiply for a larger binary field, and for a
-larger odd-characteristic extension fqpoly's product, remainder and
-mod_inverse over GF(p), run on the element's base-p digits modulo the
-modulus.  FieldElement's operators and the matrix kernels call these
+larger odd-characteristic extension the multiply and inverse of
+GF(p)[x]/f, f the modulus (an fqpoly.Quotient), run on the element's
+base-p digits.  FieldElement's operators and the matrix kernels call these
 directly.  Three vector ops are bound beside them: the matrix product
 _mul_prepared_raw, which reads its right factor in the form that
 _prepare_raw gives it, and the outer product _outer_raw.  A binary field
@@ -423,9 +423,9 @@ class FieldSpec:
         operations on packed ints, to this field's arithmetic once.
 
         An odd-characteristic extension multiplies and inverts its base-p
-        digits with fqpoly's kernels over GF(p), modulo f, its modulus as
-        a monic FqPoly.  They run uncounted: a FieldElement product counts
-        one, and the kernels that call _mul_raw count analytically."""
+        digits in GF(p)[x]/f, f its monic modulus, an fqpoly.Quotient.
+        They run uncounted: a FieldElement product counts one, and the
+        kernels that call _mul_raw count analytically."""
         p, small = self.p, self.gamma > 1 and self.q <= _TABLE_MAX_Q
         if self.gamma == 1:
             ops = (
@@ -438,18 +438,18 @@ class FieldSpec:
         elif p == 2:
             ops = (_xor, _xor, lambda a: a, self._mul_gf2, self._inv_gf2)
         else:
-            from .fqpoly import FqPoly, _product, _rem_monic, mod_inverse
+            from .fqpoly import FqPoly, Quotient
 
-            gfp, coeffs, pack = field_spec(p), self._coeffs, self._pack
-            f = FqPoly._from_vals(gfp, self.modulus)
+            ring = Quotient(FqPoly._from_vals(field_spec(p), self.modulus))
+            coeffs, pack = self._coeffs, self._pack
 
             def mul(a: int, b: int) -> int:
                 with _uncounted():
-                    return pack(_rem_monic(_product(gfp, coeffs(a), coeffs(b)), f))
+                    return pack(ring.mul(coeffs(a), coeffs(b)))
 
             def inv(a: int) -> int:
                 with _uncounted():
-                    return pack(mod_inverse(FqPoly._from_vals(gfp, coeffs(a)), f).coeffs)
+                    return pack(ring.inv(coeffs(a)))
 
             add, neg = self._add_digits, self._neg_digits
             ops = (add, lambda a, b: add(a, neg(b)), neg, mul, inv)

@@ -15,9 +15,9 @@ operations refuse operands over different specs (FieldMismatchError).
 
 It is also the exponentiation engine behind matrix.mat_pow: pow_mod
 computes x^e mod chi_M, and eval_matrix evaluates the result at M by
-Horner, unless mat_pow keeps a power basis on M, or M = g(B) for a B
-that keeps one, where _compose forms the remainder's composition with g
-modulo chi_B; mod_inverse inverts modulo chi_B for matrix.mat_inv there.
+Horner, or Quotient, the ring F_q[x]/f and, on a matrix B, the algebra
+F_q[B], evaluates it on B's power basis.  Quotient is the one owner of
+products, inverses and compositions modulo f outside this module.
 mat_pow's certificate is divides_x_qk_minus_x, whose level also says,
 from the same Frobenius chain, whether chi_M is irreducible.
 Repeated q-th powers modulo f go through the Frobenius matrix of f.
@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import random as _random
 from functools import reduce as _reduce
+from itertools import accumulate as _accumulate
+from itertools import chain as _chain
 from itertools import zip_longest as _zip_longest
 from math import gcd as _int_gcd
 from operator import getitem as _getitem
@@ -51,6 +53,7 @@ from .field import (
     _pow_raw,
     is_probable_prime,
 )
+from .linalg import RowReducer
 from .matrix import Matrix, mat_mul
 
 # The longest residue, in bytes, whose x^e builds a squaring table of its
@@ -63,6 +66,7 @@ _SQUARE_TABLE_MAX_BYTES = 32
 
 __all__ = [
     "FqPoly",
+    "Quotient",
     "char_poly",
     "is_irreducible",
     "divides_x_qk_minus_x",
@@ -266,12 +270,12 @@ class FqPoly:
         return acc
 
 
-def _add_scalar(spec: FieldSpec, vals, c: int) -> Matrix:
-    """vals + c*1 on packed ints."""
+def _add_scalar(spec: FieldSpec, vals, c: int, element=None) -> Matrix:
+    """vals + c*1 on packed ints, with the element Matrix._from_vals takes."""
     add = spec._add_raw
     return Matrix._from_vals(spec, tuple(
         tuple(add(v, c) if a == b else v for b, v in enumerate(r)) for a, r in enumerate(vals)
-    ))
+    ), element)
 
 
 # ---------------------------------------------------------------------------
@@ -383,32 +387,6 @@ def _horner(spec: FieldSpec, coeffs, v: int) -> int:
         acc = add(mul(acc, v), c)
     _count_muls(len(coeffs))
     return acc
-
-
-def _compose(r, g, f: FqPoly) -> tuple:
-    """r(g) mod a monic f of degree n >= 2, for r and g of at most n
-    coefficients, as a tuple of n.  Horner's rule on the rows g, x g, ...,
-    x^(n-1) g mod f, so that each step after r's top coefficient times g
-    is one row-by-matrix product in the field's prepared form.  Counted as
-    (n - 1) n^2, products by zero included, as matrix.mat_mul counts:
-    (n - 1) n for the rows, n for the top coefficient and n^2 for each of
-    the n - 2 further steps."""
-    spec, n = f.spec, len(f.coeffs) - 1
-    mul, add = spec._mul_raw, spec._add_raw
-    neg = [spec._neg_raw(c) for c in f.coeffs[:n]]
-    rows = [(*g, *(0,) * (n - len(g)))]
-    for _ in range(n - 1):
-        row = rows[-1]
-        rows.append(tuple(add(s, mul(row[-1], c)) for s, c in zip((0, *row[:-1]), neg)))
-    r = (*r, *(0,) * (n - len(r)))
-    acc = [mul(r[-1], v) for v in rows[0]]
-    acc[0] = add(acc[0], r[-2])
-    prepared = spec._prepare_raw(tuple(rows))
-    for c in reversed(r[:-2]):
-        acc = list(spec._mul_prepared_raw((acc,), prepared)[0])
-        acc[0] = add(acc[0], c)
-    _count_muls((n - 1) * n * n)
-    return tuple(acc)
 
 
 def _pow_x_lanes(e: int, f: FqPoly) -> FqPoly:
@@ -896,6 +874,118 @@ def mod_inverse(a: FqPoly, modulus: FqPoly) -> FqPoly:
         raise ZeroDivisionError("element is not invertible modulo this polynomial")
     # Euclid's cofactor s1 has degree below the modulus's: nothing to reduce
     return FqPoly._from_vals(spec, s1).scale(spec._inv_raw(r1[0]))
+
+
+# ---------------------------------------------------------------------------
+# the quotient ring F_q[x]/f
+# ---------------------------------------------------------------------------
+
+
+class Quotient:
+    """The ring K = F_q[x]/f for a monic f of degree n >= 1, and, built on
+    a d x d matrix B with f = chi_B, d >= 2, the algebra F_q[B] = K.  An
+    odd extension field multiplies and inverts in GF(p)[x]/f,
+    seclab.mw_reduce runs its BSGS group and order search in its
+    eigenvalue field, and matrix.py keeps a matrix's algebra on it, with
+    the matrix as an element (algebra, g) of it (matrix._as_element).
+
+    Elements are coefficient tuples of packed ints, constant first, of
+    degree below n and without trailing zeros, as FqPoly.coeffs, so that
+    == and hash compare them.  mul is _product then _rem_monic, inv
+    extended Euclid (mod_inverse, ZeroDivisionError for a non-unit) and
+    pow FqPoly.pow_mod, each counted as its kernel counts.  compose(r, g)
+    is r(g) mod f, for n >= 2, by Horner's rule with the rows g, x g, ...,
+    x^(n-1) g mod f, one row-by-matrix product per coefficient of r below
+    its top one, and is counted as (n - 1) n^2, products by zero included,
+    as matrix.mat_mul counts: (n - 1) n for the rows, n for r's top
+    coefficient times g and n^2 for each further step.
+
+    On B, eval(g) is the matrix g(B), which Matrix records as the element
+    (self, g): g_0 1 plus the row (g_1, ..., g_(d-1)) times B's power
+    basis B, ..., B^(d-1), (d - 1) d^2 multiplications.  read(X) is the g
+    with X = g(B), or None when X is not in F_q[B]: X's entries at d
+    positions where 1, B, ..., B^(d-1) are independent, times the inverse
+    of their d x d block there, d^2, and then eval(g) compared with X, d^3
+    in all.  It needs B cyclic, as an irreducible chi_B makes it.  The
+    basis, d - 2 products, and the coordinate reader, those positions and
+    that inverse (one RowReducer pass over [1, B, ..., B^(d-1) | 1], whose
+    pivot columns are the positions and whose right block is the
+    inverse), are built on first need and kept.  A key's conjugator is
+    used again and again, so mat_pow and the hand-on serve B's first
+    evaluation and first membership test without them, by Horner's rule
+    and the commutation test, and a B used once builds nothing;
+    used_before tells them whether B has served a use of a kind before."""
+
+    __slots__ = ("spec", "f", "matrix", "_uses", "_basis", "_reader")
+
+    def __init__(self, f: FqPoly, matrix: Matrix | None = None):
+        self.spec, self.f, self.matrix = f.spec, f, matrix
+        self._uses, self._basis, self._reader = set(), None, None
+
+    def mul(self, a, b) -> tuple:
+        return tuple(_trim(_rem_monic(_product(self.spec, a, b), self.f)))
+
+    def inv(self, a) -> tuple:
+        return mod_inverse(FqPoly._from_vals(self.spec, a), self.f).coeffs
+
+    def pow(self, a, e: int) -> tuple:
+        return FqPoly._from_vals(self.spec, a).pow_mod(e, self.f).coeffs
+
+    def compose(self, r, g) -> tuple:
+        spec, fc = self.spec, self.f.coeffs
+        n = len(fc) - 1
+        mul, add = spec._mul_raw, spec._add_raw
+        neg = [spec._neg_raw(c) for c in fc[:n]]
+        rows = [(*g, *(0,) * (n - len(g)))]
+        for _ in range(n - 1):
+            row = rows[-1]
+            rows.append(tuple(add(s, mul(row[-1], c)) for s, c in zip((0, *row[:-1]), neg)))
+        prepared = spec._prepare_raw(tuple(rows))
+        r = (*r, *(0,) * (n - len(r)))
+        acc = (r[-1], *(0,) * (n - 1))
+        for c in reversed(r[:-1]):
+            acc = list(spec._mul_prepared_raw((acc,), prepared)[0])
+            acc[0] = add(acc[0], c)
+        _count_muls((n - 1) * n * n)
+        return tuple(_trim(acc))
+
+    def used_before(self, use: str) -> bool:
+        """Whether B has served a use of this kind before; records it."""
+        seen = use in self._uses
+        self._uses |= {use}
+        return seen
+
+    def eval(self, g) -> Matrix:
+        spec, d = self.spec, self.matrix.d
+        r = (*g, *(0,) * (d - len(g)))
+        _count_muls((d - 1) * d * d)
+        flat = spec._mul_prepared_raw((r[1:],), self._built_basis()[1])[0]
+        return _add_scalar(spec, [flat[i:i + d] for i in range(0, d * d, d)], r[0], (self, g))
+
+    def read(self, x: Matrix):
+        spec, d = self.spec, self.matrix.d
+        if self._reader is None:
+            red = RowReducer(spec, d * d + d)
+            flat_one = tuple(int(i == j) for i in range(d) for j in range(d))
+            for k, row in enumerate((flat_one, *self._built_basis()[0])):
+                red.add_row((*row, *(int(k == j) for j in range(d))))
+            positions = sorted(red.pivot_rows)
+            block_inverse = tuple(tuple(red.pivot_rows[c][d * d:]) for c in positions)
+            self._reader = positions, spec._prepare_raw(block_inverse)
+        positions, block_inverse = self._reader
+        entries = tuple(x.vals[c // d][c % d] for c in positions)
+        _count_muls(d * d)
+        g = tuple(_trim(spec._mul_prepared_raw((entries,), block_inverse)[0]))
+        return g if self.eval(g) == x else None
+
+    def _built_basis(self) -> tuple:
+        """B, ..., B^(d-1), each flattened into one row, as they are and in
+        the field's prepared form."""
+        if self._basis is None:
+            powers = _accumulate([self.matrix] * (self.matrix.d - 1), mat_mul)
+            rows = tuple(tuple(_chain.from_iterable(p.vals)) for p in powers)
+            self._basis = rows, self.spec._prepare_raw(rows)
+        return self._basis
 
 
 # ---------------------------------------------------------------------------

@@ -26,34 +26,23 @@ Indices in every public signature are 1-based, matching the e_{i,j}
 matrix-unit notation.
 
 mat_inv is linalg.solve(x, 1) on packed ints, the package's one
-elimination, except for a matrix with coordinates on a power basis
-(below), which needs none.  det keeps its own forward-only pass: it needs the product
-of the pivots and nothing else, so it runs no back substitution, carries
-no right-hand side and stops at the last pivot, where a solve would do
-more work.
-Its exact multiplication count is also pinned by the golden bench,
-through the SL check of Automorphism.__init__.
+elimination, except for a matrix known to lie in an algebra F_q[B]
+(below).  det keeps its own forward-only pass: it needs the product of
+the pivots and nothing else, so it runs no back substitution, carries no
+right-hand side and stops at the last pivot, where a solve would do more
+work.  Its exact multiplication count is also pinned by the golden
+bench, through the SL check of Automorphism.__init__.
 
 mat_pow is the package's one exponentiation engine: keygen, encrypt,
 decrypt and Automorphism.power all raise matrices through it.  It picks
 Cayley-Hamilton or square-and-multiply by predicted cost, and it alone
-reduces an exponent, of at least q^d - 1 mod q^d - 1, when a verdict
-cached on the matrix (its certificate, or one handed on) shows that this
-is exact.  When the verdict also shows that the matrix lies in a field
-F_q[B] = GF(q^d), it splits the exponent at the norm's,
-N = (q^d - 1)/(q - 1): x^n = det(x)^k x^s for (k, s) = divmod(n, N).
-A matrix with a verdict is raised again and again, as a key's
-conjugators are for every message, so from its second Cayley-Hamilton
-power on mat_pow keeps its power basis on it and evaluates each
-remainder in one product with that basis instead of by Horner.
-
-What is known to lie in F_q[B] for such a B is kept as its coordinates
-on B: the result of an evaluation on B's basis, and a matrix that a
-certified B reads as g(B) when it hands on its verdict a second time
-(_hand_on_verdict), as decrypt's B_r from a key's second message on.
-mat_pow raises a matrix with coordinates on its base's basis, and
-mat_inv inverts it there by extended Euclid modulo chi_B, instead of
-by Horner and by elimination.
+reduces an exponent, mod q^d - 1 and at the norm of a field F_q[B], when
+a verdict cached on the matrix shows that this is exact.  A matrix with
+a verdict is raised again and again, as a key's conjugators are for
+every message, so it keeps its algebra F_q[B] = F_q[x]/chi_B, an
+fqpoly.Quotient: mat_pow evaluates its later powers there, and the
+matrices that B's hand-on (_hand_on_verdict) reads as g(B), and the
+powers evaluated there, are raised and inverted there too.
 """
 
 from __future__ import annotations
@@ -61,7 +50,6 @@ from __future__ import annotations
 import math
 import warnings
 from functools import reduce
-from itertools import chain
 
 from .field import (
     FieldElement,
@@ -73,7 +61,7 @@ from .field import (
     _json_list,
     _pow_raw,
 )
-from .linalg import RowReducer, solve
+from .linalg import solve
 
 __all__ = [
     "Matrix",
@@ -101,20 +89,11 @@ class SingularMatrixError(ValueError):
 
 
 class Matrix:
-    # _chi caches the characteristic polynomial (fqpoly.char_poly fills
-    # it), _split the verdict of mat_pow's certificate that the order
-    # divides q^d - 1, and whether F_q[x] is a field or x lies in one
-    # (_FIELD, _IN_A_FIELD); only this module writes it (mat_pow, and the
-    # hand-offs _set_certified and _hand_on_verdict).  The other three
-    # slots are written only here too.  _basis is None until mat_pow
-    # evaluates a remainder at a matrix with a verdict, False after the
-    # first such evaluation, and then the power basis of _power_basis,
-    # which a certified matrix's second hand-on also builds.  _reader is
-    # None until a certified matrix hands on its verdict, False after the
-    # first hand-on, and then _coordinate_reader's entry positions and
-    # block inverse.  _coords is None, or (base, s) for a matrix known to
-    # equal s(base), s of degree < d, with base's power basis built
-    __slots__ = ("spec", "d", "vals", "_chi", "_split", "_basis", "_reader", "_coords")
+    # _chi caches chi_x (fqpoly.char_poly fills it).  _split caches the
+    # verdict of mat_pow's certificate (see _FIELD), and _element the
+    # matrix as g(B) in an algebra F_q[B], the pair (algebra, g), g = t
+    # in B's own; only this module writes those two
+    __slots__ = ("spec", "d", "vals", "_chi", "_split", "_element")
 
     def __init__(self, spec: FieldSpec, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -130,21 +109,20 @@ class Matrix:
         self._set_slots(spec, tuple(tuple(x.val for x in r) for r in rows))
 
     @classmethod
-    def _from_vals(cls, spec: FieldSpec, vals: tuple) -> "Matrix":
-        """The matrix of a tuple of row tuples of packed ints, unchecked."""
+    def _from_vals(cls, spec: FieldSpec, vals: tuple, element=None) -> "Matrix":
+        """The matrix of a tuple of row tuples of packed ints, unchecked,
+        and, from fqpoly.Quotient.eval, its element (algebra, g)."""
         m = object.__new__(cls)
-        m._set_slots(spec, vals)
+        m._set_slots(spec, vals, element)
         return m
 
-    def _set_slots(self, spec: FieldSpec, vals: tuple) -> None:
+    def _set_slots(self, spec: FieldSpec, vals: tuple, element=None) -> None:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "d", len(vals))
         object.__setattr__(self, "vals", vals)
         object.__setattr__(self, "_chi", None)
         object.__setattr__(self, "_split", None)
-        object.__setattr__(self, "_basis", None)
-        object.__setattr__(self, "_reader", None)
-        object.__setattr__(self, "_coords", None)
+        object.__setattr__(self, "_element", element)
 
     def __setattr__(self, *args):
         raise AttributeError("Matrix is immutable")
@@ -389,21 +367,17 @@ def det(x: Matrix) -> FieldElement:
 
 
 def mat_inv(x: Matrix) -> Matrix:
-    """x^(-1).  A matrix with coordinates s on a base B is s(B), and its
-    inverse is h(B) for h = s^(-1) mod chi_B, which exists exactly when
-    s(B) is invertible (chi_B's roots are B's eigenvalues): extended
-    Euclid (fqpoly.mod_inverse) and one product with B's power basis,
-    (d - 1) d^2.  Any other matrix is inverted by linalg's solve of
-    x X = 1."""
-    if x._coords is not None:
-        from .fqpoly import FqPoly, char_poly, mod_inverse
-
-        base, s = x._coords
+    """x^(-1).  A matrix recorded as g(B) for another matrix B is inverted
+    in F_q[B]: h = g^(-1) mod chi_B (Quotient.inv), which exists exactly
+    when g(B) is invertible (chi_B's roots are B's eigenvalues), and h(B)
+    on B's basis, (d - 1) d^2.  Any other matrix is inverted by linalg's
+    solve of x X = 1."""
+    algebra, g = x._element or (None, None)
+    if algebra is not None and algebra.matrix is not x:
         try:
-            h = mod_inverse(FqPoly._from_vals(x.spec, s), char_poly(base))
+            return algebra.eval(algebra.inv(g))
         except ZeroDivisionError:
             raise SingularMatrixError("matrix is singular") from None
-        return _eval_on_basis(base, h.coeffs)
     inv = solve(x.spec, x.vals, identity(x.spec, x.d).vals)
     if inv is None:
         raise SingularMatrixError("matrix is singular")
@@ -426,8 +400,8 @@ def mat_pow(x: Matrix, n: int) -> Matrix:
     Below q^d - 1 the reduction would change nothing, so no certificate
     is computed.  A verdict known by other means is recorded before the
     power: _set_certified for a matrix with irreducible chi_x (keygen's
-    conjugator), and _hand_on_verdict for one that commutes with a
-    certified matrix (encrypt's B_phim, decrypt's B_r).
+    conjugator), and _hand_on_verdict for a nonzero one that commutes with
+    such a matrix (encrypt's B_phim, decrypt's B_r).
 
     The second reduction is the norm's.  When F_q[x] is a field GF(q^d)
     (_FIELD), or x lies in one (_IN_A_FIELD), x^N = det(x) 1 for
@@ -446,21 +420,19 @@ def mat_pow(x: Matrix, n: int) -> Matrix:
     FqPoly.pow_mod, about d^2 multiplications per exponent bit, and an
     evaluation of r at x.  A matrix with a verdict is one raised to large
     exponents, such as a key's conjugator, which encrypt raises for every
-    message; from the second remainder evaluated at it on, r(x) is
-    r_0 1 + sum_k r_k x^k, one product of (r_1, ..., r_(d-1)) with the
-    power basis x, ..., x^(d-1) kept on x: (d - 1) d^2 multiplications,
-    after d - 2 matrix products, (d - 2) d^3, to build the basis once.
-    Otherwise, a matrix with coordinates g on a base B, x = g(B), is
-    raised on B's basis: r(x) = s(B) for s = r(g) mod chi_B, by
-    fqpoly._compose and one product with B's basis, (d - 1) d^2 each,
-    which for d >= 3 is no more than Horner's (for d = 2 it would be
-    more, and Horner's runs).  Every other evaluation, the first at a
-    matrix with a verdict and every one at a matrix without coordinates,
-    is Horner's, d^2 + (d - 2) d^3, so a matrix raised once builds no
-    basis.  A result evaluated on a basis records its remainder, r or
-    s, as its coordinates there, for mat_inv.  Square-and-multiply runs left to
-    right from x, (bits(n) + popcount(n) - 2) d^3, cheaper for short
-    exponents on large matrices.  Both predictions come from d, n and p.
+    message; from its second remainder on, r(x) is evaluated in its own
+    algebra F_q[x], on x's power basis (fqpoly.Quotient.eval,
+    (d - 1) d^2, after (d - 2) d^3 to build the basis once).  A matrix
+    recorded as g(B) for another matrix B is raised in F_q[B] instead:
+    r(x) = s(B) for s = r(g) mod chi_B, by Quotient.compose and eval,
+    (d - 1) d^2 each, which for d >= 3 is no more than Horner's (for d = 2
+    it would be more, and Horner's runs).  Every other evaluation, the
+    first at a matrix with a verdict among them, is Horner's,
+    d^2 + (d - 2) d^3, so a matrix raised once builds no basis.  A result
+    evaluated on a basis is recorded as s(B), or r(x), for mat_inv.
+    Square-and-multiply runs left to right from x,
+    (bits(n) + popcount(n) - 2) d^3, cheaper for short exponents on large
+    matrices.  Both predictions come from d, n and p.
     """
     if n < 0:
         return mat_pow(mat_inv(x), -n)
@@ -505,83 +477,40 @@ def _cayley_hamilton(x: Matrix, n: int, c: int) -> Matrix:
     """c x^n, n >= 1, for a packed scalar c: r = c (t^n mod chi_x), then
     r(x) by the evaluation mat_pow's docstring names.  r is scaled only
     for c != 1, one multiplication per coefficient."""
-    from .fqpoly import FqPoly, _compose, char_poly
+    from .fqpoly import FqPoly, char_poly
 
     r = FqPoly.x(x.spec).pow_mod(n, char_poly(x))
     if c != 1:
         r = r.scale(c)
-    if x._split is not None and x._basis is None:
-        object.__setattr__(x, "_basis", False)
-    elif x._split is not None and x._basis is False:
-        object.__setattr__(x, "_basis", _power_basis(x))
-    if x._basis:
-        return _eval_on_basis(x, r.coeffs)
-    if x._coords is not None and x.d > 2:
-        base, g = x._coords
-        return _eval_on_basis(base, _compose(r.coeffs, g, char_poly(base)))
+    if x._split is not None or x._element is not None:
+        algebra, g = _as_element(x)
+        if algebra.matrix is not x and x.d > 2:
+            return algebra.eval(algebra.compose(r.coeffs, g))
+        if algebra.matrix is x and algebra.used_before("evaluation"):
+            return algebra.eval(r.coeffs)
     return r.eval_matrix(x)
 
 
-def _power_basis(x: Matrix) -> tuple:
-    """x, x^2, ..., x^(d-1), each flattened into one row of d^2 entries,
-    as they are and in the field's prepared form: d - 2 products,
-    (d - 2) d^3 multiplications.  mat_pow takes the Cayley-Hamilton route,
-    and the protocol hands verdicts on, only for d >= 2, so there is at
-    least one power."""
-    powers = [x]
-    for _ in range(x.d - 2):
-        powers.append(mat_mul(powers[-1], x))
-    rows = tuple(tuple(chain.from_iterable(p.vals)) for p in powers)
-    return rows, x.spec._prepare_raw(rows)
+def _as_element(b: Matrix) -> tuple:
+    """b as an element (algebra, g) of an fqpoly.Quotient: g(B) if b is
+    recorded so, else x in F_q[b], kept on b from the first call.
+    mat_pow and the hand-on call it only for a b with a verdict, whose
+    chi_b is cached, or an element."""
+    if b._element is None:
+        from .fqpoly import Quotient, char_poly
 
-
-def _eval_on_basis(x: Matrix, coeffs) -> Matrix:
-    """r(x) for r of degree < d, r_0 1 plus the product of the row
-    (r_1, ..., r_(d-1)) with x's power basis, counted as (d - 1) d^2
-    multiplications, products by zero included, as mat_mul counts.  The
-    result records r as its coordinates on x."""
-    spec, d = x.spec, x.d
-    r = (*coeffs, *(0,) * (d - len(coeffs)))
-    _count_muls((d - 1) * d * d)
-    flat = list(spec._mul_prepared_raw((r[1:],), x._basis[1])[0])
-    add = spec._add_raw
-    for i in range(0, d * d, d + 1):
-        flat[i] = add(flat[i], r[0])
-    out = Matrix._from_vals(spec, tuple(tuple(flat[i:i + d]) for i in range(0, d * d, d)))
-    object.__setattr__(out, "_coords", (x, r))
-    return out
-
-
-def _coordinate_reader(x: Matrix) -> tuple:
-    """d entry positions at which 1, x, ..., x^(d-1) are independent, as
-    indices into the flattened entries, and the inverse of the d x d
-    block of their entries there, in the field's prepared form: for a y
-    in F_q[x], its entries at the positions times that inverse are its
-    coordinates on x.  One RowReducer pass over the rows
-    [1, x, ..., x^(d-1) | identity], counted as linalg counts: its pivot
-    columns are the positions, and the right block of its reduced rows
-    is the inverse.  x is cyclic (it carries a passing verdict) and its
-    power basis is built, so the pivots are d columns of the left block."""
-    spec, d = x.spec, x.d
-    red = RowReducer(spec, d * d + d)
-    flat_one = tuple(chain.from_iterable(identity(spec, d).vals))
-    for k, row in enumerate((flat_one, *x._basis[0])):
-        red.add_row((*row, *(int(k == j) for j in range(d))))
-    positions = sorted(red.pivot_rows)
-    block_inverse = tuple(tuple(red.pivot_rows[c][d * d:]) for c in positions)
-    return positions, spec._prepare_raw(block_inverse)
+        object.__setattr__(b, "_element", (Quotient(char_poly(b), b), (0, 1)))
+    return b._element
 
 
 # mat_pow's verdicts besides None (undecided), False (the certificate
 # failed) and True (it passed: chi_x is squarefree with its roots in
 # GF(q^d), so x is cyclic and its order divides q^d - 1).  _FIELD is a
-# pass with chi_x irreducible, so that F_q[x] is the field GF(q^d).  A
-# certified matrix hands on _IN_A_FIELD if it is _FIELD, else
-# _COMMUTES_WITH_CERTIFIED: the order divides q^d - 1 either way, but the
-# receiver need not be cyclic, so it certifies nothing in turn.
+# pass with chi_x irreducible, so that F_q[x] is the field GF(q^d), and
+# only such a matrix hands on a verdict: _IN_A_FIELD, to a nonzero
+# member of its field, whose order divides q^d - 1 too.
 _FIELD = "F_q[x] is a field"
 _IN_A_FIELD = "lies in a field F_q[B]"
-_COMMUTES_WITH_CERTIFIED = "commutes with a certified matrix"
 
 
 def _set_certified(x: Matrix) -> None:
@@ -592,46 +521,34 @@ def _set_certified(x: Matrix) -> None:
 
 
 def _hand_on_verdict(certified: Matrix, x: Matrix) -> None:
-    """Give an undecided x a verdict when `certified` carries a passing
-    one (True or _FIELD) and x commutes with it, a test made only then.
-    This is exact: the certificate makes chi squarefree with its roots in
-    GF(q^d), so `certified` is cyclic, and what commutes with it is
-    F_q[certified], a product of fields GF(q^k) with k dividing d, where
-    every unit has order dividing q^d - 1.  When `certified` is _FIELD,
-    F_q[certified] is one field GF(q^d), and x gets _IN_A_FIELD, on
-    which mat_pow also splits its powers at the norm; otherwise x gets
-    _COMMUTES_WITH_CERTIFIED.
+    """Give an undecided x the verdict _IN_A_FIELD when `certified`, B,
+    carries _FIELD and x is a nonzero matrix that commutes with it, a test
+    made only then.  This is exact: B is cyclic, so what commutes with it
+    is F_q[B], the field GF(q^d), where every nonzero member is a unit of
+    order dividing q^d - 1.  The zero matrix commutes with everything and
+    is no unit; it is refused by its entries, at no cost, before B counts
+    a use.
 
-    The first hand-on compares B x with x B, 2 d^3 multiplications, as a
-    matrix handed on once should build nothing.  From the second on, x is
-    read as g(B): g is x's entries at the positions of _coordinate_reader
-    times its block inverse, d^2, and x commutes exactly when g(B),
-    evaluated on B's power basis in (d - 1) d^2, equals x.  Then x also
-    records g as its coordinates on B, so that mat_pow raises it on B's
-    basis.  The second hand-on first builds what this reads: B's power
-    basis, (d - 2) d^3 unless mat_pow built it, and the reader."""
-    if x._split is not None or certified._split not in (True, _FIELD):
+    B's first membership test compares B x with x B, 2 d^3
+    multiplications, as a matrix handed on once should build nothing.
+    From the second on, x is read in B's algebra (fqpoly.Quotient.read,
+    d^3, after B's power basis, (d - 2) d^3 unless mat_pow built it, and
+    its coordinate reader at the first read), which records a member as
+    g(B), so that mat_pow raises it on B's basis.  A B recorded as g(B')
+    reads in F_q[B'], which is F_q[B], as both have dimension d."""
+    if x._split is not None or certified._split != _FIELD or not any(map(any, x.vals)):
         return
     if (x.spec, x.d) != (certified.spec, certified.d):
         raise FieldMismatchError("incompatible matrices")
-    verdict = _IN_A_FIELD if certified._split == _FIELD else _COMMUTES_WITH_CERTIFIED
-    if certified._reader is None:
-        object.__setattr__(certified, "_reader", False)
+    algebra = _as_element(certified)[0]
+    if not algebra.used_before("membership test"):
         if mat_mul(certified, x) == mat_mul(x, certified):
-            object.__setattr__(x, "_split", verdict)
+            object.__setattr__(x, "_split", _IN_A_FIELD)
         return
-    if certified._reader is False:
-        if not certified._basis:
-            object.__setattr__(certified, "_basis", _power_basis(certified))
-        object.__setattr__(certified, "_reader", _coordinate_reader(certified))
-    positions, block_inverse = certified._reader
-    flat = tuple(chain.from_iterable(x.vals))
-    _count_muls(x.d * x.d)
-    g = x.spec._mul_prepared_raw((tuple(flat[c] for c in positions),), block_inverse)[0]
-    member = _eval_on_basis(certified, g)
-    if member == x:
-        object.__setattr__(x, "_split", verdict)
-        object.__setattr__(x, "_coords", member._coords)
+    g = algebra.read(x)
+    if g is not None:
+        object.__setattr__(x, "_split", _IN_A_FIELD)
+        object.__setattr__(x, "_element", (algebra, g))
 
 
 def conjugate(x: Matrix, a: Matrix) -> Matrix:

@@ -14,37 +14,12 @@ recover B, raise B to the exponent, and rebuild the generator images.
 Conjugation by B^m equals the m-fold composition of conjugation by B
 and the scalar ambiguity of B cancels, so this is value-identical to
 compose-based square-and-multiply (the test suite asserts it) while
-staying polynomial in log m at full-size parameters.  Every power here
-is matrix.mat_pow, as in Automorphism.power: B^m = (x^m mod chi_B)(B)
-by Cayley-Hamilton, with m first reduced mod q^d - 1 when
-x^(q^d) = x mod chi_B certifies that this is exact.  With keygen's
-default irreducible chi_B, every conjugator raised here lies in a field
-F_q[B] = GF(q^d), so mat_pow also splits m at the norm:
-B^m = det(B)^k B^s for (k, s) = divmod(m, (q^d - 1)/(q - 1)).  B is
-recovered once per automorphism and the certificate decided once per B
-(both are cached).  keygen records the verdict of its irreducibility filter
-(matrix._set_certified), so a key's conjugator is not certified twice.
-encrypt certifies only B_phi: B_phim, a scalar multiple of B_phi^m,
-commutes with it and is handed B_phi's verdict (matrix._hand_on_verdict).
-Each ciphertext brings a fresh B_r, and decrypt hands it the verdict of
-the private conjugator B when B_r commutes with B, so a key's later
-messages pay for neither, in encrypt or in decrypt; mat_pow alone
-reduces the exponent.  A key's later messages also evaluate encrypt's
-remainders x^r mod chi at B_phi and B_phim more cheaply: the second
-message makes mat_pow build the power basis of each and evaluate on it,
-and from the third on each remainder is only one product with that
-basis, (d - 1) d^2 multiplications instead of Horner's d^2 + (d - 2) d^3.
-From the second message on, B_mr, evaluated on B_phim's basis, is
-inverted for the payload on that basis too (matrix.mat_inv): the
-inverse of its remainder mod chi_(B_phim) by extended Euclid, and one
-product with the basis.  Each B_r is raised once, so decrypt works on
-the private conjugator's basis instead: from the key's second message
-on, the hand-on reads B_r as g(B) there and checks it in d^3
-multiplications instead of the commutation test's 2 d^3, mat_pow
-evaluates (r(g) mod chi_B)(B) for r = x^m mod chi_(B_r) on B's basis
-instead of r(B_r) by Horner, and mat_inv inverts that power on B's
-basis instead of by elimination.  The second message pays for B's basis
-and the entry positions the hand-on reads, once per key.
+staying polynomial in log m at full-size parameters.  B is recovered
+once per automorphism.  keygen records its conjugator's verdict
+(matrix._set_certified), and encrypt and decrypt hand the verdicts of
+B_phi and of the private conjugator on to B_phim and B_r
+(matrix._hand_on_verdict); the matrix module says how mat_pow reduces
+exponents with them and computes in the algebra F_q[B].
 
 A ciphertext holds phi^r as its conjugator B_r, up to a scalar: encrypt
 keeps the power of B_phi it raised, and decrypt raises it to m.  The v1
@@ -367,13 +342,12 @@ def decrypt(sk: MorPrivateKey, ct: MorCiphertext) -> Matrix:
     B_r to m and conjugate back, b * payload * b^(-1).
 
     When m >= q^d - 1, an undecided B_r is handed the verdict of the
-    private conjugator B (matrix._hand_on_verdict): if B carries a cached
-    true certificate and B_r commutes with B, mat_pow reduces m mod
-    q^d - 1 without computing B_r's own certificate.  From B's second
-    hand-on on, the test reads B_r as g(B) on B's power basis, so that
-    B_r^m is evaluated, and inverted, on that basis.  Any other key or
-    ciphertext, a parsed key among them, takes mat_pow's route, and a
-    B_r outside F_q[B] fails the test exactly.
+    private conjugator B (matrix._hand_on_verdict): if F_q[B] is a field
+    and B_r lies in it, mat_pow reduces m without computing B_r's own
+    certificate, and from B's second hand-on on it raises B_r, and
+    mat_inv inverts the power, in F_q[B].  Any other key or ciphertext, a
+    parsed key among them, takes mat_pow's route, and a B_r outside
+    F_q[B] fails the test exactly.
     """
     payload, conj = ct.payload, sk.conjugator
     if conj.d != payload.d or conj.spec != payload.spec:

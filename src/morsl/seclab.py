@@ -18,8 +18,8 @@ an irreducible characteristic polynomial outright.
 
 The lab has no elimination and no product loop of its own; it works on
 packed ints (Matrix.vals, FqPoly.coeffs) with the kernels the protocol
-uses, and the Menezes-Wu reduction's quotient ring F_q[x]/g (the group
-of its BSGS and multiplicative_order) is FqPoly arithmetic modulo g.
+uses, and the Menezes-Wu reduction runs its BSGS and multiplicative_order
+in the field F_q[x]/g, an fqpoly.Quotient.
 Centralizers and the kernel ker g(A) come from linalg.nullspace, the
 centralizer's rows from linalg.sylvester_rows; the action of a matrix
 on that kernel and the coefficients of A' as a polynomial in A come from
@@ -39,12 +39,10 @@ from .autos import Automorphism, generator_pairs, pair_orbits
 from .field import FieldElement, FieldSpec
 from .fqpoly import (
     FqPoly,
-    _product,
-    _rem_monic,
+    Quotient,
     char_poly,
     irreducible_factors,
     is_irreducible,
-    mod_inverse,
     multiplicative_order,
 )
 from .linalg import nullspace, solve, sylvester_rows
@@ -275,19 +273,6 @@ def automorphism_group_ops(spec: FieldSpec, d: int) -> GroupOps:
         inv=lambda a: a.invert(),
         identity=Automorphism.identity(spec, d),
         key=lambda phi: tuple(phi.images[pair].vals for pair in generator_pairs(d)),
-    )
-
-
-def _quotient_group_ops(g: FqPoly) -> GroupOps:
-    """The units of F_q[x]/g for a monic g, chi_A or one of its irreducible
-    factors; the product is reduced by _rem_monic, which needs no
-    inverse of the leading coefficient and builds no quotient."""
-    spec = g.spec
-    return GroupOps(
-        mul=lambda a, b: FqPoly._from_vals(spec, _rem_monic(_product(spec, a.coeffs, b.coeffs), g)),
-        inv=lambda a: mod_inverse(a, g),
-        identity=FqPoly.one(spec),
-        key=lambda a: a.coeffs,
     )
 
 
@@ -551,11 +536,11 @@ def mw_reduce(a: Matrix, a_prime: Matrix, allow_reducible: bool = False,
         c = _express_as_polynomial(a_res, ap_res, k)
     except ValueError:
         return None
-    x = FqPoly.x(spec) % g
-    lam_prime = c % g
-    ops = _quotient_group_ops(g)
+    eigen_field = Quotient(g)
+    x, lam_prime = (FqPoly.x(spec) % g).coeffs, (c % g).coeffs
+    ops = GroupOps(mul=eigen_field.mul, inv=eigen_field.inv, identity=(1,), key=lambda a: a)
     order = multiplicative_order(
-        lambda t: x.pow_mod(t, g), FqPoly.is_one, spec.q**k - 1
+        lambda t: eigen_field.pow(x, t), lambda a: a == (1,), spec.q**k - 1
     )
     n = bsgs_dlog(x, lam_prime, order, ops, budget=dlog_budget)
     if n is None:

@@ -499,9 +499,10 @@ def test_power_basis_powers_match_the_oracle_and_their_counts(spec, d, verdict, 
         assert route == "square-and-multiply" or count <= fqpoly.cayley_hamilton_cost(
             d, reduced, spec.p
         )
-        # None before any evaluation, False after the first, then the basis
-        kept = b._basis if b._basis in (None, False) else "basis"
-        assert kept == ((None, False, "basis")[min(evaluations, 2)] if verdict else None)
+        # no algebra before any evaluation, b's algebra after the first, then its basis
+        algebra = b._element[0] if b._element is not None else None
+        kept = algebra and ("basis" if algebra._basis is not None else "algebra")
+        assert kept == ((None, "algebra", "basis")[min(evaluations, 2)] if verdict else None)
 
 
 def test_automorphism_power_near_the_exponent_bound_matches_compose():
@@ -538,13 +539,15 @@ def _split_source(spec, d, source, rng):
     or, for the "read" ones, through the key's coordinate reader; a
     diagonal matrix with distinct eigenvalues and a monomial one with
     split but reducible chi pass the certificate as True, and another
-    diagonal matrix is handed _COMMUTES_WITH_CERTIFIED by the first."""
+    diagonal matrix, which the first hands nothing on, as F_q[B] is no
+    field, keeps its own certificate's verdict."""
     if source == "diagonal member":
         b, _ = _split_source(spec, d, "diagonal", rng)
         mat_pow(b, spec.q**d - 1)  # decides b's verdict, True
         x = diagonal_matrix([spec.random_nonzero(rng) for _ in range(d)])
         _hand_on_verdict(b, x)
-        return x, matrix._COMMUTES_WITH_CERTIFIED
+        assert x._split is None
+        return x, bool(divides_x_qk_minus_x(char_poly(Matrix._from_vals(spec, x.vals)), d))
     if source in ("diagonal", "monomial"):
         for _ in range(64 if source == "monomial" else 0):
             w = [spec.random_nonzero(rng) for _ in range(d)]
@@ -569,7 +572,7 @@ def _split_source(spec, d, source, rng):
     else:
         x = _member(spec, d, b, rng)
     _hand_on_verdict(b, x)
-    assert (x._coords is not None and x._coords[0] is b) == source.startswith("read")
+    assert (x._element is not None and x._element[0].matrix is b) == source.startswith("read")
     return x, matrix._IN_A_FIELD
 
 
@@ -664,3 +667,29 @@ def test_cayley_hamilton_cost_bounds_the_split_route(spec, d, source, shapes, se
             assert count == d**3 * (reduced.bit_length() + reduced.bit_count() - 2)
         else:
             assert count <= fqpoly.cayley_hamilton_cost(d, reduced, spec.p)
+
+
+def test_a_singular_matrix_is_handed_no_verdict():
+    # only a unit's order divides q^d - 1.  The zero matrix commutes with a
+    # key's conjugator B: at B's first hand-on (the commutation test) and
+    # at its third (B's reader, built at the second) it is refused.  A
+    # certified diag(2, 3, 5) spans no field, so it hands nothing to the
+    # idempotent diag(1, 0, 0).  Each keeps its own certificate's verdict.
+    spec, d = GF7, 3
+    bound = spec.q**d - 1
+    _, sk = keygen(MorParams(spec, d), random.Random(3))
+    b = sk.conjugator
+    zeros = [Matrix._from_vals(spec, ((0,) * d,) * d) for _ in range(2)]
+    member = _member(spec, d, b, random.Random(4))
+    for x in (zeros[0], member, zeros[1]):
+        _hand_on_verdict(b, x)
+    diagonal = diagonal_matrix([spec.from_val(v) for v in (2, 3, 5)])
+    mat_pow(diagonal, bound)
+    assert diagonal._split is True
+    idempotent = Matrix._from_vals(spec, ((1, 0, 0), (0, 0, 0), (0, 0, 0)))
+    _hand_on_verdict(diagonal, idempotent)
+    verdicts = [x._split for x in (*zeros, member, idempotent)]
+    assert verdicts == [None, None, matrix._IN_A_FIELD, None]
+    for x in (*zeros, idempotent):
+        for n in (bound, bound + 5, 2 * bound + 1):
+            assert mat_pow(x, n) == mat_pow_sqm(x, n)

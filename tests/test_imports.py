@@ -54,3 +54,35 @@ def test_the_check_sees_an_unused_import():
         "used()\n"
     )
     assert _unused_imports(source) == ["os (line 2)", "unused (line 1)"]
+
+
+# fqpoly's kernels modulo a polynomial.  Every other module computes
+# modulo f through fqpoly.Quotient, the one owner of F_q[x]/f.
+QUOTIENT_KERNELS = {"_product", "_rem_monic", "_compose", "mod_inverse"}
+
+
+def _kernel_uses(source: str) -> list[str]:
+    """The kernels that source imports or reads as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name in QUOTIENT_KERNELS]
+        elif isinstance(node, ast.Attribute) and node.attr in QUOTIENT_KERNELS:
+            found.append(node.attr)
+    return sorted(found)
+
+
+def test_only_fqpoly_uses_the_quotient_kernels():
+    others = [p for p in sorted(Path(morsl.__file__).parent.glob("*.py")) if p.name != "fqpoly.py"]
+    found = {p.name: _kernel_uses(p.read_text()) for p in others}
+    assert {name: kernels for name, kernels in found.items() if kernels} == {}
+
+
+def test_the_check_sees_a_kernel_use():
+    source = (
+        "from .fqpoly import FqPoly, _product\n"
+        "def f():\n"
+        "    from .fqpoly import mod_inverse as inv\n"
+        "    return fqpoly._compose(a, b, f), _trim(a)\n"
+    )
+    assert _kernel_uses(source) == ["_compose", "_product", "mod_inverse"]

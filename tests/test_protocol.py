@@ -12,7 +12,7 @@ from morsl import matrix, protocol
 from morsl.autos import Automorphism, recover_conjugator
 from morsl.cli import PRESETS
 from morsl.field import FieldElement, cost_counter, field_spec
-from morsl.fqpoly import FqPoly, char_poly, mod_inverse
+from morsl.fqpoly import FqPoly, Quotient, char_poly, mod_inverse
 from morsl.matrix import (
     Matrix,
     conjugate,
@@ -373,22 +373,17 @@ def _decrypt_checked(sk, ct):
     fast = (
         not small
         and before is None
-        and b._split in (True, matrix._FIELD)
+        and b._split == matrix._FIELD
         and mat_mul_elementwise(b, b_r) == mat_mul_elementwise(b_r, b)
     )
     plaintext = decrypt(sk, ct)
     if before is None:
-        assert (b_r._split is _handed_on(b)) == fast
+        assert (b_r._split is matrix._IN_A_FIELD) == fast
         assert (b_r._split is None) == small
     else:
         assert b_r._split is before
     assert plaintext == _parsed_route(sk, ct) == _sqm_route(sk, ct)
     return plaintext, fast
-
-
-def _handed_on(b):
-    """The verdict a certified b hands on to what commutes with it."""
-    return matrix._IN_A_FIELD if b._split == matrix._FIELD else matrix._COMMUTES_WITH_CERTIFIED
 
 
 def _key_failing_the_certificate(params, rng):
@@ -467,17 +462,36 @@ def _bare(x):
     return Matrix._from_vals(x.spec, x.vals)
 
 
-def _hand_on_count(b, reader, basis):
-    """The hand-on's documented count, given the key conjugator's reader and
-    basis before it: the commutation test at the first, 2 d^3; the
+def _coordinates(x):
+    """(algebra, g) for an x recorded as g(B), B another matrix, else None."""
+    element = x._element
+    return element if element is not None and element[0].matrix is not x else None
+
+
+def _algebra_state(b):
+    """Whether the key conjugator's algebra F_q[B] has run a membership
+    test, and whether it holds B's power basis and coordinate reader."""
+    if b._element is None:
+        return False, False, False
+    algebra = b._element[0]
+    built = (algebra._basis is not None, algebra._reader is not None)
+    return ("membership test" in algebra._uses, *built)
+
+
+def _hand_on_count(b, tested, basis, reader):
+    """The hand-on's documented count, given the key conjugator's algebra
+    state before it: the commutation test at the first, 2 d^3; the
     reading, d^3, from the second on, after the basis, (d - 2) d^3 unless
     built, and the reader's elimination at the second."""
     d = b.d
-    if reader is None:
+    if not tested:
         return 2 * d**3
     build = 0
-    if reader is False:
-        build = (0 if basis else (d - 2) * d**3) + _counted(matrix._coordinate_reader, b)[1]
+    if not reader:
+        # a fresh algebra's first read of B, less the read itself
+        fresh = Quotient(char_poly(b), b)
+        fresh._built_basis()
+        build = (0 if basis else (d - 2) * d**3) + _counted(fresh.read, _bare(b))[1] - d**3
     return build + d**3
 
 
@@ -501,7 +515,7 @@ def _power_count(b_r, m):
     r, pow_count = _counted(FqPoly.x(spec).pow_mod, s, chi)
     det = FieldElement(spec, chi.coeffs[0] if d % 2 == 0 else spec._neg_raw(chi.coeffs[0]))
     scaled = len(r.coeffs) if k and (det**k).val != 1 else 0
-    if b_r._coords is not None and d > 2:
+    if _coordinates(b_r) is not None and d > 2:
         evaluation = 2 * (d - 1) * d * d
     else:
         evaluation = d * d + (len(r.coeffs) - 2) * d**3 if len(r.coeffs) >= 2 else 0
@@ -509,13 +523,14 @@ def _power_count(b_r, m):
 
 
 def _inverse_count(x):
-    """mat_inv(x)'s documented count: for x = s(B), mod_inverse of s modulo
-    chi_B and (d - 1) d^2 for the product with B's basis; without
-    coordinates, the elimination's."""
-    if x._coords is None:
+    """mat_inv(x)'s documented count: for x = g(B), mod_inverse of g modulo
+    chi_B and (d - 1) d^2 for the product with B's basis; otherwise the
+    elimination's."""
+    element = _coordinates(x)
+    if element is None:
         return _counted(mat_inv, _bare(x))[1]
-    base, s = x._coords
-    return _counted(mod_inverse, FqPoly(x.spec, s), char_poly(base))[1] + (x.d - 1) * x.d**2
+    algebra, g = element
+    return _counted(mod_inverse, FqPoly(x.spec, g), algebra.f)[1] + (x.d - 1) * x.d**2
 
 
 @settings(max_examples=50)
@@ -539,7 +554,7 @@ def test_decrypt_on_the_key_basis_matches_the_oracles_and_its_counts(spec, d, se
         ct = encrypt(pk, msg, rng) if k < 3 else MorCiphertext.from_json(
             encrypt(other, msg, rng).to_json()
         )
-        b_r, reader, basis = ct.conjugator, b._reader, b._basis
+        b_r, state = ct.conjugator, _algebra_state(b)
         commutes = mat_mul_elementwise(b, b_r) == mat_mul_elementwise(b_r, b)
         assert commutes or k == 3  # the key's own B_r lie in F_q[B]
         plaintext, calls = _spied_decrypt(sk, ct)
@@ -552,20 +567,21 @@ def test_decrypt_on_the_key_basis_matches_the_oracles_and_its_counts(spec, d, se
         if not hand_on:
             assert "_hand_on_verdict" not in calls
             continue
-        assert calls["_hand_on_verdict"][1] == _hand_on_count(b, reader, basis)
+        assert calls["_hand_on_verdict"][1] == _hand_on_count(b, *state)
         assert (b_r._split is matrix._IN_A_FIELD) == commutes
-        # read from the second hand-on on, a member keeps its coordinates on B
-        read = b_r._coords is not None and b_r._coords[0] is b
-        assert read == (reader is not None and commutes)
+        # read from the second hand-on on, a member is recorded as g(B)
+        element = _coordinates(b_r)
+        read = element is not None and element[0].matrix is b
+        assert read == (state[0] and commutes)
         if read:
-            assert b_r == matrix._eval_on_basis(b, b_r._coords[1])
+            assert b_r == element[0].eval(element[1])
         if commutes:
             assert power_count == _power_count(b_r, sk.m)
             assert inverse_count == _inverse_count(power)
         else:
             # outside F_q[B]: mat_pow's own certificate, Horner, elimination
             assert power_count == _counted(mat_pow, _bare(b_r), sk.m)[1]
-            assert power._coords is None
+            assert _coordinates(power) is None
             assert inverse_count == _counted(mat_inv, _bare(power))[1]
 
 
@@ -585,10 +601,10 @@ def _encrypt_checked(pk, msg, rng):
     # B_phi holds a verdict once some draw of r reached q^d - 1
     fast = (
         undecided
-        and b_phi._split in (True, matrix._FIELD)
+        and b_phi._split == matrix._FIELD
         and mat_mul_elementwise(b_phi, b_phim) == mat_mul_elementwise(b_phim, b_phi)
     )
-    assert (b_phim._split is _handed_on(b_phi)) == fast
+    assert (b_phim._split is matrix._IN_A_FIELD) == fast
     rng.setstate(state)
     r = rng.randrange(2, params.spec.q ** (params.d**2) - 1)
     if rng.getstate() == after:  # encrypt kept its first r

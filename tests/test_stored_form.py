@@ -7,12 +7,13 @@ does not run.  An FqPoly keeps its coefficients in `coeffs`, and fqpoly
 builds a FieldElement only where it hands one out.  A matrix's cached
 verdict of mat_pow's certificate, `_split`, is written only in matrix.py,
 so that mat_pow stays the one code that decides when an exponent is
-reduced, and so is its power basis, `_basis`, so that mat_pow alone
-decides when a remainder is evaluated on it.  So are the coordinate
-reader of a certified matrix, `_reader`, and a matrix's coordinates on
-a base, `_coords`: a wrong coordinate would give a wrong power or
-inverse, so only the code that checks them may write them.  The checks
-parse the source with ast instead of running it.
+reduced, and so is the matrix as an element of an algebra F_q[B],
+`_element`: a wrong coordinate would give a wrong power or inverse, so
+only the code that checks them may write them.  The caches of that
+algebra, an fqpoly.Quotient (B's power basis `_basis`, its coordinate
+reader `_reader` and the record of its first uses `_uses`), are written
+only in fqpoly.py, which builds them.  The checks parse the source with ast
+instead of running it.
 """
 
 import ast
@@ -128,13 +129,13 @@ def test_only_matrix_writes_the_certificate_verdict():
     assert _writing_modules("_split") == {"matrix.py"}
 
 
-def test_only_matrix_writes_the_power_basis():
-    assert _writing_modules("_basis") == {"matrix.py"}
+def test_only_matrix_writes_the_element():
+    assert _writing_modules("_element") == {"matrix.py"}
 
 
-@pytest.mark.parametrize("slot", ["_reader", "_coords"])
-def test_only_matrix_writes_the_coordinates(slot):
-    assert _writing_modules(slot) == {"matrix.py"}
+@pytest.mark.parametrize("cache", ["_basis", "_reader", "_uses"])
+def test_only_fqpoly_writes_the_algebra_caches(cache):
+    assert _writing_modules(cache) == {"fqpoly.py"}
 
 
 def test_the_check_sees_a_split_writer():
@@ -148,6 +149,9 @@ def test_the_check_sees_a_split_writer():
         "words._split_ground(a)\n"
     )
     assert _slot_writers(source, "_split") == [2, 3, 4, 5]
-    for slot in ("_basis", "_reader", "_coords"):
+    # an augmented assignment is a write; a mutating call is not seen, so
+    # Quotient reassigns its caches
+    assert _slot_writers("algebra._uses |= {use}\nalgebra._uses.add(use)\n", "_uses") == [1]
+    for slot in ("_element", "_basis", "_reader", "_uses"):
         assert _slot_writers(source.replace("_split", slot), slot) == [2, 3, 4, 5]
         assert _slot_writers(source, slot) == []
