@@ -16,8 +16,8 @@ operations refuse operands over different specs (FieldMismatchError).
 It is also the exponentiation engine behind matrix.mat_pow: pow_mod
 computes x^e mod chi_M, and eval_matrix evaluates the result at M by
 Horner, or Quotient, the ring F_q[x]/f and, on a matrix B, the algebra
-F_q[B], evaluates it on B's power basis.  Quotient is the one owner of
-products, inverses and compositions modulo f outside this module.
+F_q[B], evaluates it on B's power basis.  Other modules multiply, invert
+and compose modulo a polynomial only through Quotient.
 mat_pow's certificate is divides_x_qk_minus_x, whose level also says,
 from the same Frobenius chain, whether chi_M is irreducible.
 Repeated q-th powers modulo f go through the Frobenius matrix of f.
