@@ -914,7 +914,8 @@ class Quotient:
     used again and again, so mat_pow and the hand-on serve B's first
     evaluation and first membership test without them, by Horner's rule
     and the commutation test, and a B used once builds nothing;
-    used_before tells them whether B has served a use of a kind before."""
+    used_before tells them whether B has served a use of a kind before,
+    and a built basis counts as an evaluation served."""
 
     __slots__ = ("spec", "f", "matrix", "_uses", "_basis", "_reader")
 
@@ -980,11 +981,13 @@ class Quotient:
 
     def _built_basis(self) -> tuple:
         """B, ..., B^(d-1), each flattened into one row, as they are and in
-        the field's prepared form."""
+        the field's prepared form.  Once built, it serves every evaluation
+        at B, the first included."""
         if self._basis is None:
             powers = _accumulate([self.matrix] * (self.matrix.d - 1), mat_mul)
             rows = tuple(tuple(_chain.from_iterable(p.vals)) for p in powers)
             self._basis = rows, self.spec._prepare_raw(rows)
+            self._uses |= {"evaluation"}
         return self._basis
 
 

@@ -535,13 +535,14 @@ def _hand_on_verdict(certified: Matrix, x: Matrix) -> None:
     d^3, after B's power basis, (d - 2) d^3 unless mat_pow built it, and
     its coordinate reader at the first read), which records a member as
     g(B), so that mat_pow raises it on B's basis.  A B recorded as g(B')
-    reads in F_q[B'], which is F_q[B], as both have dimension d."""
+    for another matrix B' keeps no algebra of its own and tests by
+    commutation every time."""
     if x._split is not None or certified._split != _FIELD or not any(map(any, x.vals)):
         return
     if (x.spec, x.d) != (certified.spec, certified.d):
         raise FieldMismatchError("incompatible matrices")
     algebra = _as_element(certified)[0]
-    if not algebra.used_before("membership test"):
+    if algebra.matrix is not certified or not algebra.used_before("membership test"):
         if mat_mul(certified, x) == mat_mul(x, certified):
             object.__setattr__(x, "_split", _IN_A_FIELD)
         return
