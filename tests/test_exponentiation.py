@@ -693,3 +693,31 @@ def test_a_singular_matrix_is_handed_no_verdict():
     for x in (*zeros, idempotent):
         for n in (bound, bound + 5, 2 * bound + 1):
             assert mat_pow(x, n) == mat_pow_sqm(x, n)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_each_algebra_keeps_its_own_schedule(seed):
+    # B's second hand-on reads, building B's basis and reader, and the
+    # basis then serves B's first power: (d - 1) d^2 after x^n mod chi_B,
+    # not Horner's.  A power of B, recorded as r(B) and certified on its
+    # own, hands its verdict on by the commutation test, 2 d^3, every
+    # time, as it keeps no algebra of its own.
+    spec, d, rng = GF7, 4, random.Random(seed)
+    b = random_gl(spec, d, rng)
+    while not is_irreducible(char_poly(b)):
+        b = random_gl(spec, d, rng)
+    _set_certified(b)
+    _hand_on_verdict(b, _member(spec, d, b, rng))
+    assert _counted(_hand_on_verdict, b, _member(spec, d, b, rng))[1] > d**3  # builds
+    norm = (spec.q**d - 1) // (spec.q - 1)
+    n = rng.randrange(d**3, norm)
+    assert mat_pow_plan(spec, d, n, b._split)[2] == "cayley-hamilton"
+    power, count = _counted(mat_pow, b, n)
+    assert count == _counted(FqPoly.x(spec).pow_mod, n, char_poly(b))[1] + (d - 1) * d * d
+    assert power == mat_pow_sqm(b, n) and power._element[0] is b._element[0]
+    mat_pow(power, spec.q**d - 1)
+    while power._split != matrix._FIELD:  # r(B) in a proper subfield: another power
+        power = mat_pow(b, rng.randrange(d**3, norm))
+        mat_pow(power, spec.q**d - 1)
+    for _ in range(3):
+        assert _counted(_hand_on_verdict, power, _member(spec, d, b, rng))[1] == 2 * d**3
