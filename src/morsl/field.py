@@ -35,7 +35,7 @@ _mul_raw, on the rows themselves.  None of the three counts.  A prepared
 factor is a plain value that may outlive the call: matrix.mat_pow's
 power basis keeps one for every later power of its matrix.
 
-Building a spec proves its modulus irreducible: by Rabin's test on
+Building a spec proves its modulus irreducible: by Ben-Or's test on
 packed bits for p = 2, and by fqpoly.is_irreducible over GF(p)
 otherwise, imported when first needed since fqpoly builds on this
 module.  Neither test changes the multiplication counter.

@@ -18,8 +18,8 @@ computes x^e mod chi_M, and eval_matrix evaluates the result at M by
 Horner, or Quotient, the ring F_q[x]/f and, on a matrix B, the algebra
 F_q[B], evaluates it on B's power basis.  Other modules multiply, invert
 and compose modulo a polynomial only through Quotient.
-mat_pow's certificate is divides_x_qk_minus_x, whose level also says,
-from the same Frobenius chain, whether chi_M is irreducible.
+mat_pow's certificate is is_irreducible(chi_M), the package's one
+irreducibility test over F_q[x].
 Repeated q-th powers modulo f go through the Frobenius matrix of f.
 Over a binary field too large for a multiplication table, x^e runs on
 one int in one kernel, _pow_x_lanes: the residue is packed in byte-
@@ -69,7 +69,6 @@ __all__ = [
     "Quotient",
     "char_poly",
     "is_irreducible",
-    "divides_x_qk_minus_x",
     "irreducible_factors",
     "companion_matrix",
     "mod_inverse",
@@ -215,9 +214,9 @@ class FqPoly:
         over a binary field without a multiplication table the whole power
         runs on one int of lanes (_pow_x_lanes).  If the residue takes at
         most _SQUARE_TABLE_MAX_BYTES and n > q, its squarings look up a
-        table of the monic modulus, cached on it; x^q, as in a certificate
-        or is_irreducible, and longer residues build no table and clear
-        top coefficients one at a time.
+        table of the monic modulus, cached on it; x^q, as in
+        is_irreducible, and longer residues build no table and clear top
+        coefficients one at a time.
         """
         spec = self._check(modulus)
         if n < 0:
@@ -575,27 +574,6 @@ def _frobenius_map(f: FqPoly, steps: int):
     return xq, by_matrix
 
 
-def divides_x_qk_minus_x(f: FqPoly, k: int) -> int:
-    """The level of f's verdict: 0 when f does not divide x^(q^k) - x,
-    1 when it does (f is squarefree and every root lies in GF(q^k)), and
-    2 when besides f has degree k and gcd(f, x^(q^(k/l)) - x) = 1 for
-    each prime l dividing k, so that f is irreducible (Rabin 1980).
-    Costs one x^q and k - 1 Frobenius steps; the gcds read the chain's
-    own powers, and run only for a divisor of degree k."""
-    f = f.monic()
-    x = FqPoly.x(f.spec)
-    h, frob = _frobenius_map(f, k - 1)
-    chain = [h]
-    for _ in range(k - 1):
-        h = frob(h, f)
-        chain.append(h)
-    if not ((h - x) % f).is_zero():
-        return 0
-    if f.degree() != k:
-        return 1
-    return 1 + all(f.gcd(chain[k // ell - 1] - x).is_one() for ell in factor_int(k))
-
-
 # ---------------------------------------------------------------------------
 # predicted field multiplications (upper bounds), for choosing a route
 # ---------------------------------------------------------------------------
@@ -731,7 +709,7 @@ def companion_matrix(f: FqPoly) -> Matrix:
 
 
 def is_irreducible(f: FqPoly) -> bool:
-    """gcd-with-Frobenius-powers test over GF(p^gamma) (Rabin 1980):
+    """gcd-with-Frobenius-powers test over GF(p^gamma) (Ben-Or 1981):
     gcd(f, x^(q^k) - x) = 1 for k = 1 .. deg f // 2."""
     n = f.degree()
     if n < 1:

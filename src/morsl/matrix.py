@@ -36,10 +36,11 @@ bench, through the SL check of Automorphism.__init__.
 mat_pow is the package's one exponentiation engine: keygen, encrypt,
 decrypt and Automorphism.power all raise matrices through it.  It picks
 Cayley-Hamilton or square-and-multiply by predicted cost, and it alone
-reduces an exponent, mod q^d - 1 and at the norm of a field F_q[B], when
-a verdict cached on the matrix shows that this is exact.  A matrix with
-a verdict is raised again and again, as a key's conjugators are for
-every message, so it keeps its algebra F_q[B] = F_q[x]/chi_B, an
+reduces an exponent, mod q^d - 1 and at the norm, when the verdict
+cached on the matrix shows that it lies in a field F_q[B] = GF(q^d):
+B = x with chi_x irreducible, or a B that handed its verdict on.  A
+matrix with a verdict is raised again and again, as a key's conjugators
+are for every message, so it keeps its algebra F_q[B] = F_q[x]/chi_B, an
 fqpoly.Quotient: mat_pow evaluates its later powers there, and the
 matrices that B's hand-on (_hand_on_verdict) reads as g(B), and the
 powers evaluated there, are raised and inverted there too.
@@ -387,34 +388,30 @@ def mat_inv(x: Matrix) -> Matrix:
 def mat_pow(x: Matrix, n: int) -> Matrix:
     """x^n by whichever route is predicted to take fewer field multiplications.
 
-    From n >= q^d - 1 on, n is first reduced mod q^d - 1 when that is
-    provably exact; no other code reduces an exponent.  The certificate is
-    x^(q^d) = x mod chi_x with chi_x(0) != 0: then chi_x is squarefree
-    with its roots in GF(q^d)^*, so x is semisimple and its order divides
-    q^d - 1.  Every matrix with irreducible chi_x passes; one with a
-    repeated eigenvalue does not and keeps the full exponent (correct,
-    just slower).  The same Frobenius chain also tells whether chi_x is
-    irreducible (fqpoly.divides_x_qk_minus_x's level 2), and then the
-    verdict is _FIELD.  The verdict is decided once per matrix and cached
-    on it, and it shares chi_x with the power, as char_poly caches it too.
-    Below q^d - 1 the reduction would change nothing, so no certificate
-    is computed.  A verdict known by other means is recorded before the
-    power: _set_certified for a matrix with irreducible chi_x (keygen's
-    conjugator), and _hand_on_verdict for a nonzero one that commutes with
-    such a matrix (encrypt's B_phim, decrypt's B_r).
+    From n >= q^d - 1 on, n is first reduced mod q^d - 1 when x lies in a
+    field GF(q^d); no other code reduces an exponent.  The certificate,
+    _field_verdict, is chi_x(0) != 0 and chi_x irreducible
+    (fqpoly.is_irreducible): then F_q[x] is the field GF(q^d) (_FIELD),
+    and x, a unit of it, has an order dividing q^d - 1.  Any other matrix,
+    one whose chi_x splits into distinct factors included, keeps the full
+    exponent (correct, just slower).  The verdict is decided once per
+    matrix and cached on it, and it shares chi_x with the power, as
+    char_poly caches it too.  Below q^d - 1 the reduction would change
+    nothing, so no certificate is computed.  keygen certifies its
+    conjugator before the power, and a nonzero matrix that commutes with
+    a _FIELD one (encrypt's B_phim, decrypt's B_r) is handed _IN_A_FIELD
+    instead (_hand_on_verdict).
 
-    The second reduction is the norm's.  When F_q[x] is a field GF(q^d)
-    (_FIELD), or x lies in one (_IN_A_FIELD), x^N = det(x) 1 for
-    N = (q^d - 1)/(q - 1), the field norm, so x^n = det(x)^k x^s for
-    (k, s) = divmod(n, N), det(x) = (-1)^d chi_x(0).  Such a power raises
-    only s, then multiplies the remainder t^s mod chi_x by det(x)^k
-    (field._pow_raw, bits(k) + popcount(k) - 2, and one multiplication
-    per coefficient unless det(x)^k = 1), before any of the evaluations
-    below; s = 0 is det(x)^k 1.  The result is exactly x^n.  The split is
-    priced as Cayley-Hamilton at s (at 1 for s = 0), det(x)^k and d, and
-    taken only below both routes' prices at n, so cayley_hamilton_cost at
-    n bounds it too.  A matrix whose chi_x splits but is reducible keeps
-    the reduction mod q^d - 1 alone.
+    The second reduction is the norm's.  When x lies in a field,
+    x^N = det(x) 1 for N = (q^d - 1)/(q - 1), the field norm, so
+    x^n = det(x)^k x^s for (k, s) = divmod(n, N), det(x) = (-1)^d chi_x(0).
+    Such a power raises only s, then multiplies the remainder t^s mod
+    chi_x by det(x)^k (field._pow_raw, bits(k) + popcount(k) - 2, and one
+    multiplication per coefficient unless det(x)^k = 1), before any of
+    the evaluations below; s = 0 is det(x)^k 1.  The result is exactly
+    x^n.  The split is priced as Cayley-Hamilton at s (at 1 for s = 0),
+    det(x)^k and d, and taken only below both routes' prices at n, so
+    cayley_hamilton_cost at n bounds it too.
 
     Cayley-Hamilton: x^n = r(x) for r(t) = t^n mod chi_x(t), by
     FqPoly.pow_mod, about d^2 multiplications per exponent bit, and an
@@ -436,23 +433,18 @@ def mat_pow(x: Matrix, n: int) -> Matrix:
     """
     if n < 0:
         return mat_pow(mat_inv(x), -n)
-    from .fqpoly import cayley_hamilton_cost, char_poly, divides_x_qk_minus_x
+    from .fqpoly import cayley_hamilton_cost, char_poly
 
     spec, d = x.spec, x.d
     order_bound = spec.q**d - 1
-    if n >= order_bound:
-        if x._split is None:
-            chi = char_poly(x)
-            level = divides_x_qk_minus_x(chi, d) if chi.coeffs[0] else 0
-            object.__setattr__(x, "_split", (False, True, _FIELD)[level])
-        if x._split:
-            n %= order_bound
+    if n >= order_bound and _field_verdict(x):
+        n %= order_bound
     if not n:
         return identity(spec, d)
     cayley_hamilton = cayley_hamilton_cost(d, n, spec.p)
     square_and_multiply = d**3 * (n.bit_length() + n.bit_count() - 2)
     norm = order_bound // (spec.q - 1)
-    if n >= norm and x._split in (_FIELD, _IN_A_FIELD):
+    if n >= norm and x._split:
         k, s = divmod(n, norm)
         # Cayley-Hamilton at s (s = 0 costs no more than s = 1), det^k, and
         # the remainder times it
@@ -503,21 +495,26 @@ def _as_element(b: Matrix) -> tuple:
     return b._element
 
 
-# mat_pow's verdicts besides None (undecided), False (the certificate
-# failed) and True (it passed: chi_x is squarefree with its roots in
-# GF(q^d), so x is cyclic and its order divides q^d - 1).  _FIELD is a
-# pass with chi_x irreducible, so that F_q[x] is the field GF(q^d), and
-# only such a matrix hands on a verdict: _IN_A_FIELD, to a nonzero
-# member of its field, whose order divides q^d - 1 too.
+# mat_pow's verdicts besides None (undecided) and False (the certificate
+# failed, and the exponent is kept).  _FIELD: chi_x(0) != 0 and chi_x is
+# irreducible, so that F_q[x] is the field GF(q^d), and only such a
+# matrix hands on a verdict: _IN_A_FIELD, to a nonzero member of its
+# field.  Either is a unit of GF(q^d), whose order divides q^d - 1.
 _FIELD = "F_q[x] is a field"
 _IN_A_FIELD = "lies in a field F_q[B]"
 
 
-def _set_certified(x: Matrix) -> None:
-    """Record the verdict _FIELD on x, for an x whose chi_x the caller
-    found irreducible of degree d >= 2: such a chi_x has chi_x(0) != 0
-    and divides x^(q^d) - x, and F_q[x] is a field."""
-    object.__setattr__(x, "_split", _FIELD)
+def _field_verdict(x: Matrix):
+    """x's verdict, decided on an undecided x: _FIELD when chi_x(0) != 0
+    and fqpoly.is_irreducible(chi_x), else False.  The first test is
+    free, and keeps the 1 x 1 zero matrix, whose chi_x = t is
+    irreducible, out of the field."""
+    if x._split is None:
+        from .fqpoly import char_poly, is_irreducible
+
+        chi = char_poly(x)
+        object.__setattr__(x, "_split", _FIELD if chi.coeffs[0] and is_irreducible(chi) else False)
+    return x._split
 
 
 def _hand_on_verdict(certified: Matrix, x: Matrix) -> None:

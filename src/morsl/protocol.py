@@ -15,8 +15,8 @@ Conjugation by B^m equals the m-fold composition of conjugation by B
 and the scalar ambiguity of B cancels, so this is value-identical to
 compose-based square-and-multiply (the test suite asserts it) while
 staying polynomial in log m at full-size parameters.  B is recovered
-once per automorphism.  keygen records its conjugator's verdict
-(matrix._set_certified), and encrypt and decrypt hand the verdicts of
+once per automorphism.  keygen certifies its conjugator's field verdict
+(matrix._field_verdict), and encrypt and decrypt hand the verdicts of
 B_phi and of the private conjugator on to B_phim and B_r
 (matrix._hand_on_verdict); the matrix module says how mat_pow reduces
 exponents with them and computes in the algebra F_q[B].
@@ -58,9 +58,8 @@ from itertools import chain
 
 from .autos import Automorphism, InvalidAutomorphismError, recover_conjugator
 from .field import FieldSpec, _count_muls, _json_dict, _json_int
-from .fqpoly import char_poly, is_irreducible
 from .matrix import Matrix, conjugate, mat_inv, mat_mul, mat_pow, random_gl, transvection
-from .matrix import _hand_on_verdict, _set_certified
+from .matrix import _field_verdict, _hand_on_verdict
 from .words import NotInSLError
 
 __all__ = [
@@ -282,10 +281,8 @@ def keygen(params: MorParams, rng):
     spec, d = params.spec, params.d
     for _ in range(KEYGEN_RETRY_CAP):
         a = random_gl(spec, d, rng)
-        if params.require_irreducible_lift:
-            if not is_irreducible(char_poly(a)):
-                continue
-            _set_certified(a)
+        if params.require_irreducible_lift and not _field_verdict(a):
+            continue
         m = rng.randrange(2, _exponent_bound(params) - 1)
         a_m = mat_pow(a, m)
         if _is_scalar(a_m):  # phi^m = 1

@@ -33,7 +33,7 @@ oracle for the parse that factors first, and the same route from the
 transvections 1 + e_{i,j} is the oracle for Automorphism.identity,
 which is conjugation by the identity matrix.  The monomial attack's
 entry-by-entry reading of each image as 1 + lam*e_{a,b} is the oracle
-for its reading of the rank-one factors.  The Rabin test on GF(p)
+for its reading of the rank-one factors.  Ben-Or's test on GF(p)
 coefficient tuples that field.py ran on odd-characteristic moduli is the
 oracle for the fqpoly test that replaced it, and random_sl's second
 determinant and FieldElement rescaling are the oracle for the draw that
@@ -334,7 +334,7 @@ def is_irreducible_gcd(f):
 
 
 def fp_is_irreducible_tuples(coeffs, p):
-    """Rabin's test on GF(p) coefficient tuples, constant term first:
+    """Ben-Or's test on GF(p) coefficient tuples, constant term first:
     gcd(f, x^(p^i) - x) = 1 for i = 1 .. n//2."""
     n = len(coeffs) - 1
     if n < 1:
@@ -1292,26 +1292,6 @@ def frobenius_map_elementwise(f, steps):
         return rem_monic_elementwise(out, g) if g.degree() < n else PolyElementwise(spec, out)
 
     return xq, by_matrix
-
-
-def divides_x_qk_minus_x_elementwise(f, k):
-    """The certificate's level on the element loops: 0, 1 when f divides
-    x^(q^k) - x, 2 when f besides has degree k and gcd(f, x^(q^(k/l)) - x)
-    is 1 for each prime l dividing k, taken in increasing order."""
-    f = f.monic()
-    x = PolyElementwise.x(f.spec)
-    h, frob = frobenius_map_elementwise(f, k - 1)
-    chain = [h]
-    for _ in range(k - 1):
-        h = frob(h, f)
-        chain.append(h)
-    if not ((h - x) % f).is_zero():
-        return 0
-    if f.degree() != k:
-        return 1
-    primes = [ell for ell in range(2, k + 1)
-              if k % ell == 0 and all(ell % m for m in range(2, ell))]
-    return 2 if all(f.gcd(chain[k // ell - 1] - x).is_one() for ell in primes) else 1
 
 
 def is_irreducible_elementwise(f):

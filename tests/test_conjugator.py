@@ -183,7 +183,7 @@ def test_second_message_pays_no_recovery_and_no_certificate(monkeypatch):
     _counting(monkeypatch, autos, "_conjugator_from_rank1", calls)
     _counting(monkeypatch, autos.Automorphism, "from_conjugator", calls)
     _counting(monkeypatch, fqpoly, "_hessenberg_char_poly", calls)
-    _counting(monkeypatch, fqpoly, "divides_x_qk_minus_x", calls)
+    _counting(monkeypatch, fqpoly, "is_irreducible", calls)
     params = MorParams(field_spec(2, 16), 5)
     rng = random.Random(3)
     pk, sk = keygen(params, rng)
@@ -241,18 +241,23 @@ def test_a_session_builds_one_squaring_table_per_new_conjugator(monkeypatch):
 
 
 def test_keygen_with_irreducible_lift_skips_the_certificate(monkeypatch):
+    # keygen tests each draw once, and its power of the key's conjugator
+    # tests nothing more; without the filter, only that power tests it
     calls = {}
-    _counting(monkeypatch, fqpoly, "divides_x_qk_minus_x", calls)
+    _counting(monkeypatch, fqpoly, "is_irreducible", calls)
+    _counting(monkeypatch, protocol, "random_gl", calls)
     spec = field_spec(2, 16)
     for seed in range(3):
+        calls.clear()
         pk, sk = keygen(MorParams(spec, 5), random.Random(seed))
-        assert calls == {}
+        assert calls["is_irreducible"] == calls["random_gl"] > 0
         assert sk.conjugator._split == matrix._FIELD
         assert pk.phi_m == Automorphism.from_conjugator(
             mat_pow(sk.conjugator, sk.m % (spec.q**5 - 1))
         )
+    calls.clear()
     keygen(MorParams(spec, 5, require_irreducible_lift=False), random.Random(0))
-    assert calls == {"divides_x_qk_minus_x": 1}
+    assert calls == {"random_gl": 1, "is_irreducible": 1}
 
 
 def test_decrypt_inverts_once(monkeypatch):

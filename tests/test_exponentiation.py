@@ -4,7 +4,7 @@ mat_pow picks Cayley-Hamilton or square-and-multiply from a predicted
 multiplication count; FqPoly.pow_mod squares without cross terms in
 characteristic 2, and raises x on raw ints over binary fields without a
 multiplication table, squaring short residues through a table cached on
-the modulus; is_irreducible and mat_pow's certificate take
+the modulus; is_irreducible, which is also mat_pow's certificate, takes
 q-th powers through the Frobenius matrix.  Each is checked for value
 against tests/oracles.py and, where it matters, for its count.
 """
@@ -14,7 +14,7 @@ from unittest import mock
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     compose_power,
@@ -29,12 +29,12 @@ import morsl.fqpoly as fqpoly
 import morsl.matrix as matrix
 from morsl.autos import Automorphism, recover_conjugator
 from morsl.field import FieldElement, FieldSpec, cost_counter, cost_reset, field_spec
-from morsl.fqpoly import FqPoly, char_poly, divides_x_qk_minus_x, is_irreducible
+from morsl.fqpoly import FqPoly, char_poly, companion_matrix, is_irreducible
 from morsl.matrix import (
     Matrix,
     Permutation,
+    _field_verdict,
     _hand_on_verdict,
-    _set_certified,
     conjugate,
     diagonal_matrix,
     identity,
@@ -305,24 +305,14 @@ def test_cayley_hamilton_count_is_pinned():
     assert (engine, oracle) == (2629, 14250)
 
 
-def test_certificate_accepts_split_semisimple_matrix():
-    rng = random.Random(21)
-    diag = diagonal_matrix([GF7.from_val(v) for v in (2, 3, 5)])
-    b = conjugate(diag, random_gl(GF7, 3, rng))
-    chi = char_poly(b)
-    assert not is_irreducible(chi)
-    assert divides_x_qk_minus_x(chi, 3)
-    assert mat_pow_sqm(b, 7**3 - 1) == identity(GF7, 3)
-    e = rng.getrandbits(300)
-    assert mat_pow(b, e) == mat_pow_sqm(b, e)
-    assert b._split is True
-
-
 @pytest.mark.parametrize("degrees", [(4,), (2, 2), (6,), (3, 3), (2, 2, 2), (1, 2, 3)])
 def test_certificate_level_needs_every_prime_of_d(degrees):
-    # over GF(7): products of distinct irreducible factors whose degrees
-    # divide d = sum(degrees) divide x^(q^d) - x; only the irreducible one
-    # has gcd(f, x^(q^(d/l)) - x) = 1 for both l = 2 and l = 3 at d = 6
+    # over GF(7): a product of distinct irreducible factors whose degrees
+    # divide d = sum(degrees) divides x^(q^d) - x, as an irreducible chi
+    # does; the certificate's gcds with x^(q^k) - x, k <= d/2, find its
+    # least factor, at k = d/l for a prime l of d when every factor is
+    # long (k = 3 = 6/2 for (3, 3), k = 2 = 6/3 for (2, 2, 2)), so only
+    # the irreducible chi gives the field verdict and a reduced exponent
     rng = random.Random(sum(degrees))
     f, d = FqPoly.one(GF7), sum(degrees)
     for n in degrees:
@@ -330,13 +320,15 @@ def test_certificate_level_needs_every_prime_of_d(degrees):
         while not is_irreducible(g) or not f.gcd(g).is_one():
             g = _monic(GF7, [rng.randrange(7) for _ in range(n)])
         f = f * g
-    divides = all(d % n == 0 for n in degrees)
-    assert divides_x_qk_minus_x(f, d) == (2 if len(degrees) == 1 else int(divides))
+    b = conjugate(companion_matrix(f), random_gl(GF7, d, rng))
+    e = (7**d - 1) * rng.randrange(1, 2**16) + rng.randrange(7**d - 1)
+    assert mat_pow(b, e) == mat_pow_sqm(b, e)
+    assert b._split == (matrix._FIELD if len(degrees) == 1 else False)
 
 
 def test_certificate_rejects_repeated_eigenvalue():
     t = transvection(GF7, 3, 1, 2, GF7.from_val(3))
-    assert not divides_x_qk_minus_x(char_poly(t), 3)
+    assert not is_irreducible(char_poly(t))
     e = (7**3 - 1) * 2**100 + 1
     # reducing e mod 7^3 - 1 would change the power of this order-7 matrix
     assert mat_pow_sqm(t, e % (7**3 - 1)) != mat_pow_sqm(t, e)
@@ -359,78 +351,83 @@ def test_keygen_without_irreducible_lift_uses_the_certificate(monkeypatch):
     for seed in range(6):
         pk, sk = keygen(params, random.Random(seed))
         assert pk.phi_m == Automorphism.from_conjugator(mat_pow_sqm(sk.conjugator, sk.m))
-        chi = char_poly(sk.conjugator)
-        level = divides_x_qk_minus_x(chi, 3)
         reduced = sk.m % (7**3 - 1)
-        if level == 2:
-            # irreducible chi: the power also splits at the norm 7^2 + 7 + 1
+        if is_irreducible(char_poly(sk.conjugator)):
+            # a field: the power also splits at the norm 7^2 + 7 + 1
             certified += 1
             assert sk.conjugator._split == matrix._FIELD
             assert exponents[-2:] == [reduced, max(reduced % 57, 1)]
-        elif level == 1:
-            certified += 1
-            assert sk.conjugator._split is True and exponents[-1] == reduced
         else:
-            assert exponents[-1] == sk.m
+            assert sk.conjugator._split is False and exponents[-1] == sk.m
     assert 0 < certified < 6
 
 
-# q >= 7, so that d <= 5 distinct nonzero eigenvalues exist in GF(q)
+# q >= 7, so that d <= 6 distinct nonzero eigenvalues exist in GF(q)
 certificate_fields = st.sampled_from(
-    [field_spec(7), field_spec(11), field_spec(3, 2), field_spec(5, 2), field_spec(2, 4),
-     field_spec(2, 8)]
+    [field_spec(7), field_spec(3, 2), field_spec(2, 4), field_spec(2, 8)]
 )
 
 
 def _with_eigenvalues(spec, d, kind, rng):
-    """A conjugate of a diagonal matrix with distinct eigenvalues ("split",
-    certified), of a Jordan block times a diagonal ("jordan", repeated
-    eigenvalue, not certified), a singular matrix ("singular", not
-    certified), or a random invertible one ("gl", either)."""
+    """A random invertible matrix ("gl"), a conjugate of a diagonal matrix
+    with distinct nonzero eigenvalues ("split", chi reducible for d >= 2),
+    of a scalar plus a strictly upper triangular matrix ("scalar plus
+    nilpotent", chi = (t - c)^d), a singular matrix ("singular", its first
+    row zero) or the zero matrix ("zero")."""
     if kind == "gl":
         return random_gl(spec, d, rng)
-    if kind == "singular":
-        return Matrix(spec, [[spec.zero()] * d] + [[spec.random(rng) for _ in range(d)]
-                                                   for _ in range(d - 1)])
-    diag = [spec.from_val(v) for v in rng.sample(range(1, spec.q), d)]
-    core = diagonal_matrix(diag)
-    if kind == "jordan":
-        diag[1] = diag[0]  # one 2 x 2 Jordan block
-        core = mat_mul(diagonal_matrix(diag), transvection(spec, d, 1, 2, spec.one()))
+    if kind in ("singular", "zero"):
+        rows = [[0] * d] + [[rng.randrange(spec.q) * (kind == "singular") for _ in range(d)]
+                            for _ in range(d - 1)]
+        return Matrix._from_vals(spec, tuple(map(tuple, rows)))
+    if kind == "split":
+        core = diagonal_matrix([spec.from_val(v) for v in rng.sample(range(1, spec.q), d)])
+    else:
+        c = rng.randrange(spec.q)
+        core = Matrix._from_vals(spec, tuple(
+            tuple(c if i == j else rng.randrange(spec.q) * (j > i) for j in range(d))
+            for i in range(d)
+        ))
     return conjugate(core, random_gl(spec, d, rng))
 
 
-@PROPERTY
+@settings(max_examples=60, deadline=None)
+@example(spec=field_spec(7), d=1, kind="zero", seed=0)
 @given(
     spec=certificate_fields,
-    d=st.integers(2, 5),
-    kind=st.sampled_from(("split", "jordan", "singular", "gl")),
-    k=st.integers(1, 2**64),
+    d=st.integers(1, 6),
+    kind=st.sampled_from(("gl", "split", "scalar plus nilpotent", "singular", "zero")),
     seed=st.integers(0, 2**32),
 )
-def test_mat_pow_reduces_only_certified_exponents(spec, d, kind, k, seed):
+def test_mat_pow_reduces_only_certified_exponents(spec, d, kind, seed):
+    # the verdict is the field, _FIELD, exactly when chi(0) != 0 and chi is
+    # irreducible, else False: a chi that splits or repeats a root keeps
+    # the full exponent, as does the 1 x 1 zero matrix, whose chi = t is
+    # irreducible.  It is decided once, by one test, at the first power
+    # from q^d - 1 on, and the powers equal the oracle's below, at and
+    # above the bound
     rng = random.Random(seed)
     b = _with_eigenvalues(spec, d, kind, rng)
     bound = spec.q**d - 1
-    e = bound * k + rng.randrange(bound)
-    want = mat_pow_sqm(b, e)
-    with mock.patch.object(fqpoly, "divides_x_qk_minus_x", wraps=divides_x_qk_minus_x) as cert:
-        assert mat_pow(b, e) == want
-        assert mat_pow(b, e) == want
-    assert cert.call_count <= 1
+    exponents = (bound // (spec.q - 1), bound, bound + 1, rng.randrange(spec.q ** (d * d)))
+    with mock.patch.object(fqpoly, "is_irreducible", wraps=is_irreducible) as test:
+        for n in exponents:
+            assert mat_pow(b, n) == mat_pow_sqm(b, n)
     chi = char_poly(b)
-    assert b._split == (bool(chi.coeffs[0]) and divides_x_qk_minus_x(chi, d))
-    if kind != "gl":
-        assert b._split is (kind == "split")
-    if b._split:
+    field = bool(chi.coeffs[0]) and is_irreducible(chi)
+    assert b._split == (matrix._FIELD if field else False)
+    assert test.call_count == bool(chi.coeffs[0])
+    if kind == "zero" or (d > 1 and kind != "gl"):
+        assert b._split is False
+    if field:
         assert mat_pow_sqm(b, bound) == identity(spec, d)
 
 
 def test_mat_pow_below_the_bound_decides_no_certificate():
     b = random_gl(GF7, 3, random.Random(5))
-    with mock.patch.object(fqpoly, "divides_x_qk_minus_x") as cert:
+    with mock.patch.object(fqpoly, "is_irreducible") as test:
         assert mat_pow(b, 7**3 - 2) == mat_pow_sqm(b, 7**3 - 2)
-    assert cert.call_count == 0 and b._split is None
+    assert test.call_count == 0 and b._split is None
 
 
 def test_route_prediction_is_horners_figure():
@@ -474,7 +471,7 @@ def test_power_basis_powers_match_the_oracle_and_their_counts(spec, d, verdict, 
     while not is_irreducible(char_poly(b)):
         b = random_gl(spec, d, rng)
     if verdict:
-        _set_certified(b)
+        _field_verdict(b)
     chi, bound, evaluations = char_poly(b), spec.q**d - 1, 0
     det = FieldElement(spec, chi.coeffs[0] if d % 2 == 0 else spec._neg_raw(chi.coeffs[0]))
     for large in big:
@@ -538,24 +535,22 @@ def _split_source(spec, d, source, rng):
     unit of F_q[B] reach _IN_A_FIELD by a hand-on, by the commutation test
     or, for the "read" ones, through the key's coordinate reader; a
     diagonal matrix with distinct eigenvalues and a monomial one with
-    split but reducible chi pass the certificate as True, and another
-    diagonal matrix, which the first hands nothing on, as F_q[B] is no
-    field, keeps its own certificate's verdict."""
+    reducible chi fail the certificate, and another diagonal matrix, which
+    the first hands nothing on, as F_q[B] is no field, fails its own."""
     if source == "diagonal member":
         b, _ = _split_source(spec, d, "diagonal", rng)
-        mat_pow(b, spec.q**d - 1)  # decides b's verdict, True
+        mat_pow(b, spec.q**d - 1)  # decides b's verdict, False
         x = diagonal_matrix([spec.random_nonzero(rng) for _ in range(d)])
         _hand_on_verdict(b, x)
         assert x._split is None
-        return x, bool(divides_x_qk_minus_x(char_poly(Matrix._from_vals(spec, x.vals)), d))
+        return x, False
     if source in ("diagonal", "monomial"):
         for _ in range(64 if source == "monomial" else 0):
             w = [spec.random_nonzero(rng) for _ in range(d)]
             x = mat_mul(diagonal_matrix(w), permutation_matrix(spec, Permutation.random(d, rng)))
-            chi = char_poly(x)
-            if not is_irreducible(chi) and divides_x_qk_minus_x(chi, d):
-                return Matrix._from_vals(spec, x.vals), True
-        return diagonal_matrix([spec.from_val(v) for v in rng.sample(range(1, spec.q), d)]), True
+            if not is_irreducible(char_poly(x)):
+                return Matrix._from_vals(spec, x.vals), False
+        return diagonal_matrix([spec.from_val(v) for v in rng.sample(range(1, spec.q), d)]), False
     if source == "chain":
         while True:
             b = random_gl(spec, d, rng)
@@ -672,9 +667,10 @@ def test_cayley_hamilton_cost_bounds_the_split_route(spec, d, source, shapes, se
 def test_a_singular_matrix_is_handed_no_verdict():
     # only a unit's order divides q^d - 1.  The zero matrix commutes with a
     # key's conjugator B: at B's first hand-on (the commutation test) and
-    # at its third (B's reader, built at the second) it is refused.  A
-    # certified diag(2, 3, 5) spans no field, so it hands nothing to the
-    # idempotent diag(1, 0, 0).  Each keeps its own certificate's verdict.
+    # at its third (B's reader, built at the second) it is refused.
+    # diag(2, 3, 5) spans no field and fails the certificate, so it hands
+    # nothing to the idempotent diag(1, 0, 0).  Each keeps its own
+    # certificate's verdict.
     spec, d = GF7, 3
     bound = spec.q**d - 1
     _, sk = keygen(MorParams(spec, d), random.Random(3))
@@ -685,7 +681,7 @@ def test_a_singular_matrix_is_handed_no_verdict():
         _hand_on_verdict(b, x)
     diagonal = diagonal_matrix([spec.from_val(v) for v in (2, 3, 5)])
     mat_pow(diagonal, bound)
-    assert diagonal._split is True
+    assert diagonal._split is False
     idempotent = Matrix._from_vals(spec, ((1, 0, 0), (0, 0, 0), (0, 0, 0)))
     _hand_on_verdict(diagonal, idempotent)
     verdicts = [x._split for x in (*zeros, member, idempotent)]
@@ -704,9 +700,8 @@ def test_each_algebra_keeps_its_own_schedule(seed):
     # time, as it keeps no algebra of its own.
     spec, d, rng = GF7, 4, random.Random(seed)
     b = random_gl(spec, d, rng)
-    while not is_irreducible(char_poly(b)):
+    while not _field_verdict(b):
         b = random_gl(spec, d, rng)
-    _set_certified(b)
     _hand_on_verdict(b, _member(spec, d, b, rng))
     assert _counted(_hand_on_verdict, b, _member(spec, d, b, rng))[1] > d**3  # builds
     norm = (spec.q**d - 1) // (spec.q - 1)

@@ -86,3 +86,37 @@ def test_the_check_sees_a_kernel_use():
         "    return fqpoly._compose(a, b, f), _trim(a)\n"
     )
     assert _kernel_uses(source) == ["_compose", "_product", "mod_inverse"]
+
+
+def _imports_from(source: str, module: str) -> list[str]:
+    """The names source imports from the package module `module`, and the
+    imports of that module itself, wherever they stand."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == module:
+                found += [a.name for a in node.names]
+            else:
+                found += [a.name for a in node.names if a.name == module]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[-1] == module]
+    return sorted(found)
+
+
+def test_protocol_imports_nothing_from_fqpoly():
+    # the protocol decides no verdict itself: keygen's certificate is
+    # matrix._field_verdict, and only matrix.py hands a verdict on
+    source = (Path(morsl.__file__).parent / "protocol.py").read_text()
+    assert _imports_from(source, "fqpoly") == []
+
+
+def test_the_check_sees_an_fqpoly_import():
+    source = (
+        "from .fqpoly import char_poly, is_irreducible\n"
+        "from . import fqpoly as fq\n"
+        "from .matrix import _field_verdict\n"
+        "def f():\n"
+        "    import morsl.fqpoly\n"
+    )
+    found = _imports_from(source, "fqpoly")
+    assert found == ["char_poly", "fqpoly", "is_irreducible", "morsl.fqpoly"]

@@ -417,8 +417,7 @@ def test_decrypt_with_the_key_certificate_equals_the_full_exponent(spec, d, seed
     other, _ = keygen(params, rng)
     _decrypt_checked(sk, encrypt(other, random_sl(spec, d, rng), rng))
 
-    # at d = 2 only a repeated eigenvalue fails the certificate, rare beyond GF(7)
-    failing = None if d == 2 and spec.q > 7 else _key_failing_the_certificate(params, rng)
+    failing = _key_failing_the_certificate(params, rng)
     if failing is None:
         return
     pk, sk_loose = failing
@@ -657,7 +656,7 @@ def test_encrypt_with_the_phi_certificate_equals_the_full_exponent(spec, d, seed
     with contextlib.suppress(DegenerateKeyError):
         _encrypt_checked(swapped, msg, rng)
 
-    failing = None if d == 2 and spec.q > 7 else _key_failing_the_certificate(params, rng)
+    failing = _key_failing_the_certificate(params, rng)
     if failing is None:
         return
     pk_loose, sk_loose = failing
