@@ -2,10 +2,13 @@
 
 Supports the characteristic-polynomial and irreducibility machinery of
 the security lab: Hessenberg-form characteristic polynomials (division
-only by field elements, valid in any characteristic), the gcd-with-
-Frobenius-powers irreducibility test, and enough factorization
-(squarefree / distinct-degree / equal-degree) to pull one irreducible
-factor out of a reducible characteristic polynomial.
+only by field elements, valid in any characteristic), Ben-Or's chain of
+gcds with x^(q^i) - x, and enough factorization (squarefree / distinct-
+degree / equal-degree) to pull one irreducible factor out of a reducible
+characteristic polynomial.  The chain is written once, as the distinct-
+degree split: is_irreducible reads its first component, which is f
+itself exactly when f is irreducible, and irreducible_factors reads all
+of them.
 
 Coefficients are packed ints (FieldElement.val), as Matrix.vals are;
 only f(v) takes and returns a FieldElement.  Every kernel runs on the
@@ -710,7 +713,8 @@ def companion_matrix(f: FqPoly) -> Matrix:
 
 def is_irreducible(f: FqPoly) -> bool:
     """gcd-with-Frobenius-powers test over GF(p^gamma) (Ben-Or 1981):
-    gcd(f, x^(q^k) - x) = 1 for k = 1 .. deg f // 2."""
+    gcd(f, x^(q^k) - x) = 1 for k = 1 .. deg f // 2, run as the first
+    component of the distinct-degree chain."""
     n = f.degree()
     if n < 1:
         return False
@@ -721,14 +725,9 @@ def is_irreducible(f: FqPoly) -> bool:
     # cheap screens: roots 0 and 1 give linear factors
     if not f.coeffs[0] or not _horner(spec, f.coeffs, 1):
         return False
-    x = FqPoly.x(spec)
-    h, frob = _frobenius_map(f, n // 2 - 1)
-    for k in range(n // 2):
-        if k:
-            h = frob(h, f)
-        if not f.gcd(h - x).is_one():
-            return False
-    return True
+    # an irreducible f passes every gcd and comes back whole; a reducible
+    # f yields a factor of degree at most n // 2 before that
+    return next(_distinct_degree(f))[1] == n
 
 
 def squarefree_part(f: FqPoly) -> FqPoly:
@@ -753,12 +752,18 @@ def squarefree_part(f: FqPoly) -> FqPoly:
 
 
 def _distinct_degree(f: FqPoly):
-    """Split a squarefree monic f into (product, degree) components."""
+    """Ben-Or's gcd chain: yield the (product, degree) components of a
+    squarefree monic f, each before it is divided out.
+
+    The i-th gcd, with x^(q^i) - x, takes the irreducible factors of
+    degree i.  On a monic f that is not squarefree, a repeated factor g
+    still shows by step deg g, so is_irreducible's reading of the first
+    component holds for any monic f.
+    """
     x = FqPoly.x(f.spec)
     h = x
     frob = None
     i = 0
-    out = []
     while f.degree() >= 2 * (i + 1):
         i += 1
         if frob is None:
@@ -767,12 +772,11 @@ def _distinct_degree(f: FqPoly):
             h = frob(h, f)
         g = f.gcd(h - x)
         if not g.is_one():
-            out.append((g, i))
+            yield g, i
             f = f // g
             h = h % f
     if f.degree() > 0:
-        out.append((f, f.degree()))
-    return out
+        yield f, f.degree()
 
 
 def _equal_degree_split(f: FqPoly, r: int, rng) -> list[FqPoly]:

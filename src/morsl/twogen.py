@@ -28,6 +28,10 @@ Repeating a word lam times scales the coefficient to lam.
 
 The closed forms of C_1, C_k and C_k^-1 come from one builder: C_1 is
 C_k at k = 1, and C_k = 1 + N with N^2 = 0, so C_k^-1 = 1 - N.
+D^k has one builder too, d_power_closed: CDWord.evaluate applies each
+C-run as two column updates and each D-run as the signed column
+permutation d_power_closed gives, and since D^(2d) = 1 a run of any
+length costs one permutation.
 
 No attempt is made at short words: the word problem in these generators
 has no known efficient algorithm, so correctness is the only goal.
@@ -113,29 +117,27 @@ def _shift_sign(d: int, row: int, col: int, steps: int) -> int:
 
 
 def d_power_closed(spec: FieldSpec, d: int, k: int) -> Matrix:
-    """D^k as a signed cycle matrix, any k != 0.
+    """D^k as a signed cycle matrix, any k.
 
-    Entry (i, i+k) carries (-1)^{dk} times a sign that flips once per
-    crossing of position 2.  (The flat sign pattern sometimes quoted for
-    this power holds only at |k| <= 2; crossings accumulate after that.)
+    D is a signed d-cycle, so D^d = +/-1 and D^(2d) = 1: k is taken mod
+    2d first, which also makes a negative k a positive one.  Entry
+    (i, i+k) carries (-1)^{dk} times a sign that flips once per crossing
+    of position 2.  (The flat sign pattern sometimes quoted for this
+    power holds only at |k| <= 2; crossings accumulate after that.)
     """
     _check_params(spec, d)
+    k %= 2 * d
     if k == 0:
         return identity(spec, d)
     one = spec.one()
-    neg = (d * abs(k)) % 2 == 1
+    neg = (d * k) % 2 == 1
     rows = [[spec.zero()] * d for _ in range(d)]
-    kk = abs(k)
     for i in range(1, d + 1):
         sign = 1
-        for l in range(kk):
+        for l in range(k):
             if _wrap(d, i + l) == 2:
                 sign = -sign
-        val = one if (sign == 1) != neg else -one
-        if k > 0:
-            rows[i - 1][_wrap(d, i + kk) - 1] = val
-        else:
-            rows[_wrap(d, i + kk) - 1][i - 1] = val
+        rows[i - 1][_wrap(d, i + k) - 1] = one if (sign == 1) != neg else -one
     return Matrix(spec, rows)
 
 
@@ -224,12 +226,15 @@ class CDWord:
         return CDWord(self.spec, self.d, _inv_letters(self.letters))
 
     def evaluate(self) -> Matrix:
-        """Multiply out the word; C-runs are two column updates, D-runs
-        signed column rotations, so evaluation needs few multiplications."""
+        """Multiply out the word; C-runs are two column updates, and a
+        D-run D^e is the signed column permutation of d_power_closed(e),
+        built once per distinct e in the word, so evaluation needs few
+        multiplications and a run of any length one permutation."""
         spec, d = self.spec, self.d
         one, zero = spec.one(), spec.zero()
         grid = [[one if a == b else zero for b in range(d)] for a in range(d)]
-        d_odd = d % 2 == 1
+        # e -> (source column, negate) for each column of grid * D^e
+        perms = {}
         for sym, e in self.letters:
             if sym == "C":
                 k = spec.scalar(e)
@@ -244,30 +249,14 @@ class CDWord:
                     if v:
                         grid[a][0] = grid[a][0] + k * v
             else:
-                steps = e
-                while steps > 0:
-                    grid = _mul_d_right(grid, d, d_odd, forward=True)
-                    steps -= 1
-                while steps < 0:
-                    grid = _mul_d_right(grid, d, d_odd, forward=False)
-                    steps += 1
+                perm = perms.get(e)
+                if perm is None:
+                    cols = zip(*d_power_closed(spec, d, e).vals)
+                    perm = perms[e] = [
+                        next((c, v != one.val) for c, v in enumerate(col) if v) for col in cols
+                    ]
+                grid = [[-row[c] if neg else row[c] for c, neg in perm] for row in grid]
         return Matrix(spec, grid)
-
-
-def _mul_d_right(grid, d: int, d_odd: bool, forward: bool):
-    """One step of right multiplication by D (forward) or D^-1."""
-    new = [[None] * d for _ in range(d)]
-    for b in range(1, d + 1):
-        if forward:
-            r = _wrap(d, b - 1)
-            negate = d_odd ^ (r == 2)
-        else:
-            r = _wrap(d, b + 1)
-            negate = d_odd ^ (r == 3)
-        for a in range(d):
-            v = grid[a][r - 1]
-            new[a][b - 1] = -v if negate else v
-    return new
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +266,17 @@ def _mul_d_right(grid, d: int, d_odd: bool, forward: bool):
 
 def _inv_letters(word):
     return tuple((s, -e) for s, e in reversed(word))
+
+
+def _transported(d: int, word: tuple, m: int, s: int) -> tuple:
+    """Letters for 1 + e_{d+s,m+s} from letters `word` for 1 + e_{d,m}.
+
+    Conjugation by D^s shifts both indices by s and picks up the sign of
+    their crossings of position 2; a minus sign inverts the word.
+    """
+    if _shift_sign(d, d, m, s) != 1:
+        word = _inv_letters(word)
+    return ((("D", -s),) + word + (("D", s),)) if s else word
 
 
 @lru_cache(maxsize=None)
@@ -293,11 +293,6 @@ def _bottom_row_letters(d: int) -> tuple[tuple, ...]:
     def commutator(wa, wb):
         return wa + wb + _inv_letters(wa) + _inv_letters(wb)
 
-    def transported(m, s):
-        # word for 1 + e_{wrap(d+s), wrap(m+s)} out of w[m]
-        base = w[m] if _shift_sign(d, d, m, s) == 1 else _inv_letters(w[m])
-        return (("D", -s),) + base + (("D", s),)
-
     # commutator identity: C C_1 C^-1 C_1^-1 = 1 + e_{d,2}
     c1 = (("D", -1), ("C", 1), ("D", 1))
     c1_inv = (("D", -1), ("C", -1), ("D", 1))
@@ -308,9 +303,9 @@ def _bottom_row_letters(d: int) -> tuple[tuple, ...]:
         step = w[k] + ck + _inv_letters(w[k]) + ck_inv
         # the step yields 1 - e_{d,k+1} at k = 2 and 1 + e_{d,k+1} after
         w[k + 1] = _inv_letters(step) if k == 2 else step
-    w31 = transported(d - 2, 3)  # 1 + e_{3,1}
+    w31 = _transported(d, w[d - 2], d - 2, 3)  # 1 + e_{3,1}
     w[1] = commutator(w[3], w31)  # 1 + e_{d,1}
-    w_sub = transported(1, d - 2)  # 1 + e_{d-2,d-1}
+    w_sub = _transported(d, w[1], 1, d - 2)  # 1 + e_{d-2,d-1}
     w[d - 1] = commutator(w[d - 2], w_sub)  # 1 + e_{d,d-1}
     return tuple(w[k] for k in range(1, d))
 
@@ -327,9 +322,6 @@ def rewrite_transvection_in_cd(spec: FieldSpec, d: int, i: int, j: int, lam) -> 
     # conjugation by D^s moves (d, m) to (d+s, m+s); pick s, m hitting (i, j)
     s = i % d
     m = _wrap(d, j - s)
-    base = _bottom_row_letters(d)[m - 1]
-    if _shift_sign(d, d, m, s) != 1:
-        base = _inv_letters(base)
-    unit = ((("D", -s),) + base + (("D", s),)) if s else base
+    unit = _transported(d, _bottom_row_letters(d)[m - 1], m, s)
     # repeating the unit word scales the coefficient: (1 + e)^c = 1 + c*e
     return CDWord(spec, d, unit * lam.val)

@@ -120,3 +120,55 @@ def test_the_check_sees_an_fqpoly_import():
     )
     found = _imports_from(source, "fqpoly")
     assert found == ["char_poly", "fqpoly", "is_irreducible", "morsl.fqpoly"]
+
+
+def _frobenius_users(source: str, module: str) -> list[str]:
+    """The functions of source, as module.qualname, that read
+    _frobenius_map by name or as an attribute; module.<module> for a read
+    outside any function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+            elif (isinstance(child, ast.Name) and child.id == "_frobenius_map") or (
+                isinstance(child, ast.Attribute) and child.attr == "_frobenius_map"
+            ):
+                found.append(owner)
+            else:
+                visit(child, owner)
+
+    visit(ast.parse(source), module)
+    return sorted(set(found))
+
+
+def test_only_the_distinct_degree_chain_runs_frobenius_powers():
+    # Ben-Or's gcd chain is written once: is_irreducible reads the first
+    # component of _distinct_degree instead of running its own gcds
+    found = [
+        user
+        for p in MODULES
+        for user in _frobenius_users(p.read_text(), p.stem)
+    ]
+    assert found == ["fqpoly._distinct_degree"]
+
+
+def test_the_check_sees_a_second_frobenius_chain():
+    source = (
+        "def _distinct_degree(f):\n"
+        "    h, frob = _frobenius_map(f, 1)\n"
+        "def is_irreducible(f):\n"
+        "    def chain():\n"
+        "        return fqpoly._frobenius_map(f, 2)\n"
+        "class Q:\n"
+        "    def m(self):\n"
+        "        step = _frobenius_map\n"
+        "top = _frobenius_map(f, 0)\n"
+    )
+    assert _frobenius_users(source, "fqpoly") == [
+        "fqpoly",
+        "fqpoly.Q.m",
+        "fqpoly._distinct_degree",
+        "fqpoly.is_irreducible.chain",
+    ]

@@ -58,11 +58,23 @@ def test_commutator_gives_bottom_row_start(d):
 @pytest.mark.parametrize("p", [5, 7])
 @pytest.mark.parametrize("d", [5, 6, 7])
 def test_d_power_closed_forms(p, d):
+    # evaluate takes every D-run from d_power_closed, so both must equal
+    # the literal generator's power at every run length, past the
+    # reduction mod 2d on either side
     spec = field_spec(p)
     _, dm = albert_thompson_generators(spec, d)
-    for k in range(2, d - 1):
-        assert d_power_closed(spec, d, k) == mat_pow(dm, k)
-        assert d_power_closed(spec, d, -k) == mat_pow(mat_inv(dm), k)
+    for k in range(-3 * d, 3 * d + 1):
+        if k:
+            assert d_power_closed(spec, d, k) == mat_pow(dm, k)
+            assert CDWord(spec, d, [("D", k)]).evaluate() == mat_pow(dm, k)
+
+
+def test_a_long_d_run_evaluates_through_its_residue():
+    # D^(2d) = 1: a run near the cap costs one permutation, not |k| steps
+    spec, d = GF7, 5
+    _, dm = albert_thompson_generators(spec, d)
+    k = 10**18 + 3
+    assert CDWord(spec, d, [("D", k)]).evaluate() == mat_pow(dm, k % (2 * d))
 
 
 @pytest.mark.parametrize("p", [5, 7])
