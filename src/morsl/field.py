@@ -299,7 +299,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "gamma", "modulus", "q",
-        "_mask", "_mod_packed", "_red_table", "_sq_table",
+        "_mask", "_mod_packed", "_red_table", "_sq_table", "_sq_lanes",
         "_mul_table", "_inv_table", *_RAW_OPS, *_VEC_OPS,
     )
 
@@ -324,6 +324,7 @@ class FieldSpec:
         object.__setattr__(self, "_mul_table", None)
         object.__setattr__(self, "_inv_table", None)
         object.__setattr__(self, "_sq_table", None)
+        object.__setattr__(self, "_sq_lanes", ())
         if p == 2:
             object.__setattr__(self, "_mask", (1 << gamma) - 1)
             mod_packed = sum(c << i for i, c in enumerate(modulus))
@@ -596,6 +597,23 @@ class FieldSpec:
                 rows.append(tuple(row))
             object.__setattr__(self, "_sq_table", tuple(rows))
         return self._sq_table
+
+    def _square_lane_rows(self, h: int) -> tuple:
+        """The squaring rows shifted to lanes 0, 2, ..., 2(h - 1) of
+        fqpoly's residues (lanes of ceil(gamma/8) bytes), one group of rows
+        per lane i: a byte of coefficient i, squared, lands in lane 2i.
+        They are the rows of a modulus's squaring table for its residue
+        lanes below h, the same for every modulus, so each is built once
+        and kept here; lane 0's are _square_rows itself."""
+        lanes = self._sq_lanes
+        if len(lanes) < h:
+            sq, lane = self._square_rows(), 8 * ((self.gamma + 7) // 8)
+            lanes += tuple(
+                tuple(tuple(v << 2 * i * lane for v in row) for row in sq) if i else sq
+                for i in range(len(lanes), h)
+            )
+            object.__setattr__(self, "_sq_lanes", lanes)
+        return lanes[:h]
 
     def _build_tables(self, mul_raw) -> tuple:
         """Multiplication and inverse tables of a small extension field,

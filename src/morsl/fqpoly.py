@@ -24,6 +24,13 @@ and compose modulo a polynomial only through Quotient.
 mat_pow's certificate is is_irreducible(chi_M), the package's one
 irreducibility test over F_q[x].
 Repeated q-th powers modulo f go through the Frobenius matrix of f.
+Squaring modulo a monic f of degree n over a binary field has one model,
+the squaring rows S_i = x^(2i) mod f, ceil(n/2) <= i < n (the q = 2 case
+of the Frobenius matrix): r^2 mod f = sum r_i^2 x^(2i), where only the
+rows from ceil(n/2) up need reducing, at most n + floor(n/2) n
+multiplications against n + (n - 1) n for dividing the square by f.
+The rows are built once per modulus, by shift-and-clear, and cached on
+f.  Odd characteristic divides the square by f.
 Over a binary field too large for a multiplication table, x^e runs on
 one int in one kernel, _pow_x_lanes: the residue is packed in byte-
 aligned lanes, and squaring a coefficient and clearing a top coefficient
@@ -31,9 +38,8 @@ are each one XOR of byte-indexed table entries (both maps are GF(2)-
 linear).  When the residue is short and e > q, squaring modulo f is
 instead one XOR of byte-indexed entries of a table of f itself, built on
 first use and cached on f, so a key's moduli keep theirs for every
-message.  Either squaring yields the reduced square and the quotient,
-and the kernel counts from those what the coefficient loop of pow_mod
-counts, so counts and route choices do not depend on which squaring ran.
+message.  The kernel counts what the squaring rows multiply, whichever
+squaring ran, so counts and route choices do not depend on the route.
 """
 
 from __future__ import annotations
@@ -60,12 +66,14 @@ from .linalg import RowReducer
 from .matrix import Matrix, mat_mul
 
 # The longest residue, in bytes, whose x^e builds a squaring table of its
-# modulus.  The build grows with the square of the residue's length, and a
-# squaring's saving shrinks as the lanes it XORs grow: on a 2-vCPU x86-64
-# VM the table paid for its build after about 35 exponent bits at 10 bytes
-# (d = 5 over GF(2^16)), after 100 to 300 at 32 bytes, and not within one
-# 1120-bit power at the paper preset's 140 bytes (9-22 ms to build).
-_SQUARE_TABLE_MAX_BYTES = 32
+# modulus.  The build, floor(n/2) lanes of rows spanned from the squaring
+# rows, grows with the square of the residue's length, and a squaring's
+# saving shrinks as the lanes it XORs grow.  On a 2-vCPU x86-64 VM (median
+# of 9, fresh modulus) the table cost no more than the lane division from
+# e = q + 1 on, at 10, 32, 56, 72, 80, 84 and 112 bytes; at the paper
+# preset's 140 bytes it cost more below about 400 exponent bits (7.8 ms
+# against 6.1 ms at q + 1).
+_SQUARE_TABLE_MAX_BYTES = 112
 
 __all__ = [
     "FqPoly",
@@ -84,9 +92,11 @@ class FqPoly:
     """Immutable polynomial over a FieldSpec, constant coefficient first,
     its coefficients packed ints."""
 
-    # _sq_table caches the squaring table of x^e mod self (_square_table
-    # fills it), only for the short binary moduli whose powers use it
-    __slots__ = ("spec", "coeffs", "_sq_table")
+    # _sq_rows caches the squaring rows of a binary modulus (_squaring_rows
+    # fills it, at the first squaring modulo self), _sq_table the lane
+    # squaring table of x^e mod self (_square_table), only for the short
+    # binary moduli whose powers use it
+    __slots__ = ("spec", "coeffs", "_sq_rows", "_sq_table")
 
     def __init__(self, spec: FieldSpec, coeffs=()):
         coeffs = tuple(coeffs)
@@ -104,6 +114,7 @@ class FqPoly:
     def _set_slots(self, spec: FieldSpec, coeffs) -> None:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "coeffs", tuple(_trim(coeffs)))
+        object.__setattr__(self, "_sq_rows", None)
         object.__setattr__(self, "_sq_table", None)
 
     def __setattr__(self, *args):
@@ -211,15 +222,17 @@ class FqPoly:
     def pow_mod(self, n: int, modulus: "FqPoly") -> "FqPoly":
         """self^n mod modulus, n >= 0, by left-to-right square-and-multiply.
 
-        A squaring costs deg coefficient squarings in characteristic 2,
-        where the cross terms vanish, and half a general product in odd
-        characteristic.  When the base is x, each multiply is a shift, and
-        over a binary field without a multiplication table the whole power
-        runs on one int of lanes (_pow_x_lanes).  If the residue takes at
-        most _SQUARE_TABLE_MAX_BYTES and n > q, its squarings look up a
-        table of the monic modulus, cached on it; x^q, as in
-        is_irreducible, and longer residues build no table and clear top
-        coefficients one at a time.
+        Squaring is _square_mod: in characteristic 2, where the cross
+        terms vanish, deg coefficient squarings and the modulus's squaring
+        rows for the coefficients from ceil(deg/2) up, the rows built at
+        the first squaring and cached on the monic modulus; in odd
+        characteristic, half a general product divided by the modulus.
+        When the base is x, each multiply is a shift, and over a binary
+        field without a multiplication table the whole power runs on one
+        int of lanes (_pow_x_lanes).  If the residue takes at most
+        _SQUARE_TABLE_MAX_BYTES and n > q, its squarings look up a table
+        of the monic modulus, cached on it; x^q, as in is_irreducible, and
+        longer residues build no table and divide each square lane by lane.
         """
         spec = self._check(modulus)
         if n < 0:
@@ -236,7 +249,7 @@ class FqPoly:
             return _pow_x_lanes(n, f)
         acc = base
         for bit in bin(n)[3:]:
-            acc = _rem_monic(_square(spec, acc), f)
+            acc = _square_mod(acc, f)
             if bit == "1":
                 acc = _rem_monic([0, *acc] if by_x else _product(spec, acc, base), f)
         return FqPoly._from_vals(spec, acc)
@@ -360,6 +373,60 @@ def _square(spec: FieldSpec, a) -> list:
     return out
 
 
+def _square_mod(a: list, f: FqPoly) -> list:
+    """a^2 mod a monic f of degree n, for a reduced a, trailing zeros kept:
+    the one squaring modulo f outside the lane kernel.
+
+    In characteristic 2 the square is sum a_i^2 x^(2i): a coefficient
+    below ceil(n/2) stays where it lands, and one from ceil(n/2) up adds
+    a_i^2 times f's squaring row x^(2i) mod f (_squaring_rows).  That is
+    one multiplication per nonzero a_i and one per nonzero entry of each
+    row added, n + floor(n/2) n at most.  In odd characteristic the
+    square is divided by f (_rem_monic)."""
+    spec = f.spec
+    sq = _square(spec, a)
+    if spec.p != 2:
+        return _rem_monic(sq, f)
+    n = f.degree()
+    rows = _squaring_rows(f)
+    mul, out, count = spec._mul_raw, sq[:n], 0
+    for c, row in zip(sq[n + n % 2::2], rows):
+        if c:
+            count += len(row)
+            for j, v in row:
+                out[j] ^= mul(c, v)
+    _count_muls(count)
+    return out
+
+
+def _squaring_rows(f: FqPoly) -> tuple:
+    """The squaring rows of a monic f of degree n over a binary field,
+    x^(2i) mod f for ceil(n/2) <= i < n, each as its nonzero (j, c), built
+    on first use and cached on f.
+
+    They are read off x^n, ..., x^(2n-2), each x times the one before with
+    its top coefficient cleared: nnz(f_0 .. f_(n-1)) multiplications per
+    nonzero top coefficient, at most (n - 1) n in all."""
+    if f._sq_rows is None:
+        spec, fc = f.spec, f.coeffs
+        n = len(fc) - 1
+        mul = spec._mul_raw
+        low = [(i, c) for i, c in enumerate(fc[:n]) if c]
+        v, walk, count = [0] * (n - 1) + [1], [], 0
+        for _ in range(n - 1):
+            c, v = v[-1], [0, *v[:-1]]
+            if c:
+                count += len(low)
+                for i, fi in low:
+                    v[i] ^= mul(c, fi)
+            walk.append(v)
+        _count_muls(count)
+        # walk[k] is x^(n + k): the rows are its even powers
+        rows = tuple(tuple((j, c) for j, c in enumerate(v) if c) for v in walk[n % 2::2])
+        object.__setattr__(f, "_sq_rows", rows)
+    return f._sq_rows
+
+
 def _rem_monic(a: list, f: FqPoly) -> list:
     """a mod a monic f, trailing zeros kept; consumes the list a.  One
     multiplication per nonzero f_i, i < deg f, per nonzero top
@@ -397,23 +464,24 @@ def _pow_x_lanes(e: int, f: FqPoly) -> FqPoly:
     The residue is one int of n byte-aligned lanes, coefficient i in lane
     i.  Squaring, and subtracting a multiple of f, are GF(2)-linear, so
     each is the XOR of one table entry per byte.  A squaring yields the
-    reduced square in the low n lanes and the quotient of its long
-    division by f above them, one of two ways: it squares each
-    coefficient through the field's squaring table and divides
+    reduced square one of two ways: it squares each coefficient through
+    the field's squaring table and divides the square by f
     (_divide_lanes), or, for a residue of at most _SQUARE_TABLE_MAX_BYTES
-    with e > q, it looks the whole square up in f's squaring table
+    with e > q, it looks the reduced square up in f's squaring table
     (_square_table), built on first use and cached on f, in
     n*ceil(gamma/8) lookups.
 
-    The multiplications are counted as the coefficient loop of pow_mod
-    counts them.  A squaring counts one per nonzero lane of the residue,
-    and nnz(f_0 .. f_(n-1)) per nonzero lane of the quotient, whose lanes
-    are the top coefficients cleared since f is monic; a multiply by x
-    counts nnz(f_0 .. f_(n-1)) when it clears a top coefficient.  In a
-    lane of w bits, adding 2^(w-1) - 1 to the low w - 1 bits carries into
-    bit w - 1 exactly when they are not all zero, and never out of the
-    lane; OR-ed with the lane's own bit w - 1, that bit marks a nonzero
-    lane, so a few int operations count the nonzero lanes of a residue.
+    Either way the multiplications are counted as _square_mod counts
+    them: one per nonzero lane of the residue, and nnz(S_i) per nonzero
+    lane i >= ceil(n/2), S_i = x^(2i) mod f its squaring row
+    (_squaring_rows, whose one build per f is counted too).  The pattern of
+    those high lanes keys a small table of their summed costs, filled as
+    patterns occur.  A multiply by x counts nnz(f_0 .. f_(n-1)) when it
+    clears a top coefficient.  In a lane of w bits, adding 2^(w-1) - 1 to
+    the low w - 1 bits carries into bit w - 1 exactly when they are not
+    all zero, and never out of the lane; OR-ed with the lane's own bit
+    w - 1, that bit marks a nonzero lane, so a few int operations find the
+    nonzero lanes of a residue.
     """
     spec = f.spec
     n, nb = f.degree(), (spec.gamma + 7) // 8
@@ -423,24 +491,31 @@ def _pow_x_lanes(e: int, f: FqPoly) -> FqPoly:
     low = sum(((1 << lane - 1) - 1) << i * lane for i in range(n))
     high = mask ^ low
     if e > spec.q and n * nb <= _SQUARE_TABLE_MAX_BYTES:
-        table, red, nnz = _square_table(f)
+        table, red = _square_table(f)
     else:
-        table, red, nnz = None, _clear_rows(f), n - f.coeffs[:n].count(0)
+        table, red = None, _clear_rows(f)
         sq, starts = spec._square_rows(), range(0, n * nb, nb)
+    nnz = n - f.coeffs[:n].count(0)
+    # the rows are built, and counted, only for a power that squares
+    weights = [len(row) for row in _squaring_rows(f)] if e > 1 else ()
+    # the marks of lanes (n + 1) // 2 and up, shifted down to bits 0, lane, ...
+    split = (n + 1) // 2 * lane + lane - 1
+    costs = {0: 0}
     acc, count = 1 << lane, 0
     for b in bin(e)[3:]:
-        count += (((acc & low) + low | acc) & high).bit_count()
+        marks = ((acc & low) + low | acc) & high
+        pattern = marks >> split
+        cost = costs.get(pattern)
+        if cost is None:
+            cost = costs[pattern] = sum(w for i, w in enumerate(weights) if pattern >> i * lane & 1)
+        count += marks.bit_count() + cost
         raw = acc.to_bytes(n * nb, "little")
         if table is None:
             squares = [_reduce(_xor, map(_getitem, sq, raw[i:i + nb])) for i in starts]
             s = int.from_bytes(b"".join([v.to_bytes(2 * nb, "little") for v in squares]), "little")
-            s = _divide_lanes(s, red, top, nb)
+            acc = _divide_lanes(s, red, top, nb) & mask
         else:
-            s = _reduce(_xor, map(_getitem, table, raw))
-        quot = s >> top
-        if quot:
-            count += nnz * (((quot & low) + low | quot) & high).bit_count()
-        acc = s & mask
+            acc = _reduce(_xor, map(_getitem, table, raw))
         if b == "1":
             acc <<= lane
             c = acc >> top
@@ -455,10 +530,9 @@ def _divide_lanes(s: int, red: tuple, top: int, nb: int) -> int:
     """The long division of s, an int of lanes of nb bytes, by a monic f
     of degree top // (8*nb), red its clearing table (_clear_rows): the
     remainder in the lanes below top and the quotient in the lanes from
-    top up, as f's squaring table holds them.  From the highest lane
-    down, a lane's coefficient c stays as the quotient's, and
-    c*(f_0, ..., f_(n-1)) is subtracted from the n lanes below it, which
-    leaves every lane already passed as it is."""
+    top up.  From the highest lane down, a lane's coefficient c stays as
+    the quotient's, and c*(f_0, ..., f_(n-1)) is subtracted from the n
+    lanes below it, which leaves every lane already passed as it is."""
     lane = 8 * nb
     full = (1 << lane) - 1
     for shift in range((s.bit_length() - 1 - top) // lane * lane, -1, -lane):
@@ -468,60 +542,64 @@ def _divide_lanes(s: int, red: tuple, top: int, nb: int) -> int:
     return s
 
 
-def _clear_rows(f: FqPoly) -> tuple:
-    """The table of multiples of a monic f of degree n over GF(2^gamma)
-    below its top term: row k maps a byte b of c to the lanes
-    (c*f_0, ..., c*f_(n-1)) for c = b * x^(8k), lane i the i-th run of
-    ceil(gamma/8) bytes; XOR-ed in below a top coefficient c, they leave
-    c x^n times f subtracted.  Each row is spanned from its 8 single-bit
-    entries.  The next bit's entry multiplies every lane by x at once: the
-    lanes whose bit gamma - 1 was set drop it and, once shifted, take the
-    modulus's terms below x^gamma (a copy per lane that never overlaps
-    the next, so the int product is carry-free)."""
-    spec = f.spec
-    n, gamma = f.degree(), spec.gamma
+def _span_rows(spec: FieldSpec, n: int, v: int, power: int) -> tuple:
+    """The byte rows of the GF(2)-linear map c -> c^power * v, for v an int
+    of n lanes of ceil(gamma/8) bytes over GF(2^gamma) and power 1 or 2:
+    row k maps a byte b of c to the entry of c = b * x^(8k), spanned from
+    its 8 single-bit entries.  The next bit's entry multiplies every lane
+    by x^power at once, x at a time: the lanes whose bit gamma - 1 was set
+    drop it and, once shifted, take the modulus's terms below x^gamma (a
+    copy per lane that never overlaps the next, so the int product is
+    carry-free)."""
+    gamma = spec.gamma
     lane = 8 * ((gamma + 7) // 8)
     low = spec._mod_packed ^ 1 << gamma
     ones = sum(1 << i * lane for i in range(n))
-    v = sum(c << i * lane for i, c in enumerate(f.coeffs[:n]))
     rows = []
     for _ in range(lane // 8):
         row = [0]
         for _ in range(8):
             row += [r ^ v for r in row]
-            hi = v >> gamma - 1 & ones
-            v = (v ^ hi << gamma - 1) << 1 ^ hi * low
+            for _ in range(power):
+                hi = v >> gamma - 1 & ones
+                v = (v ^ hi << gamma - 1) << 1 ^ hi * low
         rows.append(tuple(row))
     return tuple(rows)
 
 
-def _square_table(f: FqPoly) -> tuple:
-    """f's squaring table, its clearing table and nnz(f_0 .. f_(n-1)),
-    built on first use and cached on f.
+def _clear_rows(f: FqPoly) -> tuple:
+    """The table of multiples of a monic f of degree n over GF(2^gamma)
+    below its top term: row k maps a byte b of c to the lanes
+    (c*f_0, ..., c*f_(n-1)) for c = b * x^(8k), lane i the i-th run of
+    ceil(gamma/8) bytes; XOR-ed in below a top coefficient c, they leave
+    c x^n times f subtracted (_span_rows, with power 1)."""
+    n, lane = f.degree(), 8 * ((f.spec.gamma + 7) // 8)
+    return _span_rows(f.spec, n, sum(c << i * lane for i, c in enumerate(f.coeffs[:n])), 1)
 
-    r -> r^2 mod f is GF(2)-linear on residues, and so is the quotient
-    of the long division of r^2 by f.  Row k maps a byte b to the
-    residue (b * 2^(8k))^2 mod f, the residue byte k holding b and every
-    other byte zero, with the quotient in n - 1 further lanes.  The rows
-    of lane 0 are the field's squaring rows; the others are spanned from
-    their 8 single-bit entries, each divided by _divide_lanes.  With the
-    clearing table, f owns n*ceil(gamma/8) rows of 256 entries.
+
+def _square_table(f: FqPoly) -> tuple:
+    """f's squaring table and its clearing table (_clear_rows), built on
+    first use and cached on f.
+
+    r -> r^2 mod f is GF(2)-linear on residues.  Row k maps a byte b to
+    the reduced square of the residue whose byte k holds b and every other
+    byte zero, n lanes wide.  For a lane i below ceil(n/2) that is b's
+    square in lane 2i: the rows are the field's squaring rows shifted
+    there, shared by every modulus of the field (FieldSpec.
+    _square_lane_rows).  For a lane i from ceil(n/2) up it is b's square
+    times f's squaring row S_i = x^(2i) mod f (_squaring_rows): the rows
+    are spanned from S_i by lane doubling (_span_rows, with power 2).
+    f owns floor(n/2)*ceil(gamma/8) rows of 256 entries, and the clearing
+    table's ceil(gamma/8).
     """
     if f._sq_table is None:
         spec = f.spec
-        n, nb = f.degree(), (spec.gamma + 7) // 8
-        lane = 8 * nb
-        sq, red = spec._square_rows(), _clear_rows(f)
-        rows = list(sq)
-        for i in range(1, n):
-            for sq_row in sq:
-                row = [0]
-                for t in range(8):
-                    v = _divide_lanes(sq_row[1 << t] << 2 * i * lane, red, n * lane, nb)
-                    row += [r ^ v for r in row]
-                rows.append(tuple(row))
-        nnz = n - f.coeffs[:n].count(0)
-        object.__setattr__(f, "_sq_table", (tuple(rows), red, nnz))
+        n, lane = f.degree(), 8 * ((spec.gamma + 7) // 8)
+        red = _clear_rows(f)
+        rows = list(_chain.from_iterable(spec._square_lane_rows((n + 1) // 2)))
+        for row in _squaring_rows(f):
+            rows += _span_rows(spec, n, sum(c << j * lane for j, c in row), 2)
+        object.__setattr__(f, "_sq_table", (tuple(rows), red))
     return f._sq_table
 
 
@@ -588,10 +666,16 @@ def _mulmod_cost(n: int) -> int:
 
 
 def _pow_mod_cost(e: int, n: int, p: int, by_x: bool) -> int:
-    """pow_mod(e) of a reduced base modulo a monic degree-n polynomial."""
-    square = (n if p == 2 else n * (n + 1) // 2) + (n - 1) * n
+    """pow_mod(e) of a reduced base modulo a monic degree-n polynomial.  In
+    characteristic 2 a squaring adds at most floor(n/2) squaring rows of
+    n entries, after the rows' one build, (n - 1) n, if e >= 2 makes a
+    squaring at all; otherwise it is divided by the modulus."""
+    if p == 2:
+        square, build = n + n // 2 * n, (n - 1) * n if e > 1 else 0
+    else:
+        square, build = n * (n + 1) // 2 + (n - 1) * n, 0
     step = n if by_x else _mulmod_cost(n)
-    return (e.bit_length() - 1) * square + (e.bit_count() - 1) * step
+    return build + (e.bit_length() - 1) * square + (e.bit_count() - 1) * step
 
 
 def _char_poly_cost(n: int) -> int:
@@ -605,8 +689,11 @@ def _char_poly_cost(n: int) -> int:
 def cayley_hamilton_cost(d: int, e: int, p: int) -> int:
     """Field multiplications, at most, of M^e = (x^e mod chi_M)(M) for a
     d x d matrix M in characteristic p and e >= 1, by either evaluation
-    of matrix.mat_pow: chi_M, x^e mod chi_M and Horner's evaluation,
-    d^2 + (d - 2) d^3.  The power basis's build, (d - 2) d^3, and
+    of matrix.mat_pow: chi_M, x^e mod chi_M (_pow_mod_cost: in
+    characteristic 2, d + floor(d/2) d per squaring through chi_M's
+    squaring rows, after their build, (d - 1) d, which the figure counts
+    even where chi_M keeps rows from an earlier power) and Horner's
+    evaluation, d^2 + (d - 2) d^3.  The power basis's build, (d - 2) d^3, and
     evaluation on it, (d - 1) d^2, come only after an earlier power has
     cached chi_M, and their surcharge over Horner, (d - 2) d^2, is below
     _char_poly_cost(d) = d^3 + d^2/2 - 3d/2 + 2, so the figure bounds them

@@ -414,9 +414,11 @@ def mat_pow(x: Matrix, n: int) -> Matrix:
     cayley_hamilton_cost at n bounds it too.
 
     Cayley-Hamilton: x^n = r(x) for r(t) = t^n mod chi_x(t), by
-    FqPoly.pow_mod, about d^2 multiplications per exponent bit, and an
-    evaluation of r at x.  A matrix with a verdict is one raised to large
-    exponents, such as a key's conjugator, which encrypt raises for every
+    FqPoly.pow_mod, at most d + floor(d/2) d multiplications per squaring
+    in characteristic 2, through chi_x's squaring rows (built once per
+    chi_x, (d - 1) d), and d + (d - 1) d plus the cross terms otherwise,
+    and an evaluation of r at x.  A matrix with a verdict is one raised to
+    large exponents, such as a key's conjugator, which encrypt raises for every
     message; from its second remainder on, r(x) is evaluated in its own
     algebra F_q[x], on x's power basis (fqpoly.Quotient.eval,
     (d - 1) d^2, after (d - 2) d^3 to build the basis once).  A matrix

@@ -24,7 +24,12 @@ Key algebra (all verified by the test suite):
     1 + e_{d,1} = [1 + e_{d,3}, 1 + e_{3,1}] and
     1 + e_{d,d-1} = [1 + e_{d,d-2}, 1 + e_{d-2,d-1}], with the inner
     entries transported from the bottom row by D-conjugation.
-Repeating a word lam times scales the coefficient to lam.
+The coefficient lam rides on the first commutator's C-runs:
+C^lam = 1 + lam (e_{d-1,2} + e_{d,1}), so C^lam C_1 C^-lam C_1^-1 is
+1 + lam e_{d,2}, and each later step and closing commutator carries it
+on, as [x_ik(a), x_kj(b)] = x_ij(ab) (Steinberg relation).  The inner
+entries of the two closing commutators stay unit words.  A word's length
+therefore does not depend on lam.
 
 The closed forms of C_1, C_k and C_k^-1 come from one builder: C_1 is
 C_k at k = 1, and C_k = 1 + N with N^2 = 0, so C_k^-1 = 1 - N.
@@ -33,13 +38,11 @@ C-run as two column updates and each D-run as the signed column
 permutation d_power_closed gives, and since D^(2d) = 1 a run of any
 length costs one permutation.
 
-No attempt is made at short words: the word problem in these generators
-has no known efficient algorithm, so correctness is the only goal.
+The unit words still double with each degree, since every step carries
+the word before it twice; words are correct, not short.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .field import FieldSpec
 from .matrix import Matrix, identity, sl_order
@@ -279,34 +282,42 @@ def _transported(d: int, word: tuple, m: int, s: int) -> tuple:
     return ((("D", -s),) + word + (("D", s),)) if s else word
 
 
-@lru_cache(maxsize=None)
-def _bottom_row_letters(d: int) -> tuple[tuple, ...]:
-    """Letter tuples w[k] with evaluate(w[k]) = 1 + e_{d,k}, k = 1..d-1.
-
-    Index 0 of the result is k = 1.  The step identity walks columns
-    2..d-2; the remaining difference classes (columns 1 and d-1) come
-    from commutators with entries transported off the bottom row, since
-    D-conjugation preserves the difference j - i mod d.
-    """
-    w: dict[int, tuple] = {}
-
-    def commutator(wa, wb):
-        return wa + wb + _inv_letters(wa) + _inv_letters(wb)
-
-    # commutator identity: C C_1 C^-1 C_1^-1 = 1 + e_{d,2}
+def _bottom_row_steps(d: int, lam: int) -> dict:
+    """Letter tuples w[k] with evaluate(w[k]) = 1 + lam*e_{d,k} for
+    k = 2..d-2, lam a nonzero residue."""
+    # commutator identity: C^lam C_1 C^-lam C_1^-1 = 1 + lam*e_{d,2}
     c1 = (("D", -1), ("C", 1), ("D", 1))
     c1_inv = (("D", -1), ("C", -1), ("D", 1))
-    w[2] = (("C", 1),) + c1 + (("C", -1),) + c1_inv
+    w = {2: (("C", lam),) + c1 + (("C", -lam),) + c1_inv}
     for k in range(2, d - 2):
         ck = (("D", -k), ("C", 1), ("D", k))
         ck_inv = (("D", -k), ("C", -1), ("D", k))
         step = w[k] + ck + _inv_letters(w[k]) + ck_inv
-        # the step yields 1 - e_{d,k+1} at k = 2 and 1 + e_{d,k+1} after
+        # the step yields 1 - lam*e_{d,k+1} at k = 2 and 1 + lam*e_{d,k+1} after
         w[k + 1] = _inv_letters(step) if k == 2 else step
-    w31 = _transported(d, w[d - 2], d - 2, 3)  # 1 + e_{3,1}
-    w[1] = commutator(w[3], w31)  # 1 + e_{d,1}
-    w_sub = _transported(d, w[1], 1, d - 2)  # 1 + e_{d-2,d-1}
-    w[d - 1] = commutator(w[d - 2], w_sub)  # 1 + e_{d,d-1}
+    return w
+
+
+def _bottom_row_letters(d: int, lam: int) -> tuple[tuple, ...]:
+    """Letter tuples w[k] with evaluate(w[k]) = 1 + lam*e_{d,k},
+    k = 1..d-1, lam a nonzero residue.
+
+    Index 0 of the result is k = 1.  The step identity walks columns
+    2..d-2; the remaining difference classes (columns 1 and d-1) come
+    from commutators with entries transported off the bottom row, since
+    D-conjugation preserves the difference j - i mod d.  Only the
+    bottom-row factor of each commutator carries lam; the transported
+    inner entries are unit words.
+    """
+
+    def commutator(wa, wb):
+        return wa + wb + _inv_letters(wa) + _inv_letters(wb)
+
+    w, unit = _bottom_row_steps(d, lam), _bottom_row_steps(d, 1)
+    w31 = _transported(d, unit[d - 2], d - 2, 3)  # 1 + e_{3,1}
+    w[1] = commutator(w[3], w31)  # 1 + lam*e_{d,1}
+    w_sub = _transported(d, commutator(unit[3], w31), 1, d - 2)  # 1 + e_{d-2,d-1}
+    w[d - 1] = commutator(w[d - 2], w_sub)  # 1 + lam*e_{d,d-1}
     return tuple(w[k] for k in range(1, d))
 
 
@@ -322,6 +333,4 @@ def rewrite_transvection_in_cd(spec: FieldSpec, d: int, i: int, j: int, lam) -> 
     # conjugation by D^s moves (d, m) to (d+s, m+s); pick s, m hitting (i, j)
     s = i % d
     m = _wrap(d, j - s)
-    unit = _transported(d, _bottom_row_letters(d)[m - 1], m, s)
-    # repeating the unit word scales the coefficient: (1 + e)^c = 1 + c*e
-    return CDWord(spec, d, unit * lam.val)
+    return CDWord(spec, d, _transported(d, _bottom_row_letters(d, lam.val)[m - 1], m, s))

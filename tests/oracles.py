@@ -71,7 +71,7 @@ from morsl.autos import (
     conjugator_solution_space,
     generator_pairs,
 )
-from morsl.field import FieldElement, FieldSpec, _gf2_mod
+from morsl.field import FieldElement, FieldSpec, _gf2_mod, _uncounted
 from morsl import fqpoly, matrix
 from morsl.fqpoly import FqPoly
 from morsl.matrix import (
@@ -264,11 +264,50 @@ def pow_mod_sqm(base, n, modulus):
     return result
 
 
-def pow_x_elementwise(e, f):
-    """x^e mod a monic f of degree >= 2, e >= 1, by left-to-right
-    square-and-shift on FieldElement coefficients: one multiplication
-    per nonzero coefficient squared, one per nonzero f_i when a nonzero
-    top coefficient is cleared."""
+def squaring_rows_elementwise(fc, n):
+    """The squaring rows x^(2i) mod a monic f of degree n,
+    ceil(n/2) <= i < n, its coefficients fc as FieldElements: x^(n-1)
+    times x again and again, a nonzero top coefficient c cleared by
+    subtracting c f_i for every nonzero f_i below the top."""
+    spec = fc[-1].spec
+    v, rows = [spec.zero()] * (n - 1) + [spec.one()], []
+    for k in range(n, 2 * n - 1):
+        c, v = v[-1], [spec.zero(), *v[:-1]]
+        if c:
+            for i in range(n):
+                if fc[i]:
+                    v[i] = v[i] - c * fc[i]
+        if k % 2 == 0:
+            rows.append(v)
+    return rows
+
+
+def square_by_rows_elementwise(a, rows, n, spec):
+    """a^2 mod a monic f of degree n over a binary field, for a reduced a,
+    through f's squaring rows: a_i^2 lands in x^(2i) below x^n, and from
+    i = ceil(n/2) up a_i^2 times row x^(2i) mod f is added."""
+    out = [spec.zero()] * n
+    for i, c in enumerate(a):
+        if c:
+            c2 = c * c
+            if 2 * i < n:
+                out[2 * i] = out[2 * i] + c2
+            else:
+                for j, r in enumerate(rows[i - (n + 1) // 2]):
+                    if r:
+                        out[j] = out[j] + c2 * r
+    return out
+
+
+def pow_x_elementwise(e, f, rows_built=False):
+    """x^e mod a monic f of degree >= 2 over a binary field, e >= 1, by
+    left-to-right square-and-shift on FieldElement coefficients, squaring
+    through f's squaring rows (square_by_rows_elementwise): one
+    multiplication per nonzero coefficient squared, one per nonzero row
+    entry a nonzero a_i^2 multiplies, and one per nonzero f_i when a
+    nonzero top coefficient is cleared, in the rows' build as in a shift.
+    The rows are built before the first squaring; rows_built leaves that
+    build uncounted, as for an f that keeps the rows it built before."""
     spec, n = f.spec, f.degree()
     zero = spec.zero()
     fc = [FieldElement(spec, c) for c in f.coeffs]
@@ -283,12 +322,15 @@ def pow_x_elementwise(e, f):
         return a[:n]
 
     acc = [zero, spec.one()] + [zero] * (n - 2)
-    for bit in bin(e)[3:]:
-        sq = [zero] * (2 * n - 1)
-        for i, c in enumerate(acc):
-            if c:
-                sq[2 * i] = c * c
-        acc = reduce(sq)
+    bits = bin(e)[3:]
+    if bits:
+        if rows_built:
+            with _uncounted():
+                rows = squaring_rows_elementwise(fc, n)
+        else:
+            rows = squaring_rows_elementwise(fc, n)
+    for bit in bits:
+        acc = square_by_rows_elementwise(acc, rows, n, spec)
         if bit == "1":
             acc = reduce([zero, *acc])
     return FqPoly(spec, [c.val for c in acc])
@@ -1205,7 +1247,9 @@ class PolyElementwise:
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
-        return a.monic()
+        # a new polynomial even when it equals self, as FqPoly.gcd returns,
+        # so it has no squaring rows yet
+        return PolyElementwise(self.spec, a.coeffs).monic()
 
     def pow_mod(self, n, modulus):
         """The coefficient loop of FqPoly.pow_mod; for the base x over a
@@ -1220,7 +1264,14 @@ class PolyElementwise:
         by_x = base.coeffs == (spec.zero(), spec.one())
         acc = base
         for bit in bin(n)[3:]:
-            acc = rem_monic_elementwise(square_elementwise(acc.coeffs, spec), f)
+            if spec.p == 2:
+                # f keeps its squaring rows from its first squaring on
+                if getattr(f, "sq_rows", None) is None:
+                    f.sq_rows = squaring_rows_elementwise(f.coeffs, f.degree())
+                coeffs = [*acc.coeffs, *[spec.zero()] * (f.degree() - len(acc.coeffs))]
+                acc = PolyElementwise(spec, square_by_rows_elementwise(coeffs, f.sq_rows, f.degree(), spec))
+            else:
+                acc = rem_monic_elementwise(square_elementwise(acc.coeffs, spec), f)
             if bit == "1":
                 prod = [spec.zero(), *acc.coeffs] if by_x else list((acc * base).coeffs)
                 acc = rem_monic_elementwise(prod, f)

@@ -1,10 +1,10 @@
 """The exponentiation engine against its oracles.
 
 mat_pow picks Cayley-Hamilton or square-and-multiply from a predicted
-multiplication count; FqPoly.pow_mod squares without cross terms in
-characteristic 2, and raises x on raw ints over binary fields without a
-multiplication table, squaring short residues through a table cached on
-the modulus; is_irreducible, which is also mat_pow's certificate, takes
+multiplication count; FqPoly.pow_mod squares through the modulus's
+squaring rows in characteristic 2, and raises x on raw ints over binary
+fields without a multiplication table, squaring short residues through a
+table cached on the modulus; is_irreducible, which is also mat_pow's certificate, takes
 q-th powers through the Frobenius matrix.  Each is checked for value
 against tests/oracles.py and, where it matters, for its count.
 """
@@ -128,8 +128,21 @@ def _monic(spec, coeffs):
     return FqPoly(spec, [*(c % spec.q for c in coeffs), 1])
 
 
+def _oracle_counted(e, f):
+    """pow_x_elementwise's value and count on f as the kernel finds it: the
+    squaring rows' build is counted unless f keeps rows it built before."""
+    return _counted(pow_x_elementwise, e, f, f._sq_rows is not None)
+
+
 # gamma = 9 is the smallest binary field without a multiplication table
 kernel_fields = st.builds(field_spec, st.just(2), st.sampled_from((9, 12, 16, 33, 160)))
+# e just below, at and just above q, where the table route starts, or long
+kernel_exponents = st.one_of(st.sampled_from((-1, 0, 1)), st.integers(2, 2**1200))
+
+
+def _kernel_exponent(spec, e):
+    """An exponent drawn from kernel_exponents: q + e for e in {-1, 0, 1}."""
+    return spec.q + e if e in (-1, 0, 1) else e
 
 
 @settings(max_examples=40)
@@ -138,12 +151,18 @@ kernel_fields = st.builds(field_spec, st.just(2), st.sampled_from((9, 12, 16, 33
     # zero coefficients, and the reducible f they allow, come often
     coeffs=st.lists(st.one_of(st.just(0), st.just(1), st.integers(0, 2**160)), min_size=2,
                     max_size=8),
-    e=st.integers(1, 2**1200),
+    e=kernel_exponents,
 )
 def test_binary_kernel_matches_the_counting_oracle(spec, coeffs, e):
-    f = _monic(spec, coeffs)
-    got = _counted(FqPoly.x(spec).pow_mod, e, f)
-    assert got == _counted(pow_x_elementwise, e, f)
+    e = _kernel_exponent(spec, e)
+    # each route on a fresh f: the lanes whatever the residue's length, and
+    # the table wherever e > q
+    for cap in (0, 2**20):
+        f = _monic(spec, coeffs)
+        with mock.patch.object(fqpoly, "_SQUARE_TABLE_MAX_BYTES", cap):
+            got = _counted(FqPoly.x(spec).pow_mod, e, f)
+        assert got == _counted(pow_x_elementwise, e, f)
+        assert (f._sq_table is not None) == (cap > 0 and e > spec.q)
 
 
 def test_binary_kernel_paper_size_is_pinned():
@@ -153,8 +172,38 @@ def test_binary_kernel_paper_size_is_pinned():
     e = rng.getrandbits(1120)
     got, count = _counted(FqPoly.x(spec).pow_mod, e, f)
     assert (got, count) == _counted(pow_x_elementwise, e, f)
-    # the route model's bound, 1116 squarings at 49 and 562 shifts at 7, is 58618
-    assert count == 58488 <= fqpoly._pow_mod_cost(e, 7, 2, by_x=True)
+    # a squaring adds at most 3 squaring rows of 7 to the 7 coefficient
+    # squarings, 28 where long division counted up to 7 + 6 * 7 = 49, after
+    # the rows' build, 6 clears of 7: the route model's bound, 42 + 1116
+    # squarings at 28 and 562 shifts at 7, is 35224 (58618 at 49)
+    assert count == 35150 <= fqpoly._pow_mod_cost(e, 7, 2, by_x=True)
+
+
+@settings(max_examples=60)
+@given(
+    gamma=st.sampled_from((1, 4, 8, 9, 16, 33)),
+    n=st.integers(1, 9),
+    kind=st.sampled_from(("x^n", "x^n+1", "sparse", "dense")),
+    by_x=st.booleans(),
+    seed=st.integers(0, 2**32),
+    e=st.one_of(st.integers(1, 64), st.integers(1, 2**300)),
+)
+def test_pow_mod_cost_bounds_the_binary_count(gamma, n, kind, by_x, seed, e):
+    # over table fields and lane fields alike, the rows' build included
+    spec = field_spec(2, gamma)
+    rng = random.Random(seed)
+    coeffs = {
+        "x^n": [0] * n,
+        "x^n+1": [1] + [0] * (n - 1),
+        "sparse": [rng.choice((0, 0, rng.randrange(spec.q))) for _ in range(n)],
+        "dense": [rng.randrange(1, spec.q) for _ in range(n)],
+    }[kind]
+    f = _monic(spec, coeffs)
+    base = FqPoly.x(spec) if by_x else FqPoly(spec, [rng.randrange(spec.q) for _ in range(n)])
+    base = base % f
+    got, count = _counted(base.pow_mod, e, f)
+    assert got == pow_mod_sqm(base, e, f)
+    assert count <= fqpoly._pow_mod_cost(e, n, 2, by_x=by_x and n >= 2)
 
 
 def test_kernel_runs_only_on_binary_fields_without_tables(x_power_routes):
@@ -177,28 +226,32 @@ def test_kernel_runs_only_on_binary_fields_without_tables(x_power_routes):
     assert FqPoly.x(spec).pow_mod(e, f) == pow_x_elementwise(e, f)
     assert FqPoly.x(spec).pow_mod(spec.q, f) == pow_x_elementwise(spec.q, f)
     assert routes == [("table", spec, 3), ("lanes", spec, 3)]
-    # the cap: 32 bytes take the table, 35 and the paper preset's 140 do not
+    # the cap: 112 bytes take the table, 114 and the paper preset's 140 do not
     routes.clear()
-    for gamma, n in ((64, 4), (33, 7), (160, 7)):
+    for gamma, n in ((128, 7), (152, 6), (160, 7)):
         wide = field_spec(2, gamma)
         g = _monic(wide, range(1, n + 1))
         assert FqPoly.x(wide).pow_mod(wide.q + 1, g) == pow_x_elementwise(wide.q + 1, g)
     assert routes == [
-        ("table", field_spec(2, 64), 4),
-        ("lanes", field_spec(2, 33), 7),
+        ("table", field_spec(2, 128), 7),
+        ("lanes", field_spec(2, 152), 6),
         ("lanes", field_spec(2, 160), 7),
     ]
 
 
-# (gamma, deg f) for residues of 30, 32 and 33 bytes; a residue of n >= 2
-# lanes of ceil(gamma/8) >= 2 bytes cannot take 31, which is prime
-@pytest.mark.parametrize("gamma, n", [(80, 3), (128, 2), (32, 8), (88, 3), (24, 11)])
+# (gamma, deg f) for residues of 30, 32 and 33 bytes, well below the cap,
+# and of 110, 112 and 114 bytes, around it; a residue of n >= 2 lanes of
+# ceil(gamma/8) >= 2 bytes cannot take 113, which is prime
+@pytest.mark.parametrize("gamma, n", [
+    (80, 3), (128, 2), (32, 8), (88, 3), (24, 11),
+    (88, 10), (128, 7), (64, 14), (152, 6), (456, 2),
+])
 def test_table_cap_at_e_q_and_q_plus_1(gamma, n, x_power_routes):
     spec = field_spec(2, gamma)
     f = _monic(spec, range(1, n + 1))
     for e in (spec.q, spec.q + 1):
-        assert _counted(FqPoly.x(spec).pow_mod, e, f) == _counted(pow_x_elementwise, e, f)
-    # only e > q on a residue of at most 32 bytes asks for the table
+        assert _oracle_counted(e, f) == _counted(FqPoly.x(spec).pow_mod, e, f)
+    # only e > q on a residue of at most 112 bytes asks for the table
     short = n * ((gamma + 7) // 8) <= fqpoly._SQUARE_TABLE_MAX_BYTES
     assert x_power_routes == [("lanes", spec, n), ("table" if short else "lanes", spec, n)]
     assert (f._sq_table is not None) == short
@@ -214,48 +267,61 @@ def _dense_modulus_field(gamma, seed):
             pass
 
 
+def _kind_coeffs(kind, spec, n, rng):
+    return {
+        "x^n": [0] * n,
+        "x^n+1": [1] + [0] * (n - 1),
+        "sparse": [rng.choice((0, rng.randrange(spec.q))) for _ in range(n)],
+        "dense": [rng.randrange(1, spec.q) for _ in range(n)],
+    }[kind]
+
+
 @pytest.mark.parametrize("gamma", (9, 10, 16, 17, 33, 64))
 @settings(max_examples=20)
 @given(
     dense=st.booleans(),
     seed=st.integers(0, 2**32),
     n=st.integers(2, 8),
-    # x^n, x^n + 1 and sparse random f give zero lanes in residues and quotients
+    # x^n, x^n + 1 and sparse random f give zero lanes in residues and rows
     kind=st.sampled_from(("x^n", "x^n+1", "sparse", "dense")),
+    e=kernel_exponents,
 )
-def test_table_route_matches_the_counting_oracle(gamma, dense, seed, n, kind):
+def test_table_route_matches_the_counting_oracle(gamma, dense, seed, n, kind, e):
     spec = _dense_modulus_field(gamma, seed) if dense else field_spec(2, gamma)
     rng = random.Random(seed)
-    coeffs = {
-        "x^n": [0] * n,
-        "x^n+1": [1] + [0] * (n - 1),
-        "sparse": [rng.choice((0, rng.randrange(spec.q))) for _ in range(n)],
-        "dense": [rng.randrange(1, spec.q) for _ in range(n)],
-    }[kind]
-    f = _monic(spec, coeffs)
+    f = _monic(spec, _kind_coeffs(kind, spec, n, rng))
     short = n * ((gamma + 7) // 8) <= fqpoly._SQUARE_TABLE_MAX_BYTES
     table = None
-    # several exponents above q through one f: the table is built once
-    for _ in range(3):
-        e = spec.q + 1 + rng.getrandbits(rng.randrange(1, 201))
-        assert _counted(FqPoly.x(spec).pow_mod, e, f) == _counted(pow_x_elementwise, e, f)
-        if short:
+    # several exponents through one f, from e just below q up: the rows are
+    # built once, at the first, and the table at the first e > q
+    for e in (_kernel_exponent(spec, e), *(spec.q + 1 + rng.getrandbits(rng.randrange(1, 401))
+                                     for _ in range(2))):
+        assert _oracle_counted(e, f) == _counted(FqPoly.x(spec).pow_mod, e, f)
+        assert f._sq_rows is not None
+        if short and e > spec.q:
             assert f._sq_table is not None and table in (None, f._sq_table)
             table = f._sq_table
         else:
-            assert f._sq_table is None
+            assert f._sq_table is table
     if short:
-        # f owns n*ceil(gamma/8) rows of 256 entries: lane 0's are the field's
-        rows, clear, _ = table
-        assert len(rows) == n * len(clear) and all(len(row) == 256 for row in rows + clear)
-        assert all(row is own for row, own in zip(rows, spec._square_rows()))
+        # n lanes per entry, n*ceil(gamma/8) rows of 256 entries; the rows of
+        # the lanes below ceil(n/2) are the field's, the same objects for
+        # every modulus of the field, and lane 0's are its squaring rows
+        rows, clear = table
+        nb, lane, h = len(clear), 8 * len(clear), (n + 1) // 2
+        assert len(rows) == n * nb and all(len(row) == 256 for row in rows + clear)
+        assert max(v.bit_length() for row in rows for v in row) <= n * lane
+        other = _monic(spec, [rng.randrange(1, spec.q) for _ in range(n)])
+        FqPoly.x(spec).pow_mod(spec.q + 1, other)
+        assert all(a is b for a, b in zip(rows[:h * nb], other._sq_table[0][:h * nb]))
+        assert all(a is b for a, b in zip(rows[:nb], spec._square_rows()))
 
 
 def test_squaring_table_is_built_on_first_use():
     spec = FieldSpec(2, 33)
     assert spec._sq_table is None
     f = _monic(spec, (3, 0, 1))
-    assert _counted(FqPoly.x(spec).pow_mod, 99, f) == _counted(pow_x_elementwise, 99, f)
+    assert _oracle_counted(99, f) == _counted(FqPoly.x(spec).pow_mod, 99, f)
     table = spec._sq_table
     assert len(table) == 5 and all(len(row) == 256 for row in table)
     FqPoly.x(spec).pow_mod(5, f)
@@ -300,9 +366,11 @@ def test_square_and_multiply_starts_from_the_base(d):
 
 
 def test_cayley_hamilton_count_is_pinned():
-    # every coefficient squaring goes through the counted multiply
+    # every coefficient squaring goes through the counted multiply; chi's
+    # squaring rows take at most 15 per squaring where division took up
+    # to 25, after their build, at most 20: 2,629 -> 1,879
     engine, oracle = _mat_pow_counts(field_spec(2, 16), 5, 80, seed=2)
-    assert (engine, oracle) == (2629, 14250)
+    assert (engine, oracle) == (1879, 14250)
 
 
 @pytest.mark.parametrize("degrees", [(4,), (2, 2), (6,), (3, 3), (2, 2, 2), (1, 2, 3)])

@@ -122,18 +122,18 @@ def test_the_check_sees_an_fqpoly_import():
     assert found == ["char_poly", "fqpoly", "is_irreducible", "morsl.fqpoly"]
 
 
-def _frobenius_users(source: str, module: str) -> list[str]:
-    """The functions of source, as module.qualname, that read
-    _frobenius_map by name or as an attribute; module.<module> for a read
-    outside any function."""
+def _readers(source: str, module: str, name: str) -> list[str]:
+    """The functions of source, as module.qualname, that read `name` by
+    name or as an attribute; module.<module> for a read outside any
+    function."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{owner}.{child.name}")
-            elif (isinstance(child, ast.Name) and child.id == "_frobenius_map") or (
-                isinstance(child, ast.Attribute) and child.attr == "_frobenius_map"
+            elif (isinstance(child, ast.Name) and child.id == name) or (
+                isinstance(child, ast.Attribute) and child.attr == name
             ):
                 found.append(owner)
             else:
@@ -141,6 +141,10 @@ def _frobenius_users(source: str, module: str) -> list[str]:
 
     visit(ast.parse(source), module)
     return sorted(set(found))
+
+
+def _frobenius_users(source: str, module: str) -> list[str]:
+    return _readers(source, module, "_frobenius_map")
 
 
 def test_only_the_distinct_degree_chain_runs_frobenius_powers():
@@ -172,3 +176,34 @@ def test_the_check_sees_a_second_frobenius_chain():
         "fqpoly._distinct_degree",
         "fqpoly.is_irreducible.chain",
     ]
+
+
+def _squarers(source: str) -> dict[str, list[str]]:
+    """fqpoly's readers of _square, and what each of them reads of the
+    squaring rows (_squaring_rows) and the long division (_rem_monic)."""
+    return {
+        user: [k for k in ("_squaring_rows", "_rem_monic") if user in _readers(source, "fqpoly", k)]
+        for user in _readers(source, "fqpoly", "_square")
+    }
+
+
+def test_fqpoly_squares_modulo_f_in_one_helper():
+    # one squaring model modulo f: the squaring rows in characteristic 2,
+    # long division otherwise, both in the one reader of _square
+    source = (Path(morsl.__file__).parent / "fqpoly.py").read_text()
+    assert _squarers(source) == {"fqpoly._square_mod": ["_squaring_rows", "_rem_monic"]}
+
+
+def test_the_check_sees_a_second_squaring():
+    source = (
+        "def _square_mod(a, f):\n"
+        "    sq = _square(f.spec, a)\n"
+        "    return _rem_monic(sq, f) if f.spec.p != 2 else _fold(sq, _squaring_rows(f))\n"
+        "class FqPoly:\n"
+        "    def pow_mod(self, n, f):\n"
+        "        return _rem_monic(_square(self.spec, self.coeffs), f)\n"
+    )
+    assert _squarers(source) == {
+        "fqpoly.FqPoly.pow_mod": ["_rem_monic"],
+        "fqpoly._square_mod": ["_squaring_rows", "_rem_monic"],
+    }

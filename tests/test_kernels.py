@@ -464,10 +464,18 @@ def test_kernels_check_the_field_of_their_operands(spec):
 # certificate (encrypt's of B_phi, and the parsed key's of its conjugator)
 # is is_irreducible, Ben-Or's gcds for k <= d/2, in place of the Frobenius
 # chain to x^(q^d) and Rabin's gcd: 16 and 22 fewer, 6,570 -> 6,554,
-# 3,272 -> 3,256, 117,428 -> 117,406 and 62,067 -> 62,045.
+# 3,272 -> 3,256, 117,428 -> 117,406 and 62,067 -> 62,045.  A squaring
+# modulo chi adds a_i^2 times the squaring row x^(2i) mod chi for each
+# nonzero a_i, i >= ceil(d/2), instead of dividing the square by chi: at
+# most d + floor(d/2) d multiplications instead of d + (d - 1) d, 15
+# instead of 25 (small) and 28 instead of 49 (paper), after the rows'
+# one build per chi, at most (d - 1) d (20 and 42).  Every long power,
+# x^q certificates included, moves: 6,812 -> 5,587, 6,554 -> 5,229,
+# 2,914 -> 2,334 and 3,256 -> 2,531; 91,790 -> 58,701, 117,406 -> 73,964,
+# 54,259 -> 34,260 and 62,045 -> 38,742.
 PINNED_COUNTS = {
-    "small": ((2, 16, 5), (6812, 6554, 2914, 3256, 6554)),
-    "paper": ((2, 160, 7), (91790, 117406, 54259, 62045, 117406)),
+    "small": ((2, 16, 5), (5587, 5229, 2334, 2531, 5229)),
+    "paper": ((2, 160, 7), (58701, 73964, 34260, 38742, 73964)),
 }
 
 
@@ -519,9 +527,15 @@ def test_seeded_binary_preset_counts_are_pinned(preset):
 # paper power, the first encrypt paying the certificate's gcd as well.
 # That certificate is is_irreducible, as in PINNED_COUNTS: 6,570 -> 6,554
 # and 117,428 -> 117,406 at the first encrypt, the only one that runs it.
+# Squaring through chi's squaring rows, as in PINNED_COUNTS (15 instead
+# of 25 and 28 instead of 49 per squaring at most, the rows built once
+# per chi): encrypt (6,554, 4,759, 3,945) -> (5,229, 3,529, 2,755) and
+# decrypt (2,914, 3,421, 2,600) -> (2,334, 2,841, 2,020) at the small
+# preset; (117,406, 105,945, 102,575) -> (73,964, 65,765, 62,395) and
+# (54,259, 56,328, 52,757) -> (34,260, 36,329, 32,758) at the paper's.
 SESSION_PINNED_COUNTS = {
-    "small": ((2, 16, 5), ((6554, 4759, 3945), (2914, 3421, 2600))),
-    "paper": ((2, 160, 7), ((117406, 105945, 102575), (54259, 56328, 52757))),
+    "small": ((2, 16, 5), ((5229, 3529, 2755), (2334, 2841, 2020))),
+    "paper": ((2, 160, 7), ((73964, 65765, 62395), (34260, 36329, 32758))),
 }
 
 
@@ -559,10 +573,14 @@ def test_seeded_three_message_session_counts_are_pinned(preset):
 # the running products of one orbit walk (24, 31 and 18).  The BSGS
 # group's mod_inverse stops at the first nonzero constant remainder,
 # which saves a division by that constant and a cofactor nobody reads:
-# 1,307 -> 1,301, 3,703 -> 3,693 and 16,055 -> 16,045.
+# 1,307 -> 1,301, 3,703 -> 3,693 and 16,055 -> 16,045.  Over GF(2^4) a
+# squaring modulo a cubic adds at most one squaring row of 3, 6
+# multiplications instead of 3 + 2 * 3 = 9, after the row's build, at
+# most 2 * 3: mw_reduce 3,693 -> 3,570 and validate_params' x^q of chi_A
+# 49 -> 40.  The odd fields still divide by the modulus.
 LAB_PINNED_COUNTS = {
     "gf7": ((7, 1, 3), (75, 73, 1301, 4, 24)),
-    "gf2_4": ((2, 4, 3), (78, 124, 3693, 49, 31)),
+    "gf2_4": ((2, 4, 3), (78, 124, 3570, 40, 31)),
     "gf3": ((3, 1, 4), (192, 168, 16045, 18, 18)),
 }
 
@@ -652,8 +670,11 @@ def test_pow_mod_matches_its_oracle(spec, seed, zero_share, by_x, e):
     if f.is_zero():
         f = FqPoly.x(spec)
     base = FqPoly.x(spec) if by_x else _poly(spec, rng.randrange(10), rng, zero_share)
-    _both(lambda b, g: b.pow_mod(e, g), lambda b, g: b.pow_mod(e, g), base, f)
-    _both(lambda b, g: b.pow_mod(spec.q, g), lambda b, g: b.pow_mod(spec.q, g), base, f)
+    # one oracle modulus for both powers: each side builds f's squaring
+    # rows once, at its first squaring, and keeps them
+    oracle_base, oracle_f = PolyElementwise.of(base), PolyElementwise.of(f)
+    for n in (e, spec.q):
+        assert _run_poly(base.pow_mod, n, f) == _run_poly(oracle_base.pow_mod, n, oracle_f)
 
 
 @PROPERTY
@@ -669,10 +690,12 @@ def test_factoring_kernels_match_their_oracles(spec, seed, zero_share, repeat):
         spread = [0] * (spec.p * h.degree() + 1)
         spread[::spec.p] = h.coeffs
         f = FqPoly(spec, spread)
-    _both(is_irreducible, is_irreducible_elementwise, f)
-    _both(squarefree_part, squarefree_part_elementwise, f)
+    # one oracle polynomial for the three, as f keeps its squaring rows
+    oracle_f = PolyElementwise.of(f)
+    assert _run_poly(is_irreducible, f) == _run_poly(is_irreducible_elementwise, oracle_f)
+    assert _run_poly(squarefree_part, f) == _run_poly(squarefree_part_elementwise, oracle_f)
     # the factors come out sorted by degree, then by coefficient tuple
-    _both(irreducible_factors, irreducible_factors_elementwise, f)
+    assert _run_poly(irreducible_factors, f) == _run_poly(irreducible_factors_elementwise, oracle_f)
 
 
 def test_frobenius_map_reduces_modulo_the_divisor_it_is_given():

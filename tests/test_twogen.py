@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from morsl.field import field_spec
 from morsl.matrix import (
@@ -17,6 +19,7 @@ from morsl.twogen import (
     ck_closed,
     ck_inv_closed,
     d_power_closed,
+    _wrap,
     rewrite_transvection_in_cd,
 )
 
@@ -221,6 +224,45 @@ def test_rewrite_completeness(p, d):
                     continue
                 w = rewrite_transvection_in_cd(spec, d, i, j, lam)
                 assert w.evaluate() == transvection(spec, d, i, j, lam)
+
+
+# primes from the smallest the pair takes up to 2^61 - 1, where the word
+# written lam times could not be written at all
+REWRITE_PRIMES = (5, 7, 11, 101, 1009, 65537, 2**31 - 1, 2**61 - 1)
+
+
+@settings(max_examples=60)
+@given(
+    p=st.sampled_from(REWRITE_PRIMES),
+    d=st.integers(5, 9),
+    i=st.integers(1, 9),
+    j=st.integers(1, 9),
+    lam=st.integers(1, 2**61),
+)
+def test_rewrite_any_coefficient(p, d, i, j, lam):
+    i, j = _wrap(d, i), _wrap(d, j)
+    assume(i != j)
+    spec = field_spec(p)
+    lam = spec.from_val(lam % (p - 1) + 1)
+    w = rewrite_transvection_in_cd(spec, d, i, j, lam)
+    assert w.evaluate() == transvection(spec, d, i, j, lam)
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_word_length_does_not_depend_on_lam(d):
+    spec = field_spec(2**61 - 1)
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            if i != j:
+                lengths = {
+                    len(rewrite_transvection_in_cd(spec, d, i, j, spec.from_val(lam)))
+                    for lam in (1, 2, 3, 2**40, spec.p - 1)
+                }
+                assert len(lengths) == 1
+    # the longest unit word: the bottom-row chain doubles with each degree
+    assert max(len(rewrite_transvection_in_cd(spec, d, d, k, spec.one())) for k in range(1, d)) == {
+        5: 201, 6: 345, 7: 633, 8: 1209,
+    }[d]
 
 
 def test_rewrite_validation():
