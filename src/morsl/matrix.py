@@ -418,8 +418,8 @@ def mat_pow(x: Matrix, n: int) -> Matrix:
     in characteristic 2, through chi_x's squaring rows (built once per
     chi_x, (d - 1) d), and d + (d - 1) d plus the cross terms otherwise,
     and an evaluation of r at x.  A matrix with a verdict is one raised to
-    large exponents, such as a key's conjugator, which encrypt raises for every
-    message; from its second remainder on, r(x) is evaluated in its own
+    large exponents, such as a key's conjugator, which encrypt raises for
+    every message; from its second remainder on, r(x) is evaluated in its own
     algebra F_q[x], on x's power basis (fqpoly.Quotient.eval,
     (d - 1) d^2, after (d - 2) d^3 to build the basis once).  A matrix
     recorded as g(B) for another matrix B is raised in F_q[B] instead:

@@ -12,10 +12,10 @@ They call neither matrix.mat_pow nor FqPoly.pow_mod nor the Frobenius
 matrix, and only the compose decrypt's final inversion calls
 autos.recover_conjugator, so an agreement checks the engine against
 independent code.  Two more are the FieldElement forms of code that now
-runs on raw ints: the x^e loop of FqPoly.pow_mod, whose multiplications
-are counted one by one, the coefficient-by-coefficient hex format, and
-the reversed bit string that formatted a binary element before its
-byte table.
+runs on raw ints: the x^e loop of FqPoly.pow_mod through the squaring
+rows, whose multiplications are counted one by one, the
+coefficient-by-coefficient hex format, and the reversed bit string that
+formatted a binary element before its byte table.
 The field's own kernels have oracles too: the 4-bit windowed binary
 multiply with its nibble reduction table, the multiplication and
 inverse tables of a small field built from q^2 coefficient-tuple
@@ -55,10 +55,11 @@ for the tests that check which route ran and what it counted.
 
 PolyElementwise, at the very end, is FqPoly as it was on FieldElement
 coefficients: +, -, *, scale, divmod, monic, gcd, the coefficient loop of
-pow_mod (squaring and monic reduction), derivative and evaluation, with
-the Frobenius map, squarefree part, distinct- and equal-degree
-factorization, irreducible_factors, is_irreducible and mod_inverse on top
-of it.  packed() turns its results back into FqPoly for comparison.
+pow_mod (squaring through the modulus's squaring rows in
+characteristic 2, squaring and monic reduction otherwise), derivative
+and evaluation, with the Frobenius map, squarefree part, distinct- and
+equal-degree factorization, irreducible_factors, is_irreducible and
+mod_inverse on top of it.  packed() turns its results back into FqPoly for comparison.
 """
 
 import functools
@@ -1252,7 +1253,8 @@ class PolyElementwise:
         return PolyElementwise(self.spec, a.coeffs).monic()
 
     def pow_mod(self, n, modulus):
-        """The coefficient loop of FqPoly.pow_mod; for the base x over a
+        """The coefficient loop of FqPoly.pow_mod, squaring through the
+        modulus's squaring rows in characteristic 2; for the base x over a
         large binary field it counts what the lane kernels count."""
         spec = self.spec
         if modulus.is_zero():
@@ -1266,10 +1268,11 @@ class PolyElementwise:
         for bit in bin(n)[3:]:
             if spec.p == 2:
                 # f keeps its squaring rows from its first squaring on
+                deg = f.degree()
                 if getattr(f, "sq_rows", None) is None:
-                    f.sq_rows = squaring_rows_elementwise(f.coeffs, f.degree())
-                coeffs = [*acc.coeffs, *[spec.zero()] * (f.degree() - len(acc.coeffs))]
-                acc = PolyElementwise(spec, square_by_rows_elementwise(coeffs, f.sq_rows, f.degree(), spec))
+                    f.sq_rows = squaring_rows_elementwise(f.coeffs, deg)
+                coeffs = [*acc.coeffs, *[spec.zero()] * (deg - len(acc.coeffs))]
+                acc = PolyElementwise(spec, square_by_rows_elementwise(coeffs, f.sq_rows, deg, spec))
             else:
                 acc = rem_monic_elementwise(square_elementwise(acc.coeffs, spec), f)
             if bit == "1":
