@@ -40,6 +40,7 @@ from __future__ import annotations
 from .field import FieldElement, FieldSpec, _count_muls, _json_dict, _json_int, _json_list
 from .linalg import RowReducer, sylvester_rows
 from .matrix import (
+    KeyField,
     Matrix,
     Permutation,
     SingularMatrixError,
@@ -47,7 +48,6 @@ from .matrix import (
     _outer,
     identity,
     mat_inv,
-    mat_pow,
     orbits,
 )
 from .words import decompose
@@ -187,11 +187,12 @@ class Automorphism:
 
         Conjugation by B^m is the m-fold composition of conjugation by B,
         and the scalar ambiguity of B cancels, so this equals
-        square-and-multiply over compose image by image.  mat_pow is the
-        protocol's engine too, and reduces a large m mod q^d - 1 when that
-        is exact.
+        square-and-multiply over compose image by image.  B is raised in a
+        KeyField of its own, used once, which reduces a large m mod
+        q^d - 1 and at the norm when that is exact, as the protocol's
+        powers are reduced.
         """
-        return Automorphism.from_conjugator(mat_pow(recover_conjugator(self), m))
+        return Automorphism.from_conjugator(KeyField(recover_conjugator(self)).power(m))
 
     def invert(self) -> "Automorphism":
         return Automorphism.from_conjugator(mat_inv(recover_conjugator(self)))

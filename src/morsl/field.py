@@ -32,8 +32,8 @@ products are XORed into all lanes at once, and each output entry is
 reduced once with the reduction table; a d x d product thus takes d^2
 reductions instead of d^3.  Every other field runs the loops over its
 _mul_raw, on the rows themselves.  None of the three counts.  A prepared
-factor is a plain value that may outlive the call: matrix.mat_pow's
-power basis keeps one for every later power of its matrix.
+factor is a plain value that may outlive the call: a key's power
+basis (matrix.KeyField) keeps one for every later power of its matrix.
 
 Building a spec proves its modulus irreducible: by Ben-Or's test on
 packed bits for p = 2, and by fqpoly.is_irreducible over GF(p)

@@ -16,13 +16,13 @@ field's raw operations and adds to the multiplication counter exactly
 what its FieldElement loop, kept in tests/oracles.py, counted.  Binary
 operations refuse operands over different specs (FieldMismatchError).
 
-It is also the exponentiation engine behind matrix.mat_pow: pow_mod
-computes x^e mod chi_M, and eval_matrix evaluates the result at M by
-Horner, or Quotient, the ring F_q[x]/f and, on a matrix B, the algebra
-F_q[B], evaluates it on B's power basis.  Other modules multiply, invert
-and compose modulo a polynomial only through Quotient.
-mat_pow's certificate is is_irreducible(chi_M), the package's one
-irreducibility test over F_q[x].
+It is also the exponentiation engine behind matrix.mat_pow and
+matrix.KeyField: pow_mod computes x^e mod chi_M, and eval_matrix
+evaluates the result at M by Horner, or Quotient, the ring F_q[x]/f and,
+on a matrix B, the algebra F_q[B], evaluates it on B's power basis.
+Other modules multiply, invert and compose modulo a polynomial only
+through Quotient.  A KeyField's certificate is is_irreducible(chi_B),
+the package's one irreducibility test over F_q[x].
 Repeated q-th powers modulo f go through the Frobenius matrix of f.
 Squaring modulo a monic f of degree n over a binary field has one model,
 the squaring rows S_i = x^(2i) mod f, ceil(n/2) <= i < n (the q = 2 case
@@ -285,12 +285,12 @@ class FqPoly:
         return acc
 
 
-def _add_scalar(spec: FieldSpec, vals, c: int, element=None) -> Matrix:
-    """vals + c*1 on packed ints, with the element Matrix._from_vals takes."""
+def _add_scalar(spec: FieldSpec, vals, c: int) -> Matrix:
+    """vals + c*1 on packed ints."""
     add = spec._add_raw
     return Matrix._from_vals(spec, tuple(
         tuple(add(v, c) if a == b else v for b, v in enumerate(r)) for a, r in enumerate(vals)
-    ), element)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -689,20 +689,21 @@ def _char_poly_cost(n: int) -> int:
 def cayley_hamilton_cost(d: int, e: int, p: int) -> int:
     """Field multiplications, at most, of M^e = (x^e mod chi_M)(M) for a
     d x d matrix M in characteristic p and e >= 1, by either evaluation
-    of matrix.mat_pow: chi_M, x^e mod chi_M (_pow_mod_cost: in
-    characteristic 2, d + floor(d/2) d per squaring through chi_M's
-    squaring rows, after their build, (d - 1) d, which the figure counts
-    even where chi_M keeps rows from an earlier power) and Horner's
-    evaluation, d^2 + (d - 2) d^3.  The power basis's build, (d - 2) d^3, and
-    evaluation on it, (d - 1) d^2, come only after an earlier power has
-    cached chi_M, and their surcharge over Horner, (d - 2) d^2, is below
-    _char_poly_cost(d) = d^3 + d^2/2 - 3d/2 + 2, so the figure bounds them
-    too.  The evaluation of an M = g(B) on B's basis, 2 (d - 1) d^2, runs
-    only where it is no more than Horner's, for d >= 3.  mat_pow splits
-    the power of an M in a field at the norm, M^e = det(M)^k M^s, only
-    when this figure at s (at 1 for s = 0) plus det(M)^k's
-    bits(k) + popcount(k) - 2 and d for the scaled remainder is below
-    this figure at e, so the figure at e bounds the split route too."""
+    of matrix.mat_pow and matrix.KeyField: chi_M, x^e mod chi_M
+    (_pow_mod_cost: in characteristic 2, d + floor(d/2) d per squaring
+    through chi_M's squaring rows, after their build, (d - 1) d, which the
+    figure counts even where chi_M keeps rows from an earlier power) and
+    Horner's evaluation, d^2 + (d - 2) d^3.  The power basis's build,
+    (d - 2) d^3, and evaluation on it, (d - 1) d^2, come only after an
+    earlier power has cached chi_M, and their surcharge over Horner,
+    (d - 2) d^2, is below _char_poly_cost(d) = d^3 + d^2/2 - 3d/2 + 2, so
+    the figure bounds them too.  The evaluation of an M = g(B) on B's
+    basis, 2 (d - 1) d^2, runs only where it is no more than Horner's, for
+    d >= 3.  KeyField splits the power of an M in a field at the norm,
+    M^e = det(M)^k M^s, only when this figure at s (at 1 for s = 0) plus
+    det(M)^k's bits(k) + popcount(k) - 2 and d for the scaled remainder is
+    below this figure at e, so the figure at e bounds the split route
+    too."""
     reduce_x = 1 if d == 1 else 0
     horner = d * d + (d - 2) * d**3 if d >= 2 else 0
     return reduce_x + _pow_mod_cost(e, d, p, by_x=True) + _char_poly_cost(d) + horner
@@ -955,8 +956,7 @@ class Quotient:
     a d x d matrix B with f = chi_B, d >= 2, the algebra F_q[B] = K.  An
     odd extension field multiplies and inverts in GF(p)[x]/f,
     seclab.mw_reduce runs its BSGS group and order search in its
-    eigenvalue field, and matrix.py keeps a matrix's algebra on it, with
-    the matrix as an element (algebra, g) of it (matrix._as_element).
+    eigenvalue field, and matrix.KeyField keeps a key's algebra in one.
 
     Elements are coefficient tuples of packed ints, constant first, of
     degree below n and without trailing zeros, as FqPoly.coeffs, so that
@@ -969,28 +969,24 @@ class Quotient:
     as matrix.mat_mul counts: (n - 1) n for the rows, n for r's top
     coefficient times g and n^2 for each further step.
 
-    On B, eval(g) is the matrix g(B), which Matrix records as the element
-    (self, g): g_0 1 plus the row (g_1, ..., g_(d-1)) times B's power
-    basis B, ..., B^(d-1), (d - 1) d^2 multiplications.  read(X) is the g
-    with X = g(B), or None when X is not in F_q[B]: X's entries at d
-    positions where 1, B, ..., B^(d-1) are independent, times the inverse
-    of their d x d block there, d^2, and then eval(g) compared with X, d^3
-    in all.  It needs B cyclic, as an irreducible chi_B makes it.  The
-    basis, d - 2 products, and the coordinate reader, those positions and
-    that inverse (one RowReducer pass over [1, B, ..., B^(d-1) | 1], whose
+    On B, eval(g) is the matrix g(B): g_0 1 plus the row
+    (g_1, ..., g_(d-1)) times B's power basis B, ..., B^(d-1),
+    (d - 1) d^2 multiplications.  read(X) is the g with X = g(B), or None
+    when X is not in F_q[B]: X's entries at d positions where
+    1, B, ..., B^(d-1) are independent, times the inverse of their d x d
+    block there, d^2, and then eval(g) compared with X, d^3 in all.  It
+    needs B cyclic, as an irreducible chi_B makes it.  The basis, d - 2
+    products, and the coordinate reader, those positions and that
+    inverse (one RowReducer pass over [1, B, ..., B^(d-1) | 1], whose
     pivot columns are the positions and whose right block is the
-    inverse), are built on first need and kept.  A key's conjugator is
-    used again and again, so mat_pow and the hand-on serve B's first
-    evaluation and first membership test without them, by Horner's rule
-    and the commutation test, and a B used once builds nothing;
-    used_before tells them whether B has served a use of a kind before,
-    and a built basis counts as an evaluation served."""
+    inverse), are built on first need and kept; KeyField decides when
+    that need comes."""
 
-    __slots__ = ("spec", "f", "matrix", "_uses", "_basis", "_reader")
+    __slots__ = ("spec", "f", "matrix", "_basis", "_reader")
 
     def __init__(self, f: FqPoly, matrix: Matrix | None = None):
         self.spec, self.f, self.matrix = f.spec, f, matrix
-        self._uses, self._basis, self._reader = set(), None, None
+        self._basis, self._reader = None, None
 
     def mul(self, a, b) -> tuple:
         return tuple(_trim(_rem_monic(_product(self.spec, a, b), self.f)))
@@ -1019,18 +1015,12 @@ class Quotient:
         _count_muls((n - 1) * n * n)
         return tuple(_trim(acc))
 
-    def used_before(self, use: str) -> bool:
-        """Whether B has served a use of this kind before; records it."""
-        seen = use in self._uses
-        self._uses |= {use}
-        return seen
-
     def eval(self, g) -> Matrix:
         spec, d = self.spec, self.matrix.d
         r = (*g, *(0,) * (d - len(g)))
         _count_muls((d - 1) * d * d)
         flat = spec._mul_prepared_raw((r[1:],), self._built_basis()[1])[0]
-        return _add_scalar(spec, [flat[i:i + d] for i in range(0, d * d, d)], r[0], (self, g))
+        return _add_scalar(spec, [flat[i:i + d] for i in range(0, d * d, d)], r[0])
 
     def read(self, x: Matrix):
         spec, d = self.spec, self.matrix.d
@@ -1056,7 +1046,6 @@ class Quotient:
             powers = _accumulate([self.matrix] * (self.matrix.d - 1), mat_mul)
             rows = tuple(tuple(_chain.from_iterable(p.vals)) for p in powers)
             self._basis = rows, self.spec._prepare_raw(rows)
-            self._uses |= {"evaluation"}
         return self._basis
 
 

@@ -26,24 +26,19 @@ Indices in every public signature are 1-based, matching the e_{i,j}
 matrix-unit notation.
 
 mat_inv is linalg.solve(x, 1) on packed ints, the package's one
-elimination, except for a matrix known to lie in an algebra F_q[B]
-(below).  det keeps its own forward-only pass: it needs the product of
-the pivots and nothing else, so it runs no back substitution, carries no
-right-hand side and stops at the last pivot, where a solve would do more
-work.  Its exact multiplication count is also pinned by the golden
+elimination.  det keeps its own forward-only pass: it needs the product
+of the pivots and nothing else, so it runs no back substitution, carries
+no right-hand side and stops at the last pivot, where a solve would do
+more work.  Its exact multiplication count is also pinned by the golden
 bench, through the SL check of Automorphism.__init__.
 
-mat_pow is the package's one exponentiation engine: keygen, encrypt,
-decrypt and Automorphism.power all raise matrices through it.  It picks
-Cayley-Hamilton or square-and-multiply by predicted cost, and it alone
-reduces an exponent, mod q^d - 1 and at the norm, when the verdict
-cached on the matrix shows that it lies in a field F_q[B] = GF(q^d):
-B = x with chi_x irreducible, or a B that handed its verdict on.  A
-matrix with a verdict is raised again and again, as a key's conjugators
-are for every message, so it keeps its algebra F_q[B] = F_q[x]/chi_B, an
-fqpoly.Quotient: mat_pow evaluates its later powers there, and the
-matrices that B's hand-on (_hand_on_verdict) reads as g(B), and the
-powers evaluated there, are raised and inverted there too.
+mat_pow raises a matrix by Cayley-Hamilton or square-and-multiply,
+whichever is predicted cheaper, to the exponent it is given.  KeyField,
+the algebra K = F_q[B] of a key's conjugator B, is the one place where
+an exponent is reduced, mod q^d - 1 and at the norm, when B is a unit of
+a field GF(q^d).  The keys hold one each (protocol.py), keygen, encrypt,
+decrypt and Automorphism.power raise matrices through one, and it keeps
+B's algebra, an fqpoly.Quotient, for a B used more than once.
 """
 
 from __future__ import annotations
@@ -66,6 +61,7 @@ from .linalg import solve
 
 __all__ = [
     "Matrix",
+    "KeyField",
     "Permutation",
     "SingularMatrixError",
     "identity",
@@ -90,11 +86,8 @@ class SingularMatrixError(ValueError):
 
 
 class Matrix:
-    # _chi caches chi_x (fqpoly.char_poly fills it).  _split caches the
-    # verdict of mat_pow's certificate (see _FIELD), and _element the
-    # matrix as g(B) in an algebra F_q[B], the pair (algebra, g), g = t
-    # in B's own; only this module writes those two
-    __slots__ = ("spec", "d", "vals", "_chi", "_split", "_element")
+    # _chi caches chi_x (fqpoly.char_poly fills it)
+    __slots__ = ("spec", "d", "vals", "_chi")
 
     def __init__(self, spec: FieldSpec, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -110,20 +103,17 @@ class Matrix:
         self._set_slots(spec, tuple(tuple(x.val for x in r) for r in rows))
 
     @classmethod
-    def _from_vals(cls, spec: FieldSpec, vals: tuple, element=None) -> "Matrix":
-        """The matrix of a tuple of row tuples of packed ints, unchecked,
-        and, from fqpoly.Quotient.eval, its element (algebra, g)."""
+    def _from_vals(cls, spec: FieldSpec, vals: tuple) -> "Matrix":
+        """The matrix of a tuple of row tuples of packed ints, unchecked."""
         m = object.__new__(cls)
-        m._set_slots(spec, vals, element)
+        m._set_slots(spec, vals)
         return m
 
-    def _set_slots(self, spec: FieldSpec, vals: tuple, element=None) -> None:
+    def _set_slots(self, spec: FieldSpec, vals: tuple) -> None:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "d", len(vals))
         object.__setattr__(self, "vals", vals)
         object.__setattr__(self, "_chi", None)
-        object.__setattr__(self, "_split", None)
-        object.__setattr__(self, "_element", element)
 
     def __setattr__(self, *args):
         raise AttributeError("Matrix is immutable")
@@ -274,26 +264,18 @@ def orbits(points, step) -> list[tuple]:
 
 def permutation_matrix(spec: FieldSpec, alpha: Permutation) -> Matrix:
     """Identity with rows exchanged by alpha; sends basis vector e_b to e_{alpha(b)}."""
-    one, zero = spec.one(), spec.zero()
-    d = alpha.d
-    rows = [[zero] * d for _ in range(d)]
-    for b in range(1, d + 1):
-        rows[alpha(b) - 1][b - 1] = one
-    return Matrix(spec, rows)
+    rows = range(1, alpha.d + 1)
+    return Matrix._from_vals(spec, tuple(tuple(int(alpha(b) == a) for b in rows) for a in rows))
 
 
 def diagonal_matrix(w) -> Matrix:
     w = list(w)
     if not w:
         raise ValueError("empty diagonal")
-    spec = w[0].spec
-    for x in w:
-        if x.is_zero():
-            raise ValueError("diagonal entries must be nonzero")
-    zero = spec.zero()
-    d = len(w)
-    rows = [[w[a] if a == b else zero for b in range(d)] for a in range(d)]
-    return Matrix(spec, rows)
+    if any(x.is_zero() for x in w):
+        raise ValueError("diagonal entries must be nonzero")
+    zero, d = w[0].spec.zero(), len(w)
+    return Matrix(w[0].spec, [[x if a == b else zero for b in range(d)] for a, x in enumerate(w)])
 
 
 def scalar_matrix(spec: FieldSpec, d: int, lam: FieldElement) -> Matrix:
@@ -368,17 +350,7 @@ def det(x: Matrix) -> FieldElement:
 
 
 def mat_inv(x: Matrix) -> Matrix:
-    """x^(-1).  A matrix recorded as g(B) for another matrix B is inverted
-    in F_q[B]: h = g^(-1) mod chi_B (Quotient.inv), which exists exactly
-    when g(B) is invertible (chi_B's roots are B's eigenvalues), and h(B)
-    on B's basis, (d - 1) d^2.  Any other matrix is inverted by linalg's
-    solve of x X = 1."""
-    algebra, g = x._element or (None, None)
-    if algebra is not None and algebra.matrix is not x:
-        try:
-            return algebra.eval(algebra.inv(g))
-        except ZeroDivisionError:
-            raise SingularMatrixError("matrix is singular") from None
+    """x^(-1), by linalg's solve of x X = 1."""
     inv = solve(x.spec, x.vals, identity(x.spec, x.d).vals)
     if inv is None:
         raise SingularMatrixError("matrix is singular")
@@ -388,77 +360,24 @@ def mat_inv(x: Matrix) -> Matrix:
 def mat_pow(x: Matrix, n: int) -> Matrix:
     """x^n by whichever route is predicted to take fewer field multiplications.
 
-    From n >= q^d - 1 on, n is first reduced mod q^d - 1 when x lies in a
-    field GF(q^d); no other code reduces an exponent.  The certificate,
-    _field_verdict, is chi_x(0) != 0 and chi_x irreducible
-    (fqpoly.is_irreducible): then F_q[x] is the field GF(q^d) (_FIELD),
-    and x, a unit of it, has an order dividing q^d - 1.  Any other matrix,
-    one whose chi_x splits into distinct factors included, keeps the full
-    exponent (correct, just slower).  The verdict is decided once per
-    matrix and cached on it, and it shares chi_x with the power, as
-    char_poly caches it too.  Below q^d - 1 the reduction would change
-    nothing, so no certificate is computed.  keygen certifies its
-    conjugator before the power, and a nonzero matrix that commutes with
-    a _FIELD one (encrypt's B_phim, decrypt's B_r) is handed _IN_A_FIELD
-    instead (_hand_on_verdict).
-
-    The second reduction is the norm's.  When x lies in a field,
-    x^N = det(x) 1 for N = (q^d - 1)/(q - 1), the field norm, so
-    x^n = det(x)^k x^s for (k, s) = divmod(n, N), det(x) = (-1)^d chi_x(0).
-    Such a power raises only s, then multiplies the remainder t^s mod
-    chi_x by det(x)^k (field._pow_raw, bits(k) + popcount(k) - 2, and one
-    multiplication per coefficient unless det(x)^k = 1), before any of
-    the evaluations below; s = 0 is det(x)^k 1.  The result is exactly
-    x^n.  The split is priced as Cayley-Hamilton at s (at 1 for s = 0),
-    det(x)^k and d, and taken only below both routes' prices at n, so
-    cayley_hamilton_cost at n bounds it too.
-
     Cayley-Hamilton: x^n = r(x) for r(t) = t^n mod chi_x(t), by
-    FqPoly.pow_mod, at most d + floor(d/2) d multiplications per squaring
-    in characteristic 2, through chi_x's squaring rows (built once per
-    chi_x, (d - 1) d), and d + (d - 1) d plus the cross terms otherwise,
-    and an evaluation of r at x.  A matrix with a verdict is one raised to
-    large exponents, such as a key's conjugator, which encrypt raises for
-    every message; from its second remainder on, r(x) is evaluated in its own
-    algebra F_q[x], on x's power basis (fqpoly.Quotient.eval,
-    (d - 1) d^2, after (d - 2) d^3 to build the basis once).  A matrix
-    recorded as g(B) for another matrix B is raised in F_q[B] instead:
-    r(x) = s(B) for s = r(g) mod chi_B, by Quotient.compose and eval,
-    (d - 1) d^2 each, which for d >= 3 is no more than Horner's (for d = 2
-    it would be more, and Horner's runs).  Every other evaluation, the
-    first at a matrix with a verdict among them, is Horner's,
-    d^2 + (d - 2) d^3, so a matrix raised once builds no basis.  A result
-    evaluated on a basis is recorded as s(B), or r(x), for mat_inv.
+    FqPoly.pow_mod (in characteristic 2 at most d + floor(d/2) d
+    multiplications per squaring, through chi_x's squaring rows, built
+    once per chi_x in (d - 1) d; d + (d - 1) d plus the cross terms
+    otherwise), then r(x) by Horner's rule, d^2 + (d - 2) d^3.
     Square-and-multiply runs left to right from x,
     (bits(n) + popcount(n) - 2) d^3, cheaper for short exponents on large
-    matrices.  Both predictions come from d, n and p.
+    matrices.  Both predictions come from d, n and p.  n is raised as
+    given; KeyField reduces an exponent where that is exact.
     """
     if n < 0:
         return mat_pow(mat_inv(x), -n)
-    from .fqpoly import cayley_hamilton_cost, char_poly
-
-    spec, d = x.spec, x.d
-    order_bound = spec.q**d - 1
-    if n >= order_bound and _field_verdict(x):
-        n %= order_bound
     if not n:
-        return identity(spec, d)
-    cayley_hamilton = cayley_hamilton_cost(d, n, spec.p)
-    square_and_multiply = d**3 * (n.bit_length() + n.bit_count() - 2)
-    norm = order_bound // (spec.q - 1)
-    if n >= norm and x._split:
-        k, s = divmod(n, norm)
-        # Cayley-Hamilton at s (s = 0 costs no more than s = 1), det^k, and
-        # the remainder times it
-        split = cayley_hamilton_cost(d, max(s, 1), spec.p) + k.bit_length() + k.bit_count() + d - 2
-        if split < min(cayley_hamilton, square_and_multiply):
-            chi0 = char_poly(x).coeffs[0]
-            c = _pow_raw(spec, spec._neg_raw(chi0) if d % 2 else chi0, k)
-            if not s:
-                return scalar_matrix(spec, d, FieldElement(spec, c))
-            return _cayley_hamilton(x, s, c)
-    if cayley_hamilton < square_and_multiply:
-        return _cayley_hamilton(x, n, 1)
+        return identity(x.spec, x.d)
+    from .fqpoly import FqPoly, cayley_hamilton_cost, char_poly
+
+    if cayley_hamilton_cost(x.d, n, x.spec.p) < x.d**3 * (n.bit_length() + n.bit_count() - 2):
+        return FqPoly.x(x.spec).pow_mod(n, char_poly(x)).eval_matrix(x)
     acc = x
     for bit in bin(n)[3:]:
         acc = mat_mul(acc, acc)
@@ -467,88 +386,161 @@ def mat_pow(x: Matrix, n: int) -> Matrix:
     return acc
 
 
-def _cayley_hamilton(x: Matrix, n: int, c: int) -> Matrix:
-    """c x^n, n >= 1, for a packed scalar c: r = c (t^n mod chi_x), then
-    r(x) by the evaluation mat_pow's docstring names.  r is scaled only
-    for c != 1, one multiplication per coefficient."""
-    from .fqpoly import FqPoly, char_poly
+class KeyField:
+    """K = F_q[B], the algebra of a key's conjugator B, and the one place
+    where an exponent is reduced.  Keys hold one each (protocol.py);
+    Automorphism.power and a fresh B_r use one once.
 
-    r = FqPoly.x(x.spec).pow_mod(n, char_poly(x))
-    if c != 1:
-        r = r.scale(c)
-    if x._split is not None or x._element is not None:
-        algebra, g = _as_element(x)
-        if algebra.matrix is not x and x.d > 2:
-            return algebra.eval(algebra.compose(r.coeffs, g))
-        if algebra.matrix is x and algebra.used_before("evaluation"):
-            return algebra.eval(r.coeffs)
-    return r.eval_matrix(x)
+    B's certificate, decided on first need and kept, is chi_B(0) != 0
+    and chi_B irreducible (fqpoly.is_irreducible): then K is the field
+    GF(q^d), and B, a unit of it, has an order dividing q^d - 1.  The
+    first test is free, and keeps the 1 x 1 zero matrix, whose chi = t is
+    irreducible, out of the field.  A matrix that commutes with a
+    certified B lies in K, as B is cyclic, so a nonzero one is a unit of
+    the same field: member(x) and power_of(x, n) hand B's certificate on
+    to it (a KeyField that holds such a member hands nothing on).
 
+    power(n) reduces n mod q^d - 1, from q^d - 1 on, where B is such a
+    unit, deciding B's certificate if need be; below q^d - 1 the
+    reduction would change nothing and nothing is decided.  A power of a
+    unit known so is then split at the norm: x^N = det(x) 1 for
+    N = (q^d - 1)/(q - 1), so x^n = det(x)^k x^s for (k, s) =
+    divmod(n, N), det(x) = (-1)^d chi_x(0).  Only s is raised, the
+    remainder t^s mod chi_x scaled by det(x)^k (field._pow_raw,
+    bits(k) + popcount(k) - 2, and one multiplication per coefficient
+    unless det(x)^k = 1); s = 0 is det(x)^k 1.  The split is priced as
+    Cayley-Hamilton at max(s, 1), det(x)^k and d, and taken only below
+    both of mat_pow's prices at n, so cayley_hamilton_cost at n bounds
+    it too.  Any other power takes mat_pow's route.
 
-def _as_element(b: Matrix) -> tuple:
-    """b as an element (algebra, g) of an fqpoly.Quotient: g(B) if b is
-    recorded so, else x in F_q[b], kept on b from the first call.
-    mat_pow and the hand-on call it only for a b with a verdict, whose
-    chi_b is cached, or an element."""
-    if b._element is None:
-        from .fqpoly import Quotient, char_poly
+    B's algebra, an fqpoly.Quotient on B, serves the uses that repeat:
+    B's power basis and coordinate reader are built only for a B used
+    more than once.  B's first remainder is evaluated by Horner's rule,
+    and later ones on B's basis, (d - 1) d^2, after (d - 2) d^3 to build
+    it.  B's first membership test compares B x with x B, 2 d^3; later
+    ones read x in K (Quotient.read, d^3, after the basis and the
+    reader, which the basis then serves B's evaluations with).  A power
+    evaluated on the basis, and a member read in K, have coordinates
+    there: a member's power is evaluated on the basis too (Quotient
+    compose and eval, (d - 1) d^2 each, for d >= 3, where that is no
+    more than Horner's), and such a power is inverted there (Quotient.inv
+    and eval).  Every other matrix is inverted by mat_inv.
+    """
 
-        object.__setattr__(b, "_element", (Quotient(char_poly(b), b), (0, 1)))
-    return b._element
+    __slots__ = ("b", "_certificate", "_member", "_algebra", "_uses")
 
+    def __init__(self, b: Matrix):
+        self.b, self._certificate, self._member, self._algebra = b, None, False, None
+        self._uses = frozenset()
 
-# mat_pow's verdicts besides None (undecided) and False (the certificate
-# failed, and the exponent is kept).  _FIELD: chi_x(0) != 0 and chi_x is
-# irreducible, so that F_q[x] is the field GF(q^d), and only such a
-# matrix hands on a verdict: _IN_A_FIELD, to a nonzero member of its
-# field.  Either is a unit of GF(q^d), whose order divides q^d - 1.
-_FIELD = "F_q[x] is a field"
-_IN_A_FIELD = "lies in a field F_q[B]"
+    @property
+    def certificate(self) -> bool:
+        """B's certificate, decided here on first read."""
+        if self._certificate is None:
+            from .fqpoly import char_poly, is_irreducible
 
+            chi = char_poly(self.b)
+            self._certificate = bool(chi.coeffs[0]) and is_irreducible(chi)
+        return self._certificate
 
-def _field_verdict(x: Matrix):
-    """x's verdict, decided on an undecided x: _FIELD when chi_x(0) != 0
-    and fqpoly.is_irreducible(chi_x), else False.  The first test is
-    free, and keeps the 1 x 1 zero matrix, whose chi_x = t is
-    irreducible, out of the field."""
-    if x._split is None:
-        from .fqpoly import char_poly, is_irreducible
+    def power(self, n: int) -> Matrix:
+        """B^n; a negative n raises B^(-1) in a KeyField of its own."""
+        if n < 0:
+            return KeyField(mat_inv(self.b)).power(-n)
+        return self._power(self.b, None, n)[0]
 
+    def power_and_inverse(self, n: int) -> tuple[Matrix, Matrix]:
+        """B^n and its inverse, n >= 0."""
+        return self._with_inverse(*self._power(self.b, None, n))
+
+    def member(self, x: Matrix) -> "KeyField":
+        """F_q[x], for x handed B's certificate when it is a nonzero member
+        of K; B's certificate is decided first."""
+        field = KeyField(x)
+        field._member = self.certificate and bool(self._test(x))
+        return field
+
+    def power_of(self, x: Matrix, n: int) -> tuple[Matrix, Matrix]:
+        """x^n and its inverse, n >= 0, for another matrix x.  From
+        q^d - 1 on, and only where B's certificate is already decided
+        and holds, x is tested for membership in K: a member read in K
+        is raised and inverted there, and one found by the commutation
+        test is handed the certificate in a KeyField of its own, as is
+        every other x without it."""
+        found = self._test(x) if n >= x.spec.q**x.d - 1 else None
+        if isinstance(found, tuple):
+            return self._with_inverse(*self._power(x, found, n))
+        field = KeyField(x)
+        field._member = bool(found)
+        return field.power_and_inverse(n)
+
+    def _again(self, use: str) -> bool:
+        """Whether B has served a use of this kind before; records it.
+        The basis and the reader are built only from a second use on."""
+        seen = use in self._uses
+        self._uses |= {use}
+        return seen
+
+    def _quotient(self):
+        if self._algebra is None:
+            from .fqpoly import Quotient, char_poly
+
+            self._algebra = Quotient(char_poly(self.b), self.b)
+        return self._algebra
+
+    def _test(self, x: Matrix):
+        """None unless B's certificate is decided and holds and x is
+        nonzero; then whether x commutes with B at B's first test, and
+        x's coordinates g in K, x = g(B), or None, from the second on."""
+        if self._certificate is not True or not any(map(any, x.vals)):
+            return None
+        b = self.b
+        if (x.spec, x.d) != (b.spec, b.d):
+            raise FieldMismatchError("incompatible matrices")
+        if not self._again("membership test"):
+            return mat_mul(b, x) == mat_mul(x, b)
+        self._uses |= {"evaluation"}  # the read builds the basis
+        return self._quotient().read(x)
+
+    def _power(self, x: Matrix, g, n: int) -> tuple:
+        """x^n, n >= 0, for x = B (g None) or a member x = g(B), and its
+        coordinates in K where it was evaluated there, else None."""
+        from .fqpoly import FqPoly, cayley_hamilton_cost, char_poly
+
+        spec, d = x.spec, x.d
+        order = spec.q**d - 1
+        unit = g is not None or self._member
+        if n >= order and (unit or self.certificate):
+            n %= order
+        k, s = divmod(n, order // (spec.q - 1))
+        prices = cayley_hamilton_cost(d, n, spec.p), d**3 * (n.bit_length() + n.bit_count() - 2)
+        # the split, priced as Cayley-Hamilton at s (s = 0 costs no more
+        # than s = 1), det^k and the remainder times it
+        if not (k and (unit or self._certificate)) or (
+            cayley_hamilton_cost(d, max(s, 1), spec.p) + k.bit_length() + k.bit_count() + d - 2
+            >= min(prices)
+        ):
+            if not n or prices[0] >= prices[1]:
+                return mat_pow(x, n), None
+            k, s = 0, n
         chi = char_poly(x)
-        object.__setattr__(x, "_split", _FIELD if chi.coeffs[0] and is_irreducible(chi) else False)
-    return x._split
+        c = _pow_raw(spec, spec._neg_raw(chi.coeffs[0]) if d % 2 else chi.coeffs[0], k) if k else 1
+        if not s:
+            return scalar_matrix(spec, d, FieldElement(spec, c)), None
+        r = FqPoly.x(spec).pow_mod(s, chi)
+        if c != 1:
+            r = r.scale(c)
+        if g is not None and d > 2:
+            h = self._quotient().compose(r.coeffs, g)
+        elif g is None and self._again("evaluation"):
+            h = r.coeffs
+        else:
+            return r.eval_matrix(x), None
+        return self._quotient().eval(h), h
 
-
-def _hand_on_verdict(certified: Matrix, x: Matrix) -> None:
-    """Give an undecided x the verdict _IN_A_FIELD when `certified`, B,
-    carries _FIELD and x is a nonzero matrix that commutes with it, a test
-    made only then.  This is exact: B is cyclic, so what commutes with it
-    is F_q[B], the field GF(q^d), where every nonzero member is a unit of
-    order dividing q^d - 1.  The zero matrix commutes with everything and
-    is no unit; it is refused by its entries, at no cost, before B counts
-    a use.
-
-    B's first membership test compares B x with x B, 2 d^3
-    multiplications, as a matrix handed on once should build nothing.
-    From the second on, x is read in B's algebra (fqpoly.Quotient.read,
-    d^3, after B's power basis, (d - 2) d^3 unless mat_pow built it, and
-    its coordinate reader at the first read), which records a member as
-    g(B), so that mat_pow raises it on B's basis.  A B recorded as g(B')
-    for another matrix B' keeps no algebra of its own and tests by
-    commutation every time."""
-    if x._split is not None or certified._split != _FIELD or not any(map(any, x.vals)):
-        return
-    if (x.spec, x.d) != (certified.spec, certified.d):
-        raise FieldMismatchError("incompatible matrices")
-    algebra = _as_element(certified)[0]
-    if algebra.matrix is not certified or not algebra.used_before("membership test"):
-        if mat_mul(certified, x) == mat_mul(x, certified):
-            object.__setattr__(x, "_split", _IN_A_FIELD)
-        return
-    g = algebra.read(x)
-    if g is not None:
-        object.__setattr__(x, "_split", _IN_A_FIELD)
-        object.__setattr__(x, "_element", (algebra, g))
+    def _with_inverse(self, x: Matrix, h) -> tuple[Matrix, Matrix]:
+        """x and its inverse, in K where h, x's coordinates there, is known."""
+        return x, mat_inv(x) if h is None else self._quotient().eval(self._quotient().inv(h))
 
 
 def conjugate(x: Matrix, a: Matrix) -> Matrix:

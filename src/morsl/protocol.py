@@ -15,11 +15,13 @@ Conjugation by B^m equals the m-fold composition of conjugation by B
 and the scalar ambiguity of B cancels, so this is value-identical to
 compose-based square-and-multiply (the test suite asserts it) while
 staying polynomial in log m at full-size parameters.  B is recovered
-once per automorphism.  keygen certifies its conjugator's field verdict
-(matrix._field_verdict), and encrypt and decrypt hand the verdicts of
-B_phi and of the private conjugator on to B_phim and B_r
-(matrix._hand_on_verdict); the matrix module says how mat_pow reduces
-exponents with them and computes in the algebra F_q[B].
+once per automorphism.  Each key holds its conjugator's algebra as a
+matrix.KeyField: the public key K_phi = F_q[B_phi] (field), and B_phim
+handed K_phi's certificate as a member (field_m); the private key K_B
+(field), which keygen seeds with the certificate it has paid for.  They
+are cached properties, not fields, so a key's constructor, ==, hash and
+files do not see them.  Every power is raised through one, and the
+matrix module says how it reduces exponents and computes in K.
 
 A ciphertext holds phi^r as its conjugator B_r, up to a scalar: encrypt
 keeps the power of B_phi it raised, and decrypt raises it to m.  The v1
@@ -58,8 +60,7 @@ from itertools import chain
 
 from .autos import Automorphism, InvalidAutomorphismError, recover_conjugator
 from .field import FieldSpec, _count_muls, _json_dict, _json_int
-from .matrix import Matrix, conjugate, mat_inv, mat_mul, mat_pow, random_gl, transvection
-from .matrix import _field_verdict, _hand_on_verdict
+from .matrix import KeyField, Matrix, mat_mul, random_gl, transvection
 from .words import NotInSLError
 
 __all__ = [
@@ -138,6 +139,18 @@ class MorPublicKey:
     phi: Automorphism
     phi_m: Automorphism
 
+    @cached_property
+    def field(self) -> KeyField:
+        """K_phi = F_q[B_phi]."""
+        return KeyField(recover_conjugator(self.phi))
+
+    @cached_property
+    def field_m(self) -> KeyField:
+        """F_q[B_phim], B_phim handed K_phi's certificate when it is a
+        member of K_phi (KeyField.member); a foreign phi_m fails the test
+        and keeps a certificate of its own."""
+        return self.field.member(recover_conjugator(self.phi_m))
+
     def to_json(self) -> dict:
         return {
             "format_version": FORMAT_VERSION,
@@ -161,6 +174,13 @@ class MorPublicKey:
 class MorPrivateKey:
     m: int
     conjugator: Matrix
+
+    @cached_property
+    def field(self) -> KeyField:
+        """K_B = F_q[B] for the conjugator B.  keygen seeds it with the
+        certificate it has decided; a key built otherwise, a parsed one
+        among them, holds an undecided one, which decrypt never decides."""
+        return KeyField(self.conjugator)
 
     def to_json(self) -> dict:
         return {
@@ -253,10 +273,6 @@ def _check_same_group(name: str, part, ref_name: str, ref) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _exponent_bound(params: MorParams) -> int:
-    return params.spec.q ** (params.d * params.d)
-
-
 def _is_scalar(x: Matrix) -> bool:
     """Whether x is a scalar matrix, so that conjugation by x is the
     identity; compares entries only."""
@@ -281,17 +297,20 @@ def keygen(params: MorParams, rng):
     spec, d = params.spec, params.d
     for _ in range(KEYGEN_RETRY_CAP):
         a = random_gl(spec, d, rng)
-        if params.require_irreducible_lift and not _field_verdict(a):
+        field = KeyField(a)
+        if params.require_irreducible_lift and not field.certificate:
             continue
-        m = rng.randrange(2, _exponent_bound(params) - 1)
-        a_m = mat_pow(a, m)
+        m = rng.randrange(2, spec.q ** (d * d) - 1)
+        a_m = field.power(m)
         if _is_scalar(a_m):  # phi^m = 1
             continue
         phi = Automorphism.from_conjugator(a)
         phi_m = Automorphism.from_conjugator(a_m)  # = phi.power(m)
         if phi_m.images == phi.images:
             continue
-        return MorPublicKey(params, phi, phi_m), MorPrivateKey(m, a)
+        sk = MorPrivateKey(m, a)
+        sk.__dict__["field"] = field  # the certificate keygen decided
+        return MorPublicKey(params, phi, phi_m), sk
     raise KeygenFailureError(f"no acceptable key in {KEYGEN_RETRY_CAP} draws")
 
 
@@ -305,32 +324,26 @@ def encrypt(pk: MorPublicKey, a: Matrix, rng) -> MorCiphertext:
 
     Refuses a degenerate public key with DegenerateKeyError, and draws r
     again while phi^r is 1 or phi or phi^{mr} = 1, up to
-    ENCRYPT_RETRY_CAP draws.
-
-    Once mat_pow has certified B_phi, a B_phim that commutes with it
-    lies in F_q[B_phi], as decrypt's B_r does in F_q[B], and is handed
-    B_phi's verdict (matrix._hand_on_verdict) instead of a certificate of
-    its own.  A foreign phi_m fails the test and takes mat_pow's route.
+    ENCRYPT_RETRY_CAP draws.  B_phi^r is raised in K_phi and B_phim^r,
+    with its inverse, in field_m, which is handed K_phi's certificate
+    after the first power of B_phi has decided it.
     """
     spec, d = pk.params.spec, pk.params.d
     if a.spec != spec or a.d != d:
         raise ValueError("plaintext matrix has wrong spec or degree")
     if not a.is_sl():
         raise NotInSLError("plaintext must have determinant 1")
-    b_phi = recover_conjugator(pk.phi)
-    b_phim = recover_conjugator(pk.phi_m)
-    if _is_scalar(b_phim) or pk.phi_m.images == pk.phi.images:
+    if _is_scalar(recover_conjugator(pk.phi_m)) or pk.phi_m.images == pk.phi.images:
         raise DegenerateKeyError("public key has phi^m = 1 or phi^m = phi")
     for _ in range(ENCRYPT_RETRY_CAP):
-        r = rng.randrange(2, _exponent_bound(pk.params) - 1)
-        b_r = mat_pow(b_phi, r)
-        if _is_scalar(b_r) or _is_multiple(b_r, b_phi):  # phi^r = 1 or phi
+        r = rng.randrange(2, spec.q ** (d * d) - 1)
+        b_r = pk.field.power(r)
+        if _is_scalar(b_r) or _is_multiple(b_r, pk.field.b):  # phi^r = 1 or phi
             continue
-        _hand_on_verdict(b_phi, b_phim)
-        b_mr = mat_pow(b_phim, r)
+        b_mr, b_mr_inv = pk.field_m.power_and_inverse(r)
         if _is_scalar(b_mr):  # phi^{mr} = 1
             continue
-        return MorCiphertext(b_r, conjugate(a, b_mr))  # payload phi^{mr}(a)
+        return MorCiphertext(b_r, mat_mul(mat_mul(b_mr_inv, a), b_mr))  # payload phi^{mr}(a)
     raise DegenerateKeyError(f"no exponent r with phi^{{mr}} != 1 in {ENCRYPT_RETRY_CAP} draws")
 
 
@@ -338,24 +351,20 @@ def decrypt(sk: MorPrivateKey, ct: MorCiphertext) -> Matrix:
     """Invert phi^{mr} on the payload: raise the ciphertext's conjugator
     B_r to m and conjugate back, b * payload * b^(-1).
 
-    When m >= q^d - 1, an undecided B_r is handed the verdict of the
-    private conjugator B (matrix._hand_on_verdict): if F_q[B] is a field
-    and B_r lies in it, mat_pow reduces m without computing B_r's own
-    certificate, and from B's second hand-on on it raises B_r, and
-    mat_inv inverts the power, in F_q[B].  Any other key or ciphertext, a
-    parsed key among them, takes mat_pow's route, and a B_r outside
-    F_q[B] fails the test exactly.
+    B_r^m and its inverse come from K_B (KeyField.power_of): where keygen
+    certified K_B and m >= q^d - 1, a B_r in K_B is handed its
+    certificate, and from the second message on it is raised and the
+    power inverted in K_B.  Any other key or ciphertext, a parsed key
+    among them, raises B_r in a KeyField of its own, and a B_r outside
+    K_B fails the test exactly.
     """
     payload, conj = ct.payload, sk.conjugator
     if conj.d != payload.d or conj.spec != payload.spec:
         raise InvalidCiphertextError("ciphertext does not match this key")
     if not payload.is_sl():
         raise InvalidCiphertextError("payload determinant is not 1")
-    b_r = ct.conjugator
-    if sk.m >= conj.spec.q**conj.d - 1:
-        _hand_on_verdict(conj, b_r)
-    b = mat_pow(b_r, sk.m)
-    return mat_mul(mat_mul(b, payload), mat_inv(b))
+    b, b_inv = sk.field.power_of(ct.conjugator, sk.m)
+    return mat_mul(mat_mul(b, payload), b_inv)
 
 
 def _is_multiple(x: Matrix, b: Matrix) -> bool:
@@ -375,11 +384,8 @@ def _is_multiple(x: Matrix, b: Matrix) -> bool:
     if flat_b[k] != 1:
         c, count = mul(c, spec._inv_raw(flat_b[k])), 1
     for v, y in zip(flat_b, flat_x):
-        if v:
-            count += 1
-            same = mul(c, v) == y
-        else:
-            same = not y
+        count += bool(v)
+        same = (mul(c, v) if v else 0) == y
         if not same:
             break
     _count_muls(count)
@@ -414,16 +420,10 @@ def encode_message(data: bytes, params: MorParams) -> Matrix:
 
 
 def decode_message(m: Matrix) -> bytes:
-    n = 0
-    for a, row in enumerate(m.vals):
-        for b, x in enumerate(row):
-            if a == b:
-                if x != 1:
-                    raise MessageFormatError("matrix is not a plaintext transvection")
-            elif (a, b) == (0, 1):
-                n = x
-            elif x:
-                raise MessageFormatError("matrix is not a plaintext transvection")
+    n = m.vals[0][1] if m.d > 1 else 0
+    rows = range(m.d)
+    if m.vals != tuple(tuple(n if (a, b) == (0, 1) else int(a == b) for b in rows) for a in rows):
+        raise MessageFormatError("matrix is not a plaintext transvection")
     if not n:
         raise MessageFormatError("empty coefficient slot")
     raw = n.to_bytes((n.bit_length() + 7) // 8, "big")

@@ -73,7 +73,7 @@ from morsl.autos import (
     generator_pairs,
 )
 from morsl.field import FieldElement, FieldSpec, _gf2_mod, _uncounted
-from morsl import fqpoly, matrix
+from morsl import fqpoly
 from morsl.fqpoly import FqPoly
 from morsl.matrix import (
     Matrix,
@@ -225,23 +225,25 @@ def mat_pow_sqm(x, n):
     return result
 
 
-def mat_pow_plan(spec, d, n, verdict):
-    """The route mat_pow's docstring gives for x^n, n >= 0, at a d x d x
-    over spec whose verdict, after the power, is `verdict`: (k, s, route)
-    with x^n = det(x)^k x^s, k = 0 unless the power splits at the norm
-    N = (q^d - 1)/(q - 1), and route "identity", "scalar" (s = 0 after a
-    split), "cayley-hamilton" or "square-and-multiply" for x^s.  A split
-    is priced as Cayley-Hamilton at max(s, 1), det^k and d for the
-    scaling, and taken only below both routes' prices at n."""
+def mat_pow_plan(spec, d, n, unit):
+    """The route matrix.KeyField's docstring gives for x^n, n >= 0, at a
+    d x d x over spec that its KeyField knows, after the power, to be a
+    unit of a field GF(q^d) (`unit`), or mat_pow's route when it does not:
+    (k, s, route) with x^n = det(x)^k x^s, k = 0 unless the power splits
+    at the norm N = (q^d - 1)/(q - 1), and route "identity", "scalar"
+    (s = 0 after a split), "cayley-hamilton" or "square-and-multiply" for
+    x^s.  A unit's exponent is first reduced mod q^d - 1.  A split is
+    priced as Cayley-Hamilton at max(s, 1), det^k and d for the scaling,
+    and taken only below both routes' prices at n."""
     bound = spec.q**d - 1
-    if verdict and n >= bound:
+    if unit and n >= bound:
         n %= bound
     if not n:
         return 0, 0, "identity"
     cayley_hamilton = fqpoly.cayley_hamilton_cost(d, n, spec.p)
     square_and_multiply = d**3 * (n.bit_length() + n.bit_count() - 2)
     norm = bound // (spec.q - 1)
-    if verdict in (matrix._FIELD, matrix._IN_A_FIELD) and n >= norm:
+    if unit and n >= norm:
         k, s = divmod(n, norm)
         split = fqpoly.cayley_hamilton_cost(d, max(s, 1), spec.p)
         split += k.bit_length() + k.bit_count() - 2 + d

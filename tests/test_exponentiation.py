@@ -4,11 +4,14 @@ mat_pow picks Cayley-Hamilton or square-and-multiply from a predicted
 multiplication count; FqPoly.pow_mod squares through the modulus's
 squaring rows in characteristic 2, and raises x on raw ints over binary
 fields without a multiplication table, squaring short residues through a
-table cached on the modulus; is_irreducible, which is also mat_pow's certificate, takes
-q-th powers through the Frobenius matrix.  Each is checked for value
-against tests/oracles.py and, where it matters, for its count.
+table cached on the modulus; is_irreducible, which is also a KeyField's
+certificate, takes q-th powers through the Frobenius matrix.  KeyField
+reduces the exponents of its matrices where that is exact.  Each is
+checked for value against tests/oracles.py and, where it matters, for
+its count.
 """
 
+import contextlib
 import random
 from unittest import mock
 
@@ -26,15 +29,13 @@ from oracles import (
 )
 
 import morsl.fqpoly as fqpoly
-import morsl.matrix as matrix
 from morsl.autos import Automorphism, recover_conjugator
 from morsl.field import FieldElement, FieldSpec, cost_counter, cost_reset, field_spec
 from morsl.fqpoly import FqPoly, char_poly, companion_matrix, is_irreducible
 from morsl.matrix import (
+    KeyField,
     Matrix,
     Permutation,
-    _field_verdict,
-    _hand_on_verdict,
     conjugate,
     diagonal_matrix,
     identity,
@@ -373,6 +374,48 @@ def test_cayley_hamilton_count_is_pinned():
     assert (engine, oracle) == (1879, 14250)
 
 
+
+
+@contextlib.contextmanager
+def _remainders():
+    """What the powers raised in the block compute modulo chi: ("pow", s)
+    for each x^s mod chi, ("scale", c) for each remainder scaled by c,
+    leaving out the powers and gcds of a certificate (is_irreducible)."""
+    raised, certifying = [], []
+    real_pow, real_scale, real_test = FqPoly.pow_mod, FqPoly.scale, fqpoly.is_irreducible
+
+    def pow_mod(self, e, f):
+        if not certifying:
+            raised.append(("pow", e))
+        return real_pow(self, e, f)
+
+    def scale(self, c):
+        if not certifying:
+            raised.append(("scale", c))
+        return real_scale(self, c)
+
+    def is_irreducible(f):
+        certifying.append(f)
+        try:
+            return real_test(f)
+        finally:
+            certifying.pop()
+
+    with (
+        mock.patch.object(FqPoly, "pow_mod", pow_mod),
+        mock.patch.object(FqPoly, "scale", scale),
+        mock.patch.object(fqpoly, "is_irreducible", is_irreducible),
+    ):
+        yield raised
+
+
+def _remainder_plan(k, s, c, route):
+    """_remainders' record of a power that mat_pow_plan routes so."""
+    if route != "cayley-hamilton":
+        return []
+    return [("pow", s)] + ([("scale", c)] if k and c != 1 else [])
+
+
 @pytest.mark.parametrize("degrees", [(4,), (2, 2), (6,), (3, 3), (2, 2, 2), (1, 2, 3)])
 def test_certificate_level_needs_every_prime_of_d(degrees):
     # over GF(7): a product of distinct irreducible factors whose degrees
@@ -380,7 +423,7 @@ def test_certificate_level_needs_every_prime_of_d(degrees):
     # does; the certificate's gcds with x^(q^k) - x, k <= d/2, find its
     # least factor, at k = d/l for a prime l of d when every factor is
     # long (k = 3 = 6/2 for (3, 3), k = 2 = 6/3 for (2, 2, 2)), so only
-    # the irreducible chi gives the field verdict and a reduced exponent
+    # the irreducible chi gives a field and a reduced exponent
     rng = random.Random(sum(degrees))
     f, d = FqPoly.one(GF7), sum(degrees)
     for n in degrees:
@@ -390,8 +433,9 @@ def test_certificate_level_needs_every_prime_of_d(degrees):
         f = f * g
     b = conjugate(companion_matrix(f), random_gl(GF7, d, rng))
     e = (7**d - 1) * rng.randrange(1, 2**16) + rng.randrange(7**d - 1)
-    assert mat_pow(b, e) == mat_pow_sqm(b, e)
-    assert b._split == (matrix._FIELD if len(degrees) == 1 else False)
+    field = KeyField(b)
+    assert field.power(e) == mat_pow_sqm(b, e) == mat_pow(b, e)
+    assert field._certificate is (len(degrees) == 1)
 
 
 def test_certificate_rejects_repeated_eigenvalue():
@@ -400,12 +444,14 @@ def test_certificate_rejects_repeated_eigenvalue():
     e = (7**3 - 1) * 2**100 + 1
     # reducing e mod 7^3 - 1 would change the power of this order-7 matrix
     assert mat_pow_sqm(t, e % (7**3 - 1)) != mat_pow_sqm(t, e)
-    assert mat_pow(t, e) == mat_pow_sqm(t, e)
-    assert t._split is False
+    field = KeyField(t)
+    assert field.power(e) == mat_pow(t, e) == mat_pow_sqm(t, e)
+    assert field._certificate is False
 
 
 def test_keygen_without_irreducible_lift_uses_the_certificate(monkeypatch):
-    # mat_pow prices its route on the exponent it raises to, reduced or not
+    # the key's field prices its route on the exponent it raises to,
+    # reduced or not
     exponents = []
     real = fqpoly.cayley_hamilton_cost
 
@@ -423,10 +469,10 @@ def test_keygen_without_irreducible_lift_uses_the_certificate(monkeypatch):
         if is_irreducible(char_poly(sk.conjugator)):
             # a field: the power also splits at the norm 7^2 + 7 + 1
             certified += 1
-            assert sk.conjugator._split == matrix._FIELD
+            assert sk.field._certificate is True
             assert exponents[-2:] == [reduced, max(reduced % 57, 1)]
         else:
-            assert sk.conjugator._split is False and exponents[-1] == sk.m
+            assert sk.field._certificate is False and exponents[-1] == sk.m
     assert 0 < certified < 6
 
 
@@ -468,34 +514,40 @@ def _with_eigenvalues(spec, d, kind, rng):
     seed=st.integers(0, 2**32),
 )
 def test_mat_pow_reduces_only_certified_exponents(spec, d, kind, seed):
-    # the verdict is the field, _FIELD, exactly when chi(0) != 0 and chi is
-    # irreducible, else False: a chi that splits or repeats a root keeps
-    # the full exponent, as does the 1 x 1 zero matrix, whose chi = t is
+    # a KeyField's certificate holds exactly when chi(0) != 0 and chi is
+    # irreducible: a chi that splits or repeats a root keeps the full
+    # exponent, as does the 1 x 1 zero matrix, whose chi = t is
     # irreducible.  It is decided once, by one test, at the first power
     # from q^d - 1 on, and the powers equal the oracle's below, at and
-    # above the bound
+    # above the bound; mat_pow decides nothing
     rng = random.Random(seed)
     b = _with_eigenvalues(spec, d, kind, rng)
+    field = KeyField(b)
     bound = spec.q**d - 1
     exponents = (bound // (spec.q - 1), bound, bound + 1, rng.randrange(spec.q ** (d * d)))
     with mock.patch.object(fqpoly, "is_irreducible", wraps=is_irreducible) as test:
         for n in exponents:
-            assert mat_pow(b, n) == mat_pow_sqm(b, n)
+            assert field.power(n) == mat_pow_sqm(b, n)
+        certified = test.call_count
+        mat_pow(b, exponents[-1])
     chi = char_poly(b)
-    field = bool(chi.coeffs[0]) and is_irreducible(chi)
-    assert b._split == (matrix._FIELD if field else False)
-    assert test.call_count == bool(chi.coeffs[0])
+    in_a_field = bool(chi.coeffs[0]) and is_irreducible(chi)
+    assert field._certificate is in_a_field
+    assert certified == test.call_count == bool(chi.coeffs[0])
     if kind == "zero" or (d > 1 and kind != "gl"):
-        assert b._split is False
-    if field:
+        assert field._certificate is False
+    if in_a_field:
         assert mat_pow_sqm(b, bound) == identity(spec, d)
 
 
 def test_mat_pow_below_the_bound_decides_no_certificate():
     b = random_gl(GF7, 3, random.Random(5))
+    field = KeyField(b)
     with mock.patch.object(fqpoly, "is_irreducible") as test:
-        assert mat_pow(b, 7**3 - 2) == mat_pow_sqm(b, 7**3 - 2)
-    assert test.call_count == 0 and b._split is None
+        assert field.power(7**3 - 2) == mat_pow_sqm(b, 7**3 - 2)
+        # mat_pow never certifies, whatever the exponent
+        assert mat_pow(b, 7**9) == mat_pow_sqm(b, 7**9)
+    assert test.call_count == 0 and field._certificate is None
 
 
 def test_route_prediction_is_horners_figure():
@@ -515,9 +567,8 @@ basis_fields = st.sampled_from(
 
 
 def _evaluation_count(d, r, k):
-    """mat_pow's count for evaluating the remainder r at a d x d matrix, as
-    the k-th remainder evaluated at a matrix with a verdict: Horner's for
-    the first (and for every one at a matrix without), the power basis's
+    """A KeyField's count for evaluating the remainder r at its d x d B,
+    as B's k-th evaluation: Horner's for the first, the power basis's
     build and product for the second, the product alone from the third."""
     if k == 1:
         return d * d + (len(r.coeffs) - 2) * d**3 if len(r.coeffs) >= 2 else 0
@@ -538,36 +589,35 @@ def test_power_basis_powers_match_the_oracle_and_their_counts(spec, d, verdict, 
     b = random_gl(spec, d, rng)
     while not is_irreducible(char_poly(b)):
         b = random_gl(spec, d, rng)
+    field = KeyField(b)
     if verdict:
-        _field_verdict(b)
+        assert field.certificate
     chi, bound, evaluations = char_poly(b), spec.q**d - 1, 0
     det = FieldElement(spec, chi.coeffs[0] if d % 2 == 0 else spec._neg_raw(chi.coeffs[0]))
     for large in big:
-        # without a verdict, an exponent from q^d - 1 on would decide one
+        # without a certificate, an exponent from q^d - 1 on would decide one
         n = rng.randrange(2, bound) + (bound * rng.randrange(1, 2**16) if large and verdict else 0)
         reduced = n % bound if verdict else n
         # a certified b has irreducible chi: its powers may split at the norm
-        k, s, route = mat_pow_plan(spec, d, n, b._split)
+        k, s, route = mat_pow_plan(spec, d, n, verdict)
         want = k and k.bit_length() + k.bit_count() - 2
         if route == "cayley-hamilton":
             r, count = _counted(FqPoly.x(spec).pow_mod, s, chi)
             scaled = (det**k).val != 1 if k else False
             evaluations += 1
-            want += count + scaled * len(r.coeffs)
-            want += _evaluation_count(d, r, evaluations if verdict else 1)
+            want += count + scaled * len(r.coeffs) + _evaluation_count(d, r, evaluations)
         elif route == "square-and-multiply":
             want = d**3 * (s.bit_length() + s.bit_count() - 2)
-        got, count = _counted(mat_pow, b, n)
+        got, count = _counted(field.power, n)
         assert got == mat_pow_sqm(b, reduced)
         assert count == want
         # every route, the split included, keeps within Cayley-Hamilton's figure at n
         assert route == "square-and-multiply" or count <= fqpoly.cayley_hamilton_cost(
             d, reduced, spec.p
         )
-        # no algebra before any evaluation, b's algebra after the first, then its basis
-        algebra = b._element[0] if b._element is not None else None
-        kept = algebra and ("basis" if algebra._basis is not None else "algebra")
-        assert kept == ((None, "algebra", "basis")[min(evaluations, 2)] if verdict else None)
+        # no algebra before the second evaluation, then B's basis
+        assert (field._algebra is not None) == (evaluations >= 2)
+        assert evaluations < 2 or field._algebra._basis is not None
 
 
 def test_automorphism_power_near_the_exponent_bound_matches_compose():
@@ -578,7 +628,7 @@ def test_automorphism_power_near_the_exponent_bound_matches_compose():
         for m in (7**9 - 2, 7**9 - 1, 7**9, 7**9 + 5):
             assert pk.phi.power(m) == compose_power(pk.phi, m)
         # the recovered B has irreducible chi, so its exponents were reduced
-        assert recover_conjugator(pk.phi)._split == matrix._FIELD
+        assert KeyField(recover_conjugator(pk.phi)).certificate is True
 
 
 # -- powers split at the norm -------------------------------------------------
@@ -597,46 +647,61 @@ def _member(spec, d, b, rng):
 
 
 def _split_source(spec, d, source, rng):
-    """A matrix from `source` and the verdict its powers from q^d - 1 on
-    carry: keygen's conjugator and an undecided matrix with irreducible chi
-    ("chain", certified by mat_pow) reach _FIELD; a key's own B_r and a
-    unit of F_q[B] reach _IN_A_FIELD by a hand-on, by the commutation test
-    or, for the "read" ones, through the key's coordinate reader; a
-    diagonal matrix with distinct eigenvalues and a monomial one with
-    reducible chi fail the certificate, and another diagonal matrix, which
-    the first hands nothing on, as F_q[B] is no field, fails its own."""
+    """A matrix x from `source`, raised as x^n = field._power(x, g, n), and
+    whether it is a unit of a field GF(q^d) once known: keygen's conjugator
+    (its key's field) and an undecided matrix with irreducible chi
+    ("chain", certified at its first power from q^d - 1 on) are; so are a
+    key's own B_r and a unit of F_q[B], handed the key's certificate by
+    the commutation test (KeyField.member) or, for the "read" ones, read
+    in K_B and raised there (g, their coordinates, as decrypt does from
+    its second message on).  A diagonal matrix with distinct eigenvalues
+    and a monomial one with reducible chi fail their certificates, and
+    another diagonal matrix, which the first hands nothing on, as F_q[B]
+    is no field, fails its own."""
     if source == "diagonal member":
-        b, _ = _split_source(spec, d, "diagonal", rng)
-        mat_pow(b, spec.q**d - 1)  # decides b's verdict, False
+        b, _, _, _ = _split_source(spec, d, "diagonal", rng)
+        diagonal = KeyField(b)
+        diagonal.power(spec.q**d - 1)  # decides b's certificate, False
         x = diagonal_matrix([spec.random_nonzero(rng) for _ in range(d)])
-        _hand_on_verdict(b, x)
-        assert x._split is None
-        return x, False
+        field = diagonal.member(x)
+        assert field._member is False and field._certificate is None
+        return x, field, None, False
     if source in ("diagonal", "monomial"):
         for _ in range(64 if source == "monomial" else 0):
             w = [spec.random_nonzero(rng) for _ in range(d)]
             x = mat_mul(diagonal_matrix(w), permutation_matrix(spec, Permutation.random(d, rng)))
             if not is_irreducible(char_poly(x)):
-                return Matrix._from_vals(spec, x.vals), False
-        return diagonal_matrix([spec.from_val(v) for v in rng.sample(range(1, spec.q), d)]), False
+                x = Matrix._from_vals(spec, x.vals)
+                return x, KeyField(x), None, False
+        x = diagonal_matrix([spec.from_val(v) for v in rng.sample(range(1, spec.q), d)])
+        return x, KeyField(x), None, False
     if source == "chain":
         while True:
             b = random_gl(spec, d, rng)
             if is_irreducible(char_poly(b)):
-                return Matrix._from_vals(spec, b.vals), matrix._FIELD
+                x = Matrix._from_vals(spec, b.vals)
+                return x, KeyField(x), None, True
     pk, sk = keygen(MorParams(spec, d), rng)
-    b = sk.conjugator
+    key_field = sk.field
     if source == "keygen":
-        return b, matrix._FIELD
+        return key_field.b, key_field, None, True
     if source.startswith("read"):
-        _hand_on_verdict(b, _member(spec, d, b, rng))  # the first hand-on builds no reader
+        key_field.member(_member(spec, d, key_field.b, rng))  # the first test reads nothing
     if source.endswith("B_r"):
         x = encrypt(pk, random_sl(spec, d, rng), rng).conjugator
     else:
-        x = _member(spec, d, b, rng)
-    _hand_on_verdict(b, x)
-    assert (x._element is not None and x._element[0].matrix is b) == source.startswith("read")
-    return x, matrix._IN_A_FIELD
+        x = _member(spec, d, key_field.b, rng)
+    if source.startswith("read"):
+        g = key_field._test(x)
+        assert isinstance(g, tuple) and key_field._quotient().eval(g) == x
+        return x, key_field, g, True
+    field = key_field.member(x)
+    assert field._member is True
+    return x, field, None, True
+
+
+def _known_unit(field, g):
+    return g is not None or field._member or field._certificate is True
 
 
 def _det(x):
@@ -671,23 +736,26 @@ def _exponent(kind, spec, d, rng):
 )
 def test_powers_split_at_the_norm_where_the_verdict_is_a_field(spec, d, source, kinds, seed):
     rng = random.Random(seed)
-    x, verdict = _split_source(spec, d, source, rng)
+    x, field, g, unit = _split_source(spec, d, source, rng)
     bound = spec.q**d - 1
-    decided = x._split is not None
+    known, decided = _known_unit(field, g), field._certificate is not None
     for kind in kinds:
         n = _exponent(kind, spec, d, rng)
-        with mock.patch.object(matrix, "_cayley_hamilton", wraps=matrix._cayley_hamilton) as ch:
-            got = mat_pow(x, n)
+        with _remainders() as raised:
+            got = field._power(x, g, n)[0]
         assert got == mat_pow_sqm(x, n)
+        # a certificate is decided at the first power from q^d - 1 on
         decided = decided or n >= bound
-        assert x._split == (verdict if decided else None)
-        k, s, route = mat_pow_plan(spec, d, n, x._split)
+        known = known or (unit and n >= bound)
+        assert _known_unit(field, g) == known
+        if g is None and not field._member:
+            assert field._certificate is (unit if decided else None)
+        k, s, route = mat_pow_plan(spec, d, n, known)
         # a split needs the field: never at a diagonal or monomial matrix
         # or at what commutes with one
-        assert k == 0 or verdict in (matrix._FIELD, matrix._IN_A_FIELD)
+        assert k == 0 or unit
         c = (_det(x) ** k).val if k else 1
-        calls = [call.args[1:] for call in ch.call_args_list]
-        assert calls == ([(s, c)] if route == "cayley-hamilton" else [])
+        assert raised == _remainder_plan(k, s, c, route)
         if route == "scalar":
             assert got == Matrix._from_vals(
                 spec, tuple(tuple(c * (i == j) for j in range(d)) for i in range(d))
@@ -705,11 +773,11 @@ def test_powers_split_at_the_norm_where_the_verdict_is_a_field(spec, d, source, 
 )
 def test_cayley_hamilton_cost_bounds_the_split_route(spec, d, source, shapes, seed):
     # a power of two n in [N, q^d - 1) leaves a remainder s of about half
-    # its bits set, and may price above the unsplit power; mat_pow then
+    # its bits set, and may price above the unsplit power; the field then
     # keeps n, so the figure at n mod q^d - 1 bounds every route, the
     # split included, whose basis and coordinates the source varies
     rng = random.Random(seed)
-    x, _ = _split_source(spec, d, source, rng)
+    x, field, g, _ = _split_source(spec, d, source, rng)
     bound = spec.q**d - 1
     norm = bound // (spec.q - 1)
     for shape in shapes:
@@ -721,11 +789,11 @@ def test_cayley_hamilton_cost_bounds_the_split_route(spec, d, source, shapes, se
             "power of two": 1 << rng.randrange(norm.bit_length(), bound.bit_length()),
         }[shape]
         n = reduced + bound * rng.randrange(2**16)
-        with mock.patch.object(matrix, "_cayley_hamilton", wraps=matrix._cayley_hamilton) as ch:
-            got, count = _counted(mat_pow, x, n)
+        with _remainders() as raised:
+            (got, _), count = _counted(field._power, x, g, n)
         assert got == mat_pow_sqm(x, reduced)
-        _, s, route = mat_pow_plan(spec, d, n, x._split)
-        assert [call.args[1] for call in ch.call_args_list] == [s] * (route == "cayley-hamilton")
+        k, s, route = mat_pow_plan(spec, d, n, True)
+        assert [e for kind, e in raised if kind == "pow"] == [s] * (route == "cayley-hamilton")
         if route == "square-and-multiply":
             assert count == d**3 * (reduced.bit_length() + reduced.bit_count() - 2)
         else:
@@ -734,53 +802,54 @@ def test_cayley_hamilton_cost_bounds_the_split_route(spec, d, source, shapes, se
 
 def test_a_singular_matrix_is_handed_no_verdict():
     # only a unit's order divides q^d - 1.  The zero matrix commutes with a
-    # key's conjugator B: at B's first hand-on (the commutation test) and
-    # at its third (B's reader, built at the second) it is refused.
+    # key's conjugator B: before B's first membership test (the
+    # commutation test) and after it it is refused, at no cost.
     # diag(2, 3, 5) spans no field and fails the certificate, so it hands
     # nothing to the idempotent diag(1, 0, 0).  Each keeps its own
-    # certificate's verdict.
+    # certificate, which fails.
     spec, d = GF7, 3
     bound = spec.q**d - 1
     _, sk = keygen(MorParams(spec, d), random.Random(3))
-    b = sk.conjugator
     zeros = [Matrix._from_vals(spec, ((0,) * d,) * d) for _ in range(2)]
-    member = _member(spec, d, b, random.Random(4))
-    for x in (zeros[0], member, zeros[1]):
-        _hand_on_verdict(b, x)
-    diagonal = diagonal_matrix([spec.from_val(v) for v in (2, 3, 5)])
-    mat_pow(diagonal, bound)
-    assert diagonal._split is False
+    member = _member(spec, d, sk.conjugator, random.Random(4))
+    fields = [_counted(sk.field.member, x) for x in (zeros[0], member, zeros[1])]
+    assert [count for _, count in fields] == [0, 2 * d**3, 0]
+    diagonal = KeyField(diagonal_matrix([spec.from_val(v) for v in (2, 3, 5)]))
+    diagonal.power(bound)
+    assert diagonal._certificate is False
     idempotent = Matrix._from_vals(spec, ((1, 0, 0), (0, 0, 0), (0, 0, 0)))
-    _hand_on_verdict(diagonal, idempotent)
-    verdicts = [x._split for x in (*zeros, member, idempotent)]
-    assert verdicts == [None, None, matrix._IN_A_FIELD, None]
-    for x in (*zeros, idempotent):
+    fields = [f for f, _ in fields] + [diagonal.member(idempotent)]
+    assert [f._member for f in fields] == [False, True, False, False]
+    for field in (fields[0], fields[2], fields[3]):
         for n in (bound, bound + 5, 2 * bound + 1):
-            assert mat_pow(x, n) == mat_pow_sqm(x, n)
+            assert field.power(n) == mat_pow_sqm(field.b, n)
+        assert field._certificate is False
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_each_algebra_keeps_its_own_schedule(seed):
-    # B's second hand-on reads, building B's basis and reader, and the
-    # basis then serves B's first power: (d - 1) d^2 after x^n mod chi_B,
-    # not Horner's.  A power of B, recorded as r(B) and certified on its
-    # own, hands its verdict on by the commutation test, 2 d^3, every
-    # time, as it keeps no algebra of its own.
+    # B's second membership test reads, building B's basis and reader,
+    # and the basis then serves B's first power: (d - 1) d^2 after x^n mod
+    # chi_B, not Horner's.  A power of B in a KeyField of its own, certified
+    # on its own, starts its own schedule: the commutation test, 2 d^3,
+    # then a read that builds its reader, then reads at d^3.
     spec, d, rng = GF7, 4, random.Random(seed)
     b = random_gl(spec, d, rng)
-    while not _field_verdict(b):
+    while not KeyField(b).certificate:
         b = random_gl(spec, d, rng)
-    _hand_on_verdict(b, _member(spec, d, b, rng))
-    assert _counted(_hand_on_verdict, b, _member(spec, d, b, rng))[1] > d**3  # builds
+    field = KeyField(b)
+    assert field.member(_member(spec, d, b, rng))._member
+    assert _counted(field.member, _member(spec, d, b, rng))[1] > d**3  # builds
     norm = (spec.q**d - 1) // (spec.q - 1)
     n = rng.randrange(d**3, norm)
-    assert mat_pow_plan(spec, d, n, b._split)[2] == "cayley-hamilton"
-    power, count = _counted(mat_pow, b, n)
+    assert mat_pow_plan(spec, d, n, True)[2] == "cayley-hamilton"
+    (power, h), count = _counted(field._power, b, None, n)
     assert count == _counted(FqPoly.x(spec).pow_mod, n, char_poly(b))[1] + (d - 1) * d * d
-    assert power == mat_pow_sqm(b, n) and power._element[0] is b._element[0]
-    mat_pow(power, spec.q**d - 1)
-    while power._split != matrix._FIELD:  # r(B) in a proper subfield: another power
-        power = mat_pow(b, rng.randrange(d**3, norm))
-        mat_pow(power, spec.q**d - 1)
-    for _ in range(3):
-        assert _counted(_hand_on_verdict, power, _member(spec, d, b, rng))[1] == 2 * d**3
+    assert power == mat_pow_sqm(b, n) == field._quotient().eval(h)
+    own = KeyField(power)
+    while not own.certificate:  # r(B) in a proper subfield: another power
+        own = KeyField(field.power(rng.randrange(d**3, norm)))
+    counts = [_counted(own.member, _member(spec, d, b, rng)) for _ in range(3)]
+    assert all(member._member for member, _ in counts)
+    tested, built, read = (count for _, count in counts)
+    assert (tested, read) == (2 * d**3, d**3) and built > d**3

@@ -104,8 +104,8 @@ def _imports_from(source: str, module: str) -> list[str]:
 
 
 def test_protocol_imports_nothing_from_fqpoly():
-    # the protocol decides no verdict itself: keygen's certificate is
-    # matrix._field_verdict, and only matrix.py hands a verdict on
+    # the protocol decides no certificate itself: keygen's certificate is
+    # matrix.KeyField.certificate, and only matrix.py hands one on
     source = (Path(morsl.__file__).parent / "protocol.py").read_text()
     assert _imports_from(source, "fqpoly") == []
 
@@ -120,6 +120,62 @@ def test_the_check_sees_an_fqpoly_import():
     )
     found = _imports_from(source, "fqpoly")
     assert found == ["char_poly", "fqpoly", "is_irreducible", "morsl.fqpoly"]
+
+
+def _private_names(source: str) -> set[str]:
+    """The _-prefixed names that source defines, dunders aside: its
+    functions, classes, methods, assigned names and slots."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+        ):
+            names |= {elt.value for elt in node.value.elts}
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def _private_uses(source: str, module: str, private: set[str]) -> list[str]:
+    """The names of `private` that source imports from the package module
+    `module` or reads as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            found += [a.name for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr in private:
+            found.append(node.attr)
+    return sorted(found)
+
+
+def test_protocol_uses_no_private_name_of_matrix():
+    # the keys reach K through KeyField's public methods
+    package = Path(morsl.__file__).parent
+    private = _private_names((package / "matrix.py").read_text())
+    assert {"_chi", "_from_vals", "_test", "_power", "_certificate"} <= private
+    assert _private_uses((package / "protocol.py").read_text(), "matrix", private) == []
+
+
+def test_the_check_sees_a_private_use_of_matrix():
+    matrix_source = (
+        "class KeyField:\n"
+        "    __slots__ = ('b', '_member')\n"
+        "    def _power(self): pass\n"
+        "def _dot(a, b): pass\n"
+        "_CACHE = {}\n"
+    )
+    private = _private_names(matrix_source)
+    assert private == {"_member", "_power", "_dot", "_CACHE"}
+    source = (
+        "from .matrix import KeyField, _dot\n"
+        "from .field import _count_muls\n"
+        "def f(k, spec):\n"
+        "    from . import matrix\n"
+        "    return k._power(), matrix._CACHE, k._member, spec._mul_raw\n"
+    )
+    assert _private_uses(source, "matrix", private) == ["_CACHE", "_dot", "_member", "_power"]
 
 
 def _readers(source: str, module: str, name: str) -> list[str]:

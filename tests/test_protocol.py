@@ -1,6 +1,8 @@
 import contextlib
+import io
 import json
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -8,14 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import decrypt_compose, mat_mul_elementwise, mat_pow_plan, mat_pow_sqm
 
-from morsl import matrix, protocol
+from morsl import fqpoly, protocol
 from morsl.autos import Automorphism, recover_conjugator
-from morsl.cli import PRESETS
+from morsl.cli import PRESETS, main
 from morsl.field import FieldElement, cost_counter, field_spec
 from morsl.fqpoly import FqPoly, Quotient, char_poly, mod_inverse
 from morsl.matrix import (
+    KeyField,
     Matrix,
     conjugate,
+    diagonal_matrix,
     Permutation,
     identity,
     mat_inv,
@@ -349,10 +353,10 @@ def test_encrypt_redraws_r_until_phi_mr_is_not_one():
 
 
 def _parsed_route(sk, ct):
-    """decrypt with the key and ciphertext parsed afresh: no chi, verdict
-    or conjugator is cached, so the key's certificate is not known."""
+    """decrypt with the key and ciphertext parsed afresh: no chi or
+    conjugator is cached, and the key's certificate is not known."""
     sk2 = MorPrivateKey.from_json(ct.payload.spec, sk.to_json())
-    assert sk2.conjugator._split is None
+    assert sk2.field._certificate is None
     return decrypt(sk2, MorCiphertext.from_json(ct.to_json()))
 
 
@@ -364,35 +368,30 @@ def _sqm_route(sk, ct):
 
 def _decrypt_checked(sk, ct):
     """decrypt(sk, ct), checked against both routes above, and whether it
-    handed the key's certificate to the ciphertext's undecided B_r: that
-    path leaves B_r with the verdict the key hands on instead of a
-    certificate of its own, an m below q^d - 1 leaves it undecided, and a
-    decided B_r keeps its verdict."""
+    handed the key's certificate to the ciphertext's B_r: that path raises
+    B_r without a certificate of its own, where an m from q^d - 1 on
+    decides one for any other B_r, and an m below q^d - 1 decides none."""
     b, b_r = sk.conjugator, ct.conjugator
-    small, before = sk.m < b.spec.q**b.d - 1, b_r._split
+    small = sk.m < b.spec.q**b.d - 1
     fast = (
         not small
-        and before is None
-        and b._split == matrix._FIELD
+        and sk.field._certificate is True
         and mat_mul_elementwise(b, b_r) == mat_mul_elementwise(b_r, b)
     )
-    plaintext = decrypt(sk, ct)
-    if before is None:
-        assert (b_r._split is matrix._IN_A_FIELD) == fast
-        assert (b_r._split is None) == small
-    else:
-        assert b_r._split is before
+    with mock.patch.object(fqpoly, "is_irreducible", wraps=fqpoly.is_irreducible) as test:
+        plaintext = decrypt(sk, ct)
+    assert test.call_count == (not small and not fast)
     assert plaintext == _parsed_route(sk, ct) == _sqm_route(sk, ct)
     return plaintext, fast
 
 
 def _key_failing_the_certificate(params, rng):
     """A key drawn without the irreducibility filter whose conjugator
-    failed mat_pow's certificate, or None in 64 draws."""
+    failed its certificate, or None in 64 draws."""
     loose = MorParams(params.spec, params.d, require_irreducible_lift=False)
     for _ in range(64):
         pk, sk = keygen(loose, rng)
-        if sk.conjugator._split is False:
+        if sk.field._certificate is False:
             return pk, sk
     return None
 
@@ -407,7 +406,7 @@ def test_decrypt_with_the_key_certificate_equals_the_full_exponent(spec, d, seed
     rng = random.Random(seed)
     params = MorParams(spec, d)
     pk, sk = keygen(params, rng)
-    assert sk.conjugator._split  # keygen's irreducibility verdict
+    assert sk.field._certificate is True  # keygen's irreducibility test
     msg = random_sl(spec, d, rng)
     plaintext, fast = _decrypt_checked(sk, encrypt(pk, msg, rng))
     assert plaintext == msg
@@ -439,46 +438,42 @@ def _counted(fn, *args):
 
 
 def _spied_decrypt(sk, ct):
-    """decrypt(sk, ct), and the value and count of each of its
-    _hand_on_verdict, mat_pow and mat_inv calls, by name."""
+    """decrypt(sk, ct), and the value and count of each KeyField step it
+    takes, by name: the membership test (_test), the power (_power) and
+    the power with its inverse (_with_inverse)."""
     calls = {}
 
-    def spy(name, fn):
-        def counted(*args):
-            calls[name] = _counted(fn, *args)
+    def spy(name):
+        real = getattr(KeyField, name)
+
+        def counted(self, *args):
+            calls[name] = _counted(real, self, *args)
             return calls[name][0]
 
         return counted
 
-    names = ("_hand_on_verdict", "mat_pow", "mat_inv")
-    with mock.patch.multiple(protocol, **{n: spy(n, getattr(protocol, n)) for n in names}):
+    names = ("_test", "_power", "_with_inverse")
+    with mock.patch.multiple(KeyField, **{n: spy(n) for n in names}):
         plaintext = decrypt(sk, ct)
     return plaintext, calls
 
 
 def _bare(x):
-    """x with nothing cached on it: no chi, verdict, basis or coordinates."""
+    """x with nothing cached on it: no chi."""
     return Matrix._from_vals(x.spec, x.vals)
 
 
-def _coordinates(x):
-    """(algebra, g) for an x recorded as g(B), B another matrix, else None."""
-    element = x._element
-    return element if element is not None and element[0].matrix is not x else None
-
-
-def _algebra_state(b):
-    """Whether the key conjugator's algebra F_q[B] has run a membership
-    test, and whether it holds B's power basis and coordinate reader."""
-    if b._element is None:
-        return False, False, False
-    algebra = b._element[0]
-    built = (algebra._basis is not None, algebra._reader is not None)
-    return ("membership test" in algebra._uses, *built)
+def _algebra_state(field):
+    """Whether the key's field K_B has run a membership test, and whether
+    its algebra holds B's power basis and coordinate reader."""
+    tested, algebra = "membership test" in field._uses, field._algebra
+    if algebra is None:
+        return tested, False, False
+    return tested, algebra._basis is not None, algebra._reader is not None
 
 
 def _hand_on_count(b, tested, basis, reader):
-    """The hand-on's documented count, given the key conjugator's algebra
+    """The membership test's documented count, given the key's field
     state before it: the commutation test at the first, 2 d^3; the
     reading, d^3, from the second on, after the basis, (d - 2) d^3 unless
     built, and the reader's elimination at the second."""
@@ -494,15 +489,15 @@ def _hand_on_count(b, tested, basis, reader):
     return build + d**3
 
 
-def _power_count(b_r, m):
-    """mat_pow(b_r, m)'s documented count for a B_r with the key's verdict,
-    split at the norm as x^n = det^k x^s (mat_pow_plan) for n = m mod
-    q^d - 1: chi, det^k, x^s mod chi scaled by det^k unless that is 1,
-    and the evaluation, on B's basis for a B_r with coordinates at d >= 3,
-    2 (d - 1) d^2, and Horner's otherwise; or square-and-multiply where
-    it is predicted cheaper."""
+def _power_count(b_r, m, read):
+    """The power's documented count for a B_r known to lie in K_B, split at
+    the norm as x^n = det^k x^s (mat_pow_plan) for n = m mod q^d - 1: chi,
+    det^k, x^s mod chi scaled by det^k unless that is 1, and the
+    evaluation, on B's basis for a B_r read in K_B at d >= 3,
+    2 (d - 1) d^2, and Horner's otherwise; or square-and-multiply where it
+    is predicted cheaper."""
     spec, d = b_r.spec, b_r.d
-    k, s, route = mat_pow_plan(spec, d, m, b_r._split)
+    k, s, route = mat_pow_plan(spec, d, m, True)
     if route == "identity":
         return 0
     if route == "square-and-multiply":
@@ -514,22 +509,20 @@ def _power_count(b_r, m):
     r, pow_count = _counted(FqPoly.x(spec).pow_mod, s, chi)
     det = FieldElement(spec, chi.coeffs[0] if d % 2 == 0 else spec._neg_raw(chi.coeffs[0]))
     scaled = len(r.coeffs) if k and (det**k).val != 1 else 0
-    if _coordinates(b_r) is not None and d > 2:
+    if read and d > 2:
         evaluation = 2 * (d - 1) * d * d
     else:
         evaluation = d * d + (len(r.coeffs) - 2) * d**3 if len(r.coeffs) >= 2 else 0
     return chi_count + scalar + pow_count + scaled + evaluation
 
 
-def _inverse_count(x):
-    """mat_inv(x)'s documented count: for x = g(B), mod_inverse of g modulo
-    chi_B and (d - 1) d^2 for the product with B's basis; otherwise the
-    elimination's."""
-    element = _coordinates(x)
-    if element is None:
+def _inverse_count(x, h, algebra):
+    """The inverse's documented count: for x = h(B), mod_inverse of h
+    modulo chi_B and (d - 1) d^2 for the product with B's basis;
+    otherwise the elimination's."""
+    if h is None:
         return _counted(mat_inv, _bare(x))[1]
-    algebra, g = element
-    return _counted(mod_inverse, FqPoly(x.spec, g), algebra.f)[1] + (x.d - 1) * x.d**2
+    return _counted(mod_inverse, FqPoly(x.spec, h), algebra.f)[1] + (x.d - 1) * x.d**2
 
 
 @settings(max_examples=50)
@@ -553,34 +546,36 @@ def test_decrypt_on_the_key_basis_matches_the_oracles_and_its_counts(spec, d, se
         ct = encrypt(pk, msg, rng) if k < 3 else MorCiphertext.from_json(
             encrypt(other, msg, rng).to_json()
         )
-        b_r, state = ct.conjugator, _algebra_state(b)
+        b_r, state = ct.conjugator, _algebra_state(sk.field)
         commutes = mat_mul_elementwise(b, b_r) == mat_mul_elementwise(b_r, b)
-        assert commutes or k == 3  # the key's own B_r lie in F_q[B]
+        assert commutes or k == 3  # the key's own B_r lie in K_B
         plaintext, calls = _spied_decrypt(sk, ct)
-        (power, power_count), (inverse, inverse_count) = calls["mat_pow"], calls["mat_inv"]
+        ((power, h), power_count), ((_, inverse), inverse_count) = (
+            calls["_power"], calls["_with_inverse"]
+        )
         assert plaintext == _parsed_route(sk, ct)
         if k < 3:
             assert plaintext == msg
         assert power == mat_pow(_bare(b_r), sk.m) == mat_pow_sqm(b_r, sk.m)
         assert mat_mul(power, inverse) == identity(spec, d)
         if not hand_on:
-            assert "_hand_on_verdict" not in calls
+            assert "_test" not in calls
             continue
-        assert calls["_hand_on_verdict"][1] == _hand_on_count(b, *state)
-        assert (b_r._split is matrix._IN_A_FIELD) == commutes
-        # read from the second hand-on on, a member is recorded as g(B)
-        element = _coordinates(b_r)
-        read = element is not None and element[0].matrix is b
+        found, test_count = calls["_test"]
+        assert test_count == _hand_on_count(b, *state)
+        assert bool(found) == commutes
+        # read from the second test on, a member has coordinates in K_B
+        read = isinstance(found, tuple)
         assert read == (state[0] and commutes)
         if read:
-            assert b_r == element[0].eval(element[1])
+            assert b_r == sk.field._algebra.eval(found)
         if commutes:
-            assert power_count == _power_count(b_r, sk.m)
-            assert inverse_count == _inverse_count(power)
+            assert power_count == _power_count(b_r, sk.m, read)
+            assert inverse_count == _inverse_count(power, h, sk.field._algebra)
         else:
-            # outside F_q[B]: mat_pow's own certificate, Horner, elimination
-            assert power_count == _counted(mat_pow, _bare(b_r), sk.m)[1]
-            assert _coordinates(power) is None
+            # outside K_B: B_r's own certificate, Horner, elimination
+            assert power_count == _counted(KeyField(_bare(b_r)).power, sk.m)[1]
+            assert h is None
             assert inverse_count == _counted(mat_inv, _bare(power))[1]
 
 
@@ -589,21 +584,21 @@ def test_decrypt_on_the_key_basis_matches_the_oracles_and_its_counts(spec, d, se
 
 def _encrypt_checked(pk, msg, rng):
     """encrypt(pk, msg, rng), checked against square-and-multiply with the
-    full r of its first draw, and whether it handed B_phi's certificate to
-    B_phim: that path leaves B_phim, cached on phi_m, with the verdict
-    B_phi hands on instead of a certificate of its own."""
+    full r of its first draw, and whether it handed K_phi's certificate to
+    B_phim: that path leaves the key's field_m a member of K_phi instead of
+    a field with a certificate of its own."""
     params, state = pk.params, rng.getstate()
     b_phi, b_phim = recover_conjugator(pk.phi), recover_conjugator(pk.phi_m)
-    undecided = b_phim._split is None
+    undecided = "field_m" not in pk.__dict__
     ct = encrypt(pk, msg, rng)
     after = rng.getstate()
-    # B_phi holds a verdict once some draw of r reached q^d - 1
+    # K_phi's certificate is decided once some draw of r reached q^d - 1
     fast = (
         undecided
-        and b_phi._split == matrix._FIELD
+        and pk.field._certificate is True
         and mat_mul_elementwise(b_phi, b_phim) == mat_mul_elementwise(b_phim, b_phi)
     )
-    assert (b_phim._split is matrix._IN_A_FIELD) == fast
+    assert pk.field_m._member == fast
     rng.setstate(state)
     r = rng.randrange(2, params.spec.q ** (params.d**2) - 1)
     if rng.getstate() == after:  # encrypt kept its first r
@@ -629,28 +624,30 @@ def test_encrypt_with_the_phi_certificate_equals_the_full_exponent(spec, d, seed
     ct, fast = _encrypt_checked(pk, msg, rng)
     assert decrypt(sk, ct) == msg
     # keygen's B_phi has irreducible chi: its certificate finds a field
-    assert fast == (recover_conjugator(pk.phi)._split == matrix._FIELD)
+    assert fast == (pk.field._certificate is True)
 
     # the same key parsed afresh takes the same route to the same ciphertext
     rng.setstate(state)
     parsed = MorPublicKey.from_json(pk.to_json())
     assert _encrypt_checked(parsed, msg, rng) == (ct, fast)
 
-    # B_phim's verdict vouches for no other matrix: with phi^m as the
-    # first automorphism of a key, a fresh phi keeps mat_pow's route, and
-    # B_phim as a private conjugator does not reduce decrypt's exponent.
-    # Keys built from another key's parts can be degenerate in a small
-    # group, where phi^m or phi^(m^2) may have tiny order.
+    # the member fact lives in pk.field_m and vouches for no other key:
+    # with phi^m as the first automorphism of a key, its field decides a
+    # certificate of its own, and B_phim as a private conjugator does not
+    # reduce decrypt's exponent.  Keys built from another key's parts can
+    # be degenerate in a small group, where phi^m or phi^(m^2) may have
+    # tiny order.
     b_phim = recover_conjugator(pk.phi_m)
     with contextlib.suppress(DegenerateKeyError):
         if fast:
             chained = MorPublicKey(params, pk.phi_m, Automorphism.from_json(pk.phi.to_json()))
-            assert not _encrypt_checked(chained, msg, rng)[1]
+            _encrypt_checked(chained, msg, rng)
+            assert chained.field is not pk.field_m and chained.field._certificate is not None
             phi_mm = Automorphism.from_conjugator(mat_pow_sqm(b_phim, sk.m))
             ct = _encrypt_checked(MorPublicKey(params, pk.phi_m, phi_mm), msg, rng)[0]
             assert _decrypt_checked(MorPrivateKey(sk.m, b_phim), ct) == (msg, False)
 
-    # a foreign phi_m rarely commutes with B_phi and keeps mat_pow's route
+    # a foreign phi_m rarely commutes with B_phi and keeps a certificate of its own
     other, _ = keygen(params, rng)
     swapped = MorPublicKey.from_json({**pk.to_json(), "phi_m": other.phi_m.to_json()})
     with contextlib.suppress(DegenerateKeyError):
@@ -661,7 +658,7 @@ def test_encrypt_with_the_phi_certificate_equals_the_full_exponent(spec, d, seed
         return
     pk_loose, sk_loose = failing
     ct, fast = _encrypt_checked(pk_loose, msg, rng)
-    assert not fast  # B_phi failed the certificate: nothing to hand on
+    assert not fast  # K_phi failed its certificate: nothing to hand on
     assert decrypt(sk_loose, ct) == msg
 
 
@@ -676,3 +673,97 @@ def test_private_exponent_outside_the_keygen_range_is_refused(m):
     for edge in (2, spec.q ** (d * d) - 2):
         obj["m"] = str(edge)
         assert MorPrivateKey.from_json(spec, obj).m == edge
+
+
+# -- keys that own odd fields -------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_degenerate_and_hand_built_private_keys_decrypt(tmp_path):
+    # decrypt needs only m: the private conjugator B only lets K_B hand its
+    # certificate on.  The golden key file with B replaced by the zero
+    # matrix, the identity, a diagonal matrix (chi reducible) or a random
+    # matrix with irreducible chi that is not the key's still decrypts the
+    # golden ciphertext, through the CLI and in memory, where K_B's
+    # certificate is decided and fails or finds B_r outside K_B at the
+    # commutation test and at a read
+    ct = MorCiphertext.from_json(json.loads((GOLDEN / "ct.json").read_text()))
+    spec, d = ct.payload.spec, ct.payload.d
+    rng = random.Random(30)
+    foreign = random_gl(spec, d, rng)
+    while not KeyField(foreign).certificate:
+        foreign = random_gl(spec, d, rng)
+    conjugators = {
+        "zero": Matrix._from_vals(spec, ((0,) * d,) * d),
+        "identity": identity(spec, d),
+        "reducible": diagonal_matrix([spec.from_val(v) for v in (2, 3, 5)]),
+        "foreign": foreign,
+    }
+    for name, b in conjugators.items():
+        obj = json.loads((GOLDEN / "priv.json").read_text())
+        obj["conjugator"] = b.to_json()
+        priv, out = tmp_path / f"{name}.json", tmp_path / f"{name}.out"
+        priv.write_text(json.dumps(obj))
+        argv = ["decrypt", "--priv", str(priv), "--in", str(GOLDEN / "ct.json"), "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert out.read_bytes() == b"golden"
+        sk = MorPrivateKey.from_json(spec, obj)
+        assert sk.field.certificate is (name == "foreign")
+        for _ in range(2):
+            assert decode_message(decrypt(sk, ct)) == b"golden"
+
+    # the benchmark's hand-built keys: a monomial conjugator C without the
+    # irreducibility filter, and an exponent n = m mod q^d - 1 with the
+    # recovered conjugator B_phi, as a discrete log would give it
+    loose = MorParams(TOY7.spec, 3, require_irreducible_lift=False)
+    for seed in range(4):
+        rng = random.Random(seed)
+        w = [TOY7.spec.random_nonzero(rng) for _ in range(3)]
+        c = mat_mul(diagonal_matrix(w), permutation_matrix(TOY7.spec, Permutation.random(3, rng)))
+        m = rng.randrange(2, 7**9 - 1)
+        pk = MorPublicKey(
+            loose, Automorphism.from_conjugator(c), Automorphism.from_conjugator(mat_pow(c, m))
+        )
+        msg = random_sl(TOY7.spec, 3, rng)
+        with contextlib.suppress(DegenerateKeyError):  # a monomial phi may have tiny order
+            ct = encrypt(pk, msg, rng)
+            assert decrypt(MorPrivateKey(m, c), ct) == msg
+            assert decrypt(MorPrivateKey(m, recover_conjugator(pk.phi)), ct) == msg
+        pk, sk = keygen(TOY7, rng)
+        ct = encrypt(pk, msg, rng)
+        n = sk.m % (7**3 - 1)
+        assert decrypt(MorPrivateKey(n, recover_conjugator(pk.phi)), ct) == msg
+
+
+class _RecordingRandom(random.Random):
+    """A Random that keeps the last value randrange drew."""
+
+    def randrange(self, *args):
+        self.last = super().randrange(*args)
+        return self.last
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    spec=st.sampled_from([field_spec(7), field_spec(3, 2), field_spec(2, 8), field_spec(2, 16)]),
+    d=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_session_power_is_the_full_exponent_power(spec, d, seed):
+    # three messages under a fresh key, then under its v1 parse: each B_r
+    # is B_phi^r at the full exponent r that encrypt drew last, however
+    # the key's fields reduced, split, evaluated and inverted it, and
+    # every plaintext comes back
+    rng = _RecordingRandom(seed)
+    params = MorParams(spec, d)
+    pk, sk = keygen(params, rng)
+    parsed = MorPublicKey.from_json(pk.to_json()), MorPrivateKey.from_json(spec, sk.to_json())
+    b_phi = recover_conjugator(pk.phi)
+    for pk, sk in ((pk, sk), parsed):
+        for _ in range(3):
+            msg = random_sl(spec, d, rng)
+            ct = encrypt(pk, msg, rng)
+            assert ct.conjugator == mat_pow_sqm(b_phi, rng.last)
+            assert decrypt(sk, ct) == msg

@@ -4,16 +4,16 @@ No module of the package reads an attribute named `rows`: a Matrix keeps
 its entries in `vals`, and a second stored form, such as a FieldElement
 view, would come back as a reader of `rows`, perhaps on a path the suite
 does not run.  An FqPoly keeps its coefficients in `coeffs`, and fqpoly
-builds a FieldElement only where it hands one out.  A matrix's cached
-verdict of mat_pow's certificate, `_split`, is written only in matrix.py,
-so that mat_pow stays the one code that decides when an exponent is
-reduced, and so is the matrix as an element of an algebra F_q[B],
-`_element`: a wrong coordinate would give a wrong power or inverse, so
-only the code that checks them may write them.  The caches of that
-algebra, an fqpoly.Quotient (B's power basis `_basis`, its coordinate
-reader `_reader` and the record of its first uses `_uses`), are written
-only in fqpoly.py, which builds them.  The checks parse the source with ast
-instead of running it.
+builds a FieldElement only where it hands one out.  A Matrix is a plain
+value: its entries and the cache of chi_x that char_poly fills.  What a
+key knows of its algebra K = F_q[B] lives on a matrix.KeyField instead,
+and only matrix.py, which checks them, writes its facts: B's certificate
+`_certificate`, the membership `_member` handed on to another matrix,
+and the use schedule `_uses`.  A wrong one would reduce an exponent that
+must be kept, or build a basis for a matrix used once.  The caches of
+K's fqpoly.Quotient (B's power basis `_basis` and its coordinate reader
+`_reader`) are written only in fqpoly.py, which builds them.  The checks
+parse the source with ast instead of running it.
 """
 
 import ast
@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import morsl
+from morsl.matrix import Matrix
 
 PACKAGE = Path(morsl.__file__).parent
 
@@ -125,15 +126,24 @@ def _writing_modules(slot: str) -> set[str]:
     return {p.name for p in sorted(PACKAGE.rglob("*.py")) if _slot_writers(p.read_text(), slot)}
 
 
+def test_a_matrix_keeps_only_its_entries_and_chi():
+    assert Matrix.__slots__ == ("spec", "d", "vals", "_chi")
+
+
 def test_only_matrix_writes_the_certificate_verdict():
-    assert _writing_modules("_split") == {"matrix.py"}
+    assert _writing_modules("_certificate") == {"matrix.py"}
 
 
 def test_only_matrix_writes_the_element():
-    assert _writing_modules("_element") == {"matrix.py"}
+    # a matrix handed the certificate as a member, a nonzero element of K
+    assert _writing_modules("_member") == {"matrix.py"}
 
 
-@pytest.mark.parametrize("cache", ["_basis", "_reader", "_uses"])
+def test_only_matrix_writes_the_use_schedule():
+    assert _writing_modules("_uses") == {"matrix.py"}
+
+
+@pytest.mark.parametrize("cache", ["_basis", "_reader"])
 def test_only_fqpoly_writes_the_algebra_caches(cache):
     assert _writing_modules(cache) == {"fqpoly.py"}
 
@@ -150,8 +160,8 @@ def test_the_check_sees_a_split_writer():
     )
     assert _slot_writers(source, "_split") == [2, 3, 4, 5]
     # an augmented assignment is a write; a mutating call is not seen, so
-    # Quotient reassigns its caches
-    assert _slot_writers("algebra._uses |= {use}\nalgebra._uses.add(use)\n", "_uses") == [1]
-    for slot in ("_element", "_basis", "_reader", "_uses"):
+    # KeyField reassigns its schedule
+    assert _slot_writers("field._uses |= {use}\nfield._uses.add(use)\n", "_uses") == [1]
+    for slot in ("_certificate", "_member", "_uses", "_basis", "_reader"):
         assert _slot_writers(source.replace("_split", slot), slot) == [2, 3, 4, 5]
         assert _slot_writers(source, slot) == []
