@@ -79,8 +79,9 @@ def pair_orbits(beta: Permutation) -> list[tuple]:
 
 class Automorphism:
     # _rank1 maps each pair to the factor (u, v) of image - 1 = u v^T,
-    # two tuples of packed ints; _conj caches recover_conjugator
-    __slots__ = ("spec", "d", "images", "_rank1", "_conj")
+    # two tuples of packed ints; _conj caches recover_conjugator, and
+    # _field the KeyField that power raises the conjugator in
+    __slots__ = ("spec", "d", "images", "_rank1", "_conj", "_field")
 
     def __init__(self, spec: FieldSpec, d: int, images: dict):
         # SL by determinant: compose and the golden bench's composition
@@ -97,6 +98,7 @@ class Automorphism:
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "_rank1", rank1)
         object.__setattr__(self, "_conj", None)
+        object.__setattr__(self, "_field", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Automorphism is immutable")
@@ -188,11 +190,14 @@ class Automorphism:
         Conjugation by B^m is the m-fold composition of conjugation by B,
         and the scalar ambiguity of B cancels, so this equals
         square-and-multiply over compose image by image.  B is raised in a
-        KeyField of its own, used once, which reduces a large m mod
+        KeyField kept on the automorphism, which reduces a large m mod
         q^d - 1 and at the norm when that is exact, as the protocol's
-        powers are reduced.
+        powers are reduced, and keeps B's certificate and algebra for the
+        powers that follow.
         """
-        return Automorphism.from_conjugator(KeyField(recover_conjugator(self)).power(m))
+        if self._field is None:
+            object.__setattr__(self, "_field", KeyField(recover_conjugator(self)))
+        return Automorphism.from_conjugator(self._field.power(m))
 
     def invert(self) -> "Automorphism":
         return Automorphism.from_conjugator(mat_inv(recover_conjugator(self)))

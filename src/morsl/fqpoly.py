@@ -23,7 +23,9 @@ on a matrix B, the algebra F_q[B], evaluates it on B's power basis.
 Other modules multiply, invert and compose modulo a polynomial only
 through Quotient.  A KeyField's certificate is is_irreducible(chi_B),
 the package's one irreducibility test over F_q[x].
-Repeated q-th powers modulo f go through the Frobenius matrix of f.
+Repeated q-th powers modulo f go through the Frobenius matrix of f,
+whose rows x^(iq) mod f, and x^q itself, are kept on f: Ben-Or's chain
+and x^e's base-q route share them.
 Squaring modulo a monic f of degree n over a binary field has one model,
 the squaring rows S_i = x^(2i) mod f, ceil(n/2) <= i < n (the q = 2 case
 of the Frobenius matrix): r^2 mod f = sum r_i^2 x^(2i), where only the
@@ -32,7 +34,7 @@ multiplications against n + (n - 1) n for dividing the square by f.
 The rows are built once per modulus, by shift-and-clear, and cached on
 f.  Odd characteristic divides the square by f.
 Over a binary field too large for a multiplication table, x^e runs on
-one int in one kernel, _pow_x_lanes: the residue is packed in byte-
+one int in one kernel, _lane_power: the residue is packed in byte-
 aligned lanes, and squaring a coefficient and clearing a top coefficient
 are each one XOR of byte-indexed table entries (both maps are GF(2)-
 linear).  When the residue is short and e > q, squaring modulo f is
@@ -40,6 +42,14 @@ instead one XOR of byte-indexed entries of a table of f itself, built on
 first use and cached on f, so a key's moduli keep theirs for every
 message.  The kernel counts what the squaring rows multiply, whichever
 squaring ran, so counts and route choices do not depend on the route.
+Its multiplies are by x, left to right over e's bits, or, on the base-q
+route (Straus 1964), by products of the conjugates x^(q^i) mod f over
+the bit columns of e's base-q digits, which square about gamma times
+instead of bits(e) times.  That route runs where f keeps a base-q table
+of those products, each as its multiplication matrix on the field's
+lanes, and a cost prediction says it counts fewer multiplications;
+keep_base_q_table builds the table where it pays, for the moduli of
+matrix.KeyField's powers.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ from itertools import chain as _chain
 from itertools import zip_longest as _zip_longest
 from math import gcd as _int_gcd
 from operator import getitem as _getitem
+from operator import or_ as _or
 from operator import xor as _xor
 
 from .field import (
@@ -95,8 +106,11 @@ class FqPoly:
     # _sq_rows caches the squaring rows of a binary modulus (_squaring_rows
     # fills it, at the first squaring modulo self), _sq_table the lane
     # squaring table of x^e mod self (_square_table), only for the short
-    # binary moduli whose powers use it
-    __slots__ = ("spec", "coeffs", "_sq_rows", "_sq_table")
+    # binary moduli whose powers use it; _xq and _frob_rows cache x^q mod
+    # self and its Frobenius rows (_x_to_the_q, _frobenius_rows), which
+    # Ben-Or's chain and the base-q route share, and _q_table the base-q
+    # table (_base_q_table) of a modulus that keep_base_q_table keeps it on
+    __slots__ = ("spec", "coeffs", "_sq_rows", "_sq_table", "_xq", "_frob_rows", "_q_table")
 
     def __init__(self, spec: FieldSpec, coeffs=()):
         coeffs = tuple(coeffs)
@@ -114,8 +128,8 @@ class FqPoly:
     def _set_slots(self, spec: FieldSpec, coeffs) -> None:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "coeffs", tuple(_trim(coeffs)))
-        object.__setattr__(self, "_sq_rows", None)
-        object.__setattr__(self, "_sq_table", None)
+        for slot in ("_sq_rows", "_sq_table", "_xq", "_frob_rows", "_q_table"):
+            object.__setattr__(self, slot, None)
 
     def __setattr__(self, *args):
         raise AttributeError("FqPoly is immutable")
@@ -233,6 +247,12 @@ class FqPoly:
         _SQUARE_TABLE_MAX_BYTES and n > q, its squarings look up a table
         of the monic modulus, cached on it; x^q, as in is_irreducible, and
         longer residues build no table and divide each square lane by lane.
+        A monic modulus that keeps a base-q table (keep_base_q_table, which
+        matrix.KeyField calls before its powers) raises x^n, n >= q, by the
+        base-q route instead, Straus's walk over n's base-q digits, where
+        that is predicted to count fewer multiplications (_pow_x_costs).
+        Both predictions are upper bounds, and the binary route's is at
+        most _pow_mod_cost, so that figure bounds either route.
         """
         spec = self._check(modulus)
         if n < 0:
@@ -459,7 +479,30 @@ def _horner(spec: FieldSpec, coeffs, v: int) -> int:
 
 
 def _pow_x_lanes(e: int, f: FqPoly) -> FqPoly:
-    """x^e mod a monic f of degree n >= 2 over GF(2^gamma), gamma > 8.
+    """x^e mod a monic f of degree n >= 2 over GF(2^gamma), gamma > 8, by
+    _lane_power's base-q route where f keeps a base-q table
+    (keep_base_q_table) and _pow_x_costs predicts that route, with the
+    table's extension to e's digits, to count fewer multiplications than
+    the binary route; by the binary route otherwise."""
+    base_q = False
+    if f._q_table is not None and e >= f.spec.q:
+        binary, loop, build = _pow_x_costs(e, f)
+        base_q = loop + build < binary
+    return _lane_power(e, f, base_q)
+
+
+def _lane_power(e: int, f: FqPoly, base_q: bool) -> FqPoly:
+    """x^e mod a monic f of degree n >= 2 over GF(2^gamma), gamma > 8, by
+    one of two routes, each a chain of squarings, each squaring followed
+    by a multiply or not.
+
+    The binary route is left-to-right square-and-multiply over e's bits,
+    its multiplies by x.  The base-q route (Straus 1964) writes e in base
+    q, e = sum e_i q^i, and walks the bits of the digits e_i together, from
+    the top: x^e = prod_i (x^(q^i))^(e_i), so it squares about gamma times
+    instead of bits(e) times, and after each squaring multiplies by T_S =
+    prod_{i in S} x^(q^i) mod f for the set S of digits whose bit is set
+    there (_base_q_table, which builds what f does not keep yet).
 
     The residue is one int of n byte-aligned lanes, coefficient i in lane
     i.  Squaring, and subtracting a multiple of f, are GF(2)-linear, so
@@ -477,11 +520,13 @@ def _pow_x_lanes(e: int, f: FqPoly) -> FqPoly:
     (_squaring_rows, whose one build per f is counted too).  The pattern of
     those high lanes keys a small table of their summed costs, filled as
     patterns occur.  A multiply by x counts nnz(f_0 .. f_(n-1)) when it
-    clears a top coefficient.  In a lane of w bits, adding 2^(w-1) - 1 to
-    the low w - 1 bits carries into bit w - 1 exactly when they are not
-    all zero, and never out of the lane; OR-ed with the lane's own bit
-    w - 1, that bit marks a nonzero lane, so a few int operations find the
-    nonzero lanes of a residue.
+    clears a top coefficient; a multiply by T_S, a row times T_S's
+    multiplication matrix on the field's lanes (_mul_prepared_raw), counts
+    n^2.  In a lane of w bits, adding 2^(w-1) - 1 to the low w - 1 bits
+    carries into bit w - 1 exactly when they are not all zero, and never
+    out of the lane; OR-ed with the lane's own bit w - 1, that bit marks a
+    nonzero lane, so a few int operations find the nonzero lanes of a
+    residue.
     """
     spec = f.spec
     n, nb = f.degree(), (spec.gamma + 7) // 8
@@ -501,8 +546,15 @@ def _pow_x_lanes(e: int, f: FqPoly) -> FqPoly:
     # the marks of lanes (n + 1) // 2 and up, shifted down to bits 0, lane, ...
     split = (n + 1) // 2 * lane + lane - 1
     costs = {0: 0}
-    acc, count = 1 << lane, 0
-    for b in bin(e)[3:]:
+    if base_q:
+        digits = _base_q_digits(e, spec.q)
+        entries = _base_q_table(f, len(digits))
+        steps = _columns(digits)
+        acc, nn, mul = _pack(entries[steps.pop(0)][0], nb), n * n, spec._mul_prepared_raw
+    else:
+        entries, acc, steps = None, 1 << lane, [b == "1" for b in bin(e)[3:]]
+    count = 0
+    for step in steps:
         marks = ((acc & low) + low | acc) & high
         pattern = marks >> split
         cost = costs.get(pattern)
@@ -516,14 +568,19 @@ def _pow_x_lanes(e: int, f: FqPoly) -> FqPoly:
             acc = _divide_lanes(s, red, top, nb) & mask
         else:
             acc = _reduce(_xor, map(_getitem, table, raw))
-        if b == "1":
+        if not step:
+            continue
+        if entries is None:
             acc <<= lane
             c = acc >> top
             if c:
                 count += nnz
                 acc = acc & mask ^ _reduce(_xor, map(_getitem, red, c.to_bytes(nb, "little")))
+        else:
+            count += nn
+            acc = _pack(mul((_lanes(acc, n, nb),), entries[step][1])[0], nb)
     _count_muls(count)
-    return _unpack(acc, f)
+    return FqPoly._from_vals(spec, _lanes(acc, n, nb))
 
 
 def _divide_lanes(s: int, red: tuple, top: int, nb: int) -> int:
@@ -603,14 +660,149 @@ def _square_table(f: FqPoly) -> tuple:
     return f._sq_table
 
 
-def _unpack(acc: int, f: FqPoly) -> FqPoly:
-    """The residue whose coefficient i is lane i of acc."""
-    spec = f.spec
-    n, nb = f.degree(), (spec.gamma + 7) // 8
+def _lanes(acc: int, n: int, nb: int) -> list:
+    """The n coefficients in the lanes of nb bytes of acc, lane i the i-th."""
     raw = acc.to_bytes(n * nb, "little")
-    return FqPoly._from_vals(
-        spec, [int.from_bytes(raw[i * nb:(i + 1) * nb], "little") for i in range(n)]
-    )
+    return [int.from_bytes(raw[i:i + nb], "little") for i in range(0, n * nb, nb)]
+
+
+def _pack(vals, nb: int) -> int:
+    """The int of lanes of nb bytes whose lane i holds vals[i]."""
+    return int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in vals]), "little")
+
+
+def _base_q_digits(e: int, q: int) -> list:
+    """e's digits in base q = 2^gamma, the lowest first."""
+    gamma = q.bit_length() - 1
+    return [e >> i & q - 1 for i in range(0, e.bit_length(), gamma)]
+
+
+def _columns(digits) -> list:
+    """The bit columns of the digits, from the top column down: column j
+    is the set of the digits whose bit j is 1, as a bitmask."""
+    top = _reduce(_or, digits).bit_length()
+    return [sum((d >> j & 1) << i for i, d in enumerate(digits)) for j in range(top - 1, -1, -1)]
+
+
+def _base_q_table(f: FqPoly, k: int) -> list:
+    """f's base-q table for k digits, over GF(2^gamma), gamma > 8, the one f
+    keeps extended and cached on f.  Entry S, a bitmask of digits, holds
+    T_S = prod_{i in S} x^(q^i) mod f, as its n coefficients and as its
+    multiplication matrix, rows x^j T_S mod f for j < n, prepared for the
+    field's lanes (_prepare_raw), so that a product by T_S is one row
+    times it.
+
+    Entry 2^i is the conjugate x^(q^i): x, x^q (_x_to_the_q), and from
+    x^(q^2) on the q-th power of the one before, through f's Frobenius
+    rows (_frobenius_step).  Any other T_S is T_(S - {i}) times
+    x^(q^i), i = max S, a row times that matrix: n^2 multiplications.
+    Each matrix's rows are x times the row above, shifted up a lane with
+    its top coefficient cleared as _pow_x_lanes clears it:
+    nnz(f_0 .. f_(n-1)) per nonzero top coefficient."""
+    table = f._q_table or [None]
+    if len(table) < 1 << k:
+        spec = f.spec
+        n, nb = f.degree(), (spec.gamma + 7) // 8
+        lane = 8 * nb
+        top = n * lane
+        mask = (1 << top) - 1
+        red = _clear_rows(f)
+        nnz = n - f.coeffs[:n].count(0)
+        count = 0
+        for s in range(len(table), 1 << k):
+            i = s.bit_length() - 1
+            if s == 1:
+                t = [0, 1, *(0,) * (n - 2)]
+            elif s == 2:
+                t = _x_to_the_q(f).coeffs
+                t = [*t, *(0,) * (n - len(t))]
+            elif s == 1 << i:
+                t = _frobenius_step(table[s >> 1][0], f)
+            else:
+                t = spec._mul_prepared_raw((table[s ^ 1 << i][0],), table[1 << i][1])[0]
+                count += n * n
+            acc, rows = _pack(t, nb), [tuple(t)]
+            for _ in range(n - 1):
+                acc <<= lane
+                c = acc >> top
+                if c:
+                    count += nnz
+                    acc = acc & mask ^ _reduce(_xor, map(_getitem, red, c.to_bytes(nb, "little")))
+                rows.append(tuple(_lanes(acc, n, nb)))
+            table.append((rows[0], spec._prepare_raw(tuple(rows))))
+        _count_muls(count)
+        object.__setattr__(f, "_q_table", table)
+    return table
+
+
+def keep_base_q_table(f: FqPoly, e: int) -> None:
+    """Keep on the monic f its base-q table for e's digits (_base_q_table)
+    where x^e mod f by the base-q route, with what that route builds, is
+    predicted to count fewer multiplications than by the binary route
+    (_pow_x_costs); pow_mod then takes the base-q route for this power
+    and for every later one that the kept table makes cheaper.  Only over
+    GF(2^gamma), gamma > 8, for deg f >= 2 and q <= e < q^(deg f), as for
+    the exponents below the norm that matrix.KeyField raises.  The build,
+    and the squaring rows the prediction reads, are counted as they run."""
+    spec = f.spec
+    n, q = f.degree(), spec.q
+    if spec.p != 2 or q <= _TABLE_MAX_Q or n < 2 or not q <= e < q**n:
+        return
+    binary, base_q, build = _pow_x_costs(e, f)
+    if build and base_q + build < binary:
+        _base_q_table(f, len(_base_q_digits(e, q)))
+
+
+def _pow_x_costs(e: int, f: FqPoly) -> tuple[int, int, int]:
+    """Predicted multiplications, upper bounds, of x^e mod a monic f of
+    degree n >= 2 over GF(2^gamma), gamma > 8, for e >= q: the binary
+    route's, the base-q route's loop, and the base-q build that f lacks
+    for e's digits.  f's squaring rows are built first if need be.
+
+    A squaring counts at most n + sum_i nnz(S_i) over f's squaring rows
+    S_i, a multiply by x nnz(f_0 .. f_(n-1)) and one by a table entry
+    n^2.  While the binary route's partial exponent m stays below n, x^m
+    is a monomial: its squaring counts 1 and its multiply by x nothing.
+    The base-q loop squares bits(c) - 1 times and multiplies
+    popcount(c) - 1 times, c the OR of the digits.  The build is x^q at
+    the binary route's price, unless f keeps it; the Frobenius rows,
+    (n - 2)(n^2 + (n - 1) nnz(f_0 .. f_(n-1))), unless f keeps them; and
+    per table entry that f lacks, its matrix, (n - 1) nnz(f_0 .. f_(n-1)),
+    and its product, n^2, or for a conjugate x^(q^i), i >= 2, its step
+    through the Frobenius rows, their nonzero entries (n^2 before they are
+    built)."""
+    q, n = f.spec.q, f.degree()
+    nnz = n - f.coeffs[:n].count(0)
+    square = n + sum(len(row) for row in _squaring_rows(f))
+    binary = _binary_cost(e, n, nnz, square)
+    digits = _base_q_digits(e, q)
+    k = len(digits)
+    columns = _reduce(_or, digits)
+    loop = (columns.bit_length() - 1) * square + (columns.bit_count() - 1) * n * n
+    kept = len(f._q_table or ()).bit_length() - 1 if f._q_table else 0
+    if k <= kept:
+        return binary, loop, 0
+    entries = (1 << k) - (1 << kept if kept else 1)
+    steps = k - max(kept, 2)
+    build = entries * (n - 1) * nnz + (entries - (k - kept)) * n * n
+    if f._xq is None:
+        build += _binary_cost(q, n, nnz, square)
+    if steps > 0 and f._frob_rows is None:
+        build += (n - 2) * (n * n + (n - 1) * nnz) + steps * n * n
+    elif steps > 0:
+        build += steps * sum(len(row) for row in f._frob_rows)
+    return binary, loop, build
+
+
+def _binary_cost(e: int, n: int, nnz: int, square: int) -> int:
+    """_pow_x_costs' figure for the binary route at e >= 1, a squaring
+    predicted at `square` and a clearing multiply by x at nnz."""
+    bits = e.bit_length()
+    monomial = 1
+    while monomial < bits and e >> bits - monomial - 1 < n:
+        monomial += 1
+    rest = bits - monomial
+    return monomial - 1 + rest * square + (e & (1 << rest) - 1).bit_count() * nnz
 
 
 # ---------------------------------------------------------------------------
@@ -625,34 +817,65 @@ def _frobenius_map(f: FqPoly, steps: int):
     divisor g of f, and returns h^q modulo f or g.  It uses the Frobenius
     matrix, whose rows are x^(iq) mod f, when that is predicted cheaper
     over `steps` calls than pow_mod (von zur Gathen and Shoup 1992): for
-    h in GF(q)[x], h^q = sum h_i x^(iq), one vector-matrix product, then
-    reduced modulo g by _rem_monic when deg g < deg f.
+    h in GF(q)[x], h^q = sum h_i x^(iq), one vector-matrix product
+    (_frobenius_step), then reduced modulo g by _rem_monic when
+    deg g < deg f.  x^q and the rows are kept on f (_x_to_the_q,
+    _frobenius_rows), so a second chain on f, or x^e's base-q route,
+    builds neither again, and the prediction then leaves the rows out.
     """
     spec = f.spec
     n, q = f.degree(), spec.q
-    xq = FqPoly.x(spec).pow_mod(q, f)
-    matrix_cost = max(0, n - 2) * _mulmod_cost(n) + steps * n * n
-    if matrix_cost >= steps * _pow_mod_cost(q, n, spec.p, by_x=False):
+    xq = _x_to_the_q(f)
+    build = 0 if f._frob_rows is not None else max(0, n - 2) * _mulmod_cost(n)
+    if build + steps * n * n >= steps * _pow_mod_cost(q, n, spec.p, by_x=False):
         return xq, lambda h, g: h.pow_mod(q, g)
-    rows = []
 
     def by_matrix(h, g):
-        mul, add = spec._mul_raw, spec._add_raw
-        if not rows:
-            rows.extend(((1,), xq.coeffs))
-            while len(rows) < n:
-                rows.append(_rem_monic(_product(spec, rows[-1], xq.coeffs), f))
-            rows[:] = [[(j, r) for j, r in enumerate(row) if r] for row in rows]
-        out, count = [0] * n, 0
-        for hi, row in zip(h.coeffs, rows):
-            if hi:
-                count += len(row)
-                for j, r in row:
-                    out[j] = add(out[j], mul(hi, r))
-        _count_muls(count)
+        out = _frobenius_step(h.coeffs, f)
         return FqPoly._from_vals(spec, _rem_monic(out, g) if g.degree() < n else out)
 
     return xq, by_matrix
+
+
+def _x_to_the_q(f: FqPoly) -> FqPoly:
+    """x^q mod a monic f of degree >= 2, by pow_mod at its first use and
+    kept on f."""
+    if f._xq is None:
+        object.__setattr__(f, "_xq", FqPoly.x(f.spec).pow_mod(f.spec.q, f))
+    return f._xq
+
+
+def _frobenius_rows(f: FqPoly) -> tuple:
+    """The Frobenius rows x^(iq) mod a monic f of degree n >= 2, i < n, each
+    as its nonzero (j, c), built at their first use and kept on f: x^q
+    (_x_to_the_q) times the row before, one product and one _rem_monic
+    each, counted as they count, for i >= 2."""
+    if f._frob_rows is None:
+        spec, n = f.spec, f.degree()
+        xq = _x_to_the_q(f).coeffs
+        rows = [(1,), xq]
+        while len(rows) < n:
+            rows.append(_rem_monic(_product(spec, rows[-1], xq), f))
+        rows = tuple(tuple((j, r) for j, r in enumerate(row) if r) for row in rows)
+        object.__setattr__(f, "_frob_rows", rows)
+    return f._frob_rows
+
+
+def _frobenius_step(h, f: FqPoly) -> list:
+    """h^q mod a monic f of degree n, for h reduced modulo f, as n
+    coefficients: sum h_i x^(iq) over f's Frobenius rows
+    (_frobenius_rows), one multiplication per nonzero h_i and nonzero
+    entry of its row."""
+    spec = f.spec
+    mul, add = spec._mul_raw, spec._add_raw
+    out, count = [0] * f.degree(), 0
+    for hi, row in zip(h, _frobenius_rows(f)):
+        if hi:
+            count += len(row)
+            for j, r in row:
+                out[j] = add(out[j], mul(hi, r))
+    _count_muls(count)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +892,11 @@ def _pow_mod_cost(e: int, n: int, p: int, by_x: bool) -> int:
     """pow_mod(e) of a reduced base modulo a monic degree-n polynomial.  In
     characteristic 2 a squaring adds at most floor(n/2) squaring rows of
     n entries, after the rows' one build, (n - 1) n, if e >= 2 makes a
-    squaring at all; otherwise it is divided by the modulus."""
+    squaring at all; otherwise it is divided by the modulus.  x^e's
+    base-q route runs only where _pow_x_costs predicts it, with what it
+    builds, below the binary route's figure there, which is at most this
+    one, so this figure bounds it too, and so does the figure of a power
+    before which keep_base_q_table builds a modulus's table."""
     if p == 2:
         square, build = n + n // 2 * n, (n - 1) * n if e > 1 else 0
     else:
@@ -692,7 +919,9 @@ def cayley_hamilton_cost(d: int, e: int, p: int) -> int:
     of matrix.mat_pow and matrix.KeyField: chi_M, x^e mod chi_M
     (_pow_mod_cost: in characteristic 2, d + floor(d/2) d per squaring
     through chi_M's squaring rows, after their build, (d - 1) d, which the
-    figure counts even where chi_M keeps rows from an earlier power) and
+    figure counts even where chi_M keeps rows from an earlier power; it
+    bounds the base-q route too, with the build of the table that
+    KeyField has chi_M keep before a power where that route pays) and
     Horner's evaluation, d^2 + (d - 2) d^3.  The power basis's build,
     (d - 2) d^3, and evaluation on it, (d - 1) d^2, come only after an
     earlier power has cached chi_M, and their surcharge over Horner,

@@ -413,6 +413,17 @@ class KeyField:
     both of mat_pow's prices at n, so cayley_hamilton_cost at n bounds
     it too.  Any other power takes mat_pow's route.
 
+    Each power of x = B or of a member, raised as t^s mod chi_x, first
+    lets chi_x keep its base-q table (fqpoly.keep_base_q_table): over
+    GF(2^gamma), gamma > 8, where x^s's base-q route, with what it builds
+    (x^q and the Frobenius rows, which a certificate decided on chi_x has
+    kept, and the table), is predicted to count fewer multiplications than
+    the binary route, as at the paper preset's d = 7 and gamma = 160 and
+    not at the small preset's d = 5 and gamma = 16.  The power then takes
+    that route, and so does every later power modulo chi_x that its kept
+    table makes cheaper; the prediction keeps the power within
+    cayley_hamilton_cost.
+
     B's algebra, an fqpoly.Quotient on B, serves the uses that repeat:
     B's power basis and coordinate reader are built only for a B used
     more than once.  B's first remainder is evaluated by Horner's rule,
@@ -505,7 +516,7 @@ class KeyField:
     def _power(self, x: Matrix, g, n: int) -> tuple:
         """x^n, n >= 0, for x = B (g None) or a member x = g(B), and its
         coordinates in K where it was evaluated there, else None."""
-        from .fqpoly import FqPoly, cayley_hamilton_cost, char_poly
+        from .fqpoly import FqPoly, cayley_hamilton_cost, char_poly, keep_base_q_table
 
         spec, d = x.spec, x.d
         order = spec.q**d - 1
@@ -527,6 +538,7 @@ class KeyField:
         c = _pow_raw(spec, spec._neg_raw(chi.coeffs[0]) if d % 2 else chi.coeffs[0], k) if k else 1
         if not s:
             return scalar_matrix(spec, d, FieldElement(spec, c)), None
+        keep_base_q_table(chi, s)
         r = FqPoly.x(spec).pow_mod(s, chi)
         if c != 1:
             r = r.scale(c)

@@ -62,6 +62,7 @@ equal-degree factorization, irreducible_factors, is_irreducible and
 mod_inverse on top of it.  packed() turns its results back into FqPoly for comparison.
 """
 
+import contextlib
 import functools
 import itertools
 import random
@@ -336,6 +337,88 @@ def pow_x_elementwise(e, f, rows_built=False):
         acc = square_by_rows_elementwise(acc, rows, n, spec)
         if bit == "1":
             acc = reduce([zero, *acc])
+    return FqPoly(spec, [c.val for c in acc])
+
+
+def pow_x_base_q_elementwise(e, f, rows_built=False, xq_built=False, frobenius_built=False,
+                             table_digits=0):
+    """x^e mod a monic f of degree n >= 2 over GF(2^gamma), e >= q, by
+    Straus's walk over e's base-q digits on FieldElement coefficients,
+    with pow_x_elementwise's loops: its squaring through f's squaring rows
+    and its multiply by x, which here builds the rows x^j T mod f of each
+    table entry T's multiplication matrix.  x^q is pow_x_elementwise(q,
+    f), each further conjugate x^(q^i) the sum of the previous one's
+    coefficients times the Frobenius rows x^(jq) mod f, and each other
+    entry T_S the row T_(S - {i}) times the matrix of x^(q^i), i = max S,
+    every product of the n^2 counted, zeros included, as is every product
+    of the walk by an entry.  What f keeps is left uncounted: its squaring
+    rows (rows_built), x^q (xq_built), its Frobenius rows
+    (frobenius_built), and the table entries of the first table_digits
+    digits."""
+    spec, n, q = f.spec, f.degree(), f.spec.q
+    zero, one = spec.zero(), spec.one()
+    fc = [FieldElement(spec, c) for c in f.coeffs]
+    digits = []
+    while e:
+        e, r = divmod(e, q)
+        digits.append(r)
+    k = len(digits)
+
+    def kept(flag):
+        return _uncounted() if flag else contextlib.nullcontext()
+
+    def reduce(a):
+        for top in range(len(a) - 1, n - 1, -1):
+            c = a[top]
+            if c:
+                for i in range(n):
+                    if fc[i]:
+                        a[top - n + i] = a[top - n + i] - c * fc[i]
+        return a[:n]
+
+    def padded(poly_coeffs):
+        return [*poly_coeffs, *[zero] * (n - len(poly_coeffs))]
+
+    def times(row, matrix):
+        return [sum((a * m[j] for a, m in zip(row, matrix)), zero) for j in range(n)]
+
+    with kept(rows_built):
+        rows = squaring_rows_elementwise(fc, n)
+    with kept(xq_built or table_digits >= 2):
+        xq = padded([FieldElement(spec, c) for c in pow_x_elementwise(q, f, rows_built=True).coeffs])
+    conjugates = [padded([zero, one]), xq]
+    if k > 2:
+        with kept(frobenius_built or table_digits >= k):
+            frob = [padded([one]), xq]
+            while len(frob) < n:
+                frob.append(reduce(list((PolyElementwise(spec, frob[-1]) * PolyElementwise(spec, xq)).coeffs)))
+                frob[-1] = padded(frob[-1])
+    for i in range(2, k):
+        with kept(i < table_digits):
+            out = [zero] * n
+            for h, row in zip(conjugates[-1], frob):
+                if h:
+                    for j, r in enumerate(row):
+                        if r:
+                            out[j] = out[j] + h * r
+            conjugates.append(out)
+    entries, matrices = [None], [None]
+    for s in range(1, 1 << k):
+        with kept(s < 1 << table_digits):
+            i = s.bit_length() - 1
+            t = conjugates[i] if s == 1 << i else times(entries[s ^ 1 << i], matrices[1 << i])
+            matrix = [t]
+            while len(matrix) < n:
+                matrix.append(reduce([zero, *matrix[-1]]))
+        entries.append(t)
+        matrices.append(matrix)
+    top = max(digits).bit_length()
+    columns = [sum((dg >> j & 1) << i for i, dg in enumerate(digits)) for j in range(top - 1, -1, -1)]
+    acc = entries[columns[0]]
+    for s in columns[1:]:
+        acc = square_by_rows_elementwise(acc, rows, n, spec)
+        if s:
+            acc = times(acc, matrices[s])
     return FqPoly(spec, [c.val for c in acc])
 
 
@@ -1325,22 +1408,26 @@ def rem_monic_elementwise(a, f):
 def frobenius_map_elementwise(f, steps):
     """x^q mod a monic f and the map h -> h^q mod g, for g = f or a monic
     divisor of f, by the Frobenius matrix when fqpoly's cost model picks
-    it, as fqpoly._frobenius_map does."""
+    it, as fqpoly._frobenius_map does.  f keeps x^q and the matrix's rows
+    from their first build on, as fqpoly keeps them, and the model then
+    leaves the rows' build out."""
     spec = f.spec
     n, q = f.degree(), spec.q
-    xq = PolyElementwise.x(spec).pow_mod(q, f)
-    matrix_cost = max(0, n - 2) * fqpoly._mulmod_cost(n) + steps * n * n
-    if matrix_cost >= steps * fqpoly._pow_mod_cost(q, n, spec.p, by_x=False):
+    if getattr(f, "xq", None) is None:
+        f.xq = PolyElementwise.x(spec).pow_mod(q, f)
+    xq = f.xq
+    build = 0 if getattr(f, "frob_rows", None) else max(0, n - 2) * fqpoly._mulmod_cost(n)
+    if build + steps * n * n >= steps * fqpoly._pow_mod_cost(q, n, spec.p, by_x=False):
         return xq, lambda h, g: h.pow_mod(q, g)
-    rows = []
 
     def by_matrix(h, g):
-        if not rows:
-            rows.extend((PolyElementwise.one(spec), xq))
+        if not getattr(f, "frob_rows", None):
+            rows = [PolyElementwise.one(spec), xq]
             while len(rows) < n:
                 rows.append(rem_monic_elementwise(list((rows[-1] * xq).coeffs), f))
+            f.frob_rows = rows
         out = [spec.zero()] * n
-        for hi, row in zip(h.coeffs, rows):
+        for hi, row in zip(h.coeffs, f.frob_rows):
             if hi:
                 for j, r in enumerate(row.coeffs):
                     if r:

@@ -13,7 +13,7 @@ from morsl.autos import (
     generator_pairs,
     recover_conjugator,
 )
-from morsl.field import field_spec
+from morsl.field import cost_counter, field_spec
 from morsl.matrix import (
     Matrix,
     Permutation,
@@ -28,6 +28,7 @@ from morsl.matrix import (
     scalar_matrix,
     transvection,
 )
+from morsl.protocol import MorParams, keygen
 from morsl.words import NotInSLError
 
 GF5 = field_spec(5)
@@ -184,6 +185,20 @@ def test_power_via_conjugator_agrees():
         for m in (0, 1, 2, 7, 23):
             assert phi.power(m) == compose_power(phi, m)
         assert phi.power(-5) == compose_power(phi.invert(), 5)
+
+
+def test_power_keeps_its_key_field():
+    # the first power decides B's certificate; the later ones reuse it,
+    # and the algebra B's basis serves from its second evaluation on
+    params = MorParams(field_spec(2, 16), 5)
+    pk, sk = keygen(params, random.Random(1))
+    counts = []
+    for _ in range(3):
+        c0 = cost_counter()
+        assert pk.phi.power(sk.m) == pk.phi_m
+        counts.append(cost_counter() - c0)
+    assert counts[1] < counts[0] and counts[2] < counts[0]
+    assert pk.phi._field is not None and pk.phi._field.b is recover_conjugator(pk.phi)
 
 
 def test_power_application_is_m_fold_up_to_64():

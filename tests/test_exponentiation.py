@@ -25,6 +25,7 @@ from oracles import (
     mat_pow_plan,
     mat_pow_sqm,
     pow_mod_sqm,
+    pow_x_base_q_elementwise,
     pow_x_elementwise,
 )
 
@@ -205,6 +206,76 @@ def test_pow_mod_cost_bounds_the_binary_count(gamma, n, kind, by_x, seed, e):
     got, count = _counted(base.pow_mod, e, f)
     assert got == pow_mod_sqm(base, e, f)
     assert count <= fqpoly._pow_mod_cost(e, n, 2, by_x=by_x and n >= 2)
+
+
+# the base-q route's fields: the small preset's, a wider one, the paper's
+base_q_fields = st.sampled_from((16, 32, 160))
+
+
+@settings(max_examples=30)
+@given(
+    gamma=base_q_fields,
+    n=st.integers(2, 7),
+    seed=st.integers(0, 2**32),
+    kept=st.sampled_from(("nothing", "x^q", "frobenius rows", "table")),
+)
+def test_base_q_route_matches_the_counting_oracle(gamma, n, seed, kept):
+    # s below the norm (q^n - 1)/(q - 1), as a key field raises it, on an f
+    # that keeps nothing, x^q, the Frobenius rows too, or a table for as
+    # many digits as s has or fewer, which the route extends
+    spec = field_spec(2, gamma)
+    rng = random.Random(seed)
+    q = spec.q
+    f = _monic(spec, [rng.randrange(q) for _ in range(n)])
+    s = rng.randrange(q, (q**n - 1) // (q - 1))
+    k = len(fqpoly._base_q_digits(s, q))
+    fqpoly._squaring_rows(f)  # built before either route
+    if kept != "nothing":
+        fqpoly._x_to_the_q(f)
+    if kept == "frobenius rows":
+        fqpoly._frobenius_rows(f)
+    table = rng.randrange(2, k + 1) if kept == "table" else 0
+    if table:
+        fqpoly._base_q_table(f, table)
+    for _ in range(2):
+        want = _counted(pow_x_base_q_elementwise, s, f, True, kept != "nothing",
+                        f._frob_rows is not None, table)
+        assert _counted(fqpoly._lane_power, s, f, True) == want
+        assert want[0] == pow_x_elementwise(s, f)
+        # the second time f keeps the whole table
+        kept, table = "table", k
+
+
+@settings(max_examples=30)
+@given(
+    gamma=base_q_fields,
+    n=st.integers(2, 7),
+    seed=st.integers(0, 2**32),
+    kept=st.sampled_from(("nothing", "certificate", "table")),
+)
+def test_base_q_route_is_taken_only_below_the_binary_route(gamma, n, seed, kept):
+    # a power as a KeyField raises it, on an f that keeps nothing, what its
+    # irreducibility test keeps (x^q and the Frobenius rows), or a table
+    spec = field_spec(2, gamma)
+    rng = random.Random(seed)
+    q = spec.q
+    f = _monic(spec, [rng.randrange(q) for _ in range(n)])
+    s = rng.randrange(q, (q**n - 1) // (q - 1))
+    fqpoly._squaring_rows(f)
+    if kept == "certificate":
+        is_irreducible(f)
+    elif kept == "table":
+        fqpoly._base_q_table(f, rng.randrange(2, len(fqpoly._base_q_digits(s, q)) + 1))
+    binary, loop, build = fqpoly._pow_x_costs(s, f)
+    binary_route = _counted(fqpoly._lane_power, s, _twin(f), False)
+    got, count = _counted(_kept_power, s, f)
+    assert got == binary_route[0]
+    # the base-q route runs, its table then kept, exactly below the binary
+    # route's prediction, and counts no more than its own, nor than the
+    # binary route counts on the same f
+    assert (f._q_table is not None) == (kept == "table" or loop + build < binary)
+    assert count <= min(binary, loop + build)
+    assert count <= binary_route[1]
 
 
 def test_kernel_runs_only_on_binary_fields_without_tables(x_power_routes):
@@ -566,6 +637,24 @@ basis_fields = st.sampled_from(
 )
 
 
+def _twin(f):
+    """A copy of the monic f that keeps what f keeps: its squaring rows and
+    table, x^q, its Frobenius rows and, as a list of its own, its base-q
+    table."""
+    g = FqPoly._from_vals(f.spec, f.coeffs)
+    for slot in ("_sq_rows", "_sq_table", "_xq", "_frob_rows"):
+        object.__setattr__(g, slot, getattr(f, slot))
+    object.__setattr__(g, "_q_table", f._q_table and list(f._q_table))
+    return g
+
+
+def _kept_power(s, f):
+    """x^s mod f as a KeyField raises it: f keeps its base-q table first
+    where that route, the table's build included, is predicted cheaper."""
+    fqpoly.keep_base_q_table(f, s)
+    return FqPoly.x(f.spec).pow_mod(s, f)
+
+
 def _evaluation_count(d, r, k):
     """A KeyField's count for evaluating the remainder r at its d x d B,
     as B's k-th evaluation: Horner's for the first, the power basis's
@@ -602,7 +691,8 @@ def test_power_basis_powers_match_the_oracle_and_their_counts(spec, d, verdict, 
         k, s, route = mat_pow_plan(spec, d, n, verdict)
         want = k and k.bit_length() + k.bit_count() - 2
         if route == "cayley-hamilton":
-            r, count = _counted(FqPoly.x(spec).pow_mod, s, chi)
+            # on a twin of chi, so that chi keeps only what the KeyField builds
+            r, count = _counted(_kept_power, s, _twin(chi))
             scaled = (det**k).val != 1 if k else False
             evaluations += 1
             want += count + scaled * len(r.coeffs) + _evaluation_count(d, r, evaluations)

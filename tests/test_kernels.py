@@ -472,10 +472,23 @@ def test_kernels_check_the_field_of_their_operands(spec):
 # one build per chi, at most (d - 1) d (20 and 42).  Every long power,
 # x^q certificates included, moves: 6,812 -> 5,587, 6,554 -> 5,229,
 # 2,914 -> 2,334 and 3,256 -> 2,531; 91,790 -> 58,701, 117,406 -> 73,964,
-# 54,259 -> 34,260 and 62,045 -> 38,742.
+# 54,259 -> 34,260 and 62,045 -> 38,742.  At the paper preset every long
+# power x^s mod chi, s < (q^7 - 1)/(q - 1), takes the base-q route: chi
+# keeps its base-q table of the 63 products of x^(q^i), i < 6, each as its
+# multiplication matrix, and Straus's walk over the digits' bit columns
+# squares 159 times instead of about 959 and multiplies by a table entry,
+# 49, at each column.  Where chi was certified first (keygen's B, the
+# parsed key's B_phi and the parsed decrypt's B_r) its chain kept x^q and
+# the Frobenius rows, and the power counts 12,291 less at this seed:
+# 58,701 -> 46,410 and 38,742 -> 26,451.  B_phim and keygen-key decrypt's
+# B_r, handed a certificate, pay x^q and the Frobenius rows as well (4,448
+# with chi's squaring rows, and 455, at B_phim): encrypt 73,964 -> 54,201
+# and decrypt 34,260 -> 26,830.  The small
+# preset keeps the binary route, whose count is below the base-q route's
+# with its table build.
 PINNED_COUNTS = {
     "small": ((2, 16, 5), (5587, 5229, 2334, 2531, 5229)),
-    "paper": ((2, 160, 7), (58701, 73964, 34260, 38742, 73964)),
+    "paper": ((2, 160, 7), (46410, 54201, 26830, 26451, 54201)),
 }
 
 
@@ -533,9 +546,15 @@ def test_seeded_binary_preset_counts_are_pinned(preset):
 # decrypt (2,914, 3,421, 2,600) -> (2,334, 2,841, 2,020) at the small
 # preset; (117,406, 105,945, 102,575) -> (73,964, 65,765, 62,395) and
 # (54,259, 56,328, 52,757) -> (34,260, 36,329, 32,758) at the paper's.
+# The base-q route of PINNED_COUNTS: the first message builds the base-q
+# tables of chi_(B_phi) and chi_(B_phim), which every later encrypt's two
+# powers use at the loop's count alone, and each decrypt builds its B_r's:
+# encrypt (73,964, 65,765, 62,395) -> (54,201, 29,891, 26,661) and decrypt
+# (34,260, 36,329, 32,758) -> (26,830, 28,899, 25,328).  The small preset
+# keeps the binary route.
 SESSION_PINNED_COUNTS = {
     "small": ((2, 16, 5), ((5229, 3529, 2755), (2334, 2841, 2020))),
-    "paper": ((2, 160, 7), ((73964, 65765, 62395), (34260, 36329, 32758))),
+    "paper": ((2, 160, 7), ((54201, 29891, 26661), (26830, 28899, 25328))),
 }
 
 
