@@ -86,6 +86,9 @@ from .matrix import Matrix, mat_mul
 # against 6.1 ms at q + 1).
 _SQUARE_TABLE_MAX_BYTES = 112
 
+# e's bits, below its top one, as the bytes 0 and 1: _lane_power's steps
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
 __all__ = [
     "FqPoly",
     "Quotient",
@@ -106,11 +109,13 @@ class FqPoly:
     # _sq_rows caches the squaring rows of a binary modulus (_squaring_rows
     # fills it, at the first squaring modulo self), _sq_table the lane
     # squaring table of x^e mod self (_square_table), only for the short
-    # binary moduli whose powers use it; _xq and _frob_rows cache x^q mod
-    # self and its Frobenius rows (_x_to_the_q, _frobenius_rows), which
-    # Ben-Or's chain and the base-q route share, and _q_table the base-q
-    # table (_base_q_table) of a modulus that keep_base_q_table keeps it on
-    __slots__ = ("spec", "coeffs", "_sq_rows", "_sq_table", "_xq", "_frob_rows", "_q_table")
+    # binary moduli whose powers use it; _frob (_kept) holds what a monic
+    # self keeps of its Frobenius map: x^q mod self under "xq" and its
+    # Frobenius rows under "rows" (_x_to_the_q, _frobenius_rows), which
+    # Ben-Or's chain and the base-q route share, and under "table" its
+    # base-q table (_base_q_table) where keep_base_q_table keeps one, or
+    # () where keep_base_q_table found that it does not pay
+    __slots__ = ("spec", "coeffs", "_sq_rows", "_sq_table", "_frob")
 
     def __init__(self, spec: FieldSpec, coeffs=()):
         coeffs = tuple(coeffs)
@@ -128,8 +133,9 @@ class FqPoly:
     def _set_slots(self, spec: FieldSpec, coeffs) -> None:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "coeffs", tuple(_trim(coeffs)))
-        for slot in ("_sq_rows", "_sq_table", "_xq", "_frob_rows", "_q_table"):
-            object.__setattr__(self, slot, None)
+        object.__setattr__(self, "_sq_rows", None)
+        object.__setattr__(self, "_sq_table", None)
+        object.__setattr__(self, "_frob", None)
 
     def __setattr__(self, *args):
         raise AttributeError("FqPoly is immutable")
@@ -485,7 +491,7 @@ def _pow_x_lanes(e: int, f: FqPoly) -> FqPoly:
     table's extension to e's digits, to count fewer multiplications than
     the binary route; by the binary route otherwise."""
     base_q = False
-    if f._q_table is not None and e >= f.spec.q:
+    if f._frob and f._frob.get("table") and e >= f.spec.q:
         binary, loop, build = _pow_x_costs(e, f)
         base_q = loop + build < binary
     return _lane_power(e, f, base_q)
@@ -552,7 +558,7 @@ def _lane_power(e: int, f: FqPoly, base_q: bool) -> FqPoly:
         steps = _columns(digits)
         acc, nn, mul = _pack(entries[steps.pop(0)][0], nb), n * n, spec._mul_prepared_raw
     else:
-        entries, acc, steps = None, 1 << lane, [b == "1" for b in bin(e)[3:]]
+        entries, acc, steps = None, 1 << lane, bin(e)[3:].encode().translate(_BITS)
     count = 0
     for step in steps:
         marks = ((acc & low) + low | acc) & high
@@ -699,7 +705,7 @@ def _base_q_table(f: FqPoly, k: int) -> list:
     Each matrix's rows are x times the row above, shifted up a lane with
     its top coefficient cleared as _pow_x_lanes clears it:
     nnz(f_0 .. f_(n-1)) per nonzero top coefficient."""
-    table = f._q_table or [None]
+    table = _kept(f).get("table") or [None]
     if len(table) < 1 << k:
         spec = f.spec
         n, nb = f.degree(), (spec.gamma + 7) // 8
@@ -731,7 +737,7 @@ def _base_q_table(f: FqPoly, k: int) -> list:
                 rows.append(tuple(_lanes(acc, n, nb)))
             table.append((rows[0], spec._prepare_raw(tuple(rows))))
         _count_muls(count)
-        object.__setattr__(f, "_q_table", table)
+        _kept(f)["table"] = table
     return table
 
 
@@ -742,15 +748,20 @@ def keep_base_q_table(f: FqPoly, e: int) -> None:
     (_pow_x_costs); pow_mod then takes the base-q route for this power
     and for every later one that the kept table makes cheaper.  Only over
     GF(2^gamma), gamma > 8, for deg f >= 2 and q <= e < q^(deg f), as for
-    the exponents below the norm that matrix.KeyField raises.  The build,
-    and the squaring rows the prediction reads, are counted as they run."""
+    the exponents below the norm that matrix.KeyField raises.  f is
+    decided once, at its first such e: where the route does not pay, f
+    keeps an empty table, and its powers take the binary route.  The
+    build, and the squaring rows the prediction reads, are counted as
+    they run."""
     spec = f.spec
     n, q = f.degree(), spec.q
-    if spec.p != 2 or q <= _TABLE_MAX_Q or n < 2 or not q <= e < q**n:
+    if spec.p != 2 or q <= _TABLE_MAX_Q or not q <= e < q**n or "table" in _kept(f):
         return
     binary, base_q, build = _pow_x_costs(e, f)
-    if build and base_q + build < binary:
+    if base_q + build < binary:
         _base_q_table(f, len(_base_q_digits(e, q)))
+    else:
+        _kept(f)["table"] = ()
 
 
 def _pow_x_costs(e: int, f: FqPoly) -> tuple[int, int, int]:
@@ -779,18 +790,20 @@ def _pow_x_costs(e: int, f: FqPoly) -> tuple[int, int, int]:
     k = len(digits)
     columns = _reduce(_or, digits)
     loop = (columns.bit_length() - 1) * square + (columns.bit_count() - 1) * n * n
-    kept = len(f._q_table or ()).bit_length() - 1 if f._q_table else 0
+    frob = _kept(f)
+    table = frob.get("table")
+    kept = len(table).bit_length() - 1 if table else 0
     if k <= kept:
         return binary, loop, 0
     entries = (1 << k) - (1 << kept if kept else 1)
     steps = k - max(kept, 2)
     build = entries * (n - 1) * nnz + (entries - (k - kept)) * n * n
-    if f._xq is None:
+    if "xq" not in frob:
         build += _binary_cost(q, n, nnz, square)
-    if steps > 0 and f._frob_rows is None:
+    if steps > 0 and "rows" not in frob:
         build += (n - 2) * (n * n + (n - 1) * nnz) + steps * n * n
     elif steps > 0:
-        build += steps * sum(len(row) for row in f._frob_rows)
+        build += steps * sum(len(row) for row in frob["rows"][0])
     return binary, loop, build
 
 
@@ -826,7 +839,7 @@ def _frobenius_map(f: FqPoly, steps: int):
     spec = f.spec
     n, q = f.degree(), spec.q
     xq = _x_to_the_q(f)
-    build = 0 if f._frob_rows is not None else max(0, n - 2) * _mulmod_cost(n)
+    build = 0 if "rows" in _kept(f) else max(0, n - 2) * _mulmod_cost(n)
     if build + steps * n * n >= steps * _pow_mod_cost(q, n, spec.p, by_x=False):
         return xq, lambda h, g: h.pow_mod(q, g)
 
@@ -837,44 +850,86 @@ def _frobenius_map(f: FqPoly, steps: int):
     return xq, by_matrix
 
 
+def _kept(f: FqPoly) -> dict:
+    """What the monic f keeps of its Frobenius map (FqPoly._frob), made
+    empty at its first read."""
+    if f._frob is None:
+        object.__setattr__(f, "_frob", {})
+    return f._frob
+
+
 def _x_to_the_q(f: FqPoly) -> FqPoly:
     """x^q mod a monic f of degree >= 2, by pow_mod at its first use and
     kept on f."""
-    if f._xq is None:
-        object.__setattr__(f, "_xq", FqPoly.x(f.spec).pow_mod(f.spec.q, f))
-    return f._xq
+    frob = _kept(f)
+    if "xq" not in frob:
+        frob["xq"] = FqPoly.x(f.spec).pow_mod(f.spec.q, f)
+    return frob["xq"]
 
 
 def _frobenius_rows(f: FqPoly) -> tuple:
     """The Frobenius rows x^(iq) mod a monic f of degree n >= 2, i < n, each
-    as its nonzero (j, c), built at their first use and kept on f: x^q
-    (_x_to_the_q) times the row before, one product and one _rem_monic
-    each, counted as they count, for i >= 2."""
-    if f._frob_rows is None:
+    as its nonzero (j, c), and over GF(2^gamma), gamma > 8, the rows in the
+    field's prepared form (_prepare_raw), else None; built at their first
+    use and kept on f.  Row i >= 2 is row i - 1 times x^q (_x_to_the_q),
+    one product and one _rem_monic, counted as they count, which over
+    GF(2^gamma), gamma > 8, run on lanes (_frobenius_powers_on_lanes)."""
+    frob = _kept(f)
+    if "rows" not in frob:
         spec, n = f.spec, f.degree()
         xq = _x_to_the_q(f).coeffs
         rows = [(1,), xq]
+        lanes = spec.p == 2 and spec.q > _TABLE_MAX_Q
+        if lanes and n > 2:
+            rows += _frobenius_powers_on_lanes(xq, f)
         while len(rows) < n:
             rows.append(_rem_monic(_product(spec, rows[-1], xq), f))
-        rows = tuple(tuple((j, r) for j, r in enumerate(row) if r) for row in rows)
-        object.__setattr__(f, "_frob_rows", rows)
-    return f._frob_rows
+        full = tuple((*row, *(0,) * (n - len(row))) for row in rows)
+        nonzero = tuple(tuple((j, r) for j, r in enumerate(row) if r) for row in rows)
+        frob["rows"] = nonzero, spec._prepare_raw(full) if lanes else None
+    return frob["rows"]
+
+
+def _frobenius_powers_on_lanes(xq, f: FqPoly) -> list:
+    """x^(iq) mod f for 2 <= i < n, over GF(2^gamma), gamma > 8, each
+    x^((i - 1)q) times x^q: the product as a row times the prepared rows
+    x^j x^q, j < n, unreduced, and its remainder by _divide_lanes, whose
+    quotient lanes are the top coefficients _rem_monic clears.  Counted as
+    _product and _rem_monic count: nnz(a) nnz(x^q), and nnz(f_0 .. f_(n-1))
+    per nonzero quotient coefficient."""
+    spec = f.spec
+    n, nb = f.degree(), (spec.gamma + 7) // 8
+    top = n * 8 * nb
+    b = (*xq, *(0,) * (n - len(xq)))
+    shifts = spec._prepare_raw(tuple((*(0,) * j, *b, *(0,) * (n - 1 - j)) for j in range(n)))
+    red, low = _clear_rows(f), n - f.coeffs[:n].count(0)
+    nnz_xq = n - b.count(0)
+    rows, a, count = [], b, 0
+    for _ in range(n - 2):
+        s = _divide_lanes(_pack(spec._mul_prepared_raw((a,), shifts)[0], nb), red, top, nb)
+        count += (n - a.count(0)) * nnz_xq + low * (n - 1 - _lanes(s >> top, n - 1, nb).count(0))
+        a = tuple(_lanes(s & (1 << top) - 1, n, nb))
+        rows.append(a)
+    _count_muls(count)
+    return rows
 
 
 def _frobenius_step(h, f: FqPoly) -> list:
     """h^q mod a monic f of degree n, for h reduced modulo f, as n
     coefficients: sum h_i x^(iq) over f's Frobenius rows
     (_frobenius_rows), one multiplication per nonzero h_i and nonzero
-    entry of its row."""
+    entry of its row, on the field's lanes where it has them."""
     spec = f.spec
+    rows, prepared = _frobenius_rows(f)
+    _count_muls(sum(len(row) for hi, row in zip(h, rows) if hi))
+    if prepared is not None:
+        return list(spec._mul_prepared_raw(((*h, *(0,) * (len(rows) - len(h))),), prepared)[0])
     mul, add = spec._mul_raw, spec._add_raw
-    out, count = [0] * f.degree(), 0
-    for hi, row in zip(h, _frobenius_rows(f)):
+    out = [0] * len(rows)
+    for hi, row in zip(h, rows):
         if hi:
-            count += len(row)
             for j, r in row:
                 out[j] = add(out[j], mul(hi, r))
-    _count_muls(count)
     return out
 
 

@@ -419,10 +419,10 @@ class KeyField:
     (x^q and the Frobenius rows, which a certificate decided on chi_x has
     kept, and the table), is predicted to count fewer multiplications than
     the binary route, as at the paper preset's d = 7 and gamma = 160 and
-    not at the small preset's d = 5 and gamma = 16.  The power then takes
-    that route, and so does every later power modulo chi_x that its kept
-    table makes cheaper; the prediction keeps the power within
-    cayley_hamilton_cost.
+    not at the small preset's d = 5 and gamma = 16; chi_x is decided at
+    its first such power.  The power then takes that route, and so does
+    every later power modulo chi_x that its kept table makes cheaper; the
+    prediction keeps the power within cayley_hamilton_cost.
 
     B's algebra, an fqpoly.Quotient on B, serves the uses that repeat:
     B's power basis and coordinate reader are built only for a B used

@@ -239,7 +239,7 @@ def test_base_q_route_matches_the_counting_oracle(gamma, n, seed, kept):
         fqpoly._base_q_table(f, table)
     for _ in range(2):
         want = _counted(pow_x_base_q_elementwise, s, f, True, kept != "nothing",
-                        f._frob_rows is not None, table)
+                        "rows" in fqpoly._kept(f), table)
         assert _counted(fqpoly._lane_power, s, f, True) == want
         assert want[0] == pow_x_elementwise(s, f)
         # the second time f keeps the whole table
@@ -273,7 +273,7 @@ def test_base_q_route_is_taken_only_below_the_binary_route(gamma, n, seed, kept)
     # the base-q route runs, its table then kept, exactly below the binary
     # route's prediction, and counts no more than its own, nor than the
     # binary route counts on the same f
-    assert (f._q_table is not None) == (kept == "table" or loop + build < binary)
+    assert bool(fqpoly._kept(f)["table"]) == (kept == "table" or loop + build < binary)
     assert count <= min(binary, loop + build)
     assert count <= binary_route[1]
 
@@ -642,9 +642,12 @@ def _twin(f):
     table, x^q, its Frobenius rows and, as a list of its own, its base-q
     table."""
     g = FqPoly._from_vals(f.spec, f.coeffs)
-    for slot in ("_sq_rows", "_sq_table", "_xq", "_frob_rows"):
+    for slot in ("_sq_rows", "_sq_table"):
         object.__setattr__(g, slot, getattr(f, slot))
-    object.__setattr__(g, "_q_table", f._q_table and list(f._q_table))
+    frob = dict(fqpoly._kept(f))
+    if frob.get("table"):
+        frob["table"] = list(frob["table"])
+    object.__setattr__(g, "_frob", frob)
     return g
 
 

@@ -40,12 +40,15 @@ def counted(fn, *args):
     return cost_counter() - c0
 
 
-def twin(f, keep=("_sq_rows", "_sq_table", "_xq", "_frob_rows")):
-    """A copy of the monic f that keeps what f keeps of `keep`: never its
-    base-q table, which keygen's power has chi_B keep where it pays."""
+def twin(f, certified=True):
+    """A copy of the monic f that keeps its squaring rows and, if
+    certified, x^q and its Frobenius rows: never its base-q table, which
+    keygen's power has chi_B keep where it pays."""
     g = FqPoly._from_vals(f.spec, f.coeffs)
-    for slot in keep:
-        object.__setattr__(g, slot, getattr(f, slot))
+    object.__setattr__(g, "_sq_rows", f._sq_rows)
+    if certified:
+        frob = fqpoly._kept(f)
+        object.__setattr__(g, "_frob", {k: frob[k] for k in ("xq", "rows") if k in frob})
     return g
 
 
@@ -62,7 +65,7 @@ def routes(preset: str) -> list[tuple[str, int, int]]:
     assert sk.field.certificate  # keygen decided it: chi keeps x^q and its rows
     binary, loop, build = fqpoly._pow_x_costs(s, twin(chi))
     k = len(fqpoly._base_q_digits(s, q))
-    fresh = twin(chi, keep=("_sq_rows",))
+    fresh = twin(chi, certified=False)
     frobenius = fqpoly._pow_x_costs(s, fresh)[2] - build
     kept = twin(chi)
     table = counted(fqpoly._base_q_table, kept, k)
