@@ -703,7 +703,7 @@ def _base_q_table(f: FqPoly, k: int) -> list:
     rows (_frobenius_step).  Any other T_S is T_(S - {i}) times
     x^(q^i), i = max S, a row times that matrix: n^2 multiplications.
     Each matrix's rows are x times the row above, shifted up a lane with
-    its top coefficient cleared as _pow_x_lanes clears it:
+    its top coefficient cleared as _lane_power clears it:
     nnz(f_0 .. f_(n-1)) per nonzero top coefficient."""
     table = _kept(f).get("table") or [None]
     if len(table) < 1 << k:
