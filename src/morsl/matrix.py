@@ -38,7 +38,9 @@ the algebra K = F_q[B] of a key's conjugator B, is the one place where
 an exponent is reduced, mod q^d - 1 and at the norm, when B is a unit of
 a field GF(q^d).  The keys hold one each (protocol.py), keygen, encrypt,
 decrypt and Automorphism.power raise matrices through one, and it keeps
-B's algebra, an fqpoly.Quotient, for a B used more than once.
+B's algebra, an fqpoly.Quotient, for a B used more than once, and lets
+the characteristic polynomial of a power keep its base-q table where
+that route pays (fqpoly.keep_base_q_table).
 """
 
 from __future__ import annotations
