@@ -46,10 +46,13 @@ Its multiplies are by x, left to right over e's bits, or, on the base-q
 route (Straus 1964), by products of the conjugates x^(q^i) mod f over
 the bit columns of e's base-q digits, which square about gamma times
 instead of bits(e) times.  That route runs where f keeps a base-q table
-of those products, each as its multiplication matrix on the field's
-lanes, and a cost prediction says it counts fewer multiplications;
-keep_base_q_table builds the table where it pays, for the moduli of
-matrix.KeyField's powers.
+of those products, and a cost prediction says it counts fewer
+multiplications.  Each entry keeps its product r -> r T_S mod f, which
+is GF(2)-linear, as a byte table while the entries' byte tables stay
+within _PRODUCT_TABLES_MAX_BYTES, and as its multiplication matrix on
+the field's lanes beyond.  keep_base_q_table builds the table where it
+pays, for the moduli of matrix.KeyField's powers, either within one
+power or over the messages a key is to serve.
 """
 
 from __future__ import annotations
@@ -85,6 +88,18 @@ from .matrix import Matrix, mat_mul
 # preset's 140 bytes it cost more below about 400 exponent bits (7.8 ms
 # against 6.1 ms at q + 1).
 _SQUARE_TABLE_MAX_BYTES = 112
+
+# The most bytes that the byte tables of one modulus's base-q table may
+# hold (_base_q_table).  An entry's table is n*ceil(gamma/8) rows of 256
+# ints of n*ceil(gamma/8) bytes, estimated at 256 L (L + 36) bytes for L
+# = n*ceil(gamma/8) (CPython's int header and a tuple slot), and the
+# entries keep theirs in build order while the estimate stays within the
+# cap.  The small preset's table for 4 digits, 15 entries of 10-byte
+# residues, holds about 1.7 MB (tracemalloc) and keeps them all; by the
+# estimate the 63 entries at GF(2^16), d = 7, would hold about 11 MB, of
+# which the first 11 keep theirs, and one entry of the paper preset's
+# 140-byte residues about 6 MB, so that preset keeps the lane products.
+_PRODUCT_TABLES_MAX_BYTES = 2_000_000
 
 # e's bits, below its top one, as the bytes 0 and 1: _lane_power's steps
 _BITS = bytes.maketrans(b"01", b"\0\1")
@@ -526,13 +541,14 @@ def _lane_power(e: int, f: FqPoly, base_q: bool) -> FqPoly:
     (_squaring_rows, whose one build per f is counted too).  The pattern of
     those high lanes keys a small table of their summed costs, filled as
     patterns occur.  A multiply by x counts nnz(f_0 .. f_(n-1)) when it
-    clears a top coefficient; a multiply by T_S, a row times T_S's
-    multiplication matrix on the field's lanes (_mul_prepared_raw), counts
-    n^2.  In a lane of w bits, adding 2^(w-1) - 1 to the low w - 1 bits
-    carries into bit w - 1 exactly when they are not all zero, and never
-    out of the lane; OR-ed with the lane's own bit w - 1, that bit marks a
-    nonzero lane, so a few int operations find the nonzero lanes of a
-    residue.
+    clears a top coefficient; a multiply by T_S counts n^2, as a row times
+    T_S's multiplication matrix, whether the entry looks the product up in
+    its byte table, n*ceil(gamma/8) lookups, or forms it on the field's
+    lanes (_times_entry).  In a lane of w bits, adding 2^(w-1) - 1 to the
+    low w - 1 bits carries into bit w - 1 exactly when they are not all
+    zero, and never out of the lane; OR-ed with the lane's own bit w - 1,
+    that bit marks a nonzero lane, so a few int operations find the
+    nonzero lanes of a residue.
     """
     spec = f.spec
     n, nb = f.degree(), (spec.gamma + 7) // 8
@@ -556,7 +572,7 @@ def _lane_power(e: int, f: FqPoly, base_q: bool) -> FqPoly:
         digits = _base_q_digits(e, spec.q)
         entries = _base_q_table(f, len(digits))
         steps = _columns(digits)
-        acc, nn, mul = _pack(entries[steps.pop(0)][0], nb), n * n, spec._mul_prepared_raw
+        acc, nn = _pack(entries[steps.pop(0)][0], nb), n * n
     else:
         entries, acc, steps = None, 1 << lane, bin(e)[3:].encode().translate(_BITS)
     count = 0
@@ -584,7 +600,7 @@ def _lane_power(e: int, f: FqPoly, base_q: bool) -> FqPoly:
                 acc = acc & mask ^ _reduce(_xor, map(_getitem, red, c.to_bytes(nb, "little")))
         else:
             count += nn
-            acc = _pack(mul((_lanes(acc, n, nb),), entries[step][1])[0], nb)
+            acc = _times_entry(spec, entries[step], acc, n)
     _count_muls(count)
     return FqPoly._from_vals(spec, _lanes(acc, n, nb))
 
@@ -685,23 +701,29 @@ def _base_q_digits(e: int, q: int) -> list:
 
 def _columns(digits) -> list:
     """The bit columns of the digits, from the top column down: column j
-    is the set of the digits whose bit j is 1, as a bitmask."""
-    top = _reduce(_or, digits).bit_length()
-    return [sum((d >> j & 1) << i for i, d in enumerate(digits)) for j in range(top - 1, -1, -1)]
+    is the set of the digits whose bit j is 1, as a bitmask, read off the
+    digits' binary strings, the highest digit first."""
+    top = max(digits).bit_length()
+    return [int("".join(c), 2) for c in zip(*[format(d, f"0{top}b") for d in reversed(digits)])]
 
 
 def _base_q_table(f: FqPoly, k: int) -> list:
     """f's base-q table for k digits, over GF(2^gamma), gamma > 8, the one f
     keeps extended and cached on f.  Entry S, a bitmask of digits, holds
     T_S = prod_{i in S} x^(q^i) mod f, as its n coefficients and as its
-    multiplication matrix, rows x^j T_S mod f for j < n, prepared for the
-    field's lanes (_prepare_raw), so that a product by T_S is one row
-    times it.
+    product r -> r T_S mod f (_times_entry).  The product is the residue
+    r as a row times T_S's multiplication matrix, rows x^j T_S mod f for
+    j < n.  While the byte tables f keeps stay within
+    _PRODUCT_TABLES_MAX_BYTES, the entry keeps that GF(2)-linear map as a
+    byte table: row j ceil(gamma/8) + k maps the value of byte k of r_j
+    to its share of r_j times row j (_span_rows, with power 1), so that a
+    product is the XOR of n ceil(gamma/8) lookups.  Otherwise the entry keeps the
+    matrix prepared for the field's lanes (_prepare_raw).
 
     Entry 2^i is the conjugate x^(q^i): x, x^q (_x_to_the_q), and from
     x^(q^2) on the q-th power of the one before, through f's Frobenius
     rows (_frobenius_step).  Any other T_S is T_(S - {i}) times
-    x^(q^i), i = max S, a row times that matrix: n^2 multiplications.
+    x^(q^i), i = max S, a product by that entry: n^2 multiplications.
     Each matrix's rows are x times the row above, shifted up a lane with
     its top coefficient cleared as _lane_power clears it:
     nnz(f_0 .. f_(n-1)) per nonzero top coefficient."""
@@ -714,6 +736,8 @@ def _base_q_table(f: FqPoly, k: int) -> list:
         mask = (1 << top) - 1
         red = _clear_rows(f)
         nnz = n - f.coeffs[:n].count(0)
+        size = 256 * n * nb * (n * nb + 36)
+        held = size * sum(entry[2] is not None for entry in table[1:])
         count = 0
         for s in range(len(table), 1 << k):
             i = s.bit_length() - 1
@@ -725,23 +749,43 @@ def _base_q_table(f: FqPoly, k: int) -> list:
             elif s == 1 << i:
                 t = _frobenius_step(table[s >> 1][0], f)
             else:
-                t = spec._mul_prepared_raw((table[s ^ 1 << i][0],), table[1 << i][1])[0]
+                t = _times_entry(spec, table[1 << i], _pack(table[s ^ 1 << i][0], nb), n)
+                t = _lanes(t, n, nb)
                 count += n * n
-            acc, rows = _pack(t, nb), [tuple(t)]
+            acc = _pack(t, nb)
+            rows = [acc]
             for _ in range(n - 1):
                 acc <<= lane
                 c = acc >> top
                 if c:
                     count += nnz
                     acc = acc & mask ^ _reduce(_xor, map(_getitem, red, c.to_bytes(nb, "little")))
-                rows.append(tuple(_lanes(acc, n, nb)))
-            table.append((rows[0], spec._prepare_raw(tuple(rows))))
+                rows.append(acc)
+            if held + size <= _PRODUCT_TABLES_MAX_BYTES:
+                held += size
+                spans = tuple(_chain.from_iterable(_span_rows(spec, n, v, 1) for v in rows))
+                table.append((tuple(t), None, spans))
+            else:
+                matrix = tuple(tuple(_lanes(v, n, nb)) for v in rows)
+                table.append((tuple(t), spec._prepare_raw(matrix), None))
         _count_muls(count)
         _kept(f)["table"] = table
     return table
 
 
-def keep_base_q_table(f: FqPoly, e: int) -> None:
+def _times_entry(spec: FieldSpec, entry: tuple, acc: int, n: int) -> int:
+    """acc T_S mod f for a residue acc of n lanes and T_S a base-q table
+    entry (_base_q_table): by the entry's byte table where it keeps one,
+    else as a row times its multiplication matrix on the field's lanes.
+    Uncounted: the callers count n^2."""
+    _, matrix, spans = entry
+    nb = (spec.gamma + 7) // 8
+    if spans is not None:
+        return _reduce(_xor, map(_getitem, spans, acc.to_bytes(n * nb, "little")))
+    return _pack(spec._mul_prepared_raw((_lanes(acc, n, nb),), matrix)[0], nb)
+
+
+def keep_base_q_table(f: FqPoly, e: int, repaid: bool = False) -> None:
     """Keep on the monic f its base-q table for e's digits (_base_q_table)
     where x^e mod f by the base-q route, with what that route builds, is
     predicted to count fewer multiplications than by the binary route
@@ -750,17 +794,25 @@ def keep_base_q_table(f: FqPoly, e: int) -> None:
     GF(2^gamma), gamma > 8, for deg f >= 2 and q <= e < q^(deg f), as for
     the exponents below the norm that matrix.KeyField raises.  f is
     decided once, at its first such e: where the route does not pay, f
-    keeps an empty table, and its powers take the binary route.  The
-    build, and the squaring rows the prediction reads, are counted as
-    they run."""
+    keeps an empty table, and its powers take the binary route.
+
+    With repaid, for a modulus whose powers are to repeat
+    (matrix.KeyField.serve), the build is left out of the prediction, as
+    later powers repay it: f keeps the table wherever the base-q loop
+    alone is predicted below the binary route, even where an earlier e
+    decided against it.  The build, and the squaring rows the prediction
+    reads, are counted as they run."""
     spec = f.spec
     n, q = f.degree(), spec.q
-    if spec.p != 2 or q <= _TABLE_MAX_Q or not q <= e < q**n or "table" in _kept(f):
+    if spec.p != 2 or q <= _TABLE_MAX_Q or not q <= e < q**n:
+        return
+    table = _kept(f).get("table")
+    if table is not None and not repaid:
         return
     binary, base_q, build = _pow_x_costs(e, f)
-    if base_q + build < binary:
+    if base_q + (0 if repaid else build) < binary:
         _base_q_table(f, len(_base_q_digits(e, q)))
-    else:
+    elif table is None:
         _kept(f)["table"] = ()
 
 
@@ -977,7 +1029,11 @@ def cayley_hamilton_cost(d: int, e: int, p: int) -> int:
     figure counts even where chi_M keeps rows from an earlier power; it
     bounds the base-q route too, with the build of the table that
     KeyField has chi_M keep before a power where that route pays) and
-    Horner's evaluation, d^2 + (d - 2) d^3.  The power basis's build,
+    Horner's evaluation, d^2 + (d - 2) d^3.  It leaves out deciding M's
+    certificate (is_irreducible), which only a KeyField power on an
+    undecided certificate runs (keygen and encrypt decide theirs before
+    any power), and the base-q table that KeyField.serve has chi_M keep
+    between messages, built outside the powers.  The power basis's build,
     (d - 2) d^3, and evaluation on it, (d - 1) d^2, come only after an
     earlier power has cached chi_M, and their surcharge over Horner,
     (d - 2) d^2, is below _char_poly_cost(d) = d^3 + d^2/2 - 3d/2 + 2, so

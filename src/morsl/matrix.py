@@ -40,7 +40,8 @@ a field GF(q^d).  The keys hold one each (protocol.py), keygen, encrypt,
 decrypt and Automorphism.power raise matrices through one, and it keeps
 B's algebra, an fqpoly.Quotient, for a B used more than once, and lets
 the characteristic polynomial of a power keep its base-q table where
-that route pays (fqpoly.keep_base_q_table).
+that route pays (fqpoly.keep_base_q_table), or, for a key that serves a
+second message, where it pays over the messages to come (KeyField.serve).
 """
 
 from __future__ import annotations
@@ -412,8 +413,12 @@ class KeyField:
     bits(k) + popcount(k) - 2, and one multiplication per coefficient
     unless det(x)^k = 1); s = 0 is det(x)^k 1.  The split is priced as
     Cayley-Hamilton at max(s, 1), det(x)^k and d, and taken only below
-    both of mat_pow's prices at n, so cayley_hamilton_cost at n bounds
-    it too.  Any other power takes mat_pow's route.
+    both of mat_pow's prices at n.  Any other power takes mat_pow's
+    route.  Once B's certificate is decided, or handed on, every power,
+    the split included, counts at most cayley_hamilton_cost at n; a power
+    that decides the certificate pays its is_irreducible on top (at the
+    small preset, keygen seed 1, a fresh K_phi raised to encrypt's first
+    draw counts 2,109 against a figure of 1,957).
 
     Each power of x = B or of a member, raised as t^s mod chi_x, first
     lets chi_x keep its base-q table (fqpoly.keep_base_q_table): over
@@ -424,7 +429,9 @@ class KeyField:
     not at the small preset's d = 5 and gamma = 16; chi_x is decided at
     its first such power.  The power then takes that route, and so does
     every later power modulo chi_x that its kept table makes cheaper; the
-    prediction keeps the power within cayley_hamilton_cost.
+    prediction keeps the power within cayley_hamilton_cost.  A key whose
+    B serves a second message builds the table outside the powers instead
+    (serve), where the loop alone pays, as at the small preset.
 
     B's algebra, an fqpoly.Quotient on B, serves the uses that repeat:
     B's power basis and coordinate reader are built only for a B used
@@ -486,6 +493,22 @@ class KeyField:
         field = KeyField(x)
         field._member = bool(found)
         return field.power_and_inverse(n)
+
+    def serve(self) -> None:
+        """Record one more message served by B's powers.  At the second,
+        chi_B, where an earlier power has built it, keeps its base-q table
+        for d - 1 digits, those of an exponent below the norm, wherever the
+        table's loop is predicted below the binary route at q^(d - 1) - 1,
+        whose digits make both their longest (fqpoly.keep_base_q_table,
+        repaid): the messages from the second on repay the build.  It runs
+        outside the powers, so each power keeps within
+        cayley_hamilton_cost, as a certificate decided before the powers
+        keeps them."""
+        b = self.b
+        if self._again("message") and not self._again("base-q table") and b._chi is not None:
+            from .fqpoly import keep_base_q_table
+
+            keep_base_q_table(b._chi, b.spec.q ** (b.d - 1) - 1, repaid=True)
 
     def _again(self, use: str) -> bool:
         """Whether B has served a use of this kind before; records it.

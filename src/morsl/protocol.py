@@ -325,8 +325,12 @@ def encrypt(pk: MorPublicKey, a: Matrix, rng) -> MorCiphertext:
     Refuses a degenerate public key with DegenerateKeyError, and draws r
     again while phi^r is 1 or phi or phi^{mr} = 1, up to
     ENCRYPT_RETRY_CAP draws.  B_phi^r is raised in K_phi and B_phim^r,
-    with its inverse, in field_m, which is handed K_phi's certificate
-    after the first power of B_phi has decided it.
+    with its inverse, in field_m.  Each call is one message served by
+    both fields (KeyField.serve), before any power: from a key's second
+    message on, their characteristic polynomials keep the base-q tables
+    that pay over the messages to come.  field_m, built at the first
+    call, decides K_phi's certificate to be handed it, so that no power
+    decides one.
     """
     spec, d = pk.params.spec, pk.params.d
     if a.spec != spec or a.d != d:
@@ -335,6 +339,8 @@ def encrypt(pk: MorPublicKey, a: Matrix, rng) -> MorCiphertext:
         raise NotInSLError("plaintext must have determinant 1")
     if _is_scalar(recover_conjugator(pk.phi_m)) or pk.phi_m.images == pk.phi.images:
         raise DegenerateKeyError("public key has phi^m = 1 or phi^m = phi")
+    pk.field.serve()
+    pk.field_m.serve()
     for _ in range(ENCRYPT_RETRY_CAP):
         r = rng.randrange(2, spec.q ** (d * d) - 1)
         b_r = pk.field.power(r)

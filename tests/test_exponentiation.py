@@ -47,7 +47,7 @@ from morsl.matrix import (
     random_sl,
     transvection,
 )
-from morsl.protocol import MorParams, encrypt, keygen
+from morsl.protocol import MorParams, decrypt, encode_message, encrypt, keygen
 
 GF7 = field_spec(7)
 
@@ -218,11 +218,18 @@ base_q_fields = st.sampled_from((16, 32, 160))
     n=st.integers(2, 7),
     seed=st.integers(0, 2**32),
     kept=st.sampled_from(("nothing", "x^q", "frobenius rows", "table")),
+    cap=st.sampled_from((0, fqpoly._PRODUCT_TABLES_MAX_BYTES)),
 )
-def test_base_q_route_matches_the_counting_oracle(gamma, n, seed, kept):
+def test_base_q_route_matches_the_counting_oracle(gamma, n, seed, kept, cap):
     # s below the norm (q^n - 1)/(q - 1), as a key field raises it, on an f
     # that keeps nothing, x^q, the Frobenius rows too, or a table for as
-    # many digits as s has or fewer, which the route extends
+    # many digits as s has or fewer, which the route extends; with no byte
+    # tables (cap 0) or under the cap, so both product kernels count
+    with mock.patch.object(fqpoly, "_PRODUCT_TABLES_MAX_BYTES", cap):
+        _base_q_route_against_the_oracle(gamma, n, seed, kept)
+
+
+def _base_q_route_against_the_oracle(gamma, n, seed, kept):
     spec = field_spec(2, gamma)
     rng = random.Random(seed)
     q = spec.q
@@ -244,6 +251,46 @@ def test_base_q_route_matches_the_counting_oracle(gamma, n, seed, kept):
         assert want[0] == pow_x_elementwise(s, f)
         # the second time f keeps the whole table
         kept, table = "table", k
+
+
+@settings(max_examples=30)
+@given(
+    gamma=st.sampled_from((16, 32)),
+    n=st.integers(2, 7),
+    seed=st.integers(0, 2**32),
+    extend=st.booleans(),
+)
+def test_byte_table_products_match_the_lane_products(gamma, n, seed, extend):
+    # the whole table for up to n digits, built at once or extended from
+    # fewer; at GF(2^16), n <= 5, and GF(2^32), n <= 4, every entry keeps
+    # its byte table, above those some entries are over the cap
+    spec = field_spec(2, gamma)
+    rng = random.Random(seed)
+    q, nb = spec.q, (gamma + 7) // 8
+    f = _monic(spec, [rng.randrange(q) for _ in range(n)])
+    k = rng.randrange(1, n + 1)
+    if extend and k > 1:
+        fqpoly._base_q_table(f, rng.randrange(1, k))
+    table = fqpoly._base_q_table(f, k)
+    size = 256 * n * nb * (n * nb + 36)
+    spans = [entry[2] is not None for entry in table[1:]]
+    # entries keep their byte tables in build order, up to the cap
+    assert spans == [i < fqpoly._PRODUCT_TABLES_MAX_BYTES // size for i in range(len(spans))]
+    x = FqPoly.x(spec)
+    conjugates = [pow_mod_sqm(x, q**i, f) for i in range(k)]
+    for s in range(1, 1 << k):
+        t = FqPoly(spec, table[s][0])
+        want = FqPoly.one(spec)
+        for i in range(k):
+            if s >> i & 1:
+                want = want * conjugates[i] % f
+        assert t == want
+        rows = [(*(x.pow_mod(j, f) * t % f).coeffs,) for j in range(n)]
+        rows = tuple((*row, *(0,) * (n - len(row))) for row in rows)
+        r = tuple(rng.randrange(q) for _ in range(n))
+        want = spec._mul_prepared_raw((r,), spec._prepare_raw(rows))[0]
+        got = fqpoly._times_entry(spec, table[s], fqpoly._pack(r, nb), n)
+        assert fqpoly._lanes(got, n, nb) == list(want)
 
 
 @settings(max_examples=30)
@@ -711,6 +758,90 @@ def test_power_basis_powers_match_the_oracle_and_their_counts(spec, d, verdict, 
         # no algebra before the second evaluation, then B's basis
         assert (field._algebra is not None) == (evaluations >= 2)
         assert evaluations < 2 or field._algebra._basis is not None
+
+
+@settings(max_examples=30)
+@given(
+    gamma=st.sampled_from((8, 16, 32)),
+    d=st.integers(2, 7),
+    seed=st.integers(0, 2**32),
+    before=st.sampled_from(("nothing", "certificate", "power")),
+)
+def test_serve_keeps_a_table_at_its_second_call_where_the_loop_pays(gamma, d, seed, before):
+    # B's chi keeps nothing, what its certificate keeps (x^q and the
+    # Frobenius rows), or what a first power decided; the step keeps the
+    # table for d - 1 digits at its second call, exactly where the loop at
+    # q^(d - 1) - 1 is predicted below the binary route, and counts no more
+    # than the build predicted; its other calls build nothing
+    spec = field_spec(2, gamma)
+    rng = random.Random(seed)
+    q = spec.q
+    b = random_gl(spec, d, rng)
+    field, chi = KeyField(b), char_poly(b)
+    if before == "certificate":
+        field.certificate
+    elif before == "power":
+        field.power(rng.randrange(2, spec.q**d - 1))
+    if gamma > 8:
+        fqpoly._squaring_rows(chi)  # read by the prediction
+    kept = dict(fqpoly._kept(chi))
+    assert _counted(field.serve)[1] == 0
+    assert fqpoly._kept(chi) == kept
+    e = q ** (d - 1) - 1
+    priced = gamma > 8 and e >= q
+    binary, loop, build = fqpoly._pow_x_costs(e, _twin(chi)) if priced else (0, 0, 0)
+    pays = loop < binary
+    count = _counted(field.serve)[1]
+    table = fqpoly._kept(chi).get("table")
+    assert bool(table) == (pays or bool(kept.get("table")))
+    assert count <= (build if pays else 0)
+    if pays:
+        assert len(table) >= 1 << d - 1
+    kept = dict(fqpoly._kept(chi))
+    assert _counted(field.serve)[1] == 0
+    assert fqpoly._kept(chi) == kept
+
+
+def test_a_small_preset_session_takes_the_base_q_route_from_its_second_message(monkeypatch):
+    # keygen key seed 1: the first message's two encrypt powers take the
+    # binary route, and from the second message on, where both fields keep
+    # their tables, the base-q route.  Every power, decrypt's included,
+    # keeps within cayley_hamilton_cost: the tables are built outside the
+    # powers, and so is K_phi's certificate, decided when encrypt's first
+    # serve builds field_m
+    params = MorParams(field_spec(2, 16), 5)
+    spec, d = params.spec, params.d
+    rng = random.Random(1)
+    pk, sk = keygen(params, rng)
+    msg = encode_message(b"h", params)
+    real_power, real_lanes = KeyField._power, fqpoly._lane_power
+    inside, routes, counts = [], [], []
+
+    def power(self, x, g, n):
+        inside.append(True)
+        c0 = cost_counter()
+        try:
+            return real_power(self, x, g, n)
+        finally:
+            inside.pop()
+            counts.append((n % (spec.q**d - 1), cost_counter() - c0))
+
+    def lane_power(e, f, base_q):
+        if inside:
+            routes.append(base_q)
+        return real_lanes(e, f, base_q)
+
+    monkeypatch.setattr(KeyField, "_power", power)
+    monkeypatch.setattr(fqpoly, "_lane_power", lane_power)
+    for message in range(4):
+        routes.clear()
+        counts.clear()
+        ct = encrypt(pk, msg, rng)
+        assert routes == [message > 0] * 2
+        assert decrypt(sk, ct) == msg
+        assert len(counts) == 3
+        for n, count in counts:
+            assert count <= fqpoly.cayley_hamilton_cost(d, n, spec.p)
 
 
 def test_automorphism_power_near_the_exponent_bound_matches_compose():
