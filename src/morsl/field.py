@@ -26,14 +26,15 @@ base-p digits.  FieldElement's operators and the matrix kernels call these
 directly.  Three vector ops are bound beside them: the matrix product
 _mul_prepared_raw, which reads its right factor in the form that
 _prepare_raw gives it, and the outer product _outer_raw.  A binary field
-above 2^8 runs them on lanes: each row of the right factor is packed
-into one int of lanes wide enough for an unreduced product, the
-products are XORed into all lanes at once, and each output entry is
-reduced once with the reduction table; a d x d product thus takes d^2
-reductions instead of d^3.  Every other field runs the loops over its
-_mul_raw, on the rows themselves.  None of the three counts.  A prepared
-factor is a plain value that may outlive the call: a key's power
-basis (matrix.KeyField) keeps one for every later power of its matrix.
+above 2^8 has lanes (FieldSpec._has_lanes) and runs them on lanes: each
+row of the right factor is packed into one int of lanes wide enough for
+an unreduced product, the products are XORed into all lanes at once,
+and each output entry is reduced once with the reduction table; a d x d
+product thus takes d^2 reductions instead of d^3.  Every other field
+runs the loops over its _mul_raw, on the rows themselves.  None of the
+three counts.  A prepared factor is a plain value that may outlive the
+call: a key's power basis (matrix.KeyField) keeps one for every later
+power of its matrix.
 
 Building a spec proves its modulus irreducible: by Ben-Or's test on
 packed bits for p = 2, and by fqpoly.is_irreducible over GF(p)
@@ -118,7 +119,7 @@ def _pow_raw(spec: FieldSpec, a: int, k: int) -> int:
     squaring rows (FieldSpec._square_rows), one lookup per byte, and
     counts each squaring as the multiply it stands for."""
     mul, acc = spec._mul_raw, a
-    if spec.p == 2 and spec.q > _TABLE_MAX_Q:
+    if spec._has_lanes:
         rows, nb = spec._square_rows(), (spec.gamma + 7) // 8
         for bit in bin(k)[3:]:
             acc = reduce(_xor, map(_getitem, rows, acc.to_bytes(nb, "little")))
@@ -299,7 +300,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "gamma", "modulus", "q",
-        "_mask", "_mod_packed", "_red_table", "_sq_table", "_sq_lanes",
+        "_mask", "_mod_packed", "_red_table", "_sq_table", "_sq_lanes", "_has_lanes",
         "_mul_table", "_inv_table", *_RAW_OPS, *_VEC_OPS,
     )
 
@@ -421,7 +422,10 @@ class FieldSpec:
 
     def _choose_raw_ops(self) -> None:
         """Bind _add_raw, _sub_raw, _neg_raw, _mul_raw and _inv_raw, the
-        operations on packed ints, to this field's arithmetic once.
+        operations on packed ints, to this field's arithmetic once, and
+        decide _has_lanes: a binary field too large for multiplication
+        tables (q > _TABLE_MAX_Q) runs its vector kernels, and fqpoly its
+        x^e and Frobenius kernels, on lanes.
 
         An odd-characteristic extension multiplies and inverts its base-p
         digits in GF(p)[x]/f, f its monic modulus, an fqpoly.Quotient.
@@ -456,7 +460,8 @@ class FieldSpec:
             ops = (add, lambda a, b: add(a, neg(b)), neg, mul, inv)
         if small:
             ops = ops[:3] + self._build_tables(ops[3])
-        if p == 2 and self.gamma > 1 and not small:
+        object.__setattr__(self, "_has_lanes", p == 2 and self.q > _TABLE_MAX_Q)
+        if self._has_lanes:
             ops += (self._outer_lanes, self._prepare_lanes, self._mul_prepared_lanes)
         else:
             ops += (self._outer_loop, tuple, self._mat_mul_loop)

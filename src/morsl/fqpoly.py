@@ -24,24 +24,24 @@ Other modules multiply, invert and compose modulo a polynomial only
 through Quotient.  A KeyField's certificate is is_irreducible(chi_B),
 the package's one irreducibility test over F_q[x].
 Repeated q-th powers modulo f go through the Frobenius matrix of f,
-whose rows x^(iq) mod f, and x^q itself, are kept on f: Ben-Or's chain
-and x^e's base-q route share them.
+whose rows x^(iq) mod f, and x^q itself, f keeps: Ben-Or's chain and
+x^e's base-q route share them.
 Squaring modulo a monic f of degree n over a binary field has one model,
 the squaring rows S_i = x^(2i) mod f, ceil(n/2) <= i < n (the q = 2 case
 of the Frobenius matrix): r^2 mod f = sum r_i^2 x^(2i), where only the
 rows from ceil(n/2) up need reducing, at most n + floor(n/2) n
 multiplications against n + (n - 1) n for dividing the square by f.
-The rows are built once per modulus, by shift-and-clear, and cached on
-f.  Odd characteristic divides the square by f.
+The rows are built once per modulus, by shift-and-clear, and kept on f.
+Odd characteristic divides the square by f.
 Over a binary field too large for a multiplication table, x^e runs on
 one int in one kernel, _lane_power: the residue is packed in byte-
 aligned lanes, and squaring a coefficient and clearing a top coefficient
 are each one XOR of byte-indexed table entries (both maps are GF(2)-
 linear).  When the residue is short and e > q, squaring modulo f is
-instead one XOR of byte-indexed entries of a table of f itself, built on
-first use and cached on f, so a key's moduli keep theirs for every
-message.  The kernel counts what the squaring rows multiply, whichever
-squaring ran, so counts and route choices do not depend on the route.
+instead one XOR of byte-indexed entries of a table of f itself, so a
+key's moduli keep theirs for every message.  The kernel counts what the
+squaring rows multiply, whichever squaring ran, so counts and route
+choices do not depend on the route.
 Its multiplies are by x, left to right over e's bits, or, on the base-q
 route (Straus 1964), by products of the conjugates x^(q^i) mod f over
 the bit columns of e's base-q digits, which square about gamma times
@@ -53,6 +53,13 @@ within _PRODUCT_TABLES_MAX_BYTES, and as its multiplication matrix on
 the field's lanes beyond.  keep_base_q_table builds the table where it
 pays, for the moduli of matrix.KeyField's powers, either within one
 power or over the messages a key is to serve.
+What a modulus keeps lives in one store on it, a dict made at its first
+use (_kept), and each item is written by one builder, at its first use:
+the squaring rows with their squaring figure (_squaring_rows), the lane
+layout (_layout), the clearing table (_clear_rows), the squaring table
+(_square_table), x^q (_x_to_the_q), the Frobenius rows
+(_frobenius_rows), and the base-q table or the marker that it does not
+pay (_base_q_table).
 """
 
 from __future__ import annotations
@@ -68,7 +75,6 @@ from operator import or_ as _or
 from operator import xor as _xor
 
 from .field import (
-    _TABLE_MAX_Q,
     FieldElement,
     FieldMismatchError,
     FieldSpec,
@@ -121,16 +127,10 @@ class FqPoly:
     """Immutable polynomial over a FieldSpec, constant coefficient first,
     its coefficients packed ints."""
 
-    # _sq_rows caches the squaring rows of a binary modulus (_squaring_rows
-    # fills it, at the first squaring modulo self), _sq_table the lane
-    # squaring table of x^e mod self (_square_table), only for the short
-    # binary moduli whose powers use it; _frob (_kept) holds what a monic
-    # self keeps of its Frobenius map: x^q mod self under "xq" and its
-    # Frobenius rows under "rows" (_x_to_the_q, _frobenius_rows), which
-    # Ben-Or's chain and the base-q route share, and under "table" its
-    # base-q table (_base_q_table) where keep_base_q_table keeps one, or
-    # () where keep_base_q_table found that it does not pay
-    __slots__ = ("spec", "coeffs", "_sq_rows", "_sq_table", "_frob")
+    # _kept is None, or the store of what a monic self keeps as a modulus,
+    # a dict made at its first use (_kept, whose builders each write one
+    # item of it)
+    __slots__ = ("spec", "coeffs", "_kept")
 
     def __init__(self, spec: FieldSpec, coeffs=()):
         coeffs = tuple(coeffs)
@@ -148,9 +148,7 @@ class FqPoly:
     def _set_slots(self, spec: FieldSpec, coeffs) -> None:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "coeffs", tuple(_trim(coeffs)))
-        object.__setattr__(self, "_sq_rows", None)
-        object.__setattr__(self, "_sq_table", None)
-        object.__setattr__(self, "_frob", None)
+        object.__setattr__(self, "_kept", None)
 
     def __setattr__(self, *args):
         raise AttributeError("FqPoly is immutable")
@@ -260,14 +258,15 @@ class FqPoly:
         Squaring is _square_mod: in characteristic 2, where the cross
         terms vanish, deg coefficient squarings and the modulus's squaring
         rows for the coefficients from ceil(deg/2) up, the rows built at
-        the first squaring and cached on the monic modulus; in odd
+        the first squaring and kept on the monic modulus; in odd
         characteristic, half a general product divided by the modulus.
-        When the base is x, each multiply is a shift, and over a binary
-        field without a multiplication table the whole power runs on one
-        int of lanes (_pow_x_lanes).  If the residue takes at most
+        When the base is x, each multiply is a shift, and over a field
+        that runs on lanes (FieldSpec._has_lanes) the whole power runs on
+        one int of lanes (_pow_x_lanes).  If the residue takes at most
         _SQUARE_TABLE_MAX_BYTES and n > q, its squarings look up a table
-        of the monic modulus, cached on it; x^q, as in is_irreducible, and
-        longer residues build no table and divide each square lane by lane.
+        of the monic modulus, kept on it; x^q, as in is_irreducible, and
+        longer residues build no table and divide each square lane by
+        lane, through the modulus's clearing table, kept on it too.
         A monic modulus that keeps a base-q table (keep_base_q_table, which
         matrix.KeyField calls before its powers) raises x^n, n >= q, by the
         base-q route instead, Straus's walk over n's base-q digits, where
@@ -286,7 +285,7 @@ class FqPoly:
         base = _trim(_rem_monic(list(self.coeffs), f))
         by_x = base == [0, 1]
         # the base reduces to x only when deg f >= 2
-        if by_x and spec.p == 2 and spec.q > _TABLE_MAX_Q:
+        if by_x and spec._has_lanes:
             return _pow_x_lanes(n, f)
         acc = base
         for bit in bin(n)[3:]:
@@ -324,6 +323,18 @@ class FqPoly:
         for c in reversed(cs[:-2]):
             acc = _add_scalar(spec, mat_mul(acc, m).vals, c)
         return acc
+
+
+def _kept(f: FqPoly) -> dict:
+    """The store of what the monic f keeps as a modulus (FqPoly._kept),
+    made empty at its first read.  Each item has one builder, which
+    writes it at its first use: "squaring" (_squaring_rows), "layout"
+    (_layout), "clear" (_clear_rows), "square" (_square_table), "xq"
+    (_x_to_the_q), "rows" (_frobenius_rows) and "table"
+    (_base_q_table)."""
+    if f._kept is None:
+        object.__setattr__(f, "_kept", {})
+    return f._kept
 
 
 def _add_scalar(spec: FieldSpec, vals, c: int) -> Matrix:
@@ -429,7 +440,7 @@ def _square_mod(a: list, f: FqPoly) -> list:
     if spec.p != 2:
         return _rem_monic(sq, f)
     n = f.degree()
-    rows = _squaring_rows(f)
+    rows = _squaring_rows(f)[0]
     mul, out, count = spec._mul_raw, sq[:n], 0
     for c, row in zip(sq[n + n % 2::2], rows):
         if c:
@@ -442,13 +453,15 @@ def _square_mod(a: list, f: FqPoly) -> list:
 
 def _squaring_rows(f: FqPoly) -> tuple:
     """The squaring rows of a monic f of degree n over a binary field,
-    x^(2i) mod f for ceil(n/2) <= i < n, each as its nonzero (j, c), built
-    on first use and cached on f.
+    x^(2i) mod f for ceil(n/2) <= i < n, each as its nonzero (j, c), and
+    the squaring figure n + sum_i nnz(S_i) that bounds a squaring's count
+    through them; built on first use and kept on f.
 
     They are read off x^n, ..., x^(2n-2), each x times the one before with
     its top coefficient cleared: nnz(f_0 .. f_(n-1)) multiplications per
     nonzero top coefficient, at most (n - 1) n in all."""
-    if f._sq_rows is None:
+    kept = _kept(f)
+    if "squaring" not in kept:
         spec, fc = f.spec, f.coeffs
         n = len(fc) - 1
         mul = spec._mul_raw
@@ -464,8 +477,8 @@ def _squaring_rows(f: FqPoly) -> tuple:
         _count_muls(count)
         # walk[k] is x^(n + k): the rows are its even powers
         rows = tuple(tuple((j, c) for j, c in enumerate(v) if c) for v in walk[n % 2::2])
-        object.__setattr__(f, "_sq_rows", rows)
-    return f._sq_rows
+        kept["squaring"] = rows, n + sum(map(len, rows))
+    return kept["squaring"]
 
 
 def _rem_monic(a: list, f: FqPoly) -> list:
@@ -506,7 +519,7 @@ def _pow_x_lanes(e: int, f: FqPoly) -> FqPoly:
     table's extension to e's digits, to count fewer multiplications than
     the binary route; by the binary route otherwise."""
     base_q = False
-    if f._frob and f._frob.get("table") and e >= f.spec.q:
+    if _kept(f).get("table") and e >= f.spec.q:
         binary, loop, build = _pow_x_costs(e, f)
         base_q = loop + build < binary
     return _lane_power(e, f, base_q)
@@ -532,8 +545,9 @@ def _lane_power(e: int, f: FqPoly, base_q: bool) -> FqPoly:
     the field's squaring table and divides the square by f
     (_divide_lanes), or, for a residue of at most _SQUARE_TABLE_MAX_BYTES
     with e > q, it looks the reduced square up in f's squaring table
-    (_square_table), built on first use and cached on f, in
-    n*ceil(gamma/8) lookups.
+    (_square_table) in n*ceil(gamma/8) lookups.  The residue's lanes
+    (_layout), the clearing table and the squaring table are built on
+    first use and kept on f.
 
     Either way the multiplications are counted as _square_mod counts
     them: one per nonzero lane of the residue, and nnz(S_i) per nonzero
@@ -551,20 +565,16 @@ def _lane_power(e: int, f: FqPoly, base_q: bool) -> FqPoly:
     nonzero lanes of a residue.
     """
     spec = f.spec
-    n, nb = f.degree(), (spec.gamma + 7) // 8
-    lane = 8 * nb
-    top = n * lane
-    mask = (1 << top) - 1
+    n, nb, lane, top, mask, nnz = _layout(f)
     low = sum(((1 << lane - 1) - 1) << i * lane for i in range(n))
     high = mask ^ low
+    red = _clear_rows(f)
     if e > spec.q and n * nb <= _SQUARE_TABLE_MAX_BYTES:
-        table, red = _square_table(f)
+        table = _square_table(f)
     else:
-        table, red = None, _clear_rows(f)
-        sq, starts = spec._square_rows(), range(0, n * nb, nb)
-    nnz = n - f.coeffs[:n].count(0)
+        table, sq, starts = None, spec._square_rows(), range(0, n * nb, nb)
     # the rows are built, and counted, only for a power that squares
-    weights = [len(row) for row in _squaring_rows(f)] if e > 1 else ()
+    weights = [len(row) for row in _squaring_rows(f)[0]] if e > 1 else ()
     # the marks of lanes (n + 1) // 2 and up, shifted down to bits 0, lane, ...
     split = (n + 1) // 2 * lane + lane - 1
     costs = {0: 0}
@@ -646,19 +656,36 @@ def _span_rows(spec: FieldSpec, n: int, v: int, power: int) -> tuple:
     return tuple(rows)
 
 
+def _layout(f: FqPoly) -> tuple:
+    """The lanes of residues modulo a monic f of degree n over a field
+    that runs on lanes, built on first use and kept on f: n, a lane's
+    ceil(gamma/8) bytes and its bits, the residue's bits top and their
+    mask, and nnz(f_0 .. f_(n-1)), the count of clearing a top
+    coefficient."""
+    kept = _kept(f)
+    if "layout" not in kept:
+        n, nb = f.degree(), (f.spec.gamma + 7) // 8
+        top = n * 8 * nb
+        kept["layout"] = n, nb, 8 * nb, top, (1 << top) - 1, n - f.coeffs[:n].count(0)
+    return kept["layout"]
+
+
 def _clear_rows(f: FqPoly) -> tuple:
-    """The table of multiples of a monic f of degree n over GF(2^gamma)
-    below its top term: row k maps a byte b of c to the lanes
-    (c*f_0, ..., c*f_(n-1)) for c = b * x^(8k), lane i the i-th run of
-    ceil(gamma/8) bytes; XOR-ed in below a top coefficient c, they leave
-    c x^n times f subtracted (_span_rows, with power 1)."""
-    n, lane = f.degree(), 8 * ((f.spec.gamma + 7) // 8)
-    return _span_rows(f.spec, n, sum(c << i * lane for i, c in enumerate(f.coeffs[:n])), 1)
+    """The clearing table of a monic f of degree n over GF(2^gamma), the
+    multiples of f below its top term, built on first use and kept on f:
+    row k maps a byte b of c to the lanes (c*f_0, ..., c*f_(n-1)) for
+    c = b * x^(8k), lane i the i-th run of ceil(gamma/8) bytes; XOR-ed in
+    below a top coefficient c, they leave c x^n times f subtracted
+    (_span_rows, with power 1)."""
+    kept = _kept(f)
+    if "clear" not in kept:
+        n, nb = _layout(f)[:2]
+        kept["clear"] = _span_rows(f.spec, n, _pack(f.coeffs[:n], nb), 1)
+    return kept["clear"]
 
 
 def _square_table(f: FqPoly) -> tuple:
-    """f's squaring table and its clearing table (_clear_rows), built on
-    first use and cached on f.
+    """f's squaring table, built on first use and kept on f.
 
     r -> r^2 mod f is GF(2)-linear on residues.  Row k maps a byte b to
     the reduced square of the residue whose byte k holds b and every other
@@ -668,18 +695,17 @@ def _square_table(f: FqPoly) -> tuple:
     _square_lane_rows).  For a lane i from ceil(n/2) up it is b's square
     times f's squaring row S_i = x^(2i) mod f (_squaring_rows): the rows
     are spanned from S_i by lane doubling (_span_rows, with power 2).
-    f owns floor(n/2)*ceil(gamma/8) rows of 256 entries, and the clearing
-    table's ceil(gamma/8).
+    f owns floor(n/2)*ceil(gamma/8) rows of 256 entries.
     """
-    if f._sq_table is None:
+    kept = _kept(f)
+    if "square" not in kept:
         spec = f.spec
-        n, lane = f.degree(), 8 * ((spec.gamma + 7) // 8)
-        red = _clear_rows(f)
+        n, _, lane = _layout(f)[:3]
         rows = list(_chain.from_iterable(spec._square_lane_rows((n + 1) // 2)))
-        for row in _squaring_rows(f):
+        for row in _squaring_rows(f)[0]:
             rows += _span_rows(spec, n, sum(c << j * lane for j, c in row), 2)
-        object.__setattr__(f, "_sq_table", (tuple(rows), red))
-    return f._sq_table
+        kept["square"] = tuple(rows)
+    return kept["square"]
 
 
 def _lanes(acc: int, n: int, nb: int) -> list:
@@ -708,8 +734,10 @@ def _columns(digits) -> list:
 
 
 def _base_q_table(f: FqPoly, k: int) -> list:
-    """f's base-q table for k digits, over GF(2^gamma), gamma > 8, the one f
-    keeps extended and cached on f.  Entry S, a bitmask of digits, holds
+    """f's base-q table for k digits, over GF(2^gamma), gamma > 8: the one
+    f keeps, extended where it has fewer digits, and kept on f; for k = 0
+    on an f that keeps none, the marker () that the table does not pay
+    (keep_base_q_table).  Entry S, a bitmask of digits, holds
     T_S = prod_{i in S} x^(q^i) mod f, as its n coefficients and as its
     product r -> r T_S mod f (_times_entry).  The product is the residue
     r as a row times T_S's multiplication matrix, rows x^j T_S mod f for
@@ -717,8 +745,8 @@ def _base_q_table(f: FqPoly, k: int) -> list:
     _PRODUCT_TABLES_MAX_BYTES, the entry keeps that GF(2)-linear map as a
     byte table: row j ceil(gamma/8) + k maps the value of byte k of r_j
     to its share of r_j times row j (_span_rows, with power 1), so that a
-    product is the XOR of n ceil(gamma/8) lookups.  Otherwise the entry keeps the
-    matrix prepared for the field's lanes (_prepare_raw).
+    product is the XOR of n ceil(gamma/8) lookups.  Otherwise the entry
+    keeps the matrix prepared for the field's lanes (_prepare_raw).
 
     Entry 2^i is the conjugate x^(q^i): x, x^q (_x_to_the_q), and from
     x^(q^2) on the q-th power of the one before, through f's Frobenius
@@ -727,15 +755,12 @@ def _base_q_table(f: FqPoly, k: int) -> list:
     Each matrix's rows are x times the row above, shifted up a lane with
     its top coefficient cleared as _lane_power clears it:
     nnz(f_0 .. f_(n-1)) per nonzero top coefficient."""
-    table = _kept(f).get("table") or [None]
+    kept = _kept(f)
+    table = kept.get("table") or [None]
     if len(table) < 1 << k:
         spec = f.spec
-        n, nb = f.degree(), (spec.gamma + 7) // 8
-        lane = 8 * nb
-        top = n * lane
-        mask = (1 << top) - 1
+        n, nb, lane, top, mask, nnz = _layout(f)
         red = _clear_rows(f)
-        nnz = n - f.coeffs[:n].count(0)
         size = 256 * n * nb * (n * nb + 36)
         held = size * sum(entry[2] is not None for entry in table[1:])
         count = 0
@@ -769,7 +794,8 @@ def _base_q_table(f: FqPoly, k: int) -> list:
                 matrix = tuple(tuple(_lanes(v, n, nb)) for v in rows)
                 table.append((tuple(t), spec._prepare_raw(matrix), None))
         _count_muls(count)
-        _kept(f)["table"] = table
+    # k = 0 decides that f keeps no table, unless it keeps one
+    kept["table"] = table if k else kept.get("table", ())
     return table
 
 
@@ -802,9 +828,8 @@ def keep_base_q_table(f: FqPoly, e: int, repaid: bool = False) -> None:
     alone is predicted below the binary route, even where an earlier e
     decided against it.  The build, and the squaring rows the prediction
     reads, are counted as they run."""
-    spec = f.spec
-    n, q = f.degree(), spec.q
-    if spec.p != 2 or q <= _TABLE_MAX_Q or not q <= e < q**n:
+    n, q = f.degree(), f.spec.q
+    if not f.spec._has_lanes or not q <= e < q**n:
         return
     table = _kept(f).get("table")
     if table is not None and not repaid:
@@ -813,7 +838,7 @@ def keep_base_q_table(f: FqPoly, e: int, repaid: bool = False) -> None:
     if base_q + (0 if repaid else build) < binary:
         _base_q_table(f, len(_base_q_digits(e, q)))
     elif table is None:
-        _kept(f)["table"] = ()
+        _base_q_table(f, 0)
 
 
 def _pow_x_costs(e: int, f: FqPoly) -> tuple[int, int, int]:
@@ -834,28 +859,28 @@ def _pow_x_costs(e: int, f: FqPoly) -> tuple[int, int, int]:
     and its product, n^2, or for a conjugate x^(q^i), i >= 2, its step
     through the Frobenius rows, their nonzero entries (n^2 before they are
     built)."""
-    q, n = f.spec.q, f.degree()
-    nnz = n - f.coeffs[:n].count(0)
-    square = n + sum(len(row) for row in _squaring_rows(f))
+    q = f.spec.q
+    n, *_, nnz = _layout(f)
+    square = _squaring_rows(f)[1]
     binary = _binary_cost(e, n, nnz, square)
     digits = _base_q_digits(e, q)
     k = len(digits)
     columns = _reduce(_or, digits)
     loop = (columns.bit_length() - 1) * square + (columns.bit_count() - 1) * n * n
-    frob = _kept(f)
-    table = frob.get("table")
+    store = _kept(f)
+    table = store.get("table")
     kept = len(table).bit_length() - 1 if table else 0
     if k <= kept:
         return binary, loop, 0
     entries = (1 << k) - (1 << kept if kept else 1)
     steps = k - max(kept, 2)
     build = entries * (n - 1) * nnz + (entries - (k - kept)) * n * n
-    if "xq" not in frob:
+    if "xq" not in store:
         build += _binary_cost(q, n, nnz, square)
-    if steps > 0 and "rows" not in frob:
+    if steps > 0 and "rows" not in store:
         build += (n - 2) * (n * n + (n - 1) * nnz) + steps * n * n
     elif steps > 0:
-        build += steps * sum(len(row) for row in frob["rows"][0])
+        build += steps * sum(len(row) for row in store["rows"][0])
     return binary, loop, build
 
 
@@ -902,21 +927,13 @@ def _frobenius_map(f: FqPoly, steps: int):
     return xq, by_matrix
 
 
-def _kept(f: FqPoly) -> dict:
-    """What the monic f keeps of its Frobenius map (FqPoly._frob), made
-    empty at its first read."""
-    if f._frob is None:
-        object.__setattr__(f, "_frob", {})
-    return f._frob
-
-
 def _x_to_the_q(f: FqPoly) -> FqPoly:
     """x^q mod a monic f of degree >= 2, by pow_mod at its first use and
     kept on f."""
-    frob = _kept(f)
-    if "xq" not in frob:
-        frob["xq"] = FqPoly.x(f.spec).pow_mod(f.spec.q, f)
-    return frob["xq"]
+    kept = _kept(f)
+    if "xq" not in kept:
+        kept["xq"] = FqPoly.x(f.spec).pow_mod(f.spec.q, f)
+    return kept["xq"]
 
 
 def _frobenius_rows(f: FqPoly) -> tuple:
@@ -926,20 +943,19 @@ def _frobenius_rows(f: FqPoly) -> tuple:
     use and kept on f.  Row i >= 2 is row i - 1 times x^q (_x_to_the_q),
     one product and one _rem_monic, counted as they count, which over
     GF(2^gamma), gamma > 8, run on lanes (_frobenius_powers_on_lanes)."""
-    frob = _kept(f)
-    if "rows" not in frob:
+    kept = _kept(f)
+    if "rows" not in kept:
         spec, n = f.spec, f.degree()
         xq = _x_to_the_q(f).coeffs
         rows = [(1,), xq]
-        lanes = spec.p == 2 and spec.q > _TABLE_MAX_Q
-        if lanes and n > 2:
+        if spec._has_lanes and n > 2:
             rows += _frobenius_powers_on_lanes(xq, f)
         while len(rows) < n:
             rows.append(_rem_monic(_product(spec, rows[-1], xq), f))
         full = tuple((*row, *(0,) * (n - len(row))) for row in rows)
         nonzero = tuple(tuple((j, r) for j, r in enumerate(row) if r) for row in rows)
-        frob["rows"] = nonzero, spec._prepare_raw(full) if lanes else None
-    return frob["rows"]
+        kept["rows"] = nonzero, spec._prepare_raw(full) if spec._has_lanes else None
+    return kept["rows"]
 
 
 def _frobenius_powers_on_lanes(xq, f: FqPoly) -> list:
@@ -950,17 +966,16 @@ def _frobenius_powers_on_lanes(xq, f: FqPoly) -> list:
     _product and _rem_monic count: nnz(a) nnz(x^q), and nnz(f_0 .. f_(n-1))
     per nonzero quotient coefficient."""
     spec = f.spec
-    n, nb = f.degree(), (spec.gamma + 7) // 8
-    top = n * 8 * nb
+    n, nb, _, top, mask, low = _layout(f)
     b = (*xq, *(0,) * (n - len(xq)))
     shifts = spec._prepare_raw(tuple((*(0,) * j, *b, *(0,) * (n - 1 - j)) for j in range(n)))
-    red, low = _clear_rows(f), n - f.coeffs[:n].count(0)
+    red = _clear_rows(f)
     nnz_xq = n - b.count(0)
     rows, a, count = [], b, 0
     for _ in range(n - 2):
         s = _divide_lanes(_pack(spec._mul_prepared_raw((a,), shifts)[0], nb), red, top, nb)
         count += (n - a.count(0)) * nnz_xq + low * (n - 1 - _lanes(s >> top, n - 1, nb).count(0))
-        a = tuple(_lanes(s & (1 << top) - 1, n, nb))
+        a = tuple(_lanes(s & mask, n, nb))
         rows.append(a)
     _count_muls(count)
     return rows

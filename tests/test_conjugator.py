@@ -29,7 +29,17 @@ from morsl.autos import (
 )
 from morsl.field import FieldElement, cost_counter, cost_reset, field_spec
 from morsl.matrix import Matrix, SingularMatrixError, identity, mat_pow, random_gl, random_sl
-from morsl.protocol import MorParams, decode_message, decrypt, encode_message, encrypt, keygen
+from morsl.protocol import (
+    MorCiphertext,
+    MorParams,
+    MorPrivateKey,
+    MorPublicKey,
+    decode_message,
+    decrypt,
+    encode_message,
+    encrypt,
+    keygen,
+)
 
 PROPERTY = settings(max_examples=40)
 
@@ -205,7 +215,7 @@ def test_a_session_builds_one_squaring_table_per_new_conjugator(monkeypatch):
     real_table, real_draw = fqpoly._square_table, protocol.random_gl
 
     def square_table(f):
-        if f._sq_table is None:
+        if "square" not in fqpoly._kept(f):
             builds.append(f)
         return real_table(f)
 
@@ -237,7 +247,35 @@ def test_a_session_builds_one_squaring_table_per_new_conjugator(monkeypatch):
     # a paper-size chi (140-byte residues) squares by lanes and builds no table
     paper = random_gl(field_spec(2, 160), 7, random.Random(5))
     mat_pow(paper, random.Random(5).getrandbits(1100))
-    assert builds == [] and paper._chi is not None and paper._chi._sq_table is None
+    assert builds == [] and paper._chi is not None and "square" not in fqpoly._kept(paper._chi)
+
+
+def test_a_paper_round_trip_builds_each_clearing_table_once(monkeypatch):
+    # keys and ciphertext parsed as the CLI parses them: encrypt raises
+    # B_phi and B_phim, decrypt B_r, and each chi's lanes divide and clear
+    # through its clearing table, read several times in each power and
+    # built at the first read only
+    calls, builds = [], []
+    real = fqpoly._clear_rows
+
+    def clear_rows(f):
+        calls.append(f)
+        if "clear" not in fqpoly._kept(f):
+            builds.append(f)
+        return real(f)
+
+    params = MorParams(field_spec(2, 160), 7)
+    rng = random.Random(1)
+    pk, sk = keygen(params, rng)
+    monkeypatch.setattr(fqpoly, "_clear_rows", clear_rows)
+    pk = MorPublicKey.from_json(pk.to_json())
+    ct = MorCiphertext.from_json(encrypt(pk, encode_message(b"h", params), rng).to_json())
+    b_phi, b_phim = recover_conjugator(pk.phi), recover_conjugator(pk.phi_m)
+    assert list(map(id, builds)) == [id(b_phi._chi), id(b_phim._chi)] and len(calls) > 2
+    calls.clear()
+    builds.clear()
+    assert decode_message(decrypt(MorPrivateKey.from_json(params.spec, sk.to_json()), ct)) == b"h"
+    assert list(map(id, builds)) == [id(ct.conjugator._chi)] and len(calls) > 1
 
 
 def test_keygen_with_irreducible_lift_skips_the_certificate(monkeypatch):

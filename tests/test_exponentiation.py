@@ -133,7 +133,7 @@ def _monic(spec, coeffs):
 def _oracle_counted(e, f):
     """pow_x_elementwise's value and count on f as the kernel finds it: the
     squaring rows' build is counted unless f keeps rows it built before."""
-    return _counted(pow_x_elementwise, e, f, f._sq_rows is not None)
+    return _counted(pow_x_elementwise, e, f, "squaring" in fqpoly._kept(f))
 
 
 # gamma = 9 is the smallest binary field without a multiplication table
@@ -164,7 +164,7 @@ def test_binary_kernel_matches_the_counting_oracle(spec, coeffs, e):
         with mock.patch.object(fqpoly, "_SQUARE_TABLE_MAX_BYTES", cap):
             got = _counted(FqPoly.x(spec).pow_mod, e, f)
         assert got == _counted(pow_x_elementwise, e, f)
-        assert (f._sq_table is not None) == (cap > 0 and e > spec.q)
+        assert ("square" in fqpoly._kept(f)) == (cap > 0 and e > spec.q)
 
 
 def test_binary_kernel_paper_size_is_pinned():
@@ -373,7 +373,7 @@ def test_table_cap_at_e_q_and_q_plus_1(gamma, n, x_power_routes):
     # only e > q on a residue of at most 112 bytes asks for the table
     short = n * ((gamma + 7) // 8) <= fqpoly._SQUARE_TABLE_MAX_BYTES
     assert x_power_routes == [("lanes", spec, n), ("table" if short else "lanes", spec, n)]
-    assert (f._sq_table is not None) == short
+    assert ("square" in fqpoly._kept(f)) == short
 
 
 def _dense_modulus_field(gamma, seed):
@@ -416,23 +416,24 @@ def test_table_route_matches_the_counting_oracle(gamma, dense, seed, n, kind, e)
     for e in (_kernel_exponent(spec, e), *(spec.q + 1 + rng.getrandbits(rng.randrange(1, 401))
                                      for _ in range(2))):
         assert _oracle_counted(e, f) == _counted(FqPoly.x(spec).pow_mod, e, f)
-        assert f._sq_rows is not None
+        kept = fqpoly._kept(f)
+        assert "squaring" in kept
         if short and e > spec.q:
-            assert f._sq_table is not None and table in (None, f._sq_table)
-            table = f._sq_table
+            assert "square" in kept and table in (None, kept["square"])
+            table = kept["square"]
         else:
-            assert f._sq_table is table
+            assert kept.get("square") is table
     if short:
         # n lanes per entry, n*ceil(gamma/8) rows of 256 entries; the rows of
         # the lanes below ceil(n/2) are the field's, the same objects for
         # every modulus of the field, and lane 0's are its squaring rows
-        rows, clear = table
+        rows, clear = table, fqpoly._kept(f)["clear"]
         nb, lane, h = len(clear), 8 * len(clear), (n + 1) // 2
         assert len(rows) == n * nb and all(len(row) == 256 for row in rows + clear)
         assert max(v.bit_length() for row in rows for v in row) <= n * lane
         other = _monic(spec, [rng.randrange(1, spec.q) for _ in range(n)])
         FqPoly.x(spec).pow_mod(spec.q + 1, other)
-        assert all(a is b for a, b in zip(rows[:h * nb], other._sq_table[0][:h * nb]))
+        assert all(a is b for a, b in zip(rows[:h * nb], fqpoly._kept(other)["square"][:h * nb]))
         assert all(a is b for a, b in zip(rows[:nb], spec._square_rows()))
 
 
@@ -685,16 +686,14 @@ basis_fields = st.sampled_from(
 
 
 def _twin(f):
-    """A copy of the monic f that keeps what f keeps: its squaring rows and
-    table, x^q, its Frobenius rows and, as a list of its own, its base-q
-    table."""
+    """A copy of the monic f that keeps what f keeps, a copy of its store:
+    its squaring rows, lanes, clearing and squaring tables, x^q, its
+    Frobenius rows and, as a list of its own, its base-q table."""
     g = FqPoly._from_vals(f.spec, f.coeffs)
-    for slot in ("_sq_rows", "_sq_table"):
-        object.__setattr__(g, slot, getattr(f, slot))
-    frob = dict(fqpoly._kept(f))
-    if frob.get("table"):
-        frob["table"] = list(frob["table"])
-    object.__setattr__(g, "_frob", frob)
+    kept = fqpoly._kept(g)
+    kept.update(fqpoly._kept(f))
+    if kept.get("table"):
+        kept["table"] = list(kept["table"])
     return g
 
 

@@ -122,6 +122,42 @@ def test_the_check_sees_an_fqpoly_import():
     assert found == ["char_poly", "fqpoly", "is_irreducible", "morsl.fqpoly"]
 
 
+def _table_cap_readers(source: str) -> list[int]:
+    """Line numbers where source names field._TABLE_MAX_Q: an import of
+    it, or a read of the name or of the attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.ImportFrom) and any(a.name == "_TABLE_MAX_Q" for a in node.names))
+        or (isinstance(node, ast.Name) and node.id == "_TABLE_MAX_Q")
+        or (isinstance(node, ast.Attribute) and node.attr == "_TABLE_MAX_Q")
+    )
+
+
+def test_only_field_decides_which_fields_run_on_lanes():
+    # FieldSpec._choose_raw_ops decides it once, as FieldSpec._has_lanes:
+    # fqpoly and every other module read that instead of the table cap
+    readers = {
+        p.name: _table_cap_readers(p.read_text())
+        for p in sorted(Path(morsl.__file__).parent.glob("*.py"))
+        if p.name != "field.py"
+    }
+    assert {name: lines for name, lines in readers.items() if lines} == {}
+
+
+def test_the_check_sees_a_table_cap_reader():
+    source = (
+        "from .field import (\n"
+        "    _TABLE_MAX_Q,\n"
+        "    FieldSpec,\n"
+        ")\n"
+        "lanes = spec.p == 2 and spec.q > field._TABLE_MAX_Q\n"
+        "small = q <= _TABLE_MAX_Q\n"
+        "lanes = spec._has_lanes\n"
+    )
+    assert _table_cap_readers(source) == [1, 5, 6]
+
+
 def _private_names(source: str) -> set[str]:
     """The _-prefixed names that source defines, dunders aside: its
     functions, classes, methods, assigned names and slots."""

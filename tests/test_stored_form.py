@@ -4,7 +4,9 @@ No module of the package reads an attribute named `rows`: a Matrix keeps
 its entries in `vals`, and a second stored form, such as a FieldElement
 view, would come back as a reader of `rows`, perhaps on a path the suite
 does not run.  An FqPoly keeps its coefficients in `coeffs`, and fqpoly
-builds a FieldElement only where it hands one out.  A Matrix is a plain
+builds a FieldElement only where it hands one out.  Besides them, an
+FqPoly keeps one store, `_kept`, of what it keeps as a modulus, written
+only in fqpoly.py and each of its items by one builder.  A Matrix is a plain
 value: its entries and the cache of chi_x that char_poly fills.  What a
 key knows of its algebra K = F_q[B] lives on a matrix.KeyField instead,
 and only matrix.py, which checks them, writes its facts: B's certificate
@@ -22,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import morsl
+from morsl.fqpoly import FqPoly
 from morsl.matrix import Matrix
 
 PACKAGE = Path(morsl.__file__).parent
@@ -128,6 +131,56 @@ def _writing_modules(slot: str) -> set[str]:
 
 def test_a_matrix_keeps_only_its_entries_and_chi():
     assert Matrix.__slots__ == ("spec", "d", "vals", "_chi")
+
+
+def test_a_polynomial_keeps_only_its_coefficients_and_its_store():
+    assert FqPoly.__slots__ == ("spec", "coeffs", "_kept")
+
+
+def test_only_fqpoly_writes_the_modulus_store():
+    assert _writing_modules("_kept") == {"fqpoly.py"}
+
+
+def _store_writers(source: str) -> dict[str, set[str]]:
+    """The functions of source that write each string key of a dict, as
+    kept["key"] = value."""
+    writers = {}
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.slice, ast.Constant)
+                    and isinstance(node.slice.value, str)
+                ):
+                    writers.setdefault(node.slice.value, set()).add(func.name)
+    return writers
+
+
+def test_each_item_of_the_modulus_store_has_one_builder():
+    assert _store_writers((PACKAGE / "fqpoly.py").read_text()) == {
+        "squaring": {"_squaring_rows"},
+        "layout": {"_layout"},
+        "clear": {"_clear_rows"},
+        "square": {"_square_table"},
+        "xq": {"_x_to_the_q"},
+        "rows": {"_frobenius_rows"},
+        "table": {"_base_q_table"},
+    }
+
+
+def test_the_check_sees_a_second_store_writer():
+    source = (
+        "def _clear_rows(f):\n"
+        '    _kept(f)["clear"] = rows\n'
+        "def keep(f):\n"
+        "    kept = _kept(f)\n"
+        '    kept["table"] = ()\n'
+        '    kept["clear"], n = None, kept["layout"]\n'
+        "    costs[pattern] = 0\n"
+    )
+    assert _store_writers(source) == {"clear": {"_clear_rows", "keep"}, "table": {"keep"}}
 
 
 def test_only_matrix_writes_the_certificate_verdict():

@@ -6,6 +6,7 @@ prints two numbers: the physical lines of the directory's *.py files
 (not recursive), and their code lines.  A code line is a physical line
 spanned by a token of a logical line that is not a single string literal
 (a docstring); comments, blank lines and indentation do not count.
+Without exactly one argument it prints its usage to stderr and exits 2.
 """
 
 import io
@@ -37,4 +38,7 @@ def main(directory: str) -> None:
 
 
 if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        print("usage: python3 tools/code_lines.py DIRECTORY", file=sys.stderr)
+        sys.exit(2)
     main(sys.argv[1])

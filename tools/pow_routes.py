@@ -7,7 +7,7 @@ For the key that keygen draws with seed 1 at the toy, small and paper
 presets, raises x^s modulo chi_B, B the private conjugator, for one s
 below the norm (q^d - 1)/(q - 1), drawn with seed 1, as matrix.KeyField
 raises it.  chi_B is taken as keygen leaves it, its certificate decided,
-so it keeps x^q, its Frobenius rows and its squaring table.  Each route
+so its store keeps x^q, its Frobenius rows and its squaring table.  Each route
 runs on its own copy of chi_B, and each line gives fqpoly's predicted
 figure, the count and the best of RUNS (default 5) wall times in
 microseconds.  A route that builds runs each time on a fresh copy; a
@@ -38,7 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from morsl import fqpoly  # noqa: E402
 from morsl.cli import PRESETS  # noqa: E402
-from morsl.field import _TABLE_MAX_Q, cost_counter, field_spec  # noqa: E402
+from morsl.field import cost_counter, field_spec  # noqa: E402
 from morsl.fqpoly import FqPoly, char_poly  # noqa: E402
 from morsl.protocol import MorParams, keygen  # noqa: E402
 
@@ -57,15 +57,13 @@ def measured(fn, args, runs: int) -> tuple[int, float]:
 
 
 def twin(f, certified=True):
-    """A copy of the monic f that keeps its squaring rows and table and, if
-    certified, x^q and its Frobenius rows: never its base-q table, which
-    keygen's power has chi_B keep where it pays."""
+    """A copy of the monic f that keeps a copy of f's store: its squaring
+    rows, lanes, clearing and squaring tables and, if certified, x^q and
+    its Frobenius rows; never its base-q table, which keygen's power has
+    chi_B keep where it pays."""
     g = FqPoly._from_vals(f.spec, f.coeffs)
-    object.__setattr__(g, "_sq_rows", f._sq_rows)
-    object.__setattr__(g, "_sq_table", f._sq_table)
-    if certified:
-        frob = fqpoly._kept(f)
-        object.__setattr__(g, "_frob", {k: frob[k] for k in ("xq", "rows") if k in frob})
+    left_out = {"table"} if certified else {"table", "xq", "rows"}
+    fqpoly._kept(g).update((k, v) for k, v in fqpoly._kept(f).items() if k not in left_out)
     return g
 
 
@@ -77,7 +75,7 @@ def routes(preset: str, runs: int) -> list[tuple[str, int, int, float]]:
     q = spec.q
     s = random.Random(1).randrange(q, (q**d - 1) // (q - 1))
     same = twin(chi)
-    if spec.p != 2 or q <= _TABLE_MAX_Q:
+    if not spec._has_lanes:
         predicted = fqpoly._pow_mod_cost(s, d, spec.p, by_x=True)
         x = FqPoly.x(spec)
         return [("binary", predicted, *measured(x.pow_mod, lambda: (s, same), runs))]
